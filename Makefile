@@ -1,16 +1,16 @@
 GO ?= go
 
-.PHONY: check vet build test race cover golden-trace bench-smoke chaos par-check cluster-smoke scale-smoke metrics-gate diff-backends metrics-baseline perf-baseline scale-baseline
+.PHONY: check vet build test race cover golden-trace bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs fuzz-sortdiffs metrics-gate diff-backends metrics-baseline perf-baseline scale-baseline
 
 ## check: the pre-commit gate (mirrors .github/workflows/ci.yml) — vet,
 ## build, race-test everything, verify the golden trace, a one-iteration
 ## pass over every benchmark so the perf kernels stay honest, the chaos
 ## suite under fault injection, the windowed-engine determinism guard,
 ## the multi-process cluster smoke against the simulator oracle, the
-## 256-node scale smoke, the metrics regression gate against the
-## committed baseline, the sim-vs-real counter-equivalence gate, and the
-## per-package coverage floors.
-check: vet build race golden-trace bench-smoke chaos par-check cluster-smoke scale-smoke metrics-gate diff-backends cover
+## 256-node scale smoke, the diff-order differential tests, the metrics
+## regression gate against the committed baseline, the sim-vs-real
+## counter-equivalence gate, and the per-package coverage floors.
+check: vet build race golden-trace bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs metrics-gate diff-backends cover
 	@echo "check: OK"
 
 vet:
@@ -72,8 +72,24 @@ cluster-smoke:
 scale-smoke:
 	$(GO) test ./internal/harness -run 'TestScaleSmoke|TestRunScaleStudy' -count=1
 
+## sortdiffs: the diff application order is pinned — the differential
+## tests against the replaced algorithm (sortDiffsReference), the pinned
+## orders, the steady-state allocation check and the fuzz seed corpus,
+## under the race detector. The order fixes every virtual time after a
+## many-writer fault, so a change here moves the golden trace too.
+sortdiffs:
+	$(GO) test ./internal/core -run 'SortDiffs' -count=1 -race
+
+## fuzz-sortdiffs: let the fuzzer write protocol histories for 30 s and
+## compare the two orderings on each. A failing input lands in
+## internal/core/testdata/fuzz and then runs with the ordinary tests.
+fuzz-sortdiffs:
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzSortDiffsMatchesReference -fuzztime 30s
+
 ## scale-baseline: regenerate the committed BENCH_scaleout.json scaling
-## study (8 to 1024 nodes at paper size; takes several minutes).
+## study (8 to 1024 nodes at paper size; under a minute on 2 cores). The
+## header records the host's cores and GOMAXPROCS beside each point's
+## host_seconds.
 scale-baseline:
 	$(GO) run ./cmd/cvm-bench -experiment scaleout -size paper -scale-json BENCH_scaleout.json
 

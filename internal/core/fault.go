@@ -216,7 +216,7 @@ func (t *Thread) applyFault(fs *faultState) {
 	n := t.node
 	p := fs.page
 	t.node.materialize(p)
-	sortDiffs(fs.diffs)
+	n.sorter.sortDiffs(fs.diffs)
 	if t.sys.cfg.DetectRaces {
 		n.detectRaces(fs.diffs)
 	}
@@ -296,12 +296,16 @@ const diffRequestBytes = 16
 
 // detectRaces counts pairs of concurrent (causally unordered) diffs that
 // write overlapping bytes — the paper's definition of a probable data
-// race in a multiple-writer protocol.
+// race in a multiple-writer protocol. Each Before sits behind the same
+// one-component necessary condition sortDiffs uses, so a pair of
+// concurrent writers costs two loads, not two O(nodes) scans.
 func (n *node) detectRaces(ds []*Diff) {
 	for i := 0; i < len(ds); i++ {
 		for j := i + 1; j < len(ds); j++ {
 			a, b := ds[i], ds[j]
-			if a.Node == b.Node || a.VT.Before(b.VT) || b.VT.Before(a.VT) {
+			if a.Node == b.Node ||
+				(b.VT[a.Node] >= a.VT[a.Node] && a.VT.Before(b.VT)) ||
+				(a.VT[b.Node] >= b.VT[b.Node] && b.VT.Before(a.VT)) {
 				continue
 			}
 			if a.Overlaps(b) {

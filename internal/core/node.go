@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"cvm/internal/memsim"
@@ -36,6 +38,7 @@ type node struct {
 	swdir          map[PageID]*swDir    // single-writer directory (manager side), lazily created
 	csp            csPool               // recycled spilled copyset bitsets
 	csScratch      []int32              // copyset fan-out scratch (swServe)
+	sorter         diffSorter           // diff-ordering scratch (applyFault)
 	barrierSentIdx int32                // own intervals already shipped to the barrier manager
 
 	// In-flight remote request counts for outstanding-request sampling.
@@ -180,11 +183,20 @@ func (n *node) closeInterval(t *Thread) {
 
 	// Create this interval's diffs eagerly (as TreadMarks does at barrier
 	// arrival): every diff then carries exact per-interval attribution,
-	// which keeps diff propagation inside the causally-closed write-notice
-	// set — a requester is only ever sent diffs for intervals it holds
-	// write notices for, so cross-fault application order can never
-	// regress a byte. The page-length comparison and the protection
-	// downgrade are charged to the closing thread.
+	// and a requester is only ever sent diffs for intervals it holds
+	// write notices for. That set is not always causally closed: the
+	// barrier manager takes an arrival's own-interval notices without the
+	// arriver's vector time (barrier.go: applyInfos(infos, nil)), so from
+	// an arrival until the release, node 0's vt — and the VT stamped on
+	// any interval it closes meanwhile — can name an interval (o,i)
+	// without covering what o had seen when it closed (o,i). The two
+	// intervals are then concurrent, whatever VT[o] >= i suggests, and a
+	// data-race-free program does not notice: concurrent intervals wrote
+	// disjoint bytes, so either order of their diffs leaves the same
+	// page. But it is why VT.CoversInterval (one component) cannot stand
+	// in for VT.Before when sortDiffs orders diffs. The page-length
+	// comparison and the protection downgrade are charged to the closing
+	// thread.
 	for _, pg := range n.dirty {
 		p := n.pageAt(pg)
 		p.openDirty = false
@@ -299,70 +311,118 @@ func (n *node) serveDiffRequest(pg PageID, from, to int32, reply func(ds []*Diff
 	reply(ds, bytes, n.sys.cfg.DiffServeCost)
 }
 
+// diffSorter is the scratch sortDiffs works in. Each node owns one and
+// reuses it for every fault, so ordering a fault's diffs allocates nothing
+// once the slices have grown to the largest fault seen.
+type diffSorter struct {
+	src []*Diff // the diffs sorted by (Node, Idx); an entry is nil once emitted
+
+	// The non-empty queues, ascending by node. node and own repeat two
+	// facts about each queue's head h, h.Node and h.VT[h.Node] (which is
+	// h.Idx: closeInterval sets both), as dense int32 slices for the
+	// prefilter loop in findBlocker.
+	qs        []diffQueue
+	node, own []int32
+}
+
+// diffQueue is one creator node's not-yet-emitted diffs, src[pos:end],
+// ascending by interval index, plus the blocked-by memo of its head:
+// src[by] was found Before it, which holds until src[by] is emitted.
+type diffQueue struct {
+	pos, end int32
+	by       int32 // < 0: no blocker known
+}
+
 // sortDiffs orders diffs for application into a linear extension of the
 // happens-before partial order, so a causally-later diff is always applied
 // after every diff it supersedes. Happens-before is a partial order, NOT a
 // strict weak ordering, so a comparison sort cannot be used. Instead the
 // diffs are merged per creator node (each node's diffs are already
-// causally ordered by interval index): repeatedly emit the queue head that
-// no other head happens-before, breaking ties among concurrent heads by
-// node ID. Concurrent diffs modify disjoint bytes in race-free programs,
-// so their mutual order is immaterial.
-func sortDiffs(ds []*Diff) {
+// causally ordered by interval index): repeatedly emit the head of the
+// lowest-numbered queue that no other queue's head happens-before. Before
+// is a strict partial order, so some head always qualifies. Concurrent
+// diffs modify disjoint bytes in race-free programs, so their mutual order
+// is immaterial to the data — but it fixes every virtual time downstream,
+// so the tests pin the emitted order against sortDiffsReference.
+//
+// Two shortcuts keep that order and drop its cost (DESIGN.md, "Diff
+// application order"). A head found blocked is skipped until its blocker
+// is emitted. And a.VT.Before(b.VT) needs b.VT[a.Node] >= a.VT[a.Node],
+// one component of the comparison, so the O(nodes) scan runs only when
+// that holds, which between concurrent writers is almost never. The test
+// is necessary, not sufficient: see closeInterval.
+func (s *diffSorter) sortDiffs(ds []*Diff) {
 	if len(ds) < 2 {
 		return
 	}
-	queues := make(map[int][]*Diff)
-	var nodeIDs []int
-	for _, d := range ds {
-		if _, ok := queues[d.Node]; !ok {
-			nodeIDs = append(nodeIDs, d.Node)
+	slices.SortFunc(ds, func(a, b *Diff) int {
+		if a.Node != b.Node {
+			return cmp.Compare(a.Node, b.Node)
 		}
-		queues[d.Node] = append(queues[d.Node], d)
+		return cmp.Compare(a.Idx, b.Idx)
+	})
+	s.src = append(s.src[:0], ds...)
+	s.qs, s.node, s.own = s.qs[:0], s.node[:0], s.own[:0]
+	for i, d := range s.src {
+		if i == 0 || d.Node != s.src[i-1].Node {
+			s.qs = append(s.qs, diffQueue{pos: int32(i), by: -1})
+			s.node = append(s.node, int32(d.Node))
+			s.own = append(s.own, d.VT[d.Node])
+		}
+		s.qs[len(s.qs)-1].end = int32(i + 1)
 	}
-	sort.Ints(nodeIDs)
-	for _, id := range nodeIDs {
-		q := queues[id]
-		sort.Slice(q, func(i, j int) bool { return q[i].Idx < q[j].Idx })
-	}
-
-	out := ds[:0]
-	for remaining := len(ds); remaining > 0; remaining-- {
-		emit := -1
-		for _, id := range nodeIDs {
-			q := queues[id]
-			if len(q) == 0 {
-				continue
+	lo := 0 // the non-empty queues are qs[lo:], node[lo:], own[lo:]
+	for out := range ds {
+		a := lo
+		for ; ; a++ {
+			if by := s.qs[a].by; by >= 0 && s.src[by] != nil {
+				continue // still blocked by the same diff
 			}
-			safe := true
-			for _, other := range nodeIDs {
-				oq := queues[other]
-				if other == id || len(oq) == 0 {
-					continue
-				}
-				if oq[0].VT.Before(q[0].VT) {
-					safe = false
-					break
-				}
-			}
-			if safe {
-				emit = id
+			if !s.findBlocker(lo, a) {
 				break
 			}
 		}
-		if emit < 0 {
-			// Unreachable for well-formed vector times; fall back to
-			// the lowest node to guarantee progress.
-			for _, id := range nodeIDs {
-				if len(queues[id]) > 0 {
-					emit = id
-					break
-				}
-			}
+		q := &s.qs[a]
+		ds[out], s.src[q.pos] = s.src[q.pos], nil
+		q.pos++
+		if q.pos < q.end {
+			q.by, s.own[a] = -1, s.src[q.pos].VT[s.node[a]]
+			continue
 		}
-		out = append(out, queues[emit][0])
-		queues[emit] = queues[emit][1:]
+		// Queue a is empty: close the gap from the front, which costs no
+		// more than the walk over the blocked queues below a just did.
+		copy(s.qs[lo+1:a+1], s.qs[lo:a])
+		copy(s.node[lo+1:a+1], s.node[lo:a])
+		copy(s.own[lo+1:a+1], s.own[lo:a])
+		lo++
 	}
+}
+
+// findBlocker reports whether the head of another non-empty queue (those
+// from lo on) happens-before the head of queue a, remembering the first
+// one found.
+func (s *diffSorter) findBlocker(lo, a int) bool {
+	h := s.src[s.qs[a].pos].VT
+	for b := reached(h, s.node, s.own, lo); b < len(s.node); b = reached(h, s.node, s.own, b+1) {
+		if pos := s.qs[b].pos; b != a && s.src[pos].VT.Before(h) {
+			s.qs[a].by = pos
+			return true
+		}
+	}
+	return false
+}
+
+// reached returns the first i >= from with vt[node[i]] >= own[i], or
+// len(node) if there is none. It is the inner loop of the many-writer
+// fault, kept apart from Before so that it stays in registers.
+func reached(vt VClock, node, own []int32, from int) int {
+	own = own[:len(node)]
+	for i := from; i < len(node); i++ {
+		if vt[node[i]] >= own[i] {
+			return i
+		}
+	}
+	return len(node)
 }
 
 // schedCodePage is the synthetic I-TLB page of the thread scheduler.

@@ -86,13 +86,18 @@ type pageWriter struct {
 }
 
 // writer returns the tracking entry for the given writer node, inserting
-// a zero entry (keeping writers sorted by node) if none exists. The scan
-// is linear: pages rarely have more than a handful of writers.
+// a zero entry (keeping writers sorted by node) if none exists. The lookup
+// is a binary search: a falsely-shared page has one entry per node that
+// ever wrote it (every node of a scaleout run), and a fault looks up one
+// entry per diff and per requested range.
 func (p *page) writer(node int) *pageWriter {
-	i := 0
-	for ; i < len(p.writers); i++ {
-		if int(p.writers[i].node) >= node {
-			break
+	i, hi := 0, len(p.writers)
+	for i < hi {
+		m := int(uint(i+hi) >> 1)
+		if int(p.writers[m].node) < node {
+			i = m + 1
+		} else {
+			hi = m
 		}
 	}
 	if i < len(p.writers) && int(p.writers[i].node) == node {

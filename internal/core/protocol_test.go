@@ -66,28 +66,28 @@ func TestLockChainedAccumulation(t *testing.T) {
 // extension of the happens-before partial order.
 func TestSortDiffsRespectsCausality(t *testing.T) {
 	f := func(seed uint16) bool {
-		// Build a random but causally consistent history: each of 4
-		// nodes creates intervals; each new interval's VT covers the
+		// Build a random but causally consistent history: each of 2 to
+		// 65 nodes creates intervals; each new interval's VT covers the
 		// node's previous interval and sometimes merges another node's
 		// latest.
 		r := testRand(uint64(seed) + 1)
-		const nNodes = 4
+		nNodes := 2 + int(seed%64)
 		latest := make([]VClock, nNodes)
 		for i := range latest {
 			latest[i] = NewVClock(nNodes)
 		}
 		var ds []*Diff
-		for step := 0; step < 24; step++ {
-			n := int(r.next() * nNodes)
+		for step := 0; step < 24+2*nNodes; step++ {
+			n := int(r.next() * float64(nNodes))
 			vt := latest[n].Clone()
 			if r.next() < 0.5 {
-				vt.Merge(latest[int(r.next()*nNodes)])
+				vt.Merge(latest[int(r.next()*float64(nNodes))])
 			}
 			vt[n]++
 			latest[n] = vt
 			ds = append(ds, &Diff{Node: n, Idx: vt[n], VT: vt.Clone()})
 		}
-		sortDiffs(ds)
+		new(diffSorter).sortDiffs(ds)
 		for i := range ds {
 			for j := i + 1; j < len(ds); j++ {
 				if ds[j].VT.Before(ds[i].VT) {
@@ -113,7 +113,7 @@ func TestSortDiffsStableForSameNode(t *testing.T) {
 		mk(1, 1, 0, 1),
 		mk(1, 2, 0, 2),
 	}
-	sortDiffs(ds)
+	new(diffSorter).sortDiffs(ds)
 	for i, want := range []int32{1, 2, 3} {
 		if ds[i].Idx != want {
 			t.Fatalf("position %d has idx %d, want %d", i, ds[i].Idx, want)

@@ -22,6 +22,8 @@ import (
 // space crosses a million pages.
 type ScaleBaseline struct {
 	GoVersion     string       `json:"go_version"`
+	Cores         int          `json:"cores"`      // host CPUs: host_seconds at 1 measures no parallelism
+	GOMAXPROCS    int          `json:"gomaxprocs"` // what the engine workers could actually use
 	Size          string       `json:"size"`
 	EngineWorkers int          `json:"engine_workers"`
 	Points        []ScalePoint `json:"points"`
@@ -91,6 +93,8 @@ func RunScaleStudy(nodeCounts []int, threadsPerNode int, size apps.Size,
 	compress []bool, engineWorkers int, progress io.Writer) (*ScaleBaseline, error) {
 	b := &ScaleBaseline{
 		GoVersion:     runtime.Version(),
+		Cores:         runtime.NumCPU(),
+		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		Size:          scaleSizeName(size),
 		EngineWorkers: engineWorkers,
 	}

@@ -84,6 +84,10 @@ func TestRunScaleStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if back.Cores < 1 || back.Cores != study.Cores || back.GOMAXPROCS < 1 || back.GOMAXPROCS != study.GOMAXPROCS {
+		t.Errorf("header lost the host's cores/gomaxprocs: %d/%d from %d/%d",
+			back.Cores, back.GOMAXPROCS, study.Cores, study.GOMAXPROCS)
+	}
 	if len(back.Points) != len(study.Points) || back.Points[3] != study.Points[3] {
 		t.Errorf("JSON round trip lost data: %+v", back)
 	}
