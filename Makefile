@@ -1,16 +1,17 @@
 GO ?= go
 
-.PHONY: check vet build test race cover golden-trace bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs fuzz-sortdiffs metrics-gate diff-backends metrics-baseline perf-baseline scale-baseline
+.PHONY: check vet build test race cover loc golden-trace adapt-golden bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs fuzz-sortdiffs metrics-gate diff-backends metrics-baseline perf-baseline scale-baseline
 
 ## check: the pre-commit gate (mirrors .github/workflows/ci.yml) — vet,
-## build, race-test everything, verify the golden trace, a one-iteration
-## pass over every benchmark so the perf kernels stay honest, the chaos
-## suite under fault injection, the windowed-engine determinism guard,
+## build, race-test everything, verify the golden trace and the -adapt
+## golden, a one-iteration pass over every benchmark so the perf kernels
+## stay honest, the chaos suite under fault injection, the
+## windowed-engine determinism guard,
 ## the multi-process cluster smoke against the simulator oracle, the
 ## 256-node scale smoke, the diff-order differential tests, the metrics
 ## regression gate against the committed baseline, the sim-vs-real
 ## counter-equivalence gate, and the per-package coverage floors.
-check: vet build race golden-trace bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs metrics-gate diff-backends cover
+check: vet build race golden-trace adapt-golden bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs metrics-gate diff-backends cover
 	@echo "check: OK"
 
 vet:
@@ -36,6 +37,19 @@ cover:
 ## intentional protocol or exporter changes.
 golden-trace:
 	$(GO) test ./internal/trace -run TestGoldenTrace
+
+## adapt-golden: what -adapt does, pinned — the seven applications at
+## 8x2 small with Config.Adapt on against
+## internal/harness/testdata/adapt_small.golden (virtual times, traffic
+## per class, adaptation counters, checksums). `race` skips it (40 s
+## under the detector), so it runs here without.
+adapt-golden:
+	$(GO) test ./internal/harness -run TestAdaptiveGolden -count=1
+
+## loc: non-test Go lines per package and in total — the table every
+## CHANGES.md entry records as parent → now.
+loc:
+	@./scripts/loc.sh
 
 ## bench-smoke: run each benchmark exactly once. Catches benchmarks that
 ## panic or assert-fail without paying for stable timings.

@@ -84,7 +84,6 @@ func run(args []string, out io.Writer) error {
 		engineWorkers = fs.Int("engine-workers", 0, "conservative parallel engine worker count (0 = sequential engine)")
 		compressDiffs = fs.Bool("compress-diffs", false, "account diff messages at their compressed wire size (simulator only; the real transport always compresses)")
 		adapt         = fs.Bool("adapt", false, "enable per-page adaptive coherence (invalidate/update and single-/multi-writer mode switching)")
-		migrate       = fs.Bool("migrate", false, "enable affinity-driven thread migration (apps must be migration-safe; see -app docs)")
 
 		faults    = fs.String("faults", "", "deterministic fault spec, e.g. 'drop=0.01,dup=0.001,reorder=0.005,jitter=100us,pause=1:5ms:2ms'")
 		faultSeed = fs.Uint64("fault-seed", 1, "fault-schedule seed (same spec + seed = same schedule, byte for byte)")
@@ -159,9 +158,6 @@ func run(args []string, out io.Writer) error {
 		if *adapt {
 			return fmt.Errorf("-adapt tunes the simulator's coherence protocol; drop it with -transport loopback")
 		}
-		if *migrate {
-			return fmt.Errorf("-migrate moves threads inside the simulator's scheduler; drop it with -transport loopback")
-		}
 		if len(levels) != 1 {
 			return fmt.Errorf("-transport loopback needs a single -threads level, got %q", *threads)
 		}
@@ -188,7 +184,7 @@ func run(args []string, out io.Writer) error {
 			report: *showReport, wantMetrics: wantMetrics,
 			interval: cvm.Time((*metricsBin).Nanoseconds()), topN: *metricsTopN,
 			faults: fp, check: *checkRun, engineWorkers: *engineWorkers,
-			compressDiffs: *compressDiffs, adapt: *adapt, migrate: *migrate,
+			compressDiffs: *compressDiffs, adapt: *adapt,
 		})
 	}
 
@@ -199,14 +195,13 @@ func run(args []string, out io.Writer) error {
 	// state, so the sweep stays deterministic at any -parallel level.
 	shapes := harness.GridShapes([]int{*nodes}, levels)
 	var mut func(harness.Key, *cvm.Config)
-	if fp != nil || *engineWorkers > 0 || *compressDiffs || *adapt || *migrate {
-		ew, comp, ad, mig := *engineWorkers, *compressDiffs, *adapt, *migrate
+	if fp != nil || *engineWorkers > 0 || *compressDiffs || *adapt {
+		ew, comp, ad := *engineWorkers, *compressDiffs, *adapt
 		mut = func(_ harness.Key, cfg *cvm.Config) {
 			cfg.Faults = fp
 			cfg.EngineWorkers = ew
 			cfg.CompressDiffs = comp
 			cfg.Adapt = ad
-			cfg.Migrate = mig
 		}
 	}
 	res, err := harness.RunGridConfig([]string{*appName}, sz, shapes, mut, nil, *parallel)
@@ -258,7 +253,6 @@ type instrumentOpts struct {
 	engineWorkers int
 	compressDiffs bool
 	adapt         bool
-	migrate       bool
 }
 
 // runInstrumented executes one simulation with tracing and/or metrics
@@ -271,7 +265,6 @@ func runInstrumented(out io.Writer, o instrumentOpts) error {
 	cfg.EngineWorkers = o.engineWorkers
 	cfg.CompressDiffs = o.compressDiffs
 	cfg.Adapt = o.adapt
-	cfg.Migrate = o.migrate
 	var rec *trace.Recorder
 	if o.traceOut != "" {
 		rec = trace.NewRecorder(o.nodes, o.threads, o.traceLimit)
@@ -530,23 +523,22 @@ func report(out io.Writer, appName string, nodes, threads int, size string, st c
 	fmt.Fprintf(tw, "block same lock\t%d\n", st.Total.BlockSameLock)
 	fmt.Fprintf(tw, "diffs created\t%d\n", st.Total.DiffsCreated)
 	fmt.Fprintf(tw, "diffs used\t%d\n", st.Total.DiffsUsed)
-	// The adaptation section appears only when the adaptive protocol or
-	// thread migration actually acted; plain runs keep the classic shape.
-	if st.Total.ModeChanges > 0 || st.Total.Migrations > 0 {
+	// The adaptation section appears only when the adaptive protocol
+	// actually acted; plain runs keep the classic shape.
+	if st.Total.ModeChanges > 0 {
 		fmt.Fprintln(tw)
 		fmt.Fprintf(tw, "mode changes\t%d\n", st.Total.ModeChanges)
 		fmt.Fprintf(tw, "update pushes\t%d\n", st.Total.UpdatePushes)
 		fmt.Fprintf(tw, "update hits\t%d\n", st.Total.UpdateHits)
 		fmt.Fprintf(tw, "excl window closes\t%d\n", st.Total.ExclWindowCloses)
 		fmt.Fprintf(tw, "full fetches\t%d\n", st.Total.FullFetches)
-		fmt.Fprintf(tw, "thread migrations\t%d\n", st.Total.Migrations)
 	}
 	fmt.Fprintln(tw)
 	fmt.Fprintf(tw, "messages (barrier/lock/diff)\t%d / %d / %d\n",
 		st.Net.Msgs[netsim.ClassBarrier], st.Net.Msgs[netsim.ClassLock],
 		st.Net.Msgs[netsim.ClassDiff])
-	if up, mg := st.Net.Msgs[netsim.ClassUpdate], st.Net.Msgs[netsim.ClassMigrate]; up > 0 || mg > 0 {
-		fmt.Fprintf(tw, "messages (update/migrate)\t%d / %d\n", up, mg)
+	if up := st.Net.Msgs[netsim.ClassUpdate]; up > 0 {
+		fmt.Fprintf(tw, "messages (update)\t%d\n", up)
 	}
 	fmt.Fprintf(tw, "total messages\t%d\n", st.Net.TotalMsgs())
 	fmt.Fprintf(tw, "bandwidth\t%d KB\n", st.Net.TotalBytes()/1024)

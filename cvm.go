@@ -179,11 +179,6 @@ type (
 	// FaultParams is the network-level fault model (per-class
 	// probabilities and jitter, keyed by a deterministic seed).
 	FaultParams = netsim.FaultParams
-	// AdaptTuning parameterizes the adaptive coherence classifier and the
-	// thread-migration policy; set on Config.AdaptTune (zero value =
-	// calibrated defaults). Only read when Config.Adapt or Config.Migrate
-	// is set.
-	AdaptTuning = core.AdaptTuning
 )
 
 // ErrTransport is wrapped by the error a run returns when fault

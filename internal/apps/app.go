@@ -79,36 +79,6 @@ type factory func(size Size) App
 
 var registry = map[string]factory{}
 
-// migratable lists the applications that are safe to run under thread
-// migration (cvm.Config.Migrate). An app qualifies when it partitions
-// work purely by GlobalID: Ocean, Water-Sp and the Water-Nsq variants
-// key per-node accumulators on NodeID and synchronize with
-// LocalBarrier, so a mid-run re-homing would split their node-local
-// state across two nodes (the runtime pins LocalBarrier participants,
-// but NodeID may still change before the first local barrier).
-var migratable = map[string]bool{
-	"barnes":   true,
-	"fft":      true,
-	"sor":      true,
-	"swm750":   true,
-	"scaleout": true,
-}
-
-// Migratable reports whether the named application tolerates thread
-// migration. Unknown names report false; New is the place that
-// validates app names.
-func Migratable(name string) bool { return migratable[name] }
-
-// migratableNames lists the migration-safe apps in sorted order.
-func migratableNames() []string {
-	names := make([]string, 0, len(migratable))
-	for n := range migratable {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // register adds an application factory; called from init in each app file.
 func register(name string, f factory) { registry[name] = f }
 

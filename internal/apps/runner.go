@@ -44,10 +44,6 @@ func RunConfigFull(name string, size Size, cfg cvm.Config, tol float64) (cvm.Sta
 		return cvm.Stats{}, 0, fmt.Errorf("apps: %s does not support %d threads per node",
 			name, cfg.ThreadsPerNode)
 	}
-	if cfg.Migrate && !Migratable(name) {
-		return cvm.Stats{}, 0, fmt.Errorf("apps: %s keys node-local state on NodeID and cannot run under thread migration (migration-safe: %v)",
-			name, migratableNames())
-	}
 	cluster, err := cvm.New(cfg)
 	if err != nil {
 		return cvm.Stats{}, 0, err

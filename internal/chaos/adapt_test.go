@@ -9,33 +9,29 @@ import (
 )
 
 // TestAdaptiveUnderChaos is the adaptive axis of the chaos suite: fuzzed
-// fault schedules against runs with per-page mode switching (and, for
-// migration-safe apps, thread migration) enabled, across the sequential
-// engine and the windowed engine at several worker counts. Adaptation
-// must not change the computation (fault-free checksum, bit for bit),
-// must stay invariant-clean under faults, and the windowed runs must
-// agree with each other on every statistic — mode decisions and
-// migration orders are functions of per-epoch protocol observations,
-// so engine parallelism and retransmission timing must not leak in.
+// fault schedules against runs with per-page mode switching enabled,
+// across the sequential engine and the windowed engine at several
+// worker counts. Adaptation must not change the computation (fault-free
+// checksum, bit for bit), must stay invariant-clean under faults, and
+// the windowed runs must agree with each other on every statistic —
+// mode decisions are functions of per-epoch protocol observations, so
+// engine parallelism and retransmission timing must not leak in.
 func TestAdaptiveUnderChaos(t *testing.T) {
-	for _, tc := range []struct {
-		app     string
-		migrate bool
-	}{
-		{"sor", true},     // barrier-phased producer-consumer pages; migration-safe
-		{"barnes", false}, // mode switching alone on an irregular sharer set
+	for _, app := range []string{
+		"sor",    // barrier-phased producer-consumer pages
+		"barnes", // an irregular sharer set
 	} {
-		want := baseline(t, tc.app)
+		want := baseline(t, app)
 		for _, seed := range []uint64{7, 19} {
 			spec := RandomSpec(seed)
 			fp := mustPlan(t, spec, seed)
 			var first *Result
 			for _, workers := range []int{0, 1, 2, 4} {
-				res, err := RunOneAdaptive(tc.app, apps.SizeTest, chaosNodes, chaosThreads,
-					workers, tc.migrate, fp, nil)
-				ctx := fmt.Sprintf("%s adapt migrate=%v spec=%q seed=%d engine-workers=%d",
-					tc.app, tc.migrate, spec, seed, workers)
-				assertClean(t, tc.app, ctx, res, err)
+				res, err := RunOneAdaptive(app, apps.SizeTest, chaosNodes, chaosThreads,
+					workers, fp, nil)
+				ctx := fmt.Sprintf("%s adapt spec=%q seed=%d engine-workers=%d",
+					app, spec, seed, workers)
+				assertClean(t, app, ctx, res, err)
 				if res.Checksum != want {
 					t.Errorf("%s: checksum %x, fault-free baseline %x", ctx, res.Checksum, want)
 				}
@@ -61,14 +57,14 @@ func TestAdaptiveUnderChaos(t *testing.T) {
 }
 
 // TestAdaptiveFaultFree pins the no-fault adaptive runs across the whole
-// suite: every application runs clean under -adapt (and -migrate where
-// safe) with zero invariant violations and its fault-free checksum.
+// suite: every application runs clean under -adapt with zero invariant
+// violations and its fault-free checksum.
 func TestAdaptiveFaultFree(t *testing.T) {
 	for _, app := range harness.AppOrder {
 		app := app
 		t.Run(app, func(t *testing.T) {
 			res, err := RunOneAdaptive(app, apps.SizeTest, chaosNodes, chaosThreads,
-				0, true, nil, nil)
+				0, nil, nil)
 			assertClean(t, app, "adapt fault-free", res, err)
 		})
 	}

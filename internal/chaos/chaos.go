@@ -50,27 +50,25 @@ func RunOne(name string, size apps.Size, nodes, threads int, fp *cvm.FaultPlan, 
 // determinism probe: rolls consume PRNG state in delivery order, so a
 // nondeterministic commit would diverge visibly.
 func RunOneEngine(name string, size apps.Size, nodes, threads, engineWorkers int, fp *cvm.FaultPlan, reg *cvm.Metrics) (Result, error) {
-	return runOne(name, size, nodes, threads, engineWorkers, false, false, fp, reg)
+	return runOne(name, size, nodes, threads, engineWorkers, false, fp, reg)
 }
 
 // RunOneAdaptive is RunOneEngine with the adaptive coherence machinery
-// switched on — per-page mode switching, and thread migration when
-// migrate is set and the application tolerates re-homing. Adaptation
-// decisions are functions of per-epoch protocol observations, not of
-// virtual timing, so a faulted adaptive run must still reproduce the
-// fault-free checksum; the checker additionally holds it to the
-// adaptation invariants (mode-epoch monotonicity, cluster-wide mode
-// agreement, exclusive-window diff silence, single-homed threads).
-func RunOneAdaptive(name string, size apps.Size, nodes, threads, engineWorkers int, migrate bool, fp *cvm.FaultPlan, reg *cvm.Metrics) (Result, error) {
-	return runOne(name, size, nodes, threads, engineWorkers, true, migrate, fp, reg)
+// switched on (per-page mode switching). Adaptation decisions are
+// functions of per-epoch protocol observations, not of virtual timing,
+// so a faulted adaptive run must still reproduce the fault-free
+// checksum; the checker additionally holds it to the adaptation
+// invariants (mode-epoch monotonicity, cluster-wide mode agreement,
+// exclusive-window diff silence).
+func RunOneAdaptive(name string, size apps.Size, nodes, threads, engineWorkers int, fp *cvm.FaultPlan, reg *cvm.Metrics) (Result, error) {
+	return runOne(name, size, nodes, threads, engineWorkers, true, fp, reg)
 }
 
-func runOne(name string, size apps.Size, nodes, threads, engineWorkers int, adapt, migrate bool, fp *cvm.FaultPlan, reg *cvm.Metrics) (Result, error) {
+func runOne(name string, size apps.Size, nodes, threads, engineWorkers int, adapt bool, fp *cvm.FaultPlan, reg *cvm.Metrics) (Result, error) {
 	chk := check.New(nodes, threads)
 	cfg := cvm.DefaultConfig(nodes, threads)
 	cfg.EngineWorkers = engineWorkers
 	cfg.Adapt = adapt
-	cfg.Migrate = migrate && apps.Migratable(name)
 	cfg.Tracer = chk
 	cfg.Faults = fp
 	cfg.Metrics = reg

@@ -103,58 +103,3 @@ func TestExclNoDiff(t *testing.T) {
 		t.Fatalf("non-owner diff flagged: %v", c.Violations())
 	}
 }
-
-func TestMigrateSingleHome(t *testing.T) {
-	mig := func(k trace.Kind, node, th, other int32) trace.Event {
-		return ev(k, node, thread(th), peer(other))
-	}
-
-	// Clean migration: act at home, move, act at the new home.
-	c := feed(2, 1,
-		ev(trace.KindLockAcquire, 0, syncID(5), thread(2)),
-		ev(trace.KindLockRelease, 0, syncID(5), thread(2)),
-		mig(trace.KindMigrateStart, 0, 2, 1),
-		mig(trace.KindMigrateArrive, 1, 2, 0),
-		ev(trace.KindLockAcquire, 1, syncID(5), thread(2)),
-		ev(trace.KindLockRelease, 1, syncID(5), thread(2)),
-	)
-	c.Finish()
-	if c.Count() != 0 {
-		t.Fatalf("clean migration flagged: %v", c.Violations())
-	}
-
-	// Acting while the continuation is in flight.
-	c = feed(2, 1,
-		mig(trace.KindMigrateStart, 0, 2, 1),
-		ev(trace.KindLockAcquire, 0, syncID(5), thread(2)),
-	)
-	wantViolation(t, c, "migrate-single-home")
-
-	// Acting on a foreign node with no migration recorded. (Distinct
-	// locks, so only the home invariant is in play.)
-	c = feed(2, 1,
-		ev(trace.KindLockAcquire, 0, syncID(5), thread(2)),
-		ev(trace.KindLockAcquire, 1, syncID(6), thread(2)),
-	)
-	wantViolation(t, c, "migrate-single-home")
-
-	// Arriving with nothing in flight.
-	c = feed(2, 1,
-		mig(trace.KindMigrateArrive, 1, 2, 0),
-	)
-	wantViolation(t, c, "migrate-single-home")
-
-	// Arriving somewhere other than the ordered destination.
-	c = feed(3, 1,
-		mig(trace.KindMigrateStart, 0, 2, 1),
-		mig(trace.KindMigrateArrive, 2, 2, 0),
-	)
-	wantViolation(t, c, "migrate-single-home")
-
-	// A run must not end with a thread between nodes.
-	c = feed(2, 1,
-		mig(trace.KindMigrateStart, 0, 2, 1),
-	)
-	c.Finish()
-	wantViolation(t, c, "migrate-single-home")
-}

@@ -80,11 +80,6 @@ type modeDecl struct {
 	owner int32
 }
 
-// migration tracks one in-flight thread migration.
-type migration struct {
-	src, dst int32
-}
-
 // modeExcl mirrors core.ModeExcl (trace events carry the numeric mode
 // in Arg; importing core here would invert the dependency). Pinned by
 // TestModeValueMirrorsCore.
@@ -130,8 +125,6 @@ type Checker struct {
 	modeEpoch map[nodePage]int64     // last mode-change epoch applied
 	modeAt    map[pageEpoch]modeDecl // cluster-wide declaration per epoch
 	exclSpan  map[nodePage]bool      // owner holds an unopened/open excl grant
-	homes     map[int32]int32        // thread gid → home node
-	inflight  map[int32]migration    // thread gid → migration under way
 }
 
 // New returns a Checker for a cluster of the given shape.
@@ -150,8 +143,6 @@ func New(nodes, threadsPerNode int) *Checker {
 		modeEpoch:   make(map[nodePage]int64),
 		modeAt:      make(map[pageEpoch]modeDecl),
 		exclSpan:    make(map[nodePage]bool),
-		homes:       make(map[int32]int32),
-		inflight:    make(map[int32]migration),
 	}
 }
 
@@ -167,29 +158,6 @@ func (c *Checker) violate(e trace.Event, page int32, invariant, format string, a
 
 // Emit audits one event. It implements trace.Tracer.
 func (c *Checker) Emit(e trace.Event) {
-	// migrate-single-home: a thread acts only on its home node, and
-	// never while its continuation is in flight between nodes. Audited
-	// on the kinds that carry a global thread id attributed to the
-	// emitting node.
-	switch e.Kind {
-	case trace.KindFaultStart, trace.KindFaultResolve,
-		trace.KindLockAcquire, trace.KindLockRelease,
-		trace.KindBarrierArrive, trace.KindThreadBlock, trace.KindThreadUnblock:
-		if e.Thread >= 0 {
-			if m, ok := c.inflight[e.Thread]; ok {
-				c.violate(e, -1, "migrate-single-home",
-					"thread %d acted on node %d while migrating %d→%d",
-					e.Thread, e.Node, m.src, m.dst)
-			} else if home, ok := c.homes[e.Thread]; !ok {
-				c.homes[e.Thread] = e.Node
-			} else if home != e.Node {
-				c.violate(e, -1, "migrate-single-home",
-					"thread %d acted on node %d, homed on node %d without a migration",
-					e.Thread, e.Node, home)
-			}
-		}
-	}
-
 	switch e.Kind {
 	case trace.KindTwinCreate:
 		// twin-unique: at most one outstanding twin per (node, page) —
@@ -370,35 +338,6 @@ func (c *Checker) Emit(e trace.Event) {
 		// The owner committed its absorbed writes back onto the interval
 		// machinery; diffs for the page are legitimate again.
 		delete(c.exclSpan, nodePage{e.Node, e.Page})
-
-	case trace.KindMigrateStart:
-		if m, ok := c.inflight[e.Thread]; ok {
-			c.violate(e, -1, "migrate-single-home",
-				"thread %d re-migrated (%d→%d) while already in flight %d→%d",
-				e.Thread, e.Node, e.Peer, m.src, m.dst)
-			return
-		}
-		if home, ok := c.homes[e.Thread]; ok && home != e.Node {
-			c.violate(e, -1, "migrate-single-home",
-				"thread %d migrated out of node %d but is homed on node %d",
-				e.Thread, e.Node, home)
-		}
-		delete(c.homes, e.Thread)
-		c.inflight[e.Thread] = migration{src: e.Node, dst: e.Peer}
-
-	case trace.KindMigrateArrive:
-		m, ok := c.inflight[e.Thread]
-		if !ok {
-			c.violate(e, -1, "migrate-single-home",
-				"thread %d arrived at node %d with no migration in flight",
-				e.Thread, e.Node)
-		} else if m.dst != e.Node || m.src != e.Peer {
-			c.violate(e, -1, "migrate-single-home",
-				"thread %d arrived %d→%d, migration in flight was %d→%d",
-				e.Thread, e.Peer, e.Node, m.src, m.dst)
-		}
-		delete(c.inflight, e.Thread)
-		c.homes[e.Thread] = e.Node
 	}
 }
 
@@ -419,10 +358,6 @@ func (c *Checker) Finish() {
 				"run ended with local barrier %d on node %d mid-epoch: %d arrivals pending",
 				key.page, key.node, lb.arrived)
 		}
-	}
-	for gid, m := range c.inflight {
-		c.violate(trace.Event{Node: m.src}, -1, "migrate-single-home",
-			"run ended with thread %d still in flight %d→%d", gid, m.src, m.dst)
 	}
 }
 

@@ -11,9 +11,7 @@ import (
 // online classifier tags each page's sharing pattern from the fault and
 // write-notice attribution already flowing through the barrier manager,
 // and a controller switches pages between three coherence modes at
-// barrier releases. Thread migration (Config.Migrate) shares the
-// controller and epoch machinery; its decision logic lives in
-// migrate.go.
+// barrier releases.
 //
 // Mode semantics:
 //
@@ -40,60 +38,22 @@ import (
 // over sorted keys, so the decisions — and therefore every downstream
 // artifact — are byte-identical at any EngineWorkers count.
 
-// AdaptTuning bounds the adaptive controller. The zero value of every
-// field selects the default noted on it.
-type AdaptTuning struct {
-	// Hysteresis is how many consecutive epochs a sharing pattern must
-	// persist before the controller acts on it (default 2). Higher
-	// values react slower but never flap on alternating patterns.
-	Hysteresis int
-	// Cooldown is how many epochs a page rests after a mode change
-	// before the controller may switch it again (default 3).
-	Cooldown int
-	// MaxPromotionsPerEpoch caps exclusive-mode promotions per epoch
-	// (default 32), bounding the invalidation burst a release carries.
-	MaxPromotionsPerEpoch int
-	// SubscriberCap bounds the update-mode subscriber set (default 16);
-	// pages read by more nodes stay in invalidate mode.
-	SubscriberCap int
-
-	// MigrateMinEvents is the minimum remote events a thread must
-	// accumulate in an epoch before migration is considered (default 16).
-	MigrateMinEvents int
-	// MigrateDominancePct is the share (percent) of a thread's remote
-	// events that must target a single other node (default 60).
-	MigrateDominancePct int
-	// MigrateMaxPerEpoch caps migrations ordered per epoch (default 1).
-	MigrateMaxPerEpoch int
-	// MigrateCooldown is the epochs a migrated thread stays put
-	// (default 8).
-	MigrateCooldown int
-	// MigrateBytes is the wire size charged for shipping one thread's
-	// continuation (default 4096).
-	MigrateBytes int
-	// NodeCapacityFactor bounds a node's post-migration population to
-	// factor × ThreadsPerNode (default 2).
-	NodeCapacityFactor int
-}
-
-func (t AdaptTuning) withDefaults() AdaptTuning {
-	def := func(v *int, d int) {
-		if *v == 0 {
-			*v = d
-		}
-	}
-	def(&t.Hysteresis, 2)
-	def(&t.Cooldown, 3)
-	def(&t.MaxPromotionsPerEpoch, 32)
-	def(&t.SubscriberCap, 16)
-	def(&t.MigrateMinEvents, 16)
-	def(&t.MigrateDominancePct, 60)
-	def(&t.MigrateMaxPerEpoch, 1)
-	def(&t.MigrateCooldown, 8)
-	def(&t.MigrateBytes, 4096)
-	def(&t.NodeCapacityFactor, 2)
-	return t
-}
+// The classifier's thresholds.
+const (
+	// hysteresis is how many consecutive epochs a sharing pattern must
+	// persist before the controller acts on it; it never flaps on
+	// alternating patterns.
+	hysteresis = 2
+	// cooldown is how many epochs a page rests after a mode change
+	// before the controller may switch it again.
+	cooldown = 3
+	// maxPromotionsPerEpoch caps exclusive-mode promotions per epoch,
+	// bounding the invalidation burst a release carries.
+	maxPromotionsPerEpoch = 32
+	// subscriberCap bounds the update-mode subscriber set; pages read by
+	// more nodes stay in invalidate mode.
+	subscriberCap = 16
+)
 
 // PageMode is a page's coherence mode under adaptive coherence.
 type PageMode uint8
@@ -166,7 +126,6 @@ type ModeDecision struct {
 // coherence mode with hysteresis and cooldown. It touches no protocol
 // state, so unit tests drive it directly with synthetic traces.
 type classifier struct {
-	tune  AdaptTuning
 	pages map[PageID]*classPage
 }
 
@@ -186,8 +145,8 @@ type classPage struct {
 	subs  []int32
 }
 
-func newClassifier(tune AdaptTuning) *classifier {
-	return &classifier{tune: tune, pages: make(map[PageID]*classPage)}
+func newClassifier() *classifier {
+	return &classifier{pages: make(map[PageID]*classPage)}
 }
 
 // Step ingests one epoch's activity for pg — the nodes that closed
@@ -277,7 +236,7 @@ func (c *classifier) Step(pg PageID, writers, readers []int32, hits int32, promo
 			st.barred = true
 			st.mode = ModeMWInv
 			st.subs = nil
-			st.cooldown = c.tune.Cooldown
+			st.cooldown = cooldown
 			st.streak = 0
 			// Keep st.owner: demoted non-owners may still hold a
 			// pending whole-page fetch toward it.
@@ -298,7 +257,7 @@ func (c *classifier) Step(pg PageID, writers, readers []int32, hits int32, promo
 			st.upMisses = 0
 		case len(writers) > 0:
 			st.upMisses++
-			if st.upMisses >= 2*c.tune.Hysteresis {
+			if st.upMisses >= 2*hysteresis {
 				st.upMisses = 0
 				st.upDemotions++
 				if st.upDemotions >= 2 {
@@ -306,7 +265,7 @@ func (c *classifier) Step(pg PageID, writers, readers []int32, hits int32, promo
 				}
 				st.mode = ModeMWInv
 				st.subs = nil
-				st.cooldown = c.tune.Cooldown
+				st.cooldown = cooldown
 				return c.decision(st), true
 			}
 		}
@@ -316,7 +275,7 @@ func (c *classifier) Step(pg PageID, writers, readers []int32, hits int32, promo
 		st.cooldown--
 		return c.decision(st), false
 	}
-	if st.streak < c.tune.Hysteresis {
+	if st.streak < hysteresis {
 		return c.decision(st), false
 	}
 
@@ -329,7 +288,7 @@ func (c *classifier) Step(pg PageID, writers, readers []int32, hits int32, promo
 			st.mode = ModeExcl
 			st.owner = st.lastWriter
 			st.subs = nil
-			st.cooldown = c.tune.Cooldown
+			st.cooldown = cooldown
 			return c.decision(st), true
 		}
 	case PatternProducerConsumer:
@@ -360,12 +319,12 @@ func (c *classifier) Step(pg PageID, writers, readers []int32, hits int32, promo
 			// nobody to push to is pure overhead.
 			return c.decision(st), false
 		}
-		if len(subs) > c.tune.SubscriberCap {
+		if len(subs) > subscriberCap {
 			// Too widely read to push to everyone; fall back.
 			if st.mode == ModeMWUpd {
 				st.mode = ModeMWInv
 				st.subs = nil
-				st.cooldown = c.tune.Cooldown
+				st.cooldown = cooldown
 				return c.decision(st), true
 			}
 			return c.decision(st), false
@@ -374,7 +333,7 @@ func (c *classifier) Step(pg PageID, writers, readers []int32, hits int32, promo
 			st.mode = ModeMWUpd
 			st.owner = st.lastWriter
 			st.subs = subs
-			st.cooldown = c.tune.Cooldown
+			st.cooldown = cooldown
 			return c.decision(st), true
 		}
 		st.subs = subs
@@ -382,7 +341,7 @@ func (c *classifier) Step(pg PageID, writers, readers []int32, hits int32, promo
 		if st.mode != ModeMWInv {
 			st.mode = ModeMWInv
 			st.subs = nil
-			st.cooldown = c.tune.Cooldown
+			st.cooldown = cooldown
 			return c.decision(st), true
 		}
 	}
@@ -435,22 +394,11 @@ type modeChange struct {
 	subs  []int32
 }
 
-// migOrder re-homes one thread at a barrier release.
-type migOrder struct {
-	gid   int
-	from  int32
-	to    int32
-	epoch int32
-}
-
 // adaptRelease is the adaptation payload piggybacked on barrier release
-// messages: mode-change notices, migration orders, and (when orders
-// exist) the post-migration residency table.
+// messages: the epoch's mode-change notices.
 type adaptRelease struct {
-	epoch     int32
-	changes   []modeChange
-	orders    []migOrder
-	residency []int32
+	epoch   int32
+	changes []modeChange
 }
 
 // wireBytes is the accounting size of the piggybacked payload.
@@ -462,14 +410,12 @@ func (r *adaptRelease) wireBytes() int {
 	for _, mc := range r.changes {
 		b += 16 + 4*len(mc.subs)
 	}
-	b += 16 * len(r.orders)
-	b += 4 * len(r.residency)
 	return b
 }
 
 // adaptObs is one node's per-epoch observation report, piggybacked on
 // its barrier arrival: remote-fault counts per page (the classifier's
-// reader signal) and, under Migrate, per-thread affinity counters.
+// reader signal) and update-cache hit counts.
 type adaptObs struct {
 	pages  []PageID
 	counts []int32
@@ -478,14 +424,6 @@ type adaptObs struct {
 	// push traffic.
 	hitPages []PageID
 	hits     []int32
-	aff      []threadAff
-}
-
-// threadAff is one thread's remote-event counts toward each node.
-type threadAff struct {
-	gid    int
-	pinned bool
-	counts []int64
 }
 
 // wireBytes is the accounting size of the piggybacked report.
@@ -493,11 +431,7 @@ func (o *adaptObs) wireBytes() int {
 	if o == nil {
 		return 0
 	}
-	b := 8 + 12*len(o.pages) + 12*len(o.hitPages)
-	for _, a := range o.aff {
-		b += 9 + 4*len(a.counts)
-	}
-	return b
+	return 8 + 12*len(o.pages) + 12*len(o.hitPages)
 }
 
 // adaptController owns all cluster-level adaptation state. It is
@@ -505,89 +439,23 @@ func (o *adaptObs) wireBytes() int {
 // context — observation ingestion at arrivals, decisions at
 // completions — so it needs no locking under the windowed engine.
 type adaptController struct {
-	sys  *System
-	tune AdaptTuning
-	cls  *classifier
+	sys *System
+	cls *classifier
 
 	epoch   int32
 	lastIdx []int32 // per node: highest interval index already classified
 
 	readers map[PageID][]int32 // this epoch's remote-faulting nodes per page
 	hits    map[PageID]int32   // this epoch's update-cache hits per page
-
-	// Migration state (allocated only under Config.Migrate).
-	resident      []int32   // authoritative post-order residency per node
-	homes         []int32   // current node per thread gid
-	pinned        []bool    // threads barred from migration (LocalBarrier users)
-	aff           [][]int64 // per gid: decayed remote-event counts per node
-	cooldownUntil []int32   // per gid: epoch before which the thread stays put
-	relVT         []VClock  // per node: manager VT at its last release (empty-node arrival stand-in)
 }
 
 func newAdaptController(s *System) *adaptController {
-	ctl := &adaptController{
+	return &adaptController{
 		sys:     s,
-		tune:    s.cfg.AdaptTune.withDefaults(),
+		cls:     newClassifier(),
 		lastIdx: make([]int32, s.cfg.Nodes),
 		readers: make(map[PageID][]int32),
 		hits:    make(map[PageID]int32),
-	}
-	ctl.cls = newClassifier(ctl.tune)
-	if s.cfg.Migrate {
-		threads := s.cfg.Nodes * s.cfg.ThreadsPerNode
-		ctl.resident = make([]int32, s.cfg.Nodes)
-		ctl.homes = make([]int32, threads)
-		ctl.pinned = make([]bool, threads)
-		ctl.aff = make([][]int64, threads)
-		ctl.cooldownUntil = make([]int32, threads)
-		ctl.relVT = make([]VClock, s.cfg.Nodes)
-		for i := range ctl.resident {
-			ctl.resident[i] = int32(s.cfg.ThreadsPerNode)
-		}
-		for g := range ctl.homes {
-			ctl.homes[g] = int32(g / s.cfg.ThreadsPerNode)
-		}
-		for i := range ctl.relVT {
-			ctl.relVT[i] = NewVClock(s.cfg.Nodes)
-		}
-	}
-	return ctl
-}
-
-// occupied reports how many nodes currently host at least one thread —
-// the barrier and reduction completion threshold once migration can
-// empty a node.
-func (ctl *adaptController) occupied() int {
-	if ctl.resident == nil {
-		return ctl.sys.cfg.Nodes
-	}
-	n := 0
-	for _, r := range ctl.resident {
-		if r > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// arrivalVT substitutes the manager's last-release vector time for a
-// node that sent no arrival (zero resident threads): the node has
-// learned exactly the intervals that release carried.
-func (ctl *adaptController) arrivalVT(node int, vt VClock) VClock {
-	if vt != nil {
-		return vt
-	}
-	return ctl.relVT[node]
-}
-
-// recordRelease snapshots the manager's vector time at a barrier
-// release, for empty-node arrival substitution at the next barrier.
-func (ctl *adaptController) recordRelease(mgrVT VClock) {
-	if ctl.relVT == nil {
-		return
-	}
-	for i := range ctl.relVT {
-		ctl.relVT[i] = mgrVT.Clone()
 	}
 }
 
@@ -602,30 +470,13 @@ func (ctl *adaptController) noteObs(from int, o *adaptObs) {
 	for i, pg := range o.hitPages {
 		ctl.hits[pg] += o.hits[i]
 	}
-	for _, a := range o.aff {
-		if a.pinned {
-			ctl.pinned[a.gid] = true
-			ctl.aff[a.gid] = nil
-			continue
-		}
-		acc := ctl.aff[a.gid]
-		if acc == nil {
-			acc = make([]int64, len(a.counts))
-			ctl.aff[a.gid] = acc
-		}
-		// Exponential decay: recent epochs dominate, one hot epoch
-		// does not commit the thread forever.
-		for i := range acc {
-			acc[i] = acc[i]/2 + a.counts[i]
-		}
-	}
 }
 
 // decide runs at a global-barrier completion: it derives this epoch's
 // writer sets from the manager's interval table (arrivals already
 // carried every node's new intervals), feeds the classifier page by
-// page in sorted order, computes migration orders, and returns the
-// release payload — or nil when nothing changed.
+// page in sorted order, and returns the release payload — or nil when
+// no page changed mode.
 func (ctl *adaptController) decide() *adaptRelease {
 	s := ctl.sys
 	mgr := s.nodes[0]
@@ -660,30 +511,22 @@ func (ctl *adaptController) decide() *adaptRelease {
 	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 
 	rel := &adaptRelease{epoch: ctl.epoch}
-	if s.cfg.Adapt {
-		promotions := 0
-		for _, pg := range pages {
-			rs := ctl.readers[pg]
-			sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
-			d, changed := ctl.cls.Step(pg, writers[pg], rs, ctl.hits[pg],
-				promotions < ctl.tune.MaxPromotionsPerEpoch)
-			if !changed {
-				continue
-			}
-			if d.Mode == ModeExcl {
-				promotions++
-			}
-			rel.changes = append(rel.changes, modeChange{
-				page: pg, mode: d.Mode, owner: d.Owner, epoch: ctl.epoch,
-				subs: append([]int32(nil), d.Subs...),
-			})
+	promotions := 0
+	for _, pg := range pages {
+		rs := ctl.readers[pg]
+		sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
+		d, changed := ctl.cls.Step(pg, writers[pg], rs, ctl.hits[pg],
+			promotions < maxPromotionsPerEpoch)
+		if !changed {
+			continue
 		}
-	}
-	if s.cfg.Migrate {
-		rel.orders = ctl.decideMigrations()
-		if len(rel.orders) > 0 {
-			rel.residency = append([]int32(nil), ctl.resident...)
+		if d.Mode == ModeExcl {
+			promotions++
 		}
+		rel.changes = append(rel.changes, modeChange{
+			page: pg, mode: d.Mode, owner: d.Owner, epoch: ctl.epoch,
+			subs: append([]int32(nil), d.Subs...),
+		})
 	}
 
 	for pg := range ctl.readers {
@@ -693,7 +536,7 @@ func (ctl *adaptController) decide() *adaptRelease {
 		delete(ctl.hits, pg)
 	}
 	ctl.epoch++
-	if len(rel.changes) == 0 && len(rel.orders) == 0 {
+	if len(rel.changes) == 0 {
 		return nil
 	}
 	return rel
@@ -803,26 +646,12 @@ func (n *node) takeAdaptObs() *adaptObs {
 			delete(n.adaptHits, pg)
 		}
 	}
-	if n.sys.cfg.Migrate {
-		for _, th := range n.residents {
-			a := threadAff{gid: th.gid, pinned: th.pinned}
-			if !th.pinned {
-				a.counts = append([]int64(nil), th.affinity...)
-				for i := range th.affinity {
-					th.affinity[i] = 0
-				}
-			}
-			o.aff = append(o.aff, a)
-		}
-	}
 	return o
 }
 
-// applyAdaptRelease applies the epoch's adaptation payload at this node
-// (engine context, before releaseBarrier wakes anyone): mode-change
-// notices, then residency, then outbound migrations for the barrier
-// being released.
-func (n *node) applyAdaptRelease(barrierID int, rel *adaptRelease) {
+// applyAdaptRelease applies the epoch's mode-change notices at this node
+// (engine context, before releaseBarrier wakes anyone).
+func (n *node) applyAdaptRelease(rel *adaptRelease) {
 	for i := range rel.changes {
 		mc := &rel.changes[i]
 		ad := n.ensureAdapt(mc.page)
@@ -863,15 +692,6 @@ func (n *node) applyAdaptRelease(barrierID int, rel *adaptRelease) {
 			tr.Emit(trace.Event{T: n.proc.LocalNow(), Kind: trace.KindModeChange,
 				Node: int32(n.id), Thread: -1, Page: int32(mc.page),
 				Peer: mc.owner, Arg: int64(mc.mode), Aux: int64(mc.epoch)})
-		}
-	}
-	if rel.residency != nil {
-		n.resident = int(rel.residency[n.id])
-	}
-	for i := range rel.orders {
-		o := &rel.orders[i]
-		if o.from == int32(n.id) {
-			n.migrateOut(barrierID, o)
 		}
 	}
 }
@@ -1067,9 +887,6 @@ func (t *Thread) fullFetchFault(p *page, ad *pageAdapt, fstart sim.Time) {
 	n.stats.OutstandingFaults += int64(n.inFlightFaults)
 	n.stats.OutstandingLocks += int64(n.inFlightLocks)
 	n.inFlightFaults++
-	if t.affinity != nil {
-		t.affinity[owner]++
-	}
 	target := sys.nodes[owner]
 	sys.sendFromTask(t.task, NodeID(n.id), NodeID(owner),
 		ClassDiff, diffRequestBytes, func() {

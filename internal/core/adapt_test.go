@@ -21,9 +21,9 @@ type classStep struct {
 
 // driveClassifier replays a step table against a fresh classifier,
 // failing on the first divergence. promoteOK is held true throughout.
-func driveClassifier(t *testing.T, tune AdaptTuning, steps []classStep) *classifier {
+func driveClassifier(t *testing.T, steps []classStep) *classifier {
 	t.Helper()
-	c := newClassifier(tune.withDefaults())
+	c := newClassifier()
 	const pg = PageID(7)
 	for i, s := range steps {
 		d, changed := c.Step(pg, s.writers, s.readers, s.hits, true)
@@ -43,7 +43,6 @@ func driveClassifier(t *testing.T, tune AdaptTuning, steps []classStep) *classif
 // TestClassifierTaxonomy drives each sharing pattern of the taxonomy
 // through the classifier and checks the prescribed mode transitions.
 func TestClassifierTaxonomy(t *testing.T) {
-	tune := AdaptTuning{Hysteresis: 2, Cooldown: 3}
 	for name, steps := range map[string][]classStep{
 		// One stable writer, never read remotely: exclusive mode at the
 		// hysteresis threshold.
@@ -86,7 +85,7 @@ func TestClassifierTaxonomy(t *testing.T) {
 			{readers: []int32{2}, wantPattern: PatternUnknown, wantMode: ModeMWInv},
 		},
 	} {
-		t.Run(name, func(t *testing.T) { driveClassifier(t, tune, steps) })
+		t.Run(name, func(t *testing.T) { driveClassifier(t, steps) })
 	}
 }
 
@@ -94,10 +93,8 @@ func TestClassifierTaxonomy(t *testing.T) {
 // act and that alternating patterns never reach the threshold: the
 // classifier must not flap.
 func TestClassifierHysteresis(t *testing.T) {
-	tune := AdaptTuning{Hysteresis: 2, Cooldown: 3}
-
 	t.Run("one-epoch-pattern-waits", func(t *testing.T) {
-		driveClassifier(t, tune, []classStep{
+		driveClassifier(t, []classStep{
 			{writers: []int32{0}, wantPattern: PatternPrivate, wantMode: ModeMWInv},
 		})
 	})
@@ -112,7 +109,7 @@ func TestClassifierHysteresis(t *testing.T) {
 				classStep{writers: []int32{0, 1}, wantPattern: PatternFalseSharing, wantMode: ModeMWInv},
 			)
 		}
-		driveClassifier(t, tune, steps)
+		driveClassifier(t, steps)
 	})
 
 	t.Run("alternating-writers-stay-invalidate", func(t *testing.T) {
@@ -121,7 +118,7 @@ func TestClassifierHysteresis(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			steps = append(steps, classStep{writers: []int32{int32(1 + i%2)}, wantPattern: PatternMigratory, wantMode: ModeMWInv})
 		}
-		driveClassifier(t, tune, steps)
+		driveClassifier(t, steps)
 	})
 }
 
@@ -129,7 +126,6 @@ func TestClassifierHysteresis(t *testing.T) {
 // even a persistent contradicting pattern cannot switch it again until
 // the cooldown has drained.
 func TestClassifierCooldown(t *testing.T) {
-	tune := AdaptTuning{Hysteresis: 2, Cooldown: 3}
 	steps := []classStep{
 		{writers: []int32{0}, readers: []int32{1}, wantPattern: PatternProducerConsumer, wantMode: ModeMWInv},
 		{writers: []int32{0}, readers: []int32{1}, wantChanged: true, wantPattern: PatternProducerConsumer, wantMode: ModeMWUpd},
@@ -142,14 +138,13 @@ func TestClassifierCooldown(t *testing.T) {
 		steps = append(steps, classStep{writers: []int32{0, 1}, hits: 1, wantPattern: PatternFalseSharing, wantMode: ModeMWUpd})
 	}
 	steps = append(steps, classStep{writers: []int32{0, 1}, hits: 1, wantChanged: true, wantPattern: PatternFalseSharing, wantMode: ModeMWInv})
-	driveClassifier(t, tune, steps)
+	driveClassifier(t, steps)
 }
 
 // TestClassifierExclDemotion checks the exclusive-mode escape hatch:
 // any foreign touch demotes immediately — no hysteresis, no cooldown —
 // and bars the page from ever promoting again.
 func TestClassifierExclDemotion(t *testing.T) {
-	tune := AdaptTuning{Hysteresis: 2, Cooldown: 3}
 	steps := []classStep{
 		{writers: []int32{0}, wantPattern: PatternPrivate, wantMode: ModeMWInv},
 		{writers: []int32{0}, wantChanged: true, wantPattern: PatternPrivate, wantMode: ModeExcl},
@@ -161,35 +156,39 @@ func TestClassifierExclDemotion(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		steps = append(steps, classStep{writers: []int32{0}, wantPattern: PatternProducerConsumer, wantMode: ModeMWInv})
 	}
-	driveClassifier(t, tune, steps)
+	driveClassifier(t, steps)
 }
 
 // TestClassifierSubscriberCap checks both sides of the subscriber
 // bound: a too-wide readership never promotes, and a promoted page
 // demotes when its sticky subscriber set outgrows the cap.
 func TestClassifierSubscriberCap(t *testing.T) {
-	tune := AdaptTuning{Hysteresis: 2, Cooldown: 3, SubscriberCap: 2}
+	readers := make([]int32, subscriberCap+1) // nodes 1..17; node 0 writes
+	for i := range readers {
+		readers[i] = int32(i + 1)
+	}
+	atCap, pastCap := readers[:subscriberCap], readers
 
 	t.Run("wide-readership-never-promotes", func(t *testing.T) {
 		var steps []classStep
 		for i := 0; i < 6; i++ {
-			steps = append(steps, classStep{writers: []int32{0}, readers: []int32{1, 2, 3},
+			steps = append(steps, classStep{writers: []int32{0}, readers: pastCap,
 				wantPattern: PatternProducerConsumer, wantMode: ModeMWInv})
 		}
-		driveClassifier(t, tune, steps)
+		driveClassifier(t, steps)
 	})
 
 	t.Run("growth-past-cap-demotes", func(t *testing.T) {
 		steps := []classStep{
-			{writers: []int32{0}, readers: []int32{1, 2}, wantPattern: PatternProducerConsumer, wantMode: ModeMWInv},
-			{writers: []int32{0}, readers: []int32{1, 2}, wantChanged: true, wantPattern: PatternProducerConsumer, wantMode: ModeMWUpd},
+			{writers: []int32{0}, readers: atCap, wantPattern: PatternProducerConsumer, wantMode: ModeMWInv},
+			{writers: []int32{0}, readers: atCap, wantChanged: true, wantPattern: PatternProducerConsumer, wantMode: ModeMWUpd},
 		}
-		for i := 0; i < 3; i++ { // cooldown drain; hits silence the usefulness feedback
-			steps = append(steps, classStep{writers: []int32{0}, readers: []int32{1, 2}, hits: 1, wantPattern: PatternProducerConsumer, wantMode: ModeMWUpd})
+		for i := 0; i < cooldown; i++ { // cooldown drain; hits silence the usefulness feedback
+			steps = append(steps, classStep{writers: []int32{0}, readers: atCap, hits: 1, wantPattern: PatternProducerConsumer, wantMode: ModeMWUpd})
 		}
-		steps = append(steps, classStep{writers: []int32{0}, readers: []int32{1, 2, 3}, hits: 1,
+		steps = append(steps, classStep{writers: []int32{0}, readers: pastCap, hits: 1,
 			wantChanged: true, wantPattern: PatternProducerConsumer, wantMode: ModeMWInv})
-		driveClassifier(t, tune, steps)
+		driveClassifier(t, steps)
 	})
 }
 
@@ -197,7 +196,7 @@ func TestClassifierSubscriberCap(t *testing.T) {
 // promotion cap seam: with promoteOK false a promotable page stays put
 // but keeps its streak, and promotes on the next permitted epoch.
 func TestClassifierPromotionGate(t *testing.T) {
-	c := newClassifier(AdaptTuning{Hysteresis: 2, Cooldown: 3}.withDefaults())
+	c := newClassifier()
 	const pg = PageID(3)
 	if _, changed := c.Step(pg, []int32{1}, nil, 0, true); changed {
 		t.Fatal("changed on first epoch, before hysteresis")
@@ -216,14 +215,16 @@ func TestClassifierPromotionGate(t *testing.T) {
 // only grows (sorted, deduplicated) and excludes the producer: a
 // consumer that skips an epoch keeps receiving pushes.
 func TestClassifierSubsSticky(t *testing.T) {
-	c := newClassifier(AdaptTuning{Hysteresis: 2, Cooldown: 1}.withDefaults())
+	c := newClassifier()
 	const pg = PageID(11)
 	c.Step(pg, []int32{0}, []int32{2}, 0, true)
 	d, changed := c.Step(pg, []int32{0}, []int32{2}, 0, true)
 	if !changed || !reflect.DeepEqual(d.Subs, []int32{2}) {
 		t.Fatalf("after promotion: changed=%v subs=%v, want [2]", changed, d.Subs)
 	}
-	c.Step(pg, []int32{0}, []int32{1}, 1, true) // cooldown epoch, reader 1 arrives
+	for i := 0; i < cooldown; i++ { // cooldown epochs, reader 1 arrives
+		c.Step(pg, []int32{0}, []int32{1}, 1, true)
+	}
 	d, changed = c.Step(pg, []int32{0}, []int32{1, 0}, 1, true)
 	if !changed || !reflect.DeepEqual(d.Subs, []int32{1, 2}) {
 		t.Fatalf("subscriber growth: changed=%v subs=%v, want [1 2] (writer excluded)", changed, d.Subs)
@@ -239,8 +240,6 @@ func TestClassifierSubsSticky(t *testing.T) {
 // the cooldown, a hit epoch resets the run, and a second useless stint
 // bars the page from update mode permanently.
 func TestClassifierUpdateDemotion(t *testing.T) {
-	tune := AdaptTuning{Hysteresis: 2, Cooldown: 3}
-
 	promote := []classStep{
 		{writers: []int32{0}, readers: []int32{1}, wantPattern: PatternProducerConsumer, wantMode: ModeMWInv},
 		{writers: []int32{0}, readers: []int32{1}, wantChanged: true, wantPattern: PatternProducerConsumer, wantMode: ModeMWUpd},
@@ -255,7 +254,7 @@ func TestClassifierUpdateDemotion(t *testing.T) {
 		}
 		steps = append(steps, classStep{writers: []int32{0},
 			wantChanged: true, wantPattern: PatternProducerConsumer, wantMode: ModeMWInv})
-		driveClassifier(t, tune, steps)
+		driveClassifier(t, steps)
 	})
 
 	t.Run("hit-resets-the-run", func(t *testing.T) {
@@ -268,7 +267,7 @@ func TestClassifierUpdateDemotion(t *testing.T) {
 			}
 			steps = append(steps, classStep{writers: []int32{0}, hits: 2, wantPattern: PatternProducerConsumer, wantMode: ModeMWUpd})
 		}
-		driveClassifier(t, tune, steps)
+		driveClassifier(t, steps)
 	})
 
 	t.Run("second-stint-bars-for-good", func(t *testing.T) {
@@ -295,7 +294,7 @@ func TestClassifierUpdateDemotion(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			steps = append(steps, classStep{writers: []int32{0}, readers: []int32{1}, wantPattern: PatternProducerConsumer, wantMode: ModeMWInv})
 		}
-		driveClassifier(t, tune, steps)
+		driveClassifier(t, steps)
 	})
 }
 
@@ -313,24 +312,5 @@ func TestMergeSubs(t *testing.T) {
 		if got := mergeSubs(tc.subs, tc.readers, tc.writer); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("mergeSubs(%v, %v, %d) = %v, want %v", tc.subs, tc.readers, tc.writer, got, tc.want)
 		}
-	}
-}
-
-// TestAdaptTuningDefaults pins the calibrated defaults: a zero value on
-// any field selects the documented default, and explicit values pass
-// through.
-func TestAdaptTuningDefaults(t *testing.T) {
-	d := AdaptTuning{}.withDefaults()
-	want := AdaptTuning{
-		Hysteresis: 2, Cooldown: 3, MaxPromotionsPerEpoch: 32, SubscriberCap: 16,
-		MigrateMinEvents: 16, MigrateDominancePct: 60, MigrateMaxPerEpoch: 1,
-		MigrateCooldown: 8, MigrateBytes: 4096, NodeCapacityFactor: 2,
-	}
-	if d != want {
-		t.Errorf("withDefaults() = %+v, want %+v", d, want)
-	}
-	custom := AdaptTuning{Hysteresis: 5}.withDefaults()
-	if custom.Hysteresis != 5 || custom.Cooldown != 3 {
-		t.Errorf("explicit value overridden: %+v", custom)
 	}
 }

@@ -48,13 +48,10 @@ func (t *Thread) Barrier(id int) {
 		tr.Emit(trace.Event{T: t.task.Now(), Kind: trace.KindBarrierArrive,
 			Node: int32(n.id), Thread: int32(t.gid), Sync: int32(id)})
 	}
-	if b.arrived < n.resident {
+	if b.arrived < n.sys.cfg.ThreadsPerNode {
 		b.waiters = append(b.waiters, t)
 		t.block(ReasonBarrier)
-		// Re-read the node through the thread: a migration order may have
-		// re-homed it while it was blocked, and its stall belongs to the
-		// node it resumed on.
-		if nm := t.node.met; nm != nil {
+		if nm := n.met; nm != nil {
 			nm.BarrierStall.Observe(int64(t.task.Now() - a0))
 		}
 		return
@@ -80,7 +77,7 @@ func (t *Thread) Barrier(id int) {
 			sys.barrierArrival(id, mgr, vt)
 		})
 		t.block(ReasonBarrier)
-		if nm := t.node.met; nm != nil {
+		if nm := n.met; nm != nil {
 			nm.BarrierStall.Observe(int64(t.task.Now() - a0))
 		}
 		return
@@ -103,7 +100,7 @@ func (t *Thread) Barrier(id int) {
 		t.task.Schedule(t.task.Now(), func() { n.flushPushes(nil) })
 	}
 	t.block(ReasonBarrier)
-	if nm := t.node.met; nm != nil {
+	if nm := n.met; nm != nil {
 		nm.BarrierStall.Observe(int64(t.task.Now() - a0))
 	}
 }
@@ -139,19 +136,14 @@ func (s *System) barrierArrival(id, from int, vt VClock) {
 	}
 	ep.arrived++
 	ep.arrivalVT[from] = vt
-	need := s.cfg.Nodes
-	if s.adapt != nil {
-		// Migration can empty a node; emptied nodes send no arrival.
-		need = s.adapt.occupied()
-	}
-	if ep.arrived < need {
+	if ep.arrived < s.cfg.Nodes {
 		return
 	}
 	delete(s.episodes, id)
 
 	// The barrier completion is the adaptation point: all threads are
-	// blocked, so mode changes and migration orders piggybacked on the
-	// releases apply atomically across the cluster.
+	// blocked, so mode changes piggybacked on the releases apply
+	// atomically across the cluster.
 	var rel *adaptRelease
 	if s.adapt != nil {
 		rel = s.adapt.decide()
@@ -165,13 +157,7 @@ func (s *System) barrierArrival(id, from int, vt VClock) {
 			continue
 		}
 		nodeID := nodeID
-		avt := ep.arrivalVT[nodeID]
-		if avt == nil && s.adapt != nil {
-			// Emptied node: it has learned exactly what its previous
-			// release carried.
-			avt = s.adapt.arrivalVT(nodeID, avt)
-		}
-		infos := mgr.newInfosSince(avt)
+		infos := mgr.newInfosSince(ep.arrivalVT[nodeID])
 		bytes := barrierMsgBytes + mgr.vt.wireBytes() + infosBytes(infos) + rel.wireBytes()
 		mgrVT := mgr.vt.Clone()
 		s.sendFromHandler(NodeID(0), NodeID(nodeID),
@@ -179,16 +165,13 @@ func (s *System) barrierArrival(id, from int, vt VClock) {
 				n := s.nodes[nodeID]
 				n.applyInfos(infos, mgrVT)
 				if rel != nil {
-					n.applyAdaptRelease(id, rel)
+					n.applyAdaptRelease(rel)
 				}
 				n.releaseBarrier(id)
 			})
 	}
-	if s.adapt != nil {
-		if rel != nil {
-			mgr.applyAdaptRelease(id, rel)
-		}
-		s.adapt.recordRelease(mgr.vt)
+	if rel != nil {
+		mgr.applyAdaptRelease(rel)
 	}
 	mgr.releaseBarrier(id)
 	// The manager's own update pushes flush last: the release broadcast
@@ -219,10 +202,6 @@ func (n *node) releaseBarrier(id int) {
 // paper's `r` source modification (per-node reduction aggregation).
 func (t *Thread) LocalBarrier(id int) {
 	n := t.node
-	if t.sys.adapt != nil {
-		// Local-barrier users depend on co-location; never migrate them.
-		t.pinned = true
-	}
 	key := localBarrierKeyBase + id
 	b := n.barrierAt(key)
 	b.arrived++
@@ -234,7 +213,7 @@ func (t *Thread) LocalBarrier(id int) {
 		tr.Emit(trace.Event{T: t.task.Now(), Kind: trace.KindBarrierArrive,
 			Node: int32(n.id), Thread: int32(t.gid), Sync: int32(id), Aux: 1})
 	}
-	if b.arrived < n.resident {
+	if b.arrived < n.sys.cfg.ThreadsPerNode {
 		b.waiters = append(b.waiters, t)
 		t.block(ReasonBarrier)
 		if nm := n.met; nm != nil {

@@ -173,9 +173,6 @@ func (t *Thread) remoteFault(p *page) {
 	sys := t.sys
 	for _, r := range remote {
 		r := r
-		if t.affinity != nil {
-			t.affinity[r.node]++
-		}
 		target := sys.nodes[r.node]
 		sys.sendFromTask(t.task, NodeID(n.id), NodeID(r.node),
 			ClassDiff, diffRequestBytes, func() {

@@ -214,7 +214,7 @@ func parseClass(name string) (netsim.Class, error) {
 			return c, nil
 		}
 	}
-	return 0, fmt.Errorf("core: unknown message class %q (want barrier, lock, diff, update, or migrate)", name)
+	return 0, fmt.Errorf("core: unknown message class %q (want barrier, lock, diff, or update)", name)
 }
 
 func parseSimTime(s string) (sim.Time, error) {

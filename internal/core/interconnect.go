@@ -27,7 +27,6 @@ const (
 	ClassLock    = transport.ClassLock
 	ClassDiff    = transport.ClassDiff
 	ClassUpdate  = transport.ClassUpdate
-	ClassMigrate = transport.ClassMigrate
 )
 
 // Interconnect is the virtual-time, closure-level transport contract the

@@ -52,8 +52,7 @@ func interconnectWorkload(addr Addr) func(*Thread) {
 // adaptiveWorkload extends interconnectWorkload with a producer-consumer
 // page set: thread 0 writes npages pages every epoch and the last thread
 // reads them in a separate barrier phase. Under Adapt the pages promote
-// to update mode (ClassUpdate pushes); under Migrate the reader's
-// one-sided affinity re-homes it next to the producer (ClassMigrate).
+// to update mode (ClassUpdate pushes).
 func adaptiveWorkload(lockAddr, pages Addr, npages, pageSize int) func(*Thread) {
 	return func(w *Thread) {
 		gid := w.GlobalID()
@@ -82,8 +81,6 @@ func adaptiveWorkload(lockAddr, pages Addr, npages, pageSize int) func(*Thread) 
 func TestSetInterconnectRoutesAllTraffic(t *testing.T) {
 	cfg := DefaultConfig(4, 2)
 	cfg.Adapt = true
-	cfg.Migrate = true
-	cfg.AdaptTune = AdaptTuning{MigrateMinEvents: 4, MigrateCooldown: 2}
 	s, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)

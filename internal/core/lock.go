@@ -213,15 +213,14 @@ func (n *node) grantLock(l *lockState, to int, reqVT VClock, hops uint8) {
 	sys := n.sys
 	sys.sendFromHandler(NodeID(n.id), NodeID(to),
 		ClassLock, bytes, func() {
-			sys.nodes[to].handleLockGrant(l.id, n.id, infos, vt, hops)
+			sys.nodes[to].handleLockGrant(l.id, infos, vt, hops)
 		})
 }
 
 // handleLockGrant runs at the original requester (engine context): apply
 // the piggybacked consistency information and hand the lock to the first
-// queued local thread. from is the granting node, credited to the woken
-// thread's migration affinity.
-func (n *node) handleLockGrant(id, from int, infos []*IntervalInfo, senderVT VClock, hops uint8) {
+// queued local thread.
+func (n *node) handleLockGrant(id int, infos []*IntervalInfo, senderVT VClock, hops uint8) {
 	l := n.lockAt(id)
 	l.grantHops = hops
 	n.applyInfos(infos, senderVT)
@@ -235,9 +234,6 @@ func (n *node) handleLockGrant(id, from int, infos []*IntervalInfo, senderVT VCl
 	next := l.localQ[0]
 	l.localQ = l.localQ[:copy(l.localQ, l.localQ[1:])]
 	l.heldBy = next
-	if next.affinity != nil && from != n.id {
-		next.affinity[from]++
-	}
 	n.sys.eng.Wake(next.task)
 }
 
@@ -280,7 +276,7 @@ func (t *Thread) Unlock(id int) {
 		sys := t.sys
 		sys.sendFromTask(t.task, NodeID(n.id), NodeID(to),
 			ClassLock, bytes, func() {
-				sys.nodes[to].handleLockGrant(id, n.id, infos, myVT, hops)
+				sys.nodes[to].handleLockGrant(id, infos, myVT, hops)
 			})
 	}
 	// Update pushes depart behind the grant (or immediately, when the

@@ -45,19 +45,13 @@ type node struct {
 	inFlightFaults int
 	inFlightLocks  int
 
-	// Adaptive-coherence state (see adapt.go, migrate.go); all nil/zero
-	// overhead when Config.Adapt and Config.Migrate are off. resident is
-	// the node's expected barrier population (ThreadsPerNode until a
-	// migration order changes it); residents lists the threads currently
-	// homed here (maintained only under Migrate, from this node's engine
-	// context); pmode holds per-page coherence modes; adaptObs counts
-	// this epoch's remote faults per page for the classifier; adaptHits
-	// counts the faults satisfied from pushed-update caches (the
-	// controller's update-mode usefulness signal); pendingPush queues
-	// update-mode pushes between closeInterval and the flush after the
-	// synchronization send.
-	resident    int
-	residents   []*Thread
+	// Adaptive-coherence state (see adapt.go); all nil, at no cost, when
+	// Config.Adapt is off. pmode holds per-page coherence modes; adaptObs
+	// counts this epoch's remote faults per page for the classifier;
+	// adaptHits counts the faults satisfied from pushed-update caches
+	// (the controller's update-mode usefulness signal); pendingPush
+	// queues update-mode pushes between closeInterval and the flush
+	// after the synchronization send.
 	pmode       map[PageID]*pageAdapt
 	adaptObs    map[PageID]int32
 	adaptHits   map[PageID]int32

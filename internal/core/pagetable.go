@@ -88,14 +88,9 @@ func (n *node) newShard(si int) *pageShard {
 
 // materialize allocates p's local copy on first use; pages read as zeros
 // until then. The buffer comes from the node's slab pool (zeroed when
-// recycled; fresh slab carvings are already zero) unless pooling is
-// disabled.
+// recycled; fresh slab carvings are already zero).
 func (n *node) materialize(p *page) {
 	if p.data != nil {
-		return
-	}
-	if n.sys.cfg.NoPagePooling {
-		p.data = make([]byte, n.sys.cfg.PageSize)
 		return
 	}
 	p.data = n.pool.get(true)
@@ -105,11 +100,7 @@ func (n *node) materialize(p *page) {
 // zeroing pass: the full-page copy below overwrites every byte, so a
 // recycled buffer cannot leak state.
 func (n *node) newTwin(p *page) {
-	if n.sys.cfg.NoPagePooling {
-		p.twin = make([]byte, n.sys.cfg.PageSize)
-	} else {
-		p.twin = n.pool.get(false)
-	}
+	p.twin = n.pool.get(false)
 	copy(p.twin, p.data)
 }
 
@@ -120,9 +111,7 @@ func (n *node) releaseTwin(p *page) {
 	if p.twin == nil {
 		return
 	}
-	if !n.sys.cfg.NoPagePooling {
-		n.pool.put(p.twin)
-	}
+	n.pool.put(p.twin)
 	p.twin = nil
 }
 
@@ -137,9 +126,7 @@ func (n *node) releaseData(p *page) {
 	if p.data == nil {
 		return
 	}
-	if !n.sys.cfg.NoPagePooling {
-		n.pool.put(p.data)
-	}
+	n.pool.put(p.data)
 	p.data = nil
 }
 

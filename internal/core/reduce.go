@@ -72,7 +72,7 @@ func (t *Thread) ReduceF64(id int, v float64, op ReduceOp) float64 {
 		r.acc = op.combine(r.acc, v)
 	}
 	r.arrived++
-	if r.arrived < n.resident {
+	if r.arrived < n.sys.cfg.ThreadsPerNode {
 		r.waiters = append(r.waiters, t)
 		t.block(ReasonBarrier)
 		return r.result
@@ -115,11 +115,7 @@ func (s *System) reduceArrival(id int, v float64, op ReduceOp) {
 		ep.acc = op.combine(ep.acc, v)
 	}
 	ep.arrived++
-	need := s.cfg.Nodes
-	if s.adapt != nil {
-		need = s.adapt.occupied() // emptied nodes contribute nothing
-	}
-	if ep.arrived < need {
+	if ep.arrived < s.cfg.Nodes {
 		return
 	}
 	delete(s.reduceEpisodes, id)
@@ -137,9 +133,6 @@ func (s *System) reduceArrival(id int, v float64, op ReduceOp) {
 // finishReduce publishes the global result and wakes the node's waiters.
 func (n *node) finishReduce(id int, result float64) {
 	r := n.reduces[id]
-	if r == nil {
-		return // node emptied by migration: no local participants
-	}
 	r.result = result
 	waiters := r.waiters
 	r.waiters = nil

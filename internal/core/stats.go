@@ -35,17 +35,15 @@ type NodeStats struct {
 	Retransmits    int64
 	DupsSuppressed int64
 
-	// Adaptive-coherence counters (all zero with Config.Adapt and
-	// Config.Migrate off): applied mode-change notices, eager diff pushes
-	// sent and fault ranges they satisfied, exclusive-window closes,
-	// whole-page fetches from exclusive owners, and threads received by
-	// migration.
+	// Adaptive-coherence counters (all zero with Config.Adapt off):
+	// applied mode-change notices, eager diff pushes sent and fault
+	// ranges they satisfied, exclusive-window closes, and whole-page
+	// fetches from exclusive owners.
 	ModeChanges      int64
 	UpdatePushes     int64
 	UpdateHits       int64
 	ExclWindowCloses int64
 	FullFetches      int64
-	Migrations       int64
 
 	// Time breakdown (Figure 1): user time includes all local consistency
 	// work; the waits are non-overlapped (node fully idle).
@@ -81,7 +79,6 @@ func (s *NodeStats) Add(other NodeStats) {
 	s.UpdateHits += other.UpdateHits
 	s.ExclWindowCloses += other.ExclWindowCloses
 	s.FullFetches += other.FullFetches
-	s.Migrations += other.Migrations
 	s.UserTime += other.UserTime
 	s.FaultWait += other.FaultWait
 	s.LockWait += other.LockWait

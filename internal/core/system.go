@@ -86,13 +86,6 @@ type Config struct {
 	// and therefore transfer times, change.
 	CompressDiffs bool
 
-	// NoPagePooling disables the per-node page-backing arena: page
-	// copies and twins are freshly allocated on demand and never reuse
-	// backing storage. Simulation results are identical either way; the
-	// span benchmarks use it to keep the pooled and unpooled allocation
-	// profiles separately measurable.
-	NoPagePooling bool
-
 	// Adapt enables per-page adaptive coherence: an online classifier
 	// consumes the per-epoch fault and write-notice attribution already
 	// flowing through the barrier manager, tags each page's sharing
@@ -105,21 +98,6 @@ type Config struct {
 	// default; with it off no adaptive state is allocated and every run
 	// is byte-identical to an unadapted build. Requires ProtocolLRC.
 	Adapt bool
-
-	// Migrate enables thread migration as a first-class scheduler
-	// action: per-thread remote-access affinity counters ride barrier
-	// arrivals, and the controller re-homes a thread next to its hottest
-	// pages by shipping its continuation in a ClassMigrate message at a
-	// barrier release. Decisions are virtual-time-driven and
-	// deterministic at any EngineWorkers count. Off by default.
-	// Requires ProtocolLRC. Threads that ever used LocalBarrier are
-	// pinned (their node-local aggregation would break if moved).
-	Migrate bool
-
-	// AdaptTune overrides the adaptive controller's thresholds; the
-	// zero value means defaults (see AdaptTuning). Ignored unless Adapt
-	// or Migrate is set.
-	AdaptTune AdaptTuning
 
 	// Faults, when non-nil and active, injects deterministic failures:
 	// network drops/duplications/reordering/jitter (routed through the
@@ -161,8 +139,8 @@ func (c *Config) Validate() error {
 	case c.PageSize < 64 || c.PageSize&(c.PageSize-1) != 0:
 		return fmt.Errorf("core: PageSize %d must be a power of two ≥ 64", c.PageSize)
 	}
-	if (c.Adapt || c.Migrate) && c.Protocol != ProtocolLRC {
-		return errors.New("core: Adapt/Migrate require the multi-writer LRC protocol")
+	if c.Adapt && c.Protocol != ProtocolLRC {
+		return errors.New("core: Adapt requires the multi-writer LRC protocol")
 	}
 	return nil
 }
@@ -216,16 +194,10 @@ type System struct {
 	transport *reliable
 
 	// adapt is the adaptive-coherence controller, non-nil only when
-	// cfg.Adapt or cfg.Migrate is set. It runs exclusively in the
-	// barrier manager's (node 0's) engine context, so it needs no
-	// locking under the windowed engine.
+	// cfg.Adapt is set. It runs exclusively in the barrier manager's
+	// (node 0's) engine context, so it needs no locking under the
+	// windowed engine.
 	adapt *adaptController
-
-	// byTask maps engine task IDs to threads. Task IDs equal spawn
-	// order, which equals the global thread id, but with migration a
-	// thread's current node is dynamic, so the lookup table is the
-	// authoritative mapping.
-	byTask []*Thread
 }
 
 // NewSystem builds a cluster from cfg.
@@ -252,12 +224,12 @@ func NewSystem(cfg Config) (*System, error) {
 	s.net.SetTracer(cfg.Tracer)
 	if s.met != nil {
 		classes := netsim.Classes()
-		if !cfg.Adapt && !cfg.Migrate {
-			// The adaptive classes (Update, Migrate) carry no traffic in
-			// a plain LRC run; leaving them out keeps the metrics schema
-			// — and so BASELINE_metrics.json — identical to pre-adaptive
-			// builds. Indexing past the registered classes would panic,
-			// which doubles as a tripwire for stray adaptive messages.
+		if !cfg.Adapt {
+			// The adaptive class (Update) carries no traffic in a plain
+			// LRC run; leaving it out keeps the metrics schema — and so
+			// BASELINE_metrics.json — identical to pre-adaptive builds.
+			// Indexing past the registered classes would panic, which
+			// doubles as a tripwire for stray adaptive messages.
 			classes = classes[:netsim.ClassUpdate]
 		}
 		names := make([]string, len(classes))
@@ -306,7 +278,7 @@ func NewSystem(cfg Config) (*System, error) {
 			s.net.SetTracer(s.demux)
 		}
 	}
-	if cfg.Adapt || cfg.Migrate {
+	if cfg.Adapt {
 		s.adapt = newAdaptController(s)
 	}
 	eng.SetReasonNamer(reasonName)
@@ -383,10 +355,8 @@ func (s *System) Start(main func(*Thread)) error {
 	for _, n := range s.nodes {
 		n.initPages(totalPages)
 	}
-	s.byTask = make([]*Thread, s.cfg.Nodes*s.cfg.ThreadsPerNode)
 	for i := 0; i < s.cfg.Nodes; i++ {
 		n := s.nodes[i]
-		n.resident = s.cfg.ThreadsPerNode
 		if s.cfg.Adapt {
 			n.adaptObs = make(map[PageID]int32)
 			n.adaptHits = make(map[PageID]int32)
@@ -399,15 +369,10 @@ func (s *System) Start(main func(*Thread)) error {
 			th.gid = i*s.cfg.ThreadsPerNode + j
 			th.lid = j
 			th.main = main
-			if s.cfg.Migrate {
-				th.affinity = make([]int64, s.cfg.Nodes)
-				n.residents = append(n.residents, th)
-			}
 			// Threads implement sim.Runner and carry precomputed names,
 			// so spawning allocates neither a closure nor a string for
 			// common cluster shapes.
 			th.task = s.eng.SpawnRunner(n.proc, threadName(i, j), th)
-			s.byTask[th.gid] = th
 		}
 	}
 	return nil
@@ -443,19 +408,18 @@ func (s *System) Run() (err error) {
 
 // threadOf maps an engine task back to its application thread. Threads
 // are spawned in global-ID order, so a thread's task ID equals its gid;
-// the identity check rejects any other task. The table (rather than
-// task-ID arithmetic over the node layout) keeps the mapping valid once
-// migration moves threads between nodes.
+// the identity check rejects any other task.
 func (s *System) threadOf(task *sim.Task) *Thread {
 	if task == nil {
 		return nil
 	}
+	tpn := s.cfg.ThreadsPerNode
 	id := task.ID()
-	if id >= len(s.byTask) {
+	if id >= s.cfg.Nodes*tpn {
 		return nil
 	}
-	th := s.byTask[id]
-	if th == nil || th.task != task {
+	th := &s.nodes[id/tpn].threads[id%tpn]
+	if th.task != task {
 		return nil
 	}
 	return th

@@ -23,13 +23,6 @@ type Thread struct {
 
 	phase   int // application code phase, for the I-TLB model
 	codeRot int
-
-	// Migration state (see migrate.go); nil/false when Config.Migrate is
-	// off. affinity counts remote events (diff fetches, lock grants) per
-	// origin node since the last barrier report; pinned permanently bars
-	// the thread from migration (set on LocalBarrier use).
-	affinity []int64
-	pinned   bool
 }
 
 // RunTask implements sim.Runner: the task body of an application thread.

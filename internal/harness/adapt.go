@@ -10,12 +10,11 @@ import (
 )
 
 // AdaptiveRow compares one application's baseline run (plain LRC) with
-// its adaptive run (per-page mode switching, plus thread migration when
-// the app is migration-safe). Delays are the Figure-1 non-overlapped
-// components whose dominant term the adaptive protocol targets.
+// its adaptive run (per-page mode switching). Delays are the Figure-1
+// non-overlapped components whose dominant term the adaptive protocol
+// targets.
 type AdaptiveRow struct {
-	App      string
-	Migrated bool // migration was enabled (app is migration-safe)
+	App string
 
 	BaseWall  cvm.Time
 	AdaptWall cvm.Time
@@ -35,9 +34,14 @@ type AdaptiveRow struct {
 	BaseKBytes  int64
 	AdaptKBytes int64
 
-	ModeChanges int64
-	Migrations  int64
-	UpdateHits  int64
+	// Adaptation activity, by mechanism: notices applied, fault ranges
+	// update mode served from pushed chains, and exclusive mode's two
+	// costs — windows a foreign access closed and the whole-page fetches
+	// that followed.
+	ModeChanges      int64
+	UpdateHits       int64
+	ExclWindowCloses int64
+	FullFetches      int64
 }
 
 // DominantCost names the largest baseline Figure-1 remote-cost component
@@ -56,11 +60,10 @@ func (r *AdaptiveRow) DominantCost() (name string, base, adapted cvm.Time) {
 }
 
 // CompareAdaptive runs every application with and without the adaptive
-// protocol at the given shape. Thread migration is enabled on the
-// adaptive side for migration-safe apps only (apps.Migratable). Every
-// run still validates against its sequential reference, so the adaptive
-// protocol's coherence is exercised end to end. The app × variant runs
-// fan out over the worker pool and merge into rows in application order.
+// protocol at the given shape. Every run still validates against its
+// sequential reference, so the adaptive protocol's coherence is
+// exercised end to end. The app × variant runs fan out over the worker
+// pool and merge into rows in application order.
 func CompareAdaptive(appNames []string, size apps.Size, nodes, threads int, progress io.Writer, workers int) ([]AdaptiveRow, error) {
 	type job struct {
 		name  string
@@ -89,10 +92,7 @@ func CompareAdaptive(appNames []string, size apps.Size, nodes, threads int, prog
 		}
 		sink.Printf("running %s (%s)...\n", j.name, variant)
 		cfg := cvm.DefaultConfig(nodes, threads)
-		if j.adapt {
-			cfg.Adapt = true
-			cfg.Migrate = apps.Migratable(j.name)
-		}
+		cfg.Adapt = j.adapt
 		st, err := apps.RunConfig(j.name, size, cfg)
 		if err != nil {
 			return cvm.Stats{}, fmt.Errorf("harness: %s (%s): %w", j.name, variant, err)
@@ -107,7 +107,7 @@ func CompareAdaptive(appNames []string, size apps.Size, nodes, threads int, prog
 	for i, j := range jobs {
 		st := stats[i]
 		if len(rows) == 0 || rows[len(rows)-1].App != j.name {
-			rows = append(rows, AdaptiveRow{App: j.name, Migrated: apps.Migratable(j.name)})
+			rows = append(rows, AdaptiveRow{App: j.name})
 		}
 		row := &rows[len(rows)-1]
 		if j.adapt {
@@ -118,8 +118,9 @@ func CompareAdaptive(appNames []string, size apps.Size, nodes, threads int, prog
 			row.AdaptMsgs = st.Net.TotalMsgs()
 			row.AdaptKBytes = st.Net.TotalBytes() / 1024
 			row.ModeChanges = st.Total.ModeChanges
-			row.Migrations = st.Total.Migrations
 			row.UpdateHits = st.Total.UpdateHits
+			row.ExclWindowCloses = st.Total.ExclWindowCloses
+			row.FullFetches = st.Total.FullFetches
 		} else {
 			row.BaseWall = st.Wall
 			row.BaseFaultWait = st.Total.FaultWait
@@ -136,10 +137,10 @@ func CompareAdaptive(appNames []string, size apps.Size, nodes, threads int, prog
 // dominant baseline remote cost and how the adaptive run changed it,
 // plus wall time, traffic, and the adaptation activity counters.
 func WriteAdaptive(w io.Writer, rows []AdaptiveRow, nodes, threads int) {
-	fmt.Fprintf(w, "Adaptive protocol (%d nodes x %d threads): per-page mode switching + thread migration vs plain LRC\n",
+	fmt.Fprintf(w, "Adaptive protocol (%d nodes x %d threads): per-page mode switching vs plain LRC\n",
 		nodes, threads)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(tw, "app\tdominant\tbase\tadaptive\tchange\tbase wall\tadapt wall\tbase msgs\tadapt msgs\tmodes\tmigr\tupd hits\t")
+	fmt.Fprintln(tw, "app\tdominant\tbase\tadaptive\tchange\tbase wall\tadapt wall\tbase msgs\tadapt msgs\tmodes\tupd hits\texcl closes\tfull fetches\t")
 	for i := range rows {
 		r := &rows[i]
 		name, base, adapted := r.DominantCost()
@@ -147,9 +148,9 @@ func WriteAdaptive(w io.Writer, rows []AdaptiveRow, nodes, threads int) {
 		if base > 0 {
 			change = fmt.Sprintf("%+.1f%%", (float64(adapted)/float64(base)-1)*100)
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%v\t%v\t%s\t%v\t%v\t%d\t%d\t%d\t%d\t%d\t\n",
+		fmt.Fprintf(tw, "%s\t%s\t%v\t%v\t%s\t%v\t%v\t%d\t%d\t%d\t%d\t%d\t%d\t\n",
 			r.App, name, base, adapted, change, r.BaseWall, r.AdaptWall,
-			r.BaseMsgs, r.AdaptMsgs, r.ModeChanges, r.Migrations, r.UpdateHits)
+			r.BaseMsgs, r.AdaptMsgs, r.ModeChanges, r.UpdateHits, r.ExclWindowCloses, r.FullFetches)
 	}
 	tw.Flush()
 }

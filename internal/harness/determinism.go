@@ -40,8 +40,7 @@ func RunDeterminismProbe(app string, size apps.Size, nodes, threads, engineWorke
 }
 
 // RunDeterminismProbeAdaptive is RunDeterminismProbe with adaptive
-// coherence switched on (and thread migration, when the application
-// tolerates re-homing).
+// coherence switched on.
 func RunDeterminismProbeAdaptive(app string, size apps.Size, nodes, threads, engineWorkers int, fp *cvm.FaultPlan) (*DeterminismProbe, error) {
 	return runDeterminismProbe(app, size, nodes, threads, engineWorkers, true, fp)
 }
@@ -54,10 +53,7 @@ func runDeterminismProbe(app string, size apps.Size, nodes, threads, engineWorke
 	cfg.Metrics = reg
 	cfg.Tracer = rec
 	cfg.Faults = fp
-	if adaptive {
-		cfg.Adapt = true
-		cfg.Migrate = apps.Migratable(app)
-	}
+	cfg.Adapt = adaptive
 	stats, sum, err := apps.RunConfigFull(app, size, cfg, 0)
 	if err != nil {
 		return nil, fmt.Errorf("harness: probe %s workers=%d: %w", app, engineWorkers, err)
@@ -90,9 +86,8 @@ func GuardDeterminism(app string, size apps.Size, nodes, threads int, workerCoun
 }
 
 // GuardDeterminismAdaptive is GuardDeterminism with adaptive coherence
-// (and migration, for migration-safe apps) enabled on every probe: the
-// classifier's decisions, the mode-change notices, and the migration
-// orders must themselves be functions of the deterministic event order,
+// enabled on every probe: the classifier's decisions and the mode-change
+// notices must themselves be functions of the deterministic event order,
 // so every artifact stays byte-identical across worker counts. Repeat a
 // count in workerCounts to additionally assert run-to-run identity.
 func GuardDeterminismAdaptive(app string, size apps.Size, nodes, threads int, workerCounts []int, fp *cvm.FaultPlan) error {

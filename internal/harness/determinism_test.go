@@ -30,7 +30,7 @@ func TestGuardDeterminismUnderFaults(t *testing.T) {
 }
 
 // TestGuardDeterminismAdaptive holds adapted runs to the same bar: with
-// per-page mode switching and thread migration on, every artifact —
+// per-page mode switching on, every artifact —
 // checksum, statistics, metrics report, Chrome trace — must stay
 // byte-identical across worker counts and across repeated runs (the
 // duplicated leading count), fault-free.
@@ -44,7 +44,7 @@ func TestGuardDeterminismAdaptive(t *testing.T) {
 
 // TestGuardDeterminismAdaptiveUnderFaults is the adapted variant of the
 // fault-schedule guard: retransmission timing must not leak into the
-// classifier's observations or the migration orders.
+// classifier's observations.
 func TestGuardDeterminismAdaptiveUnderFaults(t *testing.T) {
 	fp, err := cvm.ParseFaults("drop=0.02,dup=0.01,reorder=0.02,jitter=300us", 42)
 	if err != nil {

@@ -19,18 +19,15 @@ type Table2Row struct {
 	BarrierDelayMs float64
 	LockDelayMs    float64
 	DiffDelayMs    float64
-	// Update pushes and thread migrations carry no non-overlapped thread
-	// delay of their own (pushes are asynchronous; migration overlaps the
-	// barrier wait), so their delay columns stay zero; the columns exist
+	// Update pushes carry no non-overlapped thread delay of their own
+	// (they are asynchronous), so the delay column stays zero; it exists
 	// so every message class has the same Table 2 shape.
-	UpdateDelayMs  float64
-	MigrateDelayMs float64
+	UpdateDelayMs float64
 
 	BarrierMsgs int64
 	LockMsgs    int64
 	DiffMsgs    int64
 	UpdateMsgs  int64
-	MigrateMsgs int64
 	TotalMsgs   int64
 	BWKBytes    int64
 }
@@ -55,7 +52,6 @@ func Table2(res Results, appNames []string, nodes int, threads []int) []Table2Ro
 				LockMsgs:       st.Net.Msgs[netsim.ClassLock],
 				DiffMsgs:       st.Net.Msgs[netsim.ClassDiff],
 				UpdateMsgs:     st.Net.Msgs[netsim.ClassUpdate],
-				MigrateMsgs:    st.Net.Msgs[netsim.ClassMigrate],
 				TotalMsgs:      st.Net.TotalMsgs(),
 				BWKBytes:       st.Net.TotalBytes() / 1024,
 			})

@@ -35,7 +35,6 @@ const (
 	ClassLock    = transport.ClassLock
 	ClassDiff    = transport.ClassDiff
 	ClassUpdate  = transport.ClassUpdate
-	ClassMigrate = transport.ClassMigrate
 	numClasses   = transport.NumClasses
 )
 

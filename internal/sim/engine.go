@@ -218,28 +218,6 @@ func (e *Engine) WakeAt(t *Task, at Time) {
 	t.proc.enqueue(t, at)
 }
 
-// Migrate re-homes a blocked task onto another processor: a first-class
-// scheduler action for thread migration. The task's continuation (its
-// goroutine and report channel discipline) moves wholesale — the next
-// Wake enqueues it on the destination's run queue and its subsequent
-// grants and reports flow through the destination's dispatch loop.
-//
-// Call it only from engine context on the destination processor (e.g. a
-// migrate-message delivery handler), and only for a blocked task: a
-// running or ready task still has scheduler state on its old processor.
-// Under the windowed engine, per-proc live counts are deliberately left
-// untouched — the coordinator sums them globally, so moving a task must
-// not touch the source processor's accounting from another worker.
-func (e *Engine) Migrate(t *Task, to *Proc) {
-	if t.state != taskBlocked {
-		panic(fmt.Sprintf("sim: Migrate of task %q in state %d", t.name, t.state))
-	}
-	if to == nil {
-		panic("sim: Migrate to nil proc")
-	}
-	t.proc = to
-}
-
 // Run dispatches entities in virtual-time order until every spawned task
 // has finished. It returns ErrDeadlock (wrapped with diagnostics) if live
 // tasks remain but nothing is runnable.

@@ -112,12 +112,6 @@ const (
 	// the page back onto the interval machinery. Aux is the adaptation
 	// epoch current at the close.
 	KindExclWindowClose
-	// KindMigrateStart: Thread left Node (migration source). Peer is the
-	// destination node, Aux the adaptation epoch that issued the order.
-	KindMigrateStart
-	// KindMigrateArrive: Thread was re-homed onto Node (migration
-	// destination). Peer is the source node, Aux the adaptation epoch.
-	KindMigrateArrive
 
 	numKinds
 )
@@ -146,8 +140,6 @@ var kindNames = [numKinds]string{
 	KindDupSuppress:     "msg.dupsuppress",
 	KindModeChange:      "adapt.mode",
 	KindExclWindowClose: "adapt.exclclose",
-	KindMigrateStart:    "migrate.start",
-	KindMigrateArrive:   "migrate.arrive",
 }
 
 // String returns the dotted event-kind name used in exports and reports.

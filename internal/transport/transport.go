@@ -45,9 +45,6 @@ const (
 	// ClassUpdate carries eager diff pushes for pages running in the
 	// adaptive update mode (producer→subscriber, no request leg).
 	ClassUpdate
-	// ClassMigrate carries a thread's continuation state when the
-	// adaptive controller re-homes it next to its hottest pages.
-	ClassMigrate
 	NumClasses // count sentinel; keep last
 )
 
@@ -62,8 +59,6 @@ func (c Class) String() string {
 		return "Diff"
 	case ClassUpdate:
 		return "Update"
-	case ClassMigrate:
-		return "Migrate"
 	default:
 		return fmt.Sprintf("Class(%d)", uint8(c))
 	}

@@ -3,7 +3,7 @@
 #
 # Runs `go test -coverprofile` for each gated package and fails if its
 # statement coverage drops below the recorded baseline. The floors sit
-# half a point under the coverage measured when they were last raised,
+# 0.8 of a point under the coverage measured when they were last set,
 # so routine refactors pass while a change that lands untested protocol
 # code fails loudly. Raise a floor whenever real coverage rises; never
 # lower one to make a commit pass — write the missing tests instead.
@@ -13,10 +13,10 @@ set -euo pipefail
 
 GO="${GO:-go}"
 
-# package  floor(%)  — measured 86.3 / 97.3 when recorded.
+# package  floor(%)  — measured 88.0 / 99.2 when recorded.
 GATES="
-internal/core 85.5
-internal/check 96.5
+internal/core 87.2
+internal/check 98.4
 "
 
 status=0

@@ -212,36 +212,3 @@ func BenchmarkSpanSORRow(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkSpanPooling isolates the allocation diet of the span access
-// path: the same span sweep with the per-node page-backing arena and
-// twin pool enabled (the default) and disabled via Config.NoPagePooling.
-// The pooled variant is the configuration BENCH_harness.json gates;
-// unpooled is the reference that shows what the arena buys.
-func BenchmarkSpanPooling(b *testing.B) {
-	sweep := func(b *testing.B, noPool bool) {
-		for i := 0; i < b.N; i++ {
-			cfg := cvm.DefaultConfig(1, 1)
-			cfg.NoPagePooling = noPool
-			cluster, err := cvm.New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m := cluster.MustAllocF64Matrix("bench.m", spanBenchRows, spanBenchCols, false)
-			if _, err := cluster.Run(func(w cvm.Worker) {
-				row := make([]float64, spanBenchCols)
-				for r := 0; r < spanBenchRows; r++ {
-					m.Row(w, r, row)
-					for j := range row {
-						row[j]++
-					}
-					m.SetRow(w, r, row)
-				}
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("pooled", func(b *testing.B) { sweep(b, false) })
-	b.Run("unpooled", func(b *testing.B) { sweep(b, true) })
-}
