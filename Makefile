@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race cover loc golden-trace adapt-golden bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs fuzz-sortdiffs metrics-gate diff-backends metrics-baseline perf-baseline scale-baseline
+.PHONY: check vet build test race cover loc golden-trace adapt-golden bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs fuzz-sortdiffs metrics-gate diff-backends metrics-baseline scale-baseline teardown-stress
 
 ## check: the pre-commit gate (mirrors .github/workflows/ci.yml) — vet,
 ## build, race-test everything, verify the golden trace and the -adapt
@@ -10,8 +10,10 @@ GO ?= go
 ## the multi-process cluster smoke against the simulator oracle, the
 ## 256-node scale smoke, the diff-order differential tests, the metrics
 ## regression gate against the committed baseline, the sim-vs-real
-## counter-equivalence gate, and the per-package coverage floors.
-check: vet build race golden-trace adapt-golden bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs metrics-gate diff-backends cover
+## counter-equivalence gate, the rt teardown stress, and the per-package
+## coverage floors. Host-time performance is `go run ./bench`
+## (bench/README.md), judged per PR against the parent commit.
+check: vet build race golden-trace adapt-golden bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs metrics-gate diff-backends teardown-stress cover
 	@echo "check: OK"
 
 vet:
@@ -137,7 +139,9 @@ diff-backends:
 metrics-baseline:
 	$(GO) run ./cmd/cvm-run -app waternsq -nodes 4 -threads 2 -size test -metrics BASELINE_metrics.json >/dev/null
 
-## perf-baseline: regenerate BENCH_harness.json (compare before committing
-## changes to the diff/memsim/harness hot paths).
-perf-baseline:
-	$(GO) run ./cmd/cvm-bench -experiment perf -size small -json BENCH_harness.json
+## teardown-stress: a node that finishes first closes its mesh while
+## peers still wait on other streams. 200 runs of the TCP cluster test
+## and the transport's goodbye tests under the race detector, at 1, 2
+## and 8 Ps — a node that said goodbye must never read as a dead peer.
+teardown-stress:
+	$(GO) test ./internal/rt ./internal/transport -run 'TestRunNodeTCP|Goodbye' -race -count=200 -cpu 1,2,8

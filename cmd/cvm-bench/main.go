@@ -15,10 +15,8 @@
 // baseline). -metrics/-report attach a metrics registry to every cell of
 // the Figure 1 / Tables 2-3 / Figure 2 grid and emit the aggregated
 // profile (cell snapshots merge in deterministic grid order, so the
-// report is byte-identical at any -parallel). The perf experiment
-// benchmarks the harness itself and writes a machine-readable baseline:
-//
-//	cvm-bench -experiment perf -json BENCH_harness.json
+// report is byte-identical at any -parallel). Host-time performance of
+// the harness itself is measured by `go run ./bench`.
 package main
 
 import (
@@ -44,12 +42,11 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("cvm-bench", flag.ContinueOnError)
 	var (
 		experiment = fs.String("experiment", "all",
-			"experiment to regenerate: costs, fig1, table2, table3, fig2, table4, table5, ablation, protocols, adapt, perf, scaleout, all")
+			"experiment to regenerate: costs, fig1, table2, table3, fig2, table4, table5, ablation, protocols, adapt, scaleout, all")
 		size     = fs.String("size", "small", "input scale: test, small, paper")
 		quiet    = fs.Bool("q", false, "suppress progress output")
 		nodes16  = fs.Bool("with16", true, "include 16-node runs in table4")
 		parallel = fs.Int("parallel", 0, "worker goroutines for independent runs (0 = all CPUs, 1 = sequential)")
-		jsonPath = fs.String("json", "BENCH_harness.json", "output path for the perf experiment's JSON baseline")
 
 		scaleNodes = fs.String("scale-nodes", "8,64,256,1024",
 			"comma-separated node counts for the scaleout experiment")
@@ -116,9 +113,10 @@ func run(args []string, out io.Writer) error {
 			}
 			rep := cvm.NewMetricsReport("grid",
 				fmt.Sprintf("experiment=%s size=%s", *experiment, *size), snap, *metricsTopN)
-			if err := emitGridMetrics(out, rep, *metricsOut, *showReport); err != nil {
+			if err := rep.Emit(out, *showReport, *metricsOut, ""); err != nil {
 				return err
 			}
+			fmt.Fprintln(out)
 		} else {
 			res, err = harness.RunGridParallel(harness.AppOrder, sz,
 				harness.GridShapes([]int{4, 8}, harness.ThreadLevels), progress, *parallel)
@@ -202,10 +200,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out)
 	}
 
-	if *experiment == "perf" {
-		return runPerf(out, sz, *parallel, *jsonPath, progress)
-	}
-
 	// The scaleout study is deliberately not part of "all": its 1024-node
 	// points dominate the runtime of everything else combined.
 	if *experiment == "scaleout" {
@@ -264,29 +258,4 @@ func parseNodeList(s string) ([]int, error) {
 		return nil, fmt.Errorf("-scale-nodes is empty")
 	}
 	return out, nil
-}
-
-// emitGridMetrics writes the aggregated grid profile as requested.
-func emitGridMetrics(out io.Writer, rep *cvm.MetricsReport, jsonPath string, show bool) error {
-	if show {
-		if err := rep.WriteText(out); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote metrics report to %s\n\n", jsonPath)
-	}
-	return nil
 }

@@ -18,7 +18,7 @@ func TestFlagValidation(t *testing.T) {
 		{"malformed metrics-interval", []string{"-metrics-interval", "x"}, "invalid value"},
 		{"zero metrics-top", []string{"-metrics-top", "0", "-report"}, "-metrics-top"},
 		{"metrics without grid", []string{"-experiment", "table4", "-metrics", "m.json"}, "does not run it"},
-		{"report without grid", []string{"-experiment", "perf", "-report"}, "does not run it"},
+		{"report without grid", []string{"-experiment", "scaleout", "-report"}, "does not run it"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out bytes.Buffer

@@ -2,13 +2,11 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"cvm/internal/harness"
 	"cvm/internal/metrics"
 )
 
@@ -34,33 +32,13 @@ func writeReport(t *testing.T, dir, name string, count int, lat int64) string {
 	return path
 }
 
-// writeBaseline writes a harness perf baseline to dir/name.
-func writeBaseline(t *testing.T, dir, name string, identical bool, nsOp float64, allocs int64) string {
-	t.Helper()
-	b := harness.PerfBaseline{
-		Grid: harness.PerfGrid{Cells: 1, Identical: identical},
-		Micro: []harness.MicroResult{
-			{Name: "MakeDiff/sparse", NsOp: nsOp, AllocsOp: allocs},
-		},
-	}
-	data, err := json.MarshalIndent(&b, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
 func TestArgValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		args []string
 		want string
 	}{
-		{"no subcommand", nil, "usage"},
+		{"no subcommand", nil, "<show|compare|diff-backends|scrape>"},
 		{"unknown subcommand", []string{"frobnicate"}, "unknown subcommand"},
 		{"show no file", []string{"show"}, "usage"},
 		{"compare one file", []string{"compare", "a.json"}, "usage"},
@@ -116,97 +94,6 @@ func TestCompareReportsGate(t *testing.T) {
 	out.Reset()
 	if err := run([]string{"compare", "-hard-latency", base, slower}, &out); err == nil {
 		t.Fatal("-hard-latency must escalate latency regressions to failures")
-	}
-}
-
-func TestComparePerfBaselineGate(t *testing.T) {
-	dir := t.TempDir()
-	base := writeBaseline(t, dir, "base.json", true, 1000, 2)
-	same := writeBaseline(t, dir, "same.json", true, 1040, 2)
-	slower := writeBaseline(t, dir, "slow.json", true, 2000, 2)
-	leaky := writeBaseline(t, dir, "leaky.json", true, 1000, 3)
-	nondet := writeBaseline(t, dir, "nondet.json", false, 1000, 2)
-
-	var out bytes.Buffer
-	if err := run([]string{"compare", base, same}, &out); err != nil {
-		t.Fatalf("within-noise baseline must pass: %v (%s)", err, out.String())
-	}
-
-	// ns/op regressions only warn (host timing is noisy)...
-	out.Reset()
-	if err := run([]string{"compare", base, slower}, &out); err != nil {
-		t.Fatalf("ns/op drift should warn, not fail: %v (%s)", err, out.String())
-	}
-	if !strings.Contains(out.String(), "ns_op") {
-		t.Errorf("warning does not name ns_op: %q", out.String())
-	}
-
-	// ...but allocation growth and determinism violations fail hard.
-	out.Reset()
-	if err := run([]string{"compare", base, leaky}, &out); err == nil {
-		t.Fatalf("allocs/op growth must fail; output: %s", out.String())
-	}
-	out.Reset()
-	if err := run([]string{"compare", base, nondet}, &out); err == nil {
-		t.Fatalf("results_identical=false must fail; output: %s", out.String())
-	}
-
-	// Mixing schemas is an error, not a silent pass.
-	rep := writeReport(t, dir, "rep.json", 1, 1000)
-	if err := run([]string{"compare", base, rep}, &bytes.Buffer{}); err == nil {
-		t.Fatal("comparing a perf baseline against a metrics report must error")
-	}
-}
-
-// writeWireBaseline writes a perf baseline whose DiffWire section has a
-// single sparse-pattern entry at the given ratio.
-func writeWireBaseline(t *testing.T, dir, name string, ratio float64) string {
-	t.Helper()
-	b := harness.PerfBaseline{
-		Grid:  harness.PerfGrid{Cells: 1, Identical: true},
-		Micro: []harness.MicroResult{{Name: "MakeDiff/sparse", NsOp: 1000, AllocsOp: 2}},
-		DiffWire: []harness.DiffWireResult{{
-			Pattern: "sparse", RawBytes: 1000,
-			EncodedBytes: int(ratio * 1000), Ratio: ratio,
-		}},
-	}
-	data, err := json.MarshalIndent(&b, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestCompareWireRatioGate(t *testing.T) {
-	dir := t.TempDir()
-	base := writeWireBaseline(t, dir, "base.json", 0.50)
-	good := writeWireBaseline(t, dir, "good.json", 0.55)
-	bad := writeWireBaseline(t, dir, "bad.json", 0.75)
-
-	var out bytes.Buffer
-	if err := run([]string{"compare", base, good}, &out); err != nil {
-		t.Fatalf("ratio under the cap must pass: %v (%s)", err, out.String())
-	}
-
-	// The sparse cap is absolute: 0.75 fails even though the baseline
-	// would allow drift.
-	out.Reset()
-	if err := run([]string{"compare", bad, bad}, &out); err == nil {
-		t.Fatalf("sparse ratio 0.75 must fail the hard cap; output: %s", out.String())
-	}
-	if !strings.Contains(out.String(), "diff_wire/sparse/ratio") {
-		t.Errorf("failure output does not name the ratio cap: %q", out.String())
-	}
-
-	// Dropping a wire pattern the baseline had is a failure.
-	plain := writeBaseline(t, dir, "plain.json", true, 1000, 2)
-	out.Reset()
-	if err := run([]string{"compare", base, plain}, &out); err == nil {
-		t.Fatalf("missing wire pattern must fail; output: %s", out.String())
 	}
 }
 

@@ -231,24 +231,15 @@ func run(args []string, out io.Writer) error {
 		rep.Real = rt.RealStats("tcp", spec.Nodes, outcome.Elapsed, outcome.Net)
 		if *showReport {
 			fmt.Fprintln(out)
-			if err := rep.WriteText(out); err != nil {
-				return err
-			}
 		}
-		if *metricsOut != "" {
-			if err := writeFileWith(*metricsOut, rep.WriteJSON); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote merged metrics report to %s\n", *metricsOut)
+		if err := rep.Emit(out, *showReport, *metricsOut, ""); err != nil {
+			return err
 		}
 	}
 	if rec != nil {
-		if err := writeFileWith(*traceOut, func(w io.Writer) error {
-			return trace.WriteChrome(w, rec)
-		}); err != nil {
+		if err := trace.WriteChromeFile(out, *traceOut, rec); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "wrote %d trace events to %s (load at ui.perfetto.dev)\n", rec.Len(), *traceOut)
 	}
 
 	if *oracle {
@@ -335,17 +326,4 @@ func (lr *liveRun) report() *metrics.Report {
 	}, info.Metrics.Snapshot(), lr.topN)
 	rep.Real = rt.RealStats("tcp", info.Spec.Nodes, time.Since(start), info.Conn.Stats())
 	return rep
-}
-
-// writeFileWith creates path and streams write into it.
-func writeFileWith(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

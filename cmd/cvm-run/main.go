@@ -14,7 +14,9 @@
 // are independent simulations and run concurrently across -parallel
 // worker goroutines (0 = all CPUs). Instrumented runs (-trace, -metrics,
 // -metrics-csv, -report, -check) need a single -threads level; tracing,
-// metrics and the invariant checker can be combined in one run.
+// metrics and the invariant checker can be combined in one run, and
+// -trace with -report also prints the per-class latency table (the
+// paper's §4.1 calibration, from the traced events alone).
 //
 // -faults injects deterministic network and node faults, e.g.
 //
@@ -109,18 +111,20 @@ func run(args []string, out io.Writer) error {
 	if *engineWorkers < 0 {
 		return fmt.Errorf("-engine-workers must be >= 0, got %d", *engineWorkers)
 	}
+	wantMetrics := *metricsOut != "" || *metricsCSV != "" || *showReport
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["metrics-top"] && !wantMetrics {
+		return fmt.Errorf("-metrics-top needs -metrics, -metrics-csv or -report")
+	}
 	var fp *cvm.FaultPlan
 	if *faults != "" {
 		var err error
 		if fp, err = cvm.ParseFaults(*faults, *faultSeed); err != nil {
 			return err
 		}
-	} else {
-		seedSet := false
-		fs.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "fault-seed" })
-		if seedSet {
-			return fmt.Errorf("-fault-seed needs -faults")
-		}
+	} else if set["fault-seed"] {
+		return fmt.Errorf("-fault-seed needs -faults")
 	}
 
 	sz, err := apps.ParseSize(*size)
@@ -132,7 +136,12 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	wantMetrics := *metricsOut != "" || *metricsCSV != "" || *showReport
+	o := runOpts{
+		app: *appName, size: sz, sizeName: *size, nodes: *nodes, threads: levels[0],
+		traceOut: *traceOut, traceLimit: *traceLimit,
+		metricsOut: *metricsOut, metricsCSV: *metricsCSV,
+		report: *showReport, wantMetrics: wantMetrics, topN: *metricsTopN,
+	}
 	switch *backend {
 	case "sim":
 	case "loopback":
@@ -161,13 +170,7 @@ func run(args []string, out io.Writer) error {
 		if len(levels) != 1 {
 			return fmt.Errorf("-transport loopback needs a single -threads level, got %q", *threads)
 		}
-		return runLoopback(out, loopbackOpts{
-			app: *appName, size: sz, sizeName: *size,
-			nodes: *nodes, threads: levels[0],
-			traceOut: *traceOut, traceLimit: *traceLimit,
-			metricsOut: *metricsOut, metricsCSV: *metricsCSV,
-			report: *showReport, wantMetrics: wantMetrics, topN: *metricsTopN,
-		})
+		return runLoopback(out, o)
 	default:
 		return fmt.Errorf("-transport must be sim or loopback, got %q", *backend)
 	}
@@ -176,16 +179,10 @@ func run(args []string, out io.Writer) error {
 		if len(levels) != 1 {
 			return fmt.Errorf("-trace/-metrics/-report/-check need a single -threads level, got %q", *threads)
 		}
-		return runInstrumented(out, instrumentOpts{
-			app: *appName, size: sz, sizeName: *size,
-			nodes: *nodes, threads: levels[0],
-			traceOut: *traceOut, traceLimit: *traceLimit,
-			metricsOut: *metricsOut, metricsCSV: *metricsCSV,
-			report: *showReport, wantMetrics: wantMetrics,
-			interval: cvm.Time((*metricsBin).Nanoseconds()), topN: *metricsTopN,
-			faults: fp, check: *checkRun, engineWorkers: *engineWorkers,
-			compressDiffs: *compressDiffs, adapt: *adapt,
-		})
+		o.interval = cvm.Time((*metricsBin).Nanoseconds())
+		o.faults, o.check, o.engineWorkers = fp, *checkRun, *engineWorkers
+		o.compressDiffs, o.adapt = *compressDiffs, *adapt
+		return runInstrumented(out, o)
 	}
 
 	// The sweep's cells are independent simulations; fan them out over
@@ -229,9 +226,9 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// instrumentOpts parameterizes one instrumented (traced and/or metered)
-// run.
-type instrumentOpts struct {
+// runOpts parameterizes one instrumented (traced and/or metered) run
+// on either backend.
+type runOpts struct {
 	app      string
 	size     apps.Size
 	sizeName string
@@ -245,9 +242,10 @@ type instrumentOpts struct {
 	metricsCSV  string
 	report      bool
 	wantMetrics bool
-	interval    cvm.Time
 	topN        int
 
+	// Simulator only.
+	interval      cvm.Time
 	faults        *cvm.FaultPlan
 	check         bool
 	engineWorkers int
@@ -255,19 +253,57 @@ type instrumentOpts struct {
 	adapt         bool
 }
 
+// recorder returns the trace recorder -trace asks for, nil without it.
+func (o runOpts) recorder() *trace.Recorder {
+	if o.traceOut == "" {
+		return nil
+	}
+	return trace.NewRecorder(o.nodes, o.threads, o.traceLimit)
+}
+
+// emit writes what an instrumented run leaves behind, the same way on
+// either backend: the Chrome trace, the per-class latency table when
+// the run was both traced and asked to -report, then the metrics
+// report as text, JSON and CSV. rec and snap are nil when the run was
+// not traced or not metered; real is the wall-clock section of a
+// real-backend report.
+func (o runOpts) emit(out io.Writer, rec *trace.Recorder, snap *metrics.Snapshot, real *metrics.RealStats) error {
+	if rec != nil {
+		fmt.Fprintln(out)
+		if err := trace.WriteChromeFile(out, o.traceOut, rec); err != nil {
+			return err
+		}
+		if o.report {
+			fmt.Fprintln(out)
+			if err := trace.AnalyzeRecorder(rec).Write(out); err != nil {
+				return err
+			}
+		}
+	}
+	if snap == nil {
+		return nil
+	}
+	rep := metrics.NewReport(metrics.Meta{
+		App:    o.app,
+		Config: fmt.Sprintf("%dx%d size=%s", o.nodes, o.threads, o.sizeName),
+	}, snap, o.topN)
+	rep.Real = real
+	fmt.Fprintln(out)
+	return rep.Emit(out, o.report, o.metricsOut, o.metricsCSV)
+}
+
 // runInstrumented executes one simulation with tracing and/or metrics
 // attached, prints the statistics, and writes the requested artifacts.
 // Both instruments observe without advancing virtual time, so they
 // compose without perturbing each other or the run.
-func runInstrumented(out io.Writer, o instrumentOpts) error {
+func runInstrumented(out io.Writer, o runOpts) error {
 	cfg := cvm.DefaultConfig(o.nodes, o.threads)
 	cfg.Faults = o.faults
 	cfg.EngineWorkers = o.engineWorkers
 	cfg.CompressDiffs = o.compressDiffs
 	cfg.Adapt = o.adapt
-	var rec *trace.Recorder
-	if o.traceOut != "" {
-		rec = trace.NewRecorder(o.nodes, o.threads, o.traceLimit)
+	rec := o.recorder()
+	if rec != nil {
 		cfg.Tracer = rec
 	}
 	var chk *check.Checker
@@ -311,64 +347,11 @@ func runInstrumented(out io.Writer, o instrumentOpts) error {
 		fmt.Fprintln(out, "\ninvariant checker: no violations")
 	}
 
-	if rec != nil {
-		f, err := os.Create(o.traceOut)
-		if err != nil {
-			return err
-		}
-		if err := trace.WriteChrome(f, rec); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\nwrote %d trace events to %s (load at ui.perfetto.dev)\n", rec.Len(), o.traceOut)
+	var snap *metrics.Snapshot
+	if reg != nil {
+		snap = reg.Snapshot()
 	}
-
-	if reg == nil {
-		return nil
-	}
-	rep := cvm.NewMetricsReport(o.app,
-		fmt.Sprintf("%dx%d size=%s", o.nodes, o.threads, o.sizeName),
-		reg.Snapshot(), o.topN)
-	if o.report {
-		fmt.Fprintln(out)
-		if err := rep.WriteText(out); err != nil {
-			return err
-		}
-	}
-	if o.metricsOut != "" {
-		if err := writeFileWith(o.metricsOut, rep.WriteJSON); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\nwrote metrics report to %s\n", o.metricsOut)
-	}
-	if o.metricsCSV != "" {
-		if err := writeFileWith(o.metricsCSV, rep.WriteCSV); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote metrics CSV to %s\n", o.metricsCSV)
-	}
-	return nil
-}
-
-// loopbackOpts parameterizes one real-runtime loopback run.
-type loopbackOpts struct {
-	app      string
-	size     apps.Size
-	sizeName string
-	nodes    int
-	threads  int
-
-	traceOut   string
-	traceLimit int
-
-	metricsOut  string
-	metricsCSV  string
-	report      bool
-	wantMetrics bool
-	topN        int
+	return o.emit(out, rec, snap, nil)
 }
 
 // runLoopback executes one run on the real runtime over the in-process
@@ -380,7 +363,7 @@ type loopbackOpts struct {
 // simulator's report shape (plus a "real transport" section), so the
 // two backends' profiles are directly comparable — see
 // cvm-metrics diff-backends.
-func runLoopback(out io.Writer, o loopbackOpts) error {
+func runLoopback(out io.Writer, o runOpts) error {
 	app, err := apps.New(o.app, o.size)
 	if err != nil {
 		return err
@@ -394,9 +377,8 @@ func runLoopback(out io.Writer, o loopbackOpts) error {
 		met = rt.NewMetrics()
 		cfg.Metrics = met
 	}
-	var rec *trace.Recorder
-	if o.traceOut != "" {
-		rec = trace.NewRecorder(o.nodes, o.threads, o.traceLimit)
+	rec := o.recorder()
+	if rec != nil {
 		cfg.Tracer = rec
 	}
 	cl, err := rt.NewCluster(cfg)
@@ -427,55 +409,11 @@ func runLoopback(out io.Writer, o loopbackOpts) error {
 		return err
 	}
 
-	if rec != nil {
-		if err := writeFileWith(o.traceOut, func(w io.Writer) error {
-			return trace.WriteChrome(w, rec)
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\nwrote %d trace events to %s (load at ui.perfetto.dev)\n", rec.Len(), o.traceOut)
+	var snap *metrics.Snapshot
+	if met != nil {
+		snap = met.Snapshot()
 	}
-
-	if met == nil {
-		return nil
-	}
-	rep := metrics.NewReport(metrics.Meta{
-		App:    o.app,
-		Config: fmt.Sprintf("%dx%d size=%s", o.nodes, o.threads, o.sizeName),
-	}, met.Snapshot(), o.topN)
-	rep.Real = rt.RealStats("loopback", o.nodes, res.Elapsed, res.Net)
-	if o.report {
-		fmt.Fprintln(out)
-		if err := rep.WriteText(out); err != nil {
-			return err
-		}
-	}
-	if o.metricsOut != "" {
-		if err := writeFileWith(o.metricsOut, rep.WriteJSON); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\nwrote metrics report to %s\n", o.metricsOut)
-	}
-	if o.metricsCSV != "" {
-		if err := writeFileWith(o.metricsCSV, rep.WriteCSV); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote metrics CSV to %s\n", o.metricsCSV)
-	}
-	return nil
-}
-
-// writeFileWith creates path and streams write into it.
-func writeFileWith(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return o.emit(out, rec, snap, rt.RealStats("loopback", o.nodes, res.Elapsed, res.Net))
 }
 
 // parseThreadList parses "1,2,4" into thread levels.

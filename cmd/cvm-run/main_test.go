@@ -37,6 +37,8 @@ func TestFlagValidation(t *testing.T) {
 		{"bad fault spec", []string{"-faults", "drop=2"}, "drop"},
 		{"unknown fault item", []string{"-faults", "frobnicate=1"}, "frobnicate"},
 		{"seed without faults", []string{"-fault-seed", "7"}, "-fault-seed needs -faults"},
+		{"metrics-top without a report", []string{"-metrics-top", "3"}, "-metrics-top needs"},
+		{"metrics-top with only a trace", []string{"-metrics-top", "3", "-trace", "x.json"}, "-metrics-top needs"},
 		{"unknown transport", []string{"-transport", "carrier-pigeon"}, "-transport must be sim or loopback"},
 		{"loopback with check", []string{"-transport", "loopback", "-check"}, "virtual-time invariant checker"},
 		{"loopback with metrics interval", []string{"-transport", "loopback", "-metrics-interval", "1ms"}, "virtual-time timeline"},
@@ -199,6 +201,80 @@ func TestLoopbackInstrumentedRun(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "real transport (loopback") {
 		t.Errorf("-report did not render the real-backend section:\n%s", out.String())
+	}
+}
+
+// TestTraceReportPrintsLatencyTable: a run that is both traced and
+// asked to -report prints the per-class latency table beside the
+// metrics profile, on the simulator and on the real runtime alike.
+func TestTraceReportPrintsLatencyTable(t *testing.T) {
+	for _, backend := range []string{"sim", "loopback"} {
+		t.Run(backend, func(t *testing.T) {
+			tracePath := filepath.Join(t.TempDir(), "trace.json")
+			var out bytes.Buffer
+			if err := run([]string{"-app", "sor", "-nodes", "2", "-threads", "2", "-size", "test",
+				"-transport", backend, "-trace", tracePath, "-report"}, &out); err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []string{
+				"Trace latency report:", "remote fault", "2-hop lock", "paper §4.1",
+				"fault.start", "latency histograms", "trace events to " + tracePath,
+			} {
+				if !strings.Contains(out.String(), want) {
+					t.Errorf("-trace -report output missing %q:\n%s", want, out.String())
+				}
+			}
+			if strings.Contains(out.String(), "the ring bound dropped") {
+				t.Errorf("unbounded trace reported drops:\n%s", out.String())
+			}
+		})
+	}
+	// -trace alone writes the file and keeps the table to itself.
+	var out bytes.Buffer
+	if err := run([]string{"-app", "sor", "-nodes", "2", "-threads", "2", "-size", "test",
+		"-trace", filepath.Join(t.TempDir(), "t.json")}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "Trace latency report") {
+		t.Errorf("-trace without -report printed the latency table:\n%s", out.String())
+	}
+}
+
+// TestTraceLimitReportsDrops: a ring bound that discards events says so,
+// with the count, on the line that names the trace file.
+func TestTraceLimitReportsDrops(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-app", "sor", "-nodes", "2", "-threads", "2", "-size", "test",
+		"-trace", filepath.Join(t.TempDir(), "t.json"), "-trace-limit", "50"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "wrote 100 trace events") ||
+		!strings.Contains(out.String(), "the ring bound dropped the ") {
+		t.Errorf("bounded trace did not report its drops:\n%s", out.String())
+	}
+}
+
+// TestFaultedTraceRuns runs a faulted, checked, traced simulation: the
+// exported trace carries injected-fault events, the transport section
+// prints, and the checker comes back clean.
+func TestFaultedTraceRuns(t *testing.T) {
+	tracePath := filepath.Join(t.TempDir(), "trace.json")
+	var out bytes.Buffer
+	if err := run([]string{"-app", "sor", "-nodes", "4", "-threads", "2", "-size", "test",
+		"-faults", "drop=0.02,dup=0.01", "-fault-seed", "9", "-check", "-trace", tracePath}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"retransmits", "duplicates suppressed", "invariant checker: no violations"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("faulted trace output missing %q:\n%s", want, out.String())
+		}
+	}
+	data, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte("fault-inject")) {
+		t.Error("exported trace carries no fault-inject events")
 	}
 }
 

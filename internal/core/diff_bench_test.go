@@ -5,7 +5,8 @@ import "testing"
 // The diff kernels are the simulator's hottest inner loops: every closed
 // interval runs MakeDiff over a full page, and every remote fault runs
 // Apply per incoming diff. These benchmarks are the regression baseline
-// for the word-strided comparison (see BENCH_harness.json).
+// for the word-strided comparison; TestCodecAllocCaps holds their
+// allocation counts.
 
 const benchPageSize = 8 << 10
 

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // Compressed diff encoding. Diffs dominate the DSM's coherence traffic
@@ -345,57 +344,6 @@ func readUvarint(src []byte) (uint64, []byte, error) {
 	}
 	return v, src[n:], nil
 }
-
-// WirePatternPages builds the (twin, cur) page pair for one of the
-// named diff-wire workload patterns. The perf baseline (cvm-bench
-// -experiment perf), the cvm-metrics compression gate, and the
-// diff-wire benchmarks all share these fixtures, so the gated ratios
-// measure exactly what the benchmarks do.
-//
-//   - "sparse": scattered clusters of word-aligned int64 counter updates
-//     over a previously-written page (the common single-writer case:
-//     1/8 of the page modified, word payloads with high zero-byte
-//     content).
-//   - "dense": bulk initialization — nearly every byte modified with
-//     high-entropy values; the incompressible floor.
-//   - "strided": a regular stride of float64 grid-point updates, the
-//     nearest-neighbor relaxation shape (SOR, Ocean).
-func WirePatternPages(pattern string, pageSize int) (twin, cur []byte) {
-	twin = make([]byte, pageSize)
-	cur = make([]byte, pageSize)
-	switch pattern {
-	case "sparse":
-		for i := range twin {
-			twin[i] = 0xFF // prior-epoch sentinel values
-		}
-		copy(cur, twin)
-		for cluster := 0; cluster*512+64 <= pageSize; cluster++ {
-			base := cluster * 512
-			for w := 0; w < 8; w++ {
-				binary.LittleEndian.PutUint64(cur[base+8*w:], uint64(cluster*8+w+1))
-			}
-		}
-	case "dense":
-		for i := range cur {
-			cur[i] = byte(i)*167 + 13
-		}
-	case "strided":
-		for w := 0; w*8+8 <= pageSize; w++ {
-			v := 1.0 + float64(w)*0.25
-			binary.LittleEndian.PutUint64(twin[w*8:], math.Float64bits(v))
-			if w%4 == 0 {
-				v += 0.5
-			}
-			binary.LittleEndian.PutUint64(cur[w*8:], math.Float64bits(v))
-		}
-	default:
-		panic("core: unknown wire pattern " + pattern)
-	}
-	return twin, cur
-}
-
-// WirePatterns lists the diff-wire workload patterns in report order.
-func WirePatterns() []string { return []string{"sparse", "dense", "strided"} }
 
 // WireBytes reports the diff's payload size on the simulated wire: the
 // legacy fixed-width accounting when compress is false (16-byte header,

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -159,14 +160,64 @@ func TestVClockRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWirePatternRatios pins the compression guarantees the metrics gate
-// enforces: ≤ 60% of raw on the sparse pattern, never meaningfully
+// wirePatternPages builds the (twin, cur) page pair for one of the
+// named diff-wire workload patterns. The ratio caps, the allocation
+// caps and the diff-wire benchmarks all share these fixtures, so the
+// gated ratios measure exactly what the benchmarks do.
+//
+//   - "sparse": scattered clusters of word-aligned int64 counter updates
+//     over a previously-written page (the common single-writer case:
+//     1/8 of the page modified, word payloads with high zero-byte
+//     content).
+//   - "dense": bulk initialization — nearly every byte modified with
+//     high-entropy values; the incompressible floor.
+//   - "strided": a regular stride of float64 grid-point updates, the
+//     nearest-neighbor relaxation shape (SOR, Ocean).
+func wirePatternPages(pattern string, pageSize int) (twin, cur []byte) {
+	twin = make([]byte, pageSize)
+	cur = make([]byte, pageSize)
+	switch pattern {
+	case "sparse":
+		for i := range twin {
+			twin[i] = 0xFF // prior-epoch sentinel values
+		}
+		copy(cur, twin)
+		for cluster := 0; cluster*512+64 <= pageSize; cluster++ {
+			base := cluster * 512
+			for w := 0; w < 8; w++ {
+				binary.LittleEndian.PutUint64(cur[base+8*w:], uint64(cluster*8+w+1))
+			}
+		}
+	case "dense":
+		for i := range cur {
+			cur[i] = byte(i)*167 + 13
+		}
+	case "strided":
+		for w := 0; w*8+8 <= pageSize; w++ {
+			v := 1.0 + float64(w)*0.25
+			binary.LittleEndian.PutUint64(twin[w*8:], math.Float64bits(v))
+			if w%4 == 0 {
+				v += 0.5
+			}
+			binary.LittleEndian.PutUint64(cur[w*8:], math.Float64bits(v))
+		}
+	default:
+		panic("core: unknown wire pattern " + pattern)
+	}
+	return twin, cur
+}
+
+// wirePatterns lists the diff-wire workload patterns in report order.
+func wirePatterns() []string { return []string{"sparse", "dense", "strided"} }
+
+// TestWirePatternRatios pins the compression guarantees: ≤ 60% of raw
+// on the sparse pattern, ≤ 90% on the strided one, never meaningfully
 // inflating on the incompressible dense pattern.
 func TestWirePatternRatios(t *testing.T) {
 	const pageSize = 8 << 10
 	caps := map[string]float64{"sparse": 0.60, "dense": 1.01, "strided": 0.90}
-	for _, pattern := range WirePatterns() {
-		twin, cur := WirePatternPages(pattern, pageSize)
+	for _, pattern := range wirePatterns() {
+		twin, cur := wirePatternPages(pattern, pageSize)
 		runs := MakeDiff(0, twin, cur)
 		if len(runs) == 0 {
 			t.Fatalf("%s: no runs", pattern)
@@ -188,7 +239,7 @@ func TestWirePatternRatios(t *testing.T) {
 // TestWireBytesAccounting: WireBytes(false) is the legacy accounting,
 // WireBytes(true) the cached compressed size.
 func TestWireBytesAccounting(t *testing.T) {
-	twin, cur := WirePatternPages("sparse", 8<<10)
+	twin, cur := wirePatternPages("sparse", 8<<10)
 	vt := VClock{3, 0, 0, 5}
 	d := &Diff{Page: 1, Node: 0, Idx: 3, VT: vt, Runs: MakeDiff(1, twin, cur)}
 	if got, want := d.WireBytes(false), d.Bytes(); got != want {
@@ -251,10 +302,9 @@ func TestCompressDiffsEquivalence(t *testing.T) {
 	}
 }
 
-// Benchmarks: the encoder/decoder on the gated wire patterns. These feed
-// the BENCH_harness.json micro section (DiffEncode/DiffDecode).
+// Benchmarks: the encoder/decoder on the gated wire patterns.
 func benchmarkDiffEncode(b *testing.B, pattern string) {
-	twin, cur := WirePatternPages(pattern, benchPageSize)
+	twin, cur := wirePatternPages(pattern, benchPageSize)
 	runs := MakeDiff(0, twin, cur)
 	raw := 0
 	for _, r := range runs {
@@ -276,7 +326,7 @@ func BenchmarkDiffEncodeDense(b *testing.B)   { benchmarkDiffEncode(b, "dense") 
 func BenchmarkDiffEncodeStrided(b *testing.B) { benchmarkDiffEncode(b, "strided") }
 
 func benchmarkDiffDecode(b *testing.B, pattern string) {
-	twin, cur := WirePatternPages(pattern, benchPageSize)
+	twin, cur := wirePatternPages(pattern, benchPageSize)
 	enc := EncodeRuns(nil, MakeDiff(0, twin, cur))
 	b.SetBytes(int64(benchPageSize))
 	b.ReportAllocs()
@@ -294,8 +344,8 @@ func BenchmarkDiffDecodeDense(b *testing.B)  { benchmarkDiffDecode(b, "dense") }
 // Ensure the fixtures cover the documented shapes (a guard against
 // silently editing a pattern into triviality).
 func TestWirePatternShapes(t *testing.T) {
-	for _, pattern := range WirePatterns() {
-		twin, cur := WirePatternPages(pattern, 8<<10)
+	for _, pattern := range wirePatterns() {
+		twin, cur := wirePatternPages(pattern, 8<<10)
 		if len(twin) != 8<<10 || len(cur) != 8<<10 {
 			t.Fatalf("%s: wrong page sizes", pattern)
 		}
@@ -317,6 +367,56 @@ func TestWirePatternShapes(t *testing.T) {
 			if len(runs) < 100 {
 				t.Errorf("strided has %d runs, want a regular stride", len(runs))
 			}
+		}
+	}
+}
+
+// TestCodecAllocCaps holds the diff kernels' allocation diet: allocs per
+// call of each kernel on its fixed page pattern may not exceed the
+// recorded cap.
+func TestCodecAllocCaps(t *testing.T) {
+	makeDiff := func(pattern string) func() {
+		twin, cur := benchPages(pattern)
+		return func() { MakeDiff(0, twin, cur) }
+	}
+	encode := func(pattern string) func() {
+		twin, cur := wirePatternPages(pattern, benchPageSize)
+		runs := MakeDiff(0, twin, cur)
+		var dst []byte
+		return func() { dst = EncodeRuns(dst[:0], runs) }
+	}
+	decode := func(pattern string) func() {
+		twin, cur := wirePatternPages(pattern, benchPageSize)
+		enc := EncodeRuns(nil, MakeDiff(0, twin, cur))
+		return func() {
+			if _, _, err := DecodeRuns(enc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	apply := func() func() {
+		twin, cur := benchPages("sparse")
+		d := &Diff{Runs: MakeDiff(0, twin, cur)}
+		dst, tw := make([]byte, benchPageSize), make([]byte, benchPageSize)
+		return func() { d.Apply(dst, tw) }
+	}
+	for _, tc := range []struct {
+		name string
+		fn   func()
+		cap  float64
+	}{
+		{"MakeDiff/clean", makeDiff("clean"), 0},
+		{"MakeDiff/sparse", makeDiff("sparse"), 21},
+		{"MakeDiff/dense", makeDiff("dense"), 2},
+		{"DiffApply", apply(), 0},
+		{"DiffEncode/sparse", encode("sparse"), 1},
+		{"DiffEncode/dense", encode("dense"), 2},
+		{"DiffDecode/sparse", decode("sparse"), 17},
+	} {
+		got := testing.AllocsPerRun(20, tc.fn)
+		t.Logf("%s: %.0f allocs/op (cap %.0f)", tc.name, got, tc.cap)
+		if got > tc.cap {
+			t.Errorf("%s: %.0f allocs/op exceeds cap %.0f", tc.name, got, tc.cap)
 		}
 	}
 }

@@ -40,3 +40,16 @@ func BenchmarkAccessRange(b *testing.B) {
 		s.AccessRange(uint64(i%16)<<13, 8<<10)
 	}
 }
+
+// TestAccessDoesNotAllocate: every shared read and write runs one
+// Access, so the sweep must stay allocation-free.
+func TestAccessDoesNotAllocate(t *testing.T) {
+	s := NewSystem(SP2Params())
+	i := 0
+	if got := testing.AllocsPerRun(1000, func() {
+		s.Access(uint64(i%(1<<20)) * 8)
+		i++
+	}); got != 0 {
+		t.Errorf("Access allocates %.0f times per call, want 0", got)
+	}
+}

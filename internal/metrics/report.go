@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 )
 
@@ -100,6 +101,39 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	b = append(b, '\n')
 	_, err = w.Write(b)
 	return err
+}
+
+// Emit delivers the report every way a command line asks for it: the
+// text profile on out when text is set, then JSON and CSV into the
+// named files (an empty path skips one), each confirmed by a line on
+// out.
+func (r *Report) Emit(out io.Writer, text bool, jsonPath, csvPath string) error {
+	if text {
+		if err := r.WriteText(out); err != nil {
+			return err
+		}
+	}
+	for _, file := range []struct {
+		path, what string
+		write      func(io.Writer) error
+	}{{jsonPath, "metrics report", r.WriteJSON}, {csvPath, "metrics CSV", r.WriteCSV}} {
+		if file.path == "" {
+			continue
+		}
+		f, err := os.Create(file.path)
+		if err != nil {
+			return err
+		}
+		if err := file.write(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "wrote %s to %s\n", file.what, file.path)
+	}
+	return nil
 }
 
 // ReadReport parses a report written by WriteJSON.

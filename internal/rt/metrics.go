@@ -13,38 +13,25 @@ import (
 )
 
 // Metrics collects a real-execution cluster's wall-clock protocol
-// metrics into the same Snapshot shape the simulator's registry
-// produces, so the existing reporter, merge, and compare tooling work
-// unchanged on real runs. Histogram values are nanoseconds of wall
-// time (virtual nanoseconds in the simulator's reports) — time-typed
-// metrics are therefore comparable only side by side, while the
-// backend-invariant counters (see metrics.BackendInvariantCounters)
+// metrics in the simulator's own registry, so a metric the registry
+// gains reaches both backends, and the reporter, merge, and compare
+// tooling work unchanged on real runs. Histogram values are nanoseconds
+// of wall time (virtual nanoseconds in the simulator's reports) —
+// time-typed metrics are therefore comparable only side by side, while
+// the backend-invariant counters (see metrics.BackendInvariantCounters)
 // must match the simulator exactly.
 //
-// Unlike the simulator's registry, observations here are concurrent:
-// workers on different nodes (and the dispatcher) observe in parallel,
-// so each node's shard carries its own mutex. A Metrics is attached to
-// one rt.Config; in a multi-process cluster each process observes only
-// its own node's shard, and the coordinator merges the per-node
+// The registry itself takes no locks (the simulator observes one entity
+// at a time), but here workers on different nodes and the dispatcher
+// observe in parallel. Everything the registry keeps for an observation
+// is per node, so one mutex per node serializes them. A Metrics is
+// attached to one rt.Config; in a multi-process cluster each process
+// observes only its own node, and the coordinator merges the per-node
 // snapshots in node order.
 type Metrics struct {
-	mu     sync.Mutex
-	nodes  int
-	shards []rtMetShard
-}
-
-// rtMetShard is one node's mutex-guarded observation shard.
-type rtMetShard struct {
-	mu       sync.Mutex
-	nm       metrics.NodeMetrics
-	pageWait map[int32]*metrics.WaitAttr
-	lockWait map[int32]*metrics.WaitAttr
-
-	lockAcquires         int64
-	lockReleases         int64
-	barrierArrivals      int64
-	localBarrierArrivals int64
-	reductions           int64
+	mu    sync.Mutex        // guards reg and locks themselves
+	reg   *metrics.Registry // nil until configure
+	locks []sync.Mutex      // locks[i] guards node i's share of reg
 }
 
 // NewMetrics returns an empty collector; attach it via Config.Metrics.
@@ -57,32 +44,31 @@ func NewMetrics() *Metrics { return &Metrics{} }
 func (m *Metrics) configure(nodes int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.shards == nil {
-		m.nodes = nodes
-		m.shards = make([]rtMetShard, nodes)
-		for i := range m.shards {
-			m.shards[i].pageWait = make(map[int32]*metrics.WaitAttr)
-			m.shards[i].lockWait = make(map[int32]*metrics.WaitAttr)
+	if m.reg == nil {
+		classes := make([]string, 0, transport.NumClasses)
+		for _, cl := range transport.Classes() {
+			classes = append(classes, cl.String())
 		}
+		m.reg = metrics.NewRegistry()
+		m.reg.Configure(nodes, classes)
+		m.locks = make([]sync.Mutex, nodes)
 		return
 	}
-	if m.nodes != nodes {
+	if len(m.locks) != nodes {
 		panic(fmt.Sprintf("rt: Metrics attached to a %d-node cluster after a %d-node one",
-			nodes, m.nodes))
+			nodes, len(m.locks)))
 	}
 }
-
-func (m *Metrics) shard(node int) *rtMetShard { return &m.shards[node] }
 
 // observeFault records one remote page fetch: service time (request to
 // install) and the faulting thread's blocked time, attributed to pg.
 func (m *Metrics) observeFault(node int, pg core.PageID, d sim.Time) {
-	sh := m.shard(node)
-	sh.mu.Lock()
-	sh.nm.FaultService.Observe(int64(d))
-	sh.nm.FaultThreadWait.Observe(int64(d))
-	attrAdd(sh.pageWait, int32(pg), int64(d))
-	sh.mu.Unlock()
+	m.locks[node].Lock()
+	nm := m.reg.Node(node)
+	nm.FaultService.Observe(int64(d))
+	nm.FaultThreadWait.Observe(int64(d))
+	m.reg.PageFaultWait(node, int32(pg), d)
+	m.locks[node].Unlock()
 }
 
 // observeLock records one lock acquire: request-to-grant wait,
@@ -90,128 +76,65 @@ func (m *Metrics) observeFault(node int, pg core.PageID, d sim.Time) {
 // remote (the runtime's centralized managers make every remote acquire
 // a 2-hop exchange; Lock3Hop stays empty by construction).
 func (m *Metrics) observeLock(node int, id int32, d sim.Time, local bool) {
-	sh := m.shard(node)
-	sh.mu.Lock()
+	m.locks[node].Lock()
 	if local {
-		sh.nm.LockLocalWait.Observe(int64(d))
+		m.reg.Node(node).LockLocalWait.Observe(int64(d))
 	} else {
-		sh.nm.Lock2Hop.Observe(int64(d))
+		m.reg.Node(node).Lock2Hop.Observe(int64(d))
 	}
-	attrAdd(sh.lockWait, id, int64(d))
-	sh.lockAcquires++
-	sh.mu.Unlock()
+	m.reg.LockAcquireWait(node, id, d)
+	m.reg.CountLockAcquire(node)
+	m.locks[node].Unlock()
 }
 
-// countUnlock records one application-level Unlock.
-func (m *Metrics) countUnlock(node int) {
-	sh := m.shard(node)
-	sh.mu.Lock()
-	sh.lockReleases++
-	sh.mu.Unlock()
-}
-
-// countBarrierArrive records one global-barrier arrival.
-func (m *Metrics) countBarrierArrive(node int, local bool) {
-	sh := m.shard(node)
-	sh.mu.Lock()
-	if local {
-		sh.localBarrierArrivals++
-	} else {
-		sh.barrierArrivals++
-	}
-	sh.mu.Unlock()
+// count bumps one of the registry's per-node counters — one application
+// call to Unlock, Barrier, LocalBarrier or Reduce — named by method
+// expression, e.g. (*metrics.Registry).CountReduce.
+func (m *Metrics) count(node int, counter func(*metrics.Registry, int)) {
+	m.locks[node].Lock()
+	counter(m.reg, node)
+	m.locks[node].Unlock()
 }
 
 // observeBarrierStall records one thread's arrive-to-release stall.
 func (m *Metrics) observeBarrierStall(node int, d sim.Time, local bool) {
-	sh := m.shard(node)
-	sh.mu.Lock()
+	m.locks[node].Lock()
 	if local {
-		sh.nm.LocalBarrierStall.Observe(int64(d))
+		m.reg.Node(node).LocalBarrierStall.Observe(int64(d))
 	} else {
-		sh.nm.BarrierStall.Observe(int64(d))
+		m.reg.Node(node).BarrierStall.Observe(int64(d))
 	}
-	sh.mu.Unlock()
-}
-
-// countReduce records one global-reduction arrival.
-func (m *Metrics) countReduce(node int) {
-	sh := m.shard(node)
-	sh.mu.Lock()
-	sh.reductions++
-	sh.mu.Unlock()
+	m.locks[node].Unlock()
 }
 
 // observeDiff records the wire size of one diff shipped to a home.
 func (m *Metrics) observeDiff(node int, bytes int64) {
-	sh := m.shard(node)
-	sh.mu.Lock()
-	sh.nm.DiffBytes.Observe(bytes)
-	sh.mu.Unlock()
+	m.locks[node].Lock()
+	m.reg.Node(node).DiffBytes.Observe(bytes)
+	m.locks[node].Unlock()
 }
 
-func attrAdd(m map[int32]*metrics.WaitAttr, k int32, ns int64) {
-	a := m[k]
-	if a == nil {
-		a = &metrics.WaitAttr{}
-		m[k] = a
-	}
-	a.WaitNs += ns
-	a.Count++
-}
-
-func foldAttr(dst, src map[int32]*metrics.WaitAttr) {
-	for k, a := range src {
-		d := dst[k]
-		if d == nil {
-			d = &metrics.WaitAttr{}
-			dst[k] = d
-		}
-		d.WaitNs += a.WaitNs
-		d.Count += a.Count
-	}
-}
-
-// Snapshot folds the shards into a full-shape metrics snapshot: Nodes
-// is sized for the whole cluster (a member process's snapshot has only
-// its own node populated), and MsgClasses carries the transport class
-// names so network-shaped fields mean the same thing as the
-// simulator's. Safe to call concurrently with observation — the debug
-// server scrapes mid-run.
+// Snapshot returns the registry's snapshot: Nodes is sized for the
+// whole cluster (a member process's snapshot has only its own node
+// populated), and MsgClasses carries the transport class names so
+// network-shaped fields mean the same thing as the simulator's. Safe to
+// call concurrently with observation — the debug server scrapes
+// mid-run — because it holds every node's lock while the registry
+// copies itself.
 func (m *Metrics) Snapshot() *metrics.Snapshot {
 	m.mu.Lock()
-	nodes := m.nodes
-	m.mu.Unlock()
-	classes := make([]string, 0, transport.NumClasses)
-	for _, cl := range transport.Classes() {
-		classes = append(classes, cl.String())
+	defer m.mu.Unlock()
+	if m.reg == nil {
+		return metrics.NewRegistry().Snapshot()
 	}
-	out := &metrics.Snapshot{
-		Nodes: make([]metrics.NodeMetrics, nodes),
-		Net: metrics.NetMetrics{
-			Latency:     make([]metrics.Histogram, len(classes)),
-			EgressWait:  make([]metrics.Histogram, len(classes)),
-			IngressWait: make([]metrics.Histogram, len(classes)),
-		},
-		MsgClasses: classes,
-		PageWait:   make(map[int32]*metrics.WaitAttr),
-		LockWait:   make(map[int32]*metrics.WaitAttr),
-		Timeline:   make([][]metrics.TimelineBin, nodes),
+	for i := range m.locks {
+		m.locks[i].Lock()
 	}
-	for i := 0; i < nodes; i++ {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		out.Nodes[i] = sh.nm
-		foldAttr(out.PageWait, sh.pageWait)
-		foldAttr(out.LockWait, sh.lockWait)
-		out.LockAcquires.Add(sh.lockAcquires)
-		out.LockReleases.Add(sh.lockReleases)
-		out.BarrierArrivals.Add(sh.barrierArrivals)
-		out.LocalBarrierArrivals.Add(sh.localBarrierArrivals)
-		out.Reductions.Add(sh.reductions)
-		sh.mu.Unlock()
+	snap := m.reg.Snapshot()
+	for i := range m.locks {
+		m.locks[i].Unlock()
 	}
-	return out
+	return snap
 }
 
 // lockedTracer serializes Emit calls: trace.Recorder is not

@@ -1,9 +1,14 @@
 package rt_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"sort"
+	"strings"
 	"testing"
 
 	"cvm"
+	"cvm/internal/apps"
 	"cvm/internal/metrics"
 	"cvm/internal/rt"
 	"cvm/internal/trace"
@@ -169,4 +174,149 @@ func TestMetricsReconfigureMismatchPanics(t *testing.T) {
 		}
 	}()
 	run(4)
+}
+
+// keysOf returns a JSON object's keys, sorted and comma-joined.
+func keysOf(t *testing.T, raw json.RawMessage) string {
+	t.Helper()
+	var obj map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &obj); err != nil {
+		t.Fatalf("not a JSON object: %v", err)
+	}
+	keys := make([]string, 0, len(obj))
+	for k := range obj {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, ",")
+}
+
+// TestMetricsReportParity holds the registry-backed collector to the
+// report the hand-assembled one wrote: for sor and waternsq at 4x2 on
+// loopback the JSON carries the same keys (pinned below), the
+// histograms and attribution tables the runtime feeds are populated and
+// reconcile with each other and with the sync counters, and Snapshot is
+// safe to call while the run observes (the debug server does; the race
+// detector checks it here). Counter equality with the simulator is
+// TestGuardTransportEquivalence's.
+func TestMetricsReportParity(t *testing.T) {
+	const (
+		nodes, threads = 4, 2
+		snapshotKeys   = "barrier_arrivals,dup_suppressed,epoch_ns,interval_ns,local_barrier_arrivals," +
+			"lock_acquires,lock_releases,lock_wait,msg_classes,net,net_dropped,net_duplicated,nodes," +
+			"page_wait,reductions,retransmits,timeline,timeline_clipped_ns"
+		nodeKeys = "barrier_idle,barrier_stall,diff_bytes,fault_idle,fault_service,fault_thread_wait," +
+			"local_barrier_stall,lock_2hop,lock_3hop,lock_idle,lock_local_wait,run_queue,user_burst"
+	)
+	for _, name := range []string{"sor", "waternsq"} {
+		t.Run(name, func(t *testing.T) {
+			app, err := apps.New(name, apps.SizeTest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := rt.DefaultConfig(nodes, threads)
+			met := rt.NewMetrics()
+			cfg.Metrics = met
+			cl, err := rt.NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := app.Setup(cl); err != nil {
+				t.Fatal(err)
+			}
+			stop, scraped := make(chan struct{}), make(chan int)
+			go func() {
+				n := 0
+				for {
+					select {
+					case <-stop:
+						scraped <- n
+						return
+					default:
+						met.Snapshot()
+						n++
+					}
+				}
+			}()
+			res, err := cl.RunLoopback(app.Main)
+			close(stop)
+			if n := <-scraped; n == 0 {
+				t.Error("no snapshot was taken during the run")
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			snap := met.Snapshot()
+			rep := metrics.NewReport(metrics.Meta{App: name}, snap, 10)
+			rep.Real = rt.RealStats("loopback", nodes, res.Elapsed, res.Net)
+			var buf bytes.Buffer
+			if err := rep.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			var doc struct {
+				Snapshot json.RawMessage `json:"snapshot"`
+			}
+			if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+				t.Fatal(err)
+			}
+			if got := keysOf(t, doc.Snapshot); got != snapshotKeys {
+				t.Errorf("snapshot keys\n got %s\nwant %s", got, snapshotKeys)
+			}
+			var shape struct {
+				Nodes    []json.RawMessage `json:"nodes"`
+				Timeline []json.RawMessage `json:"timeline"`
+				Net      struct {
+					Latency []json.RawMessage `json:"latency"`
+				} `json:"net"`
+			}
+			if err := json.Unmarshal(doc.Snapshot, &shape); err != nil {
+				t.Fatal(err)
+			}
+			if len(shape.Nodes) != nodes || len(shape.Timeline) != nodes || len(shape.Net.Latency) != len(snap.MsgClasses) {
+				t.Errorf("%d node entries, %d timelines, %d latency classes; want %d, %d, %d",
+					len(shape.Nodes), len(shape.Timeline), len(shape.Net.Latency), nodes, nodes, len(snap.MsgClasses))
+			}
+			for i, raw := range shape.Nodes {
+				if got := keysOf(t, raw); got != nodeKeys {
+					t.Errorf("nodes[%d] keys\n got %s\nwant %s", i, got, nodeKeys)
+				}
+			}
+
+			var sum metrics.NodeMetrics
+			for i := range snap.Nodes {
+				nm := &snap.Nodes[i]
+				sum.FaultService.Count += nm.FaultService.Count
+				sum.FaultThreadWait.Count += nm.FaultThreadWait.Count
+				sum.BarrierStall.Count += nm.BarrierStall.Count
+				sum.DiffBytes.Count += nm.DiffBytes.Count
+				sum.Lock2Hop.Count += nm.Lock2Hop.Count + nm.LockLocalWait.Count
+				sum.Lock3Hop.Count += nm.Lock3Hop.Count
+			}
+			attributed := func(m map[int32]*metrics.WaitAttr) (n int64) {
+				for _, a := range m {
+					n += a.Count
+				}
+				return n
+			}
+			if sum.FaultService.Count == 0 || sum.DiffBytes.Count == 0 {
+				t.Errorf("fault_service %d, diff_bytes %d observations; want both > 0",
+					sum.FaultService.Count, sum.DiffBytes.Count)
+			}
+			if pw := attributed(snap.PageWait); pw != sum.FaultService.Count || pw != sum.FaultThreadWait.Count {
+				t.Errorf("page_wait attributes %d waits; fault_service %d, fault_thread_wait %d",
+					pw, sum.FaultService.Count, sum.FaultThreadWait.Count)
+			}
+			if sum.BarrierStall.Count == 0 || sum.BarrierStall.Count != int64(snap.BarrierArrivals) {
+				t.Errorf("barrier_stall %d observations, barrier_arrivals %d", sum.BarrierStall.Count, snap.BarrierArrivals)
+			}
+			if lw := attributed(snap.LockWait); lw != int64(snap.LockAcquires) || sum.Lock2Hop.Count != lw || sum.Lock3Hop.Count != 0 {
+				t.Errorf("lock_wait attributes %d waits; lock_acquires %d, 2-hop+local %d, 3-hop %d",
+					lw, snap.LockAcquires, sum.Lock2Hop.Count, sum.Lock3Hop.Count)
+			}
+			if snap.LockAcquires != snap.LockReleases || (name == "waternsq" && snap.LockAcquires == 0) {
+				t.Errorf("lock_acquires %d, lock_releases %d", snap.LockAcquires, snap.LockReleases)
+			}
+		})
+	}
 }

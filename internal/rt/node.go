@@ -164,6 +164,9 @@ func (n *rnode) run(main func(cvm.Worker)) error {
 		}
 		select {
 		case <-n.doneCh:
+			// Every node is done. Peers still waiting for their own
+			// release must not take this node's close for a crash.
+			n.conn.Goodbye()
 		case <-n.failCh:
 		}
 	}

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"cvm/internal/core"
+	"cvm/internal/metrics"
 	"cvm/internal/sim"
 	"cvm/internal/trace"
 )
@@ -118,7 +119,7 @@ func (n *rnode) lock(w *Worker, id int) {
 func (n *rnode) unlock(w *Worker, id int) {
 	n.checkFail()
 	if m := n.met; m != nil {
-		m.countUnlock(n.self)
+		m.count(n.self, (*metrics.Registry).CountLockRelease)
 	}
 	n.flushAll()
 	if tr := n.tracer; tr != nil {
@@ -164,7 +165,7 @@ func (n *rnode) barrier(w *Worker, id uint32) {
 	if obs {
 		t0 = n.clock.Now()
 		if m := n.met; m != nil {
-			m.countBarrierArrive(n.self, false)
+			m.count(n.self, (*metrics.Registry).CountBarrierArrive)
 		}
 		if tr := n.tracer; tr != nil {
 			tr.emit(trace.Event{T: t0, Kind: trace.KindBarrierArrive,
@@ -254,7 +255,7 @@ func (n *rnode) localBarrier(w *Worker, id uint32) {
 	if obs {
 		t0 = n.clock.Now()
 		if m := n.met; m != nil {
-			m.countBarrierArrive(n.self, true)
+			m.count(n.self, (*metrics.Registry).CountLocalBarrierArrive)
 		}
 		if tr := n.tracer; tr != nil {
 			tr.emit(trace.Event{T: t0, Kind: trace.KindBarrierArrive,
@@ -320,7 +321,7 @@ type redManager struct {
 func (n *rnode) reduce(w *Worker, id int, v float64, op core.ReduceOp) float64 {
 	n.checkFail()
 	if m := n.met; m != nil {
-		m.countReduce(n.self)
+		m.count(n.self, (*metrics.Registry).CountReduce)
 	}
 	n.setState(w, tsReduce)
 	rid := uint32(id)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 
 	"cvm/internal/sim"
 )
@@ -241,4 +242,27 @@ func reasonName(r int64) string {
 	default:
 		return fmt.Sprintf("reason%d", r)
 	}
+}
+
+// WriteChromeFile writes the recorder's Chrome trace to path and
+// confirms it on out with the event count, and the count the ring bound
+// dropped when there were any: a bounded trace is a partial one.
+func WriteChromeFile(out io.Writer, path string, r *Recorder) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := WriteChrome(f, r); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "wrote %d trace events to %s (load at ui.perfetto.dev)", r.Len(), path)
+	if d := r.Dropped(); d > 0 {
+		fmt.Fprintf(out, "; the ring bound dropped the %d oldest", d)
+	}
+	fmt.Fprintln(out)
+	return nil
 }

@@ -105,6 +105,10 @@ func (c *loopbackConn) Stats() Stats {
 	return out
 }
 
+// Goodbye is a no-op: a loopback endpoint never reads a peer's
+// departure as a failure (Recv blocks until the local Close).
+func (c *loopbackConn) Goodbye() {}
+
 func (c *loopbackConn) Close() error {
 	c.mu.Lock()
 	c.closed = true

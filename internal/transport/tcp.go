@@ -35,6 +35,13 @@ import (
 // protocol Class space on purpose.
 const helloClass = 0xff
 
+// goodbyeClass marks the frame Goodbye queues on every stream: the
+// sender is leaving on purpose. A reader that sees it retires the peer
+// quietly; a stream that ends without it is a dead peer. Without the
+// distinction a node that finishes first and closes looks, to a peer
+// still waiting on another stream, exactly like a crash.
+const goodbyeClass = 0xfe
+
 // tcpHeader is the fixed frame header size after the length prefix.
 const tcpHeader = 6
 
@@ -214,8 +221,9 @@ type tcpConn struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	inbox  []Message
-	closed bool
-	rerr   error // first reader failure, reported by Recv after drain
+	closed bool  // local Close, or a pump failure
+	gone   int   // peers that have said goodbye
+	rerr   error // first pump failure, reported by Recv after drain
 
 	statsMu sync.Mutex
 	stats   Stats
@@ -253,18 +261,26 @@ func (c *tcpConn) Send(m Message) error {
 	return nil
 }
 
+// Recv blocks until a message arrives. It fails once the inbox is empty
+// and nothing more can arrive: with the first pump failure if there was
+// one, otherwise with ErrClosed after a local Close or after every peer
+// has said goodbye.
 func (c *tcpConn) Recv() (Message, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for len(c.inbox) == 0 && !c.closed {
+	// gone > 0: a mesh of one has no peer to say goodbye.
+	for len(c.inbox) == 0 && !c.closed && !(c.gone > 0 && c.gone == len(c.addrs)-1) {
 		c.cond.Wait()
 	}
 	if len(c.inbox) == 0 {
-		err := c.rerr
-		if err == nil {
-			err = fmt.Errorf("tcp node %d: recv: %w", c.self, ErrClosed)
+		switch {
+		case c.rerr != nil:
+			return Message{}, c.rerr
+		case c.closed:
+			return Message{}, fmt.Errorf("tcp node %d: recv: %w", c.self, ErrClosed)
+		default:
+			return Message{}, fmt.Errorf("tcp node %d: recv: every peer said goodbye: %w", c.self, ErrClosed)
 		}
-		return Message{}, err
 	}
 	m := c.inbox[0]
 	n := copy(c.inbox, c.inbox[1:])
@@ -290,10 +306,22 @@ func (c *tcpConn) peerTraffic(j NodeID) string {
 	return fmt.Sprintf("after %d msgs / %d bytes sent to peer", p.TotalMsgs(), p.TotalBytes())
 }
 
+// Goodbye queues a goodbye frame behind everything already sent on
+// every stream, so each peer learns that the FIN Close will bring is
+// deliberate.
+func (c *tcpConn) Goodbye() {
+	for _, q := range c.outbx {
+		if q != nil {
+			q.push(frame(c.self, goodbyeClass, 0, nil))
+		}
+	}
+}
+
 // Close tears the mesh down gracefully: it stops accepting new sends,
 // lets the write loops drain everything already queued (so final
-// protocol messages reach peers ahead of the FIN), then closes the
-// streams and the listener and unblocks Recv.
+// protocol messages, and the goodbye if one was said, reach peers
+// ahead of the FIN), then closes the streams and the listener and
+// unblocks Recv.
 func (c *tcpConn) Close() error {
 	c.closeOnce.Do(func() {
 		c.mu.Lock()
@@ -352,8 +380,10 @@ func (c *tcpConn) writeLoop(j NodeID, conn *net.TCPConn, q *outQueue) {
 	}
 }
 
-// readLoop pumps frames from peer j's stream into the shared inbox.
-func (c *tcpConn) readLoop(j NodeID, conn *net.TCPConn) {
+// readLoop pumps frames from peer j's stream into the shared inbox
+// until the peer says goodbye. A stream that ends any other way, EOF
+// included, is a failure attributed to the peer.
+func (c *tcpConn) readLoop(j NodeID, conn io.Reader) {
 	defer c.rwg.Done()
 	for {
 		from, class, typ, payload, err := readFrame(conn)
@@ -365,6 +395,13 @@ func (c *tcpConn) readLoop(j NodeID, conn *net.TCPConn) {
 				c.fail(fmt.Errorf("tcp node %d <- node %d (%s): peer closed %s: %w",
 					c.self, j, c.PeerAddr(j), c.peerTraffic(j), ErrClosed))
 			}
+			return
+		}
+		if from == j && class == goodbyeClass {
+			c.mu.Lock()
+			c.gone++
+			c.mu.Unlock()
+			c.cond.Broadcast()
 			return
 		}
 		if from != j || class >= uint8(NumClasses) {

@@ -185,6 +185,12 @@ type Conn interface {
 	Recv() (Message, error)
 	// Stats snapshots the per-class traffic counters (sent side).
 	Stats() Stats
+	// Goodbye tells every peer that this node is leaving on purpose:
+	// everything it will ever send is queued ahead of the call, and the
+	// end of its streams that Close brings is not a failure. A node
+	// that closes without it reads, to its peers, as dead — which is
+	// what an aborted run must look like.
+	Goodbye()
 	// Close tears the endpoint down and unblocks Recv.
 	Close() error
 }

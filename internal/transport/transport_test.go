@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -256,6 +257,7 @@ func TestConnErrorsNameBackendAndPeer(t *testing.T) {
 			}
 			// TCP reports the dead peer at the reader; the writer may
 			// buffer. Recv must surface an error naming the peer address.
+			// Node 1 closed without saying goodbye: a dead peer.
 			deadline := time.After(5 * time.Second)
 			errC := make(chan error, 1)
 			go func() {
@@ -276,6 +278,76 @@ func TestConnErrorsNameBackendAndPeer(t *testing.T) {
 				t.Fatal("no error surfaced after peer close")
 			}
 		})
+	}
+}
+
+// TestReadLoopGoodbye drives one read pump over canned streams: a
+// stream that ends in a goodbye frame retires its peer quietly (the
+// message ahead of it is delivered, then Recv reports a clean
+// ErrClosed, the only peer being gone), while the same stream ending
+// in a bare EOF is a failure attributed to the peer.
+func TestReadLoopGoodbye(t *testing.T) {
+	msg := frame(1, uint8(ClassDiff), 7, []byte("payload"))
+	for _, tc := range []struct {
+		name     string
+		stream   []byte
+		delivers bool   // the stream carries msg ahead of its end
+		wantErr  string // substring of the Recv error after that
+		attrib   bool   // the error names peer 1 and its address
+	}{
+		{"goodbye then EOF", append(append([]byte(nil), msg...), frame(1, goodbyeClass, 0, nil)...),
+			true, "every peer said goodbye", false},
+		{"bare EOF", msg, true, "peer closed after", true},
+		{"goodbye from the wrong peer", frame(0, goodbyeClass, 0, nil), false, "bad frame", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &tcpConn{self: 0, addrs: []string{"a:0", "b:1"}}
+			c.cond = sync.NewCond(&c.mu)
+			c.stats.Peers = make([]PeerStats, 2)
+			c.rwg.Add(1)
+			c.readLoop(1, bytes.NewReader(tc.stream))
+			if tc.delivers {
+				m, err := c.Recv()
+				if err != nil || m.From != 1 || m.Type != 7 || string(m.Payload) != "payload" {
+					t.Fatalf("Recv = %+v, %v; want the message ahead of the stream's end", m, err)
+				}
+			}
+			_, err := c.Recv()
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Recv error = %v, want one containing %q", err, tc.wantErr)
+			}
+			if named := strings.Contains(err.Error(), "<- node 1 (b:1)"); named != tc.attrib {
+				t.Errorf("error %q: names the peer = %v, want %v", err, named, tc.attrib)
+			}
+			if !tc.attrib && !errors.Is(err, ErrClosed) {
+				t.Errorf("clean close error %v is not ErrClosed", err)
+			}
+		})
+	}
+}
+
+// TestTCPGoodbyeThenClose is the teardown race in miniature: node 1
+// finishes first, says goodbye and closes while node 2 still waits for
+// a message on node 0's stream. Node 2 must see neither an error nor a
+// closed inbox until that message is in, and a clean ErrClosed only
+// once node 0 has left the same way.
+func TestTCPGoodbyeThenClose(t *testing.T) {
+	conns := mesh(t, "tcp", 3)
+	conns[1].Goodbye()
+	conns[1].Close()
+	// Let node 1's goodbye and FIN land at node 2 first.
+	time.Sleep(20 * time.Millisecond)
+	if err := conns[0].Send(Message{To: 2, Class: ClassBarrier, Type: 9}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := conns[2].Recv()
+	if err != nil || m.From != 0 || m.Type != 9 {
+		t.Fatalf("Recv after a peer's orderly close = %+v, %v; want node 0's message", m, err)
+	}
+	conns[0].Goodbye()
+	conns[0].Close()
+	if _, err := conns[2].Recv(); !errors.Is(err, ErrClosed) || strings.Contains(err.Error(), "peer closed") {
+		t.Fatalf("Recv after every peer closed = %v, want a clean ErrClosed", err)
 	}
 }
 
