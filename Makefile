@@ -2,7 +2,8 @@ GO ?= go
 
 .PHONY: check vet build test race cover loc golden-trace adapt-golden bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs fuzz-sortdiffs metrics-gate diff-backends metrics-baseline scale-baseline teardown-stress
 
-## check: the pre-commit gate (mirrors .github/workflows/ci.yml) — vet,
+## check: the pre-commit gate (.github/workflows/ci.yml runs these same
+## targets, one step each) — vet,
 ## build, race-test everything, verify the golden trace and the -adapt
 ## golden, a one-iteration pass over every benchmark so the perf kernels
 ## stay honest, the chaos suite under fault injection, the
@@ -113,11 +114,11 @@ scale-baseline:
 ## report against the committed BASELINE_metrics.json. The simulator is
 ## deterministic, so any event-count drift fails hard; mean-latency
 ## drift beyond 25% warns. Regenerate intentionally with
-## `make metrics-baseline` after protocol or calibration changes.
+## `make metrics-baseline` after protocol or calibration changes. The
+## fresh metrics_current.json (git-ignored) stays for CI to upload.
 metrics-gate:
 	$(GO) run ./cmd/cvm-run -app waternsq -nodes 4 -threads 2 -size test -metrics metrics_current.json >/dev/null
 	$(GO) run ./cmd/cvm-metrics compare BASELINE_metrics.json metrics_current.json
-	@rm -f metrics_current.json
 
 ## diff-backends: the sim-vs-real counter-equivalence gate. Run sor and
 ## waternsq at 4x2 on both backends — the deterministic simulator and

@@ -19,8 +19,8 @@ func benchGrid(b *testing.B, appNames []string, nodes, threads []int) harness.Re
 	var res harness.Results
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = harness.RunGrid(appNames, apps.SizeTest,
-			harness.GridShapes(nodes, threads), nil)
+		res, err = harness.RunGridParallel(appNames, apps.SizeTest,
+			harness.GridShapes(nodes, threads), nil, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func BenchmarkAblation_WireLatency(b *testing.B) {
 // BenchmarkProtocols compares the paper's lazy multi-writer protocol
 // against the single-writer invalidate baseline across the suite.
 func BenchmarkProtocols(b *testing.B) {
-	var rows []harness.ProtocolRow
+	var rows []harness.Pair
 	for i := 0; i < b.N; i++ {
 		var err error
 		rows, err = harness.CompareProtocols([]string{"sor", "waternsq"},
@@ -190,7 +190,7 @@ func BenchmarkProtocols(b *testing.B) {
 	}
 	for _, r := range rows {
 		if r.App == "waternsq" {
-			b.ReportMetric(float64(r.SWWall)/float64(r.LRCWall), "sw/lrc-wall")
+			b.ReportMetric(float64(r.Variant.Wall)/float64(r.Base.Wall), "sw/lrc-wall")
 		}
 	}
 }

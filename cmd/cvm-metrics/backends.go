@@ -54,8 +54,8 @@ func runDiffBackends(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "sim %s (%s) vs %s %s (%s)\n\n",
 		sim.Meta.App, sim.Meta.Config, real.Real.Backend, real.Meta.App, real.Meta.Config)
 
-	simCounts := counterMap(sim.Snapshot)
-	realCounts := counterMap(real.Snapshot)
+	simCounts := sim.Snapshot.CounterValues()
+	realCounts := real.Snapshot.CounterValues()
 	invariant := make(map[string]bool)
 	for _, name := range metrics.BackendInvariantCounters() {
 		invariant[name] = true
@@ -139,14 +139,6 @@ func readReportFile(path string) (*metrics.Report, error) {
 	return rep, nil
 }
 
-func counterMap(s *metrics.Snapshot) map[string]int64 {
-	out := make(map[string]int64)
-	s.EachCounter(func(name string, c *metrics.Counter) {
-		out[name] = int64(*c)
-	})
-	return out
-}
-
 // histTotals folds every histogram across scopes into per-name totals.
 func histTotals(s *metrics.Snapshot) map[string]metrics.Histogram {
 	out := make(map[string]metrics.Histogram)
@@ -188,7 +180,6 @@ func meanStr(name string, h metrics.Histogram) string {
 func runScrape(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("cvm-metrics scrape", flag.ContinueOnError)
 	timeout := fs.Duration("timeout", 5*time.Second, "per-request timeout")
-	allowZero := fs.Bool("allow-zero", false, "accept a report with all-zero counters (node may be mid-handshake)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -221,7 +212,7 @@ func runScrape(args []string, out io.Writer) error {
 	var events int64
 	rep.Snapshot.EachCounter(func(_ string, c *metrics.Counter) { events += int64(*c) })
 	rep.Snapshot.EachHistogram(func(_, _ string, h *metrics.Histogram) { events += h.Count })
-	if events == 0 && !*allowZero {
+	if events == 0 {
 		return fmt.Errorf("%s/metrics: all counters zero — the node is up but observed nothing", base)
 	}
 	fmt.Fprintf(out, "ok: %s healthy, %d observations (%s %s)\n",

@@ -56,9 +56,9 @@ import (
 	"cvm/internal/apps"
 	"cvm/internal/cluster"
 	"cvm/internal/debugsrv"
+	"cvm/internal/harness"
 	"cvm/internal/metrics"
 	"cvm/internal/rt"
-	"cvm/internal/trace"
 )
 
 func main() {
@@ -79,7 +79,6 @@ func run(args []string, out io.Writer) error {
 		appName = fs.String("app", "sor", "application (coordinator only): "+strings.Join(apps.Names(), ", "))
 		size    = fs.String("size", "test", "input scale (coordinator only): test, small, paper")
 		page    = fs.Int("page", 4096, "coherence unit in bytes (coordinator only)")
-		seed    = fs.Uint64("seed", 1, "experiment seed distributed to all nodes (coordinator only)")
 		data    = fs.String("data", "127.0.0.1:0", "host:port for this node's DSM data listener (must be peer-reachable)")
 		timeout = fs.Duration("timeout", 2*time.Minute, "bound on every control step, mesh formation included")
 		oracle  = fs.Bool("oracle", false, "coordinator only: also run the deterministic simulator and require an exact checksum match")
@@ -87,18 +86,13 @@ func run(args []string, out io.Writer) error {
 
 		debugAddr   = fs.String("debug-addr", "", "serve /healthz, /status, /metrics and /debug/pprof on this host:port")
 		debugLinger = fs.Duration("debug-linger", 0, "keep the debug server up this long after the run ends (lets scrapers catch fast runs)")
-
-		metricsOut  = fs.String("metrics", "", "coordinator only: write the merged wall-clock metrics report as JSON to this file")
-		showReport  = fs.Bool("report", false, "coordinator only: print the merged human-readable metrics profile")
-		metricsTopN = fs.Int("metrics-top", 10, "rows kept in the hot-page and hot-lock tables")
-		traceOut    = fs.String("trace", "", "coordinator only: write node 0's protocol events as Chrome trace JSON to this file")
-		traceLimit  = fs.Int("trace-limit", 0, "per-node trace event ring bound (0 = unbounded)")
 	)
-	if err := fs.Parse(args); err != nil {
+	// Wall-clock instruments: the merged profile of every node, and node
+	// 0's protocol events.
+	var inst harness.Instruments
+	inst.Register(fs, "coordinator only: ", "metrics", "report", "metrics-top", "trace", "trace-limit")
+	if err := inst.Parse(fs, args, "debug-addr"); err != nil {
 		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
 	}
 	if (*listen == "") == (*join == "") {
 		return fmt.Errorf("exactly one of -listen (coordinator) or -join (member) is required")
@@ -108,12 +102,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if *timeout > time.Hour {
 		return fmt.Errorf("-timeout %v exceeds the 1h bound (a wedged cluster should fail, not linger)", *timeout)
-	}
-	if *metricsTopN < 1 {
-		return fmt.Errorf("-metrics-top must be >= 1, got %d", *metricsTopN)
-	}
-	if *traceLimit < 0 {
-		return fmt.Errorf("-trace-limit must be >= 0, got %d", *traceLimit)
 	}
 	opts := cluster.Options{DataAddr: *data, Timeout: *timeout, Log: out}
 	if *quiet {
@@ -162,20 +150,13 @@ func run(args []string, out io.Writer) error {
 			srv.Shutdown(2 * time.Second)
 		}()
 	}
-	live.topN = *metricsTopN
+	live.topN = inst.Top
 	opts.Started = live.started
 
-	var rec *trace.Recorder
-
 	if *join != "" {
-		memberOnly := func(name string) bool {
-			set := false
-			fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
-			return set
-		}
-		for _, name := range []string{"app", "size", "threads", "page", "seed", "oracle",
+		for _, name := range []string{"app", "size", "threads", "page", "oracle",
 			"metrics", "report", "trace", "trace-limit"} {
-			if memberOnly(name) {
+			if harness.IsSet(fs, name) {
 				return fmt.Errorf("-%s is the coordinator's to set; members take it from the wire", name)
 			}
 		}
@@ -183,11 +164,9 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("-node-id must be 1..nodes-1 for members, got %d", *nodeID)
 		}
 		nodesArg := 0
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "nodes" {
-				nodesArg = *nodes
-			}
-		})
+		if harness.IsSet(fs, "nodes") {
+			nodesArg = *nodes
+		}
 		if nodesArg != 0 && *nodeID >= nodesArg {
 			return fmt.Errorf("-node-id %d outside a cluster of %d nodes", *nodeID, nodesArg)
 		}
@@ -205,13 +184,13 @@ func run(args []string, out io.Writer) error {
 	}
 	spec := cluster.Spec{
 		App: *appName, Size: *size,
-		Nodes: *nodes, Threads: *threads, Page: *page, Seed: *seed,
+		Nodes: *nodes, Threads: *threads, Page: *page,
 	}
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	if *traceOut != "" {
-		rec = trace.NewRecorder(spec.Nodes, spec.Threads, *traceLimit)
+	rec := inst.Recorder(spec.Nodes, spec.Threads)
+	if rec != nil {
 		opts.Tracer = rec
 	}
 	outcome, err := cluster.Coordinate(*listen, spec, opts)
@@ -223,23 +202,10 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "node 0 traffic: %d messages, %d KB, %v elapsed\n",
 		outcome.Net.TotalMsgs(), outcome.Net.TotalBytes()/1024, outcome.Elapsed.Round(time.Millisecond))
 
-	if *showReport || *metricsOut != "" {
-		rep := metrics.NewReport(metrics.Meta{
-			App:    spec.App,
-			Config: fmt.Sprintf("%dx%d size=%s", spec.Nodes, spec.Threads, spec.Size),
-		}, outcome.Metrics, *metricsTopN)
-		rep.Real = rt.RealStats("tcp", spec.Nodes, outcome.Elapsed, outcome.Net)
-		if *showReport {
-			fmt.Fprintln(out)
-		}
-		if err := rep.Emit(out, *showReport, *metricsOut, ""); err != nil {
-			return err
-		}
-	}
-	if rec != nil {
-		if err := trace.WriteChromeFile(out, *traceOut, rec); err != nil {
-			return err
-		}
+	meta := metrics.Meta{App: spec.App, Config: fmt.Sprintf("%dx%d size=%s", spec.Nodes, spec.Threads, spec.Size)}
+	if err := inst.Emit(out, meta, rec, outcome.Metrics,
+		rt.RealStats("tcp", spec.Nodes, outcome.Elapsed, outcome.Net)); err != nil {
+		return err
 	}
 
 	if *oracle {
@@ -247,7 +213,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		_, simSum, err := apps.RunConfigFull(spec.App, sz,
+		_, simSum, err := apps.RunConfig(spec.App, sz,
 			cvm.DefaultConfig(spec.Nodes, spec.Threads), 0)
 		if err != nil {
 			return fmt.Errorf("oracle: %w", err)

@@ -47,6 +47,9 @@ func TestFlagValidation(t *testing.T) {
 		{"member sets trace", []string{"-join", "x:1", "-node-id", "1", "-trace", "t.json"}, "coordinator's to set"},
 		{"bad metrics-top", []string{"-listen", ":0", "-metrics-top", "0"}, "-metrics-top must be"},
 		{"bad trace-limit", []string{"-listen", ":0", "-trace-limit", "-1"}, "-trace-limit must be"},
+		{"trace-limit without a trace", []string{"-listen", ":0", "-trace-limit", "50"}, "-trace-limit needs -trace"},
+		{"metrics-top without a consumer", []string{"-listen", ":0", "-metrics-top", "3"}, "-metrics-top needs -metrics or -report"},
+		{"removed seed", []string{"-listen", ":0", "-seed", "7"}, "not defined"},
 		{"coordinator with node id", []string{"-listen", ":0", "-node-id", "2"}, "always node 0"},
 		{"zero nodes", []string{"-listen", ":0", "-nodes", "0"}, "0 nodes"},
 		{"zero threads", []string{"-listen", ":0", "-threads", "0"}, "threads per node"},

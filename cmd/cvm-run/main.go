@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"text/tabwriter"
 
@@ -69,19 +68,11 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("cvm-run", flag.ContinueOnError)
 	var (
-		appName    = fs.String("app", "sor", "application: "+strings.Join(apps.Names(), ", "))
-		nodes      = fs.Int("nodes", 8, "number of nodes (processors)")
-		threads    = fs.String("threads", "1", "application threads per node (comma-separated list sweeps)")
-		size       = fs.String("size", "small", "input scale: test, small, paper")
-		parallel   = fs.Int("parallel", 0, "worker goroutines for a threads sweep (0 = all CPUs, 1 = sequential)")
-		traceOut   = fs.String("trace", "", "record protocol events and write Chrome trace JSON to this file")
-		traceLimit = fs.Int("trace-limit", 0, "per-node trace event ring bound (0 = unbounded)")
-
-		metricsOut  = fs.String("metrics", "", "collect virtual-time metrics and write the JSON report to this file")
-		metricsCSV  = fs.String("metrics-csv", "", "write the metrics report as CSV to this file")
-		showReport  = fs.Bool("report", false, "print the human-readable metrics profile (histograms, hot pages/locks, timeline)")
-		metricsBin  = fs.Duration("metrics-interval", 0, "utilization-timeline bin width in virtual time (0 = default 10ms)")
-		metricsTopN = fs.Int("metrics-top", 10, "rows kept in the hot-page and hot-lock tables")
+		appName  = fs.String("app", "sor", "application: "+strings.Join(apps.Names(), ", "))
+		nodes    = fs.Int("nodes", 8, "number of nodes (processors)")
+		threads  = fs.String("threads", "1", "application threads per node (comma-separated list sweeps)")
+		size     = fs.String("size", "small", "input scale: test, small, paper")
+		parallel = fs.Int("parallel", 0, "worker goroutines for a threads sweep (0 = all CPUs, 1 = sequential)")
 
 		engineWorkers = fs.Int("engine-workers", 0, "conservative parallel engine worker count (0 = sequential engine)")
 		compressDiffs = fs.Bool("compress-diffs", false, "account diff messages at their compressed wire size (simulator only; the real transport always compresses)")
@@ -93,29 +84,13 @@ func run(args []string, out io.Writer) error {
 
 		backend = fs.String("transport", "sim", "execution backend: sim (deterministic simulator) or loopback (real runtime, in-process)")
 	)
-	if err := fs.Parse(args); err != nil {
+	var inst harness.Instruments
+	inst.Register(fs, "", "trace", "trace-limit", "metrics", "metrics-csv", "report", "metrics-interval", "metrics-top")
+	if err := inst.Parse(fs, args); err != nil {
 		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
-	}
-	if *traceLimit < 0 {
-		return fmt.Errorf("-trace-limit must be >= 0, got %d", *traceLimit)
-	}
-	if *metricsBin < 0 {
-		return fmt.Errorf("-metrics-interval must be >= 0, got %v", *metricsBin)
-	}
-	if *metricsTopN < 1 {
-		return fmt.Errorf("-metrics-top must be >= 1, got %d", *metricsTopN)
 	}
 	if *engineWorkers < 0 {
 		return fmt.Errorf("-engine-workers must be >= 0, got %d", *engineWorkers)
-	}
-	wantMetrics := *metricsOut != "" || *metricsCSV != "" || *showReport
-	set := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["metrics-top"] && !wantMetrics {
-		return fmt.Errorf("-metrics-top needs -metrics, -metrics-csv or -report")
 	}
 	var fp *cvm.FaultPlan
 	if *faults != "" {
@@ -123,7 +98,7 @@ func run(args []string, out io.Writer) error {
 		if fp, err = cvm.ParseFaults(*faults, *faultSeed); err != nil {
 			return err
 		}
-	} else if set["fault-seed"] {
+	} else if harness.IsSet(fs, "fault-seed") {
 		return fmt.Errorf("-fault-seed needs -faults")
 	}
 
@@ -131,17 +106,18 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	levels, err := parseThreadList(*threads)
+	levels, err := harness.ParseInts("threads", *threads)
 	if err != nil {
 		return err
 	}
-
-	o := runOpts{
-		app: *appName, size: sz, sizeName: *size, nodes: *nodes, threads: levels[0],
-		traceOut: *traceOut, traceLimit: *traceLimit,
-		metricsOut: *metricsOut, metricsCSV: *metricsCSV,
-		report: *showReport, wantMetrics: wantMetrics, topN: *metricsTopN,
+	// Instruments observe one run, and the real runtime has no sweep.
+	single := inst.Trace != "" || inst.WantMetrics() || *checkRun || *backend == "loopback"
+	if single && len(levels) != 1 {
+		return fmt.Errorf("-trace/-metrics/-report/-check and -transport loopback need a single -threads level, got %q", *threads)
 	}
+	meta := metrics.Meta{App: *appName, Config: fmt.Sprintf("%dx%d size=%s", *nodes, levels[0], *size)}
+	rec := inst.Recorder(*nodes, levels[0])
+
 	switch *backend {
 	case "sim":
 	case "loopback":
@@ -149,62 +125,63 @@ func run(args []string, out io.Writer) error {
 		// simulated faults to inject, no DES engine to parallelize, no
 		// virtual-time invariant checker, and no utilization timeline.
 		// Reject those combinations rather than ignore them.
-		if *checkRun {
+		switch {
+		case *checkRun:
 			return fmt.Errorf("-check is the simulator's virtual-time invariant checker; drop it with -transport loopback")
-		}
-		if *metricsBin > 0 {
+		case inst.Interval > 0:
 			return fmt.Errorf("-metrics-interval shapes the simulator's virtual-time timeline; drop it with -transport loopback")
-		}
-		if fp != nil {
+		case fp != nil:
 			return fmt.Errorf("-transport loopback cannot inject simulated faults; drop -faults")
-		}
-		if *engineWorkers > 0 {
+		case *engineWorkers > 0:
 			return fmt.Errorf("-engine-workers tunes the simulator's DES engine; drop it with -transport loopback")
-		}
-		if *compressDiffs {
+		case *compressDiffs:
 			return fmt.Errorf("-compress-diffs tunes the simulator's byte accounting; the real transport always compresses, drop it with -transport loopback")
-		}
-		if *adapt {
+		case *adapt:
 			return fmt.Errorf("-adapt tunes the simulator's coherence protocol; drop it with -transport loopback")
 		}
-		if len(levels) != 1 {
-			return fmt.Errorf("-transport loopback needs a single -threads level, got %q", *threads)
-		}
-		return runLoopback(out, o)
+		return runLoopback(out, *appName, sz, *size, *nodes, levels[0], &inst, meta, rec)
 	default:
 		return fmt.Errorf("-transport must be sim or loopback, got %q", *backend)
 	}
 
-	if *traceOut != "" || wantMetrics || *checkRun {
-		if len(levels) != 1 {
-			return fmt.Errorf("-trace/-metrics/-report/-check need a single -threads level, got %q", *threads)
-		}
-		o.interval = cvm.Time((*metricsBin).Nanoseconds())
-		o.faults, o.check, o.engineWorkers = fp, *checkRun, *engineWorkers
-		o.compressDiffs, o.adapt = *compressDiffs, *adapt
-		return runInstrumented(out, o)
+	// One path for a sweep and an instrumented run alike: a cell per
+	// thread level through the harness pool, every requested variation
+	// and instrument a field of the cell. Tracer, checker and registry
+	// observe without advancing virtual time, so they compose without
+	// perturbing each other or the run; a shared read-only fault plan
+	// keys each cell's schedule on its own simulation state, so a sweep
+	// stays deterministic at any -parallel level.
+	var chk *check.Checker
+	var tracer cvm.Tracer
+	if rec != nil {
+		tracer = rec
 	}
-
-	// The sweep's cells are independent simulations; fan them out over
-	// the harness worker pool and print each report in thread order.
-	// Faults, when requested, apply the one shared read-only plan to
-	// every cell; each cell's schedule is keyed on its own simulation
-	// state, so the sweep stays deterministic at any -parallel level.
-	shapes := harness.GridShapes([]int{*nodes}, levels)
-	var mut func(harness.Key, *cvm.Config)
-	if fp != nil || *engineWorkers > 0 || *compressDiffs || *adapt {
-		ew, comp, ad := *engineWorkers, *compressDiffs, *adapt
-		mut = func(_ harness.Key, cfg *cvm.Config) {
-			cfg.Faults = fp
-			cfg.EngineWorkers = ew
-			cfg.CompressDiffs = comp
-			cfg.Adapt = ad
-		}
+	if *checkRun {
+		chk = check.New(*nodes, levels[0])
+		tracer = trace.Tee(tracer, chk)
 	}
-	res, err := harness.RunGridConfig([]string{*appName}, sz, shapes, mut, nil, *parallel)
+	cells, err := harness.GridCells([]string{*appName}, sz, harness.GridShapes([]int{*nodes}, levels))
 	if err != nil {
 		return err
 	}
+	if single && len(cells) == 0 {
+		return fmt.Errorf("%s does not support %d threads per node", *appName, levels[0])
+	}
+	for i := range cells {
+		cells[i].Mut = func(cfg *cvm.Config) {
+			cfg.Faults = fp
+			cfg.EngineWorkers = *engineWorkers
+			cfg.CompressDiffs = *compressDiffs
+			cfg.Adapt = *adapt
+			cfg.Tracer = tracer
+		}
+	}
+	inst.Meter(cells)
+	results, err := harness.RunCells(cells, sz, nil, *parallel)
+	if err != nil {
+		return err
+	}
+	res, snap := harness.Collect(cells, results)
 	for i, t := range levels {
 		st, ok := res[harness.Key{App: *appName, Nodes: *nodes, Threads: t}]
 		if !ok {
@@ -223,119 +200,6 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 	}
-	return nil
-}
-
-// runOpts parameterizes one instrumented (traced and/or metered) run
-// on either backend.
-type runOpts struct {
-	app      string
-	size     apps.Size
-	sizeName string
-	nodes    int
-	threads  int
-
-	traceOut   string
-	traceLimit int
-
-	metricsOut  string
-	metricsCSV  string
-	report      bool
-	wantMetrics bool
-	topN        int
-
-	// Simulator only.
-	interval      cvm.Time
-	faults        *cvm.FaultPlan
-	check         bool
-	engineWorkers int
-	compressDiffs bool
-	adapt         bool
-}
-
-// recorder returns the trace recorder -trace asks for, nil without it.
-func (o runOpts) recorder() *trace.Recorder {
-	if o.traceOut == "" {
-		return nil
-	}
-	return trace.NewRecorder(o.nodes, o.threads, o.traceLimit)
-}
-
-// emit writes what an instrumented run leaves behind, the same way on
-// either backend: the Chrome trace, the per-class latency table when
-// the run was both traced and asked to -report, then the metrics
-// report as text, JSON and CSV. rec and snap are nil when the run was
-// not traced or not metered; real is the wall-clock section of a
-// real-backend report.
-func (o runOpts) emit(out io.Writer, rec *trace.Recorder, snap *metrics.Snapshot, real *metrics.RealStats) error {
-	if rec != nil {
-		fmt.Fprintln(out)
-		if err := trace.WriteChromeFile(out, o.traceOut, rec); err != nil {
-			return err
-		}
-		if o.report {
-			fmt.Fprintln(out)
-			if err := trace.AnalyzeRecorder(rec).Write(out); err != nil {
-				return err
-			}
-		}
-	}
-	if snap == nil {
-		return nil
-	}
-	rep := metrics.NewReport(metrics.Meta{
-		App:    o.app,
-		Config: fmt.Sprintf("%dx%d size=%s", o.nodes, o.threads, o.sizeName),
-	}, snap, o.topN)
-	rep.Real = real
-	fmt.Fprintln(out)
-	return rep.Emit(out, o.report, o.metricsOut, o.metricsCSV)
-}
-
-// runInstrumented executes one simulation with tracing and/or metrics
-// attached, prints the statistics, and writes the requested artifacts.
-// Both instruments observe without advancing virtual time, so they
-// compose without perturbing each other or the run.
-func runInstrumented(out io.Writer, o runOpts) error {
-	cfg := cvm.DefaultConfig(o.nodes, o.threads)
-	cfg.Faults = o.faults
-	cfg.EngineWorkers = o.engineWorkers
-	cfg.CompressDiffs = o.compressDiffs
-	cfg.Adapt = o.adapt
-	rec := o.recorder()
-	if rec != nil {
-		cfg.Tracer = rec
-	}
-	var chk *check.Checker
-	if o.check {
-		chk = check.New(o.nodes, o.threads)
-		if rec != nil {
-			cfg.Tracer = trace.Tee(rec, chk)
-		} else {
-			cfg.Tracer = chk
-		}
-	}
-	var reg *cvm.Metrics
-	if o.wantMetrics {
-		reg = cvm.NewMetrics()
-		if o.interval > 0 {
-			reg.SetInterval(o.interval)
-		}
-		cfg.Metrics = reg
-	}
-
-	st, err := apps.RunConfig(o.app, o.size, cfg)
-	if err != nil {
-		return err
-	}
-	if err := report(out, o.app, o.nodes, o.threads, o.sizeName, st); err != nil {
-		return err
-	}
-	if o.faults != nil {
-		if err := reportTransport(out, st); err != nil {
-			return err
-		}
-	}
 	if chk != nil {
 		chk.Finish()
 		if n := chk.Count(); n != 0 {
@@ -346,12 +210,7 @@ func runInstrumented(out io.Writer, o runOpts) error {
 		}
 		fmt.Fprintln(out, "\ninvariant checker: no violations")
 	}
-
-	var snap *metrics.Snapshot
-	if reg != nil {
-		snap = reg.Snapshot()
-	}
-	return o.emit(out, rec, snap, nil)
+	return inst.Emit(out, meta, rec, snap, nil)
 }
 
 // runLoopback executes one run on the real runtime over the in-process
@@ -363,43 +222,24 @@ func runInstrumented(out io.Writer, o runOpts) error {
 // simulator's report shape (plus a "real transport" section), so the
 // two backends' profiles are directly comparable — see
 // cvm-metrics diff-backends.
-func runLoopback(out io.Writer, o runOpts) error {
-	app, err := apps.New(o.app, o.size)
-	if err != nil {
-		return err
+func runLoopback(out io.Writer, app string, size apps.Size, sizeName string, nodes, threads int,
+	inst *harness.Instruments, meta metrics.Meta, rec *trace.Recorder) error {
+	cfg := rt.DefaultConfig(nodes, threads)
+	if inst.WantMetrics() {
+		cfg.Metrics = rt.NewMetrics()
 	}
-	if !app.SupportsThreads(o.threads) {
-		return fmt.Errorf("%s does not support %d threads per node", o.app, o.threads)
-	}
-	cfg := rt.DefaultConfig(o.nodes, o.threads)
-	var met *rt.Metrics
-	if o.wantMetrics {
-		met = rt.NewMetrics()
-		cfg.Metrics = met
-	}
-	rec := o.recorder()
 	if rec != nil {
 		cfg.Tracer = rec
 	}
-	cl, err := rt.NewCluster(cfg)
+	res, sum, err := apps.RunLoopback(app, size, cfg)
 	if err != nil {
-		return err
-	}
-	if err := app.Setup(cl); err != nil {
-		return err
-	}
-	res, err := cl.RunLoopback(app.Main)
-	if err != nil {
-		return err
-	}
-	if err := app.Check(); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "%s on %d nodes x %d threads (%s input) over loopback: result verified against sequential reference\n\n",
-		o.app, o.nodes, o.threads, o.sizeName)
+		app, nodes, threads, sizeName)
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "wall time\t%v\n", res.Elapsed)
-	fmt.Fprintf(tw, "checksum\t%v\n", app.Checksum())
+	fmt.Fprintf(tw, "checksum\t%v\n", sum)
 	fmt.Fprintf(tw, "messages (barrier/lock/diff)\t%d / %d / %d\n",
 		res.Net.Msgs[transport.ClassBarrier], res.Net.Msgs[transport.ClassLock],
 		res.Net.Msgs[transport.ClassDiff])
@@ -410,23 +250,10 @@ func runLoopback(out io.Writer, o runOpts) error {
 	}
 
 	var snap *metrics.Snapshot
-	if met != nil {
-		snap = met.Snapshot()
+	if cfg.Metrics != nil {
+		snap = cfg.Metrics.Snapshot()
 	}
-	return o.emit(out, rec, snap, rt.RealStats("loopback", o.nodes, res.Elapsed, res.Net))
-}
-
-// parseThreadList parses "1,2,4" into thread levels.
-func parseThreadList(s string) ([]int, error) {
-	var levels []int
-	for _, part := range strings.Split(s, ",") {
-		t, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || t < 1 {
-			return nil, fmt.Errorf("bad -threads value %q", part)
-		}
-		levels = append(levels, t)
-	}
-	return levels, nil
+	return inst.Emit(out, meta, rec, snap, rt.RealStats("loopback", nodes, res.Elapsed, res.Net))
 }
 
 // reportTransport prints the reliable-transport counters of a faulted

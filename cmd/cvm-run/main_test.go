@@ -39,9 +39,12 @@ func TestFlagValidation(t *testing.T) {
 		{"seed without faults", []string{"-fault-seed", "7"}, "-fault-seed needs -faults"},
 		{"metrics-top without a report", []string{"-metrics-top", "3"}, "-metrics-top needs"},
 		{"metrics-top with only a trace", []string{"-metrics-top", "3", "-trace", "x.json"}, "-metrics-top needs"},
+		{"trace-limit without a trace", []string{"-trace-limit", "50"}, "-trace-limit needs -trace"},
+		{"metrics-interval without a report", []string{"-metrics-interval", "1ms"}, "-metrics-interval needs -metrics"},
+		{"metrics-interval with only a trace", []string{"-metrics-interval", "1ms", "-trace", "x.json"}, "-metrics-interval needs -metrics"},
 		{"unknown transport", []string{"-transport", "carrier-pigeon"}, "-transport must be sim or loopback"},
 		{"loopback with check", []string{"-transport", "loopback", "-check"}, "virtual-time invariant checker"},
-		{"loopback with metrics interval", []string{"-transport", "loopback", "-metrics-interval", "1ms"}, "virtual-time timeline"},
+		{"loopback with metrics interval", []string{"-transport", "loopback", "-metrics-interval", "1ms", "-report"}, "virtual-time timeline"},
 		{"loopback with faults", []string{"-transport", "loopback", "-faults", "drop=0.01"}, "cannot inject simulated faults"},
 		{"loopback with engine workers", []string{"-transport", "loopback", "-engine-workers", "2"}, "-engine-workers tunes the simulator"},
 		{"loopback with compress-diffs", []string{"-transport", "loopback", "-compress-diffs"}, "-compress-diffs tunes the simulator"},

@@ -72,6 +72,9 @@ type App interface {
 	// fault schedules: retransmission only perturbs virtual timing, so
 	// a faulted run must reproduce the fault-free checksum exactly.
 	Checksum() float64
+
+	// setCheckTol widens the relative tolerance Check applies.
+	setCheckTol(tol float64)
 }
 
 // factory builds a fresh App for one run.
@@ -106,43 +109,34 @@ func Names() []string {
 // paper's applications tolerate the same).
 const defaultCheckTol = 1e-6
 
-// tolerance carries a per-run checksum tolerance override; every app
-// embeds it so harness experiments that perturb cluster timing (and
+// verdict is the run state every app embeds: the checksum its Main
+// leaves behind, and the relative tolerance Check holds it to — an
+// override, so harness experiments that perturb cluster timing (and
 // thereby synchronization order and FP accumulation order) can widen the
 // bound without loosening the default validation.
-type tolerance struct {
-	tol float64
+type verdict struct {
+	checksum float64
+	tol      float64
 }
 
-// setCheckTol overrides the relative checksum tolerance for this run.
-func (t *tolerance) setCheckTol(tol float64) { t.tol = tol }
+// Checksum implements App.
+func (v *verdict) Checksum() float64 { return v.checksum }
 
-// toleranceSetter is satisfied by every app via the embedded tolerance.
-type toleranceSetter interface {
-	setCheckTol(tol float64)
-}
+// setCheckTol implements App.
+func (v *verdict) setCheckTol(tol float64) { v.tol = tol }
 
-// checkClose validates a float checksum with the run's relative
-// tolerance (the default unless setCheckTol widened it).
-func (t *tolerance) checkClose(name string, got, want float64) error {
-	tol := t.tol
+// checkClose validates the run's checksum against the reference value
+// with the run's relative tolerance (the default unless setCheckTol
+// widened it).
+func (v *verdict) checkClose(name string, want float64) error {
+	tol := v.tol
 	if tol <= 0 {
 		tol = defaultCheckTol
 	}
-	diff := got - want
-	if diff < 0 {
-		diff = -diff
-	}
-	scale := want
-	if scale < 0 {
-		scale = -scale
-	}
-	if scale < 1 {
-		scale = 1
-	}
+	diff, scale := math.Abs(v.checksum-want), math.Max(1, math.Abs(want))
 	if diff > tol*scale {
 		return fmt.Errorf("%s: checksum %g, reference %g (relative error %g, tolerance %g)",
-			name, got, want, diff/scale, tol)
+			name, v.checksum, want, diff/scale, tol)
 	}
 	return nil
 }
@@ -187,11 +181,4 @@ func sortInts(xs []int) {
 			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -19,13 +19,12 @@ import (
 // row counts that do not divide by the total thread count leave partial
 // pages shared between consecutive threads.
 type FFT struct {
-	tolerance
+	verdict
 	m     int // matrix dimension (power of two)
 	iters int
 
 	a, b cvm.F64Matrix // complex matrices: re/im interleaved, 2*m floats per row
 
-	checksum float64
 }
 
 func init() {
@@ -165,11 +164,8 @@ func (f *FFT) fftRows(w cvm.Worker, mat cvm.F64Matrix, lo, hi int, re, im, row [
 }
 
 // Check implements App.
-// Checksum returns the computed transform checksum.
-func (f *FFT) Checksum() float64 { return f.checksum }
-
 func (f *FFT) Check() error {
-	return f.checkClose("fft", f.checksum, f.reference())
+	return f.checkClose("fft", f.reference())
 }
 
 func (f *FFT) reference() float64 {

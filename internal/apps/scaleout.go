@@ -30,7 +30,7 @@ import (
 // checksum independent of lock-grant order — the chaos and
 // transport-equivalence suites get an exact cross-backend oracle.
 type Scaleout struct {
-	tolerance
+	verdict
 	epochs        int
 	coldPerThread int // untouched pages per thread
 
@@ -41,8 +41,6 @@ type Scaleout struct {
 	strip cvm.Addr
 	accum cvm.I64Array
 	cold  cvm.Addr
-
-	checksum float64
 }
 
 func init() {
@@ -168,9 +166,6 @@ func (s *Scaleout) Main(w cvm.Worker) {
 	w.Barrier(9999)
 }
 
-// Checksum returns the computed checksum.
-func (s *Scaleout) Checksum() float64 { return s.checksum }
-
 // Check validates against the closed form.
 func (s *Scaleout) Check() error {
 	exp := int64(scaleoutSentinel)
@@ -181,5 +176,5 @@ func (s *Scaleout) Check() error {
 			exp += accumVal(t, e)
 		}
 	}
-	return s.checkClose("scaleout", s.checksum, float64(exp))
+	return s.checkClose("scaleout", float64(exp))
 }

@@ -45,7 +45,7 @@ func (v WaterVariant) String() string {
 // N-squared): per-molecule locks guard force updates, making it the
 // paper's lock-bound application and its Table 5 case study.
 type WaterNsq struct {
-	tolerance
+	verdict
 	n       int // molecules (paper: 512)
 	iters   int
 	variant WaterVariant
@@ -61,8 +61,6 @@ type WaterNsq struct {
 	nodeForce [][]float64
 	nodeEpot  []float64
 	initPos   []float64
-
-	checksum float64
 }
 
 func init() {
@@ -333,11 +331,8 @@ func forEachOwned(lo, hi int, descending bool, fn func(i int)) {
 }
 
 // Check implements App.
-// Checksum returns the computed energy checksum.
-func (a *WaterNsq) Checksum() float64 { return a.checksum }
-
 func (a *WaterNsq) Check() error {
-	return a.checkClose(a.Name(), a.checksum, a.reference())
+	return a.checkClose(a.Name(), a.reference())
 }
 
 func (a *WaterNsq) reference() float64 {

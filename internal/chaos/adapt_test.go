@@ -27,8 +27,7 @@ func TestAdaptiveUnderChaos(t *testing.T) {
 			fp := mustPlan(t, spec, seed)
 			var first *Result
 			for _, workers := range []int{0, 1, 2, 4} {
-				res, err := RunOneAdaptive(app, apps.SizeTest, chaosNodes, chaosThreads,
-					workers, fp, nil)
+				res, err := RunOne(cell(app, fp, workers, true), apps.SizeTest)
 				ctx := fmt.Sprintf("%s adapt spec=%q seed=%d engine-workers=%d",
 					app, spec, seed, workers)
 				assertClean(t, app, ctx, res, err)
@@ -63,8 +62,7 @@ func TestAdaptiveFaultFree(t *testing.T) {
 	for _, app := range harness.AppOrder {
 		app := app
 		t.Run(app, func(t *testing.T) {
-			res, err := RunOneAdaptive(app, apps.SizeTest, chaosNodes, chaosThreads,
-				0, nil, nil)
+			res, err := RunOne(cell(app, nil, 0, true), apps.SizeTest)
 			assertClean(t, app, "adapt fault-free", res, err)
 		})
 	}

@@ -24,60 +24,38 @@ import (
 	"cvm"
 	"cvm/internal/apps"
 	"cvm/internal/check"
+	"cvm/internal/harness"
 )
 
-// Result is one chaos run's outcome.
+// Result is one chaos run's outcome: the cell's result plus the
+// checker, post-Finish (no violations listed on a clean run).
 type Result struct {
-	Stats    cvm.Stats
-	Checksum float64
-	Checker  *check.Checker // post-Finish; nil violations list on a clean run
+	harness.CellResult
+	Checker *check.Checker
 }
 
-// RunOne executes one application under a fault plan with the invariant
-// checker attached and returns the checksum, statistics, and checker.
-// reg, when non-nil, additionally collects metrics (one registry per
-// run). A nil fp is the fault-free baseline.
-func RunOne(name string, size apps.Size, nodes, threads int, fp *cvm.FaultPlan, reg *cvm.Metrics) (Result, error) {
-	return RunOneEngine(name, size, nodes, threads, 0, fp, reg)
-}
-
-// RunOneEngine is RunOne with an explicit discrete-event execution mode:
-// engineWorkers 0 runs the sequential engine, ≥ 1 the conservative
-// windowed parallel engine at that worker count. The invariant checker
-// observes the run through the engine's trace path (under the windowed
-// engine that is the per-window demultiplexer, so events arrive in
-// canonical order), making fault schedules an engine-parallelism
-// determinism probe: rolls consume PRNG state in delivery order, so a
-// nondeterministic commit would diverge visibly.
-func RunOneEngine(name string, size apps.Size, nodes, threads, engineWorkers int, fp *cvm.FaultPlan, reg *cvm.Metrics) (Result, error) {
-	return runOne(name, size, nodes, threads, engineWorkers, false, fp, reg)
-}
-
-// RunOneAdaptive is RunOneEngine with the adaptive coherence machinery
-// switched on (per-page mode switching). Adaptation decisions are
-// functions of per-epoch protocol observations, not of virtual timing,
-// so a faulted adaptive run must still reproduce the fault-free
-// checksum; the checker additionally holds it to the adaptation
-// invariants (mode-epoch monotonicity, cluster-wide mode agreement,
-// exclusive-window diff silence).
-func RunOneAdaptive(name string, size apps.Size, nodes, threads, engineWorkers int, fp *cvm.FaultPlan, reg *cvm.Metrics) (Result, error) {
-	return runOne(name, size, nodes, threads, engineWorkers, true, fp, reg)
-}
-
-func runOne(name string, size apps.Size, nodes, threads, engineWorkers int, adapt bool, fp *cvm.FaultPlan, reg *cvm.Metrics) (Result, error) {
-	chk := check.New(nodes, threads)
-	cfg := cvm.DefaultConfig(nodes, threads)
-	cfg.EngineWorkers = engineWorkers
-	cfg.Adapt = adapt
-	cfg.Tracer = chk
-	cfg.Faults = fp
-	cfg.Metrics = reg
-	stats, sum, err := apps.RunConfigFull(name, size, cfg, 0)
+// RunOne executes one cell with the invariant checker attached. c.Mut
+// carries what the run is subjected to — a fault plan (none is the
+// fault-free baseline), an engine mode, adaptive coherence — and
+// c.Metrics additionally collects a snapshot. The checker observes
+// through the engine's trace path (under the windowed engine that is
+// the per-window demultiplexer, so events arrive in canonical order),
+// making fault schedules an engine-parallelism determinism probe: rolls
+// consume PRNG state in delivery order, so a nondeterministic commit
+// would diverge visibly. Adaptation decisions are functions of per-epoch
+// protocol observations, not of virtual timing, so a faulted adaptive
+// run must still reproduce the fault-free checksum; the checker holds it
+// to the adaptation invariants as well (mode-epoch monotonicity,
+// cluster-wide mode agreement, exclusive-window diff silence).
+func RunOne(c harness.Cell, size apps.Size) (Result, error) {
+	chk := check.New(c.Nodes, c.Threads)
+	c = c.With(func(cfg *cvm.Config) { cfg.Tracer = chk })
+	out, err := harness.RunCells([]harness.Cell{c}, size, nil, 1)
 	if err != nil {
 		return Result{Checker: chk}, err
 	}
 	chk.Finish()
-	return Result{Stats: stats, Checksum: sum, Checker: chk}, nil
+	return Result{out[0], chk}, nil
 }
 
 // WriteViolationReport writes a violation-report artifact: the run's

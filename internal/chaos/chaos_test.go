@@ -18,6 +18,15 @@ const (
 	chaosThreads = 2
 )
 
+// cell is app at the chaos shape under fp (nil = fault-free), on the
+// sequential engine (engineWorkers 0) or the windowed one, optionally
+// with adaptive coherence.
+func cell(app string, fp *cvm.FaultPlan, engineWorkers int, adapt bool) harness.Cell {
+	return harness.Cell{App: app, Nodes: chaosNodes, Threads: chaosThreads, Mut: func(cfg *cvm.Config) {
+		cfg.Faults, cfg.EngineWorkers, cfg.Adapt = fp, engineWorkers, adapt
+	}}
+}
+
 // baseline computes (and caches per test run) each app's fault-free
 // checksum — the oracle every faulted run must reproduce exactly.
 var baselines = map[string]float64{}
@@ -27,7 +36,7 @@ func baseline(t *testing.T, app string) float64 {
 	if sum, ok := baselines[app]; ok {
 		return sum
 	}
-	res, err := RunOne(app, apps.SizeTest, chaosNodes, chaosThreads, nil, nil)
+	res, err := RunOne(cell(app, nil, 0, false), apps.SizeTest)
 	if err != nil {
 		t.Fatalf("%s fault-free baseline: %v", app, err)
 	}
@@ -81,8 +90,7 @@ func TestDropSweep(t *testing.T) {
 			rate, app := rate, app
 			t.Run(fmt.Sprintf("%s/drop=%g", app, rate), func(t *testing.T) {
 				spec := fmt.Sprintf("drop=%g", rate)
-				res, err := RunOne(app, apps.SizeTest, chaosNodes, chaosThreads,
-					mustPlan(t, spec, 11), nil)
+				res, err := RunOne(cell(app, mustPlan(t, spec, 11), 0, false), apps.SizeTest)
 				assertClean(t, app, spec, res, err)
 				if rate == 0 && err == nil && res.Stats.Total.Retransmits != 0 {
 					t.Errorf("drop=0 run retransmitted %d times", res.Stats.Total.Retransmits)
@@ -100,14 +108,14 @@ func TestAcceptanceAllFaults(t *testing.T) {
 	const spec = "drop=0.01,dup=0.01,reorder=0.01"
 	var retransmits, dups int64
 	for _, app := range harness.AppOrder {
-		reg := cvm.NewMetrics()
-		res, err := RunOne(app, apps.SizeTest, chaosNodes, chaosThreads,
-			mustPlan(t, spec, 5), reg)
+		c := cell(app, mustPlan(t, spec, 5), 0, false)
+		c.Metrics = true
+		res, err := RunOne(c, apps.SizeTest)
 		assertClean(t, app, spec, res, err)
 		if err != nil {
 			continue
 		}
-		snap := reg.Snapshot()
+		snap := res.Snapshot
 		if got, want := int64(snap.Retransmits), res.Stats.Total.Retransmits; got != want {
 			t.Errorf("%s: metrics Retransmits %d != NodeStats %d", app, got, want)
 		}
@@ -134,8 +142,7 @@ func TestAcceptanceAllFaults(t *testing.T) {
 func TestNodeInjections(t *testing.T) {
 	const spec = "drop=0.01,dup=0.005,pause=1:5ms:2ms,slow=0:0s:20ms:3"
 	for _, app := range []string{"waternsq", "sor"} {
-		res, err := RunOne(app, apps.SizeTest, chaosNodes, chaosThreads,
-			mustPlan(t, spec, 17), nil)
+		res, err := RunOne(cell(app, mustPlan(t, spec, 17), 0, false), apps.SizeTest)
 		assertClean(t, app, spec, res, err)
 	}
 }
@@ -163,7 +170,7 @@ func TestFuzzSchedules(t *testing.T) {
 				if err != nil {
 					return false
 				}
-				res, err := RunOne(app, apps.SizeTest, chaosNodes, chaosThreads, fp, nil)
+				res, err := RunOne(cell(app, fp, 0, false), apps.SizeTest)
 				return err != nil || res.Checksum != baseline(t, app) || res.Checker.Count() != 0
 			}
 			if !fails(spec) {
@@ -171,8 +178,7 @@ func TestFuzzSchedules(t *testing.T) {
 			}
 			minSpec := ShrinkSpec(spec, fails)
 			// Re-run the minimal schedule for the full diagnosis.
-			res, err := RunOne(app, apps.SizeTest, chaosNodes, chaosThreads,
-				mustPlan(t, minSpec, seed), nil)
+			res, err := RunOne(cell(app, mustPlan(t, minSpec, seed), 0, false), apps.SizeTest)
 			assertClean(t, app, fmt.Sprintf("seed=%d spec=%q (shrunk from %q)", seed, minSpec, spec), res, err)
 			if !t.Failed() {
 				t.Errorf("%s seed=%d: full spec %q fails but shrunk %q passes — non-monotone failure",
@@ -220,9 +226,9 @@ func TestRandomSpecDeterministic(t *testing.T) {
 // metrics layer its reproducibility guarantee.
 func TestMetricsReportDeterminism(t *testing.T) {
 	reportBytes := func() []byte {
-		reg := cvm.NewMetrics()
-		res, err := RunOne("waternsq", apps.SizeTest, chaosNodes, chaosThreads,
-			mustPlan(t, "drop=0.02,dup=0.01,reorder=0.01,jitter=100us", 23), reg)
+		c := cell("waternsq", mustPlan(t, "drop=0.02,dup=0.01,reorder=0.01,jitter=100us", 23), 0, false)
+		c.Metrics = true
+		res, err := RunOne(c, apps.SizeTest)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +236,7 @@ func TestMetricsReportDeterminism(t *testing.T) {
 			t.Fatalf("violations: %v", res.Checker.Err())
 		}
 		var buf bytes.Buffer
-		rep := metrics.NewReport(metrics.Meta{App: "waternsq", Config: "chaos"}, reg.Snapshot(), 10)
+		rep := metrics.NewReport(metrics.Meta{App: "waternsq", Config: "chaos"}, res.Snapshot, 10)
 		if err := rep.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +286,7 @@ func checkerVia(t *testing.T, rec *trace.Recorder) int {
 	cfg := cvm.DefaultConfig(chaosNodes, chaosThreads)
 	cfg.Tracer = trace.Tee(rec, chk)
 	cfg.Faults = mustPlan(t, "drop=0.02,dup=0.01", 31)
-	if _, _, err := apps.RunConfigFull("sor", apps.SizeTest, cfg, 0); err != nil {
+	if _, _, err := apps.RunConfig("sor", apps.SizeTest, cfg, 0); err != nil {
 		t.Fatal(err)
 	}
 	chk.Finish()

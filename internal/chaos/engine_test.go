@@ -20,7 +20,7 @@ func TestEngineWorkersUnderChaos(t *testing.T) {
 		fp := mustPlan(t, spec, seed)
 		var first *Result
 		for _, workers := range []int{0, 1, 2, 4} {
-			res, err := RunOneEngine(app, apps.SizeTest, chaosNodes, chaosThreads, workers, fp, nil)
+			res, err := RunOne(cell(app, fp, workers, false), apps.SizeTest)
 			ctx := fmt.Sprintf("%s spec=%q seed=%d engine-workers=%d", app, spec, seed, workers)
 			assertClean(t, app, ctx, res, err)
 			if res.Checksum != want {

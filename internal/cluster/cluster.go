@@ -52,32 +52,13 @@ type Spec struct {
 	Nodes   int    `json:"nodes"`
 	Threads int    `json:"threads"` // per node
 	Page    int    `json:"page"`    // coherence unit in bytes
-	Seed    uint64 `json:"seed"`    // reserved for fault/experiment keying; echoed in results
 }
 
-// Validate checks the spec against the application registry.
+// Validate checks the spec the way a node will meet it: by building,
+// and discarding, the application and cluster it describes.
 func (s Spec) Validate() error {
-	if s.Nodes < 1 {
-		return fmt.Errorf("cluster: %d nodes", s.Nodes)
-	}
-	if s.Threads < 1 {
-		return fmt.Errorf("cluster: %d threads per node", s.Threads)
-	}
-	if s.Page < 8 || s.Page%8 != 0 {
-		return fmt.Errorf("cluster: page size %d not a positive multiple of 8", s.Page)
-	}
-	size, err := apps.ParseSize(s.Size)
-	if err != nil {
-		return err
-	}
-	app, err := apps.New(s.App, size)
-	if err != nil {
-		return err
-	}
-	if !app.SupportsThreads(s.Threads) {
-		return fmt.Errorf("cluster: %s does not support %d threads per node", s.App, s.Threads)
-	}
-	return nil
+	_, _, err := buildApp(s, nil, nil)
+	return err
 }
 
 // Options tune a node's participation.
@@ -149,7 +130,6 @@ type ctrlMsg struct {
 	Proto     int      `json:"proto,omitempty"`
 	Node      int      `json:"node,omitempty"`
 	Nodes     int      `json:"nodes,omitempty"`
-	Seed      uint64   `json:"seed,omitempty"`
 	DataAddr  string   `json:"dataAddr,omitempty"`
 	Spec      *Spec    `json:"spec,omitempty"`
 	DataAddrs []string `json:"dataAddrs,omitempty"`
@@ -203,33 +183,21 @@ func (cc *ctrlConn) recv(wantType string) (ctrlMsg, error) {
 }
 
 // buildApp constructs the application and the real-execution cluster a
-// node runs; every node builds both identically from the spec, so the
-// shared address space lays out the same everywhere. met is always
-// attached: cluster runs collect wall-clock metrics unconditionally so
-// the coordinator can merge and report them.
+// node runs; every node builds both identically from the spec. met is
+// always attached: cluster runs collect wall-clock metrics
+// unconditionally so the coordinator can merge and report them.
 func buildApp(spec Spec, met *rt.Metrics, tracer trace.Tracer) (apps.App, *rt.Cluster, error) {
 	size, err := apps.ParseSize(spec.Size)
 	if err != nil {
 		return nil, nil, err
 	}
-	app, err := apps.New(spec.App, size)
-	if err != nil {
-		return nil, nil, err
-	}
-	cl, err := rt.NewCluster(rt.Config{
+	return apps.NewRT(spec.App, size, rt.Config{
 		Nodes:          spec.Nodes,
 		ThreadsPerNode: spec.Threads,
 		PageSize:       spec.Page,
 		Metrics:        met,
 		Tracer:         tracer,
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := app.Setup(cl); err != nil {
-		return nil, nil, err
-	}
-	return app, cl, nil
 }
 
 // closers collects the connections an interrupt must sever. Adding
@@ -408,7 +376,7 @@ func Coordinate(listen string, spec Spec, opts Options) (Outcome, error) {
 		}
 	}
 	for _, m := range members[1:] {
-		if err := m.send(ctrlMsg{Type: "go", Seed: spec.Seed}); err != nil {
+		if err := m.send(ctrlMsg{Type: "go"}); err != nil {
 			return abort(err)
 		}
 	}

@@ -88,9 +88,9 @@ func TestClusterMatchesSimulator(t *testing.T) {
 	for _, app := range []string{"sor", "waternsq"} {
 		app := app
 		t.Run(app, func(t *testing.T) {
-			spec := Spec{App: app, Size: "test", Nodes: 4, Threads: 2, Page: 4096, Seed: 1}
+			spec := Spec{App: app, Size: "test", Nodes: 4, Threads: 2, Page: 4096}
 			coord, members := runCluster(t, spec)
-			_, simSum, err := apps.RunConfigFull(app, apps.SizeTest,
+			_, simSum, err := apps.RunConfig(app, apps.SizeTest,
 				cvm.DefaultConfig(spec.Nodes, spec.Threads), 0)
 			if err != nil {
 				t.Fatal(err)

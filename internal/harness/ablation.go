@@ -22,49 +22,50 @@ type AblationRow struct {
 	SpeedupPct float64
 }
 
+// ablationPoint is one value of the swept cluster parameter.
+type ablationPoint struct {
+	label string
+	mut   func(*cvm.Config)
+}
+
 // AblationSwitchCost sweeps the thread-switch cost. The paper lists
 // switch cost as limiting factor #5: "efficient thread switching is
 // crucial to getting good coverage of remote latency". The benefit should
 // erode as switches grow expensive.
 func AblationSwitchCost(appName string, size apps.Size) ([]AblationRow, error) {
-	costs := []sim.Time{
+	var points []ablationPoint
+	for _, c := range []sim.Time{
 		8 * sim.Microsecond, // the paper's measured cost
 		50 * sim.Microsecond,
 		200 * sim.Microsecond,
 		1000 * sim.Microsecond,
+	} {
+		points = append(points, ablationPoint{fmt.Sprint(c), func(cfg *cvm.Config) { cfg.SwitchCost = c }})
 	}
-	return runJobs(costs, 0, func(c sim.Time) (AblationRow, error) {
-		return ablate(appName, size, fmt.Sprintf("%v", c), "switch-cost",
-			func(cfg *cvm.Config) { cfg.SwitchCost = c })
-	})
+	return ablate(appName, size, "switch-cost", points)
 }
 
 // AblationWireLatency sweeps the interconnect wire latency. The paper's
 // premise is that multi-threading pays in proportion to remote latency;
 // the benefit should grow as the wire slows.
 func AblationWireLatency(appName string, size apps.Size) ([]AblationRow, error) {
-	factors := []struct {
-		label string
-		mul   int
-		div   int
+	var points []ablationPoint
+	for _, f := range []struct {
+		label    string
+		mul, div sim.Time
 	}{
 		{"0.5x", 1, 2},
 		{"1x (paper)", 1, 1},
 		{"2x", 2, 1},
 		{"4x", 4, 1},
+	} {
+		points = append(points, ablationPoint{f.label, func(cfg *cvm.Config) {
+			cfg.Net.WireLatency = cfg.Net.WireLatency * f.mul / f.div
+			cfg.Net.SendOverhead = cfg.Net.SendOverhead * f.mul / f.div
+			cfg.Net.RecvOverhead = cfg.Net.RecvOverhead * f.mul / f.div
+		}})
 	}
-	return runJobs(factors, 0, func(f struct {
-		label string
-		mul   int
-		div   int
-	}) (AblationRow, error) {
-		return ablate(appName, size, f.label, "wire-latency",
-			func(cfg *cvm.Config) {
-				cfg.Net.WireLatency = cfg.Net.WireLatency * sim.Time(f.mul) / sim.Time(f.div)
-				cfg.Net.SendOverhead = cfg.Net.SendOverhead * sim.Time(f.mul) / sim.Time(f.div)
-				cfg.Net.RecvOverhead = cfg.Net.RecvOverhead * sim.Time(f.mul) / sim.Time(f.div)
-			})
-	})
+	return ablate(appName, size, "wire-latency", points)
 }
 
 // ablationCheckTol is the relative checksum tolerance for ablation runs.
@@ -77,34 +78,27 @@ func AblationWireLatency(appName string, size apps.Size) ([]AblationRow, error) 
 // accept 1e-4, still tight enough to catch real protocol corruption.
 const ablationCheckTol = 1e-4
 
-// ablate runs appName at 8 nodes with T=1 and T=4 under a modified
-// configuration and reports the multi-threading speedup.
-func ablate(appName string, size apps.Size, label, param string, mutate func(*cvm.Config)) (AblationRow, error) {
-	wall := func(threads int) (cvm.Time, error) {
-		cfg := cvm.DefaultConfig(8, threads)
-		mutate(&cfg)
-		st, err := apps.RunConfigTol(appName, size, cfg, ablationCheckTol)
-		if err != nil {
-			return 0, fmt.Errorf("harness: ablation %s=%s T=%d: %w", param, label, threads, err)
+// ablate runs appName at 8 nodes with T=1 and T=4 under each point of
+// the swept parameter and reports the multi-threading speedups.
+func ablate(appName string, size apps.Size, param string, points []ablationPoint) ([]AblationRow, error) {
+	var cells []Cell
+	for _, p := range points {
+		for _, t := range []int{1, 4} {
+			cells = append(cells, Cell{App: appName, Nodes: 8, Threads: t,
+				Label: param + "=" + p.label, Mut: p.mut, Tol: ablationCheckTol})
 		}
-		return st.Wall, nil
 	}
-	t1, err := wall(1)
+	out, err := RunCells(cells, size, nil, 0)
 	if err != nil {
-		return AblationRow{}, err
+		return nil, err
 	}
-	t4, err := wall(4)
-	if err != nil {
-		return AblationRow{}, err
+	rows := make([]AblationRow, len(points))
+	for i, p := range points {
+		t1, t4 := out[2*i].Stats.Wall, out[2*i+1].Stats.Wall
+		rows[i] = AblationRow{Param: param, Value: p.label, App: appName,
+			WallT1: t1, WallT4: t4, SpeedupPct: 100 * (float64(t1)/float64(t4) - 1)}
 	}
-	return AblationRow{
-		Param:      param,
-		Value:      label,
-		App:        appName,
-		WallT1:     t1,
-		WallT4:     t4,
-		SpeedupPct: 100 * (float64(t1)/float64(t4) - 1),
-	}, nil
+	return rows, nil
 }
 
 // WriteAblation renders ablation rows.
@@ -119,48 +113,31 @@ func WriteAblation(w io.Writer, title string, rows []AblationRow) {
 	tw.Flush()
 }
 
-// AblationScheduler compares the FIFO run queue (CVM's, and the paper's
-// factor #3 complaint) against the LIFO memory-conscious discipline the
-// paper proposes as future work, reporting cache behaviour and time.
-type SchedulerRow struct {
-	App          string
-	LIFO         bool
-	Wall         cvm.Time
-	DCacheMisses int64
-	ITLBMisses   int64
+// AblationScheduler pairs appName at 8 nodes × 4 threads under the FIFO
+// run queue (CVM's, and the paper's factor #3 complaint; Base) with the
+// LIFO memory-conscious discipline the paper proposes as future work
+// (Variant).
+func AblationScheduler(appName string, size apps.Size) (Pair, error) {
+	pairs, err := comparePairs([]string{appName}, size, 8, 4, "FIFO", "LIFO", ablationCheckTol,
+		func(cfg *cvm.Config) { cfg.LIFOScheduler = true }, nil, 0)
+	if err != nil {
+		return Pair{}, err
+	}
+	return pairs[0], nil
 }
 
-// AblationScheduler runs appName at 8 nodes × 4 threads under both
-// run-queue disciplines.
-func AblationScheduler(appName string, size apps.Size) ([]SchedulerRow, error) {
-	return runJobs([]bool{false, true}, 0, func(lifo bool) (SchedulerRow, error) {
-		cfg := cvm.DefaultConfig(8, 4)
-		cfg.LIFOScheduler = lifo
-		st, err := apps.RunConfigTol(appName, size, cfg, ablationCheckTol)
-		if err != nil {
-			return SchedulerRow{}, fmt.Errorf("harness: scheduler ablation lifo=%v: %w", lifo, err)
-		}
-		return SchedulerRow{
-			App:          appName,
-			LIFO:         lifo,
-			Wall:         st.Wall,
-			DCacheMisses: st.MemTotal.DCacheMisses,
-			ITLBMisses:   st.MemTotal.ITLBMisses,
-		}, nil
-	})
-}
-
-// WriteSchedulerAblation renders the scheduler comparison.
-func WriteSchedulerAblation(w io.Writer, rows []SchedulerRow) {
+// WriteSchedulerAblation renders the scheduler comparison: cache
+// behaviour and time under each discipline.
+func WriteSchedulerAblation(w io.Writer, p Pair) {
 	fmt.Fprintln(w, "Ablation: FIFO vs LIFO thread scheduling (paper §5, factor #3)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(tw, "app\tqueue\twall\tD-cache misses\tI-TLB misses\t")
-	for _, r := range rows {
-		q := "FIFO"
-		if r.LIFO {
-			q = "LIFO"
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%v\t%d\t%d\t\n", r.App, q, r.Wall, r.DCacheMisses, r.ITLBMisses)
+	for _, q := range []struct {
+		name string
+		st   *cvm.Stats
+	}{{"FIFO", &p.Base}, {"LIFO", &p.Variant}} {
+		fmt.Fprintf(tw, "%s\t%s\t%v\t%d\t%d\t\n", p.App, q.name, q.st.Wall,
+			q.st.MemTotal.DCacheMisses, q.st.MemTotal.ITLBMisses)
 	}
 	tw.Flush()
 }

@@ -32,84 +32,62 @@ type DeterminismProbe struct {
 	Events        int    // trace events recorded
 }
 
-// RunDeterminismProbe executes one run on the windowed engine with the
-// given worker count (engineWorkers ≥ 1) and collects its artifacts.
-// fp may be nil for a fault-free run.
-func RunDeterminismProbe(app string, size apps.Size, nodes, threads, engineWorkers int, fp *cvm.FaultPlan) (*DeterminismProbe, error) {
-	return runDeterminismProbe(app, size, nodes, threads, engineWorkers, false, fp)
-}
-
-// RunDeterminismProbeAdaptive is RunDeterminismProbe with adaptive
-// coherence switched on.
-func RunDeterminismProbeAdaptive(app string, size apps.Size, nodes, threads, engineWorkers int, fp *cvm.FaultPlan) (*DeterminismProbe, error) {
-	return runDeterminismProbe(app, size, nodes, threads, engineWorkers, true, fp)
-}
-
-func runDeterminismProbe(app string, size apps.Size, nodes, threads, engineWorkers int, adaptive bool, fp *cvm.FaultPlan) (*DeterminismProbe, error) {
-	reg := cvm.NewMetrics()
-	rec := trace.NewRecorder(nodes, threads, 0)
-	cfg := cvm.DefaultConfig(nodes, threads)
-	cfg.EngineWorkers = engineWorkers
-	cfg.Metrics = reg
-	cfg.Tracer = rec
-	cfg.Faults = fp
-	cfg.Adapt = adaptive
-	stats, sum, err := apps.RunConfigFull(app, size, cfg, 0)
+// RunDeterminismProbe runs cell c with a trace recorder and a metrics
+// registry attached, on the sequential engine (engineWorkers 0) or the
+// windowed engine at that worker count, and collects its artifacts.
+// c.Mut carries the variation under test: a fault plan, -adapt.
+func RunDeterminismProbe(c Cell, size apps.Size, engineWorkers int) (*DeterminismProbe, error) {
+	rec := trace.NewRecorder(c.Nodes, c.Threads, 0)
+	c = c.With(func(cfg *cvm.Config) {
+		cfg.EngineWorkers = engineWorkers
+		cfg.Tracer = rec
+	})
+	c.Label = fmt.Sprintf("probe workers=%d", engineWorkers)
+	c.Metrics = true
+	out, err := RunCells([]Cell{c}, size, nil, 1)
 	if err != nil {
-		return nil, fmt.Errorf("harness: probe %s workers=%d: %w", app, engineWorkers, err)
-	}
-	meta := metrics.Meta{App: app, Config: fmt.Sprintf("%dx%d", nodes, threads)}
-	rep := metrics.NewReport(meta, reg.Snapshot(), 10)
-	var rj bytes.Buffer
-	if err := rep.WriteJSON(&rj); err != nil {
 		return nil, err
 	}
-	var cb bytes.Buffer
+	meta := metrics.Meta{App: c.App, Config: fmt.Sprintf("%dx%d", c.Nodes, c.Threads)}
+	var rj, cb bytes.Buffer
+	if err := metrics.NewReport(meta, out[0].Snapshot, 10).WriteJSON(&rj); err != nil {
+		return nil, err
+	}
 	if err := trace.WriteChrome(&cb, rec); err != nil {
 		return nil, err
 	}
 	return &DeterminismProbe{
 		EngineWorkers: engineWorkers,
-		Checksum:      sum,
-		Stats:         stats,
+		Checksum:      out[0].Checksum,
+		Stats:         out[0].Stats,
 		ReportJSON:    rj.Bytes(),
 		Chrome:        cb.Bytes(),
 		Events:        rec.Len(),
 	}, nil
 }
 
-// GuardDeterminism runs app at every worker count in workerCounts and
-// returns an error describing the first artifact that differs from the
-// first count's run; nil means every artifact was byte-identical.
-func GuardDeterminism(app string, size apps.Size, nodes, threads int, workerCounts []int, fp *cvm.FaultPlan) error {
-	return guardDeterminism(app, size, nodes, threads, workerCounts, false, fp)
-}
-
-// GuardDeterminismAdaptive is GuardDeterminism with adaptive coherence
-// enabled on every probe: the classifier's decisions and the mode-change
-// notices must themselves be functions of the deterministic event order,
-// so every artifact stays byte-identical across worker counts. Repeat a
-// count in workerCounts to additionally assert run-to-run identity.
-func GuardDeterminismAdaptive(app string, size apps.Size, nodes, threads int, workerCounts []int, fp *cvm.FaultPlan) error {
-	return guardDeterminism(app, size, nodes, threads, workerCounts, true, fp)
-}
-
-func guardDeterminism(app string, size apps.Size, nodes, threads int, workerCounts []int, adaptive bool, fp *cvm.FaultPlan) error {
+// GuardDeterminism probes cell c at every worker count in workerCounts
+// and returns an error describing the first artifact that differs from
+// the first count's run; nil means every artifact was byte-identical.
+// With -adapt in c.Mut the classifier's decisions and the mode-change
+// notices must themselves be functions of the deterministic event
+// order. Repeat a count to additionally assert run-to-run identity.
+func GuardDeterminism(c Cell, size apps.Size, workerCounts []int) error {
 	if len(workerCounts) < 2 {
 		return fmt.Errorf("harness: determinism guard needs at least two worker counts, got %v", workerCounts)
 	}
-	base, err := runDeterminismProbe(app, size, nodes, threads, workerCounts[0], adaptive, fp)
+	base, err := RunDeterminismProbe(c, size, workerCounts[0])
 	if err != nil {
 		return err
 	}
 	for _, w := range workerCounts[1:] {
-		p, err := runDeterminismProbe(app, size, nodes, threads, w, adaptive, fp)
+		p, err := RunDeterminismProbe(c, size, w)
 		if err != nil {
 			return err
 		}
 		if err := base.diff(p); err != nil {
-			return fmt.Errorf("harness: determinism violation in %s %dx%d (workers %d vs %d): %w",
-				app, nodes, threads, base.EngineWorkers, p.EngineWorkers, err)
+			return fmt.Errorf("harness: determinism violation in %v (workers %d vs %d): %w",
+				c, base.EngineWorkers, p.EngineWorkers, err)
 		}
 	}
 	return nil

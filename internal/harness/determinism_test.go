@@ -7,10 +7,16 @@ import (
 	"cvm/internal/apps"
 )
 
+func withFaults(fp *cvm.FaultPlan) func(*cvm.Config) {
+	return func(cfg *cvm.Config) { cfg.Faults = fp }
+}
+
+func adaptive(cfg *cvm.Config) { cfg.Adapt = true }
+
 // TestGuardDeterminismFaultFree proves byte-identical artifacts across
 // three worker counts on a fault-free run (the acceptance bar).
 func TestGuardDeterminismFaultFree(t *testing.T) {
-	if err := GuardDeterminism("sor", apps.SizeTest, 4, 4, []int{1, 2, 4}, nil); err != nil {
+	if err := GuardDeterminism(Cell{App: "sor", Nodes: 4, Threads: 4}, apps.SizeTest, []int{1, 2, 4}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -24,7 +30,7 @@ func TestGuardDeterminismUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := GuardDeterminism("waternsq", apps.SizeTest, 4, 2, []int{1, 2, 4}, fp); err != nil {
+	if err := GuardDeterminism(Cell{App: "waternsq", Nodes: 4, Threads: 2, Mut: withFaults(fp)}, apps.SizeTest, []int{1, 2, 4}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -36,7 +42,7 @@ func TestGuardDeterminismUnderFaults(t *testing.T) {
 // duplicated leading count), fault-free.
 func TestGuardDeterminismAdaptive(t *testing.T) {
 	for _, app := range []string{"sor", "barnes"} {
-		if err := GuardDeterminismAdaptive(app, apps.SizeTest, 4, 2, []int{1, 1, 2, 4}, nil); err != nil {
+		if err := GuardDeterminism(Cell{App: app, Nodes: 4, Threads: 2, Mut: adaptive}, apps.SizeTest, []int{1, 1, 2, 4}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,7 +56,7 @@ func TestGuardDeterminismAdaptiveUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := GuardDeterminismAdaptive("sor", apps.SizeTest, 4, 2, []int{1, 1, 2, 4}, fp); err != nil {
+	if err := GuardDeterminism(Cell{App: "sor", Nodes: 4, Threads: 2, Mut: withFaults(fp)}.With(adaptive), apps.SizeTest, []int{1, 1, 2, 4}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"cvm"
 	"cvm/internal/apps"
 	"cvm/internal/metrics"
 	"cvm/internal/rt"
@@ -33,44 +32,30 @@ import (
 // measure different machines and are not comparable. See DESIGN.md
 // §11 and §13.
 
-// TransportProbe captures one backend's run of an application.
-type TransportProbe struct {
-	Backend  string // "sim" or "loopback"
-	Checksum float64
-}
-
 // GuardTransportEquivalence runs app at the given shape on both the
 // simulator and the rt-loopback backend and returns an error unless
 // the checksums match exactly (both runs must also verify against the
 // app's sequential reference) and every backend-invariant sync counter
 // agrees. A nil error is the conformance verdict.
 func GuardTransportEquivalence(app string, size apps.Size, nodes, threads int) error {
-	a, err := apps.New(app, size)
+	out, err := RunCells([]Cell{{App: app, Nodes: nodes, Threads: threads, Label: "on sim", Metrics: true}}, size, nil, 1)
 	if err != nil {
 		return err
 	}
-	if !a.SupportsThreads(threads) {
-		return fmt.Errorf("harness: %s does not support %d threads per node", app, threads)
-	}
+	simSum := out[0].Checksum
 
-	reg := cvm.NewMetrics()
-	cfg := cvm.DefaultConfig(nodes, threads)
-	cfg.Metrics = reg
-	_, simSum, err := apps.RunConfigFull(app, size, cfg, 0)
+	rcfg := rt.DefaultConfig(nodes, threads)
+	rcfg.Metrics = rt.NewMetrics()
+	_, rtSum, err := apps.RunLoopback(app, size, rcfg)
 	if err != nil {
-		return fmt.Errorf("harness: sim backend: %w", err)
-	}
-
-	rtSum, rtSnap, err := runLoopbackProbe(app, size, nodes, threads)
-	if err != nil {
-		return err
+		return fmt.Errorf("harness: loopback backend: %w", err)
 	}
 	if rtSum != simSum {
 		return fmt.Errorf("harness: transport equivalence violation in %s %dx%d: loopback checksum %v, sim %v",
 			app, nodes, threads, rtSum, simSum)
 	}
-	simCounts := invariantCounts(reg.Snapshot())
-	rtCounts := invariantCounts(rtSnap)
+	simCounts := out[0].Snapshot.CounterValues()
+	rtCounts := rcfg.Metrics.Snapshot().CounterValues()
 	for _, name := range metrics.BackendInvariantCounters() {
 		if simCounts[name] != rtCounts[name] {
 			return fmt.Errorf("harness: transport equivalence violation in %s %dx%d: %s is %d on loopback, %d on sim",
@@ -78,47 +63,4 @@ func GuardTransportEquivalence(app string, size apps.Size, nodes, threads int) e
 		}
 	}
 	return nil
-}
-
-// invariantCounts extracts the backend-invariant counters by JSON name.
-func invariantCounts(s *metrics.Snapshot) map[string]int64 {
-	want := make(map[string]bool)
-	for _, name := range metrics.BackendInvariantCounters() {
-		want[name] = true
-	}
-	out := make(map[string]int64)
-	s.EachCounter(func(name string, c *metrics.Counter) {
-		if want[name] {
-			out[name] = int64(*c)
-		}
-	})
-	return out
-}
-
-// runLoopbackProbe executes one application on the real runtime over
-// the in-process loopback transport and returns its checksum and
-// wall-clock metrics snapshot, after validating the result against the
-// sequential reference.
-func runLoopbackProbe(app string, size apps.Size, nodes, threads int) (float64, *metrics.Snapshot, error) {
-	a, err := apps.New(app, size)
-	if err != nil {
-		return 0, nil, err
-	}
-	rcfg := rt.DefaultConfig(nodes, threads)
-	met := rt.NewMetrics()
-	rcfg.Metrics = met
-	cl, err := rt.NewCluster(rcfg)
-	if err != nil {
-		return 0, nil, err
-	}
-	if err := a.Setup(cl); err != nil {
-		return 0, nil, fmt.Errorf("harness: loopback backend: %w", err)
-	}
-	if _, err := cl.RunLoopback(a.Main); err != nil {
-		return 0, nil, fmt.Errorf("harness: loopback backend: %w", err)
-	}
-	if err := a.Check(); err != nil {
-		return 0, nil, fmt.Errorf("harness: loopback backend: %w", err)
-	}
-	return a.Checksum(), met.Snapshot(), nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"cvm"
 	"cvm/internal/apps"
+	"cvm/internal/metrics"
 )
 
 // chaosPlan is a shared fault plan for grid determinism tests: every
@@ -18,26 +19,38 @@ func chaosPlan(seed uint64) *cvm.FaultPlan {
 	return fp
 }
 
-// TestRunGridConfigFaultDeterminism is the fault-injection determinism
+// runGrid runs a grid with tweak applied to every cell — the perturbed
+// and metered forms of RunGridParallel.
+func runGrid(t *testing.T, appList []string, shapes []Shape, workers int, tweak func(*Cell)) (Results, *metrics.Snapshot) {
+	t.Helper()
+	cells, err := GridCells(appList, apps.SizeTest, shapes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cells {
+		tweak(&cells[i])
+	}
+	out, err := RunCells(cells, apps.SizeTest, nil, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Collect(cells, out)
+}
+
+// TestFaultedGridDeterminism is the fault-injection determinism
 // guard: the same (seed, faults) grid must produce bit-identical Results
 // at any worker count. The fault PRNG is keyed on (seed, from, to,
 // msgIndex) inside each cell's private simulation, so pool scheduling
 // cannot leak into the fault schedule; one shared read-only *FaultPlan
 // serves every concurrent cell.
-func TestRunGridConfigFaultDeterminism(t *testing.T) {
+func TestFaultedGridDeterminism(t *testing.T) {
 	appList := []string{"sor", "waternsq"}
 	shapes := GridShapes([]int{2, 4}, []int{1, 2})
 	fp := chaosPlan(42)
-	mut := func(_ Key, cfg *cvm.Config) { cfg.Faults = fp }
+	faulted := func(c *Cell) { c.Mut = func(cfg *cvm.Config) { cfg.Faults = fp } }
 
-	seq, err := RunGridConfig(appList, apps.SizeTest, shapes, mut, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunGridConfig(appList, apps.SizeTest, shapes, mut, nil, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, _ := runGrid(t, appList, shapes, 1, faulted)
+	par, _ := runGrid(t, appList, shapes, 4, faulted)
 	if !seq.Equal(par) {
 		t.Fatal("faulted parallel Results differ from sequential")
 	}
@@ -54,29 +67,8 @@ func TestRunGridConfigFaultDeterminism(t *testing.T) {
 	}
 
 	// Repeatability: a fresh run of the same grid is bit-identical too.
-	again, err := RunGridConfig(appList, apps.SizeTest, shapes, mut, nil, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	again, _ := runGrid(t, appList, shapes, 4, faulted)
 	if !seq.Equal(again) {
 		t.Fatal("repeated faulted grid diverged")
-	}
-}
-
-// TestRunGridConfigNilMutMatchesRunGrid pins RunGridConfig's baseline:
-// with no mutator it is exactly RunGridParallel.
-func TestRunGridConfigNilMutMatchesRunGrid(t *testing.T) {
-	appList := []string{"sor"}
-	shapes := GridShapes([]int{2}, []int{1, 2})
-	plain, err := RunGridParallel(appList, apps.SizeTest, shapes, nil, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaCfg, err := RunGridConfig(appList, apps.SizeTest, shapes, nil, nil, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plain.Equal(viaCfg) {
-		t.Fatal("RunGridConfig(nil mut) differs from RunGridParallel")
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"cvm"
 	"cvm/internal/apps"
+	"cvm/internal/metrics"
 )
 
 // Shape is one cluster configuration of an experiment grid.
@@ -51,102 +52,142 @@ var AppOrder = []string{"barnes", "fft", "ocean", "sor", "swm750", "watersp", "w
 // ThreadLevels are the per-node threading levels the paper evaluates.
 var ThreadLevels = []int{1, 2, 3, 4}
 
-// RunGrid executes every application at every shape, validating results
-// against the sequential references. Shapes an application does not
-// support (Ocean at non-power-of-two threads) are skipped. Progress lines
-// go to progress when non-nil. Cells run concurrently across
-// DefaultParallelism workers; use RunGridParallel to choose the width.
-func RunGrid(appNames []string, size apps.Size, shapes []Shape, progress io.Writer) (Results, error) {
-	return RunGridParallel(appNames, size, shapes, progress, DefaultParallelism())
+// Cell is one run of the evaluation: an application on Nodes × Threads
+// with at most one thing varied. Every study in this package is a table
+// of cells handed to RunCells; what varies is a field, not a function.
+type Cell struct {
+	App     string
+	Nodes   int
+	Threads int
+
+	// Label names the variation in progress lines and errors ("under
+	// SW", "switch-cost=50µs"); the plain paper grid leaves it empty.
+	Label string
+	// Mut perturbs the cell's default configuration before the cluster
+	// is built: faults, engine workers, protocol, -adapt, a tracer or
+	// checker. It is called from a pool worker and must not write state
+	// another cell reads; a *FaultPlan may be shared (systems copy what
+	// they need).
+	Mut func(*cvm.Config)
+	// Tol widens the relative checksum tolerance (0 = default).
+	Tol float64
+	// Metrics attaches a fresh registry (one per cell: a Registry must
+	// not be shared between systems) ahead of Mut, which may tune it.
+	Metrics bool
 }
 
-// RunGridParallel is RunGrid with an explicit worker count (≤ 0 means
-// DefaultParallelism). Every grid cell is an independent single-threaded
-// simulation, so the cells fan out across a worker pool; results are
-// merged in deterministic grid order and are bit-identical at any worker
-// count (see TestRunGridParallelDeterminism).
-func RunGridParallel(appNames []string, size apps.Size, shapes []Shape, progress io.Writer, workers int) (Results, error) {
-	jobs, err := gridJobs(appNames, size, shapes)
-	if err != nil {
-		return nil, err
+func (c Cell) String() string {
+	s := fmt.Sprintf("%s %dx%d", c.App, c.Nodes, c.Threads)
+	if c.Label != "" {
+		s += " " + c.Label
 	}
+	return s
+}
 
+// With returns c with mut chained after its own Mut: how a probe or a
+// checker attaches its instrument to a cell that already varies something.
+func (c Cell) With(mut func(*cvm.Config)) Cell {
+	prev := c.Mut
+	c.Mut = func(cfg *cvm.Config) {
+		if prev != nil {
+			prev(cfg)
+		}
+		mut(cfg)
+	}
+	return c
+}
+
+// CellResult is what one cell leaves behind. Snapshot is nil unless the
+// cell was metered.
+type CellResult struct {
+	Stats    cvm.Stats
+	Checksum float64
+	Snapshot *metrics.Snapshot
+}
+
+// RunCells is the one runner behind every experiment: each cell is an
+// independent deterministic simulation validated against its sequential
+// reference, so the cells fan out across workers pool goroutines (≤ 0
+// means DefaultParallelism) and come back in cell order — every table
+// built from the slice is byte-identical at any worker count. Progress
+// lines go to progress when non-nil; the error is the lowest-indexed
+// failing cell's, named.
+func RunCells(cells []Cell, size apps.Size, progress io.Writer, workers int) ([]CellResult, error) {
 	sink := newProgressSink(progress)
 	defer sink.Close()
-	stats, err := runJobs(jobs, workers, func(k Key) (cvm.Stats, error) {
-		sink.Printf("running %s %dx%d...\n", k.App, k.Nodes, k.Threads)
-		st, err := apps.Run(k.App, size, k.Nodes, k.Threads)
-		if err != nil {
-			return cvm.Stats{}, fmt.Errorf("harness: %s %dx%d: %w", k.App, k.Nodes, k.Threads, err)
+	return runJobs(cells, workers, func(c Cell) (CellResult, error) {
+		sink.Printf("running %v...\n", c)
+		cfg := cvm.DefaultConfig(c.Nodes, c.Threads)
+		if c.Metrics {
+			cfg.Metrics = metrics.NewRegistry()
 		}
-		return st, nil
+		if c.Mut != nil {
+			c.Mut(&cfg)
+		}
+		st, sum, err := apps.RunConfig(c.App, size, cfg, c.Tol)
+		if err != nil {
+			return CellResult{}, fmt.Errorf("harness: %v: %w", c, err)
+		}
+		res := CellResult{Stats: st, Checksum: sum}
+		if c.Metrics {
+			res.Snapshot = cfg.Metrics.Snapshot()
+		}
+		return res, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-
-	res := make(Results, len(jobs))
-	for i, k := range jobs {
-		res[k] = stats[i]
-	}
-	return res, nil
 }
 
-// RunGridConfig is RunGridParallel with a per-cell configuration hook:
-// mut (when non-nil) runs on each cell's default configuration before
-// the cluster is built, so experiments can perturb any Config dimension
-// — most usefully Faults, which is how the chaos suite sweeps fault
-// schedules across the whole application grid. mut is called
-// concurrently from pool workers and must not write shared state; a
-// *FaultPlan may be shared across cells (systems copy what they need).
-func RunGridConfig(appNames []string, size apps.Size, shapes []Shape, mut func(Key, *cvm.Config), progress io.Writer, workers int) (Results, error) {
-	jobs, err := gridJobs(appNames, size, shapes)
-	if err != nil {
-		return nil, err
-	}
-
-	sink := newProgressSink(progress)
-	defer sink.Close()
-	stats, err := runJobs(jobs, workers, func(k Key) (cvm.Stats, error) {
-		sink.Printf("running %s %dx%d...\n", k.App, k.Nodes, k.Threads)
-		cfg := cvm.DefaultConfig(k.Nodes, k.Threads)
-		if mut != nil {
-			mut(k, &cfg)
-		}
-		st, err := apps.RunConfig(k.App, size, cfg)
-		if err != nil {
-			return cvm.Stats{}, fmt.Errorf("harness: %s %dx%d: %w", k.App, k.Nodes, k.Threads, err)
-		}
-		return st, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	res := make(Results, len(jobs))
-	for i, k := range jobs {
-		res[k] = stats[i]
-	}
-	return res, nil
-}
-
-// gridJobs expands a grid into its runnable cells, skipping shapes an
-// application does not support.
-func gridJobs(appNames []string, size apps.Size, shapes []Shape) ([]Key, error) {
-	jobs := make([]Key, 0, len(appNames)*len(shapes))
+// GridCells expands applications × shapes into plain cells, skipping
+// shapes an application does not support (Ocean at non-power-of-two
+// threads). Callers set Mut or Metrics on the cells to perturb or meter
+// the whole grid.
+func GridCells(appNames []string, size apps.Size, shapes []Shape) ([]Cell, error) {
+	cells := make([]Cell, 0, len(appNames)*len(shapes))
 	for _, name := range appNames {
 		for _, sh := range shapes {
 			app, err := apps.New(name, size)
 			if err != nil {
 				return nil, err
 			}
-			if !app.SupportsThreads(sh.Threads) {
-				continue
+			if app.SupportsThreads(sh.Threads) {
+				cells = append(cells, Cell{App: name, Nodes: sh.Nodes, Threads: sh.Threads})
 			}
-			jobs = append(jobs, Key{name, sh.Nodes, sh.Threads})
 		}
 	}
-	return jobs, nil
+	return cells, nil
+}
+
+// Collect keys a grid's results by (app, shape) and merges the metered
+// cells' snapshots in cell order, so the aggregate — and every report
+// built from it — is bit-identical at any parallelism. The snapshot is
+// nil when no cell was metered.
+func Collect(cells []Cell, out []CellResult) (Results, *metrics.Snapshot) {
+	res := make(Results, len(cells))
+	var agg *metrics.Snapshot
+	for i, c := range cells {
+		res[Key{c.App, c.Nodes, c.Threads}] = out[i].Stats
+		if out[i].Snapshot != nil {
+			if agg == nil {
+				agg = &metrics.Snapshot{}
+			}
+			agg.Merge(out[i].Snapshot)
+		}
+	}
+	return res, agg
+}
+
+// RunGridParallel runs the plain paper grid: GridCells through RunCells,
+// keyed by Collect.
+func RunGridParallel(appNames []string, size apps.Size, shapes []Shape, progress io.Writer, workers int) (Results, error) {
+	cells, err := GridCells(appNames, size, shapes)
+	if err != nil {
+		return nil, err
+	}
+	out, err := RunCells(cells, size, progress, workers)
+	if err != nil {
+		return nil, err
+	}
+	res, _ := Collect(cells, out)
+	return res, nil
 }
 
 // GridShapes builds the cross product of node counts and thread levels.

@@ -4,14 +4,15 @@ import (
 	"strings"
 	"testing"
 
+	"cvm"
 	"cvm/internal/apps"
 )
 
 // smallGrid runs a compact grid shared by the table tests.
 func smallGrid(t *testing.T) Results {
 	t.Helper()
-	res, err := RunGrid([]string{"sor", "waternsq"}, apps.SizeTest,
-		GridShapes([]int{4}, []int{1, 2}), nil)
+	res, err := RunGridParallel([]string{"sor", "waternsq"}, apps.SizeTest,
+		GridShapes([]int{4}, []int{1, 2}), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,8 +20,8 @@ func smallGrid(t *testing.T) Results {
 }
 
 func TestRunGridSkipsUnsupported(t *testing.T) {
-	res, err := RunGrid([]string{"ocean"}, apps.SizeTest,
-		GridShapes([]int{2}, []int{1, 2, 3, 4}), nil)
+	res, err := RunGridParallel([]string{"ocean"}, apps.SizeTest,
+		GridShapes([]int{2}, []int{1, 2, 3, 4}), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,17 +222,17 @@ func TestAblationWireLatency(t *testing.T) {
 }
 
 func TestAblationScheduler(t *testing.T) {
-	rows, err := AblationScheduler("sor", apps.SizeTest)
+	p, err := AblationScheduler("sor", apps.SizeTest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 || rows[0].LIFO || !rows[1].LIFO {
-		t.Fatalf("rows = %+v, want FIFO then LIFO", rows)
+	if p.App != "sor" || p.Base.Wall <= 0 || p.Variant.Wall <= 0 {
+		t.Fatalf("pair = %s FIFO %v / LIFO %v, want sor with positive walls", p.App, p.Base.Wall, p.Variant.Wall)
 	}
-	for _, r := range rows {
-		if r.Wall <= 0 {
-			t.Errorf("lifo=%v wall = %v, want > 0", r.LIFO, r.Wall)
-		}
+	// The disciplines must actually differ: LIFO reorders the run queue,
+	// which moves the cache behaviour the ablation exists to show.
+	if p.Base.MemTotal == p.Variant.MemTotal && p.Base.Wall == p.Variant.Wall {
+		t.Error("FIFO and LIFO runs are identical; the variant was not applied")
 	}
 }
 
@@ -244,15 +245,15 @@ func TestCompareProtocols(t *testing.T) {
 		t.Fatalf("rows = %d, want 2", len(rows))
 	}
 	for _, r := range rows {
-		if r.LRCWall <= 0 || r.SWWall <= 0 {
-			t.Errorf("%s: non-positive wall times %v / %v", r.App, r.LRCWall, r.SWWall)
+		if r.Base.Wall <= 0 || r.Variant.Wall <= 0 {
+			t.Errorf("%s: non-positive wall times %v / %v", r.App, r.Base.Wall, r.Variant.Wall)
 		}
 	}
 	// Water-Nsq's falsely-shared force pages must cost the single-writer
 	// protocol far more data movement (whole pages ping-pong).
 	for _, r := range rows {
-		if r.App == "waternsq" && r.SWKBytes <= r.LRCKBytes {
-			t.Errorf("waternsq: SW bytes %d not greater than LRC %d", r.SWKBytes, r.LRCKBytes)
+		if lrc, sw := r.Base.Net.TotalBytes(), r.Variant.Net.TotalBytes(); r.App == "waternsq" && sw <= lrc {
+			t.Errorf("waternsq: SW bytes %d not greater than LRC %d", sw, lrc)
 		}
 	}
 	var sb strings.Builder
@@ -266,10 +267,7 @@ func TestRemainingWriters(t *testing.T) {
 	var sb strings.Builder
 	WriteCosts(&sb, Costs{TwoHopLock: 930000, ThreeHopLock: 1395000,
 		PageFault: 1196000, Barrier8: 1699000, ThreadSwitch: 8000})
-	WriteSchedulerAblation(&sb, []SchedulerRow{
-		{App: "sor", LIFO: false, Wall: 1000, DCacheMisses: 10, ITLBMisses: 1},
-		{App: "sor", LIFO: true, Wall: 900, DCacheMisses: 9, ITLBMisses: 1},
-	})
+	WriteSchedulerAblation(&sb, Pair{App: "sor", Base: cvm.Stats{Wall: 1000}, Variant: cvm.Stats{Wall: 900}})
 	WriteTable5(&sb, []Table5Row{{Variant: "waternsq", Threads: 2, SpeedupPct: 6.6}})
 	out := sb.String()
 	for _, want := range []string{"937µs", "FIFO", "LIFO", "Table 5", "waternsq"} {

@@ -9,23 +9,18 @@ import (
 	"cvm/internal/metrics"
 )
 
-// TestRunGridMetricsParallelDeterminism mirrors the PR 1 results_identical
+// TestMeteredGridDeterminism mirrors the PR 1 results_identical
 // guard for the metrics layer: the aggregated snapshot must serialize
 // byte-identically whether the grid ran sequentially or on 4 workers
 // (cell snapshots merge in job order, not completion order), and across
 // repeated runs of the same grid.
-func TestRunGridMetricsParallelDeterminism(t *testing.T) {
+func TestMeteredGridDeterminism(t *testing.T) {
 	appList := []string{"sor", "waternsq"}
 	shapes := GridShapes([]int{2, 4}, []int{1, 2})
 
-	seqRes, seqSnap, err := RunGridMetricsParallel(appList, apps.SizeTest, shapes, nil, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parRes, parSnap, err := RunGridMetricsParallel(appList, apps.SizeTest, shapes, nil, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	metered := func(c *Cell) { c.Metrics = true }
+	seqRes, seqSnap := runGrid(t, appList, shapes, 1, metered)
+	parRes, parSnap := runGrid(t, appList, shapes, 4, metered)
 
 	if !seqRes.Equal(parRes) {
 		t.Fatal("parallel Results differ from sequential")
@@ -37,10 +32,7 @@ func TestRunGridMetricsParallelDeterminism(t *testing.T) {
 	}
 
 	// Repeatability: the same grid again produces the same bytes.
-	_, again, err := RunGridMetricsParallel(appList, apps.SizeTest, shapes, nil, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, again := runGrid(t, appList, shapes, 4, metered)
 	if !bytes.Equal(seqJSON, marshalSnap(t, again)) {
 		t.Fatal("aggregated metrics snapshot differs between repeated runs")
 	}
@@ -60,10 +52,10 @@ func TestRunGridMetricsParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunGridMetricsMatchesPlainGrid asserts the metrics-attached grid
+// TestMeteredGridMatchesPlainGrid asserts the metrics-attached grid
 // produces exactly the Results of the plain grid: attaching registries
 // is A/B-neutral for every cell.
-func TestRunGridMetricsMatchesPlainGrid(t *testing.T) {
+func TestMeteredGridMatchesPlainGrid(t *testing.T) {
 	appList := []string{"sor", "waternsq"}
 	shapes := GridShapes([]int{2, 4}, []int{1, 2})
 
@@ -71,10 +63,7 @@ func TestRunGridMetricsMatchesPlainGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metered, snap, err := RunGridMetricsParallel(appList, apps.SizeTest, shapes, nil, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	metered, snap := runGrid(t, appList, shapes, 2, func(c *Cell) { c.Metrics = true })
 	if !plain.Equal(metered) {
 		t.Fatal("Results differ with metrics attached (observation perturbed the simulation)")
 	}

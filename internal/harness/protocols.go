@@ -10,94 +10,62 @@ import (
 	"cvm/internal/core"
 )
 
-// ProtocolRow compares the two coherence protocols on one application:
-// the paper's lazy multi-writer release consistency versus the
-// single-writer write-invalidate baseline (the comparison of the paper's
-// reference [1], Keleher ICDCS'96).
-type ProtocolRow struct {
-	App string
-
-	LRCWall cvm.Time
-	SWWall  cvm.Time
-
-	LRCMsgs int64
-	SWMsgs  int64
-
-	LRCKBytes int64
-	SWKBytes  int64
+// Pair is one application's two runs in an A/B study: Base under the
+// default configuration, Variant with the one thing changed.
+type Pair struct {
+	App           string
+	Base, Variant cvm.Stats
 }
 
-// CompareProtocols runs every application under both protocols at the
-// given shape, validating results against the sequential references (so
-// the single-writer protocol's coherence is exercised end to end). The
-// app × protocol runs fan out over the worker pool and merge into rows
-// in application order.
-func CompareProtocols(appNames []string, size apps.Size, nodes, threads int, progress io.Writer, workers int) ([]ProtocolRow, error) {
-	type job struct {
-		name  string
-		proto core.Protocol
-	}
-	var jobs []job
-	for _, name := range appNames {
-		app, err := apps.New(name, size)
-		if err != nil {
-			return nil, err
-		}
-		if !app.SupportsThreads(threads) {
-			continue
-		}
-		for _, proto := range []core.Protocol{core.ProtocolLRC, core.ProtocolSW} {
-			jobs = append(jobs, job{name, proto})
-		}
-	}
-
-	sink := newProgressSink(progress)
-	defer sink.Close()
-	stats, err := runJobs(jobs, workers, func(j job) (cvm.Stats, error) {
-		sink.Printf("running %s under %v...\n", j.name, j.proto)
-		cfg := cvm.DefaultConfig(nodes, threads)
-		cfg.Protocol = j.proto
-		st, err := apps.RunConfig(j.name, size, cfg)
-		if err != nil {
-			return cvm.Stats{}, fmt.Errorf("harness: %s under %v: %w", j.name, j.proto, err)
-		}
-		return st, nil
-	})
+// comparePairs runs every application that supports the shape twice —
+// plain, and with mut applied — and pairs the results in application
+// order. Both runs validate against the sequential reference (within
+// tol; 0 = default), so the variant's coherence is exercised end to end.
+func comparePairs(appNames []string, size apps.Size, nodes, threads int, baseLabel, variantLabel string,
+	tol float64, mut func(*cvm.Config), progress io.Writer, workers int) ([]Pair, error) {
+	grid, err := GridCells(appNames, size, []Shape{{nodes, threads}})
 	if err != nil {
 		return nil, err
 	}
-
-	var rows []ProtocolRow
-	for i, j := range jobs {
-		st := stats[i]
-		if len(rows) == 0 || rows[len(rows)-1].App != j.name {
-			rows = append(rows, ProtocolRow{App: j.name})
-		}
-		row := &rows[len(rows)-1]
-		if j.proto == core.ProtocolLRC {
-			row.LRCWall = st.Wall
-			row.LRCMsgs = st.Net.TotalMsgs()
-			row.LRCKBytes = st.Net.TotalBytes() / 1024
-		} else {
-			row.SWWall = st.Wall
-			row.SWMsgs = st.Net.TotalMsgs()
-			row.SWKBytes = st.Net.TotalBytes() / 1024
-		}
+	cells := make([]Cell, 0, 2*len(grid))
+	for _, c := range grid {
+		c.Tol = tol
+		base, variant := c, c
+		base.Label, variant.Label, variant.Mut = baseLabel, variantLabel, mut
+		cells = append(cells, base, variant)
 	}
-	return rows, nil
+	out, err := RunCells(cells, size, progress, workers)
+	if err != nil {
+		return nil, err
+	}
+	pairs := make([]Pair, len(grid))
+	for i, c := range grid {
+		pairs[i] = Pair{App: c.App, Base: out[2*i].Stats, Variant: out[2*i+1].Stats}
+	}
+	return pairs, nil
+}
+
+// CompareProtocols pairs the paper's lazy multi-writer release
+// consistency (Base) with the single-writer write-invalidate baseline
+// (Variant) — the comparison of the paper's reference [1], Keleher
+// ICDCS'96.
+func CompareProtocols(appNames []string, size apps.Size, nodes, threads int, progress io.Writer, workers int) ([]Pair, error) {
+	return comparePairs(appNames, size, nodes, threads, "under LRC", "under SW", 0,
+		func(cfg *cvm.Config) { cfg.Protocol = core.ProtocolSW }, progress, workers)
 }
 
 // WriteProtocols renders the protocol comparison.
-func WriteProtocols(w io.Writer, rows []ProtocolRow, nodes, threads int) {
+func WriteProtocols(w io.Writer, pairs []Pair, nodes, threads int) {
 	fmt.Fprintf(w, "Protocol comparison (%d nodes x %d threads): lazy multi-writer LRC vs single-writer invalidate\n",
 		nodes, threads)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(tw, "app\tLRC wall\tSW wall\tSW/LRC\tLRC msgs\tSW msgs\tLRC KB\tSW KB\t")
-	for _, r := range rows {
-		ratio := float64(r.SWWall) / float64(r.LRCWall)
+	for _, p := range pairs {
+		lrc, sw := p.Base, p.Variant
 		fmt.Fprintf(tw, "%s\t%v\t%v\t%.2fx\t%d\t%d\t%d\t%d\t\n",
-			r.App, r.LRCWall, r.SWWall, ratio, r.LRCMsgs, r.SWMsgs,
-			r.LRCKBytes, r.SWKBytes)
+			p.App, lrc.Wall, sw.Wall, float64(sw.Wall)/float64(lrc.Wall),
+			lrc.Net.TotalMsgs(), sw.Net.TotalMsgs(),
+			lrc.Net.TotalBytes()/1024, sw.Net.TotalBytes()/1024)
 	}
 	tw.Flush()
 }

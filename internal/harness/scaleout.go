@@ -114,20 +114,16 @@ func RunScaleStudy(nodeCounts []int, threadsPerNode int, size apps.Size,
 	return b, nil
 }
 
-// runScalePoint runs one cell. Unlike apps.RunConfigFull it builds the
+// runScalePoint runs one cell. Unlike apps.RunConfig it builds the
 // cluster here, so it can read the allocated address-space size and
 // bracket the run with heap measurements.
 func runScalePoint(nodes, threads int, size apps.Size, compress bool, engineWorkers int) (ScalePoint, error) {
-	app, err := apps.New("scaleout", size)
-	if err != nil {
-		return ScalePoint{}, err
-	}
 	cfg := cvm.DefaultConfig(nodes, threads)
 	cfg.CompressDiffs = compress
 	cfg.EngineWorkers = engineWorkers
 
 	runtime.GC()
-	var before runtime.MemStats
+	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	t0 := time.Now()
 
@@ -135,23 +131,19 @@ func runScalePoint(nodes, threads int, size apps.Size, compress bool, engineWork
 	if err != nil {
 		return ScalePoint{}, err
 	}
-	if err := app.Setup(cluster); err != nil {
-		return ScalePoint{}, err
-	}
-	stats, err := cluster.Run(app.Main)
+	var stats cvm.Stats
+	var host time.Duration
+	sum, err := apps.Exec("scaleout", size, threads, 0, cluster, func(main func(cvm.Worker)) (err error) {
+		stats, err = cluster.Run(main)
+		// Heap while the cluster (page tables, diffs, intervals) is
+		// still live: the delta over the pre-run baseline is what the
+		// simulated cluster state costs the host.
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		host = time.Since(t0)
+		return err
+	})
 	if err != nil {
-		return ScalePoint{}, err
-	}
-
-	// Heap while the cluster (page tables, diffs, intervals) is still
-	// live: the delta over the pre-run baseline is what the simulated
-	// cluster state costs the host.
-	runtime.GC()
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	host := time.Since(t0)
-
-	if err := app.Check(); err != nil {
 		return ScalePoint{}, err
 	}
 	var pages int64
@@ -184,7 +176,7 @@ func runScalePoint(nodes, threads int, size apps.Size, compress bool, engineWork
 		DiffBytes:     stats.Net.Bytes[core.ClassDiff],
 		HeapMB:        heap / (1 << 20),
 		HostSeconds:   host.Seconds(),
-		Checksum:      app.Checksum(),
+		Checksum:      sum,
 	}, nil
 }
 
@@ -198,9 +190,6 @@ func scaleSizeName(s apps.Size) string {
 		return "small"
 	}
 }
-
-// ScaleStudyNodes is the study's default node-count sweep.
-var ScaleStudyNodes = []int{8, 64, 256, 1024}
 
 // WriteScaleStudy renders the study as a text table.
 func WriteScaleStudy(w io.Writer, b *ScaleBaseline) {

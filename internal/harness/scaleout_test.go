@@ -24,20 +24,20 @@ func TestScaleSmoke(t *testing.T) {
 		// get race coverage from TestGuardDeterminism at small sizes.
 		t.Skip("256-node smoke skipped under the race detector")
 	}
-	const nodes, threads = 256, 1
+	cell := Cell{App: "scaleout", Nodes: 256, Threads: 1}
 	// Engine workers 0 is the sequential engine, the correctness oracle.
-	seq, err := RunDeterminismProbe("scaleout", apps.SizeTest, nodes, threads, 0, nil)
+	seq, err := RunDeterminismProbe(cell, apps.SizeTest, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := RunDeterminismProbe("scaleout", apps.SizeTest, nodes, threads, 1, nil)
+	base, err := RunDeterminismProbe(cell, apps.SizeTest, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Checksum != seq.Checksum {
 		t.Fatalf("windowed engine checksum %v, sequential %v", base.Checksum, seq.Checksum)
 	}
-	p, err := RunDeterminismProbe("scaleout", apps.SizeTest, nodes, threads, 2, nil)
+	p, err := RunDeterminismProbe(cell, apps.SizeTest, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,56 +200,32 @@ type Table5Row struct {
 	Table3Row
 }
 
-// Table5 runs the Water-Nsq variants at the paper's 8-processor setup and
-// builds the optimization case-study table. The variant × thread cells
-// fan out over the worker pool; speedups versus each variant's own T=1
-// run are computed in a deterministic post-pass.
+// Table5 runs the Water-Nsq source variants at each threading level —
+// the cell's application is the thing varied — and builds the
+// optimization case-study table, with speedups versus each variant's
+// own T=1 run.
 func Table5(size apps.Size, nodes int, threads []int, progress io.Writer, workers int) ([]Table5Row, error) {
 	variants := []string{"waternsq-noopts", "waternsq-localbarrier", "waternsq"}
-	type job struct {
-		variant string
-		threads int
-	}
-	var jobs []job
-	for _, variant := range variants {
-		for _, t := range threads {
-			jobs = append(jobs, job{variant, t})
-		}
-	}
-
-	sink := newProgressSink(progress)
-	defer sink.Close()
-	stats, err := runJobs(jobs, workers, func(j job) (cvm.Stats, error) {
-		sink.Printf("running %s %dx%d...\n", j.variant, nodes, j.threads)
-		st, err := apps.Run(j.variant, size, nodes, j.threads)
-		if err != nil {
-			return cvm.Stats{}, fmt.Errorf("harness: table5 %s T=%d: %w", j.variant, j.threads, err)
-		}
-		return st, nil
-	})
+	res, err := RunGridParallel(variants, size, GridShapes([]int{nodes}, threads), progress, workers)
 	if err != nil {
 		return nil, err
 	}
-
-	base := make(map[string]cvm.Time, len(variants))
-	for i, j := range jobs {
-		if j.threads == 1 {
-			base[j.variant] = stats[i].Wall
+	rows := make([]Table5Row, 0, len(variants)*len(threads))
+	for _, variant := range variants {
+		base := res[Key{variant, nodes, 1}].Wall
+		for _, t := range threads {
+			st := res[Key{variant, nodes, t}]
+			speedup := 0.0
+			if st.Wall > 0 && base > 0 {
+				speedup = (float64(base)/float64(st.Wall) - 1) * 100
+			}
+			rows = append(rows, Table5Row{
+				Variant:    variant,
+				Threads:    t,
+				SpeedupPct: speedup,
+				Table3Row:  table3Row(variant, t, st),
+			})
 		}
-	}
-	rows := make([]Table5Row, 0, len(jobs))
-	for i, j := range jobs {
-		st := stats[i]
-		speedup := 0.0
-		if st.Wall > 0 && base[j.variant] > 0 {
-			speedup = (float64(base[j.variant])/float64(st.Wall) - 1) * 100
-		}
-		rows = append(rows, Table5Row{
-			Variant:    j.variant,
-			Threads:    j.threads,
-			SpeedupPct: speedup,
-			Table3Row:  table3Row(j.variant, j.threads, st),
-		})
 	}
 	return rows, nil
 }

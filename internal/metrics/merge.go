@@ -163,6 +163,14 @@ func (s *Snapshot) EachCounter(fn func(name string, c *Counter)) {
 	s.counters(fn)
 }
 
+// CounterValues returns every top-level Counter by JSON name: what the
+// sim-vs-real equivalence gates compare.
+func (s *Snapshot) CounterValues() map[string]int64 {
+	out := make(map[string]int64)
+	s.counters(func(name string, c *Counter) { out[name] = int64(*c) })
+	return out
+}
+
 // forEachHistField visits the Histogram fields of a struct pointer.
 func forEachHistField(ptr any, fn func(name string, h *Histogram)) {
 	v := reflect.ValueOf(ptr).Elem()

@@ -229,7 +229,7 @@ func TestAppsMatchSimulator(t *testing.T) {
 			if !app.SupportsThreads(threads) {
 				t.Skipf("%s does not support %d threads per node", name, threads)
 			}
-			_, simSum, err := apps.RunConfigFull(name, apps.SizeTest,
+			_, simSum, err := apps.RunConfig(name, apps.SizeTest,
 				cvm.DefaultConfig(nodes, threads), 0)
 			if err != nil {
 				t.Fatal(err)
@@ -300,7 +300,7 @@ func TestRunNodeTCP(t *testing.T) {
 	if checks[0] != nil {
 		t.Fatalf("node 0 check: %v", checks[0])
 	}
-	_, simSum, err := apps.RunConfigFull("sor", apps.SizeTest,
+	_, simSum, err := apps.RunConfig("sor", apps.SizeTest,
 		cvm.DefaultConfig(nodes, threads), 0)
 	if err != nil {
 		t.Fatal(err)
