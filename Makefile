@@ -29,7 +29,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-## cover: per-package coverage floors (internal/core, internal/check).
+## cover: per-package coverage floors (internal/core, internal/check,
+## internal/sim).
 ## Fails if statement coverage drops below the baselines recorded in
 ## scripts/cover_gate.sh; raise a floor there when coverage rises.
 cover:

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -136,7 +137,7 @@ func experimentNames() string {
 	return strings.Join(append(names, "all"), ", ")
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("cvm-bench", flag.ContinueOnError)
 	e := &env{out: out}
 	var (
@@ -149,6 +150,7 @@ func run(args []string, out io.Writer) error {
 	fs.StringVar(&e.scaleJSON, "scale-json", "BENCH_scaleout.json", "output path for the scaleout experiment's JSON baseline")
 	fs.IntVar(&e.scaleWorkers, "scale-workers", 4, "conservative-engine workers for the scaleout experiment (0 = sequential engine)")
 	e.inst.Register(fs, "fig1/table2/table3/fig2 grid: ", "metrics", "report", "metrics-interval", "metrics-top")
+	e.inst.Register(fs, "", "cpuprofile", "memprofile")
 	if err := e.inst.Parse(fs, args); err != nil {
 		return err
 	}
@@ -173,7 +175,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	var err error
 	if e.size, err = apps.ParseSize(*size); err != nil {
 		return err
 	}
@@ -181,6 +182,12 @@ func run(args []string, out io.Writer) error {
 		e.progress = os.Stderr
 	}
 	e.meta = metrics.Meta{App: "grid", Config: fmt.Sprintf("experiment=%s size=%s", *name, *size)}
+
+	stopProfiles, err := e.inst.StartProfiles()
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfiles()) }()
 
 	for _, ex := range selected {
 		if ex.grid != nil {

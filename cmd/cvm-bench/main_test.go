@@ -67,6 +67,7 @@ func TestFlagValidation(t *testing.T) {
 		{"orphan scale-nodes", []string{"-experiment", "fig1", "-scale-nodes", "8"}, "-scale-nodes needs -experiment scaleout"},
 		{"orphan scale-json", []string{"-scale-json", "x.json"}, "-scale-json needs -experiment scaleout"},
 		{"removed with16", []string{"-with16=false"}, "not defined"},
+		{"unwritable memprofile", []string{"-experiment", "costs", "-memprofile", "no-such-dir/mem.prof"}, "-memprofile: open no-such-dir"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out bytes.Buffer

@@ -40,6 +40,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -65,7 +66,7 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("cvm-run", flag.ContinueOnError)
 	var (
 		appName  = fs.String("app", "sor", "application: "+strings.Join(apps.Names(), ", "))
@@ -85,7 +86,7 @@ func run(args []string, out io.Writer) error {
 		backend = fs.String("transport", "sim", "execution backend: sim (deterministic simulator) or loopback (real runtime, in-process)")
 	)
 	var inst harness.Instruments
-	inst.Register(fs, "", "trace", "trace-limit", "metrics", "metrics-csv", "report", "metrics-interval", "metrics-top")
+	inst.Register(fs, "", "trace", "trace-limit", "metrics", "metrics-csv", "report", "metrics-interval", "metrics-top", "cpuprofile", "memprofile")
 	if err := inst.Parse(fs, args); err != nil {
 		return err
 	}
@@ -117,6 +118,12 @@ func run(args []string, out io.Writer) error {
 	}
 	meta := metrics.Meta{App: *appName, Config: fmt.Sprintf("%dx%d size=%s", *nodes, levels[0], *size)}
 	rec := inst.Recorder(*nodes, levels[0])
+
+	stopProfiles, err := inst.StartProfiles()
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfiles()) }()
 
 	switch *backend {
 	case "sim":

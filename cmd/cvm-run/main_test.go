@@ -49,6 +49,7 @@ func TestFlagValidation(t *testing.T) {
 		{"loopback with engine workers", []string{"-transport", "loopback", "-engine-workers", "2"}, "-engine-workers tunes the simulator"},
 		{"loopback with compress-diffs", []string{"-transport", "loopback", "-compress-diffs"}, "-compress-diffs tunes the simulator"},
 		{"loopback with sweep", []string{"-transport", "loopback", "-threads", "1,2"}, "single -threads level"},
+		{"unwritable cpuprofile", []string{"-size", "test", "-cpuprofile", "no-such-dir/cpu.prof"}, "-cpuprofile: open no-such-dir"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := runErr(tc.args...)
@@ -59,6 +60,30 @@ func TestFlagValidation(t *testing.T) {
 				t.Fatalf("run(%v) error %q, want it to contain %q", tc.args, err, tc.want)
 			}
 		})
+	}
+}
+
+// TestProfileFlagsWriteProfiles: -cpuprofile and -memprofile leave a
+// profile each behind a run, and the run's output is what it is without
+// them.
+func TestProfileFlagsWriteProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	args := []string{"-app", "sor", "-nodes", "4", "-threads", "2", "-size", "test"}
+	var plain, profiled bytes.Buffer
+	if err := run(args, &plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(args, "-cpuprofile", cpu, "-memprofile", mem), &profiled); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain.Bytes(), profiled.Bytes()) {
+		t.Error("profiling changed the run's output")
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: no profile written (%v)", path, err)
+		}
 	}
 }
 

@@ -380,20 +380,22 @@ func (s *System) Start(main func(*Thread)) error {
 
 // Run executes the simulation to completion. Under fault injection a
 // message that exhausts its retransmission budget aborts the run with
-// an error wrapping ErrTransport instead of hanging.
+// an error wrapping ErrTransport instead of hanging. A panic in a
+// thread's body or a handler reaches Run's caller — a thread's as a
+// *sim.TaskPanic, whose text leads with the thread's name (n<node>t<lid>)
+// — and on every abnormal exit, error or panic, the threads left parked
+// are unwound first.
 func (s *System) Run() (err error) {
 	defer func() {
-		if err != nil {
+		r := recover()
+		if tf, ok := r.(*transportFailure); ok {
+			r, err = nil, tf.error()
+		}
+		if r != nil || err != nil {
 			s.eng.Shutdown()
 		}
-	}()
-	defer func() {
-		if r := recover(); r != nil {
-			tf, ok := r.(*transportFailure)
-			if !ok {
-				panic(r)
-			}
-			err = tf.error()
+		if r != nil {
+			panic(r)
 		}
 	}()
 	defer func() {

@@ -553,3 +553,43 @@ func TestUnlockWithoutLockPanics(t *testing.T) {
 		t.Error("thread did not finish")
 	}
 }
+
+// TestRunAttributesAndUnwindsAThreadPanic: a panic on an application
+// thread reaches Run's caller as a *sim.TaskPanic naming the thread, on
+// either engine, and Run has by then unwound the threads the failure
+// left parked at the barrier — their deferred calls have run.
+func TestRunAttributesAndUnwindsAThreadPanic(t *testing.T) {
+	for _, engineWorkers := range []int{0, 2} {
+		cfg := DefaultConfig(4, 2)
+		cfg.EngineWorkers = engineWorkers
+		s, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unwound := 0
+		if err := s.Start(func(w *Thread) {
+			defer func() { unwound++ }()
+			if w.GlobalID() == 5 {
+				w.Compute(sim.Millisecond)
+				panic("app bug")
+			}
+			w.Barrier(0)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				tp, ok := recover().(*sim.TaskPanic)
+				if !ok || tp.Value != "app bug" || tp.Task.Name() != threadName(2, 1) {
+					t.Errorf("engine-workers=%d: Run panicked with %v, want thread %s's \"app bug\"",
+						engineWorkers, tp, threadName(2, 1))
+				}
+			}()
+			err := s.Run()
+			t.Errorf("engine-workers=%d: Run returned %v, want a panic", engineWorkers, err)
+		}()
+		if unwound != 8 {
+			t.Errorf("engine-workers=%d: %d of 8 threads unwound when Run panicked", engineWorkers, unwound)
+		}
+	}
+}

@@ -1,9 +1,13 @@
 package harness
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -24,6 +28,8 @@ type Instruments struct {
 	Report     bool
 	Interval   time.Duration
 	Top        int
+	CPUProfile string // host CPU profile path (pprof)
+	MemProfile string // host allocation profile path (pprof)
 }
 
 // Register declares the named instrument flags on fs — each tool takes
@@ -46,6 +52,10 @@ func (in *Instruments) Register(fs *flag.FlagSet, scope string, names ...string)
 			fs.DurationVar(&in.Interval, name, 0, "utilization-timeline bin width in virtual time (0 = default 10ms)")
 		case "metrics-top":
 			fs.IntVar(&in.Top, name, 10, "rows kept in the hot-page and hot-lock tables")
+		case "cpuprofile":
+			fs.StringVar(&in.CPUProfile, name, "", "write a host CPU profile of the run to this file (go tool pprof)")
+		case "memprofile":
+			fs.StringVar(&in.MemProfile, name, "", "write a host allocation profile of the run to this file (go tool pprof)")
 		default:
 			panic("harness: no instrument flag -" + name)
 		}
@@ -120,6 +130,50 @@ func (in *Instruments) Parse(fs *flag.FlagSet, args []string, topAlso ...string)
 		return fmt.Errorf("-metrics-top needs %s", strings.Join(sinks, " or "))
 	}
 	return nil
+}
+
+// StartProfiles begins the host profiles -cpuprofile and -memprofile ask
+// for. Both files are created here, so an unwritable path fails before
+// the run starts; the returned stop ends the CPU profile and writes the
+// allocation profile (every allocation since the process began, after a
+// collection — what `go test -memprofile` writes) and must be called
+// once, when the run is over. Profiles watch the host, never the
+// simulation: no simulated number moves.
+func (in *Instruments) StartProfiles() (stop func() error, err error) {
+	create := func(flag, path string) (*os.File, error) {
+		if path == "" {
+			return nil, nil
+		}
+		f, err := os.Create(path)
+		if err != nil {
+			return nil, fmt.Errorf("-%s: %w", flag, err)
+		}
+		return f, nil
+	}
+	cpu, err := create("cpuprofile", in.CPUProfile)
+	mem, merr := create("memprofile", in.MemProfile)
+	if err = errors.Join(err, merr); err == nil && cpu != nil {
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			err = fmt.Errorf("-cpuprofile: %w", err)
+		}
+	}
+	if err != nil {
+		cpu.Close() // Close is a no-op error on a nil *os.File
+		mem.Close()
+		return nil, err
+	}
+	return func() error {
+		var errs []error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			errs = append(errs, cpu.Close())
+		}
+		if mem != nil {
+			runtime.GC() // materialize every allocation up to now
+			errs = append(errs, pprof.Lookup("allocs").WriteTo(mem, 0), mem.Close())
+		}
+		return errors.Join(errs...)
+	}, nil
 }
 
 // Meter applies the metrics flags to cells: a registry per cell when

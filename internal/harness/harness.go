@@ -111,11 +111,18 @@ type CellResult struct {
 // means DefaultParallelism) and come back in cell order — every table
 // built from the slice is byte-identical at any worker count. Progress
 // lines go to progress when non-nil; the error is the lowest-indexed
-// failing cell's, named.
+// failing cell's, named. A cell that panics (a bug in an application,
+// the protocol or an attached instrument) fails the same way: the panic
+// is that cell's error and the other workers' cells finish.
 func RunCells(cells []Cell, size apps.Size, progress io.Writer, workers int) ([]CellResult, error) {
 	sink := newProgressSink(progress)
 	defer sink.Close()
-	return runJobs(cells, workers, func(c Cell) (CellResult, error) {
+	return runJobs(cells, workers, func(c Cell) (res CellResult, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				res, err = CellResult{}, fmt.Errorf("harness: %v: panic: %v", c, r)
+			}
+		}()
 		sink.Printf("running %v...\n", c)
 		cfg := cvm.DefaultConfig(c.Nodes, c.Threads)
 		if c.Metrics {
@@ -128,7 +135,7 @@ func RunCells(cells []Cell, size apps.Size, progress io.Writer, workers int) ([]
 		if err != nil {
 			return CellResult{}, fmt.Errorf("harness: %v: %w", c, err)
 		}
-		res := CellResult{Stats: st, Checksum: sum}
+		res = CellResult{Stats: st, Checksum: sum}
 		if c.Metrics {
 			res.Snapshot = cfg.Metrics.Snapshot()
 		}

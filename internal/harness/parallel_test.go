@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"cvm"
 	"cvm/internal/apps"
+	"cvm/internal/trace"
 )
 
 // TestRunGridParallelDeterminism is the determinism guard: a parallel grid
@@ -126,9 +131,9 @@ func TestClampWorkers(t *testing.T) {
 		workers, jobs, wantMin, wantMax int
 	}{
 		{1, 10, 1, 1},
-		{4, 2, 2, 2},   // never more workers than jobs
-		{-1, 5, 1, 5},  // ≤ 0 means DefaultParallelism, capped by jobs
-		{0, 0, 1, 1},   // zero jobs still yields a valid count
+		{4, 2, 2, 2},  // never more workers than jobs
+		{-1, 5, 1, 5}, // ≤ 0 means DefaultParallelism, capped by jobs
+		{0, 0, 1, 1},  // zero jobs still yields a valid count
 		{16, 16, 16, 16},
 	}
 	for _, tt := range tests {
@@ -157,5 +162,59 @@ func TestGridShapes(t *testing.T) {
 	}
 	if s := GridShapes([]int{4}, nil); len(s) != 0 {
 		t.Errorf("empty threads: %v, want empty", s)
+	}
+}
+
+// panicTracer is an instrument with a bug: it panics on its first event.
+type panicTracer struct{}
+
+func (panicTracer) Emit(trace.Event) { panic("tracer boom") }
+
+// TestRunCellsPanicIsTheCellsError: a cell that panics inside the tracer
+// its Mut planted — on a thread of the simulated cluster under the
+// sequential engine, at the window commit that releases buffered events
+// under the windowed one — is a failed cell like any other: RunCells
+// returns an error naming the cell (and the thread, where there is one),
+// the pool's other cells finish, and the failed run's parked threads are
+// unwound, at any worker count.
+func TestRunCellsPanicIsTheCellsError(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, engineWorkers := range []int{0, 2} {
+		for _, workers := range []int{1, 4} {
+			finished := 0
+			var mu sync.Mutex
+			good := func(*cvm.Config) { mu.Lock(); finished++; mu.Unlock() }
+			cells := []Cell{
+				{App: "sor", Nodes: 2, Threads: 2, Mut: good},
+				{App: "sor", Nodes: 4, Threads: 2, Label: "with a broken tracer", Mut: func(cfg *cvm.Config) {
+					cfg.EngineWorkers = engineWorkers
+					cfg.Tracer = panicTracer{}
+				}},
+				{App: "waternsq", Nodes: 2, Threads: 1, Mut: good},
+			}
+			_, err := RunCells(cells, apps.SizeTest, nil, workers)
+			if err == nil {
+				t.Fatalf("engine-workers=%d workers=%d: RunCells succeeded with a panicking cell", engineWorkers, workers)
+			}
+			wants := []string{"sor 4x2 with a broken tracer", "panic", "tracer boom"}
+			if engineWorkers == 0 {
+				wants = append(wants, `task "n1t0" panicked`, "(*Thread).Barrier")
+			}
+			for _, want := range wants {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("engine-workers=%d workers=%d: error does not mention %q:\n%v", engineWorkers, workers, want, err)
+				}
+			}
+			if workers > 1 && finished != 2 {
+				t.Errorf("engine-workers=%d workers=%d: %d of the 2 sound cells ran", engineWorkers, workers, finished)
+			}
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("goroutines = %d, want <= %d (a failed cell left threads behind)", got, before)
 	}
 }

@@ -23,10 +23,11 @@ const defaultFutileLimit = 1 << 20
 // and all processors, and dispatches exactly one entity at a time in
 // virtual-time order. An Engine is not safe for concurrent use; all
 // interaction happens from the goroutine that calls Run and from task
-// goroutines while they hold the execution grant.
+// bodies while the engine has resumed them.
 type Engine struct {
 	procs   []*Proc
 	events  eventQueue
+	ready   readyHeap // runnable procs, sequential loop only
 	now     Time
 	seq     uint64
 	live    int
@@ -103,7 +104,7 @@ func (e *Engine) SetReasonNamer(f func(Reason) string) { e.reasonName = f }
 // AddProc creates a simulated processor whose thread switches cost
 // switchCost of virtual time.
 func (e *Engine) AddProc(switchCost Time) *Proc {
-	p := &Proc{eng: e, id: len(e.procs), switchCost: switchCost, reports: make(chan report)}
+	p := &Proc{eng: e, id: len(e.procs), switchCost: switchCost, hpos: -1}
 	e.procs = append(e.procs, p)
 	return p
 }
@@ -140,18 +141,12 @@ func (e *Engine) SpawnRunner(p *Proc, name string, r Runner) *Task {
 	if e.windowed && e.running {
 		panic("sim: Spawn during a windowed run")
 	}
-	t := &Task{
-		eng:    e,
-		proc:   p,
-		id:     e.ntasks,
-		name:   name,
-		resume: make(chan grant),
-	}
+	t := &Task{eng: e, proc: p, id: e.ntasks, name: name}
 	e.ntasks++
 	e.live++
 	p.live++
 	e.tasks = append(e.tasks, t)
-	go t.start(r)
+	t.start(r)
 	p.enqueue(t, p.clock)
 	return t
 }
@@ -186,12 +181,12 @@ func (e *Engine) ScheduleOn(p *Proc, at Time, fn func()) {
 		at = p.lnow
 	}
 	p.lseq++
-	p.levents.push(&event{at: at, seq: p.lseq, fn: fn})
+	p.levents.push(event{at: at, seq: p.lseq, fn: fn})
 }
 
 func (e *Engine) schedule(at Time, fn func()) {
 	e.seq++
-	e.events.push(&event{at: at, seq: e.seq, fn: fn})
+	e.events.push(event{at: at, seq: e.seq, fn: fn})
 }
 
 // Wake makes a blocked task ready. It must be called from engine context
@@ -220,7 +215,10 @@ func (e *Engine) WakeAt(t *Task, at Time) {
 
 // Run dispatches entities in virtual-time order until every spawned task
 // has finished. It returns ErrDeadlock (wrapped with diagnostics) if live
-// tasks remain but nothing is runnable.
+// tasks remain but nothing is runnable. A panic in a task's body surfaces
+// here, on the caller's goroutine, as a *TaskPanic (in windowed mode the
+// lowest-indexed failing proc's, at every worker count); after it, or
+// after an error, Shutdown unwinds the tasks left parked.
 func (e *Engine) Run() error {
 	if e.running {
 		return errors.New("sim: Run called reentrantly")
@@ -237,9 +235,14 @@ func (e *Engine) Run() error {
 	// events that neither dispatched nor woke a task: a self-perpetuating
 	// event chain with every task blocked (a retransmission timer whose
 	// peer will never answer) would otherwise spin Run forever.
+	//
+	// The winner of each turn is the root of the runnable-proc heap,
+	// filled here rather than by Spawn because SetConservative may still
+	// change the mode between the two; from here on enqueue feeds it.
+	e.ready.reset(e.procs)
 	futile := 0
 	for e.live > 0 || e.events.Len() > 0 {
-		p, next := e.minProcNext()
+		p := e.ready.top()
 		evAt := e.events.peekTime()
 
 		// Events run first on ties so handlers at time T are applied
@@ -265,39 +268,21 @@ func (e *Engine) Run() error {
 		}
 
 		futile = 0
-		e.dispatchProc(p, minTime(evAt, next))
+		e.dispatchProc(p, minTime(evAt, e.ready.second()))
+		if p.runnable() {
+			e.ready.update(p)
+		} else {
+			e.ready.remove(p)
+		}
 	}
 	return nil
 }
 
-// minProcNext returns the runnable proc with the lowest clock (nil if
-// none; ties break by processor index, keeping dispatch deterministic)
-// and, from the same scan, the lowest clock among the other runnable
-// procs — the processor contribution to the winner's causality horizon.
-func (e *Engine) minProcNext() (*Proc, Time) {
-	var best *Proc
-	next := MaxTime
-	for _, p := range e.procs {
-		if !p.runnable() {
-			continue
-		}
-		switch {
-		case best == nil:
-			best = p
-		case p.clock < best.clock:
-			next = minTime(next, best.clock)
-			best = p
-		default:
-			next = minTime(next, p.clock)
-		}
-	}
-	return best, next
-}
-
-// dispatchProc grants p's next task a slice bounded by horizon (the
+// dispatchProc resumes p's next task for a slice bounded by horizon (the
 // lowest timestamp of any pending event or other runnable processor,
-// computed by the caller's dispatch scan; p.dispatch only mutates p, so
-// the bound stays valid).
+// computed by the caller; p.dispatch only mutates p, so the bound stays
+// valid). It returns when the task hands control back; a panic in the
+// task's body surfaces from next.
 func (e *Engine) dispatchProc(p *Proc, horizon Time) {
 	sliceStart := p.clock
 	t := p.dispatch()
@@ -307,17 +292,17 @@ func (e *Engine) dispatchProc(p *Proc, horizon Time) {
 		e.now = p.clock
 	}
 
-	t.resume <- grant{horizon: horizon}
-	r := <-p.reports
-
-	if r.task != t {
-		panic("sim: report from unexpected task")
+	t.horizon = horizon
+	r, ok := t.next()
+	if !ok {
+		r = reportDone
 	}
+
 	if p.hooks != nil && p.clock > sliceStart {
 		p.hooks.OnSlice(t, sliceStart, p.clock)
 	}
 
-	switch r.kind {
+	switch r {
 	case reportYield:
 		// Task crossed its horizon; it remains current and will be
 		// re-granted when p is again the minimum entity.
@@ -345,17 +330,14 @@ func (e *Engine) dispatchProc(p *Proc, horizon Time) {
 	}
 }
 
-// Shutdown releases the goroutines of any unfinished tasks. It is safe
-// to call after Run returns (including on deadlock or a recovered panic)
-// and at most once. Every non-done task is waiting to receive a grant —
-// blocked and ready tasks in handoff/start, and yield-parked tasks
-// (state taskRunning, mid-handoff) likewise — so poisoning all of them
-// leaks nothing.
+// Shutdown unwinds every unfinished task: a body parked at a scheduling
+// point (blocked, ready or mid-yield) panics out of it, running its
+// deferred calls, and a task never dispatched is dropped unrun. Call it
+// once Run has returned an error or panicked; on a finished task, and so
+// on every later call, it does nothing.
 func (e *Engine) Shutdown() {
 	for _, t := range e.tasks {
-		if t.state != taskDone {
-			t.resume <- grant{poison: true}
-		}
+		t.stop()
 	}
 }
 

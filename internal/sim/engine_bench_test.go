@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkEventQueue measures the engine's event heap under a steady
 // schedule/dispatch load: the pattern message deliveries produce (push at
@@ -13,7 +16,7 @@ func BenchmarkEventQueue(b *testing.B) {
 	x := uint64(1)
 	for i := 0; i < 256; i++ {
 		x = x*6364136223846793005 + 1442695040888963407
-		q.push(&event{at: Time(x >> 40), seq: uint64(i), fn: nop})
+		q.push(event{at: Time(x >> 40), seq: uint64(i), fn: nop})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -47,25 +50,31 @@ func BenchmarkEngineSpawnRun(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatchScan measures the per-dispatch processor scan on a
-// populated engine: 16 procs (the largest paper configuration) whose
-// tasks advance in small steps, so nearly every Run-loop turn pays one
-// minProcNext scan. The scan used to be two O(P) passes (min-clock
-// selection plus a separate horizon pass); it is now one.
+// BenchmarkDispatchScan measures the cost of choosing the next processor
+// on a populated engine — 16 procs (the largest paper configuration) and
+// 192 (the scaleout point the benchmark times) — whose tasks advance in
+// small steps, so nearly every Run-loop turn is one dispatch: the root of
+// the runnable-proc heap, its two children for the horizon, one sift
+// after the slice, and one coroutine round trip. (The name is from the
+// O(P) scan over all procs this replaced; see dispatch_ref_test.go.)
 func BenchmarkDispatchScan(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eng := NewEngine()
-		for pi := 0; pi < 16; pi++ {
-			p := eng.AddProc(8 * Microsecond)
-			eng.Spawn(p, "t", func(tk *Task) {
-				for j := 0; j < 200; j++ {
-					tk.Advance(Microsecond)
+	for _, procs := range []int{16, 192} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				eng := NewEngine()
+				for pi := 0; pi < procs; pi++ {
+					p := eng.AddProc(8 * Microsecond)
+					eng.Spawn(p, "t", func(tk *Task) {
+						for j := 0; j < 200; j++ {
+							tk.Advance(Microsecond)
+						}
+					})
 				}
-			})
-		}
-		if err := eng.Run(); err != nil {
-			b.Fatal(err)
-		}
+				if err := eng.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -1,7 +1,5 @@
 package sim
 
-import "container/heap"
-
 // event is a deferred function execution at a virtual-time instant.
 // Events model message deliveries and other asynchronous occurrences;
 // their handlers run in engine context and must never block.
@@ -11,30 +9,19 @@ type event struct {
 	fn  func()
 }
 
-// eventQueue is a min-heap of events ordered by (at, seq).
-type eventQueue []*event
+// before is the queue's total order: earlier instant first, creation
+// order among equals. Total, so a heap of any shape pops one sequence.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// eventQueue is a 4-ary min-heap of event values ordered by (at, seq):
+// half the levels of a binary heap, the four children of a node on one
+// or two cache lines, and no allocation per event — the slice's capacity
+// is reused for the whole run.
+type eventQueue []event
 
 func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
-}
 
 func (q eventQueue) peekTime() Time {
 	if len(q) == 0 {
@@ -43,6 +30,55 @@ func (q eventQueue) peekTime() Time {
 	return q[0].at
 }
 
-func (q *eventQueue) push(ev *event) { heap.Push(q, ev) }
+// push inserts ev, moving later ancestors down into the hole it climbs
+// through.
+func (q *eventQueue) push(ev event) {
+	h := append(*q, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	*q = h
+}
 
-func (q *eventQueue) pop() *event { return heap.Pop(q).(*event) }
+// pop removes and returns the earliest event. The vacated tail slot is
+// zeroed so the queue does not keep a finished handler's closure alive.
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{}
+	h = h[:n]
+	*q = h
+
+	// Sift last down from the root through the hole top left behind.
+	i := 0
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		least := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if h[c].before(&h[least]) {
+				least = c
+			}
+		}
+		if !h[least].before(&last) {
+			break
+		}
+		h[i] = h[least]
+		i = least
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	return top
+}

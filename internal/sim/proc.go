@@ -80,12 +80,12 @@ type Proc struct {
 
 	inj *injections // nil unless fault injections were scheduled
 
-	// Per-proc execution state. reports carries scheduling reports from
-	// this proc's tasks in both modes; the remaining fields are used only
-	// by the conservative windowed mode (Engine.SetConservative), where
-	// each proc owns a private event queue and local virtual time so
-	// windows execute without touching any engine-global state.
-	reports   chan report
+	hpos int // slot in the engine's runnable-proc heap, -1 outside it
+
+	// Per-proc execution state of the conservative windowed mode
+	// (Engine.SetConservative), where each proc owns a private event
+	// queue and local virtual time so windows execute without touching
+	// any engine-global state.
 	levents   eventQueue // proc-local pending events
 	lseq      uint64     // tie-breaker for levents
 	lnow      Time       // local virtual time of the current entity
@@ -161,14 +161,20 @@ func (p *Proc) runnable() bool { return p.current != nil || len(p.runq) > 0 }
 // progress. at is the virtual time of the wake (engine now, or the clock of
 // the spawning task).
 func (p *Proc) enqueue(t *Task, at Time) {
-	wasIdle := p.idle && !p.runnable()
+	wasRunnable := p.runnable()
 	p.runq = append(p.runq, t)
-	if wasIdle {
+	if wasRunnable {
+		return
+	}
+	if p.idle {
 		p.idle = false
 		p.clock = maxTime(p.clock, at)
 		if p.hooks != nil {
 			p.hooks.OnIdleEnd(p.idleSince, p.clock, t)
 		}
+	}
+	if e := p.eng; e.running && !e.windowed {
+		e.ready.push(p)
 	}
 }
 

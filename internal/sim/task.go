@@ -1,6 +1,10 @@
 package sim
 
-import "runtime"
+import (
+	"fmt"
+	"iter"
+	"runtime/debug"
+)
 
 type taskState uint8
 
@@ -20,30 +24,51 @@ const (
 	reportDone                      // task function returned
 )
 
-type report struct {
-	task *Task
-	kind reportKind
-}
-
-type grant struct {
-	horizon Time
-	poison  bool // engine shutting down: task must exit
-}
-
-// Task is a green thread running on a Proc. Task methods must be called
-// only from the task's own goroutine while it holds the execution grant
-// (i.e. from within the function passed to Engine.Spawn).
+// Task is a green thread running on a Proc: a coroutine the engine
+// resumes for one slice at a time (next) and that hands control back at
+// every scheduling point (yield) — a direct switch between the two, with
+// no channel and no trip through the Go scheduler. Task methods must be
+// called only from the task's own body while it is executing (i.e. from
+// within the function passed to Engine.Spawn).
 type Task struct {
 	eng  *Engine
 	proc *Proc
 	id   int
 	name string
 
-	resume  chan grant
-	horizon Time
+	// The coroutine (iter.Pull over the task body). Only dispatchProc
+	// calls next, so at most one task per proc — and in the sequential
+	// mode one task in all — executes at a time; yield is the body's side
+	// of the switch and stop unwinds a body that will never be resumed.
+	next  func() (reportKind, bool)
+	stop  func()
+	yield func(reportKind) bool
+
+	horizon Time // how far the current slice may run; set before next
 	state   taskState
 	reason  Reason // why the task last blocked
 }
+
+// TaskPanic is what Engine.Run panics with when a task's body panics:
+// the panic surfaces from the engine's resume of that task, on the
+// goroutine that called Run, carrying the task, the value it panicked
+// with and the body's stack at that moment (the coroutine switch does
+// not keep it).
+type TaskPanic struct {
+	Task  *Task
+	Value any
+	Stack []byte
+}
+
+func (p *TaskPanic) Error() string {
+	return fmt.Sprintf("sim: task %q panicked: %v\n\n%s", p.Task.name, p.Value, p.Stack)
+}
+
+// taskStopped is the panic that unwinds a parked task's body on
+// Shutdown, running its deferred calls. It is a panic and not
+// runtime.Goexit because iter.Pull hands a Goexit on to whoever called
+// stop — Shutdown's caller.
+type taskStopped struct{}
 
 // ID reports the task's engine-wide index, assigned in spawn order from 0.
 func (t *Task) ID() int { return t.id }
@@ -67,7 +92,7 @@ func (t *Task) BlockReason() Reason { return t.reason }
 func (t *Task) Advance(d Time) {
 	t.proc.charge(d)
 	for t.proc.clock > t.horizon {
-		t.handoff(report{t, reportYield})
+		t.handoff(reportYield)
 	}
 }
 
@@ -77,7 +102,7 @@ func (t *Task) Advance(d Time) {
 func (t *Task) Block(reason Reason) {
 	t.reason = reason
 	t.state = taskBlocked
-	t.handoff(report{t, reportBlock})
+	t.handoff(reportBlock)
 	t.state = taskRunning
 }
 
@@ -86,7 +111,7 @@ func (t *Task) Block(reason Reason) {
 // application-requested thread switch.
 func (t *Task) Yield() {
 	t.state = taskReady
-	t.handoff(report{t, reportRequeue})
+	t.handoff(reportRequeue)
 	t.state = taskRunning
 }
 
@@ -102,32 +127,36 @@ func (t *Task) Schedule(at Time, fn func()) {
 	}
 	if t.eng.windowed {
 		t.proc.lseq++
-		t.proc.levents.push(&event{at: at, seq: t.proc.lseq, fn: fn})
+		t.proc.levents.push(event{at: at, seq: t.proc.lseq, fn: fn})
 	} else {
 		t.eng.schedule(at, fn)
 	}
 	t.horizon = minTime(t.horizon, at)
 }
 
-// handoff returns control to the engine and waits for the next grant.
-func (t *Task) handoff(r report) {
-	t.proc.reports <- r
-	g := <-t.resume
-	if g.poison {
-		runtime.Goexit()
+// handoff returns control to the engine and resumes when the engine next
+// dispatches the task, which has by then set the new slice's horizon.
+func (t *Task) handoff(r reportKind) {
+	if !t.yield(r) {
+		panic(taskStopped{})
 	}
-	t.horizon = g.horizon
 }
 
-// start is the goroutine body wrapping the task function.
+// start makes t the coroutine running r.RunTask. Nothing runs until the
+// first next; a body that returns ends the sequence, which dispatchProc
+// reads as reportDone.
 func (t *Task) start(r Runner) {
-	g := <-t.resume
-	if g.poison {
-		return
-	}
-	t.horizon = g.horizon
-	t.state = taskRunning
-	r.RunTask(t)
-	t.state = taskDone
-	t.proc.reports <- report{t, reportDone}
+	t.next, t.stop = iter.Pull(func(yield func(reportKind) bool) {
+		defer func() {
+			switch p := recover().(type) {
+			case nil, taskStopped:
+			default:
+				panic(&TaskPanic{Task: t, Value: p, Stack: debug.Stack()})
+			}
+		}()
+		t.yield = yield
+		t.state = taskRunning
+		r.RunTask(t)
+		t.state = taskDone
+	})
 }

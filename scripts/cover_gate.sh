@@ -13,10 +13,13 @@ set -euo pipefail
 
 GO="${GO:-go}"
 
-# package  floor(%)  — measured 88.0 / 99.2 when recorded.
+# package  floor(%)  — measured 88.0 / 99.2 / 92.0 when recorded.
+# internal/sim is gated for its two hand-written heaps (event.go,
+# ready.go: 100% — remove-last, sole member, sift either way).
 GATES="
 internal/core 87.2
 internal/check 98.4
+internal/sim 91.2
 "
 
 status=0

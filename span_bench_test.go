@@ -29,7 +29,7 @@ type spanKernel struct {
 }
 
 var spanKernels = []spanKernel{
-	{name: "Read", scalarCap: 23, spanCap: 24, // pure read sweep: Get against Row
+	{name: "Read", scalarCap: 34, spanCap: 35, // pure read sweep: Get against Row
 		scalar: func(w cvm.Worker, m cvm.F64Matrix) {
 			sum := 0.0
 			for r := 0; r < spanBenchRows; r++ {
@@ -50,7 +50,7 @@ var spanKernels = []spanKernel{
 			}
 			_ = sum
 		}},
-	{name: "Write", scalarCap: 35, spanCap: 38, // pure write sweep: Set against SetRow
+	{name: "Write", scalarCap: 46, spanCap: 49, // pure write sweep: Set against SetRow
 		scalar: func(w cvm.Worker, m cvm.F64Matrix) {
 			for r := 0; r < spanBenchRows; r++ {
 				for j := 0; j < spanBenchCols; j++ {
@@ -67,7 +67,7 @@ var spanKernels = []spanKernel{
 				m.SetRow(w, r, row)
 			}
 		}},
-	{name: "Sweep", scalarCap: 35, spanCap: 36, // read-modify-write over the whole matrix
+	{name: "Sweep", scalarCap: 46, spanCap: 47, // read-modify-write over the whole matrix
 		scalar: func(w cvm.Worker, m cvm.F64Matrix) {
 			for r := 0; r < spanBenchRows; r++ {
 				for j := 0; j < spanBenchCols; j++ {
@@ -85,7 +85,7 @@ var spanKernels = []spanKernel{
 				m.SetRow(w, r, row)
 			}
 		}},
-	{name: "Fill", scalarCap: 35, spanCap: 35, // constant init: Set against one FillF64 per row
+	{name: "Fill", scalarCap: 46, spanCap: 46, // constant init: Set against one FillF64 per row
 		scalar: func(w cvm.Worker, m cvm.F64Matrix) {
 			for r := 0; r < spanBenchRows; r++ {
 				for j := 0; j < spanBenchCols; j++ {
@@ -101,7 +101,7 @@ var spanKernels = []spanKernel{
 	// The SOR inner kernel — a five-point red-black relaxation over one
 	// row — elementwise and in the rolling row-buffer form the
 	// application uses.
-	{name: "SORRow", scalarCap: 34, spanCap: 37,
+	{name: "SORRow", scalarCap: 45, spanCap: 48,
 		scalar: func(w cvm.Worker, m cvm.F64Matrix) {
 			for r := 1; r < spanBenchRows-1; r++ {
 				for j := 1 + r%2; j < spanBenchCols-1; j += 2 {
