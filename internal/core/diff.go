@@ -33,39 +33,72 @@ type Run struct {
 // scans only run at region boundaries, so sparse and dense pages alike
 // cost ~n/8 comparisons. Run boundaries are bit-identical to a
 // byte-at-a-time scan (see TestMakeDiffMatchesReference).
+//
+// A diff is two allocations however many runs it has: one []Run and one
+// data slab cut to size, each Run.Data a slice of the slab clipped to its
+// own length. The scan keeps the first makeDiffStackRuns boundaries on the
+// stack; a page with more runs is scanned again from where they end.
 func MakeDiff(page PageID, twin, cur []byte) []Run {
-	var runs []Run
-	n := len(cur)
-	i := 0
-	for i < n {
-		// Skip the equal region, word-wise while both slices allow it.
-		for i+8 <= n && binary.LittleEndian.Uint64(twin[i:]) == binary.LittleEndian.Uint64(cur[i:]) {
-			i += 8
-		}
-		for i < n && twin[i] == cur[i] {
-			i++
-		}
-		if i == n {
+	var bounds [makeDiffStackRuns][2]int32
+	nruns, nbytes := 0, 0
+	for i := 0; ; nruns++ {
+		start, end := nextRun(twin, cur, i)
+		if start == end {
 			break
 		}
-		// Extend the modified run: whole words where every byte differs,
-		// then bytes until the first match.
-		start := i
-		for i+8 <= n {
-			x := binary.LittleEndian.Uint64(twin[i:]) ^ binary.LittleEndian.Uint64(cur[i:])
-			if hasZeroByte(x) {
-				break
-			}
-			i += 8
+		if nruns < len(bounds) {
+			bounds[nruns] = [2]int32{int32(start), int32(end)}
 		}
-		for i < n && twin[i] != cur[i] {
-			i++
+		nbytes += end - start
+		i = end
+	}
+	if nruns == 0 {
+		return nil
+	}
+	runs := make([]Run, nruns)
+	slab := make([]byte, nbytes)
+	end := 0
+	for k := range runs {
+		var start int
+		if k < len(bounds) {
+			start, end = int(bounds[k][0]), int(bounds[k][1])
+		} else {
+			start, end = nextRun(twin, cur, end)
 		}
-		data := make([]byte, i-start)
-		copy(data, cur[start:i])
-		runs = append(runs, Run{Off: int32(start), Data: data})
+		n := copy(slab, cur[start:end])
+		runs[k] = Run{Off: int32(start), Data: slab[:n:n]}
+		slab = slab[n:]
 	}
 	return runs
+}
+
+const makeDiffStackRuns = 64
+
+// nextRun returns the first modified run at or after byte i as
+// [start, end); start == end when the rest of the page is clean.
+func nextRun(twin, cur []byte, i int) (start, end int) {
+	n := len(cur)
+	// Skip the equal region, word-wise while both slices allow it.
+	for i+8 <= n && binary.LittleEndian.Uint64(twin[i:]) == binary.LittleEndian.Uint64(cur[i:]) {
+		i += 8
+	}
+	for i < n && twin[i] == cur[i] {
+		i++
+	}
+	// Extend the modified run: whole words where every byte differs,
+	// then bytes until the first match.
+	start = i
+	for i+8 <= n {
+		x := binary.LittleEndian.Uint64(twin[i:]) ^ binary.LittleEndian.Uint64(cur[i:])
+		if hasZeroByte(x) {
+			break
+		}
+		i += 8
+	}
+	for i < n && twin[i] != cur[i] {
+		i++
+	}
+	return start, i
 }
 
 // hasZeroByte reports whether any byte of x is zero (the SWAR trick:

@@ -137,14 +137,28 @@ func TestMakeDiffMatchesReference(t *testing.T) {
 			cur[i] = 1 // alternating differ/match defeats whole-word runs
 		}
 	})
+	for _, runs := range []int{makeDiffStackRuns - 1, makeDiffStackRuns, makeDiffStackRuns + 1, 8 * makeDiffStackRuns} {
+		addCase(3*runs+5, func(cur []byte) {
+			for i := 0; i < runs; i++ {
+				cur[3*i+1] = 1 // the stack holds the first makeDiffStackRuns runs; the rest are scanned twice
+			}
+		})
+	}
 	addCase(13, func(cur []byte) { cur[12] = 1 }) // tail shorter than a word
 	addCase(7, func(cur []byte) { cur[3] = 1 })   // page shorter than a word
 	addCase(1, func(cur []byte) { cur[0] = 1 })
 	addCase(0, func(cur []byte) {})
 	for i, c := range cases {
 		twin, cur := c[0], c[1]
-		if got, want := MakeDiff(0, twin, cur), makeDiffRef(twin, cur); !runsEqual(got, want) {
+		got, want := MakeDiff(0, twin, cur), makeDiffRef(twin, cur)
+		if !runsEqual(got, want) {
 			t.Errorf("case %d: MakeDiff = %+v, want %+v", i, got, want)
+		}
+		// The runs share one slab: an append to one must not reach the next.
+		for k, r := range got {
+			if cap(r.Data) != len(r.Data) {
+				t.Errorf("case %d: run %d has len %d but cap %d", i, k, len(r.Data), cap(r.Data))
+			}
 		}
 	}
 

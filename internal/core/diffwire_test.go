@@ -406,8 +406,9 @@ func TestCodecAllocCaps(t *testing.T) {
 		cap  float64
 	}{
 		{"MakeDiff/clean", makeDiff("clean"), 0},
-		{"MakeDiff/sparse", makeDiff("sparse"), 21},
+		{"MakeDiff/sparse", makeDiff("sparse"), 2}, // one []Run, one data slab
 		{"MakeDiff/dense", makeDiff("dense"), 2},
+		{"MakeDiff/alternating", makeDiff("alternating"), 2},
 		{"DiffApply", apply(), 0},
 		{"DiffEncode/sparse", encode("sparse"), 1},
 		{"DiffEncode/dense", encode("dense"), 2},

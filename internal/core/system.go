@@ -142,7 +142,7 @@ func (c *Config) Validate() error {
 	if c.Adapt && c.Protocol != ProtocolLRC {
 		return errors.New("core: Adapt requires the multi-writer LRC protocol")
 	}
-	return nil
+	return c.Mem.Validate()
 }
 
 // Segment names an allocated shared-memory region.

@@ -39,6 +39,7 @@ func TestConfigValidate(t *testing.T) {
 		{"zero threads", func(c *Config) { c.ThreadsPerNode = 0 }, false},
 		{"odd page size", func(c *Config) { c.PageSize = 1000 }, false},
 		{"tiny page size", func(c *Config) { c.PageSize = 32 }, false},
+		{"six D-TLB sets", func(c *Config) { c.Mem.DTLBSets = 6 }, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

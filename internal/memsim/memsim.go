@@ -13,7 +13,11 @@
 // the paper observes.
 package memsim
 
-import "cvm/internal/sim"
+import (
+	"fmt"
+
+	"cvm/internal/sim"
+)
 
 // Params describes one node's memory system.
 type Params struct {
@@ -67,6 +71,23 @@ func AlphaParams() Params {
 	return p
 }
 
+// Validate rejects a geometry the tag arrays cannot index: a lookup
+// picks its set with a mask, so each set count must be a power of two.
+func (p Params) Validate() error {
+	if p.LineSize < 1 || p.CacheWays < 1 {
+		return fmt.Errorf("memsim: LineSize %d and CacheWays %d must be ≥ 1", p.LineSize, p.CacheWays)
+	}
+	for _, f := range []struct {
+		name string
+		sets int
+	}{{"CacheSize/(LineSize*CacheWays)", p.CacheSize / (p.LineSize * p.CacheWays)}, {"DTLBSets", p.DTLBSets}, {"ITLBSets", p.ITLBSets}} {
+		if f.sets < 1 || f.sets&(f.sets-1) != 0 {
+			return fmt.Errorf("memsim: %s = %d sets, must be a power of two", f.name, f.sets)
+		}
+	}
+	return nil
+}
+
 // Stats holds cumulative counters for one node's memory system.
 type Stats struct {
 	Accesses     int64
@@ -88,7 +109,7 @@ func (s *Stats) Add(other Stats) {
 // of one shared backing array (see System.Init), so a whole hierarchy
 // costs a single allocation.
 type assoc struct {
-	sets  int
+	sets  int // a power of two (Params.Validate), so a mask picks the set
 	ways  int
 	tags  []uint64 // sets*ways entries; tag 0 means empty (tags stored +1)
 	stamp []uint64 // LRU stamps, parallel to tags
@@ -106,28 +127,29 @@ func (a *assoc) init(sets, ways int, backing []uint64) {
 // touch looks up key; it returns true on hit. On miss the LRU way of the
 // set is replaced.
 func (a *assoc) touch(key uint64) bool {
-	set := int(key % uint64(a.sets))
-	base := set * a.ways
+	base := int(key&uint64(a.sets-1)) * a.ways
+	tags := a.tags[base : base+a.ways]
+	stamp := a.stamp[base:][:len(tags)]
 	a.tick++
 	stored := key + 1
-	victim := base
-	for i := base; i < base+a.ways; i++ {
-		if a.tags[i] == stored {
-			a.stamp[i] = a.tick
+	victim, oldest := 0, stamp[0]
+	for i, tag := range tags {
+		if tag == stored {
+			stamp[i] = a.tick
 			return true
 		}
-		if a.stamp[i] < a.stamp[victim] {
-			victim = i
+		if stamp[i] < oldest {
+			victim, oldest = i, stamp[i]
 		}
 	}
-	a.tags[victim] = stored
-	a.stamp[victim] = a.tick
+	tags[victim] = stored
+	stamp[victim] = a.tick
 	return false
 }
 
 // find returns the way index currently holding key, or -1.
 func (a *assoc) find(key uint64) int {
-	set := int(key % uint64(a.sets))
+	set := int(key & uint64(a.sets-1))
 	stored := key + 1
 	for i := set * a.ways; i < (set+1)*a.ways; i++ {
 		if a.tags[i] == stored {
@@ -157,8 +179,8 @@ type System struct {
 	noMemo   bool
 }
 
-// invalidLine is a line tag no real access can produce (addresses are
-// below 2^42), marking the memo empty.
+// invalidLine is a line or page tag no real access can produce
+// (addresses are below 2^42), marking the memo empty.
 const invalidLine = ^uint64(0)
 
 // NewSystem returns a memory system with the given geometry.
@@ -171,8 +193,12 @@ func NewSystem(p Params) *System {
 // Init configures s in place with the given geometry, replacing any
 // previous state. It exists so a System can be embedded by value in a
 // larger per-node structure; the whole hierarchy then costs one backing
-// allocation.
+// allocation. A geometry Validate rejects panics: core.Config.Validate
+// has checked what came from outside.
 func (s *System) Init(p Params) {
+	if err := p.Validate(); err != nil {
+		panic(err)
+	}
 	cacheSets := p.CacheSize / (p.LineSize * p.CacheWays)
 	nc := cacheSets * p.CacheWays
 	nd := p.DTLBSets * p.DTLBWays
@@ -183,6 +209,7 @@ func (s *System) Init(p Params) {
 		lineShift: log2(p.LineSize),
 		pageShift: log2(p.PageSize),
 		lastLine:  invalidLine,
+		lastPage:  invalidLine,
 	}
 	s.dcache.init(cacheSets, p.CacheWays, backing[:2*nc])
 	s.dtlb.init(p.DTLBSets, p.DTLBWays, backing[2*nc:2*(nc+nd)])
@@ -205,26 +232,32 @@ func (s *System) ResetStats() { s.stats = Stats{} }
 // the previous access left the line resident and its page mapped, so the
 // access is a guaranteed double hit and the set-associative LRU walks are
 // skipped. A contiguous typed-array sweep therefore pays the tag-array
-// simulation once per line rather than once per element. Miss counts and
-// charged costs are bit-identical to the slow path (skipping a touch of
-// the just-touched — and therefore most-recent — way preserves the
-// relative LRU order of every set; TestAccessMemoEquivalence checks this
-// against the memo-disabled reference).
+// simulation once per line rather than once per element. A new line of
+// the same page skips the D-TLB walk alone: only data accesses touch the
+// D-TLB, so the previous one left its page in the most recent way (a
+// page-sized AccessRange is one walk, not 128). Miss counts and costs are
+// bit-identical to the slow path (skipping a touch of the just-touched —
+// and therefore most-recent — way preserves the relative LRU order of
+// every set; TestAccessMemoEquivalence checks this against the
+// memo-disabled reference).
 func (s *System) Access(addr uint64) sim.Time {
 	line := addr >> s.lineShift
 	pg := addr >> s.pageShift
-	if line == s.lastLine && pg == s.lastPage && !s.noMemo {
-		s.stats.Accesses++
-		return s.params.HitCost
-	}
-	s.lastLine = line
-	s.lastPage = pg
 	s.stats.Accesses++
 	cost := s.params.HitCost
+	samePage := pg == s.lastPage && !s.noMemo
+	if samePage && line == s.lastLine {
+		return cost
+	}
+	s.lastLine = line
 	if !s.dcache.touch(line) {
 		s.stats.DCacheMisses++
 		cost += s.params.CacheMissPen
 	}
+	if samePage {
+		return cost
+	}
+	s.lastPage = pg
 	if !s.dtlb.touch(pg) {
 		s.stats.DTLBMisses++
 		cost += s.params.TLBMissPen

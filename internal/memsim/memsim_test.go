@@ -1,6 +1,9 @@
 package memsim
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -239,8 +242,9 @@ func TestCostsArePositive(t *testing.T) {
 // TestAccessMemoEquivalence drives identical pseudo-random access traces
 // through a memoized system and a memo-disabled reference and requires
 // bit-identical miss counts and per-access costs. The memo (the
-// contiguous-sweep fast path) must be a pure simulation-speed
-// optimization, invisible in every counter the tables report.
+// contiguous-sweep fast path and the same-page D-TLB shortcut) must be a
+// pure simulation-speed optimization, invisible in every counter the
+// tables report.
 func TestAccessMemoEquivalence(t *testing.T) {
 	traces := map[string]func(i int) uint64{
 		// Contiguous 8-byte sweep: the fast path's target.
@@ -275,6 +279,114 @@ func TestAccessMemoEquivalence(t *testing.T) {
 		}
 		if fast.Stats() != ref.Stats() {
 			t.Errorf("%s: stats diverged: fast %+v, reference %+v", name, fast.Stats(), ref.Stats())
+		}
+		requireSameReplacementState(t, name, fast, ref)
+	}
+}
+
+// TestAccessMemoEquivalenceMixed runs all three data entry points against
+// the memo-disabled reference in one long sequence: scalar accesses,
+// 8-byte spans and byte ranges that start anywhere, cross page boundaries
+// and revisit a page after enough others to have evicted it from the
+// 16-entry D-TLB. The first access is to page 0, which the zero value of
+// the page memo would mistake for a page already walked.
+func TestAccessMemoEquivalenceMixed(t *testing.T) {
+	for gi, params := range []Params{SP2Params(), AlphaParams()} {
+		fast := NewSystem(params)
+		ref := NewSystem(params)
+		ref.noMemo = true
+		x := uint64(gi) + 99
+		rnd := func(mod uint64) uint64 {
+			x = x*6364136223846793005 + 1442695040888963407
+			return (x >> 33) % mod
+		}
+		if cf, cr := fast.Access(8), ref.Access(8); cf != cr {
+			t.Fatalf("first access, to page 0: fast cost %v != reference %v", cf, cr)
+		}
+		page := uint64(params.PageSize)
+		for i := 0; i < 4000; i++ {
+			// 40 pages over 8 D-TLB sets of 2 ways: pages come back both
+			// still mapped and long evicted.
+			addr := rnd(40)*page + rnd(page)
+			var cf, cr sim.Time
+			switch rnd(4) {
+			case 0:
+				cf, cr = fast.Access(addr), ref.Access(addr)
+			case 1: // the same page again, another line: the shortcut's case
+				addr2 := addr&^(page-1) + rnd(page)
+				cf = fast.Access(addr) + fast.Access(addr2)
+				cr = ref.Access(addr) + ref.Access(addr2)
+			case 2:
+				cnt := int(rnd(3000)) + 1 // up to three pages of words
+				cf, cr = fast.AccessStride8(addr&^7, cnt), ref.AccessStride8(addr&^7, cnt)
+			case 3:
+				n := int(rnd(3*page)) + 1
+				cf, cr = fast.AccessRange(addr, n), ref.AccessRange(addr, n)
+			}
+			if cf != cr {
+				t.Fatalf("geometry %d op %d at %#x: fast cost %v != reference %v", gi, i, addr, cf, cr)
+			}
+			if fast.Stats() != ref.Stats() {
+				t.Fatalf("geometry %d op %d at %#x: stats %+v != reference %+v", gi, i, addr, fast.Stats(), ref.Stats())
+			}
+		}
+		requireSameReplacementState(t, "mixed", fast, ref)
+	}
+}
+
+// requireSameReplacementState compares what the next miss would evict,
+// everywhere: the same tag in every way of the data cache and the D-TLB,
+// and the ways of every set in the same LRU order. The stamps themselves
+// differ — a skipped walk does not advance the clock — only their order
+// within a set decides a replacement.
+func requireSameReplacementState(t *testing.T, name string, fast, ref *System) {
+	t.Helper()
+	for _, c := range []struct {
+		what      string
+		fast, ref *assoc
+	}{{"dcache", &fast.dcache, &ref.dcache}, {"dtlb", &fast.dtlb, &ref.dtlb}} {
+		if !slices.Equal(c.fast.tags, c.ref.tags) {
+			t.Fatalf("%s: %s tags diverged", name, c.what)
+		}
+		for base := 0; base < len(c.fast.tags); base += c.fast.ways {
+			for i := base; i < base+c.fast.ways; i++ {
+				for j := base; j < i; j++ {
+					if (c.fast.stamp[i] < c.fast.stamp[j]) != (c.ref.stamp[i] < c.ref.stamp[j]) {
+						t.Fatalf("%s: %s set %d: ways %d and %d are in a different LRU order",
+							name, c.what, base/c.fast.ways, j-base, i-base)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestInitRejectsNonPowerOfTwoSets: touch picks its set with a mask, so a
+// set count that is not a power of two must not get as far as a lookup.
+func TestInitRejectsNonPowerOfTwoSets(t *testing.T) {
+	for field, mutate := range map[string]func(*Params){
+		"CacheSize/(LineSize*CacheWays)": func(p *Params) { p.CacheSize = 48 << 10 },
+		"DTLBSets":                       func(p *Params) { p.DTLBSets = 6 },
+		"ITLBSets":                       func(p *Params) { p.ITLBSets = 0 },
+		"CacheWays":                      func(p *Params) { p.CacheWays = 0 },
+	} {
+		p := SP2Params()
+		mutate(&p)
+		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: Validate() = %v, want an error naming the field", field, err)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), field) {
+					t.Errorf("%s: Init panicked with %v, want a message naming the field", field, r)
+				}
+			}()
+			NewSystem(p)
+		}()
+	}
+	for _, p := range []Params{SP2Params(), AlphaParams()} {
+		if err := p.Validate(); err != nil {
+			t.Errorf("Validate() = %v on a geometry the tree uses", err)
 		}
 	}
 }
@@ -315,7 +427,7 @@ func TestAccessStride8Equivalence(t *testing.T) {
 			cnt  int
 		}{
 			{0, 1}, {0, 7}, {8, 8}, {24, 1000}, {8000, 64}, // page-crossing
-			{1 << 20, 4096}, {40, 3}, {48, 3}, {0, 2048},   // re-sweep
+			{1 << 20, 4096}, {40, 3}, {48, 3}, {0, 2048}, // re-sweep
 		}
 		for _, sp := range spans {
 			cf := fast.AccessStride8(sp.addr, sp.cnt)

@@ -1,10 +1,11 @@
 package trace
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strconv"
 
 	"cvm/internal/sim"
 )
@@ -27,222 +28,266 @@ import (
 // timestamps, so for a given run it is byte-reproducible — the property
 // the golden-trace regression test locks in.
 func WriteChrome(w io.Writer, r *Recorder) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "{\"traceEvents\":[\n")
-
-	first := true
-	emit := func(format string, args ...any) {
-		if !first {
-			bw.WriteString(",\n")
-		}
-		first = false
-		fmt.Fprintf(bw, format, args...)
-	}
+	c := &chromeWriter{w: w, tpn: int64(r.ThreadsPerNode()), buf: make([]byte, 0, chromeFlush+1024)}
+	c.str("{\"traceEvents\":[\n")
 
 	// Metadata: name and order the node processes and their tracks.
-	for n := 0; n < r.Nodes(); n++ {
-		emit(`{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":"node %d"}}`, n, n)
-		emit(`{"name":"process_sort_index","ph":"M","pid":%d,"tid":0,"args":{"sort_index":%d}}`, n, n)
-		emit(`{"name":"thread_name","ph":"M","pid":%d,"tid":0,"args":{"name":"protocol"}}`, n)
-		for l := 0; l < r.ThreadsPerNode(); l++ {
-			gid := n*r.ThreadsPerNode() + l
-			emit(`{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":"thread g%d"}}`, n, l+1, gid)
+	for n := int64(0); n < int64(r.Nodes()); n++ {
+		c.name("process_name").str(`","ph":"M","pid":`).int(n).str(`,"tid":0,"args":{"name":"node `).int(n).str(`"}}`)
+		c.name("process_sort_index").str(`","ph":"M","pid":`).int(n).str(`,"tid":0,"args":{"sort_index":`).int(n).str(`}}`)
+		c.name("thread_name").str(`","ph":"M","pid":`).int(n).str(`,"tid":0,"args":{"name":"protocol"}}`)
+		for l := int64(0); l < c.tpn; l++ {
+			c.name("thread_name").str(`","ph":"M","pid":`).int(n).str(`,"tid":`).int(l + 1).
+				str(`,"args":{"name":"thread g`).int(n*c.tpn + l).str(`"}}`)
 		}
-	}
-
-	tid := func(e Event) int {
-		if e.Thread < 0 {
-			return 0
-		}
-		return int(e.Thread) - int(e.Node)*r.ThreadsPerNode() + 1
 	}
 
 	type pageKey struct{ node, page int32 }
 	type syncKey struct{ node, sync int32 }
-	faultStart := make(map[pageKey]Event)
-	lockReq := make(map[syncKey]Event)
-	barrierArrive := make(map[syncKey][]Event)
+	faultStart := make(map[pageKey]*Event)
+	lockReq := make(map[syncKey]*Event)
+	barrierArrive := make(map[syncKey][]*Event)
 
-	span := func(name, cat string, start, end Event, onTid int) {
-		emit(`{"name":%q,"cat":%q,"ph":"X","ts":%s,"dur":%s,"pid":%d,"tid":%d}`,
-			name, cat, usec(start.T), usec(end.T-start.T), start.Node, onTid)
-	}
-	instant := func(e Event, name, cat, args string) {
-		if args == "" {
-			emit(`{"name":%q,"cat":%q,"ph":"i","s":"t","ts":%s,"pid":%d,"tid":%d}`,
-				name, cat, usec(e.T), e.Node, tid(e))
-			return
-		}
-		emit(`{"name":%q,"cat":%q,"ph":"i","s":"t","ts":%s,"pid":%d,"tid":%d,"args":{%s}}`,
-			name, cat, usec(e.T), e.Node, tid(e), args)
-	}
-
-	for _, e := range r.Events() {
+	for _, e := range r.ordered() {
 		switch e.Kind {
 		case KindFaultStart:
 			faultStart[pageKey{e.Node, e.Page}] = e
-
 		case KindFaultResolve:
 			k := pageKey{e.Node, e.Page}
 			if s, ok := faultStart[k]; ok {
 				delete(faultStart, k)
-				onTid := tid(s) // the faulting thread, even if resolve ran in handler context
-				span(fmt.Sprintf("fault p%d", e.Page), "fault", s, e, onTid)
+				// On the faulting thread, even if resolve ran in handler context.
+				c.nameN("fault p", e.Page).span("fault", s, e, c.tid(s))
 			} else {
-				instant(e, fmt.Sprintf("fault p%d resolve", e.Page), "fault",
-					fmt.Sprintf(`"diffs":%d`, e.Arg))
+				c.nameN("fault p", e.Page).str(" resolve").instant(e, "fault").arg("diffs", e.Arg).end()
 			}
-
 		case KindTwinCreate:
-			instant(e, fmt.Sprintf("twin p%d", e.Page), "diff", "")
-
+			c.nameN("twin p", e.Page).instant(e, "diff").end()
 		case KindDiffCreate:
-			instant(e, fmt.Sprintf("diff p%d create", e.Page), "diff",
-				fmt.Sprintf(`"bytes":%d,"interval":%d`, e.Arg, e.Aux))
-
+			c.nameN("diff p", e.Page).str(" create").instant(e, "diff").arg("bytes", e.Arg).arg("interval", e.Aux).end()
 		case KindDiffApply:
-			instant(e, fmt.Sprintf("diff p%d apply", e.Page), "diff",
-				fmt.Sprintf(`"from":%d,"interval":%d,"bytes":%d`, e.Peer, e.Arg, e.Aux))
-
+			c.nameN("diff p", e.Page).str(" apply").instant(e, "diff").
+				arg("from", int64(e.Peer)).arg("interval", e.Arg).arg("bytes", e.Aux).end()
 		case KindLockRequest:
 			lockReq[syncKey{e.Node, e.Sync}] = e
-
 		case KindLockForward:
-			instant(e, fmt.Sprintf("lock %d forward", e.Sync), "lock",
-				fmt.Sprintf(`"requester":%d,"to":%d`, e.Arg, e.Peer))
-
+			c.nameN("lock ", e.Sync).str(" forward").instant(e, "lock").arg("requester", e.Arg).arg("to", int64(e.Peer)).end()
 		case KindLockGrant:
-			instant(e, fmt.Sprintf("lock %d grant", e.Sync), "lock", "")
-
+			c.nameN("lock ", e.Sync).str(" grant").instant(e, "lock").end()
 		case KindLockAcquire:
 			k := syncKey{e.Node, e.Sync}
+			c.nameN("lock ", e.Sync).str(" acquire")
 			if s, ok := lockReq[k]; ok && e.Arg == 0 {
 				delete(lockReq, k)
-				span(fmt.Sprintf("lock %d acquire", e.Sync), "lock", s, e, tid(e))
+				c.span("lock", s, e, c.tid(e))
 			} else {
-				instant(e, fmt.Sprintf("lock %d acquire", e.Sync), "lock", `"local":1`)
+				c.instant(e, "lock").arg("local", 1).end()
 			}
-
 		case KindLockRelease:
-			instant(e, fmt.Sprintf("lock %d release", e.Sync), "lock", "")
-
+			c.nameN("lock ", e.Sync).str(" release").instant(e, "lock").end()
 		case KindBarrierArrive:
 			k := syncKey{e.Node, e.Sync}
 			barrierArrive[k] = append(barrierArrive[k], e)
-
 		case KindBarrierRelease:
 			k := syncKey{e.Node, e.Sync}
-			name := fmt.Sprintf("barrier %d wait", e.Sync)
+			pre := "barrier "
 			if e.Aux == 1 {
-				name = fmt.Sprintf("local barrier %d wait", e.Sync)
+				pre = "local barrier "
 			}
 			for _, a := range barrierArrive[k] {
-				span(name, "barrier", a, e, tid(a))
+				c.nameN(pre, e.Sync).str(" wait").span("barrier", a, e, c.tid(a))
 			}
-			delete(barrierArrive, k)
-
+			barrierArrive[k] = barrierArrive[k][:0] // the next episode reuses the slice
 		case KindThreadSwitch:
 			// Flow arrow from the switched-out thread to the dispatched
 			// one, plus an instant marking the switch cost point.
-			from := e
+			from, id := *e, int64(switchFlowBase+e.Seq)
 			from.Thread = int32(e.Arg)
-			emit(`{"name":"switch","cat":"sched","ph":"s","id":%d,"ts":%s,"pid":%d,"tid":%d}`,
-				switchFlowBase+e.Seq, usec(e.T), e.Node, tid(from))
-			emit(`{"name":"switch","cat":"sched","ph":"f","bp":"e","id":%d,"ts":%s,"pid":%d,"tid":%d}`,
-				switchFlowBase+e.Seq, usec(e.T), e.Node, tid(e))
-			instant(e, "switch in", "sched", fmt.Sprintf(`"from":"g%d"`, e.Arg))
-
+			c.name("switch").str(`","cat":"sched","ph":"s","id":`).int(id).at(e, c.tid(&from)).end()
+			c.name("switch").str(`","cat":"sched","ph":"f","bp":"e","id":`).int(id).at(e, c.tid(e)).end()
+			c.name("switch in").instant(e, "sched").key("from").str(`"g`).int(e.Arg).str(`"`).end()
 		case KindThreadBlock:
-			instant(e, "block", "sched", fmt.Sprintf(`"reason":%q`, reasonName(e.Arg)))
-
+			c.name("block").instant(e, "sched").key("reason").str(`"`).reason(e.Arg).str(`"`).end()
 		case KindThreadUnblock:
-			instant(e, "unblock", "sched", fmt.Sprintf(`"reason":%q`, reasonName(e.Arg)))
-
+			c.name("unblock").instant(e, "sched").key("reason").str(`"`).reason(e.Arg).str(`"`).end()
 		case KindMsgSend:
-			emit(`{"name":%q,"cat":"msg","ph":"s","id":%d,"ts":%s,"pid":%d,"tid":0,"args":{"bytes":%d}}`,
-				"msg "+className(e.Sync), e.Aux, usec(e.T), e.Node, e.Arg)
-
+			c.name("msg ").class(e.Sync).str(`","cat":"msg","ph":"s","id":`).int(e.Aux).at(e, 0).arg("bytes", e.Arg).end()
 		case KindMsgDeliver:
-			emit(`{"name":%q,"cat":"msg","ph":"f","bp":"e","id":%d,"ts":%s,"pid":%d,"tid":0,"args":{"bytes":%d}}`,
-				"msg "+className(e.Sync), e.Aux, usec(e.T), e.Node, e.Arg)
-
+			c.name("msg ").class(e.Sync).str(`","cat":"msg","ph":"f","bp":"e","id":`).int(e.Aux).at(e, 0).arg("bytes", e.Arg).end()
 		case KindMsgDrop:
-			instant(e, "drop "+className(e.Sync), "fault-inject",
-				fmt.Sprintf(`"to":%d,"bytes":%d,"id":%d`, e.Peer, e.Arg, e.Aux))
-
+			c.name("drop ").class(e.Sync).instant(e, "fault-inject").
+				arg("to", int64(e.Peer)).arg("bytes", e.Arg).arg("id", e.Aux).end()
 		case KindMsgDup:
-			instant(e, "dup "+className(e.Sync), "fault-inject",
-				fmt.Sprintf(`"to":%d,"bytes":%d,"id":%d`, e.Peer, e.Arg, e.Aux))
-
+			c.name("dup ").class(e.Sync).instant(e, "fault-inject").
+				arg("to", int64(e.Peer)).arg("bytes", e.Arg).arg("id", e.Aux).end()
 		case KindRetransmit:
-			instant(e, "retransmit "+className(e.Sync), "transport",
-				fmt.Sprintf(`"to":%d,"seq":%d,"attempt":%d`, e.Peer, e.Aux, e.Arg))
-
+			c.name("retransmit ").class(e.Sync).instant(e, "transport").
+				arg("to", int64(e.Peer)).arg("seq", e.Aux).arg("attempt", e.Arg).end()
 		case KindDupSuppress:
-			instant(e, "dup-suppress "+className(e.Sync), "transport",
-				fmt.Sprintf(`"from":%d,"seq":%d`, e.Peer, e.Aux))
+			c.name("dup-suppress ").class(e.Sync).instant(e, "transport").arg("from", int64(e.Peer)).arg("seq", e.Aux).end()
+		case KindModeChange:
+			c.nameN("mode p", e.Page).instant(e, "adapt").
+				arg("mode", e.Arg).arg("owner", int64(e.Peer)).arg("epoch", e.Aux).end()
+		case KindExclWindowClose:
+			c.nameN("excl p", e.Page).str(" close").instant(e, "adapt").arg("epoch", e.Aux).end()
 		}
 	}
 
 	// Faults or lock requests still open at the end of the trace (their
 	// resolution fell outside the ring bound, or the run was cut) render
-	// as instants so the data is not lost.
-	for _, e := range faultStart {
-		instant(e, fmt.Sprintf("fault p%d (unresolved)", e.Page), "fault", "")
+	// as instants so the data is not lost, each kind in (T, Seq) order.
+	for _, e := range openEvents(faultStart) {
+		c.nameN("fault p", e.Page).str(" (unresolved)").instant(e, "fault").end()
 	}
-	for _, e := range lockReq {
-		instant(e, fmt.Sprintf("lock %d request (ungranted)", e.Sync), "lock", "")
+	for _, e := range openEvents(lockReq) {
+		c.nameN("lock ", e.Sync).str(" request (ungranted)").instant(e, "lock").end()
 	}
 
-	fmt.Fprintf(bw, "\n],\"displayTimeUnit\":\"ms\"}\n")
-	return bw.Flush()
+	c.str("\n],\"displayTimeUnit\":\"ms\"}\n")
+	c.flush()
+	return c.err
+}
+
+// openEvents returns m's values in (T, Seq) order.
+func openEvents[K comparable](m map[K]*Event) []*Event {
+	out := make([]*Event, 0, len(m))
+	for _, e := range m {
+		out = append(out, e)
+	}
+	slices.SortFunc(out, cmpEvents)
+	return out
+}
+
+// chromeFlush is the buffered size at which chromeWriter writes out.
+const chromeFlush = 64 << 10
+
+// chromeWriter renders trace events by appending to one reused buffer,
+// written out between events once it passes chromeFlush. Every name and
+// string value is literal ASCII, a class or reason name, or a decimal
+// integer — text that JSON quoting leaves as it is — so nothing is
+// escaped and nothing goes through fmt or an intermediate string. Its
+// methods chain: name, the rest of the name, instant or span, arg, end.
+type chromeWriter struct {
+	w    io.Writer
+	err  error // the first write error; later writes are skipped
+	buf  []byte
+	sep  string // between events: empty before the first
+	tpn  int64  // threads per node
+	args bool   // the open event has an "args" object
+}
+
+func (c *chromeWriter) flush() {
+	if c.err == nil {
+		_, c.err = c.w.Write(c.buf)
+	}
+	c.buf = c.buf[:0]
+}
+
+func (c *chromeWriter) str(s string) *chromeWriter {
+	c.buf = append(c.buf, s...)
+	return c
+}
+
+func (c *chromeWriter) int(v int64) *chromeWriter {
+	c.buf = strconv.AppendInt(c.buf, v, 10)
+	return c
+}
+
+// usec renders a virtual time as microseconds with nanosecond precision,
+// the unit Chrome trace timestamps use: integer digits, a point and
+// exactly three more, so the output is byte-stable (no float rounding).
+func (c *chromeWriter) usec(t sim.Time) *chromeWriter {
+	if t < 0 {
+		c.str("-")
+		t = -t
+	}
+	ns := int64(t) % 1000
+	return c.int(int64(t) / 1000).str(".").int(ns / 100).int(ns / 10 % 10).int(ns % 10)
+}
+
+// name opens an event and begins its name.
+func (c *chromeWriter) name(s string) *chromeWriter {
+	if len(c.buf) >= chromeFlush {
+		c.flush()
+	}
+	c.str(c.sep).str(`{"name":"`).str(s)
+	c.sep = ",\n"
+	return c
+}
+
+func (c *chromeWriter) nameN(s string, n int32) *chromeWriter { return c.name(s).int(int64(n)) }
+
+// classNames mirrors netsim's Table 2 classes (trace cannot import
+// netsim — netsim emits into trace; the netsim class-guard test keeps
+// the two in sync), reasonNames core's Reason constants.
+var (
+	classNames  = []string{"barrier", "lock", "diff"}
+	reasonNames = []string{1: "fault", 2: "lock", 3: "barrier"}
+)
+
+// enum appends names[v], or other and the number where v has no name.
+func (c *chromeWriter) enum(names []string, other string, v int64) *chromeWriter {
+	if v >= 0 && v < int64(len(names)) && names[v] != "" {
+		return c.str(names[v])
+	}
+	return c.str(other).int(v)
+}
+
+func (c *chromeWriter) class(v int32) *chromeWriter  { return c.enum(classNames, "class", int64(v)) }
+func (c *chromeWriter) reason(v int64) *chromeWriter { return c.enum(reasonNames, "reason", v) }
+
+// tid maps an event to its track: 0 for handler context, else the
+// thread's local id plus one.
+func (c *chromeWriter) tid(e *Event) int64 {
+	if e.Thread < 0 {
+		return 0
+	}
+	return int64(e.Thread) - int64(e.Node)*c.tpn + 1
+}
+
+// at appends e's timestamp and process and the given track.
+func (c *chromeWriter) at(e *Event, tid int64) *chromeWriter {
+	return c.str(`,"ts":`).usec(e.T).str(`,"pid":`).int(int64(e.Node)).str(`,"tid":`).int(tid)
+}
+
+// instant closes the name and makes the event an instant on e's track.
+func (c *chromeWriter) instant(e *Event, cat string) *chromeWriter {
+	return c.str(`","cat":"`).str(cat).str(`","ph":"i","s":"t"`).at(e, c.tid(e))
+}
+
+// span closes the name and the event: a complete ("X") slice from start
+// to end on start's node and the given track.
+func (c *chromeWriter) span(cat string, start, end *Event, tid int64) {
+	c.str(`","cat":"`).str(cat).str(`","ph":"X","ts":`).usec(start.T).str(`,"dur":`).usec(end.T - start.T).
+		str(`,"pid":`).int(int64(start.Node)).str(`,"tid":`).int(tid).str("}")
+}
+
+// key begins an argument of the open event, opening its "args" object
+// on the first; the caller appends the value.
+func (c *chromeWriter) key(k string) *chromeWriter {
+	if c.args {
+		c.str(`,"`)
+	} else {
+		c.str(`,"args":{"`)
+		c.args = true
+	}
+	return c.str(k).str(`":`)
+}
+
+func (c *chromeWriter) arg(k string, v int64) *chromeWriter { return c.key(k).int(v) }
+
+// end closes the open event, and its "args" object if it has one.
+func (c *chromeWriter) end() {
+	if c.args {
+		c.str("}")
+		c.args = false
+	}
+	c.str("}")
 }
 
 // switchFlowBase keeps thread-switch flow ids out of the message-id
 // space (message ids are a small dense counter).
 const switchFlowBase = uint64(1) << 40
-
-// usec renders a virtual time as microseconds with nanosecond precision,
-// the unit Chrome trace timestamps use. Fixed %d.%03d formatting keeps
-// the output byte-stable (no float rounding).
-func usec(t sim.Time) string {
-	neg := ""
-	if t < 0 {
-		neg, t = "-", -t
-	}
-	return fmt.Sprintf("%s%d.%03d", neg, int64(t)/1000, int64(t)%1000)
-}
-
-// className names a message class for export. The mapping mirrors
-// netsim's Table 2 classes (trace cannot import netsim — netsim emits
-// into trace); the netsim class-guard test keeps the two in sync.
-func className(class int32) string {
-	switch class {
-	case 0:
-		return "barrier"
-	case 1:
-		return "lock"
-	case 2:
-		return "diff"
-	default:
-		return fmt.Sprintf("class%d", class)
-	}
-}
-
-// reasonName names a block reason. Values mirror core's Reason
-// constants (fault, lock, barrier).
-func reasonName(r int64) string {
-	switch r {
-	case 1:
-		return "fault"
-	case 2:
-		return "lock"
-	case 3:
-		return "barrier"
-	default:
-		return fmt.Sprintf("reason%d", r)
-	}
-}
 
 // WriteChromeFile writes the recorder's Chrome trace to path and
 // confirms it on out with the event count, and the count the ring bound

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cvm"
+	"cvm/internal/apps"
 	"cvm/internal/trace"
 )
 
@@ -92,6 +93,29 @@ func TestGoldenTrace(t *testing.T) {
 		t.Fatalf("trace diverged from %s (%d bytes, want %d); the protocol's "+
 			"event order changed — if intentional, regenerate with -update",
 			golden, len(got), len(want))
+	}
+}
+
+// TestWriteChromeMatchesReferenceOnRuns is the differential oracle on
+// recorded streams: the golden program's and one paper application's
+// must export to the same bytes through the writer and through the
+// fmt-based one it replaced (chrome_ref_test.go).
+func TestWriteChromeMatchesReferenceOnRuns(t *testing.T) {
+	water := trace.NewRecorder(8, 4, 0)
+	cfg := cvm.DefaultConfig(8, 4)
+	cfg.Tracer = water
+	if _, _, err := apps.RunConfig("waternsq", apps.SizeTest, cfg, 0); err != nil {
+		t.Fatal(err)
+	}
+	for name, rec := range map[string]*trace.Recorder{"micro": microTrace(t), "waternsq 8x4 test": water} {
+		var want bytes.Buffer
+		if err := trace.WriteChromeRef(&want, rec); err != nil {
+			t.Fatal(err)
+		}
+		if got := exportChrome(t, rec); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s: %d events export to %d bytes, the reference writer to %d, and they differ",
+				name, rec.Len(), len(got), want.Len())
+		}
 	}
 }
 

@@ -17,8 +17,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cvm/internal/sim"
 )
@@ -177,35 +178,55 @@ type Tracer interface {
 	Emit(e Event)
 }
 
+// chunkEvents is the length of every chunk of a ring but its last.
+const chunkEvents = 1 << 12
+
 // ring is one node's event buffer: append-only until limit, then a
-// circular overwrite of the oldest events.
+// circular overwrite of the oldest events. Storage is a list of chunks,
+// so a growing ring never copies what it already holds. The first chunk
+// grows by append, which keeps a quiet node of a wide cluster small;
+// every later one is allocated whole.
 type ring struct {
-	buf     []Event
-	next    int // write cursor once full
-	full    bool
+	chunks  [][]Event
+	n       int // retained events
+	next    int // the oldest event once the ring has wrapped
 	dropped uint64
 }
 
 func (r *ring) add(e Event, limit int) {
-	if limit <= 0 || len(r.buf) < limit {
-		r.buf = append(r.buf, e)
+	if limit > 0 && r.n >= limit {
+		*r.at(0) = e
+		if r.next++; r.next == r.n {
+			r.next = 0
+		}
+		r.dropped++
 		return
 	}
-	r.buf[r.next] = e
-	r.next = (r.next + 1) % limit
-	r.full = true
-	r.dropped++
+	c := r.n / chunkEvents
+	if c == len(r.chunks) {
+		r.chunks = append(r.chunks, nil)
+		if c > 0 {
+			r.chunks[c] = make([]Event, 0, chunkEvents)
+		}
+	}
+	r.chunks[c] = append(r.chunks[c], e)
+	r.n++
 }
 
-// events returns the ring contents in emission order.
-func (r *ring) events() []Event {
-	if !r.full {
-		return r.buf
+// at returns the i-th retained event in emission order, 0 the oldest.
+func (r *ring) at(i int) *Event {
+	if i += r.next; i >= r.n {
+		i -= r.n
 	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
+	return &r.chunks[i/chunkEvents][i%chunkEvents]
+}
+
+// cmpEvents orders events by (T, Seq), the total order of every export.
+func cmpEvents(a, b *Event) int {
+	if c := cmp.Compare(a.T, b.T); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
 }
 
 // Recorder is the standard Tracer: per-node ring buffers with an
@@ -250,7 +271,7 @@ func (r *Recorder) Emit(e Event) {
 func (r *Recorder) Len() int {
 	n := 0
 	for i := range r.rings {
-		n += len(r.rings[i].buf)
+		n += r.rings[i].n
 	}
 	return n
 }
@@ -266,22 +287,38 @@ func (r *Recorder) Dropped() uint64 {
 
 // NodeEvents returns node n's retained events in emission order.
 func (r *Recorder) NodeEvents(n int) []Event {
-	return append([]Event(nil), r.rings[n].events()...)
+	ring := &r.rings[n]
+	out := make([]Event, ring.n)
+	for i := range out {
+		out[i] = *ring.at(i)
+	}
+	return out
 }
 
 // Events returns every retained event merged across nodes, ordered by
 // (timestamp, sequence). The sequence tiebreak makes the order total and
 // deterministic: same run, same slice.
 func (r *Recorder) Events() []Event {
-	out := make([]Event, 0, r.Len())
-	for i := range r.rings {
-		out = append(out, r.rings[i].events()...)
+	sorted := r.ordered()
+	out := make([]Event, len(sorted))
+	for i, e := range sorted {
+		out[i] = *e
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].T != out[j].T {
-			return out[i].T < out[j].T
+	return out
+}
+
+// ordered is Events without the copy: pointers into the rings, valid
+// until the next Emit. Which chunk an event sits in does not matter to a
+// sort on (T, Seq), so a wrapped ring is read like any other.
+func (r *Recorder) ordered() []*Event {
+	out := make([]*Event, 0, r.Len())
+	for i := range r.rings {
+		for _, c := range r.rings[i].chunks {
+			for j := range c {
+				out = append(out, &c[j])
+			}
 		}
-		return out[i].Seq < out[j].Seq
-	})
+	}
+	slices.SortFunc(out, cmpEvents)
 	return out
 }
