@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race cover loc golden-trace adapt-golden bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs fuzz-sortdiffs metrics-gate diff-backends metrics-baseline scale-baseline teardown-stress
+.PHONY: check vet build test race cover loc loc-gate golden-trace adapt-golden bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs fuzz-sortdiffs metrics-gate diff-backends metrics-baseline scale-baseline teardown-stress
 
 ## check: the pre-commit gate (.github/workflows/ci.yml runs these same
 ## targets, one step each) — vet,
@@ -11,10 +11,11 @@ GO ?= go
 ## the multi-process cluster smoke against the simulator oracle, the
 ## 256-node scale smoke, the diff-order differential tests, the metrics
 ## regression gate against the committed baseline, the sim-vs-real
-## counter-equivalence gate, the rt teardown stress, and the per-package
-## coverage floors. Host-time performance is `go run ./bench`
-## (bench/README.md), judged per PR against the parent commit.
-check: vet build race golden-trace adapt-golden bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs metrics-gate diff-backends teardown-stress cover
+## counter-equivalence gate, the rt teardown stress, the per-package
+## coverage floors, and the line budget. Host-time performance is
+## `go run ./bench` (bench/README.md), judged per PR against the parent
+## commit.
+check: loc-gate vet build race golden-trace adapt-golden bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs metrics-gate diff-backends teardown-stress cover
 	@echo "check: OK"
 
 vet:
@@ -54,6 +55,12 @@ adapt-golden:
 ## CHANGES.md entry records as parent → now.
 loc:
 	@./scripts/loc.sh
+
+## loc-gate: fail when that total exceeds the one number in
+## scripts/loc_budget. A PR that shrinks the tree sets the budget to its
+## own total, so the size target ratchets instead of being re-counted.
+loc-gate:
+	@./scripts/loc_gate.sh
 
 ## bench-smoke: run each benchmark exactly once. Catches benchmarks that
 ## panic or assert-fail without paying for stable timings.
@@ -127,7 +134,9 @@ metrics-gate:
 ## every backend-invariant sync counter (lock acquires/releases, barrier
 ## and local-barrier arrivals, reductions) to match exactly. Wall-time
 ## histograms are reported side by side, never gated: the two backends
-## measure different machines.
+## measure different machines. Then the simulator's invariant checker
+## audits the loopback runs' event streams (lock exclusion, barrier and
+## local-barrier epochs, diff uniqueness).
 diff-backends:
 	@for app in sor waternsq; do \
 		echo "== diff-backends: $$app 4x2 =="; \
@@ -136,6 +145,7 @@ diff-backends:
 		$(GO) run ./cmd/cvm-metrics diff-backends sim_$$app.json real_$$app.json || exit 1; \
 		rm -f sim_$$app.json real_$$app.json; \
 	done
+	$(GO) test ./internal/rt -run TestCheckerOnLoopback -count=1
 
 ## metrics-baseline: regenerate the committed metrics-gate baseline.
 metrics-baseline:

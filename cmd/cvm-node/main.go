@@ -26,7 +26,7 @@
 // /healthz (liveness), /status (epoch, per-thread states, per-peer
 // traffic), /metrics (wall-clock metrics report as JSON, or Prometheus
 // text with ?format=prom), and /debug/pprof/ for live profiling. See
-// DESIGN.md §13 and "Observing a real cluster" in the README.
+// DESIGN.md §11 and "Observing a real cluster" in the README.
 //
 // Every node collects wall-clock protocol metrics; members ship theirs
 // to the coordinator in the result message, and the coordinator merges

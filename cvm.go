@@ -98,7 +98,14 @@ type Worker interface {
 	Lock(id int)
 	Unlock(id int)
 	// ReduceF64 combines v across all threads with op and returns the
-	// result to every thread.
+	// result to every thread. Every thread must call it, with the same id
+	// and op. It synchronizes the threads and moves the values, nothing
+	// else: it is not a memory-consistency point in simulation (no
+	// interval closes, no write notice travels) and happens to be one on
+	// the real runtime (which flushes and invalidates around it), so a
+	// program must not rely on it to make shared writes visible — that
+	// is Barrier's and Lock/Unlock's contract. The floating-point
+	// combination order is fixed per backend, not across backends.
 	ReduceF64(id int, v float64, op ReduceOp) float64
 
 	// ReadF64/WriteF64 and ReadI64/WriteI64 access one shared value.
@@ -218,12 +225,6 @@ func DefaultConfig(nodes, threadsPerNode int) Config {
 // NewMetrics returns a metrics registry ready to set on Config.Metrics.
 // One registry serves exactly one cluster.
 func NewMetrics() *Metrics { return metrics.NewRegistry() }
-
-// NewMetricsReport derives a report (top-N hot-spot tables included)
-// from a snapshot; see metrics.NewReport.
-func NewMetricsReport(app, config string, snap *MetricsSnapshot, topN int) *MetricsReport {
-	return metrics.NewReport(metrics.Meta{App: app, Config: config}, snap, topN)
-}
 
 // Cluster is a simulated CVM cluster ready to allocate shared memory and
 // run an application.

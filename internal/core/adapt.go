@@ -904,13 +904,7 @@ func (t *Thread) fullFetchFault(p *page, ad *pageAdapt, fstart sim.Time) {
 			})
 		})
 	fs.waiters = append(fs.waiters, t)
-	wstart := t.task.Now()
-	t.block(ReasonFault)
-	if nm := n.met; nm != nil {
-		d := t.task.Now() - wstart
-		nm.FaultThreadWait.Observe(int64(d))
-		sys.met.PageFaultWait(n.id, int32(p.id), d)
-	}
+	t.blockFault(p)
 	if p.fault == fs && fs.ready && fs.waiters[0] == t {
 		t.applyFault(fs)
 	}

@@ -51,9 +51,7 @@ func (t *Thread) Barrier(id int) {
 	if b.arrived < n.sys.cfg.ThreadsPerNode {
 		b.waiters = append(b.waiters, t)
 		t.block(ReasonBarrier)
-		if nm := n.met; nm != nil {
-			nm.BarrierStall.Observe(int64(t.task.Now() - a0))
-		}
+		t.barrierStall(a0, false)
 		return
 	}
 
@@ -77,9 +75,7 @@ func (t *Thread) Barrier(id int) {
 			sys.barrierArrival(id, mgr, vt)
 		})
 		t.block(ReasonBarrier)
-		if nm := n.met; nm != nil {
-			nm.BarrierStall.Observe(int64(t.task.Now() - a0))
-		}
+		t.barrierStall(a0, false)
 		return
 	}
 	infos := n.ownInfosSince() // manager learns our new intervals
@@ -100,9 +96,7 @@ func (t *Thread) Barrier(id int) {
 		t.task.Schedule(t.task.Now(), func() { n.flushPushes(nil) })
 	}
 	t.block(ReasonBarrier)
-	if nm := n.met; nm != nil {
-		nm.BarrierStall.Observe(int64(t.task.Now() - a0))
-	}
+	t.barrierStall(a0, false)
 }
 
 // ownInfosSince returns the node's own intervals not yet shipped to the
@@ -216,18 +210,14 @@ func (t *Thread) LocalBarrier(id int) {
 	if b.arrived < n.sys.cfg.ThreadsPerNode {
 		b.waiters = append(b.waiters, t)
 		t.block(ReasonBarrier)
-		if nm := n.met; nm != nil {
-			nm.LocalBarrierStall.Observe(int64(t.task.Now() - a0))
-		}
+		t.barrierStall(a0, true)
 		return
 	}
 	waiters := b.waiters
 	b.waiters = nil
 	b.arrived = 0
 	t.task.Advance(t.sys.cfg.LocalBarrierCost)
-	if nm := n.met; nm != nil {
-		nm.LocalBarrierStall.Observe(int64(t.task.Now() - a0))
-	}
+	t.barrierStall(a0, true)
 	if tr := t.sys.tracer; tr != nil {
 		tr.Emit(trace.Event{T: t.task.Now(), Kind: trace.KindBarrierRelease,
 			Node: int32(n.id), Thread: int32(t.gid), Sync: int32(id), Aux: 1})

@@ -106,13 +106,7 @@ func (t *Thread) remoteFault(p *page) {
 	if fs := p.fault; fs != nil {
 		n.stats.BlockSamePage++
 		fs.waiters = append(fs.waiters, t)
-		wstart := t.task.Now()
-		t.block(ReasonFault)
-		if nm := n.met; nm != nil {
-			d := t.task.Now() - wstart
-			nm.FaultThreadWait.Observe(int64(d))
-			t.sys.met.PageFaultWait(t.node.id, int32(p.id), d)
-		}
+		t.blockFault(p)
 		return
 	}
 
@@ -193,13 +187,7 @@ func (t *Thread) remoteFault(p *page) {
 	}
 
 	fs.waiters = append(fs.waiters, t)
-	wstart := t.task.Now()
-	t.block(ReasonFault)
-	if nm := n.met; nm != nil {
-		d := t.task.Now() - wstart
-		nm.FaultThreadWait.Observe(int64(d))
-		t.sys.met.PageFaultWait(t.node.id, int32(p.id), d)
-	}
+	t.blockFault(p)
 
 	if p.fault == fs && fs.ready && fs.waiters[0] == t {
 		t.applyFault(fs)

@@ -90,13 +90,7 @@ func (t *Thread) swEnsureAccess(p *page, write bool) {
 			if f := p.swf; f != nil {
 				n.stats.BlockSamePage++
 				f.waiters = append(f.waiters, t)
-				wstart := t.task.Now()
-				t.block(ReasonFault)
-				if nm := n.met; nm != nil {
-					d := t.task.Now() - wstart
-					nm.FaultThreadWait.Observe(int64(d))
-					t.sys.met.PageFaultWait(t.node.id, int32(p.id), d)
-				}
+				t.blockFault(p)
 				continue
 			}
 			t.task.Advance(cfg.SignalCost)
@@ -130,13 +124,7 @@ func (t *Thread) swEnsureAccess(p *page, write bool) {
 						sys.nodes[mgr].swHandleRequest(p.id, req)
 					})
 			}
-			wstart := t.task.Now()
-			t.block(ReasonFault)
-			if nm := n.met; nm != nil {
-				d := t.task.Now() - wstart
-				nm.FaultThreadWait.Observe(int64(d))
-				t.sys.met.PageFaultWait(t.node.id, int32(p.id), d)
-			}
+			t.blockFault(p)
 			// Completion installed the page and cleared p.swf; loop to
 			// validate the new access rights.
 		}

@@ -100,6 +100,32 @@ func (t *Thread) block(reason sim.Reason) {
 		Node: int32(t.node.id), Thread: int32(t.gid), Arg: int64(reason)})
 }
 
+// blockFault is block(ReasonFault) for a wait on page p, observed as the
+// thread's fault wait and attributed to the page.
+func (t *Thread) blockFault(p *page) {
+	wstart := t.task.Now()
+	t.block(ReasonFault)
+	if nm := t.node.met; nm != nil {
+		d := t.task.Now() - wstart
+		nm.FaultThreadWait.Observe(int64(d))
+		t.sys.met.PageFaultWait(t.node.id, int32(p.id), d)
+	}
+}
+
+// barrierStall observes the stall of a thread that arrived at a barrier
+// (local: a local barrier) at a0 and is through it now.
+func (t *Thread) barrierStall(a0 sim.Time, local bool) {
+	nm := t.node.met
+	if nm == nil {
+		return
+	}
+	h := &nm.BarrierStall
+	if local {
+		h = &nm.LocalBarrierStall
+	}
+	h.Observe(int64(t.task.Now() - a0))
+}
+
 // locate resolves a shared address to the node's page view.
 func (t *Thread) locate(a Addr) (*page, int) {
 	pg := PageID(a >> t.sys.pageShift)

@@ -30,7 +30,7 @@ import (
 // virtual time under a lazy protocol, while the real runtime pays
 // actual wall time under a home-based eager one — those numbers
 // measure different machines and are not comparable. See DESIGN.md
-// §11 and §13.
+// §11.
 
 // GuardTransportEquivalence runs app at the given shape on both the
 // simulator and the rt-loopback backend and returns an error unless

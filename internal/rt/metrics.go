@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"cvm/internal/core"
 	"cvm/internal/metrics"
 	"cvm/internal/sim"
 	"cvm/internal/trace"
@@ -60,31 +59,36 @@ func (m *Metrics) configure(nodes int) {
 	}
 }
 
-// observeFault records one remote page fetch: service time (request to
-// install) and the faulting thread's blocked time, attributed to pg.
-func (m *Metrics) observeFault(node int, pg core.PageID, d sim.Time) {
+// waited records the end of one wait of d: a remote page fetch as fault
+// service time (request to install) and the faulting thread's blocked
+// time, attributed to the page; a lock acquire as request-to-grant wait,
+// attributed to the lock and classified by whether the manager was local
+// (no wire messages) or remote (the runtime's centralized managers make
+// every remote acquire a 2-hop exchange; Lock3Hop stays empty by
+// construction); a barrier or local barrier as the thread's
+// arrive-to-release stall. Reductions and flushes have no histogram.
+func (m *Metrics) waited(node int, kind waitKind, id int32, d sim.Time, local bool) {
 	m.locks[node].Lock()
+	defer m.locks[node].Unlock()
 	nm := m.reg.Node(node)
-	nm.FaultService.Observe(int64(d))
-	nm.FaultThreadWait.Observe(int64(d))
-	m.reg.PageFaultWait(node, int32(pg), d)
-	m.locks[node].Unlock()
-}
-
-// observeLock records one lock acquire: request-to-grant wait,
-// classified by whether the manager was local (no wire messages) or
-// remote (the runtime's centralized managers make every remote acquire
-// a 2-hop exchange; Lock3Hop stays empty by construction).
-func (m *Metrics) observeLock(node int, id int32, d sim.Time, local bool) {
-	m.locks[node].Lock()
-	if local {
-		m.reg.Node(node).LockLocalWait.Observe(int64(d))
-	} else {
-		m.reg.Node(node).Lock2Hop.Observe(int64(d))
+	switch kind {
+	case waitFault:
+		nm.FaultService.Observe(int64(d))
+		nm.FaultThreadWait.Observe(int64(d))
+		m.reg.PageFaultWait(node, id, d)
+	case waitLock:
+		if local {
+			nm.LockLocalWait.Observe(int64(d))
+		} else {
+			nm.Lock2Hop.Observe(int64(d))
+		}
+		m.reg.LockAcquireWait(node, id, d)
+		m.reg.CountLockAcquire(node)
+	case waitBarrier:
+		nm.BarrierStall.Observe(int64(d))
+	case waitLocalBarrier:
+		nm.LocalBarrierStall.Observe(int64(d))
 	}
-	m.reg.LockAcquireWait(node, id, d)
-	m.reg.CountLockAcquire(node)
-	m.locks[node].Unlock()
 }
 
 // count bumps one of the registry's per-node counters — one application
@@ -93,17 +97,6 @@ func (m *Metrics) observeLock(node int, id int32, d sim.Time, local bool) {
 func (m *Metrics) count(node int, counter func(*metrics.Registry, int)) {
 	m.locks[node].Lock()
 	counter(m.reg, node)
-	m.locks[node].Unlock()
-}
-
-// observeBarrierStall records one thread's arrive-to-release stall.
-func (m *Metrics) observeBarrierStall(node int, d sim.Time, local bool) {
-	m.locks[node].Lock()
-	if local {
-		m.reg.Node(node).LocalBarrierStall.Observe(int64(d))
-	} else {
-		m.reg.Node(node).BarrierStall.Observe(int64(d))
-	}
 	m.locks[node].Unlock()
 }
 
@@ -151,30 +144,11 @@ func (lt *lockedTracer) emit(e trace.Event) {
 	lt.mu.Unlock()
 }
 
-// Thread states surfaced by Cluster.Status. Stored per worker as an
-// atomic so the debug server reads them without touching the run token.
-const (
-	tsStarting int32 = iota
-	tsRunning
-	tsFault
-	tsLock
-	tsBarrier
-	tsReduce
-	tsDone
-)
-
-var tsNames = [...]string{"starting", "running", "fault-wait", "lock-wait",
-	"barrier-wait", "reduce-wait", "done"}
-
-func tsName(s int32) string {
-	if s < 0 || int(s) >= len(tsNames) {
-		return "unknown"
-	}
-	return tsNames[s]
-}
-
 // NodeStatus is one node's live introspection snapshot, served by the
-// cvm-node debug endpoint as /status.
+// cvm-node debug endpoint as /status. Threads[i] is what wait recorded
+// for local thread i — "running", or what it is blocked on, where the
+// reply comes from and for how long: "fault-wait page 17 @n2 12.04ms",
+// "lock-wait lock 5 @n1 340.2ms", "barrier-wait id 3 2.117ms".
 type NodeStatus struct {
 	Node    int          `json:"node"`
 	Epoch   uint64       `json:"epoch"`
@@ -209,10 +183,21 @@ func (c *Cluster) Status() []NodeStatus {
 
 func (n *rnode) status() NodeStatus {
 	st := NodeStatus{Node: n.self, Epoch: n.epoch.Load()}
-	st.Threads = make([]string, len(n.tstate))
-	for i := range n.tstate {
-		st.Threads[i] = tsName(n.tstate[i].Load())
+	now := n.clock.Now()
+	n.wmu.Lock()
+	for _, wt := range n.waits {
+		k := &waitKinds[wt.kind]
+		s := k.name
+		if k.noun != "" {
+			s += fmt.Sprintf(" %s %d", k.noun, wt.id)
+			if wt.peer >= 0 {
+				s += fmt.Sprintf(" @n%d", wt.peer)
+			}
+			s += " " + time.Duration(now-wt.since).Round(time.Microsecond).String()
+		}
+		st.Threads = append(st.Threads, s)
 	}
+	n.wmu.Unlock()
 	if err := n.failure(); err != nil {
 		st.Failure = err.Error()
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"cvm"
 	"cvm/internal/apps"
@@ -318,5 +319,62 @@ func TestMetricsReportParity(t *testing.T) {
 				t.Errorf("lock_acquires %d, lock_releases %d", snap.LockAcquires, snap.LockReleases)
 			}
 		})
+	}
+}
+
+// TestStatusExplainsBlockedThread parks node 1's thread on a lock node 0
+// holds and reads /status's source mid-run: the entry must say what the
+// thread waits for (a lock), which (4), where the reply comes from (the
+// lock's manager, node 0) and for how long — and the age must grow.
+func TestStatusExplainsBlockedThread(t *testing.T) {
+	c, err := rt.NewCluster(rt.DefaultConfig(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	holding, release := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.RunLoopback(func(w cvm.Worker) {
+			if w.NodeID() == 0 {
+				w.Lock(4)
+				close(holding)
+				<-release
+				w.Unlock(4)
+			} else {
+				<-holding
+				w.Lock(4)
+				w.Unlock(4)
+			}
+			w.Barrier(0)
+		})
+		done <- err
+	}()
+	// age polls until node 1's thread is in the lock wait, then returns
+	// how long Status says it has been there.
+	age := func() time.Duration {
+		const prefix = "lock-wait lock 4 @n0 "
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if sts := c.Status(); len(sts) == 2 && strings.HasPrefix(sts[1].Threads[0], prefix) {
+				d, err := time.ParseDuration(strings.TrimPrefix(sts[1].Threads[0], prefix))
+				if err != nil {
+					t.Fatalf("status %q: %v", sts[1].Threads[0], err)
+				}
+				return d
+			}
+		}
+		t.Fatalf("node 1 never reported the lock wait; status %+v", c.Status())
+		return 0
+	}
+	first := age()
+	time.Sleep(5 * time.Millisecond)
+	if second := age(); second < first+5*time.Millisecond {
+		t.Errorf("wait aged %v -> %v across a 5ms sleep", first, second)
+	}
+	if got := c.Status()[0].Threads[0]; got != "running" {
+		t.Errorf("the holder reports %q, want running", got)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

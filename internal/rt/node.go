@@ -2,12 +2,12 @@ package rt
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
 	"cvm"
 	"cvm/internal/core"
+	"cvm/internal/metrics"
 	"cvm/internal/sim"
 	"cvm/internal/trace"
 	"cvm/internal/transport"
@@ -23,13 +23,13 @@ type rpage struct {
 
 // rnode is one node of the real-execution cluster: the per-node run
 // token, the page cache, the home (master) copies of pages this node
-// owns, and — when this node is a manager — lock, barrier, and
-// reduction state.
+// owns, and — when this node is a manager — lock and rendezvous state.
 //
 // Lock ordering: tok > hmu > pmu. Workers run holding tok and may take
 // hmu (self-homed access, sync arrival) and pmu (request registration);
 // the dispatcher takes hmu and pmu but never tok, so a worker blocked on
-// a reply can never deadlock the goroutine that delivers it.
+// a reply can never deadlock the goroutine that delivers it. wmu is a
+// leaf taken by wait and Status alone.
 type rnode struct {
 	c       *Cluster
 	conn    transport.Conn
@@ -43,73 +43,77 @@ type rnode struct {
 	// cooperative scheduler.
 	tok   sync.Mutex
 	cache map[core.PageID]*rpage
-	dirty []core.PageID // pages in cache with a twin
+	dirty []core.PageID  // pages in cache with a twin
+	held  map[uint32]int // lock id -> global id of the local thread holding it
 	// epoch is bumped by invalidate; stale fetches re-request. Writes
 	// happen under tok, but Status reads it without, hence atomic.
 	epoch atomic.Uint64
 
 	// hmu guards the master copies, manager state, and per-node sync
 	// state shared with the dispatcher.
-	hmu    sync.Mutex
-	master map[core.PageID][]byte
-	locks  map[uint32]*lockState
-	mbar   map[uint32]int // manager barrier: node arrivals
-	mred   map[uint32]*redManager
-	nbar   map[uint32]*nodeBar
-	nred   map[uint32]*nodeRed
-	nlbar  map[uint32]*nodeBar // local barriers (no manager side)
+	hmu     sync.Mutex
+	master  map[core.PageID][]byte
+	locks   map[uint32][]lockWaiter
+	meets   map[meetKey]*meet // this node's threads, per open rendezvous
+	gathers map[meetKey]*meet // manager (node 0): node arrivals
 
-	// doneCh is closed when the completion rendezvous releases: every
-	// node's threads have finished and no more requests will arrive.
-	doneCh chan struct{}
+	// done is the completion rendezvous, a meet no thread arrives at: it
+	// releases when every node's threads have finished and no more
+	// requests will arrive.
+	done *meet
 
 	pmu     sync.Mutex
-	pending map[uint32]chan []byte
+	pending map[uint32]reply
 	reqSeq  atomic.Uint32
+
+	// waits[lid] is what local thread lid is doing, for Status.
+	wmu   sync.Mutex
+	waits []waiting
 
 	failMu  sync.Mutex
 	failErr error
 	failCh  chan struct{}
 
 	clock *sim.WallClock
-	dispd chan struct{} // dispatcher exited
 
-	// Observability. met and tracer are nil unless the run asked for
-	// them; tstate (one atomic per local thread) always tracks worker
-	// states for Status.
+	// Observability; nil unless the run asked for them.
 	met    *Metrics
 	tracer *lockedTracer
-	tstate []atomic.Int32
 }
 
 func newNode(c *Cluster, conn transport.Conn, clock *sim.WallClock, tracer *lockedTracer) *rnode {
-	return &rnode{
+	n := &rnode{
 		c:       c,
 		conn:    conn,
 		self:    int(conn.Self()),
 		nodes:   c.cfg.Nodes,
 		threads: c.cfg.ThreadsPerNode,
 		cache:   make(map[core.PageID]*rpage),
+		held:    make(map[uint32]int),
 		master:  make(map[core.PageID][]byte),
-		locks:   make(map[uint32]*lockState),
-		mbar:    make(map[uint32]int),
-		mred:    make(map[uint32]*redManager),
-		nbar:    make(map[uint32]*nodeBar),
-		nred:    make(map[uint32]*nodeRed),
-		nlbar:   make(map[uint32]*nodeBar),
-		doneCh:  make(chan struct{}),
-		pending: make(map[uint32]chan []byte),
+		locks:   make(map[uint32][]lockWaiter),
+		meets:   make(map[meetKey]*meet),
+		gathers: make(map[meetKey]*meet),
+		done:    &meet{ch: make(chan []byte)},
+		pending: make(map[uint32]reply),
+		waits:   make([]waiting, c.cfg.ThreadsPerNode),
 		failCh:  make(chan struct{}),
 		clock:   clock,
-		dispd:   make(chan struct{}),
 		met:     c.cfg.Metrics,
 		tracer:  tracer,
-		tstate:  make([]atomic.Int32, c.cfg.ThreadsPerNode),
 	}
+	n.meets[doneKey] = n.done
+	return n
 }
 
-// setState publishes worker w's scheduling state for Status.
-func (n *rnode) setState(w *Worker, s int32) { n.tstate[w.lid].Store(s) }
+// setWaiting publishes what worker w is doing, for Status, and returns
+// what it was doing before.
+func (n *rnode) setWaiting(w *Worker, now waiting) (was waiting) {
+	n.wmu.Lock()
+	was, n.waits[w.lid] = n.waits[w.lid], now
+	n.wmu.Unlock()
+	return was
+}
 
 // home reports the node holding page pg's master copy.
 func (n *rnode) home(pg core.PageID) int { return int(pg) % n.nodes }
@@ -144,26 +148,22 @@ func (n *rnode) run(main func(cvm.Worker)) error {
 						panic(r)
 					}
 				}
-				n.setState(w, tsDone)
+				n.setWaiting(w, waiting{kind: waitDone})
 				n.tok.Unlock()
 			}()
 			n.tok.Lock()
-			n.setState(w, tsRunning)
+			n.setWaiting(w, waiting{kind: waitRunning})
 			main(w)
 		}()
 	}
 	wg.Wait()
 
-	// Completion rendezvous: a node-level barrier on a reserved id keeps
-	// this node's master pages reachable until every peer has finished.
+	// Completion rendezvous: this node's arrival at the done meet keeps
+	// its master pages reachable until every peer has finished.
 	if err := n.failure(); err == nil {
-		if n.self == 0 {
-			n.barArrive(doneBarrier)
-		} else {
-			n.send(0, msgBarArrive, putU32(nil, doneBarrier))
-		}
+		n.post(0, msgArrive, le.AppendUint32(nil, doneKey.id))
 		select {
-		case <-n.doneCh:
+		case <-n.done.ch:
 			// Every node is done. Peers still waiting for their own
 			// release must not take this node's close for a crash.
 			n.conn.Goodbye()
@@ -177,12 +177,11 @@ func (n *rnode) run(main func(cvm.Worker)) error {
 // against the master copies, runs manager-side synchronization, and
 // routes replies back to blocked workers. It never takes the run token.
 func (n *rnode) dispatch() {
-	defer close(n.dispd)
 	for {
 		m, err := n.conn.Recv()
 		if err != nil {
 			select {
-			case <-n.doneCh: // clean shutdown: the run is over
+			case <-n.done.ch: // clean shutdown: the run is over
 			default:
 				n.setFail(err)
 			}
@@ -192,25 +191,27 @@ func (n *rnode) dispatch() {
 	}
 }
 
+// handle acts on one protocol message. checkFrame has vouched for every
+// index below; a frame it rejects fails the node, naming type and sender.
 func (n *rnode) handle(m transport.Message) {
+	if err := checkFrame(m, n.c.cfg.PageSize); err != nil {
+		n.setFail(err)
+		return
+	}
 	p := m.Payload
 	switch m.Type {
 	case msgPageReq:
-		if len(p) < 8 {
-			n.setFail(fmt.Errorf("rt: node %d: short page request (%d bytes)", n.self, len(p)))
-			return
-		}
-		reqID, pg := u32(p), core.PageID(u32(p[4:]))
+		reqID, pg := le.Uint32(p), core.PageID(le.Uint32(p[4:]))
 		n.hmu.Lock()
 		data := append([]byte(nil), n.masterPage(pg)...)
 		n.hmu.Unlock()
-		n.send(int(m.From), msgPageRep, encodePageRep(reqID, pg, data))
+		n.post(int(m.From), msgPageRep, encodePageRep(reqID, pg, data))
 	case msgPageRep:
-		n.deliver(u32(p), p[8:])
+		n.deliver(le.Uint32(p), p[8:])
 	case msgDiffReq:
-		reqID, pg, runs, err := decodeDiff(p)
+		reqID, pg, runs, err := decodeDiff(p, n.c.cfg.PageSize)
 		if err != nil {
-			n.setFail(err)
+			n.setFail(fmt.Errorf("%w from node %d", err, m.From))
 			return
 		}
 		n.hmu.Lock()
@@ -219,77 +220,183 @@ func (n *rnode) handle(m transport.Message) {
 			copy(mp[r.Off:], r.Data)
 		}
 		n.hmu.Unlock()
-		n.send(int(m.From), msgDiffAck, putU32(nil, reqID))
-	case msgDiffAck:
-		n.deliver(u32(p), nil)
+		n.post(int(m.From), msgDiffAck, le.AppendUint32(nil, reqID))
+	case msgDiffAck, msgLockGrant:
+		n.deliver(le.Uint32(p), nil)
 	case msgLockReq:
-		n.lockReq(int(m.From), u32(p), u32(p[4:]))
-	case msgLockGrant:
-		n.deliver(u32(p), nil)
+		n.lockReq(int(m.From), le.Uint32(p), le.Uint32(p[4:]))
 	case msgLockRel:
-		n.lockRel(u32(p))
-	case msgBarArrive:
-		n.barArrive(u32(p))
-	case msgBarRelease:
-		n.barRelease(u32(p))
-	case msgRedArrive:
-		n.redArrive(u32(p), int(m.From), core.ReduceOp(p[4]), math.Float64frombits(u64(p[5:])))
-	case msgRedRelease:
-		n.redRelease(u32(p), math.Float64frombits(u64(p[4:])))
-	default:
-		n.setFail(fmt.Errorf("rt: node %d: unknown message type %d from node %d",
-			n.self, m.Type, m.From))
+		n.lockRel(le.Uint32(p))
+	case msgArrive:
+		n.arrive(int(m.From), p)
+	case msgRelease:
+		key, result := decodeMeet(p)
+		n.release(key, result, -1)
 	}
 }
 
-// send ships one protocol message, converting transport failures into a
+// post ships one protocol message: through handle when the recipient is
+// this node (the transport forbids self-sends, and a manager is its own
+// client), over the wire otherwise, where a transport failure becomes a
 // node failure (which aborts every local worker).
-func (n *rnode) send(to int, typ uint8, payload []byte) {
-	err := n.conn.Send(transport.Message{
+func (n *rnode) post(to int, typ uint8, payload []byte) {
+	m := transport.Message{
+		From:    transport.NodeID(n.self),
 		To:      transport.NodeID(to),
-		Class:   classOf(typ),
+		Class:   msgTypes[typ].class,
 		Type:    typ,
 		Payload: payload,
-	})
-	if err != nil {
+	}
+	if to == n.self {
+		n.handle(m)
+	} else if err := n.conn.Send(m); err != nil {
 		n.setFail(err)
 	}
 }
 
-// newPending registers a reply slot and returns its request id.
-func (n *rnode) newPending() (uint32, chan []byte) {
+// reply is one slot in rnode.pending: the channel its worker waits on
+// and how many deliveries are still due before it fires.
+type reply struct {
+	ch   chan []byte
+	left int
+}
+
+// newPending registers a slot that fires after due replies (one for a
+// request; one per diff for a flush, whose diffs share the request id)
+// and returns its request id.
+func (n *rnode) newPending(due int) (uint32, chan []byte) {
 	id := n.reqSeq.Add(1)
 	ch := make(chan []byte, 1)
 	n.pmu.Lock()
-	n.pending[id] = ch
+	n.pending[id] = reply{ch, due}
 	n.pmu.Unlock()
 	return id, ch
 }
 
-// deliver routes a reply payload to the worker that registered reqID.
+// deliver counts one reply to reqID and hands the last one's payload to
+// the worker that registered it.
 func (n *rnode) deliver(reqID uint32, payload []byte) {
 	n.pmu.Lock()
-	ch := n.pending[reqID]
-	delete(n.pending, reqID)
-	n.pmu.Unlock()
-	if ch == nil {
-		n.setFail(fmt.Errorf("rt: node %d: reply for unknown request %d", n.self, reqID))
-		return
+	r, ok := n.pending[reqID]
+	r.left--
+	if r.left > 0 {
+		n.pending[reqID] = r
+	} else {
+		delete(n.pending, reqID)
 	}
-	ch <- payload
+	n.pmu.Unlock()
+	if !ok {
+		n.setFail(fmt.Errorf("reply for unknown request %d", reqID))
+	} else if r.left == 0 {
+		r.ch <- payload
+	}
 }
 
-// await blocks on a reply slot without the run token; the caller must
-// have released tok and reacquires it afterwards. A node failure aborts
-// the worker instead.
-func (n *rnode) await(ch chan []byte) []byte {
-	select {
-	case p := <-ch:
-		return p
-	case <-n.failCh:
-		n.tok.Lock()
-		panic(rtAbort{})
+// waitKind says what a worker is doing: one of three states that are not
+// waits, or the reason it gave up the run token.
+type waitKind uint8
+
+const (
+	waitStarting waitKind = iota
+	waitRunning
+	waitDone
+	waitFault        // id = page, peer = its home
+	waitLock         // id = lock, peer = its manager
+	waitBarrier      // id = barrier
+	waitLocalBarrier // id = local barrier
+	waitReduce       // id = reduction
+	waitFlush        // id = how many diffs went out and are unacknowledged
+)
+
+// untraced marks the half of a trace pair a kind does not have.
+const untraced trace.Kind = 0xFF
+
+// waitKinds is everything that differs between one wait and another:
+// how /status words it ("<name> <noun> <id> [@n<peer>] <age>"), the
+// trace events that bracket it (Aux set on both, id in Page when the
+// noun is a page and in Sync otherwise), and the counter an arrival
+// bumps. The histogram each kind feeds when it ends is Metrics.waited's.
+var waitKinds = [...]struct {
+	name, noun string
+	start, end trace.Kind
+	aux        int64
+	arrive     func(*metrics.Registry, int)
+}{
+	waitStarting:     {name: "starting"},
+	waitRunning:      {name: "running"},
+	waitDone:         {name: "done"},
+	waitFault:        {"fault-wait", "page", trace.KindFaultStart, trace.KindFaultResolve, 0, nil},
+	waitLock:         {"lock-wait", "lock", trace.KindLockRequest, trace.KindLockAcquire, 0, nil},
+	waitBarrier:      {"barrier-wait", "id", trace.KindBarrierArrive, untraced, 0, (*metrics.Registry).CountBarrierArrive},
+	waitLocalBarrier: {"local-barrier-wait", "id", trace.KindBarrierArrive, untraced, 1, (*metrics.Registry).CountLocalBarrierArrive},
+	waitReduce:       {"reduce-wait", "id", untraced, untraced, 0, (*metrics.Registry).CountReduce},
+	waitFlush:        {"flush-wait", "diffs", untraced, untraced, 0, nil},
+}
+
+// waiting is one worker's entry in rnode.waits.
+type waiting struct {
+	kind  waitKind
+	id    uint32
+	peer  int      // node the reply comes from; -1 when it is not one node
+	since sim.Time // when the wait began
+}
+
+// wait is the one place a worker gives up the run token to block. It
+// records what w waits on and since when, counts the arrival and emits
+// the start of kind's trace pair, runs send (nil when the request is
+// already out), and blocks on ch without the token — letting co-located
+// threads run: the paper's latency hiding, for real this time. It
+// retakes the token, aborts w if the node failed meanwhile, observes
+// the wait in kind's histogram, emits the end of the pair and returns
+// what arrived on ch (nil when ch was closed). send runs after the start
+// event so that a release it provokes is traced after the arrival, and so
+// that the wait includes the send. Caller holds tok.
+func (n *rnode) wait(w *Worker, kind waitKind, id uint32, peer int, ch <-chan []byte, send func()) []byte {
+	k := &waitKinds[kind]
+	t0 := n.clock.Now()
+	was := n.setWaiting(w, waiting{kind, id, peer, t0})
+	ev := trace.Event{Node: int32(n.self), Thread: int32(w.gid), Sync: int32(id), Aux: k.aux}
+	if k.noun == "page" {
+		ev.Sync, ev.Page = 0, int32(id)
 	}
+	if m := n.met; m != nil && k.arrive != nil {
+		m.count(n.self, k.arrive)
+	}
+	if tr := n.tracer; tr != nil && k.start != untraced {
+		ev.T, ev.Kind = t0, k.start
+		tr.emit(ev)
+	}
+	if send != nil {
+		send()
+	}
+	n.tok.Unlock()
+	var reply []byte
+	select {
+	case reply = <-ch:
+	case <-n.failCh:
+	}
+	n.tok.Lock()
+	n.setWaiting(w, was)
+	n.checkFail()
+	local := peer == n.self // satisfied without wire messages
+	now := n.clock.Now()
+	if m := n.met; m != nil {
+		m.waited(n.self, kind, int32(id), now-t0, local)
+	}
+	if tr := n.tracer; tr != nil && k.end != untraced {
+		ev.T, ev.Kind = now, k.end
+		if local {
+			ev.Arg = 1
+		}
+		tr.emit(ev)
+	}
+	return reply
+}
+
+// request sends peer the (reqID, id) request typ and waits for the reply.
+func (n *rnode) request(w *Worker, kind waitKind, id uint32, peer int, typ uint8) []byte {
+	reqID, ch := n.newPending(1)
+	return n.wait(w, kind, id, peer, ch, func() { n.post(peer, typ, encodeReq(reqID, id)) })
 }
 
 // rtAbort unwinds a worker goroutine after a node failure; run's
@@ -322,44 +429,16 @@ func (n *rnode) checkFail() {
 }
 
 // fetchPage returns the cache entry for remotely-homed page pg,
-// requesting it from the home on a miss. Caller holds tok; the token is
-// released while the request is in flight, letting co-located threads
-// run — the paper's latency hiding, for real this time. Replies that
+// requesting it from the home on a miss. Caller holds tok. Replies that
 // raced an invalidation (epoch moved) are discarded and re-requested.
-// The cache-hit path stays observation-free; misses pay one wall-clock
-// read per enabled collector, dwarfed by the network round trip.
+// The cache-hit path stays observation-free.
 func (n *rnode) fetchPage(w *Worker, pg core.PageID) *rpage {
 	for {
 		if p := n.cache[pg]; p != nil {
 			return p
 		}
-		obs := n.met != nil || n.tracer != nil
-		var t0 sim.Time
-		if obs {
-			t0 = n.clock.Now()
-			if tr := n.tracer; tr != nil {
-				tr.emit(trace.Event{T: t0, Kind: trace.KindFaultStart,
-					Node: int32(n.self), Thread: int32(w.gid), Page: int32(pg)})
-			}
-		}
-		n.setState(w, tsFault)
 		e := n.epoch.Load()
-		reqID, ch := n.newPending()
-		n.send(n.home(pg), msgPageReq, encodeReq(reqID, uint32(pg)))
-		n.tok.Unlock()
-		data := n.await(ch)
-		n.tok.Lock()
-		n.setState(w, tsRunning)
-		if obs {
-			now := n.clock.Now()
-			if m := n.met; m != nil {
-				m.observeFault(n.self, pg, now-t0)
-			}
-			if tr := n.tracer; tr != nil {
-				tr.emit(trace.Event{T: now, Kind: trace.KindFaultResolve,
-					Node: int32(n.self), Thread: int32(w.gid), Page: int32(pg)})
-			}
-		}
+		data := n.request(w, waitFault, uint32(pg), n.home(pg), msgPageReq)
 		if n.epoch.Load() != e {
 			continue
 		}
@@ -374,58 +453,45 @@ func (n *rnode) fetchPage(w *Worker, pg core.PageID) *rpage {
 	}
 }
 
-// flushOnce diffs every dirty page against its twin, ships the diffs to
-// the homes, and waits for all acknowledgements. Caller holds tok; the
-// token is released during the wait, so pages dirtied meanwhile by
-// co-located threads are NOT covered — loop via flushAll when the flush
-// must be complete at return.
-func (n *rnode) flushOnce() {
-	if len(n.dirty) == 0 {
-		return
-	}
-	type ack struct{ ch chan []byte }
-	var acks []ack
-	for _, pg := range n.dirty {
-		p := n.cache[pg]
-		if p == nil || p.twin == nil {
-			continue
-		}
-		runs := core.MakeDiff(pg, p.twin, p.data)
-		p.twin = nil
-		if len(runs) == 0 {
-			continue
-		}
-		reqID, ch := n.newPending()
-		payload := encodeDiff(reqID, pg, runs)
-		if m := n.met; m != nil {
-			// The diff's wire size: the encoded runs, excluding the
-			// reqID+page request header.
-			m.observeDiff(n.self, int64(len(payload)-8))
-		}
-		if tr := n.tracer; tr != nil {
-			tr.emit(trace.Event{T: n.clock.Now(), Kind: trace.KindDiffCreate,
-				Node: int32(n.self), Thread: -1, Page: int32(pg),
-				Arg: int64(len(payload) - 8)})
-		}
-		n.send(n.home(pg), msgDiffReq, payload)
-		acks = append(acks, ack{ch})
-	}
-	n.dirty = n.dirty[:0]
-	if len(acks) == 0 {
-		return
-	}
-	n.tok.Unlock()
-	for _, a := range acks {
-		n.await(a.ch)
-	}
-	n.tok.Lock()
-}
-
-// flushAll flushes until no dirty pages remain at return, with tok held
-// continuously from the final emptiness check onward.
-func (n *rnode) flushAll() {
+// flushAll diffs every dirty page against its twin, ships the diffs to
+// the homes and waits for all acknowledgements — and again, since the
+// token is released during the wait and co-located threads may dirty
+// pages meanwhile, until no dirty pages remain, with tok held
+// continuously from that final check onward. Caller holds tok.
+func (n *rnode) flushAll(w *Worker) {
 	for len(n.dirty) > 0 {
-		n.flushOnce()
+		reqID, ch := n.newPending(len(n.dirty))
+		sent := 0
+		for _, pg := range n.dirty {
+			p := n.cache[pg]
+			var runs []core.Run
+			if p != nil && p.twin != nil {
+				runs = core.MakeDiff(pg, p.twin, p.data)
+				p.twin = nil
+			}
+			if len(runs) == 0 {
+				n.deliver(reqID, nil) // nothing to acknowledge
+				continue
+			}
+			payload := encodeDiff(reqID, pg, runs)
+			if m := n.met; m != nil {
+				// The diff's wire size: the encoded runs, excluding the
+				// reqID+page request header.
+				m.observeDiff(n.self, int64(len(payload)-8))
+			}
+			if tr := n.tracer; tr != nil {
+				// Aux, the simulator's interval index: reqIDs too only grow.
+				tr.emit(trace.Event{T: n.clock.Now(), Kind: trace.KindDiffCreate,
+					Node: int32(n.self), Thread: -1, Page: int32(pg),
+					Arg: int64(len(payload) - 8), Aux: int64(reqID)})
+			}
+			n.post(n.home(pg), msgDiffReq, payload)
+			sent++
+		}
+		n.dirty = n.dirty[:0]
+		if sent > 0 {
+			n.wait(w, waitFlush, uint32(sent), -1, ch, nil)
+		}
 	}
 }
 
@@ -433,8 +499,8 @@ func (n *rnode) flushAll() {
 // anything dirty (invalidating it unflushed would lose writes), then
 // drop the entire cache so post-acquire reads refetch current data from
 // the homes. Caller holds tok.
-func (n *rnode) acquireSync() {
-	n.flushAll()
+func (n *rnode) acquireSync(w *Worker) {
+	n.flushAll(w)
 	n.epoch.Add(1)
 	n.cache = make(map[core.PageID]*rpage)
 }

@@ -68,13 +68,6 @@ func DefaultConfig(nodes, threadsPerNode int) Config {
 	return Config{Nodes: nodes, ThreadsPerNode: threadsPerNode, PageSize: 4096}
 }
 
-// Segment records one shared allocation, mirroring core.Segment.
-type Segment struct {
-	Name string
-	Base core.Addr
-	Size int
-}
-
 // Cluster is the real-execution counterpart of cvm.Cluster: it
 // implements cvm.Allocator for application setup, then runs the
 // application over a transport backend with RunLoopback (all nodes in
@@ -83,10 +76,9 @@ type Segment struct {
 type Cluster struct {
 	cfg       Config
 	allocated core.Addr
-	segments  []Segment
-	started   bool
 
-	// runMu guards rnodes, which Status reads while the run is live.
+	// runMu guards rnodes — nil until the run starts — which Status reads
+	// while the run is live.
 	runMu  sync.Mutex
 	rnodes []*rnode
 }
@@ -109,7 +101,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 // bump-allocation discipline matches the simulator's, so the same setup
 // code produces the same address-space layout on both engines.
 func (c *Cluster) Alloc(name string, size int) (core.Addr, error) {
-	if c.started {
+	if c.rnodes != nil {
 		return 0, errors.New("rt: Alloc after run")
 	}
 	if size <= 0 {
@@ -118,7 +110,6 @@ func (c *Cluster) Alloc(name string, size int) (core.Addr, error) {
 	base := c.allocated
 	pages := (size + c.cfg.PageSize - 1) / c.cfg.PageSize
 	c.allocated += core.Addr(pages * c.cfg.PageSize)
-	c.segments = append(c.segments, Segment{Name: name, Base: base, Size: size})
 	return base, nil
 }
 
@@ -140,9 +131,6 @@ func (c *Cluster) Nodes() int { return c.cfg.Nodes }
 // ThreadsPerNode reports the threads per node (cvm.Allocator).
 func (c *Cluster) ThreadsPerNode() int { return c.cfg.ThreadsPerNode }
 
-// Segments returns the allocated shared segments.
-func (c *Cluster) Segments() []Segment { return c.segments }
-
 // Result summarizes one node's (or, for RunLoopback, the whole
 // cluster's) real execution.
 type Result struct {
@@ -153,45 +141,26 @@ type Result struct {
 // RunLoopback runs the full cluster in this process over the in-process
 // loopback transport: Nodes×ThreadsPerNode goroutines execute main,
 // multiplexed by per-node run tokens. Net in the result sums all nodes'
-// traffic. The application value backing main is shared by every node,
+// traffic, the error joins all nodes' failures. The application value backing main is shared by every node,
 // exactly as a multi-process run shares it by constructing it
 // identically in each process — node-local buffers inside it must be
 // indexed by NodeID, which the paper's applications already do.
 func (c *Cluster) RunLoopback(main func(cvm.Worker)) (Result, error) {
-	if c.started {
-		return Result{}, errors.New("rt: cluster already run")
+	nodes, err := c.start(transport.NewLoopback(c.cfg.Nodes)...)
+	if err != nil {
+		return Result{}, err
 	}
-	c.started = true
-	if m := c.cfg.Metrics; m != nil {
-		m.configure(c.cfg.Nodes)
-	}
-	var lt *lockedTracer
-	if c.cfg.Tracer != nil {
-		lt = &lockedTracer{tr: c.cfg.Tracer}
-	}
-	// One wall clock for the whole in-process cluster, so trace
-	// timestamps from different nodes share an epoch.
-	clock := sim.NewWallClock()
-	conns := transport.NewLoopback(c.cfg.Nodes)
-	nodes := make([]*rnode, c.cfg.Nodes)
-	for i := range nodes {
-		nodes[i] = newNode(c, conns[i], clock, lt)
-	}
-	c.runMu.Lock()
-	c.rnodes = nodes
-	c.runMu.Unlock()
 	start := time.Now()
 	errs := make([]error, len(nodes))
-	done := make(chan int, len(nodes))
+	var wg sync.WaitGroup
 	for i, n := range nodes {
-		go func(i int, n *rnode) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			errs[i] = n.run(main)
-			done <- i
-		}(i, n)
+		}()
 	}
-	for range nodes {
-		<-done
-	}
+	wg.Wait()
 	res := Result{Elapsed: time.Since(start)}
 	res.Net.Peers = make([]transport.PeerStats, c.cfg.Nodes)
 	for _, n := range nodes {
@@ -206,12 +175,7 @@ func (c *Cluster) RunLoopback(main func(cvm.Worker)) (Result, error) {
 		}
 		n.conn.Close()
 	}
-	for _, err := range errs {
-		if err != nil {
-			return res, err
-		}
-	}
-	return res, nil
+	return res, errors.Join(errs...)
 }
 
 // RunNode runs this process's node of a multi-process cluster over conn,
@@ -222,14 +186,28 @@ func (c *Cluster) RunLoopback(main func(cvm.Worker)) (Result, error) {
 // internal completion rendezvous so no node's pages disappear while a
 // peer still needs them). The caller owns conn and closes it afterwards.
 func (c *Cluster) RunNode(conn transport.Conn, main func(cvm.Worker)) (Result, error) {
-	if c.started {
-		return Result{}, errors.New("rt: cluster already run")
+	nodes, err := c.start(conn)
+	if err != nil {
+		return Result{}, err
 	}
-	if conn.Nodes() != c.cfg.Nodes {
-		return Result{}, fmt.Errorf("rt: transport spans %d nodes, cluster configured for %d",
-			conn.Nodes(), c.cfg.Nodes)
+	start := time.Now()
+	err = nodes[0].run(main)
+	return Result{Elapsed: time.Since(start), Net: conn.Stats()}, err
+}
+
+// start is the prologue of a run: it refuses a second one and a mesh of
+// the wrong size, sizes the metrics collector, and builds and publishes
+// (for Status) one node per conn this process runs. The nodes share one
+// wall clock, so trace timestamps from different nodes share an epoch,
+// and one serialized tracer.
+func (c *Cluster) start(conns ...transport.Conn) ([]*rnode, error) {
+	if c.rnodes != nil {
+		return nil, errors.New("rt: cluster already run")
 	}
-	c.started = true
+	if conns[0].Nodes() != c.cfg.Nodes {
+		return nil, fmt.Errorf("rt: transport spans %d nodes, cluster configured for %d",
+			conns[0].Nodes(), c.cfg.Nodes)
+	}
 	if m := c.cfg.Metrics; m != nil {
 		m.configure(c.cfg.Nodes)
 	}
@@ -237,11 +215,13 @@ func (c *Cluster) RunNode(conn transport.Conn, main func(cvm.Worker)) (Result, e
 	if c.cfg.Tracer != nil {
 		lt = &lockedTracer{tr: c.cfg.Tracer}
 	}
-	n := newNode(c, conn, sim.NewWallClock(), lt)
+	clock := sim.NewWallClock()
+	nodes := make([]*rnode, len(conns))
+	for i, conn := range conns {
+		nodes[i] = newNode(c, conn, clock, lt)
+	}
 	c.runMu.Lock()
-	c.rnodes = []*rnode{n}
+	c.rnodes = nodes
 	c.runMu.Unlock()
-	start := time.Now()
-	err := n.run(main)
-	return Result{Elapsed: time.Since(start), Net: conn.Stats()}, err
+	return nodes, nil
 }

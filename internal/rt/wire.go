@@ -3,7 +3,6 @@ package rt
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"cvm/internal/core"
 	"cvm/internal/transport"
@@ -13,59 +12,72 @@ import (
 // request id the reply echoes, so replies route back to the blocked
 // worker without the dispatcher knowing who asked.
 const (
-	msgPageReq    uint8 = iota + 1 // reqID, pg          -> home
-	msgPageRep                     // reqID, pg, data    <- home
-	msgDiffReq                     // reqID, pg, runs    -> home
-	msgDiffAck                     // reqID              <- home
-	msgLockReq                     // reqID, lock        -> manager
-	msgLockGrant                   // reqID              <- manager
-	msgLockRel                     // lock               -> manager
-	msgBarArrive                   // barrier            -> manager (node 0)
-	msgBarRelease                  // barrier            <- manager
-	msgRedArrive                   // reduce, op, value  -> manager (node 0)
-	msgRedRelease                  // reduce, value      <- manager
+	msgPageReq   uint8 = iota + 1 // reqID, pg          -> home
+	msgPageRep                    // reqID, pg, data    <- home
+	msgDiffReq                    // reqID, pg, runs    -> home
+	msgDiffAck                    // reqID              <- home
+	msgLockReq                    // reqID, lock        -> manager
+	msgLockGrant                  // reqID              <- manager
+	msgLockRel                    // lock               -> manager
+	msgArrive                     // meet [, op, value] -> manager (node 0)
+	msgRelease                    // meet [, result]    <- manager
 )
 
-// classOf maps a message type to its Table 2 accounting class. Page and
+// msgTypes is what the dispatcher knows about a type before it reads a
+// byte of it: its name in errors, its Table 2 accounting class (page and
 // diff traffic is ClassDiff, matching the simulator's classification of
-// data-carrying messages.
-func classOf(typ uint8) transport.Class {
-	switch typ {
-	case msgLockReq, msgLockGrant, msgLockRel:
-		return transport.ClassLock
-	case msgBarArrive, msgBarRelease, msgRedArrive, msgRedRelease:
-		return transport.ClassBarrier
-	default:
-		return transport.ClassDiff
+// data-carrying messages), and the payload length handle may index
+// without checking — min bytes, or min+val when a reduction's value
+// rides along. A page reply's min grows by the page size.
+var msgTypes = [...]struct {
+	name     string
+	class    transport.Class
+	min, val int
+}{
+	msgPageReq:   {"page request", transport.ClassDiff, 8, 0},
+	msgPageRep:   {"page reply", transport.ClassDiff, 8, 0},
+	msgDiffReq:   {"diff request", transport.ClassDiff, 8, 0},
+	msgDiffAck:   {"diff ack", transport.ClassDiff, 4, 0},
+	msgLockReq:   {"lock request", transport.ClassLock, 8, 0},
+	msgLockGrant: {"lock grant", transport.ClassLock, 4, 0},
+	msgLockRel:   {"lock release", transport.ClassLock, 4, 0},
+	msgArrive:    {"arrival", transport.ClassBarrier, 4, 9},
+	msgRelease:   {"release", transport.ClassBarrier, 4, 8},
+}
+
+// checkFrame rejects a message handle could not index: an unknown type,
+// or a payload shorter than the type's fixed fields (pageSize more for a
+// page reply), or cut inside a reduction's value.
+func checkFrame(m transport.Message, pageSize int) error {
+	if int(m.Type) >= len(msgTypes) || msgTypes[m.Type].name == "" {
+		return fmt.Errorf("unknown message type %d from node %d", m.Type, m.From)
 	}
+	t, n := &msgTypes[m.Type], len(m.Payload)
+	min := t.min
+	if m.Type == msgPageRep {
+		min += pageSize
+	}
+	if n < min || (n > min && n < min+t.val) {
+		return fmt.Errorf("short %s from node %d: %d bytes", t.name, m.From, n)
+	}
+	return nil
 }
 
-// Payload encoding is little-endian fixed-width fields, mirroring the
-// page data encoding the Worker accessors use.
-
-func putU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func putU64(b []byte, v uint64) []byte {
-	b = putU32(b, uint32(v))
-	return putU32(b, uint32(v>>32))
-}
-
-func u32(b []byte) uint32 { return binary.LittleEndian.Uint32(b) }
-func u64(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
+// le is the payload encoding: little-endian fixed-width fields,
+// mirroring the page data encoding the Worker accessors use.
+var le = binary.LittleEndian
 
 // encodeReq builds a (reqID, arg) payload shared by page requests
 // (arg = page) and lock requests (arg = lock id).
 func encodeReq(reqID, arg uint32) []byte {
-	return putU32(putU32(make([]byte, 0, 8), reqID), arg)
+	return le.AppendUint32(le.AppendUint32(make([]byte, 0, 8), reqID), arg)
 }
 
 // encodePageRep builds a page reply: reqID, page id, page contents.
 func encodePageRep(reqID uint32, pg core.PageID, data []byte) []byte {
 	b := make([]byte, 0, 8+len(data))
-	b = putU32(b, reqID)
-	b = putU32(b, uint32(pg))
+	b = le.AppendUint32(b, reqID)
+	b = le.AppendUint32(b, uint32(pg))
 	return append(b, data...)
 }
 
@@ -76,37 +88,27 @@ func encodePageRep(reqID uint32, pg core.PageID, data []byte) []byte {
 // core.MakeDiff produced.
 func encodeDiff(reqID uint32, pg core.PageID, runs []core.Run) []byte {
 	b := make([]byte, 0, 64)
-	b = putU32(b, reqID)
-	b = putU32(b, uint32(pg))
+	b = le.AppendUint32(b, reqID)
+	b = le.AppendUint32(b, uint32(pg))
 	return core.EncodeRuns(b, runs)
 }
 
-// decodeDiff parses an encodeDiff payload back into page id and runs.
-func decodeDiff(b []byte) (reqID uint32, pg core.PageID, runs []core.Run, err error) {
-	if len(b) < 8 {
-		return 0, 0, nil, fmt.Errorf("rt: diff payload %d bytes", len(b))
-	}
-	reqID = u32(b)
-	pg = core.PageID(u32(b[4:]))
+// decodeDiff parses an encodeDiff payload back into page id and runs,
+// every run inside a page of pageSize bytes.
+func decodeDiff(b []byte, pageSize int) (reqID uint32, pg core.PageID, runs []core.Run, err error) {
+	reqID = le.Uint32(b)
+	pg = core.PageID(le.Uint32(b[4:]))
 	runs, rest, err := core.DecodeRuns(b[8:])
 	if err != nil {
-		return 0, 0, nil, fmt.Errorf("rt: diff payload: %w", err)
+		return 0, 0, nil, fmt.Errorf("diff payload: %w", err)
 	}
 	if len(rest) != 0 {
-		return 0, 0, nil, fmt.Errorf("rt: %d trailing bytes after diff runs", len(rest))
+		return 0, 0, nil, fmt.Errorf("%d trailing bytes after diff runs", len(rest))
+	}
+	for _, r := range runs {
+		if r.Off < 0 || int(r.Off)+len(r.Data) > pageSize {
+			return 0, 0, nil, fmt.Errorf("diff run [%d,+%d) outside page %d", r.Off, len(r.Data), pg)
+		}
 	}
 	return reqID, pg, runs, nil
-}
-
-// encodeRedArrive builds a reduction arrival: reduce id, op, node value.
-func encodeRedArrive(id uint32, op core.ReduceOp, v float64) []byte {
-	b := make([]byte, 0, 13)
-	b = putU32(b, id)
-	b = append(b, byte(op))
-	return putU64(b, math.Float64bits(v))
-}
-
-// encodeRedRelease builds a reduction release: reduce id, result.
-func encodeRedRelease(id uint32, v float64) []byte {
-	return putU64(putU32(make([]byte, 0, 12), id), math.Float64bits(v))
 }

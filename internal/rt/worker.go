@@ -66,10 +66,10 @@ func (w *Worker) Yield() {
 }
 
 // Barrier implements cvm.Worker.
-func (w *Worker) Barrier(id int) { w.n.barrier(w, uint32(id)) }
+func (w *Worker) Barrier(id int) { w.n.meetUp(w, meetKey{waitBarrier, uint32(id)}, 0, 0) }
 
 // LocalBarrier implements cvm.Worker.
-func (w *Worker) LocalBarrier(id int) { w.n.localBarrier(w, uint32(id)) }
+func (w *Worker) LocalBarrier(id int) { w.n.meetUp(w, meetKey{waitLocalBarrier, uint32(id)}, 0, 0) }
 
 // Lock implements cvm.Worker.
 func (w *Worker) Lock(id int) { w.n.lock(w, id) }
@@ -79,7 +79,7 @@ func (w *Worker) Unlock(id int) { w.n.unlock(w, id) }
 
 // ReduceF64 implements cvm.Worker.
 func (w *Worker) ReduceF64(id int, v float64, op core.ReduceOp) float64 {
-	return w.n.reduce(w, id, v, op)
+	return w.n.meetUp(w, meetKey{waitReduce, uint32(id)}, v, op)
 }
 
 // read8 loads the 8-byte word at a: directly from the master copy when
