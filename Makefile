@@ -31,7 +31,7 @@ race:
 	$(GO) test -race ./...
 
 ## cover: per-package coverage floors (internal/core, internal/check,
-## internal/sim, internal/trace, internal/memsim).
+## internal/sim, internal/trace, internal/memsim, internal/rt).
 ## Fails if statement coverage drops below the baselines recorded in
 ## scripts/cover_gate.sh; raise a floor there when coverage rises.
 cover:

@@ -86,46 +86,65 @@ func EncodedRunsSize(runs []Run) int {
 }
 
 // DecodeRuns parses an EncodeRuns payload back into runs, returning the
-// unconsumed remainder of src.
+// unconsumed remainder of src. It walks the payload twice: a validating
+// pass that allocates nothing and sizes the result, then a pass that
+// cannot fail and cuts every Run.Data from one slab — two allocations
+// however many runs there are, the shape MakeDiff returns.
 func DecodeRuns(src []byte) (runs []Run, rest []byte, err error) {
-	count, src, err := readUvarint(src)
+	count, total, _, err := walkRuns(src, nil, nil)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: diff run count: %w", err)
+		return nil, nil, err
 	}
-	if count > 1<<20 {
-		return nil, nil, fmt.Errorf("core: diff run count %d too large", count)
+	runs = make([]Run, count)
+	_, _, rest, _ = walkRuns(src, runs, make([]byte, total))
+	return runs, rest, nil
+}
+
+// walkRuns parses an EncodeRuns payload. With runs nil it validates the
+// payload and reports the run count and the data bytes of all runs; given
+// runs and a slab of those sizes it fills them in as well.
+func walkRuns(src []byte, runs []Run, slab []byte) (count, total int, rest []byte, err error) {
+	c, src, err := readUvarint(src)
+	if err != nil {
+		return 0, 0, nil, fmt.Errorf("core: diff run count: %w", err)
 	}
-	runs = make([]Run, 0, count)
+	if c > 1<<20 {
+		return 0, 0, nil, fmt.Errorf("core: diff run count %d too large", c)
+	}
 	off := int64(0)
-	for k := uint64(0); k < count; k++ {
+	for k := 0; k < int(c); k++ {
 		gap, s, err := readUvarint(src)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: diff run %d gap: %w", k, err)
+			return 0, 0, nil, fmt.Errorf("core: diff run %d gap: %w", k, err)
 		}
 		lm, s, err := readUvarint(s)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: diff run %d header: %w", k, err)
+			return 0, 0, nil, fmt.Errorf("core: diff run %d header: %w", k, err)
 		}
 		length := int(lm >> 1)
 		if length > 1<<24 {
-			return nil, nil, fmt.Errorf("core: diff run %d length %d too large", k, length)
+			return 0, 0, nil, fmt.Errorf("core: diff run %d length %d too large", k, length)
 		}
 		off += int64(gap)
-		data := make([]byte, 0, length)
-		data, s, err = decodeRLEPayload(data, s, length)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: diff run %d payload: %w", k, err)
+		var data []byte
+		if runs != nil {
+			data, slab = slab[:length:length], slab[length:]
 		}
-		if lm&1 != 0 {
-			for i := 8; i < len(data); i++ {
-				data[i] ^= data[i-8]
+		if src, err = expandRLE(data, s, length); err != nil {
+			return 0, 0, nil, fmt.Errorf("core: diff run %d payload: %w", k, err)
+		}
+		if runs != nil {
+			if lm&1 != 0 {
+				for i := 8; i < length; i++ {
+					data[i] ^= data[i-8]
+				}
 			}
+			runs[k] = Run{Off: int32(off), Data: data}
 		}
-		runs = append(runs, Run{Off: int32(off), Data: data})
 		off += int64(length)
-		src = s
+		total += length
 	}
-	return runs, src, nil
+	return int(c), total, src, nil
 }
 
 // xor8Filter appends the xor8-prefiltered form of data to dst: the first
@@ -198,35 +217,40 @@ func rlePayloadSize(data []byte) int {
 	return size
 }
 
-// decodeRLEPayload expands tokens from src into dst until want bytes
-// have been produced.
-func decodeRLEPayload(dst, src []byte, want int) ([]byte, []byte, error) {
-	for len(dst) < want {
+// expandRLE expands tokens from src until want bytes have been produced
+// and returns what follows them. The bytes go to dst, which holds exactly
+// want; a nil dst only checks the tokens.
+func expandRLE(dst, src []byte, want int) ([]byte, error) {
+	for at := 0; at < want; {
 		t, s, err := readUvarint(src)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		src = s
+		n := int(t >> 1)
 		if t&1 != 0 {
-			rep := int(t >> 1)
-			if len(src) < 1 || len(dst)+rep > want {
-				return nil, nil, fmt.Errorf("bad repeat token %d at %d/%d", t, len(dst), want)
+			if len(src) < 1 || n > want-at {
+				return nil, fmt.Errorf("bad repeat token %d at %d/%d", t, at, want)
 			}
-			b := src[0]
+			if dst != nil {
+				seg, b := dst[at:at+n], src[0]
+				for i := range seg {
+					seg[i] = b
+				}
+			}
 			src = src[1:]
-			for k := 0; k < rep; k++ {
-				dst = append(dst, b)
-			}
 		} else {
-			lit := int(t >> 1)
-			if len(src) < lit || len(dst)+lit > want {
-				return nil, nil, fmt.Errorf("bad literal token %d at %d/%d", t, len(dst), want)
+			if len(src) < n || n > want-at {
+				return nil, fmt.Errorf("bad literal token %d at %d/%d", t, at, want)
 			}
-			dst = append(dst, src[:lit]...)
-			src = src[lit:]
+			if dst != nil {
+				copy(dst[at:], src[:n])
+			}
+			src = src[n:]
 		}
+		at += n
 	}
-	return dst, src, nil
+	return src, nil
 }
 
 // AppendVClock appends a compact encoding of vt to dst: uvarint(length),
@@ -336,8 +360,16 @@ func uvarintSize(v uint64) int {
 	return n
 }
 
-// readUvarint consumes one uvarint from src.
+// readUvarint consumes one uvarint from src. The one-byte case, nearly
+// every RLE token and run header, is small enough to inline.
 func readUvarint(src []byte) (uint64, []byte, error) {
+	if len(src) > 0 && src[0] < 0x80 {
+		return uint64(src[0]), src[1:], nil
+	}
+	return readLongUvarint(src)
+}
+
+func readLongUvarint(src []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(src)
 	if n <= 0 {
 		return 0, nil, fmt.Errorf("truncated or malformed uvarint")

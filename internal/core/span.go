@@ -70,7 +70,7 @@ func (t *Thread) readSpan(a Addr, dst []uint64, n int) {
 			}
 			return
 		}
-		bytesToU64(p.data[off:off+cnt*8], seg)
+		BytesToU64(p.data[off:off+cnt*8], seg)
 	})
 }
 
@@ -80,7 +80,7 @@ func (t *Thread) writeSpan(a Addr, src []uint64, n int) {
 		for {
 			t.ensureAccess(p, true)
 			if p.state == PageReadWrite {
-				u64ToBytes(src[idx:idx+cnt], p.data[off:off+cnt*8])
+				U64ToBytes(src[idx:idx+cnt], p.data[off:off+cnt*8])
 				return
 			}
 			// A handler downgraded the page while ensureAccess was
@@ -91,17 +91,11 @@ func (t *Thread) writeSpan(a Addr, src []uint64, n int) {
 
 // fillSpan writes n copies of the 8-byte word v starting at a.
 func (t *Thread) fillSpan(a Addr, n int, v uint64) {
-	var pat [8]byte
-	binary.LittleEndian.PutUint64(pat[:], v)
 	t.spanPages(a, n, func(p *page, off, idx, cnt int) {
 		for {
 			t.ensureAccess(p, true)
 			if p.state == PageReadWrite {
-				seg := p.data[off : off+cnt*8]
-				copy(seg, pat[:])
-				for done := 8; done < len(seg); done *= 2 {
-					copy(seg[done:], seg[:done])
-				}
+				FillU64(p.data[off:off+cnt*8], v)
 				return
 			}
 		}
@@ -112,12 +106,12 @@ func (t *Thread) fillSpan(a Addr, n int, v uint64) {
 // The access check and memory-system charge are batched per page; see the
 // package comment above for the equivalence and interleaving contract.
 func (t *Thread) ReadRangeF64(a Addr, dst []float64) {
-	t.readSpan(a, f64sAsU64s(dst), len(dst))
+	t.readSpan(a, F64sAsU64s(dst), len(dst))
 }
 
 // WriteRangeF64 writes src to shared memory starting at a.
 func (t *Thread) WriteRangeF64(a Addr, src []float64) {
-	t.writeSpan(a, f64sAsU64s(src), len(src))
+	t.writeSpan(a, F64sAsU64s(src), len(src))
 }
 
 // FillF64 writes n copies of v to shared memory starting at a.
@@ -127,12 +121,12 @@ func (t *Thread) FillF64(a Addr, n int, v float64) {
 
 // ReadRangeI64 reads len(dst) int64s from shared memory starting at a.
 func (t *Thread) ReadRangeI64(a Addr, dst []int64) {
-	t.readSpan(a, i64sAsU64s(dst), len(dst))
+	t.readSpan(a, I64sAsU64s(dst), len(dst))
 }
 
 // WriteRangeI64 writes src to shared memory starting at a.
 func (t *Thread) WriteRangeI64(a Addr, src []int64) {
-	t.writeSpan(a, i64sAsU64s(src), len(src))
+	t.writeSpan(a, I64sAsU64s(src), len(src))
 }
 
 // FillI64 writes n copies of v to shared memory starting at a.
@@ -167,17 +161,17 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// f64sAsU64s reinterprets a float64 slice as its raw 8-byte words (always
+// F64sAsU64s reinterprets a float64 slice as its raw 8-byte words (always
 // safe: same size and alignment, no byte-order dependence).
-func f64sAsU64s(s []float64) []uint64 {
+func F64sAsU64s(s []float64) []uint64 {
 	if len(s) == 0 {
 		return nil
 	}
 	return unsafe.Slice((*uint64)(unsafe.Pointer(&s[0])), len(s))
 }
 
-// i64sAsU64s reinterprets an int64 slice as its raw 8-byte words.
-func i64sAsU64s(s []int64) []uint64 {
+// I64sAsU64s reinterprets an int64 slice as its raw 8-byte words.
+func I64sAsU64s(s []int64) []uint64 {
 	if len(s) == 0 {
 		return nil
 	}
@@ -189,9 +183,9 @@ func aligned8(b []byte) bool {
 	return uintptr(unsafe.Pointer(&b[0]))%8 == 0
 }
 
-// bytesToU64 decodes little-endian page bytes into words, aliasing the
+// BytesToU64 decodes little-endian page bytes into words, aliasing the
 // page directly when the host layout permits.
-func bytesToU64(b []byte, dst []uint64) {
+func BytesToU64(b []byte, dst []uint64) {
 	if hostLittleEndian && aligned8(b) {
 		copy(dst, unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), len(dst)))
 		return
@@ -201,9 +195,18 @@ func bytesToU64(b []byte, dst []uint64) {
 	}
 }
 
-// u64ToBytes encodes words as little-endian page bytes (the shared-memory
+// FillU64 sets every 8-byte word of b (a whole number of words) to v in
+// the shared-memory byte order, doubling the filled prefix.
+func FillU64(b []byte, v uint64) {
+	binary.LittleEndian.PutUint64(b, v)
+	for done := 8; done < len(b); done *= 2 {
+		copy(b[done:], b[:done])
+	}
+}
+
+// U64ToBytes encodes words as little-endian page bytes (the shared-memory
 // byte order on every host), aliasing when permitted.
-func u64ToBytes(src []uint64, b []byte) {
+func U64ToBytes(src []uint64, b []byte) {
 	if hostLittleEndian && aligned8(b) {
 		copy(unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), len(src)), src)
 		return

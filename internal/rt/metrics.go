@@ -152,6 +152,7 @@ func (lt *lockedTracer) emit(e trace.Event) {
 type NodeStatus struct {
 	Node    int          `json:"node"`
 	Epoch   uint64       `json:"epoch"`
+	Twins   int          `json:"twins"` // twin buffers the node owns: its most pages dirty at once
 	Threads []string     `json:"threads"`
 	Failure string       `json:"failure,omitempty"`
 	Peers   []PeerStatus `json:"peers,omitempty"`
@@ -182,7 +183,7 @@ func (c *Cluster) Status() []NodeStatus {
 }
 
 func (n *rnode) status() NodeStatus {
-	st := NodeStatus{Node: n.self, Epoch: n.epoch.Load()}
+	st := NodeStatus{Node: n.self, Epoch: n.epoch.Load(), Twins: int(n.twinsMade.Load())}
 	now := n.clock.Now()
 	n.wmu.Lock()
 	for _, wt := range n.waits {

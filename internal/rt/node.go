@@ -13,12 +13,16 @@ import (
 	"cvm/internal/transport"
 )
 
-// rpage is one remotely-homed page in the node cache. twin is nil while
-// the copy is clean; the first write snapshots the page into twin and
-// puts the page on the dirty list.
+// rpage is one page in a node's table (rnode.pages, indexed by page id).
+// A page homed at the node has home set and data aliasing its master copy
+// for the whole run. Any other page is a cache slot: data is nil until
+// fetchPage installs the home's reply and again after invalidate; twin is
+// nil while the copy is clean — the first write snapshots the page into
+// twin and puts the page on the dirty list.
 type rpage struct {
 	data []byte
 	twin []byte
+	home bool
 }
 
 // rnode is one node of the real-execution cluster: the per-node run
@@ -41,18 +45,23 @@ type rnode struct {
 	// only while holding it. Blocking protocol operations release it, so
 	// co-located threads multiplex exactly as under the simulator's
 	// cooperative scheduler.
-	tok   sync.Mutex
-	cache map[core.PageID]*rpage
-	dirty []core.PageID  // pages in cache with a twin
-	held  map[uint32]int // lock id -> global id of the local thread holding it
+	tok    sync.Mutex
+	pages  []rpage        // every allocated page; remote slots guarded by tok
+	cached []core.PageID  // remote pages with data: what invalidate walks
+	dirty  []core.PageID  // cached pages with a twin
+	twins  [][]byte       // free twin buffers; flushAll returns them, write takes them
+	held   map[uint32]int // lock id -> global id of the local thread holding it
 	// epoch is bumped by invalidate; stale fetches re-request. Writes
 	// happen under tok, but Status reads it without, hence atomic.
 	epoch atomic.Uint64
+	// twinsMade counts the twin buffers allocated: one is made only when
+	// the free list is empty, so it is also the most pages the node had
+	// dirty at once. Atomic for Status, like epoch.
+	twinsMade atomic.Int32
 
-	// hmu guards the master copies, manager state, and per-node sync
-	// state shared with the dispatcher.
+	// hmu guards the bytes of the master copies (home pages' data),
+	// manager state, and per-node sync state shared with the dispatcher.
 	hmu     sync.Mutex
-	master  map[core.PageID][]byte
 	locks   map[uint32][]lockWaiter
 	meets   map[meetKey]*meet // this node's threads, per open rendezvous
 	gathers map[meetKey]*meet // manager (node 0): node arrivals
@@ -88,9 +97,8 @@ func newNode(c *Cluster, conn transport.Conn, clock *sim.WallClock, tracer *lock
 		self:    int(conn.Self()),
 		nodes:   c.cfg.Nodes,
 		threads: c.cfg.ThreadsPerNode,
-		cache:   make(map[core.PageID]*rpage),
+		pages:   make([]rpage, int(c.allocated)/c.cfg.PageSize),
 		held:    make(map[uint32]int),
-		master:  make(map[core.PageID][]byte),
 		locks:   make(map[uint32][]lockWaiter),
 		meets:   make(map[meetKey]*meet),
 		gathers: make(map[meetKey]*meet),
@@ -103,6 +111,13 @@ func newNode(c *Cluster, conn transport.Conn, clock *sim.WallClock, tracer *lock
 		tracer:  tracer,
 	}
 	n.meets[doneKey] = n.done
+	// The master copies: one zeroed slab cut into this node's home pages.
+	ps := c.cfg.PageSize
+	masters := make([]byte, (len(n.pages)+n.nodes-1-n.self)/n.nodes*ps)
+	for pg := n.self; pg < len(n.pages); pg += n.nodes {
+		n.pages[pg] = rpage{data: masters[:ps:ps], home: true}
+		masters = masters[ps:]
+	}
 	return n
 }
 
@@ -117,17 +132,6 @@ func (n *rnode) setWaiting(w *Worker, now waiting) (was waiting) {
 
 // home reports the node holding page pg's master copy.
 func (n *rnode) home(pg core.PageID) int { return int(pg) % n.nodes }
-
-// masterPage returns pg's master copy, zero-filled on first touch.
-// Caller holds hmu.
-func (n *rnode) masterPage(pg core.PageID) []byte {
-	m := n.master[pg]
-	if m == nil {
-		m = make([]byte, n.c.cfg.PageSize)
-		n.master[pg] = m
-	}
-	return m
-}
 
 // run executes this node's threads to completion: it starts the
 // dispatcher, spawns ThreadsPerNode workers multiplexed by the run
@@ -192,9 +196,10 @@ func (n *rnode) dispatch() {
 }
 
 // handle acts on one protocol message. checkFrame has vouched for every
-// index below; a frame it rejects fails the node, naming type and sender.
+// index below, page table included; a frame it rejects fails the node,
+// naming type and sender.
 func (n *rnode) handle(m transport.Message) {
-	if err := checkFrame(m, n.c.cfg.PageSize); err != nil {
+	if err := n.checkFrame(m); err != nil {
 		n.setFail(err)
 		return
 	}
@@ -203,11 +208,11 @@ func (n *rnode) handle(m transport.Message) {
 	case msgPageReq:
 		reqID, pg := le.Uint32(p), core.PageID(le.Uint32(p[4:]))
 		n.hmu.Lock()
-		data := append([]byte(nil), n.masterPage(pg)...)
+		rep := encodePageRep(reqID, pg, n.pages[pg].data) // the reply's one copy
 		n.hmu.Unlock()
-		n.post(int(m.From), msgPageRep, encodePageRep(reqID, pg, data))
+		n.post(int(m.From), msgPageRep, rep)
 	case msgPageRep:
-		n.deliver(le.Uint32(p), p[8:])
+		n.deliver(le.Uint32(p), p[8:8+n.c.cfg.PageSize]) // exactly the page: chunk and twins go by its length
 	case msgDiffReq:
 		reqID, pg, runs, err := decodeDiff(p, n.c.cfg.PageSize)
 		if err != nil {
@@ -215,7 +220,7 @@ func (n *rnode) handle(m transport.Message) {
 			return
 		}
 		n.hmu.Lock()
-		mp := n.masterPage(pg)
+		mp := n.pages[pg].data
 		for _, r := range runs {
 			copy(mp[r.Off:], r.Data)
 		}
@@ -428,47 +433,56 @@ func (n *rnode) checkFail() {
 	}
 }
 
-// fetchPage returns the cache entry for remotely-homed page pg,
-// requesting it from the home on a miss. Caller holds tok. Replies that
-// raced an invalidation (epoch moved) are discarded and re-requested.
-// The cache-hit path stays observation-free.
-func (n *rnode) fetchPage(w *Worker, pg core.PageID) *rpage {
-	for {
-		if p := n.cache[pg]; p != nil {
-			return p
-		}
+// fetchPage fills remotely-homed page pg's slot, requesting the page from
+// its home while the slot is empty. Caller holds tok. A reply that raced
+// an invalidation (epoch moved) is discarded and re-requested; a slot a
+// co-located thread filled while this one waited keeps that copy, which
+// may already carry local writes. From here to the next invalidate the
+// reply's buffer belongs to the slot: nothing else holds it. The
+// cache-hit path stays observation-free.
+func (n *rnode) fetchPage(w *Worker, pg core.PageID) {
+	p := &n.pages[pg]
+	for p.data == nil {
 		e := n.epoch.Load()
 		data := n.request(w, waitFault, uint32(pg), n.home(pg), msgPageReq)
-		if n.epoch.Load() != e {
-			continue
+		if n.epoch.Load() == e && p.data == nil {
+			p.data = data
+			n.cached = append(n.cached, pg)
 		}
-		if p := n.cache[pg]; p != nil {
-			// A co-located thread installed the page while we waited;
-			// its copy may already carry local writes — keep it.
-			return p
-		}
-		p := &rpage{data: data}
-		n.cache[pg] = p
-		return p
 	}
+}
+
+// twinPage snapshots cached page pg before its first write since the
+// last flush and puts it on the dirty list. The twin comes off the free
+// list when there is one. Caller holds tok.
+func (n *rnode) twinPage(p *rpage, pg core.PageID) {
+	if last := len(n.twins) - 1; last >= 0 {
+		p.twin, n.twins = n.twins[last], n.twins[:last]
+	} else {
+		p.twin = make([]byte, len(p.data))
+		n.twinsMade.Add(1)
+	}
+	copy(p.twin, p.data)
+	n.dirty = append(n.dirty, pg)
 }
 
 // flushAll diffs every dirty page against its twin, ships the diffs to
 // the homes and waits for all acknowledgements — and again, since the
 // token is released during the wait and co-located threads may dirty
 // pages meanwhile, until no dirty pages remain, with tok held
-// continuously from that final check onward. Caller holds tok.
+// continuously from that final check onward. A twin goes back on the free
+// list as soon as its diff is made: MakeDiff copies the modified bytes
+// into a slab of its own, so nothing points into the twin afterwards.
+// Caller holds tok.
 func (n *rnode) flushAll(w *Worker) {
 	for len(n.dirty) > 0 {
 		reqID, ch := n.newPending(len(n.dirty))
 		sent := 0
 		for _, pg := range n.dirty {
-			p := n.cache[pg]
-			var runs []core.Run
-			if p != nil && p.twin != nil {
-				runs = core.MakeDiff(pg, p.twin, p.data)
-				p.twin = nil
-			}
+			p := &n.pages[pg]
+			runs := core.MakeDiff(pg, p.twin, p.data)
+			n.twins = append(n.twins, p.twin)
+			p.twin = nil
 			if len(runs) == 0 {
 				n.deliver(reqID, nil) // nothing to acknowledge
 				continue
@@ -497,10 +511,13 @@ func (n *rnode) flushAll(w *Worker) {
 
 // acquireSync implements the acquire half of release consistency: flush
 // anything dirty (invalidating it unflushed would lose writes), then
-// drop the entire cache so post-acquire reads refetch current data from
+// empty every cached slot so post-acquire reads refetch current data from
 // the homes. Caller holds tok.
 func (n *rnode) acquireSync(w *Worker) {
 	n.flushAll(w)
 	n.epoch.Add(1)
-	n.cache = make(map[core.PageID]*rpage)
+	for _, pg := range n.cached {
+		n.pages[pg].data = nil
+	}
+	n.cached = n.cached[:0]
 }

@@ -33,6 +33,7 @@ package rt
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -75,7 +76,12 @@ func DefaultConfig(nodes, threadsPerNode int) Config {
 // cluster).
 type Cluster struct {
 	cfg       Config
-	allocated core.Addr
+	allocated core.Addr // final once the run starts: it sizes every node's page table
+
+	// pageShift and pageMask split an address when PageSize is a power of
+	// two; pageMask is 0 when it is not, and split divides.
+	pageShift uint
+	pageMask  core.Addr
 
 	// runMu guards rnodes — nil until the run starts — which Status reads
 	// while the run is live.
@@ -94,7 +100,20 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.PageSize < 8 || cfg.PageSize%8 != 0 {
 		return nil, fmt.Errorf("rt: page size %d not a positive multiple of 8", cfg.PageSize)
 	}
-	return &Cluster{cfg: cfg}, nil
+	c := &Cluster{cfg: cfg}
+	if ps := cfg.PageSize; ps&(ps-1) == 0 {
+		c.pageShift, c.pageMask = uint(bits.TrailingZeros(uint(ps))), core.Addr(ps-1)
+	}
+	return c, nil
+}
+
+// split resolves address a to its page and the byte offset inside it.
+func (c *Cluster) split(a core.Addr) (core.PageID, int) {
+	if c.pageMask != 0 {
+		return core.PageID(a >> c.pageShift), int(a & c.pageMask)
+	}
+	ps := core.Addr(c.cfg.PageSize)
+	return core.PageID(a / ps), int(a % ps)
 }
 
 // Alloc reserves a page-aligned shared segment (cvm.Allocator). The

@@ -326,6 +326,42 @@ func TestAllocAfterRunFails(t *testing.T) {
 	}
 }
 
+// TestAccessOutsideAllocation: an access past the allocated space — the
+// word after it, a span that starts inside and runs out (named at its
+// first word outside), a misaligned address — fails the node naming
+// thread, address and allocation. It used to read and write a page
+// conjured for the occasion.
+func TestAccessOutsideAllocation(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		body       func(w cvm.Worker, base cvm.Addr)
+	}{
+		{"word past the end", "access at address 8192",
+			func(w cvm.Worker, base cvm.Addr) { w.WriteF64(base+8192, 1) }},
+		{"span running out", "access at address 8192",
+			func(w cvm.Worker, base cvm.Addr) { w.ReadRangeF64(base+8176, make([]float64, 3)) }},
+		{"misaligned", "access at address 12",
+			func(w cvm.Worker, base cvm.Addr) { w.ReadI64(base + 12) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, 1, 2) // one node: a failed node's peers would wait for it
+			base := c.MustAlloc("two pages", 8192)
+			_, err := c.RunLoopback(func(w cvm.Worker) {
+				w.FillF64(base, 1024, 1) // the whole allocation is fine
+				if w.LocalID() == 1 {
+					tc.body(w, base)
+					t.Error("the access returned")
+				}
+				w.Barrier(0)
+			})
+			want := "rt: node 0: thread 1: " + tc.want + ": misaligned or outside the 8192 allocated bytes"
+			if err == nil || err.Error() != want {
+				t.Errorf("run ended with %v, want %q", err, want)
+			}
+		})
+	}
+}
+
 // TestUnlockNotHeld runs one program on both backends: thread 0 takes a
 // lock, thread 1 — which never acquired it — releases it. The simulator
 // panics the thread; the real runtime used to send the release, and the

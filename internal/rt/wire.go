@@ -46,19 +46,31 @@ var msgTypes = [...]struct {
 }
 
 // checkFrame rejects a message handle could not index: an unknown type,
-// or a payload shorter than the type's fixed fields (pageSize more for a
-// page reply), or cut inside a reduction's value.
-func checkFrame(m transport.Message, pageSize int) error {
+// a payload shorter than the type's fixed fields (PageSize more for a
+// page reply) or cut inside a reduction's value, or a page or diff
+// request for a page that has no master copy here.
+func (n *rnode) checkFrame(m transport.Message) error {
 	if int(m.Type) >= len(msgTypes) || msgTypes[m.Type].name == "" {
 		return fmt.Errorf("unknown message type %d from node %d", m.Type, m.From)
 	}
-	t, n := &msgTypes[m.Type], len(m.Payload)
+	t, size := &msgTypes[m.Type], len(m.Payload)
 	min := t.min
 	if m.Type == msgPageRep {
-		min += pageSize
+		min += n.c.cfg.PageSize
 	}
-	if n < min || (n > min && n < min+t.val) {
-		return fmt.Errorf("short %s from node %d: %d bytes", t.name, m.From, n)
+	if size < min || (size > min && size < min+t.val) {
+		return fmt.Errorf("short %s from node %d: %d bytes", t.name, m.From, size)
+	}
+	if m.Type == msgPageReq || m.Type == msgDiffReq {
+		pg, why := le.Uint32(m.Payload[4:]), ""
+		if pg >= uint32(len(n.pages)) {
+			why = fmt.Sprintf("outside the %d allocated pages", len(n.pages))
+		} else if !n.pages[pg].home {
+			why = "not homed here"
+		}
+		if why != "" {
+			return fmt.Errorf("%s for page %d (%s) from node %d", t.name, pg, why, m.From)
+		}
 	}
 	return nil
 }
@@ -87,7 +99,13 @@ func encodePageRep(reqID uint32, pg core.PageID, data []byte) []byte {
 // of its own page contents, and decoding returns exactly the Run form
 // core.MakeDiff produced.
 func encodeDiff(reqID uint32, pg core.PageID, runs []core.Run) []byte {
-	b := make([]byte, 0, 64)
+	// Sized so that EncodeRuns does not grow it: a run's header is at
+	// most six bytes, its RLE form at most three longer than its data.
+	size := 8 + 3
+	for _, r := range runs {
+		size += 9 + len(r.Data)
+	}
+	b := make([]byte, 0, size)
 	b = le.AppendUint32(b, reqID)
 	b = le.AppendUint32(b, uint32(pg))
 	return core.EncodeRuns(b, runs)

@@ -24,6 +24,7 @@ func failureOf(t *testing.T, typ uint8, payload []byte) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.MustAlloc("four pages", 4*framePageSize) // node 0 homes pages 0 and 2
 	conns := transport.NewLoopback(2)
 	defer conns[0].Close()
 	node := newNode(c, conns[0], sim.NewWallClock(), nil)
@@ -78,9 +79,12 @@ func TestShortFrames(t *testing.T) {
 
 // TestBadFrames: frames long enough to index but wrong inside fail the
 // node with the sender named, too — an unknown type, a diff whose runs
-// do not parse, and a diff run that would be copied past the page.
+// do not parse, a diff run that would be copied past the page, and a page
+// or diff request for a page node 0 holds no master copy of (it used to
+// conjure one).
 func TestBadFrames(t *testing.T) {
 	outside := encodeDiff(1, 0, []core.Run{{Off: framePageSize - 4, Data: make([]byte, 8)}})
+	word := []core.Run{{Off: 0, Data: make([]byte, 8)}}
 	for _, tc := range []struct {
 		name    string
 		typ     uint8
@@ -90,6 +94,14 @@ func TestBadFrames(t *testing.T) {
 		{"unknown type", 200, nil, "unknown message type 200 from node 1"},
 		{"no runs", msgDiffReq, make([]byte, 8), "diff payload:"},
 		{"run outside the page", msgDiffReq, outside, "diff run [60,+8) outside page 0 from node 1"},
+		{"page request, peer's page", msgPageReq, encodeReq(1, 1),
+			"rt: node 0: page request for page 1 (not homed here) from node 1"},
+		{"page request, no such page", msgPageReq, encodeReq(1, 4),
+			"rt: node 0: page request for page 4 (outside the 4 allocated pages) from node 1"},
+		{"diff request, peer's page", msgDiffReq, encodeDiff(1, 3, word),
+			"rt: node 0: diff request for page 3 (not homed here) from node 1"},
+		{"diff request, no such page", msgDiffReq, encodeDiff(1, 1<<20, word),
+			"rt: node 0: diff request for page 1048576 (outside the 4 allocated pages) from node 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := failureOf(t, tc.typ, tc.payload); !strings.Contains(got, tc.want) {
