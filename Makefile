@@ -78,10 +78,13 @@ chaos:
 ## checksums, run statistics, metrics reports, and Chrome traces across
 ## engine-workers 1, 2, and 4, fault-free and under a fuzzed fault
 ## schedule, plus the chaos engine-workers axis (sequential vs windowed
-## under random fault plans with the invariant checker attached).
+## under random fault plans with the invariant checker attached), and
+## the engine's own windowed tests at GOMAXPROCS 1, 2 and 4, so the
+## window barrier runs spinning, parked and oversubscribed.
 par-check:
 	$(GO) test ./internal/harness -run 'TestGuardDeterminism' -count=1
 	$(GO) test ./internal/chaos -run TestEngineWorkersUnderChaos -count=1
+	$(GO) test -cpu 1,2,4 ./internal/sim -run 'Windowed|Livelock|Futile' -count=1
 
 ## cluster-smoke: boot a real 4-process cvm-node cluster (TCP data mesh
 ## on loopback) for sor and waternsq at test scale; the coordinator's

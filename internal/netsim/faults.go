@@ -157,15 +157,15 @@ func (n *Network) nextChanIdx(from, to NodeID) uint64 {
 
 // faultedSend routes one departing message through the fault model:
 // possibly dropping it, delaying it (jitter/reorder), or delivering it
-// twice. sched schedules the delivery in the caller's context
-// (Task.Schedule from task sends, Engine.Schedule from handler sends).
-func (n *Network) faultedSend(depart sim.Time, from, to NodeID, class Class, bytes int, deliver func(), sched func(sim.Time, func())) {
+// twice. It returns when each delivered copy's handler runs, for the
+// caller to schedule in its own context.
+func (n *Network) faultedSend(depart sim.Time, from, to NodeID, class Class, bytes int) (at [2]sim.Time, copies int) {
 	f := n.faults
 	idx := n.nextChanIdx(from, to)
 
 	if p := f.Drop[class]; p > 0 && unit(faultRoll(f.Seed, from, to, idx, streamDrop)) < p {
 		n.dropMsg(depart, from, to, class, bytes)
-		return
+		return at, 0
 	}
 
 	extra := sim.Time(0)
@@ -176,7 +176,7 @@ func (n *Network) faultedSend(depart sim.Time, from, to NodeID, class Class, byt
 		extra += f.ReorderDelay
 		n.fstats.Reordered++
 	}
-	sched(n.arrival(depart, from, to, class, bytes, extra), deliver)
+	at[0] = n.arrival(depart, from, to, class, bytes, extra)
 
 	if p := f.Dup[class]; p > 0 && unit(faultRoll(f.Seed, from, to, idx, streamDup)) < p {
 		n.fstats.Dupped++
@@ -192,8 +192,10 @@ func (n *Network) faultedSend(depart sim.Time, from, to NodeID, class Class, byt
 		}
 		// The replica is a second physical message: it pays its own wire,
 		// ingress, and accounting, and delivers under its own id.
-		sched(n.arrival(depart, from, to, class, bytes, extra), deliver)
+		at[1] = n.arrival(depart, from, to, class, bytes, extra)
+		return at, 2
 	}
+	return at, 1
 }
 
 // dropMsg accounts a message that left the sender's egress but never

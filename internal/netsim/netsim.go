@@ -10,8 +10,9 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cvm/internal/metrics"
 	"cvm/internal/sim"
@@ -250,16 +251,12 @@ func (n *Network) SendFromTask(t *sim.Task, from, to NodeID, class Class, bytes 
 	}
 	depart += n.params.transfer(bytes)
 	lane[from] = depart
-	if n.faults != nil {
-		// Task.Schedule (via the closure) lowers the sender's causality
-		// horizon exactly as the reliable path below does.
-		n.faultedSend(depart, from, to, class, bytes, deliver, t.Schedule)
-		return
-	}
-	handlerAt := n.arrival(depart, from, to, class, bytes, 0)
 	// Task.Schedule lowers the sender's causality horizon so the sender
 	// cannot run past the delivery before it is applied.
-	t.Schedule(handlerAt, deliver)
+	at, copies := n.arrivals(depart, from, to, class, bytes)
+	for _, handlerAt := range at[:copies] {
+		t.Schedule(handlerAt, deliver)
+	}
 }
 
 // SendFromHandler transmits a message from engine context (a message
@@ -287,12 +284,10 @@ func (n *Network) SendFromHandler(from, to NodeID, class Class, bytes int, deliv
 	}
 	depart += n.params.SendOverhead + n.params.transfer(bytes)
 	lane[from] = depart
-	if n.faults != nil {
-		n.faultedSend(depart, from, to, class, bytes, deliver, n.eng.Schedule)
-		return
+	at, copies := n.arrivals(depart, from, to, class, bytes)
+	for _, handlerAt := range at[:copies] {
+		n.eng.Schedule(handlerAt, deliver)
 	}
-	handlerAt := n.arrival(depart, from, to, class, bytes, 0)
-	n.eng.Schedule(handlerAt, deliver)
 }
 
 // egressLane returns the per-node egress serializer for a message class:
@@ -303,6 +298,16 @@ func (n *Network) egressLane(class Class) []sim.Time {
 		return n.bulkEgressFree
 	}
 	return n.egressFree
+}
+
+// arrivals accounts a departing message and returns when each delivered
+// copy's handler runs: one copy on a reliable network; none, one or two
+// under the fault model.
+func (n *Network) arrivals(depart sim.Time, from, to NodeID, class Class, bytes int) ([2]sim.Time, int) {
+	if n.faults == nil {
+		return [2]sim.Time{n.arrival(depart, from, to, class, bytes, 0)}, 1
+	}
+	return n.faultedSend(depart, from, to, class, bytes)
 }
 
 // arrival accounts the message and computes when its handler runs at the
@@ -341,42 +346,41 @@ func (n *Network) arrival(depart sim.Time, from, to NodeID, class Class, bytes i
 // CommitWindow drains every sender's outbox with the engine quiescent
 // between two windows of limit's window. Senders are processed in node
 // order; each sender's messages in send-initiation order (a stable sort,
-// so same-instant sends keep program order). This order is a pure
-// function of simulation state, so traffic accounting, fault rolls,
-// message ids, and ingress serialization are identical at every worker
-// count. Every delivery must land at or after limit — the lookahead
-// guarantee — or the conservative schedule would be unsound; violations
-// panic loudly.
+// so same-instant sends keep program order; an outbox is usually in that
+// order already). This order is a pure function of simulation state, so
+// traffic accounting, fault rolls, message ids, and ingress
+// serialization are identical at every worker count. Every delivery must
+// land at or after limit — the lookahead guarantee — or the conservative
+// schedule would be unsound; violations panic loudly.
 func (n *Network) CommitWindow(limit sim.Time) {
-	for from := range n.outbox {
-		msgs := n.outbox[from]
+	procs := n.eng.Procs()
+	for from, msgs := range n.outbox {
 		if len(msgs) == 0 {
 			continue
 		}
-		sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].sendT < msgs[j].sendT })
+		if !slices.IsSortedFunc(msgs, bySendT) {
+			slices.SortStableFunc(msgs, bySendT)
+		}
 		for i := range msgs {
 			m := &msgs[i]
 			if n.met != nil {
 				n.met.EgressWait[m.class].Observe(int64(m.egressWait))
 			}
-			to := m.to
-			sched := func(at sim.Time, fn func()) {
-				if at < limit {
+			at, copies := n.arrivals(m.depart, NodeID(from), m.to, m.class, m.bytes)
+			for _, handlerAt := range at[:copies] {
+				if handlerAt < limit {
 					panic(fmt.Sprintf("netsim: delivery at %v violates lookahead bound %v (msg %v %d->%d sendT=%v depart=%v bytes=%d)",
-						at, limit, m.class, from, m.to, m.sendT, m.depart, m.bytes))
+						handlerAt, limit, m.class, from, m.to, m.sendT, m.depart, m.bytes))
 				}
-				n.eng.ScheduleOn(n.eng.Procs()[int(to)], at, fn)
-			}
-			if n.faults != nil {
-				n.faultedSend(m.depart, NodeID(from), m.to, m.class, m.bytes, m.deliver, sched)
-			} else {
-				sched(n.arrival(m.depart, NodeID(from), m.to, m.class, m.bytes, 0), m.deliver)
+				n.eng.ScheduleOn(procs[m.to], handlerAt, m.deliver)
 			}
 			msgs[i] = wireMsg{} // release the delivery closure
 		}
 		n.outbox[from] = msgs[:0]
 	}
 }
+
+func bySendT(a, b wireMsg) int { return cmp.Compare(a.sendT, b.sendT) }
 
 func maxTime(a, b sim.Time) sim.Time {
 	if a > b {

@@ -182,6 +182,7 @@ func (e *Engine) ScheduleOn(p *Proc, at Time, fn func()) {
 	}
 	p.lseq++
 	p.levents.push(event{at: at, seq: p.lseq, fn: fn})
+	p.next = min(p.next, at)
 }
 
 func (e *Engine) schedule(at Time, fn func()) {

@@ -86,13 +86,15 @@ type Proc struct {
 	// (Engine.SetConservative), where each proc owns a private event
 	// queue and local virtual time so windows execute without touching
 	// any engine-global state.
-	levents   eventQueue // proc-local pending events
-	lseq      uint64     // tie-breaker for levents
-	lnow      Time       // local virtual time of the current entity
-	live      int        // this proc's not-yet-finished tasks
-	wakes     uint64     // wake count, for the windowed futile watchdog
-	failure   any        // panic captured from this proc's window, if any
-	futileErr error      // windowed livelock verdict, if any
+	levents    eventQueue // proc-local pending events
+	lseq       uint64     // tie-breaker for levents
+	lnow       Time       // local virtual time of the current entity
+	live       int        // this proc's not-yet-finished tasks
+	next       Time       // nextAt as of the proc's last window, lowered by events and wakes since
+	wakes      uint64     // wake count, for the windowed futile watchdog
+	futile     int        // consecutive futile events at the end of the window
+	progressed bool       // a task was dispatched or woken in the window
+	failure    any        // panic captured from this proc's window, if any
 }
 
 // LocalNow reports the virtual time of the entity currently executing on
@@ -175,6 +177,8 @@ func (p *Proc) enqueue(t *Task, at Time) {
 	}
 	if e := p.eng; e.running && !e.windowed {
 		e.ready.push(p)
+	} else {
+		p.next = min(p.next, p.clock)
 	}
 }
 

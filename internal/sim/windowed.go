@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
-	"sync"
+	"runtime"
+	"sync/atomic"
+	"time"
 )
 
 // This file is the conservative windowed parallel run loop (enabled by
@@ -35,48 +37,113 @@ import (
 // byte-identical for every workers value — the invariant the
 // determinism guard in internal/harness enforces.
 
-// runWindowed executes the simulation window by window until every task
-// has finished and all deferred work has drained.
-func (e *Engine) runWindowed() error {
-	nw := e.workers
-	if nw > len(e.procs) {
-		nw = len(e.procs)
-	}
-	if nw < 1 {
-		nw = 1
-	}
+// spinBudget is how long a waiter at the window barrier spins before it
+// parks. It is a time, not an iteration count: it must outlast the
+// commit between two windows, or the scheduler hand-off comes back.
+const spinBudget = 300 * time.Microsecond
 
-	// Persistent worker pool: worker w handles procs w, w+nw, w+2nw, ...
-	// for every window (stable assignment, though any assignment would
-	// produce identical results). Worker 0 is the coordinator itself.
-	var wg sync.WaitGroup
-	var starts []chan Time
-	for w := 1; w < nw; w++ {
-		ch := make(chan Time)
-		starts = append(starts, ch)
-		go func(w int, ch chan Time) {
-			for limit := range ch {
-				for pi := w; pi < len(e.procs); pi += nw {
-					e.procWindow(e.procs[pi], limit)
-				}
-				wg.Done()
+// windowGate is the barrier between the coordinator (waiter 0) and
+// workers 1..n-1. The coordinator publishes a window and bumps epoch;
+// each worker runs its list and counts left down. A waiter spins for up
+// to spinBudget — not at all when workers outnumber GOMAXPROCS — then
+// parks on its 1-buffered wake channel, which every release tops up: a
+// token left from a window the waiter did not park in costs it one
+// re-check.
+type windowGate struct {
+	epoch   atomic.Uint64
+	left    atomic.Int32
+	spin    bool
+	limit   Time // the published window: written before an epoch bump
+	carried int
+	lists   [][]*Proc // lists[w]: worker w's procs with work before limit; nil stops the workers
+	active  []*Proc   // every list's procs, by id
+	wake    []chan struct{}
+}
+
+// await returns once ready holds for waiter k.
+func (g *windowGate) await(k int, ready func() bool) {
+	deadline := time.Now().Add(spinBudget)
+	for i := 1; g.spin && !ready(); i++ {
+		if i%1024 == 0 {
+			if time.Now().After(deadline) {
+				break
 			}
-		}(w, ch)
-	}
-	defer func() {
-		for _, ch := range starts {
-			close(ch)
+			runtime.Gosched()
 		}
+	}
+	for !ready() {
+		<-g.wake[k]
+	}
+}
+
+func (g *windowGate) release(k int) {
+	select {
+	case g.wake[k] <- struct{}{}:
+	default:
+	}
+}
+
+// open starts the workers on the published window; wait returns once
+// they are through it.
+func (g *windowGate) open() {
+	g.left.Store(int32(len(g.wake) - 1))
+	g.epoch.Add(1)
+	for w := 1; w < len(g.wake); w++ {
+		g.release(w)
+	}
+}
+
+func (g *windowGate) wait() { g.await(0, func() bool { return g.left.Load() == 0 }) }
+
+func (g *windowGate) work(e *Engine, w int) {
+	for epoch := uint64(1); ; epoch++ {
+		g.await(w, func() bool { return g.epoch.Load() == epoch })
+		stop := g.lists == nil
+		if !stop {
+			for _, p := range g.lists[w] {
+				e.procWindow(p, g.limit, g.carried)
+			}
+		}
+		if g.left.Add(-1) == 0 {
+			g.release(0)
+		}
+		if stop {
+			return
+		}
+	}
+}
+
+// runWindowed executes the simulation window by window until every task
+// has finished and all deferred work has drained. Only the procs with
+// work before W1 take part in a window: the W0 scan reads each proc's
+// next (left by its last window, lowered by the commit's deliveries),
+// and worker w gets its procs (proc % workers, so a proc's state stays
+// in one core's cache) with work before W1.
+func (e *Engine) runWindowed() error {
+	nw := max(1, min(e.workers, len(e.procs)))
+	g := &windowGate{spin: nw <= runtime.GOMAXPROCS(0), lists: make([][]*Proc, nw), wake: make([]chan struct{}, nw)}
+	for w := range g.wake {
+		g.wake[w] = make(chan struct{}, 1)
+		if w > 0 {
+			go g.work(e, w)
+		}
+	}
+	defer func() { // on every path: the workers are through the last window, then gone
+		g.wait()
+		g.lists = nil
+		g.open()
+		g.wait()
 	}()
 
+	for _, p := range e.procs {
+		p.next = p.nextAt()
+	}
+	carried := 0 // futile events over the consecutive windows without progress
 	for {
-		w0 := MaxTime
-		live := 0
+		w0, live := MaxTime, 0
 		for _, p := range e.procs {
 			live += p.live
-			if at := p.nextAt(); at < w0 {
-				w0 = at
-			}
+			w0 = min(w0, p.next)
 		}
 		if w0 == MaxTime {
 			if live == 0 {
@@ -85,31 +152,49 @@ func (e *Engine) runWindowed() error {
 			return e.deadlockErr("no runnable entity and no pending event")
 		}
 		limit := w0 + e.lookahead
-
-		wg.Add(len(starts))
-		for _, ch := range starts {
-			ch <- limit
+		for w := range g.lists {
+			g.lists[w] = g.lists[w][:0]
 		}
-		for pi := 0; pi < len(e.procs); pi += nw {
-			e.procWindow(e.procs[pi], limit)
+		g.active = g.active[:0]
+		for i, p := range e.procs {
+			if p.next < limit {
+				g.lists[i%nw] = append(g.lists[i%nw], p)
+				g.active = append(g.active, p)
+			}
 		}
-		wg.Wait()
+		g.limit, g.carried = limit, carried
+		g.open()
+		for _, p := range g.lists[0] {
+			e.procWindow(p, limit, carried)
+		}
+		g.wait()
 
 		// Propagate worker outcomes deterministically: the lowest proc
 		// index wins, so a multi-proc failure reports identically at
 		// every worker count. Panics (e.g. the transport's loud failure)
 		// re-raise on the coordinator, where Run's caller can recover
 		// them exactly as in the sequential mode.
-		for _, p := range e.procs {
-			if p.failure != nil {
-				f := p.failure
+		for _, p := range g.active {
+			if f := p.failure; f != nil {
 				p.failure = nil
 				panic(f)
 			}
 		}
-		for _, p := range e.procs {
-			if p.futileErr != nil {
-				return p.futileErr
+		// The futile watchdog counts across windows as the sequential loop
+		// does: while tasks are live, restarted by a dispatch or wake
+		// anywhere. A proc that reached the limit inside the window
+		// stopped there.
+		for _, p := range g.active {
+			if p.progressed || live == 0 {
+				carried = 0
+				break
+			}
+			carried += p.futile - g.carried
+		}
+		for _, p := range g.active {
+			if n := max(p.futile, carried); e.futileLimit > 0 && n >= e.futileLimit {
+				return fmt.Errorf("%w: livelock on proc %d: %d consecutive events without a task dispatch or wake",
+					ErrDeadlock, p.id, n)
 			}
 		}
 
@@ -123,14 +208,15 @@ func (e *Engine) runWindowed() error {
 // and task slices interleaved in local-time order, events first on ties.
 // It touches only p-local state (plus deferral-layer state owned by p),
 // so any worker may execute it. Panics are captured per proc and
-// re-raised by the coordinator.
-func (e *Engine) procWindow(p *Proc, limit Time) {
+// re-raised by the coordinator. The futile count starts from carried,
+// so a livelock spanning windows trips the limit inside one too.
+func (e *Engine) procWindow(p *Proc, limit Time, carried int) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.failure = r
 		}
 	}()
-	futile := 0
+	p.futile, p.progressed = carried, false
 	for {
 		evAt := p.levents.peekTime()
 		taskAt := MaxTime
@@ -138,6 +224,7 @@ func (e *Engine) procWindow(p *Proc, limit Time) {
 			taskAt = p.clock
 		}
 		if evAt >= limit && taskAt >= limit {
+			p.next = min(evAt, taskAt)
 			return
 		}
 		if evAt <= taskAt {
@@ -146,19 +233,15 @@ func (e *Engine) procWindow(p *Proc, limit Time) {
 			wakesBefore, liveBefore := p.wakes, p.live
 			ev.fn()
 			if p.wakes == wakesBefore && p.live == liveBefore && !p.runnable() {
-				futile++
-				if e.futileLimit > 0 && futile >= e.futileLimit {
-					p.futileErr = fmt.Errorf(
-						"%w: livelock on proc %d: %d consecutive events without a task dispatch or wake",
-						ErrDeadlock, p.id, futile)
-					return
+				if p.futile++; e.futileLimit > 0 && p.futile >= e.futileLimit {
+					return // the coordinator gives the verdict
 				}
 			} else {
-				futile = 0
+				p.futile, p.progressed = 0, true
 			}
 			continue
 		}
-		futile = 0
+		p.futile, p.progressed = 0, true
 		e.dispatchProc(p, minTime(evAt, limit))
 	}
 }
