@@ -96,9 +96,18 @@ cluster-smoke:
 ## scale-smoke: one 256-node scaleout run — checksum-identical to the
 ## sequential engine, byte-identical across windowed worker counts —
 ## proving the sparse page directory and spilled copysets far past the
-## paper grid's cluster sizes.
+## paper grid's cluster sizes; then scaleout at small size on
+## 42/48/64/128/256 nodes × 2/3/4 threads under the invariant checker on
+## the windowed engine, the shapes that lost a lock-guarded update while
+## node 0 applied barrier arrivals before its own (about 15 s on 2 cores).
 scale-smoke:
 	$(GO) test ./internal/harness -run 'TestScaleSmoke|TestRunScaleStudy' -count=1
+	@bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
+	$(GO) build -o "$$bin/cvm-run" ./cmd/cvm-run || exit 1; \
+	for n in 42 48 64 128 256; do for t in 2 3 4; do \
+		echo "== scale-smoke: scaleout $${n}x$$t small -check -engine-workers 2"; \
+		"$$bin/cvm-run" -app scaleout -nodes $$n -threads $$t -size small -check -engine-workers 2 >/dev/null || exit 1; \
+	done; done
 
 ## sortdiffs: the diff application order is pinned — the differential
 ## tests against the replaced algorithm (sortDiffsReference), the pinned

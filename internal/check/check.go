@@ -3,8 +3,9 @@
 // The Checker implements trace.Tracer and audits the event stream
 // online, holding the protocol to the invariants its correctness
 // argument rests on: intervals close in order, twins pair with diffs,
-// no diff is created or applied twice, at most one thread holds a lock,
-// and barrier epochs are globally agreed. It is an optional hook in the
+// no diff is created twice, a node applies a page's diffs in
+// happens-before order, at most one thread holds a lock, and barrier
+// epochs are globally agreed. It is an optional hook in the
 // same style as the tracer and metrics registry — wire it into
 // Config.Tracer (alone, or fanned out with trace.Tee) and ask it for
 // violations after the run; a nil or absent checker costs nothing.
@@ -20,6 +21,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"cvm/internal/sim"
@@ -46,11 +48,6 @@ func (v Violation) String() string {
 	return fmt.Sprintf("T=%v node=%d [%s] %s", v.T, v.Node, v.Invariant, v.Detail)
 }
 
-// pagePeer keys per-(node,page,peer) diff application state.
-type pagePeer struct {
-	node, page, peer int32
-}
-
 // nodePage keys per-(node,page) twin state.
 type nodePage struct {
 	node, page int32
@@ -60,6 +57,12 @@ type nodePage struct {
 type diffKey struct {
 	node, page int32
 	idx        int64
+}
+
+// interval identifies one closed interval: its node and index.
+type interval struct {
+	node int32
+	idx  int64
 }
 
 // lockHolder records who holds a lock.
@@ -91,8 +94,9 @@ const modeExcl = 2
 // node's release message is still in flight), so arrivals and
 // outstanding releases are tracked independently.
 type barrierState struct {
-	arrived     int // arrivals toward the current epoch
-	outstanding int // releases still owed for completed epochs
+	arrived     int     // arrivals toward the current epoch
+	outstanding int     // releases still owed for completed epochs
+	join        []int64 // the latest epoch's join of every node's clock
 }
 
 // localBarrierState tracks one (node, id) local barrier.
@@ -110,14 +114,21 @@ type Checker struct {
 	violations []Violation
 	total      int
 
-	intervalIdx []int64                    // per node: highest interval idx seen closing
-	twins       map[nodePage]bool          // outstanding twin per (node, page)
-	diffsMade   map[diffKey]bool           // diffs created, for uniqueness
-	appliedIdx  map[pagePeer]int64         // highest interval idx applied per (node,page,peer)
-	applied     map[diffKey]map[int32]bool // diff → set of nodes that applied it
-	lockHeld    map[int32]lockHolder       // lock id → holder
-	barriers    map[int32]*barrierState
-	localBars   map[nodePage]*localBarrierState // (node, barrier id)
+	twins     map[nodePage]bool    // outstanding twin per (node, page)
+	diffsMade map[diffKey]bool     // diffs created, for uniqueness
+	lockHeld  map[int32]lockHolder // lock id → holder
+	barriers  map[int32]*barrierState
+	localBars map[nodePage]*localBarrierState // (node, barrier id)
+
+	// Happens-before, from sync events alone (diff-apply-hb): each node's
+	// vector clock (its own component is the highest interval seen
+	// closing), the clock each lock's last release left, the clock each
+	// interval closed with, and per (node, page) the join of the clocks of
+	// the diffs applied there.
+	clk     [][]int64
+	lockClk map[int32][]int64
+	intvClk map[interval][]int64
+	pageClk map[nodePage][]int64
 
 	// Adaptive-coherence state. All maps stay empty for plain LRC runs
 	// (the kinds below are never emitted), so the checker costs nothing
@@ -129,20 +140,32 @@ type Checker struct {
 
 // New returns a Checker for a cluster of the given shape.
 func New(nodes, threadsPerNode int) *Checker {
-	return &Checker{
-		nodes:       nodes,
-		threads:     threadsPerNode,
-		intervalIdx: make([]int64, nodes),
-		twins:       make(map[nodePage]bool),
-		diffsMade:   make(map[diffKey]bool),
-		appliedIdx:  make(map[pagePeer]int64),
-		applied:     make(map[diffKey]map[int32]bool),
-		lockHeld:    make(map[int32]lockHolder),
-		barriers:    make(map[int32]*barrierState),
-		localBars:   make(map[nodePage]*localBarrierState),
-		modeEpoch:   make(map[nodePage]int64),
-		modeAt:      make(map[pageEpoch]modeDecl),
-		exclSpan:    make(map[nodePage]bool),
+	c := &Checker{
+		nodes:     nodes,
+		threads:   threadsPerNode,
+		twins:     make(map[nodePage]bool),
+		diffsMade: make(map[diffKey]bool),
+		lockHeld:  make(map[int32]lockHolder),
+		barriers:  make(map[int32]*barrierState),
+		localBars: make(map[nodePage]*localBarrierState),
+		clk:       make([][]int64, nodes),
+		lockClk:   make(map[int32][]int64),
+		intvClk:   make(map[interval][]int64),
+		pageClk:   make(map[nodePage][]int64),
+		modeEpoch: make(map[nodePage]int64),
+		modeAt:    make(map[pageEpoch]modeDecl),
+		exclSpan:  make(map[nodePage]bool),
+	}
+	for i := range c.clk {
+		c.clk[i] = make([]int64, nodes)
+	}
+	return c
+}
+
+// join raises each component of dst to at least src's.
+func join(dst, src []int64) {
+	for i, v := range src {
+		dst[i] = max(dst[i], v)
 	}
 }
 
@@ -172,12 +195,15 @@ func (c *Checker) Emit(e trace.Event) {
 	case trace.KindDiffCreate:
 		// interval-monotone: a node closes intervals in increasing
 		// index order — the vector-clock component for the node itself
-		// never runs backwards.
-		if idx := e.Aux; idx < c.intervalIdx[e.Node] {
+		// never runs backwards. A new interval raises that component, and
+		// its diffs carry the clock it closed with (diff-apply-hb).
+		switch clk := c.clk[e.Node]; {
+		case e.Aux < clk[e.Node]:
 			c.violate(e, e.Page, "interval-monotone",
-				"diff for interval %d created after interval %d closed", idx, c.intervalIdx[e.Node])
-		} else {
-			c.intervalIdx[e.Node] = idx
+				"diff for interval %d created after interval %d closed", e.Aux, clk[e.Node])
+		case e.Aux > clk[e.Node]:
+			clk[e.Node] = e.Aux
+			c.intvClk[interval{e.Node, e.Aux}] = slices.Clone(clk)
 		}
 		// diff-unique: one diff per (node, page, interval).
 		dk := diffKey{e.Node, e.Page, e.Aux}
@@ -202,28 +228,26 @@ func (c *Checker) Emit(e trace.Event) {
 		}
 
 	case trace.KindDiffApply:
-		// diff-apply-once: a node never applies the same diff twice —
-		// the first thing a replayed message would do.
-		dk := diffKey{e.Peer, e.Page, e.Arg}
-		nodes := c.applied[dk]
-		if nodes == nil {
-			nodes = make(map[int32]bool)
-			c.applied[dk] = nodes
+		// diff-apply-hb: a node applies a page's diffs in happens-before
+		// order. Diff (x,k) is late when the diffs already applied to the
+		// page cover interval k of x: it is one of them (a replay), an
+		// older interval of the same writer, or it happens-before one of
+		// them — and its bytes would overwrite newer ones.
+		key := nodePage{e.Node, e.Page}
+		pc := c.pageClk[key]
+		if pc == nil {
+			pc = make([]int64, c.nodes)
+			c.pageClk[key] = pc
 		}
-		if nodes[e.Node] {
-			c.violate(e, e.Page, "diff-apply-once",
-				"diff from node %d interval %d applied twice", e.Peer, e.Arg)
+		if pc[e.Peer] >= e.Arg {
+			c.violate(e, e.Page, "diff-apply-hb",
+				"diff from node %d interval %d applied after diffs that cover it (node %d through interval %d)",
+				e.Peer, e.Arg, e.Peer, pc[e.Peer])
 		}
-		nodes[e.Node] = true
-		// diff-apply-order: diffs from one creator apply to a page in
-		// interval order (the creator's program order); applying them
-		// out of order loses updates.
-		pp := pagePeer{e.Node, e.Page, e.Peer}
-		if prev, ok := c.appliedIdx[pp]; ok && e.Arg < prev {
-			c.violate(e, e.Page, "diff-apply-order",
-				"diff from node %d interval %d applied after interval %d", e.Peer, e.Arg, prev)
+		if vc := c.intvClk[interval{e.Peer, e.Arg}]; vc != nil {
+			join(pc, vc)
 		} else {
-			c.appliedIdx[pp] = e.Arg
+			pc[e.Peer] = max(pc[e.Peer], e.Arg)
 		}
 
 	case trace.KindLockAcquire:
@@ -234,6 +258,9 @@ func (c *Checker) Emit(e trace.Event) {
 				e.Sync, e.Thread, h.node, h.thread)
 		}
 		c.lockHeld[e.Sync] = lockHolder{e.Node, e.Thread}
+		if lc := c.lockClk[e.Sync]; lc != nil {
+			join(c.clk[e.Node], lc)
+		}
 
 	case trace.KindLockRelease:
 		h, held := c.lockHeld[e.Sync]
@@ -245,6 +272,10 @@ func (c *Checker) Emit(e trace.Event) {
 				e.Sync, e.Node, e.Thread, h.node, h.thread)
 		}
 		delete(c.lockHeld, e.Sync)
+		if c.lockClk[e.Sync] == nil {
+			c.lockClk[e.Sync] = make([]int64, c.nodes)
+		}
+		copy(c.lockClk[e.Sync], c.clk[e.Node])
 
 	case trace.KindBarrierArrive:
 		if e.Aux == 1 {
@@ -300,6 +331,17 @@ func (c *Checker) Emit(e trace.Event) {
 				e.Sync, arrived, c.nodes*c.threads)
 			return
 		}
+		if b.outstanding == c.nodes {
+			// The epoch's first release: every node has arrived, and none
+			// has left, so the join of all clocks is what it publishes.
+			if b.join == nil {
+				b.join = make([]int64, c.nodes)
+			}
+			for _, clk := range c.clk {
+				join(b.join, clk)
+			}
+		}
+		join(c.clk[e.Node], b.join)
 		b.outstanding--
 
 	case trace.KindModeChange:

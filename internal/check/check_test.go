@@ -118,7 +118,7 @@ func TestDiffApplyOnce(t *testing.T) {
 		ev(trace.KindDiffApply, 1, page(6), peer(0), arg(2)),
 		ev(trace.KindDiffApply, 1, page(6), peer(0), arg(2)), // replay
 	)
-	wantViolation(t, c, "diff-apply-once")
+	wantViolation(t, c, "diff-apply-hb")
 }
 
 func TestDiffApplyOrder(t *testing.T) {
@@ -126,7 +126,60 @@ func TestDiffApplyOrder(t *testing.T) {
 		ev(trace.KindDiffApply, 1, page(6), peer(0), arg(3)),
 		ev(trace.KindDiffApply, 1, page(6), peer(0), arg(2)), // older interval after newer
 	)
-	wantViolation(t, c, "diff-apply-order")
+	wantViolation(t, c, "diff-apply-hb")
+}
+
+// writeUnderLock is node's critical section on lock 5: it acquires the
+// lock, closes interval idx over page 6, and releases.
+func writeUnderLock(node int32, idx int64) []trace.Event {
+	return []trace.Event{
+		ev(trace.KindLockAcquire, node, syncID(5), thread(node)),
+		ev(trace.KindTwinCreate, node, page(6), thread(node)),
+		ev(trace.KindDiffCreate, node, page(6), aux(idx)),
+		ev(trace.KindLockRelease, node, syncID(5), thread(node)),
+	}
+}
+
+// TestDiffApplyHB: two writers' diffs of one page, ordered by a lock
+// handoff (or by a barrier), must apply in that order at a third node;
+// concurrent ones may apply in either.
+func TestDiffApplyHB(t *testing.T) {
+	ordered := append(writeUnderLock(0, 1), writeUnderLock(1, 1)...) // (0,1) hb (1,1)
+	apply := func(writer int32) trace.Event {
+		return ev(trace.KindDiffApply, 2, page(6), peer(writer), arg(1))
+	}
+	c := feed(3, 1, append(ordered, apply(0), apply(1))...)
+	if c.Count() != 0 {
+		t.Fatalf("in-order application flagged: %v", c.Violations())
+	}
+	wantViolation(t, feed(3, 1, append(ordered, apply(1), apply(0))...), "diff-apply-hb")
+
+	// Through a barrier: both nodes arrive and are released, then node 1
+	// writes; node 0's earlier interval happens-before node 1's.
+	barrier := []trace.Event{
+		ev(trace.KindTwinCreate, 0, page(6), thread(0)),
+		ev(trace.KindDiffCreate, 0, page(6), aux(1)),
+		ev(trace.KindBarrierArrive, 0, syncID(9), thread(0)),
+		ev(trace.KindBarrierArrive, 1, syncID(9), thread(1)),
+		ev(trace.KindBarrierArrive, 2, syncID(9), thread(2)),
+		ev(trace.KindBarrierRelease, 0, syncID(9)),
+		ev(trace.KindBarrierRelease, 1, syncID(9)),
+		ev(trace.KindBarrierRelease, 2, syncID(9)),
+		ev(trace.KindTwinCreate, 1, page(6), thread(1)),
+		ev(trace.KindDiffCreate, 1, page(6), aux(1)),
+	}
+	wantViolation(t, feed(3, 1, append(barrier, apply(1), apply(0))...), "diff-apply-hb")
+
+	// Concurrent writers: no sync edge between them, either order is fine.
+	concurrent := []trace.Event{
+		ev(trace.KindTwinCreate, 0, page(6), thread(0)),
+		ev(trace.KindDiffCreate, 0, page(6), aux(1)),
+		ev(trace.KindTwinCreate, 1, page(6), thread(1)),
+		ev(trace.KindDiffCreate, 1, page(6), aux(1)),
+	}
+	if c := feed(3, 1, append(concurrent, apply(1), apply(0))...); c.Count() != 0 {
+		t.Fatalf("concurrent diffs flagged: %v", c.Violations())
+	}
 }
 
 func TestLockUniqueHolder(t *testing.T) {

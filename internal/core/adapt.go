@@ -730,31 +730,23 @@ func (n *node) queuePush(p *page, d *Diff, ad *pageAdapt) {
 // in engine context at the RELEASE (not the arrival), so pushed data
 // rides the idle post-barrier wire instead of racing the release
 // broadcast for subscriber ingress. Either way the release-critical
-// message always reserves the egress first.
-func (n *node) flushPushes(t *Thread) {
+// message always reserves the egress first. task is the releasing
+// thread's, nil in engine context.
+func (n *node) flushPushes(task *sim.Task) {
 	if len(n.pendingPush) == 0 {
 		return
 	}
 	sys := n.sys
 	for _, pp := range n.pendingPush {
-		pp := pp
 		bytes := 16 + pp.d.WireBytes(sys.cfg.CompressDiffs)
 		for _, sub := range pp.subs {
 			if sub == int32(n.id) {
 				continue
 			}
-			sub := sub
 			n.stats.UpdatePushes++
-			deliver := func() {
+			sys.send(task, NodeID(n.id), NodeID(sub), ClassUpdate, bytes, func() {
 				sys.nodes[sub].receiveUpdate(pp.pg, pp.d, pp.prevIdx)
-			}
-			if t != nil {
-				sys.sendFromTask(t.task, NodeID(n.id), NodeID(sub),
-					ClassUpdate, bytes, deliver)
-			} else {
-				sys.sendFromHandler(NodeID(n.id), NodeID(sub),
-					ClassUpdate, bytes, deliver)
-			}
+			})
 		}
 	}
 	n.pendingPush = n.pendingPush[:0]
@@ -888,11 +880,11 @@ func (t *Thread) fullFetchFault(p *page, ad *pageAdapt, fstart sim.Time) {
 	n.stats.OutstandingLocks += int64(n.inFlightLocks)
 	n.inFlightFaults++
 	target := sys.nodes[owner]
-	sys.sendFromTask(t.task, NodeID(n.id), NodeID(owner),
+	sys.send(t.task, NodeID(n.id), NodeID(owner),
 		ClassDiff, diffRequestBytes, func() {
 			target.serveFullPage(p.id, func(data []byte, vec VClock, bytes int, service sim.Time) {
 				sys.eng.ScheduleOn(target.proc, target.proc.LocalNow()+service, func() {
-					sys.sendFromHandler(NodeID(owner), NodeID(n.id),
+					sys.send(nil, NodeID(owner), NodeID(n.id),
 						ClassDiff, bytes, func() {
 							fs.snap = data
 							fs.snapVec = vec

@@ -168,11 +168,11 @@ func (t *Thread) remoteFault(p *page) {
 	for _, r := range remote {
 		r := r
 		target := sys.nodes[r.node]
-		sys.sendFromTask(t.task, NodeID(n.id), NodeID(r.node),
+		sys.send(t.task, NodeID(n.id), NodeID(r.node),
 			ClassDiff, diffRequestBytes, func() {
 				target.serveDiffRequest(p.id, r.from, r.to, func(ds []*Diff, bytes int, service sim.Time) {
 					sys.eng.ScheduleOn(target.proc, target.proc.LocalNow()+service, func() {
-						sys.sendFromHandler(NodeID(r.node), NodeID(n.id),
+						sys.send(nil, NodeID(r.node), NodeID(n.id),
 							ClassDiff, bytes, func() {
 								fs.diffs = append(fs.diffs, ds...)
 								fs.outstanding--

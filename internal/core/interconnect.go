@@ -9,11 +9,10 @@ import (
 
 // The protocol engine addresses peers with the shared transport
 // vocabulary; the concrete interconnect behind it is pluggable. Aliasing
-// the types here keeps the protocol files (lock.go, barrier.go,
-// fault.go, reduce.go, swprotocol.go, transport.go) free of any backend
-// import: they name nodes and message classes abstractly and route every
-// cross-node send through System.sendFromTask/sendFromHandler, which
-// dispatch on the installed Interconnect.
+// the types here keeps the protocol files (lock.go, sync.go, fault.go,
+// swprotocol.go, transport.go) free of any backend import: they name
+// nodes and message classes abstractly and route every cross-node send
+// through System.send, which dispatches on the installed Interconnect.
 type (
 	// NodeID identifies a node at the protocol layer.
 	NodeID = transport.NodeID

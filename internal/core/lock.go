@@ -145,7 +145,7 @@ func (t *Thread) sendLockRequest(l *lockState) {
 		// (The token cannot be here: the fast path would have taken it.)
 		last := l.mgrLast
 		l.mgrLast = n.id
-		sys.sendFromTask(t.task, NodeID(n.id), NodeID(last),
+		sys.send(t.task, NodeID(n.id), NodeID(last),
 			ClassLock, bytes, func() {
 				// Two messages total (request straight to the holder,
 				// grant back): the 2-hop path, no manager forward.
@@ -153,7 +153,7 @@ func (t *Thread) sendLockRequest(l *lockState) {
 			})
 		return
 	}
-	sys.sendFromTask(t.task, NodeID(n.id), NodeID(mgr),
+	sys.send(t.task, NodeID(n.id), NodeID(mgr),
 		ClassLock, bytes, func() {
 			sys.nodes[mgr].handleLockManagerRequest(l.id, n.id, reqVT)
 		})
@@ -179,7 +179,7 @@ func (n *node) handleLockManagerRequest(id, from int, reqVT VClock) {
 			Node: int32(n.id), Thread: -1, Sync: int32(id),
 			Peer: int32(last), Arg: int64(from)})
 	}
-	sys.sendFromHandler(NodeID(n.id), NodeID(last),
+	sys.send(nil, NodeID(n.id), NodeID(last),
 		ClassLock, lockMsgBytes+reqVT.wireBytes(), func() {
 			sys.nodes[last].handleLockHandoff(id, from, reqVT, 3)
 		})
@@ -191,7 +191,7 @@ func (n *node) handleLockManagerRequest(id, from int, reqVT VClock) {
 func (n *node) handleLockHandoff(id, to int, reqVT VClock, hops uint8) {
 	l := n.lockAt(id)
 	if l.token && l.heldBy == nil && len(l.localQ) == 0 && !l.requested {
-		n.grantLock(l, to, reqVT, hops)
+		n.grantLock(nil, l, to, reqVT, hops)
 		return
 	}
 	if l.nextNode >= 0 {
@@ -203,18 +203,17 @@ func (n *node) handleLockHandoff(id, to int, reqVT VClock, hops uint8) {
 }
 
 // grantLock sends the token (with piggybacked write notices) to a remote
-// requester. It runs in engine context; grants issued from a releasing
-// thread go through releaseRemote.
-func (n *node) grantLock(l *lockState, to int, reqVT VClock, hops uint8) {
+// requester: from the releasing thread's task, or from engine context
+// when task is nil (a request that found the token free).
+func (n *node) grantLock(task *sim.Task, l *lockState, to int, reqVT VClock, hops uint8) {
 	l.token = false
 	infos := n.newInfosSince(reqVT)
 	bytes := lockMsgBytes + n.vt.wireBytes() + infosBytes(infos)
 	vt := n.vt.Clone()
 	sys := n.sys
-	sys.sendFromHandler(NodeID(n.id), NodeID(to),
-		ClassLock, bytes, func() {
-			sys.nodes[to].handleLockGrant(l.id, infos, vt, hops)
-		})
+	sys.send(task, NodeID(n.id), NodeID(to), ClassLock, bytes, func() {
+		sys.nodes[to].handleLockGrant(l.id, infos, vt, hops)
+	})
 }
 
 // handleLockGrant runs at the original requester (engine context): apply
@@ -262,26 +261,18 @@ func (t *Thread) Unlock(id int) {
 		l.localQ = l.localQ[:copy(l.localQ, l.localQ[1:])]
 		l.heldBy = next
 		t.sys.eng.WakeAt(next.task, t.task.Now())
-		n.flushPushes(t)
+		n.flushPushes(t.task)
 		return
 	}
 	l.heldBy = nil
 	if l.nextNode >= 0 {
 		to, vt, hops := l.nextNode, l.nextVT, l.nextHops
 		l.nextNode, l.nextVT, l.nextHops = -1, nil, 0
-		l.token = false
-		infos := n.newInfosSince(vt)
-		bytes := lockMsgBytes + n.vt.wireBytes() + infosBytes(infos)
-		myVT := n.vt.Clone()
-		sys := t.sys
-		sys.sendFromTask(t.task, NodeID(n.id), NodeID(to),
-			ClassLock, bytes, func() {
-				sys.nodes[to].handleLockGrant(id, infos, myVT, hops)
-			})
+		n.grantLock(t.task, l, to, vt, hops)
 	}
 	// Update pushes depart behind the grant (or immediately, when the
 	// token stays cached): the release-critical path never waits on them.
-	n.flushPushes(t)
+	n.flushPushes(t.task)
 }
 
 // lockMsgBytes is the header size of lock protocol messages.

@@ -25,21 +25,20 @@ type node struct {
 	// on first use — a run that never touches a lock pays nothing for the
 	// lock table.
 	vt             VClock
-	curIdx         int32                // index of this node's next interval
-	shards         []*pageShard         // sparse page directory root, sized at Start
-	totalPages     int                  // address-space size in pages
-	shardCount     int                  // shards materialized so far
-	pool           bufPool              // page/twin buffer slabs (see pagetable.go)
-	dirty          []PageID             // pages written in the open interval
-	intervals      [][]*IntervalInfo    // known intervals, per node, idx-ascending
-	locks          map[int]*lockState   // lazily created
-	barriers       map[int]*nodeBarrier // lazily created
-	reduces        map[int]*nodeReduce  // lazily created
-	swdir          map[PageID]*swDir    // single-writer directory (manager side), lazily created
-	csp            csPool               // recycled spilled copyset bitsets
-	csScratch      []int32              // copyset fan-out scratch (swServe)
-	sorter         diffSorter           // diff-ordering scratch (applyFault)
-	barrierSentIdx int32                // own intervals already shipped to the barrier manager
+	curIdx         int32                 // index of this node's next interval
+	shards         []*pageShard          // sparse page directory root, sized at Start
+	totalPages     int                   // address-space size in pages
+	shardCount     int                   // shards materialized so far
+	pool           bufPool               // page/twin buffer slabs (see pagetable.go)
+	dirty          []PageID              // pages written in the open interval
+	intervals      [][]*IntervalInfo     // known intervals, per node, idx-ascending
+	locks          map[int]*lockState    // lazily created
+	meets          map[meetKey]*nodeMeet // barriers, reductions, local barriers; lazily created
+	swdir          map[PageID]*swDir     // single-writer directory (manager side), lazily created
+	csp            csPool                // recycled spilled copyset bitsets
+	csScratch      []int32               // copyset fan-out scratch (swServe)
+	sorter         diffSorter            // diff-ordering scratch (applyFault)
+	barrierSentIdx int32                 // own intervals already shipped to the barrier manager
 
 	// In-flight remote request counts for outstanding-request sampling.
 	inFlightFaults int
@@ -178,19 +177,13 @@ func (n *node) closeInterval(t *Thread) {
 	// Create this interval's diffs eagerly (as TreadMarks does at barrier
 	// arrival): every diff then carries exact per-interval attribution,
 	// and a requester is only ever sent diffs for intervals it holds
-	// write notices for. That set is not always causally closed: the
-	// barrier manager takes an arrival's own-interval notices without the
-	// arriver's vector time (barrier.go: applyInfos(infos, nil)), so from
-	// an arrival until the release, node 0's vt — and the VT stamped on
-	// any interval it closes meanwhile — can name an interval (o,i)
-	// without covering what o had seen when it closed (o,i). The two
-	// intervals are then concurrent, whatever VT[o] >= i suggests, and a
-	// data-race-free program does not notice: concurrent intervals wrote
-	// disjoint bytes, so either order of their diffs leaves the same
-	// page. But it is why VT.CoversInterval (one component) cannot stand
-	// in for VT.Before when sortDiffs orders diffs. The page-length
-	// comparison and the protection downgrade are charged to the closing
-	// thread.
+	// write notices for. The VT stamped here is closed: every interval a
+	// node knows of arrived on a grant or a release together with the
+	// sender's vector time, and the barrier manager applies arrivals'
+	// intervals only once every node has arrived (sync.go, gather). So
+	// after any grant or release no node holds an interval its vt does
+	// not cover. The page-length comparison and the protection downgrade
+	// are charged to the closing thread.
 	for _, pg := range n.dirty {
 		p := n.pageAt(pg)
 		p.openDirty = false
@@ -344,7 +337,8 @@ type diffQueue struct {
 // is emitted. And a.VT.Before(b.VT) needs b.VT[a.Node] >= a.VT[a.Node],
 // one component of the comparison, so the O(nodes) scan runs only when
 // that holds, which between concurrent writers is almost never. The test
-// is necessary, not sufficient: see closeInterval.
+// alone would be exact only while vector times stay closed (see
+// closeInterval); the sorter does not rely on that.
 func (s *diffSorter) sortDiffs(ds []*Diff) {
 	if len(ds) < 2 {
 		return

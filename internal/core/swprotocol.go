@@ -119,7 +119,7 @@ func (t *Thread) swEnsureAccess(p *page, write bool) {
 					sys.nodes[mgr].swHandleRequest(p.id, req)
 				})
 			} else {
-				sys.sendFromTask(t.task, NodeID(n.id), NodeID(mgr),
+				sys.send(t.task, NodeID(n.id), NodeID(mgr),
 					ClassDiff, swCtlBytes, func() {
 						sys.nodes[mgr].swHandleRequest(p.id, req)
 					})
@@ -282,7 +282,7 @@ func (n *node) swSend(to int, bytes int, fn func()) {
 		n.sys.eng.ScheduleOn(n.proc, n.proc.LocalNow(), fn)
 		return
 	}
-	n.sys.sendFromHandler(NodeID(n.id), NodeID(to),
+	n.sys.send(nil, NodeID(n.id), NodeID(to),
 		ClassDiff, bytes, fn)
 }
 

@@ -1,0 +1,318 @@
+package core
+
+import (
+	"cvm/internal/sim"
+	"cvm/internal/trace"
+)
+
+// ReduceOp selects the combining operator of a reduction.
+type ReduceOp uint8
+
+// Reduction operators.
+const (
+	ReduceSum ReduceOp = iota
+	ReduceMax
+	ReduceMin
+)
+
+// Combine applies op to two partial results; other engines (internal/rt)
+// reuse it so every runtime folds reductions with the same operator
+// semantics.
+func Combine(op ReduceOp, a, b float64) float64 { return op.combine(a, b) }
+
+func (op ReduceOp) combine(a, b float64) float64 {
+	switch op {
+	case ReduceMax:
+		if b > a {
+			return b
+		}
+		return a
+	case ReduceMin:
+		if b < a {
+			return b
+		}
+		return a
+	default:
+		return a + b
+	}
+}
+
+// meetKind names what a rendezvous gathers: every thread of the cluster
+// (a global barrier or a reduction), or only a node's own threads (a
+// local barrier).
+type meetKind uint8
+
+const (
+	meetBarrier meetKind = iota
+	meetReduce
+	meetLocal
+)
+
+// meetKey names one rendezvous: its kind and its application-chosen id.
+type meetKey struct {
+	kind meetKind
+	id   int
+}
+
+// nodeMeet is one node's state for one rendezvous: local arrivals are
+// aggregated, so only the last local thread sends the manager a node
+// arrival — the paper's multi-threaded barrier change. acc folds the
+// local contributions in arrival order; result is what the release
+// handed back.
+type nodeMeet struct {
+	arrived int
+	acc     float64
+	result  float64
+	waiters []*Thread
+}
+
+// arrival is what a node's last local thread sends the manager: the
+// node's folded value and, for a barrier, its vector time, its own
+// intervals the manager has not seen and its adaptation report.
+type arrival struct {
+	from  int
+	v     float64
+	vt    VClock
+	infos []*IntervalInfo
+	obs   *adaptObs
+}
+
+// episode is the manager's (node 0's) state for one crossing of a global
+// rendezvous: the node arrivals so far, their values folded in arrival
+// order, and each node's arrival.
+type episode struct {
+	arrived int
+	acc     float64
+	from    []arrival
+}
+
+func (n *node) meetAt(key meetKey) *nodeMeet {
+	m := n.meets[key]
+	if m == nil {
+		if n.meets == nil {
+			n.meets = make(map[meetKey]*nodeMeet)
+		}
+		m = &nodeMeet{}
+		n.meets[key] = m
+	}
+	return m
+}
+
+// Barrier synchronizes all threads on all nodes. Arrival is an LRC
+// release (the open interval closes); departure is an acquire (the
+// release message carries every write notice the node has not seen).
+func (t *Thread) Barrier(id int) {
+	if m := t.sys.met; m != nil {
+		m.CountBarrierArrive(t.node.id)
+	}
+	t.meet(meetKey{meetBarrier, id}, 0, ReduceSum)
+}
+
+// LocalBarrier synchronizes only the threads co-located on the calling
+// thread's node. It costs no messages and no consistency actions: local
+// threads share physical memory. This is the mechanism behind the
+// paper's `r` source modification (per-node reduction aggregation).
+func (t *Thread) LocalBarrier(id int) {
+	if m := t.sys.met; m != nil {
+		m.CountLocalBarrierArrive(t.node.id)
+	}
+	t.meet(meetKey{meetLocal, id}, 0, ReduceSum)
+}
+
+// ReduceF64 combines v across all threads of the system and returns the
+// combined value to every thread. This is CVM's built-in reduction
+// support: local contributions are aggregated per node first, so each
+// reduction costs one message pair per node regardless of the threading
+// level. (The paper notes its applications predate this interface and
+// hand-roll reductions with locks or local barriers instead.)
+func (t *Thread) ReduceF64(id int, v float64, op ReduceOp) float64 {
+	if m := t.sys.met; m != nil {
+		m.CountReduce(t.node.id)
+	}
+	return t.meet(meetKey{meetReduce, id}, v, op)
+}
+
+// meet blocks t until every thread key's kind gathers has arrived, and
+// returns the folded value. All but the last local thread block at once.
+// The last one releases a local barrier itself, after charging its
+// bookkeeping; for a global rendezvous it leaves for the manager and
+// blocks until the release.
+func (t *Thread) meet(key meetKey, v float64, op ReduceOp) float64 {
+	n := t.node
+	m := n.meetAt(key)
+	if m.arrived == 0 {
+		m.acc = v
+	} else {
+		m.acc = op.combine(m.acc, v)
+	}
+	m.arrived++
+	a0 := t.task.Now() // arrival instant, for the BarrierStall metric
+	if tr := t.sys.tracer; tr != nil && key.kind != meetReduce {
+		tr.Emit(trace.Event{T: a0, Kind: trace.KindBarrierArrive,
+			Node: int32(n.id), Thread: int32(t.gid), Sync: int32(key.id), Aux: key.aux()})
+	}
+	last := m.arrived == n.sys.cfg.ThreadsPerNode
+	if last && key.kind == meetLocal {
+		t.task.Advance(t.sys.cfg.LocalBarrierCost)
+		t.barrierStall(a0, true)
+		n.release(key, 0, t.task.Now(), t.gid)
+		return 0
+	}
+	m.waiters = append(m.waiters, t)
+	if last {
+		t.leave(key, m.acc, op)
+	}
+	t.block(ReasonBarrier)
+	if key.kind != meetReduce {
+		t.barrierStall(a0, key.kind == meetLocal)
+	}
+	return m.result
+}
+
+// aux is the trace events' Aux of a barrier: 1 marks a local one.
+func (k meetKey) aux() int64 {
+	if k.kind == meetLocal {
+		return 1
+	}
+	return 0
+}
+
+// leave sends the node's arrival at key to the manager, node 0. A
+// barrier arrival is an LRC release: the open interval closes first.
+// Node 0's own arrival is an engine event rather than a call, so that if
+// it completes the episode the release finds every local waiter, this
+// thread included, already blocked.
+func (t *Thread) leave(key meetKey, v float64, op ReduceOp) {
+	n, sys := t.node, t.sys
+	a := arrival{from: n.id, v: v}
+	bytes := reduceMsgBytes
+	if key.kind == meetBarrier {
+		n.closeInterval(t)
+		a.vt, a.obs, a.infos = n.vt.Clone(), n.takeAdaptObs(), n.ownInfosSince()
+		bytes = barrierMsgBytes + a.vt.wireBytes() + infosBytes(a.infos) + a.obs.wireBytes()
+	}
+	gather := func() { sys.gather(key, op, a) }
+	if n.id == 0 {
+		// Queued update pushes flush at the release, behind the release
+		// broadcast (gather).
+		t.task.Schedule(t.task.Now(), gather)
+		return
+	}
+	sys.send(t.task, NodeID(n.id), 0, ClassBarrier, bytes, gather)
+	// Queued update pushes flush in engine context behind the departed
+	// arrival message: subscriber caches fill while the cluster is
+	// barrier-waiting, and the blocked thread's clock never advances
+	// (the release may arrive while the flush is still draining egress).
+	if len(n.pendingPush) > 0 {
+		t.task.Schedule(t.task.Now(), func() { n.flushPushes(nil) })
+	}
+}
+
+// ownInfosSince returns the node's own intervals not yet shipped to the
+// barrier manager.
+func (n *node) ownInfosSince() []*IntervalInfo {
+	if n.intervals == nil {
+		return nil
+	}
+	infos := n.intervals[n.id]
+	i := len(infos)
+	for i > 0 && infos[i-1].Idx > n.barrierSentIdx {
+		i--
+	}
+	out := infos[i:]
+	n.barrierSentIdx = n.curIdx
+	return out
+}
+
+// gather counts one node arrival at the manager (engine context). The
+// last one completes the episode: the manager releases every node,
+// sending each, for a barrier, the interval knowledge its arrival vector
+// time does not cover, and for a reduction the folded value.
+func (s *System) gather(key meetKey, op ReduceOp, a arrival) {
+	if a.obs != nil {
+		s.adapt.noteObs(a.from, a.obs)
+	}
+	ep := s.episodes[key]
+	if ep == nil {
+		if s.episodes == nil {
+			s.episodes = make(map[meetKey]*episode)
+		}
+		ep = &episode{acc: a.v, from: make([]arrival, s.cfg.Nodes)}
+		s.episodes[key] = ep
+	} else {
+		ep.acc = op.combine(ep.acc, a.v)
+	}
+	ep.arrived++
+	ep.from[a.from] = a
+	if ep.arrived < s.cfg.Nodes {
+		return
+	}
+	delete(s.episodes, key)
+
+	// Only now does the manager learn the arrivals' intervals. Node 0 is
+	// also a participant: applied at each arrival, they would invalidate
+	// pages its own threads were still faulting in, and a later arrival's
+	// diff could then land on a page after a diff it happens-before.
+	mgr := s.nodes[0]
+	for _, b := range ep.from {
+		mgr.applyInfos(b.infos, nil)
+	}
+	// The barrier completion is the adaptation point: all threads are
+	// blocked, so mode changes piggybacked on the releases apply
+	// atomically across the cluster.
+	var rel *adaptRelease
+	if s.adapt != nil && key.kind == meetBarrier {
+		rel = s.adapt.decide()
+	}
+	for to := 1; to < s.cfg.Nodes; to++ {
+		var infos []*IntervalInfo
+		var vt VClock
+		bytes := reduceMsgBytes
+		if key.kind == meetBarrier {
+			// The manager has merged every node's interval knowledge
+			// (arrivals carried it); its vt now dominates all arrivals.
+			infos, vt = mgr.newInfosSince(ep.from[to].vt), mgr.vt.Clone()
+			bytes = barrierMsgBytes + vt.wireBytes() + infosBytes(infos) + rel.wireBytes()
+		}
+		s.send(nil, 0, NodeID(to), ClassBarrier, bytes, func() {
+			n := s.nodes[to]
+			n.applyInfos(infos, vt)
+			n.releaseAt(key, ep.acc, rel)
+		})
+	}
+	mgr.releaseAt(key, ep.acc, rel)
+	// The manager's own update pushes flush last: the release broadcast
+	// above must not queue behind bulk data on the manager's egress.
+	mgr.flushPushes(nil)
+}
+
+// releaseAt applies a global release at this node (engine context): the
+// epoch's mode changes, then the wake-up.
+func (n *node) releaseAt(key meetKey, result float64, rel *adaptRelease) {
+	if rel != nil {
+		n.applyAdaptRelease(rel)
+	}
+	n.release(key, result, n.proc.LocalNow(), -1)
+}
+
+// release wakes every local thread waiting at key, handing them result.
+// at and thread stamp the wake and the trace event: the node's engine
+// clock and -1 for a global release, the releasing thread's clock and id
+// for a local barrier.
+func (n *node) release(key meetKey, result float64, at sim.Time, thread int) {
+	m := n.meetAt(key)
+	waiters := m.waiters
+	m.waiters, m.arrived, m.result = nil, 0, result
+	if tr := n.sys.tracer; tr != nil && key.kind != meetReduce {
+		tr.Emit(trace.Event{T: at, Kind: trace.KindBarrierRelease,
+			Node: int32(n.id), Thread: int32(thread), Sync: int32(key.id), Aux: key.aux()})
+	}
+	for _, w := range waiters {
+		n.sys.eng.WakeAt(w.task, at)
+	}
+}
+
+const (
+	barrierMsgBytes = 16
+	reduceMsgBytes  = 24
+)

@@ -167,8 +167,7 @@ type System struct {
 	segments  []Segment
 	allocated Addr
 
-	episodes       map[int]*barrierEpisode // lazily created
-	reduceEpisodes map[int]*reduceEpisode  // lazily created
+	episodes map[meetKey]*episode // the manager's open rendezvous, lazily created
 
 	started bool
 	t0      sim.Time
@@ -190,7 +189,7 @@ type System struct {
 
 	// transport is the reliable message envelope, non-nil only when
 	// cfg.Faults enables network faults; every protocol send checks it
-	// via the sendFromTask/sendFromHandler wrappers.
+	// in System.send.
 	transport *reliable
 
 	// adapt is the adaptive-coherence controller, non-nil only when

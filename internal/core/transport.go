@@ -226,22 +226,17 @@ func (tr *reliable) checkAck(pm *pendingMsg) {
 	sys.eng.ScheduleOn(fp, fp.LocalNow()+tr.rto<<uint(pm.attempt), func() { tr.checkAck(pm) })
 }
 
-// sendFromTask routes a task-context protocol send through the reliable
-// transport when faults are enabled, or straight to netsim when not.
-// Every cross-node send in the protocol goes through these two wrappers.
-func (s *System) sendFromTask(t *sim.Task, from, to NodeID, class MsgClass, bytes int, deliver func()) {
-	if s.transport == nil {
+// send routes a protocol send through the reliable transport when faults
+// are enabled, or straight to the interconnect when not. t is the sending
+// task, nil for a send from engine context (a message handler). Every
+// cross-node send in the protocol goes through it.
+func (s *System) send(t *sim.Task, from, to NodeID, class MsgClass, bytes int, deliver func()) {
+	switch {
+	case s.transport != nil:
+		s.transport.send(t, from, to, class, bytes, deliver)
+	case t != nil:
 		s.fab.SendFromTask(t, from, to, class, bytes, deliver)
-		return
-	}
-	s.transport.send(t, from, to, class, bytes, deliver)
-}
-
-// sendFromHandler is the engine-context counterpart of sendFromTask.
-func (s *System) sendFromHandler(from, to NodeID, class MsgClass, bytes int, deliver func()) {
-	if s.transport == nil {
+	default:
 		s.fab.SendFromHandler(from, to, class, bytes, deliver)
-		return
 	}
-	s.transport.send(nil, from, to, class, bytes, deliver)
 }
