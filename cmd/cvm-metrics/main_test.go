@@ -16,11 +16,12 @@ func writeReport(t *testing.T, dir, name string, count int, lat int64) string {
 	t.Helper()
 	reg := metrics.NewRegistry()
 	reg.Configure(1, []string{"Lock"})
+	snap := reg.Snapshot()
 	for i := 0; i < count; i++ {
-		reg.Node(0).Lock2Hop.Observe(lat + int64(i))
-		reg.Node(0).UserBurst.Observe(1000)
+		snap.Nodes[0].Lock2Hop.Observe(lat + int64(i))
+		snap.Nodes[0].UserBurst.Observe(1000)
 	}
-	rep := metrics.NewReport(metrics.Meta{App: "test"}, reg.Snapshot(), 5)
+	rep := metrics.NewReport(metrics.Meta{App: "test"}, snap, 5)
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

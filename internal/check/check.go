@@ -278,7 +278,10 @@ func (c *Checker) Emit(e trace.Event) {
 		copy(c.lockClk[e.Sync], c.clk[e.Node])
 
 	case trace.KindBarrierArrive:
-		if e.Aux == 1 {
+		if e.Aux == trace.BarrierReduce {
+			return // a reduction's arrival: it has no traced release
+		}
+		if e.Aux == trace.BarrierLocal {
 			key := nodePage{e.Node, e.Sync}
 			lb := c.localBars[key]
 			if lb == nil {

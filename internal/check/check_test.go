@@ -259,6 +259,25 @@ func TestLocalBarrier(t *testing.T) {
 	wantViolation(t, c, "barrier-epoch")
 }
 
+// TestReductionArrivalsSkipped: a reduction's arrivals carry Aux
+// BarrierReduce and have no traced release, so barrier-epoch must not
+// count them, not even on a barrier's id.
+func TestReductionArrivalsSkipped(t *testing.T) {
+	reduce := func(e *trace.Event) { e.Aux = trace.BarrierReduce }
+	c := feed(2, 1,
+		ev(trace.KindBarrierArrive, 0, syncID(1), thread(0), reduce),
+		ev(trace.KindBarrierArrive, 1, syncID(1), thread(1), reduce),
+		ev(trace.KindBarrierArrive, 0, syncID(1), thread(0)),
+		ev(trace.KindBarrierArrive, 1, syncID(1), thread(1)),
+		ev(trace.KindBarrierRelease, 0, syncID(1)),
+		ev(trace.KindBarrierRelease, 1, syncID(1)),
+	)
+	c.Finish()
+	if c.Count() != 0 {
+		t.Fatalf("reduction arrivals flagged: %v", c.Violations())
+	}
+}
+
 func TestFinishMidEpoch(t *testing.T) {
 	c := feed(2, 1,
 		ev(trace.KindBarrierArrive, 0, syncID(1), thread(0)), // 1 of 2 arrivals

@@ -76,7 +76,7 @@ type Options struct {
 	// wires SIGINT/SIGTERM here): every control and data connection
 	// this node holds is closed, so each blocked step — local and on
 	// every peer — fails promptly with an attributed error instead of
-	// leaving the cluster hung.
+	// leaving the cluster hung (a coordinator tells members why first).
 	Interrupt <-chan struct{}
 	// Tracer, when non-nil, receives this node's wall-timestamped
 	// protocol events (rt.Config.Tracer).
@@ -200,9 +200,10 @@ func buildApp(spec Spec, met *rt.Metrics, tracer trace.Tracer) (apps.App, *rt.Cl
 	})
 }
 
-// closers collects the connections an interrupt must sever. Adding
-// after the trigger fired closes immediately, so a connection created
-// while the interrupt raced is still torn down.
+// closers collects the connections an interrupt must sever, closed
+// last-added first (a coordinator's farewells go out before its
+// listeners close). Adding after the trigger fired closes immediately,
+// so a connection created while the interrupt raced is still torn down.
 type closers struct {
 	mu    sync.Mutex
 	fired bool
@@ -211,14 +212,12 @@ type closers struct {
 
 func (cl *closers) add(c io.Closer) {
 	cl.mu.Lock()
-	fired := cl.fired
-	if !fired {
-		cl.list = append(cl.list, c)
-	}
-	cl.mu.Unlock()
-	if fired {
+	defer cl.mu.Unlock()
+	if cl.fired {
 		c.Close()
+		return
 	}
+	cl.list = append(cl.list, c)
 }
 
 func (cl *closers) fire() {
@@ -227,17 +226,25 @@ func (cl *closers) fire() {
 	cl.list = nil
 	cl.fired = true
 	cl.mu.Unlock()
-	for _, c := range list {
-		c.Close()
+	for i := len(list) - 1; i >= 0; i-- {
+		list[i].Close()
 	}
 }
 
+// farewell closes a coordinator's member connection after telling the
+// member it was interrupted (one Write: never interleaved with a send),
+// so the member fails with that reason instead of a bare EOF.
+type farewell struct{ c net.Conn }
+
+func (f farewell) Close() error {
+	line, _ := json.Marshal(ctrlMsg{Type: "done", Err: "interrupted"})
+	f.c.Write(append(line, '\n'))
+	return f.c.Close()
+}
+
 // watchInterrupt severs every registered connection when interrupt
-// fires; stop (closed when the run ends normally) retires the watcher.
+// fires; stop (closed when the run ends) retires the watcher.
 func watchInterrupt(interrupt, stop <-chan struct{}, cl *closers) {
-	if interrupt == nil {
-		return
-	}
 	go func() {
 		select {
 		case <-interrupt:
@@ -312,13 +319,11 @@ func Coordinate(listen string, spec Spec, opts Options) (Outcome, error) {
 		if err != nil {
 			return abort(fmt.Errorf("cluster: %d/%d members joined: %w", joined, spec.Nodes-1, err))
 		}
+		sever.add(farewell{c})
 		cc := newCtrlConn(c, o.Timeout)
 		hello, err := cc.recv("hello")
-		if err != nil {
-			c.Close()
-			return abort(err)
-		}
 		switch {
+		case err != nil:
 		case hello.Proto != protoVersion:
 			err = fmt.Errorf("cluster: member %s speaks protocol %d, coordinator %d",
 				c.RemoteAddr(), hello.Proto, protoVersion)
@@ -339,7 +344,6 @@ func Coordinate(listen string, spec Spec, opts Options) (Outcome, error) {
 		}
 		members[hello.Node] = cc
 		dataAddrs[hello.Node] = hello.DataAddr
-		sever.add(c)
 		fmt.Fprintf(o.Log, "coordinator: node %d joined from %s (data %s)\n",
 			hello.Node, c.RemoteAddr(), hello.DataAddr)
 	}
@@ -446,7 +450,7 @@ func Join(coord string, nodeID, nodes int, opts Options) (Outcome, error) {
 		return Outcome{}, fmt.Errorf("cluster: join with node id %d (coordinator is node 0)", nodeID)
 	}
 	deadline := time.Now().Add(o.Timeout)
-	c, err := dialControl(coord, deadline)
+	c, err := dialControl(coord, deadline, o.Interrupt)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -544,8 +548,9 @@ func Join(coord string, nodeID, nodes int, opts Options) (Outcome, error) {
 }
 
 // dialControl dials the coordinator, retrying with backoff until the
-// deadline — members may start before the coordinator's listener is up.
-func dialControl(coord string, deadline time.Time) (net.Conn, error) {
+// deadline — members may start before the coordinator's listener is up —
+// or until interrupt fires.
+func dialControl(coord string, deadline time.Time, interrupt <-chan struct{}) (net.Conn, error) {
 	backoff := 20 * time.Millisecond
 	for {
 		d := net.Dialer{Deadline: deadline}
@@ -556,7 +561,11 @@ func dialControl(coord string, deadline time.Time) (net.Conn, error) {
 		if time.Now().Add(backoff).After(deadline) {
 			return nil, fmt.Errorf("cluster: dial coordinator %s: %w", coord, err)
 		}
-		time.Sleep(backoff)
+		select {
+		case <-interrupt:
+			return nil, fmt.Errorf("cluster: dial coordinator %s: interrupted (last error: %v)", coord, err)
+		case <-time.After(backoff):
+		}
 		if backoff < time.Second {
 			backoff *= 2
 		}

@@ -170,7 +170,7 @@ type fakeMember struct {
 func joinFake(t *testing.T, coord string, id int) *fakeMember {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	c, err := dialControl(coord, deadline)
+	c, err := dialControl(coord, deadline, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,6 +291,57 @@ func TestCoordinatorResultWithoutMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantCoordErr(t, errCh, 30*time.Second, "node 1", "no metrics")
+}
+
+// joinedLog closes joined once the coordinator logs that node 1 joined.
+type joinedLog struct {
+	once   sync.Once
+	joined chan struct{}
+}
+
+func (l *joinedLog) Write(p []byte) (int, error) {
+	if strings.Contains(string(p), "node 1 joined") {
+		l.once.Do(func() { close(l.joined) })
+	}
+	return len(p), nil
+}
+
+// TestInterruptedCoordinatorTellsMembers: a member that was not itself
+// interrupted — another process, in a real cluster — must learn why the
+// coordinator went away, not fail on the closed connection.
+func TestInterruptedCoordinatorTellsMembers(t *testing.T) {
+	addr := freePort(t)
+	spec := Spec{App: "sor", Size: "test", Nodes: 3, Threads: 1, Page: 4096}
+	log := &joinedLog{joined: make(chan struct{})}
+	interrupt := make(chan struct{})
+	coordErr := make(chan error, 1)
+	go func() {
+		_, err := Coordinate(addr, spec, Options{Timeout: 30 * time.Second, Log: log, Interrupt: interrupt})
+		coordErr <- err
+	}()
+	memberErr := make(chan error, 1)
+	go func() {
+		_, err := Join(addr, 1, spec.Nodes, Options{Timeout: 30 * time.Second})
+		memberErr <- err
+	}()
+	select {
+	case <-log.joined: // node 2 never comes: both sides wait in the handshake
+	case <-time.After(15 * time.Second):
+		t.Fatal("node 1 never joined")
+	}
+	close(interrupt)
+	for who, ch := range map[string]chan error{"coordinator": coordErr, "member": memberErr} {
+		select {
+		case err := <-ch:
+			if err == nil {
+				t.Errorf("%s succeeded after the interrupt", who)
+			} else if who == "member" && !strings.Contains(err.Error(), "coordinator failed: interrupted") {
+				t.Errorf("member error %q does not say the coordinator was interrupted", err)
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatalf("%s still blocked after the interrupt", who)
+		}
+	}
 }
 
 // TestCoordinatorMemberDiesBeforeGo: a member that vanishes between

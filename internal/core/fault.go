@@ -16,7 +16,7 @@ type faultState struct {
 	diffs       []*Diff
 	waiters     []*Thread
 	ready       bool     // all replies received; applier may proceed
-	start       sim.Time // fault-span open (before signal delivery), for FaultService
+	start       sim.Time // fault-span open (before signal delivery), for fault.resolve's Dur
 
 	// Whole-page snapshot from an exclusive-mode owner (adapt.go): when
 	// set, applyFault installs it (with its coverage vector) before any
@@ -130,11 +130,8 @@ func (t *Thread) remoteFault(p *page) {
 	if len(ranges) == 0 {
 		// Raced with a completing fetch; nothing is missing anymore.
 		p.state = validState(p)
-		if nm := n.met; nm != nil {
-			nm.FaultService.Observe(int64(t.task.Now() - fstart))
-		}
 		if tr := t.sys.tracer; tr != nil {
-			tr.Emit(trace.Event{T: t.task.Now(), Kind: trace.KindFaultResolve,
+			tr.Emit(trace.Event{T: t.task.Now(), Dur: t.task.Now() - fstart, Kind: trace.KindFaultResolve,
 				Node: int32(n.id), Thread: int32(t.gid), Page: int32(p.id)})
 		}
 		return
@@ -252,11 +249,8 @@ func (t *Thread) applyFault(fs *faultState) {
 		p.state = validState(p)
 	} // else: a write notice arrived mid-fetch; stay invalid and re-fault.
 
-	if nm := n.met; nm != nil {
-		nm.FaultService.Observe(int64(t.task.Now() - fs.start))
-	}
 	if tr := t.sys.tracer; tr != nil {
-		tr.Emit(trace.Event{T: t.task.Now(), Kind: trace.KindFaultResolve,
+		tr.Emit(trace.Event{T: t.task.Now(), Dur: t.task.Now() - fs.start, Kind: trace.KindFaultResolve,
 			Node: int32(n.id), Thread: int32(t.gid), Page: int32(p.id),
 			Arg: int64(len(fs.diffs))})
 	}

@@ -26,10 +26,10 @@ type lockState struct {
 
 	mgrLast int // manager's record of the last requesting node
 
-	// reqStart/grantHops time the in-flight remote acquire for the
-	// Lock2Hop/Lock3Hop metrics: the grant records its hop count (2 when
+	// reqStart/grantHops time and classify the in-flight remote acquire
+	// for its lock.acquire event: the grant records its hop count (2 when
 	// the manager held or was asked by the token holder, 3 when it
-	// forwarded), classifying exactly as the trace analyzer does.
+	// forwarded).
 	reqStart  sim.Time
 	grantHops uint8
 }
@@ -59,9 +59,6 @@ func (t *Thread) Lock(id int) {
 	n := t.node
 	l := n.lockAt(id)
 	cfg := &t.sys.cfg
-	if m := t.sys.met; m != nil {
-		m.CountLockAcquire(n.id)
-	}
 
 	switch {
 	case l.token && l.heldBy == nil && !l.requested:
@@ -69,7 +66,7 @@ func (t *Thread) Lock(id int) {
 		t.task.Advance(cfg.LockLocalCost)
 		l.heldBy = t
 		n.stats.LocalLockAcquires++
-		t.traceLockAcquire(id, true)
+		t.traceLockAcquire(id, 0, t.task.Now())
 
 	case l.heldBy != nil || l.requested || len(l.localQ) > 0:
 		// Locally contended: join the local queue. This is the paper's
@@ -78,14 +75,9 @@ func (t *Thread) Lock(id int) {
 		n.stats.LocalLockAcquires++
 		l.localQ = append(l.localQ, t)
 		wstart := t.task.Now()
-		t.block(ReasonLock)
-		if nm := n.met; nm != nil {
-			d := t.task.Now() - wstart
-			nm.LockLocalWait.Observe(int64(d))
-			t.sys.met.LockAcquireWait(t.node.id, int32(id), d)
-		}
+		t.block(trace.ReasonLock, wstart, trace.Event{Sync: int32(id)})
 		// Woken as the holder (set by the releaser or the grant).
-		t.traceLockAcquire(id, true)
+		t.traceLockAcquire(id, 1, wstart)
 
 	default:
 		// Token elsewhere: one remote request via the manager.
@@ -101,33 +93,23 @@ func (t *Thread) Lock(id int) {
 				Node: int32(n.id), Thread: int32(t.gid), Sync: int32(id)})
 		}
 		t.sendLockRequest(l)
-		t.block(ReasonLock)
-		if nm := n.met; nm != nil {
-			d := t.task.Now() - l.reqStart
-			if l.grantHops == 3 {
-				nm.Lock3Hop.Observe(int64(d))
-			} else {
-				nm.Lock2Hop.Observe(int64(d))
-			}
-			t.sys.met.LockAcquireWait(t.node.id, int32(id), d)
-		}
-		t.traceLockAcquire(id, false)
+		t.block(trace.ReasonLock, l.reqStart, trace.Event{Sync: int32(id)})
+		t.traceLockAcquire(id, int64(l.grantHops), l.reqStart)
 	}
 }
 
-// traceLockAcquire records that the thread now holds lock id; local
-// marks acquires satisfied without messages (cached token/local queue).
-func (t *Thread) traceLockAcquire(id int, local bool) {
+// traceLockAcquire records that the thread now holds lock id after
+// waiting since since; how is the event's Aux: 0 the cached token, 1 the
+// local queue, 2 or 3 the hops of a remote acquire.
+func (t *Thread) traceLockAcquire(id int, how int64, since sim.Time) {
 	tr := t.sys.tracer
 	if tr == nil {
 		return
 	}
-	var arg int64
-	if local {
-		arg = 1
-	}
-	tr.Emit(trace.Event{T: t.task.Now(), Kind: trace.KindLockAcquire,
-		Node: int32(t.node.id), Thread: int32(t.gid), Sync: int32(id), Arg: arg})
+	e := trace.Event{T: t.task.Now(), Kind: trace.KindLockAcquire,
+		Node: int32(t.node.id), Thread: int32(t.gid), Sync: int32(id), Aux: how}
+	e.Dur = e.T - since
+	tr.Emit(e)
 }
 
 // sendLockRequest routes the acquire to the lock's manager. The request
@@ -245,9 +227,6 @@ func (t *Thread) Unlock(id int) {
 	l := n.lockAt(id)
 	if l.heldBy != t {
 		panic("core: Unlock of lock not held by this thread")
-	}
-	if m := t.sys.met; m != nil {
-		m.CountLockRelease(n.id)
 	}
 	n.closeInterval(t)
 	t.task.Advance(t.sys.cfg.LockLocalCost)

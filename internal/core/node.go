@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"cvm/internal/memsim"
-	"cvm/internal/metrics"
 	"cvm/internal/sim"
 	"cvm/internal/trace"
 )
@@ -58,10 +57,6 @@ type node struct {
 
 	threads []Thread
 	stats   NodeStats
-
-	// met is this node's metrics view (nil when metrics are off); hot
-	// paths guard every observation with one nil check, like sys.tracer.
-	met *metrics.NodeMetrics
 }
 
 func newNode(sys *System, id int, proc *sim.Proc) *node {
@@ -71,9 +66,6 @@ func newNode(sys *System, id int, proc *sim.Proc) *node {
 		proc: proc,
 	}
 	n.mem.Init(sys.cfg.Mem)
-	if sys.met != nil {
-		n.met = sys.met.Node(id)
-	}
 	proc.SetHookHandler(n)
 	return n
 }
@@ -102,38 +94,30 @@ func (n *node) OnSwitch(from, to *sim.Task) {
 	}
 }
 
-// OnIdleEnd implements sim.Hooks.
+// OnIdleEnd implements sim.Hooks. With OnSlice it is the one metrics
+// hook left outside the event stream: no event describes how the
+// scheduler splits a node's time.
 func (n *node) OnIdleEnd(start, end sim.Time, task *sim.Task) {
 	d := end - start
-	switch task.BlockReason() {
-	case ReasonFault:
+	reason := task.BlockReason()
+	switch reason {
+	case trace.ReasonFault:
 		n.stats.FaultWait += d
-		if nm := n.met; nm != nil {
-			nm.FaultIdle.Observe(int64(d))
-			n.sys.met.TimelineAdd(n.id, start, end, metrics.TimelineFault)
-		}
-	case ReasonLock:
+	case trace.ReasonLock:
 		n.stats.LockWait += d
-		if nm := n.met; nm != nil {
-			nm.LockIdle.Observe(int64(d))
-			n.sys.met.TimelineAdd(n.id, start, end, metrics.TimelineLock)
-		}
-	case ReasonBarrier:
+	case trace.ReasonBarrier:
 		n.stats.BarrierWait += d
-		if nm := n.met; nm != nil {
-			nm.BarrierIdle.Observe(int64(d))
-			n.sys.met.TimelineAdd(n.id, start, end, metrics.TimelineBarrier)
-		}
+	}
+	if m := n.sys.cfg.Metrics; m != nil {
+		m.Idle(n.id, start, end, reason)
 	}
 }
 
 // OnSlice implements sim.Hooks.
 func (n *node) OnSlice(task *sim.Task, start, end sim.Time) {
 	n.stats.UserTime += end - start
-	if nm := n.met; nm != nil {
-		nm.UserBurst.Observe(int64(end - start))
-		nm.RunQueue.Observe(int64(n.proc.QueueLen()))
-		n.sys.met.TimelineAdd(n.id, start, end, metrics.TimelineUser)
+	if m := n.sys.cfg.Metrics; m != nil {
+		m.Slice(n.id, start, end, n.proc.QueueLen())
 	}
 }
 
@@ -195,9 +179,6 @@ func (n *node) closeInterval(t *Thread) {
 			Runs: MakeDiff(pg, p.twin, p.data),
 		}
 		n.storeDiff(d)
-		if nm := n.met; nm != nil {
-			nm.DiffBytes.Observe(int64(d.WireBytes(n.sys.cfg.CompressDiffs)))
-		}
 		if ad := n.adaptOf(pg); ad != nil && ad.mode == ModeMWUpd && len(ad.subs) > 0 {
 			n.queuePush(p, d, ad)
 		}

@@ -2,16 +2,6 @@ package core
 
 import "cvm/internal/sim"
 
-// Block reasons for idle-time attribution, matching Figure 1's breakdown.
-const (
-	// ReasonFault marks a thread waiting on a remote page fetch.
-	ReasonFault sim.Reason = 1 + iota
-	// ReasonLock marks a thread waiting on a lock acquire.
-	ReasonLock
-	// ReasonBarrier marks a thread waiting at a global or local barrier.
-	ReasonBarrier
-)
-
 // NodeStats are the per-node counters behind Tables 2, 3 and 5 and the
 // time breakdown behind Figure 1.
 type NodeStats struct {

@@ -58,7 +58,7 @@ type swReq struct {
 type swFault struct {
 	waiters []*Thread
 	done    bool
-	start   sim.Time // fault-span open, for the FaultService metric
+	start   sim.Time // fault-span open, for fault.resolve's Dur
 }
 
 func (n *node) swDirFor(pg PageID) *swDir {
@@ -263,11 +263,8 @@ func (n *node) swComplete(p *page) {
 	}
 	p.swf = nil
 	n.inFlightFaults--
-	if nm := n.met; nm != nil {
-		nm.FaultService.Observe(int64(n.proc.LocalNow() - f.start))
-	}
 	if tr := n.sys.tracer; tr != nil {
-		tr.Emit(trace.Event{T: n.proc.LocalNow(), Kind: trace.KindFaultResolve,
+		tr.Emit(trace.Event{T: n.proc.LocalNow(), Dur: n.proc.LocalNow() - f.start, Kind: trace.KindFaultResolve,
 			Node: int32(n.id), Thread: -1, Page: int32(p.id)})
 	}
 	for _, w := range f.waiters {

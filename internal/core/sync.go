@@ -39,13 +39,13 @@ func (op ReduceOp) combine(a, b float64) float64 {
 
 // meetKind names what a rendezvous gathers: every thread of the cluster
 // (a global barrier or a reduction), or only a node's own threads (a
-// local barrier).
+// local barrier). Its values are the trace events' Aux.
 type meetKind uint8
 
 const (
-	meetBarrier meetKind = iota
-	meetReduce
-	meetLocal
+	meetBarrier = meetKind(trace.BarrierGlobal)
+	meetLocal   = meetKind(trace.BarrierLocal)
+	meetReduce  = meetKind(trace.BarrierReduce)
 )
 
 // meetKey names one rendezvous: its kind and its application-chosen id.
@@ -101,23 +101,13 @@ func (n *node) meetAt(key meetKey) *nodeMeet {
 // Barrier synchronizes all threads on all nodes. Arrival is an LRC
 // release (the open interval closes); departure is an acquire (the
 // release message carries every write notice the node has not seen).
-func (t *Thread) Barrier(id int) {
-	if m := t.sys.met; m != nil {
-		m.CountBarrierArrive(t.node.id)
-	}
-	t.meet(meetKey{meetBarrier, id}, 0, ReduceSum)
-}
+func (t *Thread) Barrier(id int) { t.meet(meetKey{meetBarrier, id}, 0, ReduceSum) }
 
 // LocalBarrier synchronizes only the threads co-located on the calling
 // thread's node. It costs no messages and no consistency actions: local
 // threads share physical memory. This is the mechanism behind the
 // paper's `r` source modification (per-node reduction aggregation).
-func (t *Thread) LocalBarrier(id int) {
-	if m := t.sys.met; m != nil {
-		m.CountLocalBarrierArrive(t.node.id)
-	}
-	t.meet(meetKey{meetLocal, id}, 0, ReduceSum)
-}
+func (t *Thread) LocalBarrier(id int) { t.meet(meetKey{meetLocal, id}, 0, ReduceSum) }
 
 // ReduceF64 combines v across all threads of the system and returns the
 // combined value to every thread. This is CVM's built-in reduction
@@ -126,9 +116,6 @@ func (t *Thread) LocalBarrier(id int) {
 // level. (The paper notes its applications predate this interface and
 // hand-roll reductions with locks or local barriers instead.)
 func (t *Thread) ReduceF64(id int, v float64, op ReduceOp) float64 {
-	if m := t.sys.met; m != nil {
-		m.CountReduce(t.node.id)
-	}
 	return t.meet(meetKey{meetReduce, id}, v, op)
 }
 
@@ -146,35 +133,23 @@ func (t *Thread) meet(key meetKey, v float64, op ReduceOp) float64 {
 		m.acc = op.combine(m.acc, v)
 	}
 	m.arrived++
-	a0 := t.task.Now() // arrival instant, for the BarrierStall metric
-	if tr := t.sys.tracer; tr != nil && key.kind != meetReduce {
+	a0 := t.task.Now() // the arrival: a thread's barrier stall runs from here
+	if tr := t.sys.tracer; tr != nil {
 		tr.Emit(trace.Event{T: a0, Kind: trace.KindBarrierArrive,
-			Node: int32(n.id), Thread: int32(t.gid), Sync: int32(key.id), Aux: key.aux()})
+			Node: int32(n.id), Thread: int32(t.gid), Sync: int32(key.id), Aux: int64(key.kind)})
 	}
 	last := m.arrived == n.sys.cfg.ThreadsPerNode
 	if last && key.kind == meetLocal {
 		t.task.Advance(t.sys.cfg.LocalBarrierCost)
-		t.barrierStall(a0, true)
-		n.release(key, 0, t.task.Now(), t.gid)
+		n.release(key, 0, t.task.Now(), t.gid, t.task.Now()-a0)
 		return 0
 	}
 	m.waiters = append(m.waiters, t)
 	if last {
 		t.leave(key, m.acc, op)
 	}
-	t.block(ReasonBarrier)
-	if key.kind != meetReduce {
-		t.barrierStall(a0, key.kind == meetLocal)
-	}
+	t.block(trace.ReasonBarrier, a0, trace.Event{Sync: int32(key.id), Aux: int64(key.kind)})
 	return m.result
-}
-
-// aux is the trace events' Aux of a barrier: 1 marks a local one.
-func (k meetKey) aux() int64 {
-	if k.kind == meetLocal {
-		return 1
-	}
-	return 0
 }
 
 // leave sends the node's arrival at key to the manager, node 0. A
@@ -292,20 +267,20 @@ func (n *node) releaseAt(key meetKey, result float64, rel *adaptRelease) {
 	if rel != nil {
 		n.applyAdaptRelease(rel)
 	}
-	n.release(key, result, n.proc.LocalNow(), -1)
+	n.release(key, result, n.proc.LocalNow(), -1, 0)
 }
 
 // release wakes every local thread waiting at key, handing them result.
 // at and thread stamp the wake and the trace event: the node's engine
 // clock and -1 for a global release, the releasing thread's clock and id
-// for a local barrier.
-func (n *node) release(key meetKey, result float64, at sim.Time, thread int) {
+// for a local barrier, whose own stall is the event's Dur.
+func (n *node) release(key meetKey, result float64, at sim.Time, thread int, stall sim.Time) {
 	m := n.meetAt(key)
 	waiters := m.waiters
 	m.waiters, m.arrived, m.result = nil, 0, result
 	if tr := n.sys.tracer; tr != nil && key.kind != meetReduce {
-		tr.Emit(trace.Event{T: at, Kind: trace.KindBarrierRelease,
-			Node: int32(n.id), Thread: int32(thread), Sync: int32(key.id), Aux: key.aux()})
+		tr.Emit(trace.Event{T: at, Dur: stall, Kind: trace.KindBarrierRelease,
+			Node: int32(n.id), Thread: int32(thread), Sync: int32(key.id), Aux: int64(key.kind)})
 	}
 	for _, w := range waiters {
 		n.sys.eng.WakeAt(w.task, at)

@@ -59,11 +59,11 @@ type Config struct {
 	Tracer trace.Tracer
 
 	// Metrics, when non-nil, collects virtual-time histograms, per-page
-	// and per-lock wait attribution, and the utilization timeline. Like
-	// Tracer, every hot-path observation sits behind a nil check, so a
-	// nil Metrics costs one branch and no allocation, and observing
-	// never advances virtual time — results are bit-identical with
-	// metrics on or off. A Registry serves exactly one System.
+	// and per-lock wait attribution, and the utilization timeline. The
+	// system tees it after Tracer, so it derives its metrics from the
+	// same events (plus the scheduler hooks' Figure-1 decomposition);
+	// observing never advances virtual time — results are bit-identical
+	// with metrics on or off. A Registry serves exactly one System.
 	Metrics *metrics.Registry
 
 	// EngineWorkers selects the discrete-event execution mode. 0 (the
@@ -176,16 +176,12 @@ type System struct {
 	// window to the next window commit; -1 means none pending.
 	pendingReset sim.Time
 
-	// tracer mirrors cfg.Tracer; hot paths nil-check this field.
-	// Under the windowed engine it points at demux, which buffers
-	// per-node and releases to cfg.Tracer in canonical order at every
+	// tracer is cfg.Tracer teed with cfg.Metrics; hot paths nil-check
+	// this field. Under the windowed engine it points at demux, which
+	// buffers per-node and releases to both in canonical order at every
 	// window commit.
 	tracer trace.Tracer
 	demux  *trace.Demux
-
-	// met mirrors cfg.Metrics; hot paths nil-check the per-node
-	// *metrics.NodeMetrics instead where one exists.
-	met *metrics.Registry
 
 	// transport is the reliable message envelope, non-nil only when
 	// cfg.Faults enables network faults; every protocol send checks it
@@ -211,7 +207,6 @@ func NewSystem(cfg Config) (*System, error) {
 		cfg:          cfg,
 		pageShift:    log2(cfg.PageSize),
 		tracer:       cfg.Tracer,
-		met:          cfg.Metrics,
 		pendingReset: -1,
 	}
 	s.engv.Init()
@@ -220,8 +215,9 @@ func NewSystem(cfg Config) (*System, error) {
 	s.net = &s.netv
 	s.fab = s.net
 	eng := s.eng
-	s.net.SetTracer(cfg.Tracer)
-	if s.met != nil {
+	if m := cfg.Metrics; m != nil {
+		// A nil *Registry is a non-nil Tracer: tee only a live one.
+		s.tracer = trace.Tee(cfg.Tracer, m)
 		classes := netsim.Classes()
 		if !cfg.Adapt {
 			// The adaptive class (Update) carries no traffic in a plain
@@ -235,9 +231,9 @@ func NewSystem(cfg Config) (*System, error) {
 		for i, c := range classes {
 			names[i] = c.String()
 		}
-		s.met.Configure(cfg.Nodes, names)
-		s.net.SetMetrics(s.met.Net())
+		m.Configure(cfg.Nodes, names)
 	}
+	s.net.SetTracer(s.tracer)
 	for i := 0; i < cfg.Nodes; i++ {
 		proc := eng.AddProc(cfg.SwitchCost)
 		proc.SetLIFO(cfg.LIFOScheduler)
@@ -250,9 +246,6 @@ func NewSystem(cfg Config) (*System, error) {
 		if fp.Net.Active() {
 			net := fp.Net // private copy; the plan may be shared across systems
 			s.net.SetFaults(&net)
-			if s.met != nil {
-				s.net.SetFaultCounters(s.met.FaultCounters())
-			}
 			s.transport = newTransport(s, fp.RTO, fp.MaxRetries)
 		}
 		for _, p := range fp.Pauses {
@@ -304,11 +297,11 @@ func (s *System) commitWindow(limit sim.Time) {
 // reasonName names the core block reasons in engine deadlock reports.
 func reasonName(r sim.Reason) string {
 	switch r {
-	case ReasonFault:
+	case trace.ReasonFault:
 		return "fault"
-	case ReasonLock:
+	case trace.ReasonLock:
 		return "lock"
-	case ReasonBarrier:
+	case trace.ReasonBarrier:
 		return "barrier"
 	default:
 		return fmt.Sprintf("%d", int(r))
@@ -474,14 +467,12 @@ func (s *System) applySteadyReset(t0 sim.Time) {
 		n.stats = NodeStats{}
 		n.mem.ResetStats()
 	}
-	if s.met != nil {
+	if m := s.cfg.Metrics; m != nil {
 		// Metrics reset at the same instant as the statistics, so
-		// histogram sums keep reconciling exactly with NodeStats.
-		s.met.Reset(t0)
-		s.net.SetMetrics(s.met.Net())
-		for _, n := range s.nodes {
-			n.met = s.met.Node(n.id)
-		}
+		// histogram sums keep reconciling exactly with NodeStats. Under
+		// the windowed engine the events a window emitted before the
+		// reset reach the registry at the window's demux flush, after it.
+		m.Reset(t0)
 	}
 }
 

@@ -86,8 +86,10 @@ func phaseCodeBase(phase int) uint64 { return 2<<40 + uint64(phase)*phaseCodePag
 // block suspends the thread with reason (the protocol's Block event),
 // bracketing the wait with block/unblock trace events when tracing is
 // enabled. All protocol block sites go through this helper so traces
-// capture every wait with its Figure-1 attribution.
-func (t *Thread) block(reason sim.Reason) {
+// capture every wait with its Figure-1 attribution. The unblock event
+// also says what the thread waited for (on's Page, Sync and Aux) and,
+// in Dur, for how long since the wait began at since.
+func (t *Thread) block(reason sim.Reason, since sim.Time, on trace.Event) {
 	tr := t.sys.tracer
 	if tr == nil {
 		t.task.Block(reason)
@@ -96,34 +98,14 @@ func (t *Thread) block(reason sim.Reason) {
 	tr.Emit(trace.Event{T: t.task.Now(), Kind: trace.KindThreadBlock,
 		Node: int32(t.node.id), Thread: int32(t.gid), Arg: int64(reason)})
 	t.task.Block(reason)
-	tr.Emit(trace.Event{T: t.task.Now(), Kind: trace.KindThreadUnblock,
-		Node: int32(t.node.id), Thread: int32(t.gid), Arg: int64(reason)})
+	on.T, on.Kind, on.Arg = t.task.Now(), trace.KindThreadUnblock, int64(reason)
+	on.Node, on.Thread, on.Dur = int32(t.node.id), int32(t.gid), on.T-since
+	tr.Emit(on)
 }
 
-// blockFault is block(ReasonFault) for a wait on page p, observed as the
-// thread's fault wait and attributed to the page.
+// blockFault blocks the thread on the fetch of page p.
 func (t *Thread) blockFault(p *page) {
-	wstart := t.task.Now()
-	t.block(ReasonFault)
-	if nm := t.node.met; nm != nil {
-		d := t.task.Now() - wstart
-		nm.FaultThreadWait.Observe(int64(d))
-		t.sys.met.PageFaultWait(t.node.id, int32(p.id), d)
-	}
-}
-
-// barrierStall observes the stall of a thread that arrived at a barrier
-// (local: a local barrier) at a0 and is through it now.
-func (t *Thread) barrierStall(a0 sim.Time, local bool) {
-	nm := t.node.met
-	if nm == nil {
-		return
-	}
-	h := &nm.BarrierStall
-	if local {
-		h = &nm.LocalBarrierStall
-	}
-	h.Observe(int64(t.task.Now() - a0))
+	t.block(trace.ReasonFault, t.task.Now(), trace.Event{Page: int32(p.id)})
 }
 
 // locate resolves a shared address to the node's page view.

@@ -171,9 +171,6 @@ func (tr *reliable) recvFunc(pm *pendingMsg) func() {
 			// never running twice.
 			rcv := sys.nodes[pm.to]
 			rcv.stats.DupsSuppressed++
-			if sys.met != nil {
-				sys.met.CountDupSuppressed(int(pm.to))
-			}
 			if t := sys.tracer; t != nil {
 				t.Emit(trace.Event{T: sys.nodes[pm.to].proc.LocalNow(), Kind: trace.KindDupSuppress,
 					Node: int32(pm.to), Thread: -1, Peer: int32(pm.from),
@@ -213,9 +210,6 @@ func (tr *reliable) checkAck(pm *pendingMsg) {
 			backend: sys.fab.Name(), peer: sys.fab.PeerAddr(pm.to)})
 	}
 	sys.nodes[pm.from].stats.Retransmits++
-	if sys.met != nil {
-		sys.met.CountRetransmit(int(pm.from))
-	}
 	if t := sys.tracer; t != nil {
 		t.Emit(trace.Event{T: sys.nodes[pm.from].proc.LocalNow(), Kind: trace.KindRetransmit,
 			Node: int32(pm.from), Thread: -1, Peer: int32(pm.to),

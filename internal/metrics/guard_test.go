@@ -73,7 +73,7 @@ func mergeable(t reflect.Type) bool {
 func TestNewHistogramReachesConsumers(t *testing.T) {
 	r := NewRegistry()
 	r.Configure(1, []string{"x"})
-	n := r.Node(0)
+	n := &r.snap.Nodes[0]
 
 	// Observe a distinct value into every histogram field via reflection,
 	// as a future field's author would via normal code.

@@ -1,20 +1,23 @@
-// Package metrics is the virtual-time metrics layer of the simulated
-// DSM: a deterministic registry of counters, gauges, and fixed-bucket
-// log-scale histograms, plus the hot-spot attribution behind the
-// per-page and per-lock profiler tables.
+// Package metrics is the metrics layer of the DSM: a deterministic
+// registry of counters, gauges, and fixed-bucket log-scale histograms,
+// plus the hot-spot attribution behind the per-page and per-lock
+// profiler tables.
 //
-// Like trace.Tracer, the registry is nil-checkable: hot paths hold a
-// per-node *NodeMetrics (or the *Registry itself) and guard every
-// observation with one predictable branch, so a disabled registry costs
-// nothing. All observations are pointer-free in-place updates — no
-// allocation on the hot path beyond the amortized growth of the
-// attribution maps and timeline bins.
+// The registry is a trace.Tracer. Every protocol metric — service
+// times, waits and their attribution, message queueing, the fault
+// model's and the transport's counters, the backend-invariant sync
+// counts — is derived from the event stream in Emit, so both backends
+// fill it by teeing it after their tracer, and the trace and the
+// metrics cannot disagree. Only the scheduler's Figure-1 decomposition,
+// which no event describes, comes from two hooks (Slice and Idle). All
+// observations are pointer-free in-place updates — no allocation beyond
+// the amortized growth of the attribution maps and timeline bins.
 //
-// Because the simulator dispatches one entity at a time in virtual-time
-// order, observation order is deterministic and the registry needs no
-// locking; a Registry must not be shared between concurrent systems.
-// The serialized Snapshot — and therefore every report built from it —
-// is byte-reproducible for a given configuration.
+// Events reach the registry one at a time in a deterministic order (the
+// simulator's, or the windowed engine's demux), so it needs no locking;
+// a Registry must not be shared between concurrent systems. The
+// serialized Snapshot — and therefore every report built from it — is
+// byte-reproducible for a given configuration.
 package metrics
 
 import (
@@ -26,6 +29,7 @@ import (
 	"strconv"
 
 	"cvm/internal/sim"
+	"cvm/internal/trace"
 )
 
 // NumBuckets is the fixed bucket count of every histogram. Bucket i
@@ -202,21 +206,21 @@ type TimelineBin struct {
 
 // Timeline components, indexing TimelineBin fields.
 const (
-	TimelineUser = iota
-	TimelineFault
-	TimelineLock
-	TimelineBarrier
+	timelineUser = iota
+	timelineFault
+	timelineLock
+	timelineBarrier
 )
 
 func (b *TimelineBin) add(comp int, d int64) {
 	switch comp {
-	case TimelineUser:
+	case timelineUser:
 		b.UserNs += d
-	case TimelineFault:
+	case timelineFault:
 		b.FaultNs += d
-	case TimelineLock:
+	case timelineLock:
 		b.LockNs += d
-	case TimelineBarrier:
+	case timelineBarrier:
 		b.BarrierNs += d
 	}
 }
@@ -356,8 +360,9 @@ func (s *Snapshot) Clone() *Snapshot {
 }
 
 // Registry collects a run's metrics. Create with NewRegistry, set on
-// core.Config.Metrics; the system configures the shape at construction.
-// A Registry observes one system's single run and must not be shared
+// core.Config.Metrics (or wrap in rt.Metrics); the system configures the
+// shape at construction and tees the registry after its tracer. A
+// Registry observes one system's single run and must not be shared
 // between concurrent systems.
 type Registry struct {
 	configured bool
@@ -366,37 +371,10 @@ type Registry struct {
 	epoch      sim.Time
 	snap       Snapshot
 
-	// shards hold the observations that hot paths attribute to a known
-	// node: wait attribution, timeline clipping, and transport counters.
-	// Keeping them per node lets the conservative windowed engine observe
-	// from concurrent per-node workers without locks; Snapshot folds the
-	// shards in node order, and every fold operation is commutative, so
-	// the folded snapshot is byte-identical at any worker count.
-	shards []regShard
-
-	// syncShards hold the backend-invariant synchronization counts.
-	// Unlike shards they survive Reset: the counts are run-lifetime by
-	// contract (see the Snapshot field comment), so Configure only
-	// allocates them on first configuration.
-	syncShards []syncCounts
-}
-
-// syncCounts is one node's shard of the backend-invariant counters.
-type syncCounts struct {
-	lockAcquires         int64
-	lockReleases         int64
-	barrierArrivals      int64
-	localBarrierArrivals int64
-	reductions           int64
-}
-
-// regShard is one node's lock-free observation shard.
-type regShard struct {
-	pageWait      map[int32]*WaitAttr
-	lockWait      map[int32]*WaitAttr
-	clippedNs     int64
-	retransmits   int64
-	dupSuppressed int64
+	// clippedNs is TimelineClippedNs per node: the scheduler hooks of the
+	// windowed engine's per-node workers observe concurrently, and
+	// Snapshot sums the nodes.
+	clippedNs []int64
 }
 
 // DefaultTimelineInterval is the default utilization-timeline bin width.
@@ -444,82 +422,128 @@ func (r *Registry) Configure(nodes int, msgClasses []string) {
 	r.snap.LockWait = make(map[int32]*WaitAttr)
 	r.snap.Timeline = make([][]TimelineBin, nodes)
 	r.snap.IntervalNs.Set(int64(r.interval))
-	r.shards = make([]regShard, nodes)
-	for i := range r.shards {
-		r.shards[i] = regShard{
-			pageWait: make(map[int32]*WaitAttr),
-			lockWait: make(map[int32]*WaitAttr),
+	r.clippedNs = make([]int64, nodes)
+}
+
+// Emit derives the protocol metrics from one event; it implements
+// trace.Tracer. The kinds and fields it reads are documented on the
+// trace.Kind constants. Every observation is a commutative update, so
+// any order of the same events — the recorder's (T, Seq) order included
+// — yields the same snapshot.
+func (r *Registry) Emit(e trace.Event) {
+	s := &r.snap
+	d := int64(e.Dur)
+	switch e.Kind {
+	case trace.KindFaultResolve:
+		s.Nodes[e.Node].FaultService.Observe(d)
+	case trace.KindThreadUnblock: // a lock wait is lock.acquire's to observe
+		nm := &s.Nodes[e.Node]
+		barrier := e.Arg == int64(trace.ReasonBarrier)
+		switch {
+		case e.Arg == int64(trace.ReasonFault):
+			nm.FaultThreadWait.Observe(d)
+			attrAdd(s.PageWait, e.Page, d)
+		case barrier && e.Aux == trace.BarrierGlobal:
+			nm.BarrierStall.Observe(d)
+		case barrier && e.Aux == trace.BarrierLocal:
+			nm.LocalBarrierStall.Observe(d)
 		}
+	case trace.KindLockAcquire:
+		s.LockAcquires++
+		nm := &s.Nodes[e.Node]
+		switch e.Aux {
+		case 0:
+			return // the cached token: no wait
+		case 1:
+			nm.LockLocalWait.Observe(d)
+		case 2:
+			nm.Lock2Hop.Observe(d)
+		default:
+			nm.Lock3Hop.Observe(d)
+		}
+		attrAdd(s.LockWait, e.Sync, d)
+	case trace.KindLockRelease:
+		s.LockReleases++
+	case trace.KindBarrierArrive:
+		switch e.Aux {
+		case trace.BarrierGlobal:
+			s.BarrierArrivals++
+		case trace.BarrierLocal:
+			s.LocalBarrierArrivals++
+		case trace.BarrierReduce:
+			s.Reductions++
+		}
+	case trace.KindBarrierRelease:
+		if e.Thread >= 0 { // a local barrier's last thread, which did not block
+			s.Nodes[e.Node].LocalBarrierStall.Observe(d)
+		}
+	case trace.KindDiffCreate:
+		s.Nodes[e.Node].DiffBytes.Observe(e.Arg)
+	case trace.KindMsgSend:
+		if d >= 0 { // not the replica of a duplicated message
+			s.Net.EgressWait[e.Sync].Observe(d)
+		}
+	case trace.KindMsgDeliver:
+		s.Net.Latency[e.Sync].Observe(d)
+		s.Net.IngressWait[e.Sync].Observe(int64(e.Page))
+	case trace.KindMsgDrop:
+		s.NetDropped++
+		s.Net.EgressWait[e.Sync].Observe(d)
+	case trace.KindMsgDup:
+		s.NetDuplicated++
+	case trace.KindRetransmit:
+		s.Retransmits++
+	case trace.KindDupSuppress:
+		s.DupSuppressed++
 	}
-	if len(r.syncShards) != nodes {
-		r.syncShards = make([]syncCounts, nodes)
-	}
 }
 
-// Node returns node i's metrics struct for hot-path observation.
-func (r *Registry) Node(i int) *NodeMetrics { return &r.snap.Nodes[i] }
-
-// Net returns the interconnect metrics for hot-path observation.
-func (r *Registry) Net() *NetMetrics { return &r.snap.Net }
-
-// PageFaultWait attributes d of fault-blocked thread time on node to
-// page pg.
-func (r *Registry) PageFaultWait(node int, pg int32, d sim.Time) {
-	attrAdd(r.shards[node].pageWait, pg, d)
-}
-
-// LockAcquireWait attributes d of lock-blocked thread time on node to
-// lock id.
-func (r *Registry) LockAcquireWait(node int, id int32, d sim.Time) {
-	attrAdd(r.shards[node].lockWait, id, d)
-}
-
-// FaultCounters exposes the network-layer fault counters for the fault
-// model to increment directly. The returned addresses are stable across
-// Reset (the snapshot is an embedded value), so they may be installed
-// once at system construction.
-func (r *Registry) FaultCounters() (dropped, dupped *Counter) {
-	return &r.snap.NetDropped, &r.snap.NetDuplicated
-}
-
-// CountRetransmit records one reliable-transport retransmission by node.
-func (r *Registry) CountRetransmit(node int) { r.shards[node].retransmits++ }
-
-// CountDupSuppressed records one deduped replayed delivery at node.
-func (r *Registry) CountDupSuppressed(node int) { r.shards[node].dupSuppressed++ }
-
-// CountLockAcquire records one application-level Lock call by node.
-func (r *Registry) CountLockAcquire(node int) { r.syncShards[node].lockAcquires++ }
-
-// CountLockRelease records one application-level Unlock call by node.
-func (r *Registry) CountLockRelease(node int) { r.syncShards[node].lockReleases++ }
-
-// CountBarrierArrive records one global-barrier arrival by node.
-func (r *Registry) CountBarrierArrive(node int) { r.syncShards[node].barrierArrivals++ }
-
-// CountLocalBarrierArrive records one intra-node barrier arrival by node.
-func (r *Registry) CountLocalBarrierArrive(node int) {
-	r.syncShards[node].localBarrierArrivals++
-}
-
-// CountReduce records one global-reduction arrival by node.
-func (r *Registry) CountReduce(node int) { r.syncShards[node].reductions++ }
-
-func attrAdd(m map[int32]*WaitAttr, k int32, d sim.Time) {
+func attrAdd(m map[int32]*WaitAttr, k int32, d int64) {
 	a := m[k]
 	if a == nil {
 		a = &WaitAttr{}
 		m[k] = a
 	}
-	a.WaitNs += int64(d)
+	a.WaitNs += d
 	a.Count++
 }
 
-// TimelineAdd distributes the span [start, end) of node's time across
+// Slice records one execution slice [start, end) of node's processor
+// and the run-queue depth behind it: a sim.Hooks observation, because
+// no event describes the scheduler's decomposition of a node's time.
+func (r *Registry) Slice(node int, start, end sim.Time, queued int) {
+	nm := &r.snap.Nodes[node]
+	nm.UserBurst.Observe(int64(end - start))
+	nm.RunQueue.Observe(int64(queued))
+	r.timelineAdd(node, start, end, timelineUser)
+}
+
+// Idle records a fully idle episode [start, end) of node's processor,
+// whose threads all wait for reason (a trace block reason); like Slice,
+// a scheduler hook.
+func (r *Registry) Idle(node int, start, end sim.Time, reason sim.Reason) {
+	nm := &r.snap.Nodes[node]
+	var h *Histogram
+	var comp int
+	switch reason {
+	case trace.ReasonFault:
+		h, comp = &nm.FaultIdle, timelineFault
+	case trace.ReasonLock:
+		h, comp = &nm.LockIdle, timelineLock
+	case trace.ReasonBarrier:
+		h, comp = &nm.BarrierIdle, timelineBarrier
+	default:
+		return
+	}
+	h.Observe(int64(end - start))
+	r.timelineAdd(node, start, end, comp)
+}
+
+// timelineAdd distributes the span [start, end) of node's time across
 // the timeline bins of the given component. Spans before the epoch
 // (pre-steady-state remainders) clamp; spans past the bin cap
 // accumulate in TimelineClippedNs.
-func (r *Registry) TimelineAdd(node int, start, end sim.Time, comp int) {
+func (r *Registry) timelineAdd(node int, start, end sim.Time, comp int) {
 	if start < r.epoch {
 		start = r.epoch
 	}
@@ -530,7 +554,7 @@ func (r *Registry) TimelineAdd(node int, start, end sim.Time, comp int) {
 	for start < end {
 		i := int((start - r.epoch) / r.interval)
 		if i >= r.maxBins {
-			r.shards[node].clippedNs += int64(end - start)
+			r.clippedNs[node] += int64(end - start)
 			break
 		}
 		for len(bins) <= i {
@@ -546,21 +570,23 @@ func (r *Registry) TimelineAdd(node int, start, end sim.Time, comp int) {
 	r.snap.Timeline[node] = bins
 }
 
-// Reset zeroes every metric and re-anchors the timeline at epoch. The
-// system calls it from MarkSteadyState, alongside the statistics reset,
-// so metrics cover exactly the steady-state window NodeStats covers.
+// Reset zeroes every metric but the run-lifetime sync counters and
+// re-anchors the timeline at epoch. The system calls it from
+// MarkSteadyState, alongside the statistics reset, so metrics cover
+// exactly the steady-state window NodeStats covers.
 func (r *Registry) Reset(epoch sim.Time) {
 	r.epoch = epoch
-	nodes := len(r.snap.Nodes)
-	classes := r.snap.MsgClasses
+	old := r.snap
 	r.snap = Snapshot{}
 	r.configured = false
-	r.Configure(nodes, classes)
+	r.Configure(len(old.Nodes), old.MsgClasses)
 	r.snap.EpochNs.Set(int64(epoch))
+	r.snap.LockAcquires, r.snap.LockReleases = old.LockAcquires, old.LockReleases
+	r.snap.BarrierArrivals, r.snap.LocalBarrierArrivals = old.BarrierArrivals, old.LocalBarrierArrivals
+	r.snap.Reductions = old.Reductions
 }
 
-// Snapshot returns a deep copy of the collected metrics, folding the
-// per-node shards in node order.
+// Snapshot returns a deep copy of the collected metrics.
 func (r *Registry) Snapshot() *Snapshot {
 	out := r.snap.Clone()
 	if out.PageWait == nil {
@@ -569,37 +595,10 @@ func (r *Registry) Snapshot() *Snapshot {
 	if out.LockWait == nil {
 		out.LockWait = make(map[int32]*WaitAttr)
 	}
-	for i := range r.shards {
-		sh := &r.shards[i]
-		for k, a := range sh.pageWait {
-			mergeAttr(out.PageWait, k, a)
-		}
-		for k, a := range sh.lockWait {
-			mergeAttr(out.LockWait, k, a)
-		}
-		out.TimelineClippedNs.Add(sh.clippedNs)
-		out.Retransmits.Add(sh.retransmits)
-		out.DupSuppressed.Add(sh.dupSuppressed)
-	}
-	for i := range r.syncShards {
-		sy := &r.syncShards[i]
-		out.LockAcquires.Add(sy.lockAcquires)
-		out.LockReleases.Add(sy.lockReleases)
-		out.BarrierArrivals.Add(sy.barrierArrivals)
-		out.LocalBarrierArrivals.Add(sy.localBarrierArrivals)
-		out.Reductions.Add(sy.reductions)
+	for _, c := range r.clippedNs {
+		out.TimelineClippedNs.Add(c)
 	}
 	return out
-}
-
-func mergeAttr(m map[int32]*WaitAttr, k int32, a *WaitAttr) {
-	dst := m[k]
-	if dst == nil {
-		dst = &WaitAttr{}
-		m[k] = dst
-	}
-	dst.WaitNs += a.WaitNs
-	dst.Count += a.Count
 }
 
 // hotEntry is one row of a derived top-N table.

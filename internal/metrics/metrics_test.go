@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cvm/internal/sim"
+	"cvm/internal/trace"
 )
 
 func TestHistogramObserve(t *testing.T) {
@@ -139,7 +140,7 @@ func TestTimelineAddSplitsAcrossBins(t *testing.T) {
 	r.Configure(2, []string{"a"})
 
 	// A span covering [50, 250) splits 50/100/50 across bins 0-2.
-	r.TimelineAdd(0, 50, 250, TimelineUser)
+	r.timelineAdd(0, 50, 250, timelineUser)
 	bins := r.snap.Timeline[0]
 	if len(bins) != 3 {
 		t.Fatalf("len(bins) = %d, want 3", len(bins))
@@ -152,8 +153,8 @@ func TestTimelineAddSplitsAcrossBins(t *testing.T) {
 
 	// Spans before the epoch clamp; zero-length spans are dropped.
 	r.Reset(1000)
-	r.TimelineAdd(0, 900, 1050, TimelineFault)
-	r.TimelineAdd(0, 1050, 1050, TimelineLock)
+	r.timelineAdd(0, 900, 1050, timelineFault)
+	r.timelineAdd(0, 1050, 1050, timelineLock)
 	bins = r.snap.Timeline[0]
 	if len(bins) != 1 || bins[0].FaultNs != 50 || bins[0].LockNs != 0 {
 		t.Fatalf("after epoch clamp: %+v", bins)
@@ -170,7 +171,7 @@ func TestTimelineAddClips(t *testing.T) {
 	r.Configure(1, nil)
 	// Bins cover [0, 40); the rest of the span must be clipped, not
 	// allocated.
-	r.TimelineAdd(0, 35, 95, TimelineBarrier)
+	r.timelineAdd(0, 35, 95, timelineBarrier)
 	bins := r.snap.Timeline[0]
 	if len(bins) != 4 {
 		t.Fatalf("len(bins) = %d, want 4 (capped)", len(bins))
@@ -283,13 +284,11 @@ func TestSnapshotMergeAndClone(t *testing.T) {
 func registryWithData(k int64) *Registry {
 	r := NewRegistry()
 	r.Configure(2, []string{"a", "b"})
-	r.Node(0).UserBurst.Observe(k * 10)
-	r.Node(1).Lock2Hop.Observe(k * 100)
-	r.Net().Latency[1].Observe(k * 7)
-	r.PageFaultWait(0, 9, sim.Time(k*1000))
-	r.LockAcquireWait(0, 4, sim.Time(k*500))
-	r.TimelineAdd(0, 0, sim.Time(k)*r.interval, TimelineUser)
-	r.snap.TimelineClippedNs.Add(k)
+	r.Slice(0, 0, sim.Time(k)*r.interval, 1)
+	r.Emit(trace.Event{Kind: trace.KindLockAcquire, Node: 1, Sync: 4, Aux: 2, Dur: sim.Time(k * 100)})
+	r.Emit(trace.Event{Kind: trace.KindMsgDeliver, Sync: 1, Dur: sim.Time(k * 7)})
+	r.Emit(trace.Event{Kind: trace.KindThreadUnblock, Arg: int64(trace.ReasonFault), Page: 9, Dur: sim.Time(k * 1000)})
+	r.clippedNs[0] += k
 	return r
 }
 

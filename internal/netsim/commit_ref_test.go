@@ -25,9 +25,6 @@ func (n *Network) commitWindowReference(limit sim.Time) {
 		sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].sendT < msgs[j].sendT })
 		for i := range msgs {
 			m := &msgs[i]
-			if n.met != nil {
-				n.met.EgressWait[m.class].Observe(int64(m.egressWait))
-			}
 			to := m.to
 			sched := func(at sim.Time, fn func()) {
 				if at < limit {
@@ -37,9 +34,9 @@ func (n *Network) commitWindowReference(limit sim.Time) {
 				n.eng.ScheduleOn(n.eng.Procs()[int(to)], at, fn)
 			}
 			if n.faults != nil {
-				n.faultedSendReference(m.depart, NodeID(from), m.to, m.class, m.bytes, m.deliver, sched)
+				n.faultedSendReference(m.depart, m.egressWait, NodeID(from), m.to, m.class, m.bytes, m.deliver, sched)
 			} else {
-				sched(n.arrival(m.depart, NodeID(from), m.to, m.class, m.bytes, 0), m.deliver)
+				sched(n.arrival(m.depart, m.egressWait, NodeID(from), m.to, m.class, m.bytes, 0), m.deliver)
 			}
 			msgs[i] = wireMsg{} // release the delivery closure
 		}
@@ -47,12 +44,12 @@ func (n *Network) commitWindowReference(limit sim.Time) {
 	}
 }
 
-func (n *Network) faultedSendReference(depart sim.Time, from, to NodeID, class Class, bytes int, deliver func(), sched func(sim.Time, func())) {
+func (n *Network) faultedSendReference(depart, wait sim.Time, from, to NodeID, class Class, bytes int, deliver func(), sched func(sim.Time, func())) {
 	f := n.faults
 	idx := n.nextChanIdx(from, to)
 
 	if p := f.Drop[class]; p > 0 && unit(faultRoll(f.Seed, from, to, idx, streamDrop)) < p {
-		n.dropMsg(depart, from, to, class, bytes)
+		n.dropMsg(depart, wait, from, to, class, bytes)
 		return
 	}
 
@@ -62,21 +59,16 @@ func (n *Network) faultedSendReference(depart sim.Time, from, to NodeID, class C
 	}
 	if p := f.Reorder[class]; p > 0 && unit(faultRoll(f.Seed, from, to, idx, streamReorder)) < p {
 		extra += f.ReorderDelay
-		n.fstats.Reordered++
 	}
-	sched(n.arrival(depart, from, to, class, bytes, extra), deliver)
+	sched(n.arrival(depart, wait, from, to, class, bytes, extra), deliver)
 
 	if p := f.Dup[class]; p > 0 && unit(faultRoll(f.Seed, from, to, idx, streamDup)) < p {
-		n.fstats.Dupped++
-		if n.cDupped != nil {
-			n.cDupped.Add(1)
-		}
 		if n.tracer != nil {
 			n.tracer.Emit(trace.Event{T: depart, Kind: trace.KindMsgDup,
 				Node: int32(from), Thread: -1, Peer: int32(to),
 				Sync: int32(class), Arg: int64(bytes), Aux: n.msgID})
 		}
-		sched(n.arrival(depart, from, to, class, bytes, extra), deliver)
+		sched(n.arrival(depart, -1, from, to, class, bytes, extra), deliver)
 	}
 }
 
@@ -166,7 +158,7 @@ func TestCommitWindowMatchesReference(t *testing.T) {
 				t.Fatalf("%s: traced events\n%v\nreference\n%v", what, got.events, want.events)
 			}
 			counters := func(n *Network) string {
-				return fmt.Sprint(n.Stats(), n.FaultStats(), n.chanIdx, n.ingressFree, n.bulkIngressFree)
+				return fmt.Sprint(n.Stats(), n.chanIdx, n.ingressFree, n.bulkIngressFree)
 			}
 			if counters(got.net) != counters(want.net) {
 				t.Fatalf("%s: counters %s, reference %s", what, counters(got.net), counters(want.net))

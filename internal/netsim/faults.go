@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 
-	"cvm/internal/metrics"
 	"cvm/internal/sim"
 	"cvm/internal/trace"
 )
@@ -81,13 +80,6 @@ func (f *FaultParams) Validate() error {
 	return nil
 }
 
-// FaultStats counts the faults the model actually injected.
-type FaultStats struct {
-	Dropped   int64
-	Dupped    int64
-	Reordered int64
-}
-
 // Fault decision streams: each (message, decision) pair draws from an
 // independent stream of the keyed PRNG so enabling one fault dimension
 // never shifts another dimension's rolls.
@@ -137,15 +129,6 @@ func (n *Network) SetFaults(f *FaultParams) {
 	}
 }
 
-// SetFaultCounters installs metric counters incremented on every drop
-// and duplication (either may be nil).
-func (n *Network) SetFaultCounters(dropped, dupped *metrics.Counter) {
-	n.cDropped, n.cDupped = dropped, dupped
-}
-
-// FaultStats returns a snapshot of the injected-fault counters.
-func (n *Network) FaultStats() FaultStats { return n.fstats }
-
 // nextChanIdx returns and advances the per-channel message index that
 // keys fault rolls for the next message from→to.
 func (n *Network) nextChanIdx(from, to NodeID) uint64 {
@@ -155,16 +138,17 @@ func (n *Network) nextChanIdx(from, to NodeID) uint64 {
 	return idx
 }
 
-// faultedSend routes one departing message through the fault model:
-// possibly dropping it, delaying it (jitter/reorder), or delivering it
-// twice. It returns when each delivered copy's handler runs, for the
-// caller to schedule in its own context.
-func (n *Network) faultedSend(depart sim.Time, from, to NodeID, class Class, bytes int) (at [2]sim.Time, copies int) {
+// faultedSend routes one departing message, which queued wait at the
+// egress, through the fault model: possibly dropping it, delaying it
+// (jitter/reorder), or delivering it twice. It returns when each
+// delivered copy's handler runs, for the caller to schedule in its own
+// context.
+func (n *Network) faultedSend(depart, wait sim.Time, from, to NodeID, class Class, bytes int) (at [2]sim.Time, copies int) {
 	f := n.faults
 	idx := n.nextChanIdx(from, to)
 
 	if p := f.Drop[class]; p > 0 && unit(faultRoll(f.Seed, from, to, idx, streamDrop)) < p {
-		n.dropMsg(depart, from, to, class, bytes)
+		n.dropMsg(depart, wait, from, to, class, bytes)
 		return at, 0
 	}
 
@@ -174,15 +158,10 @@ func (n *Network) faultedSend(depart sim.Time, from, to NodeID, class Class, byt
 	}
 	if p := f.Reorder[class]; p > 0 && unit(faultRoll(f.Seed, from, to, idx, streamReorder)) < p {
 		extra += f.ReorderDelay
-		n.fstats.Reordered++
 	}
-	at[0] = n.arrival(depart, from, to, class, bytes, extra)
+	at[0] = n.arrival(depart, wait, from, to, class, bytes, extra)
 
 	if p := f.Dup[class]; p > 0 && unit(faultRoll(f.Seed, from, to, idx, streamDup)) < p {
-		n.fstats.Dupped++
-		if n.cDupped != nil {
-			n.cDupped.Add(1)
-		}
 		if n.tracer != nil {
 			// Aux links the duplication to the original message's id
 			// (assigned by the arrival call just above).
@@ -192,7 +171,7 @@ func (n *Network) faultedSend(depart sim.Time, from, to NodeID, class Class, byt
 		}
 		// The replica is a second physical message: it pays its own wire,
 		// ingress, and accounting, and delivers under its own id.
-		at[1] = n.arrival(depart, from, to, class, bytes, extra)
+		at[1] = n.arrival(depart, -1, from, to, class, bytes, extra)
 		return at, 2
 	}
 	return at, 1
@@ -201,16 +180,12 @@ func (n *Network) faultedSend(depart sim.Time, from, to NodeID, class Class, byt
 // dropMsg accounts a message that left the sender's egress but never
 // arrived. It still counts in the traffic stats (it consumed the wire)
 // but emits no send/deliver pair — only a drop event.
-func (n *Network) dropMsg(depart sim.Time, from, to NodeID, class Class, bytes int) {
+func (n *Network) dropMsg(depart, wait sim.Time, from, to NodeID, class Class, bytes int) {
 	n.stats.Msgs[class]++
 	n.stats.Bytes[class] += int64(bytes)
-	n.fstats.Dropped++
-	if n.cDropped != nil {
-		n.cDropped.Add(1)
-	}
 	if n.tracer != nil {
 		n.msgID++
-		n.tracer.Emit(trace.Event{T: depart, Kind: trace.KindMsgDrop,
+		n.tracer.Emit(trace.Event{T: depart, Dur: wait, Kind: trace.KindMsgDrop,
 			Node: int32(from), Thread: -1, Peer: int32(to),
 			Sync: int32(class), Arg: int64(bytes), Aux: n.msgID})
 	}

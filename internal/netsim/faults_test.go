@@ -8,13 +8,18 @@ import (
 	"cvm/internal/trace"
 )
 
+// faultCounts are the drops and duplications a run's events record.
+type faultCounts struct{ dropped, dupped int }
+
 // sendN pushes n messages 0→1 through the network from a task and
-// returns the delivery times in handler order.
-func sendN(t *testing.T, f *FaultParams, n int) (delivered []sim.Time, fs FaultStats) {
+// returns the delivery times in handler order and the faults injected.
+func sendN(t *testing.T, f *FaultParams, n int) (delivered []sim.Time, fs faultCounts) {
 	t.Helper()
 	eng := sim.NewEngine()
 	nw := New(eng, 2, DefaultParams())
 	nw.SetFaults(f)
+	var log eventLog
+	nw.SetTracer(&log)
 	p := eng.AddProc(0)
 	eng.AddProc(0)
 	eng.Spawn(p, "sender", func(tk *sim.Task) {
@@ -28,7 +33,15 @@ func sendN(t *testing.T, f *FaultParams, n int) (delivered []sim.Time, fs FaultS
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return delivered, nw.FaultStats()
+	for _, e := range log {
+		switch e.Kind {
+		case trace.KindMsgDrop:
+			fs.dropped++
+		case trace.KindMsgDup:
+			fs.dupped++
+		}
+	}
+	return delivered, fs
 }
 
 func TestFaultsDropRate(t *testing.T) {
@@ -38,14 +51,14 @@ func TestFaultsDropRate(t *testing.T) {
 	}
 	const n = 2000
 	delivered, fs := sendN(t, f, n)
-	if fs.Dropped == 0 {
+	if fs.dropped == 0 {
 		t.Fatal("10% drop over 2000 messages dropped nothing")
 	}
-	if got := len(delivered) + int(fs.Dropped); got != n {
-		t.Errorf("delivered %d + dropped %d = %d, want %d", len(delivered), fs.Dropped, got, n)
+	if got := len(delivered) + fs.dropped; got != n {
+		t.Errorf("delivered %d + dropped %d = %d, want %d", len(delivered), fs.dropped, got, n)
 	}
 	// Crude rate check: 10% ± 5 points over 2000 trials.
-	rate := float64(fs.Dropped) / n
+	rate := float64(fs.dropped) / n
 	if rate < 0.05 || rate > 0.15 {
 		t.Errorf("drop rate = %.3f, want ≈0.10", rate)
 	}
@@ -58,11 +71,11 @@ func TestFaultsDupRate(t *testing.T) {
 	}
 	const n = 1000
 	delivered, fs := sendN(t, f, n)
-	if fs.Dupped == 0 {
+	if fs.dupped == 0 {
 		t.Fatal("20% dup over 1000 messages duplicated nothing")
 	}
-	if got := len(delivered) - int(fs.Dupped); got != n {
-		t.Errorf("delivered %d - dupped %d = %d, want %d", len(delivered), fs.Dupped, got, n)
+	if got := len(delivered) - fs.dupped; got != n {
+		t.Errorf("delivered %d - dupped %d = %d, want %d", len(delivered), fs.dupped, got, n)
 	}
 }
 
@@ -88,9 +101,6 @@ func TestFaultsReorderOvertakes(t *testing.T) {
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
-	}
-	if fs := nw.FaultStats(); fs.Reordered == 0 {
-		t.Fatal("20% reorder over 200 messages reordered nothing")
 	}
 	// A delayed message must be overtaken: later send indices deliver first.
 	overtakes := 0
@@ -153,7 +163,7 @@ func TestFaultsInactiveIsByteIdentical(t *testing.T) {
 	// the reliable fast path: identical deliveries and zero fault stats.
 	base, _ := sendN(t, nil, 100)
 	zero, fs := sendN(t, &FaultParams{Seed: 99}, 100)
-	if fs != (FaultStats{}) {
+	if fs != (faultCounts{}) {
 		t.Errorf("inactive faults injected: %+v", fs)
 	}
 	for i := range base {
@@ -185,9 +195,13 @@ func TestFaultsTraceAndCounters(t *testing.T) {
 	eng := sim.NewEngine()
 	nw := New(eng, 2, DefaultParams())
 	rec := trace.NewRecorder(2, 1, 0)
-	nw.SetTracer(rec)
-	var dropped, dupped metrics.Counter
-	nw.SetFaultCounters(&dropped, &dupped)
+	reg := metrics.NewRegistry()
+	var classes []string
+	for _, c := range Classes() {
+		classes = append(classes, c.String())
+	}
+	reg.Configure(2, classes)
+	nw.SetTracer(trace.Tee(rec, reg))
 	f := &FaultParams{Seed: 5}
 	for c := 0; c < NumClasses; c++ {
 		f.Drop[c], f.Dup[c] = 0.2, 0.2
@@ -210,18 +224,21 @@ func TestFaultsTraceAndCounters(t *testing.T) {
 			kinds[e.Kind]++
 		}
 	}
-	fs := nw.FaultStats()
-	if fs.Dropped == 0 || fs.Dupped == 0 {
-		t.Fatalf("expected drops and dups, got %+v", fs)
+	dropped, dupped := kinds[trace.KindMsgDrop], kinds[trace.KindMsgDup]
+	if dropped == 0 || dupped == 0 {
+		t.Fatalf("expected drops and dups, got %d and %d", dropped, dupped)
 	}
-	if int64(kinds[trace.KindMsgDrop]) != fs.Dropped {
-		t.Errorf("msg.drop events = %d, want %d", kinds[trace.KindMsgDrop], fs.Dropped)
+	if got, want := kinds[trace.KindMsgSend], 200-dropped+dupped; got != want {
+		t.Errorf("msg.send events = %d, want %d: 200 sends, %d dropped, %d duplicated", got, want, dropped, dupped)
 	}
-	if int64(kinds[trace.KindMsgDup]) != fs.Dupped {
-		t.Errorf("msg.dup events = %d, want %d", kinds[trace.KindMsgDup], fs.Dupped)
+	snap := reg.Snapshot()
+	if int(snap.NetDropped) != dropped || int(snap.NetDuplicated) != dupped {
+		t.Errorf("counters = %d/%d, want %d/%d", snap.NetDropped, snap.NetDuplicated, dropped, dupped)
 	}
-	if int64(dropped) != fs.Dropped || int64(dupped) != fs.Dupped {
-		t.Errorf("counters = %d/%d, want %d/%d", dropped, dupped, fs.Dropped, fs.Dupped)
+	// Egress queueing is one observation a send, dropped or not: a
+	// duplicate's replica never queued.
+	if got := snap.Net.EgressWait[ClassLock].Count; got != 200 {
+		t.Errorf("egress waits observed = %d, want one for each of the 200 sends", got)
 	}
 	// Every delivered message has a send/deliver pair; drops have neither.
 	if kinds[trace.KindMsgSend] != kinds[trace.KindMsgDeliver] {

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"slices"
 
-	"cvm/internal/metrics"
 	"cvm/internal/sim"
 	"cvm/internal/trace"
 	"cvm/internal/transport"
@@ -125,18 +124,13 @@ type Network struct {
 	bulkIngressFree []sim.Time
 
 	stats  Stats
-	tracer trace.Tracer        // nil when tracing is off
-	met    *metrics.NetMetrics // nil when metrics are off
-	msgID  int64               // trace message id linking send to delivery
+	tracer trace.Tracer // nil when tracing and metrics are off
+	msgID  int64        // trace message id linking send to delivery
 
 	// Fault model (nil when the network is reliable). chanIdx holds the
-	// per-directed-channel message counters keying the fault PRNG; fstats
-	// counts injected faults; the counters mirror drops/dups into the
-	// metrics snapshot.
-	faults            *FaultParams
-	chanIdx           []uint64
-	fstats            FaultStats
-	cDropped, cDupped *metrics.Counter
+	// per-directed-channel message counters keying the fault PRNG.
+	faults  *FaultParams
+	chanIdx []uint64
 
 	// Deferred mode (SetDeferred), used by the conservative windowed
 	// engine: sends enqueue in per-sender outboxes instead of scheduling
@@ -153,7 +147,7 @@ type Network struct {
 type wireMsg struct {
 	sendT      sim.Time // send initiation, for deterministic commit order
 	depart     sim.Time // egress departure (send-time computed)
-	egressWait sim.Time // sender-NIC serialization delay, observed at commit
+	egressWait sim.Time // sender-NIC serialization delay, traced at commit
 	to         NodeID
 	class      Class
 	bytes      int
@@ -206,24 +200,15 @@ func (n *Network) SetDeferred(on bool) {
 // SetTracer installs a protocol event tracer (nil disables tracing).
 // Every transmitted message then records a send event at egress
 // departure and a deliver event at handler start, linked by a message
-// id for flow rendering.
+// id for flow rendering and carrying the egress and ingress queueing.
 func (n *Network) SetTracer(tr trace.Tracer) { n.tracer = tr }
-
-// SetMetrics installs per-class latency/queueing histograms (nil
-// disables them). The metrics must be sized for Classes() — the system
-// configures them from the same class list.
-func (n *Network) SetMetrics(m *metrics.NetMetrics) { n.met = m }
 
 // Stats returns a snapshot of the per-class traffic counters.
 func (n *Network) Stats() Stats { return n.stats }
 
-// ResetStats zeroes the traffic and injected-fault counters (used after
-// the initialization phase so tables reflect steady-state behaviour, as
-// in the paper).
-func (n *Network) ResetStats() {
-	n.stats = Stats{}
-	n.fstats = FaultStats{}
-}
+// ResetStats zeroes the traffic counters (used after the initialization
+// phase so tables reflect steady-state behaviour, as in the paper).
+func (n *Network) ResetStats() { n.stats = Stats{} }
 
 // SendFromTask transmits a message from the calling task's node. The
 // sender's CPU overhead is charged to the task; deliver runs in engine
@@ -237,23 +222,18 @@ func (n *Network) SendFromTask(t *sim.Task, from, to NodeID, class Class, bytes 
 	t.Advance(n.params.SendOverhead)
 	lane := n.egressLane(class)
 	depart := maxTime(t.Now(), lane[from])
+	wait := depart - t.Now()
+	depart += n.params.transfer(bytes)
+	lane[from] = depart
 	if n.deferred {
-		wait := depart - t.Now()
-		depart += n.params.transfer(bytes)
-		lane[from] = depart
 		n.outbox[from] = append(n.outbox[from], wireMsg{
 			sendT: t.Now(), depart: depart, egressWait: wait,
 			to: to, class: class, bytes: bytes, deliver: deliver})
 		return
 	}
-	if n.met != nil {
-		n.met.EgressWait[class].Observe(int64(depart - t.Now()))
-	}
-	depart += n.params.transfer(bytes)
-	lane[from] = depart
 	// Task.Schedule lowers the sender's causality horizon so the sender
 	// cannot run past the delivery before it is applied.
-	at, copies := n.arrivals(depart, from, to, class, bytes)
+	at, copies := n.arrivals(depart, wait, from, to, class, bytes)
 	for _, handlerAt := range at[:copies] {
 		t.Schedule(handlerAt, deliver)
 	}
@@ -279,12 +259,10 @@ func (n *Network) SendFromHandler(from, to NodeID, class Class, bytes int, deliv
 		return
 	}
 	depart := maxTime(n.eng.Now(), lane[from])
-	if n.met != nil {
-		n.met.EgressWait[class].Observe(int64(depart - n.eng.Now()))
-	}
+	wait := depart - n.eng.Now()
 	depart += n.params.SendOverhead + n.params.transfer(bytes)
 	lane[from] = depart
-	at, copies := n.arrivals(depart, from, to, class, bytes)
+	at, copies := n.arrivals(depart, wait, from, to, class, bytes)
 	for _, handlerAt := range at[:copies] {
 		n.eng.Schedule(handlerAt, deliver)
 	}
@@ -300,23 +278,24 @@ func (n *Network) egressLane(class Class) []sim.Time {
 	return n.egressFree
 }
 
-// arrivals accounts a departing message and returns when each delivered
-// copy's handler runs: one copy on a reliable network; none, one or two
-// under the fault model.
-func (n *Network) arrivals(depart sim.Time, from, to NodeID, class Class, bytes int) ([2]sim.Time, int) {
+// arrivals accounts a departing message that queued wait at the egress
+// and returns when each delivered copy's handler runs: one copy on a
+// reliable network; none, one or two under the fault model.
+func (n *Network) arrivals(depart, wait sim.Time, from, to NodeID, class Class, bytes int) ([2]sim.Time, int) {
 	if n.faults == nil {
-		return [2]sim.Time{n.arrival(depart, from, to, class, bytes, 0)}, 1
+		return [2]sim.Time{n.arrival(depart, wait, from, to, class, bytes, 0)}, 1
 	}
-	return n.faultedSend(depart, from, to, class, bytes)
+	return n.faultedSend(depart, wait, from, to, class, bytes)
 }
 
 // arrival accounts the message and computes when its handler runs at the
-// receiver, serializing concurrent arrivals at the ingress. extra is
-// fault-injected delivery delay (jitter/reorder); it is applied after
-// the ingress serialization point so a delayed message does not
-// head-of-line-block traffic that physically arrived on time — which is
-// what lets later messages genuinely overtake it.
-func (n *Network) arrival(depart sim.Time, from, to NodeID, class Class, bytes int, extra sim.Time) sim.Time {
+// receiver, serializing concurrent arrivals at the ingress. wait is its
+// egress queueing, for the send event (-1: a fault-model replica, which
+// never queued). extra is fault-injected delivery delay (jitter/reorder);
+// it is applied after the ingress serialization point so a delayed
+// message does not head-of-line-block traffic that physically arrived on
+// time — which is what lets later messages genuinely overtake it.
+func (n *Network) arrival(depart, wait sim.Time, from, to NodeID, class Class, bytes int, extra sim.Time) sim.Time {
 	n.stats.Msgs[class]++
 	n.stats.Bytes[class] += int64(bytes)
 	arrive := depart + n.params.WireLatency
@@ -324,20 +303,17 @@ func (n *Network) arrival(depart sim.Time, from, to NodeID, class Class, bytes i
 	if class == ClassUpdate {
 		lane = n.bulkIngressFree
 	}
-	handlerAt := maxTime(arrive, lane[to]) + n.params.RecvOverhead
+	ingress := maxTime(arrive, lane[to]) // the ingress frees for this message
+	handlerAt := ingress + n.params.RecvOverhead
 	lane[to] = handlerAt
 	handlerAt += extra
-	if n.met != nil {
-		n.met.Latency[class].Observe(int64(handlerAt - depart))
-		n.met.IngressWait[class].Observe(int64(handlerAt - extra - n.params.RecvOverhead - arrive))
-	}
 	if n.tracer != nil {
 		n.msgID++
-		n.tracer.Emit(trace.Event{T: depart, Kind: trace.KindMsgSend,
+		n.tracer.Emit(trace.Event{T: depart, Dur: wait, Kind: trace.KindMsgSend,
 			Node: int32(from), Thread: -1, Peer: int32(to),
 			Sync: int32(class), Arg: int64(bytes), Aux: n.msgID})
-		n.tracer.Emit(trace.Event{T: handlerAt, Kind: trace.KindMsgDeliver,
-			Node: int32(to), Thread: -1, Peer: int32(from),
+		n.tracer.Emit(trace.Event{T: handlerAt, Dur: handlerAt - depart, Kind: trace.KindMsgDeliver,
+			Node: int32(to), Thread: -1, Peer: int32(from), Page: int32(ingress - arrive),
 			Sync: int32(class), Arg: int64(bytes), Aux: n.msgID})
 	}
 	return handlerAt
@@ -363,10 +339,7 @@ func (n *Network) CommitWindow(limit sim.Time) {
 		}
 		for i := range msgs {
 			m := &msgs[i]
-			if n.met != nil {
-				n.met.EgressWait[m.class].Observe(int64(m.egressWait))
-			}
-			at, copies := n.arrivals(m.depart, NodeID(from), m.to, m.class, m.bytes)
+			at, copies := n.arrivals(m.depart, m.egressWait, NodeID(from), m.to, m.class, m.bytes)
 			for _, handlerAt := range at[:copies] {
 				if handlerAt < limit {
 					panic(fmt.Sprintf("netsim: delivery at %v violates lookahead bound %v (msg %v %d->%d sendT=%v depart=%v bytes=%d)",

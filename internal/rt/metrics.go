@@ -6,136 +6,71 @@ import (
 	"time"
 
 	"cvm/internal/metrics"
-	"cvm/internal/sim"
 	"cvm/internal/trace"
 	"cvm/internal/transport"
 )
 
 // Metrics collects a real-execution cluster's wall-clock protocol
-// metrics in the simulator's own registry, so a metric the registry
-// gains reaches both backends, and the reporter, merge, and compare
-// tooling work unchanged on real runs. Histogram values are nanoseconds
-// of wall time (virtual nanoseconds in the simulator's reports) —
-// time-typed metrics are therefore comparable only side by side, while
-// the backend-invariant counters (see metrics.BackendInvariantCounters)
-// must match the simulator exactly.
+// metrics in the simulator's own registry, fed the same way: the run
+// tees the registry after its tracer, so the events rt emits are what
+// the registry derives its metrics from, through the one function both
+// backends share, and the reporter, merge, and compare tooling work
+// unchanged on real runs. Histogram values are nanoseconds of wall time
+// (virtual nanoseconds in the simulator's reports) — time-typed metrics
+// are therefore comparable only side by side, while the
+// backend-invariant counters (see metrics.BackendInvariantCounters) must
+// match the simulator exactly. The scheduler decomposition (user_burst,
+// the *_idle histograms, run_queue, the timeline) stays empty: no
+// scheduler here defines it.
 //
-// The registry itself takes no locks (the simulator observes one entity
-// at a time), but here workers on different nodes and the dispatcher
-// observe in parallel. Everything the registry keeps for an observation
-// is per node, so one mutex per node serializes them. A Metrics is
-// attached to one rt.Config; in a multi-process cluster each process
-// observes only its own node, and the coordinator merges the per-node
-// snapshots in node order.
+// A Metrics serves one run; attaching it to a second panics. In a
+// multi-process cluster each process observes only its own node, and
+// the coordinator merges the per-node snapshots in node order.
 type Metrics struct {
-	mu    sync.Mutex        // guards reg and locks themselves
-	reg   *metrics.Registry // nil until configure
-	locks []sync.Mutex      // locks[i] guards node i's share of reg
+	mu  sync.Mutex // guards reg: the run's lockedTracer emits under it
+	reg *metrics.Registry
 }
 
 // NewMetrics returns an empty collector; attach it via Config.Metrics.
-func NewMetrics() *Metrics { return &Metrics{} }
-
-// configure sizes the collector for the cluster. Reattaching the same
-// collector to a differently-shaped cluster panics; reattaching to the
-// same shape accumulates (a multi-run aggregate is meaningless for the
-// equivalence gate, so callers use a fresh Metrics per run).
-func (m *Metrics) configure(nodes int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.reg == nil {
-		classes := make([]string, 0, transport.NumClasses)
-		for _, cl := range transport.Classes() {
-			classes = append(classes, cl.String())
-		}
-		m.reg = metrics.NewRegistry()
-		m.reg.Configure(nodes, classes)
-		m.locks = make([]sync.Mutex, nodes)
-		return
-	}
-	if len(m.locks) != nodes {
-		panic(fmt.Sprintf("rt: Metrics attached to a %d-node cluster after a %d-node one",
-			nodes, len(m.locks)))
-	}
-}
-
-// waited records the end of one wait of d: a remote page fetch as fault
-// service time (request to install) and the faulting thread's blocked
-// time, attributed to the page; a lock acquire as request-to-grant wait,
-// attributed to the lock and classified by whether the manager was local
-// (no wire messages) or remote (the runtime's centralized managers make
-// every remote acquire a 2-hop exchange; Lock3Hop stays empty by
-// construction); a barrier or local barrier as the thread's
-// arrive-to-release stall. Reductions and flushes have no histogram.
-func (m *Metrics) waited(node int, kind waitKind, id int32, d sim.Time, local bool) {
-	m.locks[node].Lock()
-	defer m.locks[node].Unlock()
-	nm := m.reg.Node(node)
-	switch kind {
-	case waitFault:
-		nm.FaultService.Observe(int64(d))
-		nm.FaultThreadWait.Observe(int64(d))
-		m.reg.PageFaultWait(node, id, d)
-	case waitLock:
-		if local {
-			nm.LockLocalWait.Observe(int64(d))
-		} else {
-			nm.Lock2Hop.Observe(int64(d))
-		}
-		m.reg.LockAcquireWait(node, id, d)
-		m.reg.CountLockAcquire(node)
-	case waitBarrier:
-		nm.BarrierStall.Observe(int64(d))
-	case waitLocalBarrier:
-		nm.LocalBarrierStall.Observe(int64(d))
-	}
-}
-
-// count bumps one of the registry's per-node counters — one application
-// call to Unlock, Barrier, LocalBarrier or Reduce — named by method
-// expression, e.g. (*metrics.Registry).CountReduce.
-func (m *Metrics) count(node int, counter func(*metrics.Registry, int)) {
-	m.locks[node].Lock()
-	counter(m.reg, node)
-	m.locks[node].Unlock()
-}
-
-// observeDiff records the wire size of one diff shipped to a home.
-func (m *Metrics) observeDiff(node int, bytes int64) {
-	m.locks[node].Lock()
-	m.reg.Node(node).DiffBytes.Observe(bytes)
-	m.locks[node].Unlock()
-}
+func NewMetrics() *Metrics { return &Metrics{reg: metrics.NewRegistry()} }
 
 // Snapshot returns the registry's snapshot: Nodes is sized for the
 // whole cluster (a member process's snapshot has only its own node
 // populated), and MsgClasses carries the transport class names so
 // network-shaped fields mean the same thing as the simulator's. Safe to
-// call concurrently with observation — the debug server scrapes
-// mid-run — because it holds every node's lock while the registry
-// copies itself.
+// call concurrently with the run — the debug server scrapes mid-run.
 func (m *Metrics) Snapshot() *metrics.Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.reg == nil {
-		return metrics.NewRegistry().Snapshot()
-	}
-	for i := range m.locks {
-		m.locks[i].Lock()
-	}
-	snap := m.reg.Snapshot()
-	for i := range m.locks {
-		m.locks[i].Unlock()
-	}
-	return snap
+	return m.reg.Snapshot()
 }
 
-// lockedTracer serializes Emit calls: trace.Recorder is not
-// thread-safe, and a real cluster's workers and dispatcher emit
-// concurrently.
+// lockedTracer serializes Emit calls: trace.Recorder and the metrics
+// registry are not thread-safe, and a real cluster's workers and
+// dispatcher emit concurrently. With metrics on, mu is the Metrics'
+// own, so a snapshot never reads a half-observed event.
 type lockedTracer struct {
-	mu sync.Mutex
+	mu *sync.Mutex
 	tr trace.Tracer
+}
+
+// newLockedTracer tees met's registry, configured for the cluster, after
+// tr; nil when both are off.
+func newLockedTracer(tr trace.Tracer, met *Metrics, nodes int) *lockedTracer {
+	if met == nil {
+		if tr == nil {
+			return nil
+		}
+		return &lockedTracer{mu: new(sync.Mutex), tr: tr}
+	}
+	classes := make([]string, 0, transport.NumClasses)
+	for _, cl := range transport.Classes() {
+		classes = append(classes, cl.String())
+	}
+	met.mu.Lock()
+	defer met.mu.Unlock()
+	met.reg.Configure(nodes, classes) // panics on a second run
+	return &lockedTracer{mu: &met.mu, tr: trace.Tee(tr, met.reg)}
 }
 
 func (lt *lockedTracer) emit(e trace.Event) {

@@ -7,7 +7,6 @@ import (
 
 	"cvm"
 	"cvm/internal/core"
-	"cvm/internal/metrics"
 	"cvm/internal/sim"
 	"cvm/internal/trace"
 	"cvm/internal/transport"
@@ -85,8 +84,8 @@ type rnode struct {
 
 	clock *sim.WallClock
 
-	// Observability; nil unless the run asked for them.
-	met    *Metrics
+	// tracer carries the run's events to its Tracer and Metrics; nil
+	// unless the run asked for either.
 	tracer *lockedTracer
 }
 
@@ -107,7 +106,6 @@ func newNode(c *Cluster, conn transport.Conn, clock *sim.WallClock, tracer *lock
 		waits:   make([]waiting, c.cfg.ThreadsPerNode),
 		failCh:  make(chan struct{}),
 		clock:   clock,
-		met:     c.cfg.Metrics,
 		tracer:  tracer,
 	}
 	n.meets[doneKey] = n.done
@@ -236,7 +234,7 @@ func (n *rnode) handle(m transport.Message) {
 		n.arrive(int(m.From), p)
 	case msgRelease:
 		key, result := decodeMeet(p)
-		n.release(key, result, -1)
+		n.release(key, result, -1, 0)
 	}
 }
 
@@ -319,23 +317,23 @@ const untraced trace.Kind = 0xFF
 // waitKinds is everything that differs between one wait and another:
 // how /status words it ("<name> <noun> <id> [@n<peer>] <age>"), the
 // trace events that bracket it (Aux set on both, id in Page when the
-// noun is a page and in Sync otherwise), and the counter an arrival
-// bumps. The histogram each kind feeds when it ends is Metrics.waited's.
+// noun is a page and in Sync otherwise), and the block reason of the
+// thread.block/unblock pair inside them (0: none).
 var waitKinds = [...]struct {
 	name, noun string
 	start, end trace.Kind
 	aux        int64
-	arrive     func(*metrics.Registry, int)
+	reason     sim.Reason
 }{
 	waitStarting:     {name: "starting"},
 	waitRunning:      {name: "running"},
 	waitDone:         {name: "done"},
-	waitFault:        {"fault-wait", "page", trace.KindFaultStart, trace.KindFaultResolve, 0, nil},
-	waitLock:         {"lock-wait", "lock", trace.KindLockRequest, trace.KindLockAcquire, 0, nil},
-	waitBarrier:      {"barrier-wait", "id", trace.KindBarrierArrive, untraced, 0, (*metrics.Registry).CountBarrierArrive},
-	waitLocalBarrier: {"local-barrier-wait", "id", trace.KindBarrierArrive, untraced, 1, (*metrics.Registry).CountLocalBarrierArrive},
-	waitReduce:       {"reduce-wait", "id", untraced, untraced, 0, (*metrics.Registry).CountReduce},
-	waitFlush:        {"flush-wait", "diffs", untraced, untraced, 0, nil},
+	waitFault:        {"fault-wait", "page", trace.KindFaultStart, trace.KindFaultResolve, 0, trace.ReasonFault},
+	waitLock:         {"lock-wait", "lock", trace.KindLockRequest, trace.KindLockAcquire, 0, trace.ReasonLock},
+	waitBarrier:      {"barrier-wait", "id", trace.KindBarrierArrive, untraced, trace.BarrierGlobal, trace.ReasonBarrier},
+	waitLocalBarrier: {"local-barrier-wait", "id", trace.KindBarrierArrive, untraced, trace.BarrierLocal, trace.ReasonBarrier},
+	waitReduce:       {"reduce-wait", "id", trace.KindBarrierArrive, untraced, trace.BarrierReduce, trace.ReasonBarrier},
+	waitFlush:        {"flush-wait", "diffs", untraced, untraced, 0, 0},
 }
 
 // waiting is one worker's entry in rnode.waits.
@@ -347,15 +345,15 @@ type waiting struct {
 }
 
 // wait is the one place a worker gives up the run token to block. It
-// records what w waits on and since when, counts the arrival and emits
-// the start of kind's trace pair, runs send (nil when the request is
+// records what w waits on and since when, emits the start of kind's
+// trace pair and the thread's block, runs send (nil when the request is
 // already out), and blocks on ch without the token — letting co-located
 // threads run: the paper's latency hiding, for real this time. It
-// retakes the token, aborts w if the node failed meanwhile, observes
-// the wait in kind's histogram, emits the end of the pair and returns
-// what arrived on ch (nil when ch was closed). send runs after the start
-// event so that a release it provokes is traced after the arrival, and so
-// that the wait includes the send. Caller holds tok.
+// retakes the token, aborts w if the node failed meanwhile, emits the
+// unblock and the end of the pair, both carrying the wait in Dur, and
+// returns what arrived on ch (nil when ch was closed). send runs after
+// the start event so that a release it provokes is traced after the
+// arrival, and so that the wait includes the send. Caller holds tok.
 func (n *rnode) wait(w *Worker, kind waitKind, id uint32, peer int, ch <-chan []byte, send func()) []byte {
 	k := &waitKinds[kind]
 	t0 := n.clock.Now()
@@ -364,12 +362,16 @@ func (n *rnode) wait(w *Worker, kind waitKind, id uint32, peer int, ch <-chan []
 	if k.noun == "page" {
 		ev.Sync, ev.Page = 0, int32(id)
 	}
-	if m := n.met; m != nil && k.arrive != nil {
-		m.count(n.self, k.arrive)
-	}
-	if tr := n.tracer; tr != nil && k.start != untraced {
-		ev.T, ev.Kind = t0, k.start
-		tr.emit(ev)
+	tr := n.tracer
+	if tr != nil {
+		ev.T = t0
+		if k.start != untraced {
+			ev.Kind = k.start
+			tr.emit(ev)
+		}
+		if k.reason != 0 {
+			tr.emit(trace.Event{T: t0, Kind: trace.KindThreadBlock, Node: ev.Node, Thread: ev.Thread, Arg: int64(k.reason)})
+		}
 	}
 	if send != nil {
 		send()
@@ -383,17 +385,24 @@ func (n *rnode) wait(w *Worker, kind waitKind, id uint32, peer int, ch <-chan []
 	n.tok.Lock()
 	n.setWaiting(w, was)
 	n.checkFail()
-	local := peer == n.self // satisfied without wire messages
-	now := n.clock.Now()
-	if m := n.met; m != nil {
-		m.waited(n.self, kind, int32(id), now-t0, local)
-	}
-	if tr := n.tracer; tr != nil && k.end != untraced {
-		ev.T, ev.Kind = now, k.end
-		if local {
-			ev.Arg = 1
+	if tr != nil {
+		ev.T = n.clock.Now()
+		ev.Dur = ev.T - t0
+		if k.reason != 0 {
+			ub := ev
+			ub.Kind, ub.Arg = trace.KindThreadUnblock, int64(k.reason)
+			tr.emit(ub)
 		}
-		tr.emit(ev)
+		if k.end != untraced {
+			ev.Kind = k.end
+			if kind == waitLock {
+				ev.Aux = 2 // a manager elsewhere: request and grant
+				if peer == n.self {
+					ev.Aux = 1 // this node's manager: no wire messages
+				}
+			}
+			tr.emit(ev)
+		}
 	}
 	return reply
 }
@@ -488,13 +497,10 @@ func (n *rnode) flushAll(w *Worker) {
 				continue
 			}
 			payload := encodeDiff(reqID, pg, runs)
-			if m := n.met; m != nil {
-				// The diff's wire size: the encoded runs, excluding the
-				// reqID+page request header.
-				m.observeDiff(n.self, int64(len(payload)-8))
-			}
 			if tr := n.tracer; tr != nil {
-				// Aux, the simulator's interval index: reqIDs too only grow.
+				// Arg, the diff's wire size: the encoded runs, excluding
+				// the reqID+page request header. Aux, the simulator's
+				// interval index: reqIDs too only grow.
 				tr.emit(trace.Event{T: n.clock.Now(), Kind: trace.KindDiffCreate,
 					Node: int32(n.self), Thread: -1, Page: int32(pg),
 					Arg: int64(len(payload) - 8), Aux: int64(reqID)})

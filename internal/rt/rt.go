@@ -53,7 +53,8 @@ type Config struct {
 	// Metrics, when non-nil, collects wall-clock protocol metrics
 	// (fault service, lock waits, barrier stalls, diff bytes, and the
 	// backend-invariant sync counters) into the simulator's snapshot
-	// shape. Nil keeps every hot path observation-free.
+	// shape, from the events the run emits. With it and Tracer nil no
+	// event is built.
 	Metrics *Metrics
 
 	// Tracer, when non-nil, receives wall-timestamped protocol events
@@ -215,10 +216,10 @@ func (c *Cluster) RunNode(conn transport.Conn, main func(cvm.Worker)) (Result, e
 }
 
 // start is the prologue of a run: it refuses a second one and a mesh of
-// the wrong size, sizes the metrics collector, and builds and publishes
-// (for Status) one node per conn this process runs. The nodes share one
-// wall clock, so trace timestamps from different nodes share an epoch,
-// and one serialized tracer.
+// the wrong size, tees the metrics collector after the tracer, and
+// builds and publishes (for Status) one node per conn this process runs.
+// The nodes share one wall clock, so trace timestamps from different
+// nodes share an epoch, and one serialized tracer.
 func (c *Cluster) start(conns ...transport.Conn) ([]*rnode, error) {
 	if c.rnodes != nil {
 		return nil, errors.New("rt: cluster already run")
@@ -227,13 +228,7 @@ func (c *Cluster) start(conns ...transport.Conn) ([]*rnode, error) {
 		return nil, fmt.Errorf("rt: transport spans %d nodes, cluster configured for %d",
 			conns[0].Nodes(), c.cfg.Nodes)
 	}
-	if m := c.cfg.Metrics; m != nil {
-		m.configure(c.cfg.Nodes)
-	}
-	var lt *lockedTracer
-	if c.cfg.Tracer != nil {
-		lt = &lockedTracer{tr: c.cfg.Tracer}
-	}
+	lt := newLockedTracer(c.cfg.Tracer, c.cfg.Metrics, c.cfg.Nodes)
 	clock := sim.NewWallClock()
 	nodes := make([]*rnode, len(conns))
 	for i, conn := range conns {

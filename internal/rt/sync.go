@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"cvm/internal/core"
-	"cvm/internal/metrics"
+	"cvm/internal/sim"
 	"cvm/internal/trace"
 )
 
@@ -64,9 +64,6 @@ func (n *rnode) unlock(w *Worker, id int) {
 		n.checkFail()
 	}
 	delete(n.held, uint32(id))
-	if m := n.met; m != nil {
-		m.count(n.self, (*metrics.Registry).CountLockRelease)
-	}
 	n.flushAll(w)
 	if tr := n.tracer; tr != nil {
 		tr.emit(trace.Event{T: n.clock.Now(), Kind: trace.KindLockRelease,
@@ -126,9 +123,10 @@ func fold(op core.ReduceOp, vals []float64) float64 {
 // node's dirty pages (all co-located threads are blocked here, so the
 // flush is complete) and sends the manager one node-level arrival; the
 // release is an acquire. A local barrier is a meet without a manager
-// leg, a flush or an invalidation: the last arriver releases it, and the
-// run token's handoff already orders co-located threads' accesses to
-// node-local memory. Caller holds tok.
+// leg, a flush or an invalidation: the last arriver releases it without
+// blocking, as in the simulator, and the run token's handoff already
+// orders co-located threads' accesses to node-local memory. Caller holds
+// tok.
 func (n *rnode) meetUp(w *Worker, key meetKey, v float64, op core.ReduceOp) float64 {
 	n.checkFail()
 	n.hmu.Lock()
@@ -141,12 +139,17 @@ func (n *rnode) meetUp(w *Worker, key meetKey, v float64, op core.ReduceOp) floa
 	m.count++
 	last := m.count == n.threads
 	n.hmu.Unlock()
+	if last && key.kind == waitLocalBarrier {
+		t0 := n.clock.Now()
+		if tr := n.tracer; tr != nil {
+			tr.emit(trace.Event{T: t0, Kind: trace.KindBarrierArrive, Node: int32(n.self),
+				Thread: int32(w.gid), Sync: int32(key.id), Aux: trace.BarrierLocal})
+		}
+		n.release(key, 0, w.gid, t0)
+		return 0
+	}
 	n.wait(w, key.kind, key.id, -1, m.ch, func() {
-		switch {
-		case !last:
-		case key.kind == waitLocalBarrier:
-			n.release(key, 0, w.gid)
-		default:
+		if last {
 			n.flushAll(w)
 			p := le.AppendUint32(make([]byte, 0, 13), key.id)
 			if key.kind == waitReduce {
@@ -192,12 +195,17 @@ func (n *rnode) arrive(from int, p []byte) {
 }
 
 // release wakes this node's waiters at key with the result and retires
-// the generation. thread is the releasing thread of a local barrier, -1
-// for a release from the manager.
-func (n *rnode) release(key meetKey, result float64, thread int) {
+// the generation. thread is the releasing thread of a local barrier,
+// which arrived at a0 and whose stall the event carries; -1 for a
+// release from the manager.
+func (n *rnode) release(key meetKey, result float64, thread int, a0 sim.Time) {
 	if tr := n.tracer; tr != nil && key.kind != waitReduce && key != doneKey {
-		tr.emit(trace.Event{T: n.clock.Now(), Kind: trace.KindBarrierRelease, Node: int32(n.self),
-			Thread: int32(thread), Sync: int32(key.id), Aux: waitKinds[key.kind].aux})
+		e := trace.Event{T: n.clock.Now(), Kind: trace.KindBarrierRelease, Node: int32(n.self),
+			Thread: int32(thread), Sync: int32(key.id), Aux: waitKinds[key.kind].aux}
+		if thread >= 0 {
+			e.Dur = e.T - a0
+		}
+		tr.emit(e)
 	}
 	n.hmu.Lock()
 	m := n.meets[key]

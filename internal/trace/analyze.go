@@ -63,13 +63,14 @@ type Report struct {
 	Dropped    uint64
 	KindCounts [numKinds]int
 
-	// RemoteFault spans fault.start → fault.resolve per (node, page):
+	// RemoteFault spans fault.start → fault.resolve (the resolve's Dur):
 	// signal delivery, parallel diff fetches, application, reprotection.
 	RemoteFault LatencyStats
 
 	// Lock2Hop / Lock3Hop span lock.request → lock.acquire for remote
-	// acquires, classified by forwarding: no manager forward is the
-	// 2-hop path (manager held the token), a forward is the 3-hop path.
+	// acquires (the acquire's Dur), classified by its hop count: the
+	// 2-hop path when the manager held the token or was asked by its
+	// holder, the 3-hop path when the manager forwarded the request.
 	// Queueing behind a held token is included, so contended locks
 	// stretch the upper quantiles.
 	Lock2Hop LatencyStats
@@ -84,8 +85,8 @@ type Report struct {
 	BarrierStall      LatencyStats
 	LocalBarrierStall LatencyStats
 
-	// MsgLatency spans msg.send → msg.deliver (egress departure to
-	// handler start, including ingress serialization).
+	// MsgLatency spans msg.send → msg.deliver (the deliver's Dur: egress
+	// departure to handler start, including ingress serialization).
 	MsgLatency LatencyStats
 }
 
@@ -94,54 +95,31 @@ type Report struct {
 func Analyze(events []Event) *Report {
 	r := &Report{Events: len(events)}
 
-	type pageKey struct{ node, page int32 }
 	type syncKey struct{ node, sync int32 }
-	faultStart := make(map[pageKey]sim.Time)
-	lockReq := make(map[syncKey]sim.Time)
-	lockForwards := make(map[syncKey]int) // keyed by (requester node, lock)
 	barrierArrive := make(map[syncKey][]sim.Time)
-	msgSend := make(map[int64]sim.Time)
 
 	var faults, lock2, lock3, stall, localStall, msg []sim.Time
 
 	for _, e := range events {
 		r.KindCounts[e.Kind]++
 		switch e.Kind {
-		case KindFaultStart:
-			faultStart[pageKey{e.Node, e.Page}] = e.T
-
 		case KindFaultResolve:
-			k := pageKey{e.Node, e.Page}
-			if t0, ok := faultStart[k]; ok {
-				delete(faultStart, k)
-				faults = append(faults, e.T-t0)
-			}
-
-		case KindLockRequest:
-			lockReq[syncKey{e.Node, e.Sync}] = e.T
-
-		case KindLockForward:
-			lockForwards[syncKey{int32(e.Arg), e.Sync}]++
+			faults = append(faults, e.Dur)
 
 		case KindLockAcquire:
-			if e.Arg == 1 {
+			switch e.Aux {
+			case 0, 1:
 				r.LocalLockAcquires++
-				continue
-			}
-			k := syncKey{e.Node, e.Sync}
-			t0, ok := lockReq[k]
-			if !ok {
-				continue
-			}
-			delete(lockReq, k)
-			if lockForwards[k] > 0 {
-				delete(lockForwards, k)
-				lock3 = append(lock3, e.T-t0)
-			} else {
-				lock2 = append(lock2, e.T-t0)
+			case 2:
+				lock2 = append(lock2, e.Dur)
+			case 3:
+				lock3 = append(lock3, e.Dur)
 			}
 
 		case KindBarrierArrive:
+			if e.Aux == BarrierReduce {
+				continue
+			}
 			k := syncKey{e.Node, e.Sync}
 			barrierArrive[k] = append(barrierArrive[k], e.T)
 
@@ -156,14 +134,8 @@ func Analyze(events []Event) *Report {
 			}
 			delete(barrierArrive, k)
 
-		case KindMsgSend:
-			msgSend[e.Aux] = e.T
-
 		case KindMsgDeliver:
-			if t0, ok := msgSend[e.Aux]; ok {
-				delete(msgSend, e.Aux)
-				msg = append(msg, e.T-t0)
-			}
+			msg = append(msg, e.Dur)
 		}
 	}
 

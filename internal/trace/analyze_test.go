@@ -36,9 +36,8 @@ func TestAnalyzeFaultPairing(t *testing.T) {
 	r := Analyze([]Event{
 		{T: 0, Kind: KindFaultStart, Node: 0, Page: 3},
 		{T: 10 * us, Kind: KindFaultStart, Node: 1, Page: 3}, // other node, same page
-		{T: 1100 * us, Kind: KindFaultResolve, Node: 0, Page: 3},
-		{T: 1200 * us, Kind: KindFaultResolve, Node: 1, Page: 3},
-		{T: 2000 * us, Kind: KindFaultResolve, Node: 2, Page: 9}, // unmatched
+		{T: 1100 * us, Dur: 1100 * us, Kind: KindFaultResolve, Node: 0, Page: 3},
+		{T: 1200 * us, Dur: 1190 * us, Kind: KindFaultResolve, Node: 1, Page: 3},
 	})
 	if r.RemoteFault.Count != 2 {
 		t.Fatalf("fault count = %d, want 2", r.RemoteFault.Count)
@@ -53,13 +52,15 @@ func TestAnalyzeLockHopClassification(t *testing.T) {
 	r := Analyze([]Event{
 		// Node 1: request granted with no manager forward → 2-hop.
 		{T: 0, Kind: KindLockRequest, Node: 1, Sync: 0},
-		{T: 937 * us, Kind: KindLockAcquire, Node: 1, Sync: 0},
+		{T: 937 * us, Dur: 937 * us, Kind: KindLockAcquire, Node: 1, Sync: 0, Aux: 2},
 		// Node 2: manager (node 0) forwarded its request → 3-hop.
 		{T: 2000 * us, Kind: KindLockRequest, Node: 2, Sync: 0},
 		{T: 2400 * us, Kind: KindLockForward, Node: 0, Sync: 0, Peer: 1, Arg: 2},
-		{T: 3382 * us, Kind: KindLockAcquire, Node: 2, Sync: 0},
-		// Local acquires never enter the histograms.
-		{T: 4000 * us, Kind: KindLockAcquire, Node: 2, Sync: 0, Arg: 1},
+		{T: 3382 * us, Dur: 1382 * us, Kind: KindLockAcquire, Node: 2, Sync: 0, Aux: 3},
+		// Local acquires never enter the histograms: the cached token and
+		// a local-queue wait.
+		{T: 4000 * us, Kind: KindLockAcquire, Node: 2, Sync: 0},
+		{T: 4100 * us, Dur: 90 * us, Kind: KindLockAcquire, Node: 2, Sync: 0, Aux: 1},
 	})
 	if r.Lock2Hop.Count != 1 || r.Lock2Hop.P50 != 937*us {
 		t.Fatalf("2-hop: %+v", r.Lock2Hop)
@@ -67,8 +68,8 @@ func TestAnalyzeLockHopClassification(t *testing.T) {
 	if r.Lock3Hop.Count != 1 || r.Lock3Hop.P50 != 1382*us {
 		t.Fatalf("3-hop: %+v", r.Lock3Hop)
 	}
-	if r.LocalLockAcquires != 1 {
-		t.Fatalf("local acquires = %d, want 1", r.LocalLockAcquires)
+	if r.LocalLockAcquires != 2 {
+		t.Fatalf("local acquires = %d, want 2", r.LocalLockAcquires)
 	}
 }
 
@@ -79,8 +80,10 @@ func TestAnalyzeBarrierStall(t *testing.T) {
 		{T: 100 * us, Kind: KindBarrierArrive, Node: 0, Sync: 7},
 		{T: 500 * us, Kind: KindBarrierRelease, Node: 0, Sync: 7},
 		// Local barrier on the same id accumulates separately via Aux.
-		{T: 600 * us, Kind: KindBarrierArrive, Node: 1, Sync: 7, Aux: 1},
-		{T: 610 * us, Kind: KindBarrierRelease, Node: 1, Sync: 7, Aux: 1},
+		{T: 600 * us, Kind: KindBarrierArrive, Node: 1, Sync: 7, Aux: BarrierLocal},
+		{T: 610 * us, Kind: KindBarrierRelease, Node: 1, Sync: 7, Aux: BarrierLocal},
+		// A reduction's arrival on the same id has no release to end it.
+		{T: 700 * us, Kind: KindBarrierArrive, Node: 0, Sync: 7, Aux: BarrierReduce},
 	})
 	if r.BarrierStall.Count != 2 || r.BarrierStall.Max != 500*us || r.BarrierStall.Min != 400*us {
 		t.Fatalf("barrier stall: %+v", r.BarrierStall)
@@ -95,8 +98,8 @@ func TestAnalyzeMessagePairing(t *testing.T) {
 	r := Analyze([]Event{
 		{T: 0, Kind: KindMsgSend, Node: 0, Peer: 1, Aux: 1},
 		{T: 10 * us, Kind: KindMsgSend, Node: 1, Peer: 0, Aux: 2},
-		{T: 465 * us, Kind: KindMsgDeliver, Node: 1, Peer: 0, Aux: 1},
-		{T: 475 * us, Kind: KindMsgDeliver, Node: 0, Peer: 1, Aux: 2},
+		{T: 465 * us, Dur: 465 * us, Kind: KindMsgDeliver, Node: 1, Peer: 0, Aux: 1},
+		{T: 475 * us, Dur: 465 * us, Kind: KindMsgDeliver, Node: 0, Peer: 1, Aux: 2},
 	})
 	if r.MsgLatency.Count != 2 || r.MsgLatency.P50 != 465*us {
 		t.Fatalf("msg latency: %+v", r.MsgLatency)
@@ -106,7 +109,7 @@ func TestAnalyzeMessagePairing(t *testing.T) {
 func TestReportWrite(t *testing.T) {
 	rec := NewRecorder(1, 1, 0)
 	rec.Emit(Event{T: 0, Kind: KindFaultStart, Page: 1})
-	rec.Emit(Event{T: 1100 * sim.Microsecond, Kind: KindFaultResolve, Page: 1})
+	rec.Emit(Event{T: 1100 * sim.Microsecond, Dur: 1100 * sim.Microsecond, Kind: KindFaultResolve, Page: 1})
 	var b strings.Builder
 	if err := AnalyzeRecorder(rec).Write(&b); err != nil {
 		t.Fatal(err)

@@ -77,7 +77,7 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 		case KindLockAcquire:
 			k := syncKey{e.Node, e.Sync}
 			c.nameN("lock ", e.Sync).str(" acquire")
-			if s, ok := lockReq[k]; ok && e.Arg == 0 {
+			if s, ok := lockReq[k]; ok && e.Aux >= 2 {
 				delete(lockReq, k)
 				c.span("lock", s, e, c.tid(e))
 			} else {
@@ -86,6 +86,9 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 		case KindLockRelease:
 			c.nameN("lock ", e.Sync).str(" release").instant(e, "lock").end()
 		case KindBarrierArrive:
+			if e.Aux == BarrierReduce {
+				break // a reduction has no release to end a slice
+			}
 			k := syncKey{e.Node, e.Sync}
 			barrierArrive[k] = append(barrierArrive[k], e)
 		case KindBarrierRelease:
@@ -219,10 +222,10 @@ func (c *chromeWriter) nameN(s string, n int32) *chromeWriter { return c.name(s)
 
 // classNames mirrors netsim's Table 2 classes (trace cannot import
 // netsim — netsim emits into trace; the netsim class-guard test keeps
-// the two in sync), reasonNames core's Reason constants.
+// the two in sync), reasonNames the block reasons.
 var (
 	classNames  = []string{"barrier", "lock", "diff"}
-	reasonNames = []string{1: "fault", 2: "lock", 3: "barrier"}
+	reasonNames = []string{ReasonFault: "fault", ReasonLock: "lock", ReasonBarrier: "barrier"}
 )
 
 // enum appends names[v], or other and the number where v has no name.

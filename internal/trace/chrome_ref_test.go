@@ -13,9 +13,10 @@ import (
 // the oracle the append-based one must match byte for byte (as
 // internal/sim/dispatch_ref_test.go keeps the old dispatch loop). It is
 // the parent's function verbatim but for its event source (eventsRef,
-// the parent's Events) and the two marked places, where it takes the
-// same two fixes the new writer does — the adapt kinds and the ordered
-// tail — so that streams holding them can be compared too.
+// the parent's Events) and the marked places, where it takes the same
+// changes the new writer does — the adapt kinds, the ordered tail, the
+// reduction's arrival and the lock acquire read from Aux — so that
+// streams holding them can be compared too.
 func writeChromeRef(w io.Writer, r *Recorder) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "{\"traceEvents\":[\n")
@@ -106,7 +107,9 @@ func writeChromeRef(w io.Writer, r *Recorder) error {
 
 		case KindLockAcquire:
 			k := syncKey{e.Node, e.Sync}
-			if s, ok := lockReq[k]; ok && e.Arg == 0 {
+			// Changed with the event: a remote acquire is Aux 2 or 3 (the
+			// parent read Arg 0, which lock.acquire no longer carries).
+			if s, ok := lockReq[k]; ok && e.Aux >= 2 {
 				delete(lockReq, k)
 				span(fmt.Sprintf("lock %d acquire", e.Sync), "lock", s, e, tid(e))
 			} else {
@@ -117,8 +120,11 @@ func writeChromeRef(w io.Writer, r *Recorder) error {
 			instant(e, fmt.Sprintf("lock %d release", e.Sync), "lock", "")
 
 		case KindBarrierArrive:
-			k := syncKey{e.Node, e.Sync}
-			barrierArrive[k] = append(barrierArrive[k], e)
+			// Changed with the event: a reduction's arrival has no release.
+			if e.Aux != BarrierReduce {
+				k := syncKey{e.Node, e.Sync}
+				barrierArrive[k] = append(barrierArrive[k], e)
+			}
 
 		case KindBarrierRelease:
 			k := syncKey{e.Node, e.Sync}

@@ -41,6 +41,10 @@ func synthRecorder(nodes, threads, limit, n int, scramble bool) *Recorder {
 			Aux:    int64(rnd(2)),
 		}
 		switch e.Kind {
+		case KindBarrierArrive:
+			e.Aux = int64(rnd(3)) // global, local, reduction
+		case KindLockAcquire:
+			e.Aux = int64(rnd(4)) // cached token, local queue, 2 or 3 hops
 		case KindThreadBlock, KindThreadUnblock:
 			e.Arg = []int64{1, 2, 3, 9}[rnd(4)]
 		case KindMsgSend, KindMsgDeliver, KindMsgDrop, KindMsgDup, KindRetransmit, KindDupSuppress:

@@ -28,16 +28,19 @@ import (
 type Kind uint8
 
 // Event kinds. The comment after each kind documents which Event fields
-// are meaningful for it; unset fields are zero.
+// are meaningful for it; unset fields are zero. An event that ends a
+// span carries the span's length in Dur, so a consumer (the latency
+// analyzer, the metrics registry) reads it without pairing the event
+// with the one that opened it.
 const (
 	// KindFaultStart: a remote page fault begins at Node. Thread is the
 	// faulting thread, Page the faulted page. Emitted before signal
 	// delivery is charged, matching the paper's fault cost accounting.
 	KindFaultStart Kind = iota
 	// KindFaultResolve: the fault on Page at Node completed; the page is
-	// consistent (or re-faults). Arg is the number of diffs applied.
-	// Thread is the applying thread (-1 under the SW protocol, where the
-	// completion runs in handler context).
+	// consistent (or re-faults). Arg is the number of diffs applied, Dur
+	// the span since the fault's start. Thread is the applying thread (-1
+	// under the SW protocol, where the completion runs in handler context).
 	KindFaultResolve
 	// KindTwinCreate: a local write fault created a twin of Page at Node
 	// (Thread is the writer).
@@ -59,18 +62,23 @@ const (
 	// KindLockGrant: the token for lock Sync arrived back at requester
 	// Node (handler context; Thread is -1).
 	KindLockGrant
-	// KindLockAcquire: Thread at Node now holds lock Sync. Arg is 1 for
-	// acquires satisfied locally (cached token or local queue), 0 for
-	// acquires that needed a remote request.
+	// KindLockAcquire: Thread at Node now holds lock Sync. Aux says how
+	// the lock came: 0 the cached token, 1 a wait with no messages (the
+	// local queue; on the real runtime, a manager on this node) — both
+	// local acquires — and 2 or 3 the hops of a remote acquire. Dur is the
+	// wait: since the request for a remote acquire, since the block for a
+	// local one.
 	KindLockAcquire
 	// KindLockRelease: Thread at Node released lock Sync.
 	KindLockRelease
-	// KindBarrierArrive: Thread at Node arrived at barrier Sync. Aux is 1
-	// for node-local barriers, 0 for global ones.
+	// KindBarrierArrive: Thread at Node arrived at barrier Sync. Aux is
+	// the rendezvous: BarrierGlobal, BarrierLocal, or BarrierReduce for
+	// the arrival at a reduction, whose release is not traced.
 	KindBarrierArrive
 	// KindBarrierRelease: barrier Sync released its waiters at Node.
 	// Thread is -1 for global barriers (release runs in handler context);
-	// for local barriers (Aux=1) it is the last-arriving thread.
+	// for local barriers (Aux=BarrierLocal) it is the last-arriving
+	// thread, which does not block, and Dur is its stall since arriving.
 	KindBarrierRelease
 	// KindThreadSwitch: Node dispatched Thread after running thread Arg
 	// (global ids). Emitted after the switch cost is charged.
@@ -79,18 +87,26 @@ const (
 	// (fault/lock/barrier) for idle-time attribution.
 	KindThreadBlock
 	// KindThreadUnblock: Thread at Node resumed after a block; Arg is the
-	// same reason recorded at block time.
+	// same reason recorded at block time. It says what the thread waited
+	// for — Page for a fault, Sync for a lock or a barrier, and a
+	// barrier's Aux — and Dur for how long: since the block for a fault,
+	// since the request (remote) or the block (local queue) for a lock,
+	// since the arrival for a barrier or a reduction.
 	KindThreadUnblock
 	// KindMsgSend: a message of class Sync left Node's egress for Peer.
 	// T is the departure time (after egress queueing), Arg the payload
-	// bytes, Aux the network-wide message id linking send to delivery.
+	// bytes, Aux the network-wide message id linking send to delivery,
+	// Dur the egress queueing. Dur is -1 on the fault model's replica of
+	// a duplicated message, which never queued.
 	KindMsgSend
 	// KindMsgDeliver: the message with id Aux (class Sync, Arg bytes,
-	// sent by Peer) started its handler at Node.
+	// sent by Peer) started its handler at Node. Dur is the span since
+	// its departure, Page the ingress queueing in nanoseconds.
 	KindMsgDeliver
 	// KindMsgDrop: the fault model dropped the message with id Aux
-	// (class Sync, Arg bytes) from Node to Peer at its departure time T.
-	// No matching deliver event exists for the id.
+	// (class Sync, Arg bytes) from Node to Peer at its departure time T;
+	// Dur is its egress queueing. No matching deliver event exists for
+	// the id.
 	KindMsgDrop
 	// KindMsgDup: the fault model duplicated the message with id Aux
 	// (class Sync, Arg bytes) from Node to Peer; the replica delivers as
@@ -115,6 +131,23 @@ const (
 	KindExclWindowClose
 
 	numKinds
+)
+
+// Block reasons, the Arg of thread.block and thread.unblock: what a
+// blocked thread waits for — a remote page fetch, a lock acquire, a
+// global or local barrier or a reduction — in Figure 1's breakdown.
+const (
+	ReasonFault sim.Reason = 1 + iota
+	ReasonLock
+	ReasonBarrier
+)
+
+// Rendezvous kinds, the Aux of barrier.arrive and barrier.release and of
+// the thread.unblock that ends a barrier wait.
+const (
+	BarrierGlobal int64 = iota
+	BarrierLocal
+	BarrierReduce
 )
 
 var kindNames = [numKinds]string{
@@ -159,6 +192,7 @@ func NumKinds() int { return int(numKinds) }
 // array. Field meaning is kind-specific; see the Kind constants.
 type Event struct {
 	T    sim.Time // virtual timestamp
+	Dur  sim.Time // the span an end event closes (see the Kind constants)
 	Seq  uint64   // global emission order, assigned by the Recorder
 	Aux  int64    // kind-specific auxiliary value
 	Arg  int64    // kind-specific argument
