@@ -77,7 +77,7 @@ func run(args []string, out io.Writer) (err error) {
 
 		engineWorkers = fs.Int("engine-workers", 0, "conservative parallel engine worker count (0 = sequential engine)")
 		compressDiffs = fs.Bool("compress-diffs", false, "account diff messages at their compressed wire size (simulator only; the real transport always compresses)")
-		adapt         = fs.Bool("adapt", false, "enable per-page adaptive coherence (invalidate/update and single-/multi-writer mode switching)")
+		adapt         = fs.Bool("adapt", false, "enable per-page adaptive coherence (invalidate/update mode switching)")
 
 		faults    = fs.String("faults", "", "deterministic fault spec, e.g. 'drop=0.01,dup=0.001,reorder=0.005,jitter=100us,pause=1:5ms:2ms'")
 		faultSeed = fs.Uint64("fault-seed", 1, "fault-schedule seed (same spec + seed = same schedule, byte for byte)")
@@ -302,8 +302,6 @@ func report(out io.Writer, appName string, nodes, threads int, size string, st c
 		fmt.Fprintf(tw, "mode changes\t%d\n", st.Total.ModeChanges)
 		fmt.Fprintf(tw, "update pushes\t%d\n", st.Total.UpdatePushes)
 		fmt.Fprintf(tw, "update hits\t%d\n", st.Total.UpdateHits)
-		fmt.Fprintf(tw, "excl window closes\t%d\n", st.Total.ExclWindowCloses)
-		fmt.Fprintf(tw, "full fetches\t%d\n", st.Total.FullFetches)
 	}
 	fmt.Fprintln(tw)
 	fmt.Fprintf(tw, "messages (barrier/lock/diff)\t%d / %d / %d\n",

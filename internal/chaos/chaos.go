@@ -45,8 +45,8 @@ type Result struct {
 // would diverge visibly. Adaptation decisions are functions of per-epoch
 // protocol observations, not of virtual timing, so a faulted adaptive
 // run must still reproduce the fault-free checksum; the checker holds it
-// to the adaptation invariants as well (mode-epoch monotonicity,
-// cluster-wide mode agreement, exclusive-window diff silence).
+// to the adaptation invariants as well (mode-epoch monotonicity and
+// cluster-wide mode agreement).
 func RunOne(c harness.Cell, size apps.Size) (Result, error) {
 	chk := check.New(c.Nodes, c.Threads)
 	c = c.With(func(cfg *cvm.Config) { cfg.Tracer = chk })

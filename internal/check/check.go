@@ -83,11 +83,6 @@ type modeDecl struct {
 	owner int32
 }
 
-// modeExcl mirrors core.ModeExcl (trace events carry the numeric mode
-// in Arg; importing core here would invert the dependency). Pinned by
-// TestModeValueMirrorsCore.
-const modeExcl = 2
-
 // barrierState tracks one global barrier id across epochs. Epochs of
 // the same id are sequential, but releases of epoch k can interleave
 // with arrivals of epoch k+1 (a released node races ahead while another
@@ -135,7 +130,6 @@ type Checker struct {
 	// extra there.
 	modeEpoch map[nodePage]int64     // last mode-change epoch applied
 	modeAt    map[pageEpoch]modeDecl // cluster-wide declaration per epoch
-	exclSpan  map[nodePage]bool      // owner holds an unopened/open excl grant
 }
 
 // New returns a Checker for a cluster of the given shape.
@@ -154,7 +148,6 @@ func New(nodes, threadsPerNode int) *Checker {
 		pageClk:   make(map[nodePage][]int64),
 		modeEpoch: make(map[nodePage]int64),
 		modeAt:    make(map[pageEpoch]modeDecl),
-		exclSpan:  make(map[nodePage]bool),
 	}
 	for i := range c.clk {
 		c.clk[i] = make([]int64, nodes)
@@ -219,13 +212,6 @@ func (c *Checker) Emit(e trace.Event) {
 			c.violate(e, e.Page, "twin-diff-pairing", "diff created with no outstanding twin")
 		}
 		delete(c.twins, key)
-		// excl-no-diff: an exclusive owner absorbs writes without the
-		// twin/diff machinery; a diff between the grant and the window
-		// close means the single-writer fast path leaked an interval.
-		if c.exclSpan[key] {
-			c.violate(e, e.Page, "excl-no-diff",
-				"diff created inside an exclusive-mode window")
-		}
 
 	case trace.KindDiffApply:
 		// diff-apply-hb: a node applies a page's diffs in happens-before
@@ -370,19 +356,6 @@ func (c *Checker) Emit(e trace.Event) {
 				"epoch %d declares mode %d owner %d here, mode %d owner %d elsewhere",
 				e.Aux, decl.mode, decl.owner, prev.mode, prev.owner)
 		}
-		// excl-no-diff bookkeeping: a grant opens the forbidden span at
-		// the owner; any change away from exclusive ends it (the window,
-		// if it ever opened, was closed before this notice was emitted).
-		if e.Arg == modeExcl && e.Peer == e.Node {
-			c.exclSpan[key] = true
-		} else {
-			delete(c.exclSpan, key)
-		}
-
-	case trace.KindExclWindowClose:
-		// The owner committed its absorbed writes back onto the interval
-		// machinery; diffs for the page are legitimate again.
-		delete(c.exclSpan, nodePage{e.Node, e.Page})
 	}
 }
 

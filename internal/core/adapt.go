@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"cvm/internal/sim"
@@ -10,8 +12,8 @@ import (
 // This file implements per-page adaptive coherence (Config.Adapt): an
 // online classifier tags each page's sharing pattern from the fault and
 // write-notice attribution already flowing through the barrier manager,
-// and a controller switches pages between three coherence modes at
-// barrier releases.
+// and a controller switches producer-consumer pages into update mode at
+// barrier releases, and every other page back to invalidate.
 //
 // Mode semantics:
 //
@@ -22,13 +24,6 @@ import (
 //     subscribers. A subscriber caches contiguous push chains per
 //     writer and satisfies later fault ranges locally, removing the
 //     request/reply round trip from the paper's ~1100 µs fault path.
-//   - ModeExcl: a single designated owner suspends the twin/diff
-//     machinery — writes are absorbed with no interval bookkeeping
-//     (the exclusive "window"). Non-owners are invalidated at the mode
-//     switch and must fetch a whole-page snapshot from the owner; the
-//     first foreign access closes the window (twin + dirty mark), so
-//     absorbed writes re-enter the interval machinery before any
-//     foreign copy can observe them.
 //
 // Every decision is taken at a global-barrier completion in the
 // manager's engine context, stamped with the adaptation epoch, and
@@ -47,9 +42,6 @@ const (
 	// cooldown is how many epochs a page rests after a mode change
 	// before the controller may switch it again.
 	cooldown = 3
-	// maxPromotionsPerEpoch caps exclusive-mode promotions per epoch,
-	// bounding the invalidation burst a release carries.
-	maxPromotionsPerEpoch = 32
 	// subscriberCap bounds the update-mode subscriber set; pages read by
 	// more nodes stay in invalidate mode.
 	subscriberCap = 16
@@ -64,8 +56,6 @@ const (
 	ModeMWInv PageMode = iota
 	// ModeMWUpd pushes closed-interval diffs eagerly to subscribers.
 	ModeMWUpd
-	// ModeExcl suspends twin/diff machinery at a single owner.
-	ModeExcl
 )
 
 // String returns a short name for the mode.
@@ -75,8 +65,6 @@ func (m PageMode) String() string {
 		return "mw-inv"
 	case ModeMWUpd:
 		return "mw-upd"
-	case ModeExcl:
-		return "excl"
 	default:
 		return "mode?"
 	}
@@ -86,7 +74,9 @@ func (m PageMode) String() string {
 // following the classic taxonomy: private (one writer, no foreign
 // readers), migratory (the single writer moves between nodes),
 // producer-consumer (one stable writer, foreign readers), and false
-// sharing / write-shared (multiple writers in one epoch).
+// sharing / write-shared (multiple writers in one epoch). Only
+// producer-consumer promotes a page; migratory and false sharing demote
+// it, and private leaves it where it is.
 type PagePattern uint8
 
 // Sharing patterns.
@@ -117,7 +107,7 @@ func (p PagePattern) String() string {
 // ModeDecision is the classifier's current prescription for one page.
 type ModeDecision struct {
 	Mode  PageMode
-	Owner int32   // exclusive owner, or the producer; -1 when none
+	Owner int32   // the producer; -1 when none
 	Subs  []int32 // update-mode subscriber nodes, ascending
 }
 
@@ -134,11 +124,6 @@ type classPage struct {
 	streak     int // consecutive epochs observing pattern
 	lastWriter int32
 	cooldown   int
-	barred     bool // foreign access hit exclusive mode: never promote again
-
-	upMisses    int  // consecutive update-mode push epochs with zero hits
-	upDemotions int  // times update mode was demoted for uselessness
-	upBarred    bool // update mode proved useless twice: stop trying
 
 	mode  PageMode
 	owner int32
@@ -150,13 +135,10 @@ func newClassifier() *classifier {
 }
 
 // Step ingests one epoch's activity for pg — the nodes that closed
-// write intervals naming it, the nodes that remote-faulted on it, and
-// the fault ranges satisfied from pushed-update caches (hits) — and
-// returns the page's mode decision plus whether it changed this epoch.
-// promoteOK gates exclusive-mode promotion (the controller's per-epoch
-// cap); when false a promotable page simply stays put, keeps its
-// streak, and retries next epoch.
-func (c *classifier) Step(pg PageID, writers, readers []int32, hits int32, promoteOK bool) (ModeDecision, bool) {
+// write intervals naming it and the nodes that remote-faulted on it —
+// and returns the page's mode decision plus whether it changed this
+// epoch.
+func (c *classifier) Step(pg PageID, writers, readers []int32) (ModeDecision, bool) {
 	st := c.pages[pg]
 	if st == nil {
 		st = &classPage{lastWriter: -1, owner: -1}
@@ -215,62 +197,6 @@ func (c *classifier) Step(pg PageID, writers, readers []int32, hits int32, promo
 		st.streak = 1
 	}
 
-	// Exclusive mode demotes immediately — hysteresis and cooldown do
-	// not apply — the moment any foreign node touches the page: the
-	// owner's window is already closed (the foreign fault's whole-page
-	// fetch closed it), and the page is permanently barred from
-	// re-promotion.
-	if st.mode == ModeExcl {
-		foreign := false
-		for _, w := range writers {
-			if w != st.owner {
-				foreign = true
-			}
-		}
-		for _, r := range readers {
-			if r != st.owner {
-				foreign = true
-			}
-		}
-		if foreign {
-			st.barred = true
-			st.mode = ModeMWInv
-			st.subs = nil
-			st.cooldown = cooldown
-			st.streak = 0
-			// Keep st.owner: demoted non-owners may still hold a
-			// pending whole-page fetch toward it.
-			return c.decision(st), true
-		}
-	}
-
-	// Update-mode effectiveness feedback: every push epoch (the writer
-	// closed an interval, so diffs went out) that produces no cache hits
-	// anywhere is wasted wire and receive overhead. Phase-split apps
-	// alternate push epochs and hit epochs, so only a RUN of hitless
-	// push epochs demotes; a second useless stint bars the page from
-	// update mode for good. Like the exclusive-mode escape, this
-	// overrides hysteresis and cooldown — it is evidence, not noise.
-	if st.mode == ModeMWUpd {
-		switch {
-		case hits > 0:
-			st.upMisses = 0
-		case len(writers) > 0:
-			st.upMisses++
-			if st.upMisses >= 2*hysteresis {
-				st.upMisses = 0
-				st.upDemotions++
-				if st.upDemotions >= 2 {
-					st.upBarred = true
-				}
-				st.mode = ModeMWInv
-				st.subs = nil
-				st.cooldown = cooldown
-				return c.decision(st), true
-			}
-		}
-	}
-
 	if st.cooldown > 0 {
 		st.cooldown--
 		return c.decision(st), false
@@ -281,20 +207,9 @@ func (c *classifier) Step(pg PageID, writers, readers []int32, hits int32, promo
 
 	switch st.pattern {
 	case PatternPrivate:
-		if st.mode != ModeExcl && !st.barred && st.lastWriter >= 0 {
-			if !promoteOK {
-				return c.decision(st), false
-			}
-			st.mode = ModeExcl
-			st.owner = st.lastWriter
-			st.subs = nil
-			st.cooldown = cooldown
-			return c.decision(st), true
-		}
+		// Nobody else touches the page: no mode earns anything, so it
+		// keeps the one it has.
 	case PatternProducerConsumer:
-		if st.upBarred {
-			return c.decision(st), false
-		}
 		if st.mode != ModeMWUpd {
 			// Promotion needs fresh consumer evidence — a foreign fault in
 			// THIS epoch, not a pattern carried over from one. A page read
@@ -313,12 +228,6 @@ func (c *classifier) Step(pg PageID, writers, readers []int32, hits int32, promo
 			}
 		}
 		subs := mergeSubs(st.subs, readers, st.lastWriter)
-		if len(subs) == 0 {
-			// No foreign readers on record (possible right after an
-			// exclusive-mode demotion cleared the set): update mode with
-			// nobody to push to is pure overhead.
-			return c.decision(st), false
-		}
 		if len(subs) > subscriberCap {
 			// Too widely read to push to everyone; fall back.
 			if st.mode == ModeMWUpd {
@@ -414,16 +323,10 @@ func (r *adaptRelease) wireBytes() int {
 }
 
 // adaptObs is one node's per-epoch observation report, piggybacked on
-// its barrier arrival: remote-fault counts per page (the classifier's
-// reader signal) and update-cache hit counts.
+// its barrier arrival: the pages it remote-faulted on (the classifier's
+// reader signal), ascending.
 type adaptObs struct {
-	pages  []PageID
-	counts []int32
-	// hitPages/hits report faults satisfied from pushed-update caches —
-	// the controller's evidence that a page's update mode is earning its
-	// push traffic.
-	hitPages []PageID
-	hits     []int32
+	pages []PageID
 }
 
 // wireBytes is the accounting size of the piggybacked report.
@@ -431,7 +334,7 @@ func (o *adaptObs) wireBytes() int {
 	if o == nil {
 		return 0
 	}
-	return 8 + 12*len(o.pages) + 12*len(o.hitPages)
+	return 8 + 12*len(o.pages)
 }
 
 // adaptController owns all cluster-level adaptation state. It is
@@ -446,7 +349,6 @@ type adaptController struct {
 	lastIdx []int32 // per node: highest interval index already classified
 
 	readers map[PageID][]int32 // this epoch's remote-faulting nodes per page
-	hits    map[PageID]int32   // this epoch's update-cache hits per page
 }
 
 func newAdaptController(s *System) *adaptController {
@@ -455,7 +357,6 @@ func newAdaptController(s *System) *adaptController {
 		cls:     newClassifier(),
 		lastIdx: make([]int32, s.cfg.Nodes),
 		readers: make(map[PageID][]int32),
-		hits:    make(map[PageID]int32),
 	}
 }
 
@@ -466,9 +367,6 @@ func (ctl *adaptController) noteObs(from int, o *adaptObs) {
 	}
 	for _, pg := range o.pages {
 		ctl.readers[pg] = append(ctl.readers[pg], int32(from))
-	}
-	for i, pg := range o.hitPages {
-		ctl.hits[pg] += o.hits[i]
 	}
 }
 
@@ -511,17 +409,12 @@ func (ctl *adaptController) decide() *adaptRelease {
 	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 
 	rel := &adaptRelease{epoch: ctl.epoch}
-	promotions := 0
 	for _, pg := range pages {
 		rs := ctl.readers[pg]
 		sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
-		d, changed := ctl.cls.Step(pg, writers[pg], rs, ctl.hits[pg],
-			promotions < maxPromotionsPerEpoch)
+		d, changed := ctl.cls.Step(pg, writers[pg], rs)
 		if !changed {
 			continue
-		}
-		if d.Mode == ModeExcl {
-			promotions++
 		}
 		rel.changes = append(rel.changes, modeChange{
 			page: pg, mode: d.Mode, owner: d.Owner, epoch: ctl.epoch,
@@ -531,9 +424,6 @@ func (ctl *adaptController) decide() *adaptRelease {
 
 	for pg := range ctl.readers {
 		delete(ctl.readers, pg)
-	}
-	for pg := range ctl.hits {
-		delete(ctl.hits, pg)
 	}
 	ctl.epoch++
 	if len(rel.changes) == 0 {
@@ -547,26 +437,8 @@ func (ctl *adaptController) decide() *adaptRelease {
 
 // pageAdapt is one node's adaptive state for one page.
 type pageAdapt struct {
-	mode  PageMode
-	owner int32
-	epoch int32 // epoch of the last applied mode change
-	subs  []int32
-
-	// needFull: the node was invalidated by an exclusive-mode promotion
-	// and must fetch a whole-page snapshot from the owner before diffs
-	// can validate the page again (the owner's window writes exist in no
-	// diff). Set at promotion, cleared only by a snapshot install; it
-	// deliberately survives demotion.
-	needFull bool
-
-	// exclOpen: the owner's exclusive window is open — writes are being
-	// absorbed with no twin and no dirty mark.
-	exclOpen bool
-
-	// exclMissed: a foreign access closed the window; the fast path is
-	// disabled so the window can never re-open and absorb writes a
-	// previously served snapshot would miss.
-	exclMissed bool
+	mode PageMode
+	subs []int32
 
 	// cache holds pushed-diff chains per writer (update mode,
 	// subscriber side).
@@ -599,7 +471,7 @@ func (n *node) ensureAdapt(pg PageID) *pageAdapt {
 	}
 	ad := n.pmode[pg]
 	if ad == nil {
-		ad = &pageAdapt{owner: -1}
+		ad = &pageAdapt{}
 		n.pmode[pg] = ad
 	}
 	return ad
@@ -610,7 +482,7 @@ func (n *node) ensureAdapt(pg PageID) *pageAdapt {
 // when adaptation is on.
 func (n *node) noteFaultObs(pg PageID) {
 	if n.adaptObs != nil {
-		n.adaptObs[pg]++
+		n.adaptObs[pg] = struct{}{}
 	}
 }
 
@@ -623,28 +495,8 @@ func (n *node) takeAdaptObs() *adaptObs {
 	}
 	o := &adaptObs{}
 	if len(n.adaptObs) > 0 {
-		o.pages = make([]PageID, 0, len(n.adaptObs))
-		for pg := range n.adaptObs {
-			o.pages = append(o.pages, pg)
-		}
-		sort.Slice(o.pages, func(i, j int) bool { return o.pages[i] < o.pages[j] })
-		o.counts = make([]int32, len(o.pages))
-		for i, pg := range o.pages {
-			o.counts[i] = n.adaptObs[pg]
-			delete(n.adaptObs, pg)
-		}
-	}
-	if len(n.adaptHits) > 0 {
-		o.hitPages = make([]PageID, 0, len(n.adaptHits))
-		for pg := range n.adaptHits {
-			o.hitPages = append(o.hitPages, pg)
-		}
-		sort.Slice(o.hitPages, func(i, j int) bool { return o.hitPages[i] < o.hitPages[j] })
-		o.hits = make([]int32, len(o.hitPages))
-		for i, pg := range o.hitPages {
-			o.hits[i] = n.adaptHits[pg]
-			delete(n.adaptHits, pg)
-		}
+		o.pages = slices.Sorted(maps.Keys(n.adaptObs))
+		clear(n.adaptObs)
 	}
 	return o
 }
@@ -655,38 +507,14 @@ func (n *node) applyAdaptRelease(rel *adaptRelease) {
 	for i := range rel.changes {
 		mc := &rel.changes[i]
 		ad := n.ensureAdapt(mc.page)
-		prevMode, prevOwner := ad.mode, ad.owner
-		ad.mode = mc.mode
-		ad.owner = mc.owner
-		ad.epoch = mc.epoch
-		ad.subs = mc.subs
-		if mc.mode != prevMode {
+		if mc.mode != ad.mode {
 			// A mode transition invalidates push chains. A subs-only
 			// refresh (still update mode) must NOT: the pushes that just
 			// arrived during the barrier wait are exactly what the next
 			// epoch's faults will hit.
 			ad.cache = nil
 		}
-		switch {
-		case mc.mode == ModeExcl && int32(n.id) == mc.owner:
-			// A fresh exclusive grant: clear any miss left by an earlier
-			// stint so the owner's next write can reopen the window. The
-			// checker's excl-no-diff invariant relies on this — between
-			// the grant and the window close the owner commits nothing.
-			ad.exclMissed = false
-		case mc.mode == ModeExcl && int32(n.id) != mc.owner:
-			// Stale copies from before the promotion would otherwise
-			// read forever: exclusive mode emits no write notices.
-			p := n.pageAt(mc.page)
-			p.state = PageInvalid
-			ad.needFull = true
-		case prevMode == ModeExcl && mc.mode != ModeExcl &&
-			int32(n.id) == prevOwner && ad.exclOpen:
-			// Demotion with the window still open (possible only if no
-			// foreign access ever closed it): close it here so absorbed
-			// writes re-enter the interval machinery.
-			n.closeExclWindow(n.pageAt(mc.page), ad)
-		}
+		ad.mode, ad.subs = mc.mode, mc.subs
 		n.stats.ModeChanges++
 		if tr := n.sys.tracer; tr != nil {
 			tr.Emit(trace.Event{T: n.proc.LocalNow(), Kind: trace.KindModeChange,
@@ -785,7 +613,7 @@ func (n *node) receiveUpdate(pg PageID, d *Diff, prevIdx int32) {
 // diffs (from pushed chains) and ranges that still need the network.
 // A chain covering (from, to] ⊇ (r.from, r.to] is a hit; a chain that
 // cannot cover the range is stale and dropped.
-func (n *node) consumeCached(pg PageID, ad *pageAdapt, ranges []diffRange) (remote []diffRange, cached []*Diff) {
+func (n *node) consumeCached(ad *pageAdapt, ranges []diffRange) (remote []diffRange, cached []*Diff) {
 	for _, r := range ranges {
 		c := ad.cache[int32(r.node)]
 		if c == nil || len(c.diffs) == 0 || c.from > r.from || c.to < r.to {
@@ -801,103 +629,9 @@ func (n *node) consumeCached(pg PageID, ad *pageAdapt, ranges []diffRange) (remo
 			}
 		}
 		n.stats.UpdateHits++
-		if n.adaptHits != nil {
-			n.adaptHits[pg]++
-		}
 		if c.to <= r.to {
 			delete(ad.cache, int32(r.node))
 		}
 	}
 	return remote, cached
-}
-
-// ---------------------------------------------------------------------
-// Exclusive mode: owner window, whole-page serving.
-
-// closeExclWindow ends the owner's exclusive window (engine or thread
-// context at the owner): the current page contents become the twin, the
-// page joins the dirty list, and subsequent writes flow through the
-// normal interval machinery. Absorbed window writes are therefore
-// committed before any foreign copy can be served.
-func (n *node) closeExclWindow(p *page, ad *pageAdapt) {
-	ad.exclOpen = false
-	ad.exclMissed = true
-	if p.state == PageReadWrite && p.twin == nil {
-		n.materialize(p)
-		n.newTwin(p)
-		n.markDirty(p)
-		if tr := n.sys.tracer; tr != nil {
-			tr.Emit(trace.Event{T: n.proc.LocalNow(), Kind: trace.KindTwinCreate,
-				Node: int32(n.id), Thread: -1, Page: int32(p.id)})
-		}
-	}
-	n.stats.ExclWindowCloses++
-	if tr := n.sys.tracer; tr != nil {
-		tr.Emit(trace.Event{T: n.proc.LocalNow(), Kind: trace.KindExclWindowClose,
-			Node: int32(n.id), Thread: -1, Page: int32(p.id), Aux: int64(ad.epoch)})
-	}
-}
-
-// serveFullPage answers a whole-page fetch at the (current or former)
-// exclusive owner (engine context): close a still-open window, then
-// reply with the committed page image — the twin when an interval is
-// open, else the live data — and the owner's applied-coverage vector,
-// with the owner's own entry at its current interval index.
-func (n *node) serveFullPage(pg PageID, reply func(data []byte, vec VClock, bytes int, service sim.Time)) {
-	p := n.pageAt(pg)
-	if ad := n.adaptOf(pg); ad != nil && ad.exclOpen {
-		n.closeExclWindow(p, ad)
-	}
-	n.materialize(p)
-	src := p.data
-	if p.twin != nil {
-		src = p.twin
-	}
-	data := make([]byte, len(src))
-	copy(data, src)
-	vec := NewVClock(n.sys.cfg.Nodes)
-	for i := range p.writers {
-		vec[p.writers[i].node] = p.writers[i].applied
-	}
-	vec[n.id] = n.curIdx
-	bytes := 16 + len(data) + vec.wireBytes()
-	reply(data, vec, bytes, n.sys.cfg.DiffServeCost)
-}
-
-// fullFetchFault fetches a whole-page snapshot from the exclusive
-// owner (thread context; the fault span is already open and signal
-// delivery charged). The install happens in applyFault via
-// faultState.snap; residual writer gaps, if any, re-fault normally.
-func (t *Thread) fullFetchFault(p *page, ad *pageAdapt, fstart sim.Time) {
-	n := t.node
-	sys := t.sys
-	owner := int(ad.owner)
-	fs := &faultState{page: p, outstanding: 1, start: fstart}
-	p.fault = fs
-	n.stats.RemoteFaults++
-	n.stats.FullFetches++
-	n.stats.OutstandingFaults += int64(n.inFlightFaults)
-	n.stats.OutstandingLocks += int64(n.inFlightLocks)
-	n.inFlightFaults++
-	target := sys.nodes[owner]
-	sys.send(t.task, NodeID(n.id), NodeID(owner),
-		ClassDiff, diffRequestBytes, func() {
-			target.serveFullPage(p.id, func(data []byte, vec VClock, bytes int, service sim.Time) {
-				sys.eng.ScheduleOn(target.proc, target.proc.LocalNow()+service, func() {
-					sys.send(nil, NodeID(owner), NodeID(n.id),
-						ClassDiff, bytes, func() {
-							fs.snap = data
-							fs.snapVec = vec
-							fs.outstanding = 0
-							fs.ready = true
-							sys.eng.Wake(fs.waiters[0].task)
-						})
-				})
-			})
-		})
-	fs.waiters = append(fs.waiters, t)
-	t.blockFault(p)
-	if p.fault == fs && fs.ready && fs.waiters[0] == t {
-		t.applyFault(fs)
-	}
 }

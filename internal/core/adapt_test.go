@@ -6,13 +6,11 @@ import (
 )
 
 // classStep is one synthetic epoch fed to the classifier: the nodes
-// that closed write intervals on the page, the nodes that
-// remote-faulted on it, and the faults satisfied from pushed-update
-// caches, plus the expected outcome.
+// that closed write intervals on the page and the nodes that
+// remote-faulted on it, plus the expected outcome.
 type classStep struct {
 	writers []int32
 	readers []int32
-	hits    int32
 
 	wantChanged bool
 	wantPattern PagePattern
@@ -20,13 +18,13 @@ type classStep struct {
 }
 
 // driveClassifier replays a step table against a fresh classifier,
-// failing on the first divergence. promoteOK is held true throughout.
+// failing on the first divergence.
 func driveClassifier(t *testing.T, steps []classStep) *classifier {
 	t.Helper()
 	c := newClassifier()
 	const pg = PageID(7)
 	for i, s := range steps {
-		d, changed := c.Step(pg, s.writers, s.readers, s.hits, true)
+		d, changed := c.Step(pg, s.writers, s.readers)
 		if changed != s.wantChanged {
 			t.Fatalf("step %d: changed = %v, want %v (decision %+v)", i, changed, s.wantChanged, d)
 		}
@@ -44,11 +42,11 @@ func driveClassifier(t *testing.T, steps []classStep) *classifier {
 // through the classifier and checks the prescribed mode transitions.
 func TestClassifierTaxonomy(t *testing.T) {
 	for name, steps := range map[string][]classStep{
-		// One stable writer, never read remotely: exclusive mode at the
-		// hysteresis threshold.
+		// One stable writer, never read remotely: nothing to push to, so
+		// the page stays on invalidate past the hysteresis threshold.
 		"private": {
 			{writers: []int32{0}, wantPattern: PatternPrivate, wantMode: ModeMWInv},
-			{writers: []int32{0}, wantChanged: true, wantPattern: PatternPrivate, wantMode: ModeExcl},
+			{writers: []int32{0}, wantPattern: PatternPrivate, wantMode: ModeMWInv},
 		},
 		// The single writer hops between nodes: plain invalidate is
 		// already optimal (diffs chase the writer), so no mode change.
@@ -132,29 +130,21 @@ func TestClassifierCooldown(t *testing.T) {
 	}
 	// False sharing from here on: the demotion must wait out the
 	// 3-epoch cooldown even though the pattern's streak passes the
-	// hysteresis threshold during it. hits keeps the update-mode
-	// usefulness feedback quiet so only the cooldown is under test.
+	// hysteresis threshold during it.
 	for i := 0; i < 3; i++ {
-		steps = append(steps, classStep{writers: []int32{0, 1}, hits: 1, wantPattern: PatternFalseSharing, wantMode: ModeMWUpd})
+		steps = append(steps, classStep{writers: []int32{0, 1}, wantPattern: PatternFalseSharing, wantMode: ModeMWUpd})
 	}
-	steps = append(steps, classStep{writers: []int32{0, 1}, hits: 1, wantChanged: true, wantPattern: PatternFalseSharing, wantMode: ModeMWInv})
+	steps = append(steps, classStep{writers: []int32{0, 1}, wantChanged: true, wantPattern: PatternFalseSharing, wantMode: ModeMWInv})
 	driveClassifier(t, steps)
 }
 
-// TestClassifierExclDemotion checks the exclusive-mode escape hatch:
-// any foreign touch demotes immediately — no hysteresis, no cooldown —
-// and bars the page from ever promoting again.
-func TestClassifierExclDemotion(t *testing.T) {
-	steps := []classStep{
-		{writers: []int32{0}, wantPattern: PatternPrivate, wantMode: ModeMWInv},
-		{writers: []int32{0}, wantChanged: true, wantPattern: PatternPrivate, wantMode: ModeExcl},
-		// Foreign reader: immediate demotion despite the fresh cooldown.
-		{readers: []int32{2}, wantChanged: true, wantPattern: PatternProducerConsumer, wantMode: ModeMWInv},
-	}
-	// A long private streak afterwards must not re-promote: the window
-	// machinery has been disabled for this page for good.
-	for i := 0; i < 8; i++ {
-		steps = append(steps, classStep{writers: []int32{0}, wantPattern: PatternProducerConsumer, wantMode: ModeMWInv})
+// TestClassifierPrivateStaysPut checks that a page only ever written by
+// one node and never read remotely keeps the default mode however long
+// the history: update mode would have no subscriber to push to.
+func TestClassifierPrivateStaysPut(t *testing.T) {
+	var steps []classStep
+	for i := 0; i < 12; i++ {
+		steps = append(steps, classStep{writers: []int32{0}, wantPattern: PatternPrivate, wantMode: ModeMWInv})
 	}
 	driveClassifier(t, steps)
 }
@@ -183,32 +173,13 @@ func TestClassifierSubscriberCap(t *testing.T) {
 			{writers: []int32{0}, readers: atCap, wantPattern: PatternProducerConsumer, wantMode: ModeMWInv},
 			{writers: []int32{0}, readers: atCap, wantChanged: true, wantPattern: PatternProducerConsumer, wantMode: ModeMWUpd},
 		}
-		for i := 0; i < cooldown; i++ { // cooldown drain; hits silence the usefulness feedback
-			steps = append(steps, classStep{writers: []int32{0}, readers: atCap, hits: 1, wantPattern: PatternProducerConsumer, wantMode: ModeMWUpd})
+		for i := 0; i < cooldown; i++ { // cooldown drain
+			steps = append(steps, classStep{writers: []int32{0}, readers: atCap, wantPattern: PatternProducerConsumer, wantMode: ModeMWUpd})
 		}
-		steps = append(steps, classStep{writers: []int32{0}, readers: pastCap, hits: 1,
+		steps = append(steps, classStep{writers: []int32{0}, readers: pastCap,
 			wantChanged: true, wantPattern: PatternProducerConsumer, wantMode: ModeMWInv})
 		driveClassifier(t, steps)
 	})
-}
-
-// TestClassifierPromotionGate checks the controller's per-epoch
-// promotion cap seam: with promoteOK false a promotable page stays put
-// but keeps its streak, and promotes on the next permitted epoch.
-func TestClassifierPromotionGate(t *testing.T) {
-	c := newClassifier()
-	const pg = PageID(3)
-	if _, changed := c.Step(pg, []int32{1}, nil, 0, true); changed {
-		t.Fatal("changed on first epoch, before hysteresis")
-	}
-	d, changed := c.Step(pg, []int32{1}, nil, 0, false)
-	if changed || d.Mode != ModeMWInv {
-		t.Fatalf("promoted with promoteOK=false: changed=%v mode=%v", changed, d.Mode)
-	}
-	d, changed = c.Step(pg, []int32{1}, nil, 0, true)
-	if !changed || d.Mode != ModeExcl || d.Owner != 1 {
-		t.Fatalf("no promotion once gate opened: changed=%v decision=%+v", changed, d)
-	}
 }
 
 // TestClassifierSubsSticky checks that the update-mode subscriber set
@@ -217,83 +188,49 @@ func TestClassifierPromotionGate(t *testing.T) {
 func TestClassifierSubsSticky(t *testing.T) {
 	c := newClassifier()
 	const pg = PageID(11)
-	c.Step(pg, []int32{0}, []int32{2}, 0, true)
-	d, changed := c.Step(pg, []int32{0}, []int32{2}, 0, true)
+	c.Step(pg, []int32{0}, []int32{2})
+	d, changed := c.Step(pg, []int32{0}, []int32{2})
 	if !changed || !reflect.DeepEqual(d.Subs, []int32{2}) {
 		t.Fatalf("after promotion: changed=%v subs=%v, want [2]", changed, d.Subs)
 	}
 	for i := 0; i < cooldown; i++ { // cooldown epochs, reader 1 arrives
-		c.Step(pg, []int32{0}, []int32{1}, 1, true)
+		c.Step(pg, []int32{0}, []int32{1})
 	}
-	d, changed = c.Step(pg, []int32{0}, []int32{1, 0}, 1, true)
+	d, changed = c.Step(pg, []int32{0}, []int32{1, 0})
 	if !changed || !reflect.DeepEqual(d.Subs, []int32{1, 2}) {
 		t.Fatalf("subscriber growth: changed=%v subs=%v, want [1 2] (writer excluded)", changed, d.Subs)
 	}
-	d, _ = c.Step(pg, []int32{0}, nil, 1, true)
+	d, _ = c.Step(pg, []int32{0}, nil)
 	if !reflect.DeepEqual(d.Subs, []int32{1, 2}) {
 		t.Fatalf("subs shrank on a quiet epoch: %v, want [1 2]", d.Subs)
 	}
 }
 
-// TestClassifierUpdateDemotion checks the update-mode usefulness
-// feedback: a run of 2×Hysteresis hitless push epochs demotes despite
-// the cooldown, a hit epoch resets the run, and a second useless stint
-// bars the page from update mode permanently.
+// TestClassifierUpdateDemotion checks what takes a page out of update
+// mode: a run of push epochs that no consumer faults in is not evidence
+// against it, but false sharing is, once it outlasts the hysteresis.
 func TestClassifierUpdateDemotion(t *testing.T) {
 	promote := []classStep{
 		{writers: []int32{0}, readers: []int32{1}, wantPattern: PatternProducerConsumer, wantMode: ModeMWInv},
 		{writers: []int32{0}, readers: []int32{1}, wantChanged: true, wantPattern: PatternProducerConsumer, wantMode: ModeMWUpd},
 	}
 
-	t.Run("hitless-run-demotes", func(t *testing.T) {
+	t.Run("hitless-run-stays", func(t *testing.T) {
 		steps := append([]classStep(nil), promote...)
-		// Four hitless write epochs (2×Hysteresis): demotion fires on the
-		// last one, overriding the post-promotion cooldown.
-		for i := 0; i < 3; i++ {
+		for i := 0; i < 10; i++ {
 			steps = append(steps, classStep{writers: []int32{0}, wantPattern: PatternProducerConsumer, wantMode: ModeMWUpd})
-		}
-		steps = append(steps, classStep{writers: []int32{0},
-			wantChanged: true, wantPattern: PatternProducerConsumer, wantMode: ModeMWInv})
-		driveClassifier(t, steps)
-	})
-
-	t.Run("hit-resets-the-run", func(t *testing.T) {
-		steps := append([]classStep(nil), promote...)
-		for round := 0; round < 3; round++ {
-			// Three hitless epochs, then a hit: the run never reaches
-			// 2×Hysteresis, so the page keeps pushing.
-			for i := 0; i < 3; i++ {
-				steps = append(steps, classStep{writers: []int32{0}, wantPattern: PatternProducerConsumer, wantMode: ModeMWUpd})
-			}
-			steps = append(steps, classStep{writers: []int32{0}, hits: 2, wantPattern: PatternProducerConsumer, wantMode: ModeMWUpd})
 		}
 		driveClassifier(t, steps)
 	})
 
-	t.Run("second-stint-bars-for-good", func(t *testing.T) {
+	t.Run("false-sharing-demotes", func(t *testing.T) {
 		steps := append([]classStep(nil), promote...)
-		// First useless stint: demote after 4 hitless write epochs.
-		for i := 0; i < 3; i++ {
-			steps = append(steps, classStep{writers: []int32{0}, wantPattern: PatternProducerConsumer, wantMode: ModeMWUpd})
+		for i := 0; i < cooldown; i++ { // cooldown drain
+			steps = append(steps, classStep{writers: []int32{0}, readers: []int32{1}, wantPattern: PatternProducerConsumer, wantMode: ModeMWUpd})
 		}
-		steps = append(steps, classStep{writers: []int32{0},
-			wantChanged: true, wantPattern: PatternProducerConsumer, wantMode: ModeMWInv})
-		// Cooldown drains, then the persistent pattern re-promotes.
-		for i := 0; i < 3; i++ {
-			steps = append(steps, classStep{writers: []int32{0}, readers: []int32{1}, wantPattern: PatternProducerConsumer, wantMode: ModeMWInv})
-		}
-		steps = append(steps, classStep{writers: []int32{0}, readers: []int32{1},
-			wantChanged: true, wantPattern: PatternProducerConsumer, wantMode: ModeMWUpd})
-		// Second useless stint: demote again — and bar.
-		for i := 0; i < 3; i++ {
-			steps = append(steps, classStep{writers: []int32{0}, wantPattern: PatternProducerConsumer, wantMode: ModeMWUpd})
-		}
-		steps = append(steps, classStep{writers: []int32{0},
-			wantChanged: true, wantPattern: PatternProducerConsumer, wantMode: ModeMWInv})
-		// No amount of producer-consumer evidence re-promotes a barred page.
-		for i := 0; i < 8; i++ {
-			steps = append(steps, classStep{writers: []int32{0}, readers: []int32{1}, wantPattern: PatternProducerConsumer, wantMode: ModeMWInv})
-		}
+		steps = append(steps,
+			classStep{writers: []int32{0, 1}, wantPattern: PatternFalseSharing, wantMode: ModeMWUpd},
+			classStep{writers: []int32{0, 1}, wantChanged: true, wantPattern: PatternFalseSharing, wantMode: ModeMWInv})
 		driveClassifier(t, steps)
 	})
 }

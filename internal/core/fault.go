@@ -17,12 +17,6 @@ type faultState struct {
 	waiters     []*Thread
 	ready       bool     // all replies received; applier may proceed
 	start       sim.Time // fault-span open (before signal delivery), for fault.resolve's Dur
-
-	// Whole-page snapshot from an exclusive-mode owner (adapt.go): when
-	// set, applyFault installs it (with its coverage vector) before any
-	// diffs.
-	snap    []byte
-	snapVec VClock
 }
 
 // ensureAccess makes the page accessible for the requested access kind,
@@ -48,23 +42,6 @@ func (t *Thread) ensureAccess(p *page, write bool) {
 			// Write to a valid read-only page: local fault. Charge
 			// signal delivery, create the twin (a page-length copy
 			// through the cache), re-enable writes (mprotect).
-			if ad := n.adaptOf(p.id); ad != nil && ad.mode == ModeExcl &&
-				ad.owner == int32(n.id) && !ad.exclMissed {
-				// Exclusive owner: open the single-writer window — no
-				// twin, no dirty-list entry, no page-length copy. The
-				// absorbed writes re-enter the interval machinery when
-				// the window closes (first foreign access or demotion).
-				t.task.Advance(cfg.SignalCost)
-				n.materialize(p)
-				t.task.Advance(cfg.MprotectCost)
-				if p.state != PageReadOnly || ad.mode != ModeExcl || ad.exclMissed {
-					continue // a handler intervened while charging
-				}
-				p.state = PageReadWrite
-				ad.exclOpen = true
-				n.stats.LocalFaults++
-				return
-			}
 			t.task.Advance(cfg.SignalCost)
 			n.materialize(p)
 			if p.twin == nil {
@@ -119,13 +96,6 @@ func (t *Thread) remoteFault(p *page) {
 	}
 	t.task.Advance(cfg.SignalCost)
 	n.noteFaultObs(p.id)
-	ad := n.adaptOf(p.id)
-	if ad != nil && ad.needFull {
-		// Exclusive-mode invalidation: the owner's window writes exist
-		// in no diff, so fetch a whole-page snapshot instead.
-		t.fullFetchFault(p, ad, fstart)
-		return
-	}
 	ranges := p.missingFrom()
 	if len(ranges) == 0 {
 		// Raced with a completing fetch; nothing is missing anymore.
@@ -139,8 +109,8 @@ func (t *Thread) remoteFault(p *page) {
 
 	remote := ranges
 	var cached []*Diff
-	if ad != nil && ad.mode == ModeMWUpd && ad.cache != nil {
-		remote, cached = n.consumeCached(p.id, ad, ranges)
+	if ad := n.adaptOf(p.id); ad != nil && ad.mode == ModeMWUpd && ad.cache != nil {
+		remote, cached = n.consumeCached(ad, ranges)
 		if len(remote) == 0 {
 			// Every missing range is covered by pushed-update chains:
 			// resolve the fault entirely locally, no round trip.
@@ -203,25 +173,6 @@ func (t *Thread) applyFault(fs *faultState) {
 		n.detectRaces(fs.diffs)
 	}
 	base := t.pageVA(p.id)
-	if fs.snap != nil {
-		// Whole-page snapshot from an exclusive owner: install it first,
-		// then credit the coverage its vector certifies. The owner's
-		// applied indices are safe to adopt — the snapshot bytes include
-		// every interval they cover.
-		copy(p.data, fs.snap)
-		for nd, v := range fs.snapVec {
-			if nd == n.id || v == 0 {
-				continue
-			}
-			if w := p.writer(nd); w.applied < v {
-				w.applied = v
-			}
-		}
-		t.task.Advance(n.mem.AccessRange(base, t.sys.cfg.PageSize))
-		if ad := n.adaptOf(p.id); ad != nil {
-			ad.needFull = false
-		}
-	}
 	for _, d := range fs.diffs {
 		d.Apply(p.data, p.twin)
 		if w := p.writer(d.Node); d.Idx > w.applied {

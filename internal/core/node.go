@@ -45,14 +45,11 @@ type node struct {
 
 	// Adaptive-coherence state (see adapt.go); all nil, at no cost, when
 	// Config.Adapt is off. pmode holds per-page coherence modes; adaptObs
-	// counts this epoch's remote faults per page for the classifier;
-	// adaptHits counts the faults satisfied from pushed-update caches
-	// (the controller's update-mode usefulness signal); pendingPush
-	// queues update-mode pushes between closeInterval and the flush
-	// after the synchronization send.
+	// is the set of pages this node remote-faulted on this epoch, for the
+	// classifier; pendingPush queues update-mode pushes between
+	// closeInterval and the flush after the synchronization send.
 	pmode       map[PageID]*pageAdapt
-	adaptObs    map[PageID]int32
-	adaptHits   map[PageID]int32
+	adaptObs    map[PageID]struct{}
 	pendingPush []pendingPush
 
 	threads []Thread

@@ -27,13 +27,10 @@ type NodeStats struct {
 
 	// Adaptive-coherence counters (all zero with Config.Adapt off):
 	// applied mode-change notices, eager diff pushes sent and fault
-	// ranges they satisfied, exclusive-window closes, and whole-page
-	// fetches from exclusive owners.
-	ModeChanges      int64
-	UpdatePushes     int64
-	UpdateHits       int64
-	ExclWindowCloses int64
-	FullFetches      int64
+	// ranges they satisfied.
+	ModeChanges  int64
+	UpdatePushes int64
+	UpdateHits   int64
 
 	// Time breakdown (Figure 1): user time includes all local consistency
 	// work; the waits are non-overlapped (node fully idle).
@@ -67,8 +64,6 @@ func (s *NodeStats) Add(other NodeStats) {
 	s.ModeChanges += other.ModeChanges
 	s.UpdatePushes += other.UpdatePushes
 	s.UpdateHits += other.UpdateHits
-	s.ExclWindowCloses += other.ExclWindowCloses
-	s.FullFetches += other.FullFetches
 	s.UserTime += other.UserTime
 	s.FaultWait += other.FaultWait
 	s.LockWait += other.LockWait

@@ -90,10 +90,9 @@ type Config struct {
 	// consumes the per-epoch fault and write-notice attribution already
 	// flowing through the barrier manager, tags each page's sharing
 	// pattern (private, migratory, producer-consumer, false-sharing),
-	// and switches pages between the default multi-writer invalidate
-	// mode, an update mode (diffs pushed eagerly to subscribers), and an
-	// exclusive single-writer mode (twin/diff machinery suspended at the
-	// owner). Mode changes are epoch-stamped and applied on every node
+	// and switches producer-consumer pages from the default multi-writer
+	// invalidate mode to an update mode (diffs pushed eagerly to
+	// subscribers), and every other page back. Mode changes are epoch-stamped and applied on every node
 	// at barrier releases, so all nodes transition consistently. Off by
 	// default; with it off no adaptive state is allocated and every run
 	// is byte-identical to an unadapted build. Requires ProtocolLRC.
@@ -350,8 +349,7 @@ func (s *System) Start(main func(*Thread)) error {
 	for i := 0; i < s.cfg.Nodes; i++ {
 		n := s.nodes[i]
 		if s.cfg.Adapt {
-			n.adaptObs = make(map[PageID]int32)
-			n.adaptHits = make(map[PageID]int32)
+			n.adaptObs = make(map[PageID]struct{})
 		}
 		n.threads = make([]Thread, s.cfg.ThreadsPerNode)
 		for j := range n.threads {

@@ -34,15 +34,13 @@ func (p *Pair) DominantCost() (name string, base, variant cvm.Time) {
 
 // WriteAdaptive renders the adaptive-protocol comparison: per app, the
 // dominant baseline remote cost and how the adaptive run changed it,
-// plus wall time, traffic, and the adaptation activity by mechanism —
-// notices applied, fault ranges update mode served from pushed chains,
-// and exclusive mode's two costs (windows a foreign access closed and
-// the whole-page fetches that followed).
+// plus wall time, traffic, and the adaptation activity — notices
+// applied and fault ranges update mode served from pushed chains.
 func WriteAdaptive(w io.Writer, pairs []Pair, nodes, threads int) {
 	fmt.Fprintf(w, "Adaptive protocol (%d nodes x %d threads): per-page mode switching vs plain LRC\n",
 		nodes, threads)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(tw, "app\tdominant\tbase\tadaptive\tchange\tbase wall\tadapt wall\tbase msgs\tadapt msgs\tmodes\tupd hits\texcl closes\tfull fetches\t")
+	fmt.Fprintln(tw, "app\tdominant\tbase\tadaptive\tchange\tbase wall\tadapt wall\tbase msgs\tadapt msgs\tmodes\tupd hits\t")
 	for i := range pairs {
 		p := &pairs[i]
 		name, base, adapted := p.DominantCost()
@@ -51,10 +49,10 @@ func WriteAdaptive(w io.Writer, pairs []Pair, nodes, threads int) {
 			change = fmt.Sprintf("%+.1f%%", (float64(adapted)/float64(base)-1)*100)
 		}
 		ad := &p.Variant.Total
-		fmt.Fprintf(tw, "%s\t%s\t%v\t%v\t%s\t%v\t%v\t%d\t%d\t%d\t%d\t%d\t%d\t\n",
+		fmt.Fprintf(tw, "%s\t%s\t%v\t%v\t%s\t%v\t%v\t%d\t%d\t%d\t%d\t\n",
 			p.App, name, base, adapted, change, p.Base.Wall, p.Variant.Wall,
 			p.Base.Net.TotalMsgs(), p.Variant.Net.TotalMsgs(),
-			ad.ModeChanges, ad.UpdateHits, ad.ExclWindowCloses, ad.FullFetches)
+			ad.ModeChanges, ad.UpdateHits)
 	}
 	tw.Flush()
 }

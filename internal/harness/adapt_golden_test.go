@@ -22,7 +22,7 @@ var updateAdaptGolden = flag.Bool("update", false, "rewrite testdata/adapt_small
 // testdata/adapt_small.golden. A refactor of the adaptive machinery
 // must leave the file byte-identical; regenerate (`go test
 // ./internal/harness -run TestAdaptiveGolden -update`) only for an
-// intentional change to the classifier, the two modes, or the
+// intentional change to the classifier, the modes, or the
 // calibration they run on.
 func TestAdaptiveGolden(t *testing.T) {
 	if testing.Short() {
@@ -47,9 +47,8 @@ func TestAdaptiveGolden(t *testing.T) {
 			fmt.Fprintf(&b, "  %s msgs=%d bytes=%d\n", c, st.Net.Msgs[c], st.Net.Bytes[c])
 		}
 		fmt.Fprintf(&b, "  total msgs=%d bytes=%d\n", st.Net.TotalMsgs(), st.Net.TotalBytes())
-		fmt.Fprintf(&b, "  modes=%d pushes=%d hits=%d excl-closes=%d full-fetches=%d checksum=%x\n",
-			st.Total.ModeChanges, st.Total.UpdatePushes, st.Total.UpdateHits,
-			st.Total.ExclWindowCloses, st.Total.FullFetches, sum)
+		fmt.Fprintf(&b, "  modes=%d pushes=%d hits=%d checksum=%x\n",
+			st.Total.ModeChanges, st.Total.UpdatePushes, st.Total.UpdateHits, sum)
 		return b.String(), nil
 	})
 	if err != nil {

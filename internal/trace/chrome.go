@@ -131,8 +131,6 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 		case KindModeChange:
 			c.nameN("mode p", e.Page).instant(e, "adapt").
 				arg("mode", e.Arg).arg("owner", int64(e.Peer)).arg("epoch", e.Aux).end()
-		case KindExclWindowClose:
-			c.nameN("excl p", e.Page).str(" close").instant(e, "adapt").arg("epoch", e.Aux).end()
 		}
 	}
 

@@ -178,14 +178,10 @@ func writeChromeRef(w io.Writer, r *Recorder) error {
 			instant(e, "dup-suppress "+classNameRef(e.Sync), "transport",
 				fmt.Sprintf(`"from":%d,"seq":%d`, e.Peer, e.Aux))
 
-		// Added with the rewrite (the parent had no case for either kind).
+		// Added with the rewrite (the parent had no case for it).
 		case KindModeChange:
 			instant(e, fmt.Sprintf("mode p%d", e.Page), "adapt",
 				fmt.Sprintf(`"mode":%d,"owner":%d,"epoch":%d`, e.Arg, e.Peer, e.Aux))
-
-		case KindExclWindowClose:
-			instant(e, fmt.Sprintf("excl p%d close", e.Page), "adapt",
-				fmt.Sprintf(`"epoch":%d`, e.Aux))
 		}
 	}
 

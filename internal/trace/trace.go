@@ -121,14 +121,9 @@ const (
 	// is the class, Aux the transport sequence number.
 	KindDupSuppress
 	// KindModeChange: Node applied an adaptive coherence mode for Page.
-	// Arg is the new mode (core.PageMode), Peer the designated owner (or
-	// -1), Aux the adaptation epoch that stamped the change.
+	// Arg is the new mode (core.PageMode), Peer the producer (or -1), Aux
+	// the adaptation epoch that stamped the change.
 	KindModeChange
-	// KindExclWindowClose: the exclusive (single-writer) window for Page
-	// closed at its owner Node — a foreign access or a demotion forced
-	// the page back onto the interval machinery. Aux is the adaptation
-	// epoch current at the close.
-	KindExclWindowClose
 
 	numKinds
 )
@@ -151,29 +146,28 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	KindFaultStart:      "fault.start",
-	KindFaultResolve:    "fault.resolve",
-	KindTwinCreate:      "twin.create",
-	KindDiffCreate:      "diff.create",
-	KindDiffApply:       "diff.apply",
-	KindLockRequest:     "lock.request",
-	KindLockForward:     "lock.forward",
-	KindLockGrant:       "lock.grant",
-	KindLockAcquire:     "lock.acquire",
-	KindLockRelease:     "lock.release",
-	KindBarrierArrive:   "barrier.arrive",
-	KindBarrierRelease:  "barrier.release",
-	KindThreadSwitch:    "thread.switch",
-	KindThreadBlock:     "thread.block",
-	KindThreadUnblock:   "thread.unblock",
-	KindMsgSend:         "msg.send",
-	KindMsgDeliver:      "msg.deliver",
-	KindMsgDrop:         "msg.drop",
-	KindMsgDup:          "msg.dup",
-	KindRetransmit:      "msg.retransmit",
-	KindDupSuppress:     "msg.dupsuppress",
-	KindModeChange:      "adapt.mode",
-	KindExclWindowClose: "adapt.exclclose",
+	KindFaultStart:     "fault.start",
+	KindFaultResolve:   "fault.resolve",
+	KindTwinCreate:     "twin.create",
+	KindDiffCreate:     "diff.create",
+	KindDiffApply:      "diff.apply",
+	KindLockRequest:    "lock.request",
+	KindLockForward:    "lock.forward",
+	KindLockGrant:      "lock.grant",
+	KindLockAcquire:    "lock.acquire",
+	KindLockRelease:    "lock.release",
+	KindBarrierArrive:  "barrier.arrive",
+	KindBarrierRelease: "barrier.release",
+	KindThreadSwitch:   "thread.switch",
+	KindThreadBlock:    "thread.block",
+	KindThreadUnblock:  "thread.unblock",
+	KindMsgSend:        "msg.send",
+	KindMsgDeliver:     "msg.deliver",
+	KindMsgDrop:        "msg.drop",
+	KindMsgDup:         "msg.dup",
+	KindRetransmit:     "msg.retransmit",
+	KindDupSuppress:    "msg.dupsuppress",
+	KindModeChange:     "adapt.mode",
 }
 
 // String returns the dotted event-kind name used in exports and reports.
