@@ -109,13 +109,22 @@ scale-smoke:
 		"$$bin/cvm-run" -app scaleout -nodes $$n -threads $$t -size small -check -engine-workers 2 >/dev/null || exit 1; \
 	done; done
 
-## sortdiffs: the diff application order is pinned — the differential
-## tests against the replaced algorithm (sortDiffsReference), the pinned
-## orders, the steady-state allocation check and the fuzz seed corpus,
-## under the race detector. The order fixes every virtual time after a
-## many-writer fault, so a change here moves the golden trace too.
+## sortdiffs: the many-writer fault path is pinned — the diff order's
+## differential tests against the replaced algorithm (sortDiffsReference,
+## on random histories and scaleout-shaped 192-node faults), the pinned
+## orders, the steady-state allocation check, the fuzz seed corpus and
+## the event queue's differential tests against the replaced heap, under
+## the race detector; then the allocation caps of a fault and a barrier
+## release (not built under -race) and the run statistics of scaleout
+## 192x1 and 48x3 small at engine workers 0 and 2 against
+## internal/apps/testdata/manywriter.golden. The order fixes every virtual
+## time after a many-writer fault, so a change here moves the golden
+## trace too.
 sortdiffs:
 	$(GO) test ./internal/core -run 'SortDiffs' -count=1 -race
+	$(GO) test ./internal/sim -run 'EventQueue' -count=1 -race
+	$(GO) test ./internal/core -run 'ManyWriterAllocCaps' -count=1
+	$(GO) test ./internal/apps -run 'ManyWriterGolden' -count=1
 
 ## fuzz-sortdiffs: let the fuzzer write protocol histories for 30 s and
 ## compare the two orderings on each. A failing input lands in

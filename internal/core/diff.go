@@ -16,6 +16,10 @@ type Diff struct {
 	// encSize caches the compressed wire size (see WireBytes); 0 means
 	// not yet computed. Only the creator node touches it.
 	encSize int32
+
+	// vtSum is the sum of VT's components, set by the creator for
+	// sortDiffs; 0 means not recorded (sortDiffs then adds VT up).
+	vtSum int64
 }
 
 // Run is a contiguous modified byte range within a page.

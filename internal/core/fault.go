@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"cvm/internal/sim"
 	"cvm/internal/trace"
 )
@@ -123,8 +125,12 @@ func (t *Thread) remoteFault(p *page) {
 		}
 	}
 
+	span := 0
+	for _, r := range remote {
+		span += int(r.to - r.from) // at most a diff an interval
+	}
 	fs := &faultState{page: p, ranges: ranges, outstanding: len(remote),
-		diffs: cached, start: fstart}
+		diffs: slices.Grow(cached, span), start: fstart}
 	p.fault = fs
 	n.stats.RemoteFaults++
 	n.stats.OutstandingFaults += int64(n.inFlightFaults)
@@ -133,24 +139,9 @@ func (t *Thread) remoteFault(p *page) {
 
 	sys := t.sys
 	for _, r := range remote {
-		r := r
-		target := sys.nodes[r.node]
-		sys.send(t.task, NodeID(n.id), NodeID(r.node),
-			ClassDiff, diffRequestBytes, func() {
-				target.serveDiffRequest(p.id, r.from, r.to, func(ds []*Diff, bytes int, service sim.Time) {
-					sys.eng.ScheduleOn(target.proc, target.proc.LocalNow()+service, func() {
-						sys.send(nil, NodeID(r.node), NodeID(n.id),
-							ClassDiff, bytes, func() {
-								fs.diffs = append(fs.diffs, ds...)
-								fs.outstanding--
-								if fs.outstanding == 0 {
-									fs.ready = true
-									sys.eng.Wake(fs.waiters[0].task)
-								}
-							})
-					})
-				})
-			})
+		l := n.leg()
+		l.fs, l.to, l.r, l.phase = fs, sys.nodes[r.node], r, 0
+		sys.send(t.task, NodeID(n.id), NodeID(r.node), ClassDiff, diffRequestBytes, l.step)
 	}
 
 	fs.waiters = append(fs.waiters, t)
@@ -158,6 +149,51 @@ func (t *Thread) remoteFault(p *page) {
 
 	if p.fault == fs && fs.ready && fs.waiters[0] == t {
 		t.applyFault(fs)
+	}
+}
+
+// faultLeg is one writer's part of a remote fault, run by one handler
+// bound once: request at the writer (phase 1), service time spent (2),
+// reply at the faulter (3). Nodes reuse finished legs: a fault allocates
+// nothing per writer.
+type faultLeg struct {
+	fs       *faultState
+	from, to *node // the faulting node and the writer
+	r        diffRange
+	phase    uint8
+	ds       []*Diff
+	bytes    int
+	step     func()
+}
+
+func (n *node) leg() (l *faultLeg) {
+	if k := len(n.legs); k > 0 {
+		l, n.legs = n.legs[k-1], n.legs[:k-1]
+		return l
+	}
+	l = &faultLeg{from: n}
+	l.step = l.run
+	return l
+}
+
+// run advances the leg by one phase (engine context).
+func (l *faultLeg) run() {
+	sys := l.from.sys
+	switch l.phase++; l.phase {
+	case 1:
+		l.ds, l.bytes = l.to.serveDiffRequest(l.fs.page.id, l.r.from, l.r.to)
+		sys.eng.ScheduleOn(l.to.proc, l.to.proc.LocalNow()+sys.cfg.DiffServeCost, l.step)
+	case 2:
+		sys.send(nil, NodeID(l.to.id), NodeID(l.from.id), ClassDiff, l.bytes, l.step)
+	default:
+		fs := l.fs
+		fs.diffs = append(fs.diffs, l.ds...)
+		l.fs, l.ds = nil, nil
+		l.from.legs = append(l.from.legs, l)
+		if fs.outstanding--; fs.outstanding == 0 {
+			fs.ready = true
+			sys.eng.Wake(fs.waiters[0].task)
+		}
 	}
 }
 

@@ -11,17 +11,12 @@ type IntervalInfo struct {
 	Pages []PageID
 }
 
-// wireBytes reports the encoded size of the interval record: header,
-// vector time, and 4 bytes per write notice.
-func (in *IntervalInfo) wireBytes() int {
-	return 12 + in.VT.wireBytes() + 4*len(in.Pages)
-}
-
-// infosBytes sums the wire size of a batch of interval records.
+// infosBytes sums the wire size of a batch of interval records: each a
+// header, its vector time, and 4 bytes per write notice.
 func infosBytes(infos []*IntervalInfo) int {
 	n := 0
 	for _, in := range infos {
-		n += in.wireBytes()
+		n += 12 + in.VT.wireBytes() + 4*len(in.Pages)
 	}
 	return n
 }

@@ -189,22 +189,22 @@ func (n *node) handleLockHandoff(id, to int, reqVT VClock, hops uint8) {
 // when task is nil (a request that found the token free).
 func (n *node) grantLock(task *sim.Task, l *lockState, to int, reqVT VClock, hops uint8) {
 	l.token = false
-	infos := n.newInfosSince(reqVT)
-	bytes := lockMsgBytes + n.vt.wireBytes() + infosBytes(infos)
+	ns := n.notices()
+	bytes := lockMsgBytes + n.vt.wireBytes() + ns.bytesSince(reqVT)
 	vt := n.vt.Clone()
 	sys := n.sys
 	sys.send(task, NodeID(n.id), NodeID(to), ClassLock, bytes, func() {
-		sys.nodes[to].handleLockGrant(l.id, infos, vt, hops)
+		sys.nodes[to].handleLockGrant(l.id, ns, vt, hops)
 	})
 }
 
 // handleLockGrant runs at the original requester (engine context): apply
 // the piggybacked consistency information and hand the lock to the first
 // queued local thread.
-func (n *node) handleLockGrant(id int, infos []*IntervalInfo, senderVT VClock, hops uint8) {
+func (n *node) handleLockGrant(id int, ns notices, senderVT VClock, hops uint8) {
 	l := n.lockAt(id)
 	l.grantHops = hops
-	n.applyInfos(infos, senderVT)
+	n.applyNotices(ns, senderVT)
 	if tr := n.sys.tracer; tr != nil {
 		tr.Emit(trace.Event{T: n.proc.LocalNow(), Kind: trace.KindLockGrant,
 			Node: int32(n.id), Thread: -1, Sync: int32(id)})

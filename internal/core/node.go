@@ -1,9 +1,8 @@
 package core
 
 import (
-	"cmp"
+	"math"
 	"slices"
-	"sort"
 
 	"cvm/internal/memsim"
 	"cvm/internal/sim"
@@ -37,6 +36,9 @@ type node struct {
 	csp            csPool                // recycled spilled copyset bitsets
 	csScratch      []int32               // copyset fan-out scratch (swServe)
 	sorter         diffSorter            // diff-ordering scratch (applyFault)
+	legs           []*faultLeg           // finished fault legs, for reuse (fault.go)
+	relIn          *episode              // the release message in flight here (sync.go)
+	relStep        func()                // n.applyRelease, bound at the first release
 	barrierSentIdx int32                 // own intervals already shipped to the barrier manager
 
 	// In-flight remote request counts for outstanding-request sampling.
@@ -154,6 +156,7 @@ func (n *node) closeInterval(t *Thread) {
 		Pages: append([]PageID(nil), n.dirty...),
 	}
 	n.intervals[n.id] = append(n.intervals[n.id], info)
+	vtSum := info.VT.sum()
 
 	// Create this interval's diffs eagerly (as TreadMarks does at barrier
 	// arrival): every diff then carries exact per-interval attribution,
@@ -169,13 +172,15 @@ func (n *node) closeInterval(t *Thread) {
 		p := n.pageAt(pg)
 		p.openDirty = false
 		d := &Diff{
-			Page: pg,
-			Node: n.id,
-			Idx:  n.curIdx,
-			VT:   info.VT,
-			Runs: MakeDiff(pg, p.twin, p.data),
+			Page:  pg,
+			Node:  n.id,
+			Idx:   n.curIdx,
+			VT:    info.VT,
+			Runs:  MakeDiff(pg, p.twin, p.data),
+			vtSum: vtSum,
 		}
-		n.storeDiff(d)
+		p.diffs = append(p.diffs, d)
+		n.stats.DiffsCreated++
 		if ad := n.adaptOf(pg); ad != nil && ad.mode == ModeMWUpd && len(ad.subs) > 0 {
 			n.queuePush(p, d, ad)
 		}
@@ -206,45 +211,74 @@ func (n *node) closeInterval(t *Thread) {
 	n.dirty = n.dirty[:0]
 }
 
-func (n *node) storeDiff(d *Diff) {
-	p := n.pageAt(d.Page)
-	p.diffs = append(p.diffs, d)
-	n.stats.DiffsCreated++
-}
+// notices, a snapshot of a node's interval lists (they only grow, so the
+// headers stay valid), are a lock grant's or barrier release's write
+// notices; each receiver takes what its vector time lacks.
+type notices [][]*IntervalInfo
 
-// newInfosSince returns this node's knowledge of every interval (its own
-// and others') not covered by the given vector time, ordered by node then
-// index. It is the write-notice payload of lock grants and barrier
-// messages.
-func (n *node) newInfosSince(vt VClock) []*IntervalInfo {
-	if n.intervals == nil {
-		return nil
-	}
-	var out []*IntervalInfo
-	for nodeID := 0; nodeID < n.sys.cfg.Nodes; nodeID++ {
-		infos := n.intervals[nodeID]
-		// Binary search: infos is ascending by Idx.
-		i := sort.Search(len(infos), func(i int) bool { return infos[i].Idx > vt[nodeID] })
-		out = append(out, infos[i:]...)
-	}
-	return out
-}
+func (n *node) notices() notices { return notices(slices.Clone(n.intervals)) }
 
-// applyInfos merges received interval knowledge: records the intervals,
-// invalidates pages named by fresh write notices, and joins the sender's
-// vector time. It runs at acquire-type operations (lock grant, barrier
-// release) in either thread or engine context.
-func (n *node) applyInfos(infos []*IntervalInfo, senderVT VClock) {
-	for _, info := range infos {
-		if info.Node == n.id || info.Idx <= n.vt[info.Node] {
-			continue // own interval or already known
+// bytesSince is the wire size of what a receiver whose vector time was vt
+// is sent: every record vt does not cover.
+func (ns notices) bytesSince(vt VClock) int {
+	b := 0
+	for x, infos := range ns {
+		if len(infos) > 0 && infos[len(infos)-1].Idx > vt[x] {
+			b += infosBytes(after(infos, vt[x]))
 		}
-		n.ensureIntervals()
-		n.intervals[info.Node] = append(n.intervals[info.Node], info)
-		n.vt[info.Node] = info.Idx
+	}
+	return b
+}
+
+// indexed is an entry of a list kept ascending by interval index.
+type indexed interface{ index() int32 }
+
+func (in *IntervalInfo) index() int32 { return in.Idx }
+func (d *Diff) index() int32          { return d.Idx }
+
+// after returns the entries of the index-ascending list s past idx.
+func after[E indexed](s []E, idx int32) []E {
+	i, hi := 0, len(s)
+	for i < hi {
+		if m := int(uint(i+hi) >> 1); s[m].index() <= idx {
+			i = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return s[i:]
+}
+
+// applyNotices merges a sender's notices, then its vector time.
+func (n *node) applyNotices(ns notices, senderVT VClock) {
+	for x, infos := range ns {
+		n.applyList(x, infos)
+	}
+	n.vt.Merge(senderVT)
+}
+
+// applyList records the intervals n lacks of node x's list infos, and
+// invalidates the pages they name (lock grant, barrier release and
+// arrival). A list of all x's intervals up to its last with n's as its
+// prefix — every list is one — is shared, capacity cut to length so that
+// neither side's append writes into the other's: lists are not regrown.
+func (n *node) applyList(x int, infos []*IntervalInfo) {
+	if x == n.id || len(infos) == 0 || infos[len(infos)-1].Idx <= n.vt[x] {
+		return // own, or nothing fresh
+	}
+	fresh := after(infos, n.vt[x])
+	n.ensureIntervals()
+	mine, k := n.intervals[x], len(infos)-len(fresh)
+	if len(mine) == k && infos[len(infos)-1].Idx == int32(len(infos)) && (k == 0 || mine[k-1] == infos[k-1]) {
+		n.intervals[x] = infos[:len(infos):len(infos)]
+	} else {
+		n.intervals[x] = append(mine, fresh...)
+	}
+	for _, info := range fresh {
+		n.vt[x] = info.Idx
 		for _, pg := range info.Pages {
 			p := n.pageAt(pg)
-			w := p.writer(info.Node)
+			w := p.writer(x)
 			if info.Idx > w.wanted {
 				w.wanted = info.Idx
 			}
@@ -253,49 +287,40 @@ func (n *node) applyInfos(infos []*IntervalInfo, senderVT VClock) {
 			}
 		}
 	}
-	if senderVT != nil {
-		n.vt.Merge(senderVT)
-	}
 }
 
 // serveDiffRequest handles a remote data request (engine context): it
-// replies with the stored diffs for intervals in (from, to]. All such
-// diffs exist — they were created when the intervals closed — so the
-// reply never reaches past the requester's write-notice horizon.
-// Intervals in the range that did not dirty the page simply have no diff.
-func (n *node) serveDiffRequest(pg PageID, from, to int32, reply func(ds []*Diff, bytes int, serviceTime sim.Time)) {
-	stored := n.pageAt(pg).diffs
-	i := sort.Search(len(stored), func(i int) bool { return stored[i].Idx > from })
-	j := sort.Search(len(stored), func(j int) bool { return stored[j].Idx > to })
-	ds := stored[i:j]
+// returns the stored diffs for intervals in (from, to] and the reply's
+// wire size. All such diffs exist — they were created when the intervals
+// closed — so the reply never reaches past the requester's write-notice
+// horizon. Intervals in the range that did not dirty the page simply
+// have no diff.
+func (n *node) serveDiffRequest(pg PageID, from, to int32) ([]*Diff, int) {
+	ds := after(n.pageAt(pg).diffs, from)
+	ds = ds[:len(ds)-len(after(ds, to))]
 	compress := n.sys.cfg.CompressDiffs
 	bytes := 16
 	for _, d := range ds {
 		bytes += d.WireBytes(compress)
 	}
-	reply(ds, bytes, n.sys.cfg.DiffServeCost)
+	return ds, bytes
 }
 
 // diffSorter is the scratch sortDiffs works in. Each node owns one and
 // reuses it for every fault, so ordering a fault's diffs allocates nothing
-// once the slices have grown to the largest fault seen.
+// once the slices have grown to the largest fault and cluster seen.
 type diffSorter struct {
-	src []*Diff // the diffs sorted by (Node, Idx); an entry is nil once emitted
+	src   []*Diff // the diffs by (Node, Idx); an entry is nil once emitted
+	nodes []int32 // the creators with diffs left, ascending
 
-	// The non-empty queues, ascending by node. node and own repeat two
-	// facts about each queue's head h, h.Node and h.VT[h.Node] (which is
-	// h.Idx: closeInterval sets both), as dense int32 slices for the
-	// prefilter loop in findBlocker.
-	qs        []diffQueue
-	node, own []int32
-}
-
-// diffQueue is one creator node's not-yet-emitted diffs, src[pos:end],
-// ascending by interval index, plus the blocked-by memo of its head:
-// src[by] was found Before it, which holds until src[by] is emitted.
-type diffQueue struct {
-	pos, end int32
-	by       int32 // < 0: no blocker known
+	// Dense by creator x: queue src[pos[x]:end[x]]; src[by[x]] (by >= 0)
+	// was found Before its head, until emitted; reach[x] = head VT[x]-1
+	// (MaxInt32 for none); sum[x], the head's VT sum. Between calls end
+	// is all 0 and reach all MaxInt32.
+	pos, end, by, reach []int32
+	sum                 []int64
+	minSum              int64 // the least head sum
+	atMin               int   // how many heads have it
 }
 
 // sortDiffs orders diffs for application into a linear extension of the
@@ -310,85 +335,122 @@ type diffQueue struct {
 // is immaterial to the data — but it fixes every virtual time downstream,
 // so the tests pin the emitted order against sortDiffsReference.
 //
-// Two shortcuts keep that order and drop its cost (DESIGN.md, "Diff
-// application order"). A head found blocked is skipped until its blocker
-// is emitted. And a.VT.Before(b.VT) needs b.VT[a.Node] >= a.VT[a.Node],
-// one component of the comparison, so the O(nodes) scan runs only when
-// that holds, which between concurrent writers is almost never. The test
-// alone would be exact only while vector times stay closed (see
-// closeInterval); the sorter does not rely on that.
+// Three necessary conditions keep that order and drop its cost, whether
+// or not vector times are closed (DESIGN.md, "Diff application order"):
+// a.VT.Before(b.VT) needs a smaller component sum, so a head with the
+// least sum is unblocked without reading a vector time — between
+// concurrent writers, almost every head; it needs b.VT[a.Node] >
+// reach[a.Node], so only those heads are tried with Before; and a head
+// found blocked stays skipped until its blocker is emitted.
 func (s *diffSorter) sortDiffs(ds []*Diff) {
 	if len(ds) < 2 {
 		return
 	}
-	slices.SortFunc(ds, func(a, b *Diff) int {
-		if a.Node != b.Node {
-			return cmp.Compare(a.Node, b.Node)
+	if nn := len(ds[0].VT); len(s.reach) < nn {
+		s.pos, s.end, s.by, s.sum = make([]int32, nn), make([]int32, nn), make([]int32, nn), make([]int64, nn)
+		for len(s.reach) < nn {
+			s.reach = append(s.reach, math.MaxInt32)
 		}
-		return cmp.Compare(a.Idx, b.Idx)
-	})
-	s.src = append(s.src[:0], ds...)
-	s.qs, s.node, s.own = s.qs[:0], s.node[:0], s.own[:0]
-	for i, d := range s.src {
-		if i == 0 || d.Node != s.src[i-1].Node {
-			s.qs = append(s.qs, diffQueue{pos: int32(i), by: -1})
-			s.node = append(s.node, int32(d.Node))
-			s.own = append(s.own, d.VT[d.Node])
-		}
-		s.qs[len(s.qs)-1].end = int32(i + 1)
 	}
-	lo := 0 // the non-empty queues are qs[lo:], node[lo:], own[lo:]
+	s.nodes = s.nodes[:0]
+	for _, d := range ds { // a counting sort by creator
+		if s.end[d.Node]++; s.end[d.Node] == 1 {
+			s.nodes = append(s.nodes, int32(d.Node))
+		}
+	}
+	slices.Sort(s.nodes)
+	off := int32(0)
+	for _, x := range s.nodes {
+		s.pos[x], s.by[x], off = off, off, off+s.end[x]
+		s.end[x] = off
+	}
+	s.src = slices.Grow(s.src[:0], len(ds))[:len(ds)]
+	for _, d := range ds {
+		s.src[s.by[d.Node]] = d
+		s.by[d.Node]++
+	}
+	for _, x := range s.nodes {
+		q := s.src[s.pos[x]:s.end[x]]
+		for i := 1; i < len(q); i++ { // in order already, unless shuffled
+			for j := i; j > 0 && q[j].Idx < q[j-1].Idx; j-- {
+				q[j], q[j-1] = q[j-1], q[j]
+			}
+		}
+		s.by[x] = -1
+		s.setHead(x, q[0])
+	}
+	s.findMin(0)
+
+	lo := 0 // the non-empty queues are nodes[lo:]
 	for out := range ds {
 		a := lo
 		for ; ; a++ {
-			if by := s.qs[a].by; by >= 0 && s.src[by] != nil {
+			x := s.nodes[a]
+			if by := s.by[x]; by >= 0 && s.src[by] != nil {
 				continue // still blocked by the same diff
 			}
-			if !s.findBlocker(lo, a) {
+			if !s.blocked(x, lo) {
 				break
 			}
 		}
-		q := &s.qs[a]
-		ds[out], s.src[q.pos] = s.src[q.pos], nil
-		q.pos++
-		if q.pos < q.end {
-			q.by, s.own[a] = -1, s.src[q.pos].VT[s.node[a]]
-			continue
+		x := s.nodes[a]
+		p := s.pos[x]
+		ds[out], s.src[p] = s.src[p], nil
+		if s.sum[x] == s.minSum {
+			s.atMin--
 		}
-		// Queue a is empty: close the gap from the front, which costs no
-		// more than the walk over the blocked queues below a just did.
-		copy(s.qs[lo+1:a+1], s.qs[lo:a])
-		copy(s.node[lo+1:a+1], s.node[lo:a])
-		copy(s.own[lo+1:a+1], s.own[lo:a])
-		lo++
+		if p++; p < s.end[x] {
+			s.pos[x], s.by[x] = p, -1
+			s.setHead(x, s.src[p]) // a later diff of x: a larger sum
+		} else {
+			// Queue x is empty: close the gap from the front, which costs
+			// no more than the walk over the blocked queues below it did.
+			s.end[x], s.reach[x] = 0, math.MaxInt32
+			copy(s.nodes[lo+1:a+1], s.nodes[lo:a])
+			lo++
+		}
+		if s.atMin == 0 && lo < len(s.nodes) {
+			s.findMin(lo)
+		}
 	}
 }
 
-// findBlocker reports whether the head of another non-empty queue (those
-// from lo on) happens-before the head of queue a, remembering the first
-// one found.
-func (s *diffSorter) findBlocker(lo, a int) bool {
-	h := s.src[s.qs[a].pos].VT
-	for b := reached(h, s.node, s.own, lo); b < len(s.node); b = reached(h, s.node, s.own, b+1) {
-		if pos := s.qs[b].pos; b != a && s.src[pos].VT.Before(h) {
-			s.qs[a].by = pos
+// setHead makes d the head of queue x.
+func (s *diffSorter) setHead(x int32, d *Diff) {
+	s.reach[x] = d.VT[x] - 1
+	if s.sum[x] = d.vtSum; d.vtSum == 0 {
+		s.sum[x] = d.VT.sum()
+	}
+}
+
+// findMin recounts the least head sum among the queues of nodes[lo:].
+func (s *diffSorter) findMin(lo int) {
+	s.minSum, s.atMin = math.MaxInt64, 0
+	for _, x := range s.nodes[lo:] {
+		if v := s.sum[x]; v < s.minSum {
+			s.minSum, s.atMin = v, 1
+		} else if v == s.minSum {
+			s.atMin++
+		}
+	}
+}
+
+// blocked reports whether the head of another non-empty queue (those of
+// nodes[lo:]) happens-before the head of queue x, remembering the one
+// found. It scans from the highest node down: queues empty in ascending
+// order, so the highest blocker stays one longest.
+func (s *diffSorter) blocked(x int32, lo int) bool {
+	if s.sum[x] == s.minSum {
+		return false // no head has a smaller sum
+	}
+	h := s.src[s.pos[x]].VT
+	for i := int(s.nodes[len(s.nodes)-1]); i >= int(s.nodes[lo]); i-- {
+		if h[i] > s.reach[i] && i != int(x) && s.src[s.pos[i]].VT.Before(h) {
+			s.by[x] = s.pos[i]
 			return true
 		}
 	}
 	return false
-}
-
-// reached returns the first i >= from with vt[node[i]] >= own[i], or
-// len(node) if there is none. It is the inner loop of the many-writer
-// fault, kept apart from Before so that it stays in registers.
-func reached(vt VClock, node, own []int32, from int) int {
-	own = own[:len(node)]
-	for i := from; i < len(node); i++ {
-		if vt[node[i]] >= own[i] {
-			return i
-		}
-	}
-	return len(node)
 }
 
 // schedCodePage is the synthetic I-TLB page of the thread scheduler.

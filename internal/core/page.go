@@ -124,7 +124,7 @@ func (p *page) consistent() bool {
 // with the (from, to] interval ranges to request. Entries come out
 // ascending by node because writers is sorted.
 func (p *page) missingFrom() []diffRange {
-	var out []diffRange
+	out := make([]diffRange, 0, len(p.writers))
 	for i := range p.writers {
 		w := &p.writers[i]
 		if w.wanted > w.applied {

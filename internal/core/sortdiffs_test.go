@@ -26,19 +26,20 @@ func newDiffHistory(nodes int) *diffHistory {
 	return h
 }
 
-// close ends an interval of node n that dirtied the page.
+// close ends an interval of node n that dirtied the page, recording the
+// diff's vector-time sum as closeInterval does.
 func (h *diffHistory) close(n int) {
 	h.vt[n][n]++
-	h.diffs = append(h.diffs, &Diff{Node: n, Idx: h.vt[n][n], VT: h.vt[n].Clone()})
+	h.diffs = append(h.diffs, &Diff{Node: n, Idx: h.vt[n][n], VT: h.vt[n].Clone(), vtSum: h.vt[n].sum()})
 }
 
 // acquire gives node n everything node m knows (lock grant, barrier
-// release: applyInfos with the sender's vector time).
+// release: applyNotices with the sender's vector time).
 func (h *diffHistory) acquire(n, m int) { h.vt[n].Merge(h.vt[m]) }
 
 // learn gives node n node o's latest interval and none of what o knew
-// when it closed it (barrier arrival at the manager: applyInfos with a
-// nil sender vector time).
+// when it closed it (barrier arrival at the manager: applyList, with no
+// sender vector time).
 func (h *diffHistory) learn(n, o int) {
 	if h.vt[o][o] > h.vt[n][o] {
 		h.vt[n][o] = h.vt[o][o]
@@ -96,7 +97,9 @@ func fmtDiffs(ds []*Diff) string {
 }
 
 // TestSortDiffsMatchesReference: on random histories of 2 to 64 nodes,
-// with multi-diff queues, shuffled input and non-closed vector times, one
+// with multi-diff queues, shuffled input and non-closed vector times, and
+// on scaleout-shaped faults of 65 to 192 nodes — over a hundred heads,
+// lock chains three long, locks taken in node order or scattered — one
 // reused sorter emits exactly the reference's order.
 func TestSortDiffsMatchesReference(t *testing.T) {
 	var s diffSorter
@@ -111,6 +114,81 @@ func TestSortDiffsMatchesReference(t *testing.T) {
 			checkAgainstReference(t, &s, h.fault(r))
 		}
 	}
+	for seed := int64(1); seed <= 12; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		nodes := 65 + r.Intn(128)
+		if seed <= 4 {
+			nodes = 192
+		}
+		ds := scaleoutFault(r, nodes, min(64, nodes), seed%2 == 0)
+		if nodes == 192 && len(ds) < 100 {
+			t.Fatalf("seed %d: a 192-node fault of only %d diffs", seed, len(ds))
+		}
+		checkAgainstReference(t, &s, ds)
+	}
+}
+
+// scaleoutFault is one accumulator-page fault of a scaleout run on nodes
+// nodes: each epoch every node takes one of stripes locks and writes the
+// page in its critical section (chains of nodes/stripes holders), and a
+// barrier gives everyone everything. The locks go in node order, as the
+// barrier release hands them out, or scattered. A few nodes write the
+// page twice in an epoch, so some queues hold several diffs. The
+// faulting node holds its stripe's lock in the next epoch, so it needs
+// every other node's diffs of the last epoch plus the earlier holders'
+// of its own chain.
+func scaleoutFault(r *rand.Rand, nodes, stripes int, scattered bool) []*Diff {
+	h := newDiffHistory(nodes)
+	barrier := func() {
+		j := NewVClock(nodes)
+		for _, vt := range h.vt {
+			j.Merge(vt)
+		}
+		for _, vt := range h.vt {
+			copy(vt, j)
+		}
+	}
+	// epoch runs the critical sections in a scattered order; the faulter
+	// (if any) stops the epoch holding its lock, before it writes.
+	epoch := func(faulter int) {
+		holder := make([]int, stripes)
+		for i := range holder {
+			holder[i] = -1
+		}
+		order := r.Perm(nodes)
+		if !scattered {
+			slices.Sort(order)
+		}
+		for _, n := range order {
+			s := n % stripes
+			if holder[s] >= 0 {
+				h.acquire(n, holder[s])
+			}
+			if n == faulter {
+				return
+			}
+			h.close(n)
+			if r.Intn(16) == 0 {
+				h.close(n)
+			}
+			holder[s] = n
+		}
+	}
+	epoch(-1)
+	barrier()
+	last := len(h.diffs)
+	epoch(-1)
+	barrier()
+	faulter := r.Intn(nodes)
+	epoch(faulter)
+	var ds []*Diff
+	for _, d := range h.diffs[last:] {
+		if d.Node != faulter && d.Idx <= h.vt[faulter][d.Node] && r.Intn(4) > 0 {
+			ds = append(ds, d)
+		}
+	}
+	r.Shuffle(len(ds), func(i, j int) { ds[i], ds[j] = ds[j], ds[i] })
+	return ds
 }
 
 // FuzzSortDiffsMatchesReference lets the fuzzer write the history; the
@@ -290,6 +368,19 @@ func TestPageWriterKeepsOrder(t *testing.T) {
 }
 
 func BenchmarkSortDiffs(b *testing.B) {
+	for _, scattered := range []bool{false, true} {
+		b.Run(fmt.Sprintf("scaleout=192/scattered=%v", scattered), func(b *testing.B) {
+			arrival := scaleoutFault(rand.New(rand.NewSource(1)), 192, 64, scattered)
+			ds := make([]*Diff, len(arrival))
+			var s diffSorter
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(ds, arrival)
+				s.sortDiffs(ds)
+			}
+		})
+	}
 	for _, writers := range []int{4, 64, 192, 1024} {
 		for _, shape := range []struct {
 			name string

@@ -79,11 +79,17 @@ type arrival struct {
 
 // episode is the manager's (node 0's) state for one crossing of a global
 // rendezvous: the node arrivals so far, their values folded in arrival
-// order, and each node's arrival.
+// order, and each node's arrival. Once complete it is also the one
+// payload every node's release message shares: for a barrier, the
+// manager's notices and vector time, and the epoch's mode changes.
 type episode struct {
 	arrived int
 	acc     float64
 	from    []arrival
+	key     meetKey
+	ns      notices
+	vt      VClock
+	rel     *adaptRelease
 }
 
 func (n *node) meetAt(key meetKey) *nodeMeet {
@@ -163,7 +169,10 @@ func (t *Thread) leave(key meetKey, v float64, op ReduceOp) {
 	bytes := reduceMsgBytes
 	if key.kind == meetBarrier {
 		n.closeInterval(t)
-		a.vt, a.obs, a.infos = n.vt.Clone(), n.takeAdaptObs(), n.ownInfosSince()
+		n.ensureIntervals()
+		// The arrival ships the node's own intervals the manager lacks.
+		a.vt, a.obs, a.infos = n.vt.Clone(), n.takeAdaptObs(), after(n.intervals[n.id], n.barrierSentIdx)
+		n.barrierSentIdx = n.curIdx
 		bytes = barrierMsgBytes + a.vt.wireBytes() + infosBytes(a.infos) + a.obs.wireBytes()
 	}
 	gather := func() { sys.gather(key, op, a) }
@@ -181,22 +190,6 @@ func (t *Thread) leave(key meetKey, v float64, op ReduceOp) {
 	if len(n.pendingPush) > 0 {
 		t.task.Schedule(t.task.Now(), func() { n.flushPushes(nil) })
 	}
-}
-
-// ownInfosSince returns the node's own intervals not yet shipped to the
-// barrier manager.
-func (n *node) ownInfosSince() []*IntervalInfo {
-	if n.intervals == nil {
-		return nil
-	}
-	infos := n.intervals[n.id]
-	i := len(infos)
-	for i > 0 && infos[i-1].Idx > n.barrierSentIdx {
-		i--
-	}
-	out := infos[i:]
-	n.barrierSentIdx = n.curIdx
-	return out
 }
 
 // gather counts one node arrival at the manager (engine context). The
@@ -230,35 +223,47 @@ func (s *System) gather(key meetKey, op ReduceOp, a arrival) {
 	// diff could then land on a page after a diff it happens-before.
 	mgr := s.nodes[0]
 	for _, b := range ep.from {
-		mgr.applyInfos(b.infos, nil)
+		mgr.applyList(b.from, b.infos)
 	}
-	// The barrier completion is the adaptation point: all threads are
-	// blocked, so mode changes piggybacked on the releases apply
-	// atomically across the cluster.
-	var rel *adaptRelease
-	if s.adapt != nil && key.kind == meetBarrier {
-		rel = s.adapt.decide()
+	ep.key = key
+	if key.kind == meetBarrier {
+		// The manager has merged every node's interval knowledge
+		// (arrivals carried it); its vt now dominates all arrivals.
+		ep.ns, ep.vt = mgr.notices(), mgr.vt.Clone()
+		if s.adapt != nil {
+			// The barrier completion is the adaptation point: all threads
+			// are blocked, so mode changes piggybacked on the releases
+			// apply atomically across the cluster.
+			ep.rel = s.adapt.decide()
+		}
 	}
 	for to := 1; to < s.cfg.Nodes; to++ {
-		var infos []*IntervalInfo
-		var vt VClock
 		bytes := reduceMsgBytes
-		if key.kind == meetBarrier {
-			// The manager has merged every node's interval knowledge
-			// (arrivals carried it); its vt now dominates all arrivals.
-			infos, vt = mgr.newInfosSince(ep.from[to].vt), mgr.vt.Clone()
-			bytes = barrierMsgBytes + vt.wireBytes() + infosBytes(infos) + rel.wireBytes()
+		if ep.vt != nil {
+			bytes = barrierMsgBytes + ep.vt.wireBytes() + ep.ns.bytesSince(ep.from[to].vt) + ep.rel.wireBytes()
 		}
-		s.send(nil, 0, NodeID(to), ClassBarrier, bytes, func() {
-			n := s.nodes[to]
-			n.applyInfos(infos, vt)
-			n.releaseAt(key, ep.acc, rel)
-		})
+		n := s.nodes[to]
+		if n.relIn = ep; n.relStep == nil {
+			n.relStep = n.applyRelease
+		}
+		s.send(nil, 0, NodeID(to), ClassBarrier, bytes, n.relStep)
 	}
-	mgr.releaseAt(key, ep.acc, rel)
+	mgr.releaseAt(key, ep.acc, ep.rel)
 	// The manager's own update pushes flush last: the release broadcast
 	// above must not queue behind bulk data on the manager's egress.
 	mgr.flushPushes(nil)
+}
+
+// applyRelease delivers the release message in flight to n (engine
+// context, as n.relStep). A node has at most one: it cannot arrive at its
+// next rendezvous before this one releases.
+func (n *node) applyRelease() {
+	ep := n.relIn
+	n.relIn = nil
+	if ep.vt != nil {
+		n.applyNotices(ep.ns, ep.vt)
+	}
+	n.releaseAt(ep.key, ep.acc, ep.rel)
 }
 
 // releaseAt applies a global release at this node (engine context): the

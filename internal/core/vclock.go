@@ -66,6 +66,15 @@ func (v VClock) Before(w VClock) bool {
 	return strict
 }
 
+// sum adds v's components up: a.Before(b) implies a.sum() < b.sum().
+func (v VClock) sum() int64 {
+	t := int64(0)
+	for _, c := range v {
+		t += int64(c)
+	}
+	return t
+}
+
 // wireBytes reports the encoded size of a vector clock on the simulated
 // wire (4 bytes per component).
 func (v VClock) wireBytes() int { return 4 * len(v) }

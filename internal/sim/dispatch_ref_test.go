@@ -143,7 +143,7 @@ func TestEventQueueMatchesReference(t *testing.T) {
 			if got.at != want.at || got.seq != want.seq {
 				t.Fatalf("seed %d: popped (%v, %d), reference (%v, %d)", seed, got.at, got.seq, want.at, want.seq)
 			}
-			if tail := q[:len(q)+1][len(q)]; tail.fn != nil {
+			if staleHandlers(&q) != 0 {
 				t.Fatalf("seed %d: vacated slot still holds a handler", seed)
 			}
 			got.fn()
@@ -168,6 +168,93 @@ func TestEventQueueMatchesReference(t *testing.T) {
 		}
 		if fired != int(seq) {
 			t.Fatalf("seed %d: %d handlers ran, %d events pushed", seed, fired, seq)
+		}
+	}
+}
+
+// staleHandlers counts the handlers q still holds outside its pending
+// events: in a run's consumed slots or past its end.
+func staleHandlers(q *eventQueue) int {
+	n := 0
+	for _, r := range q.runs {
+		for i, ev := range r.evs[:cap(r.evs)] {
+			if (i < r.head || i >= len(r.evs)) && ev.fn != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestEventQueueManyPendingMatchesReference drives the queue the way the
+// many-writer scaleout run does, with thousands of events pending: 192
+// receivers each fed a strictly increasing stream of deliveries (netsim's
+// ingress serialization), broadcasts paced by one sender's egress, local
+// events a fixed cost ahead that tie on at, and on even seeds a share of
+// jittered deliveries that land out of order. Every pop and peek must
+// match the reference.
+func TestEventQueueManyPendingMatchesReference(t *testing.T) {
+	const receivers = 192
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var q eventQueue
+		var ref refEventQueue
+		ingress := make([]Time, receivers)
+		var now Time
+		var seq uint64
+		peak := 0
+		push := func(at Time) {
+			seq++
+			ev := event{at: at, seq: seq, fn: func() {}}
+			q.push(ev)
+			ref.push(&ev)
+		}
+		pop := func() {
+			t.Helper()
+			got, want := q.pop(), ref.pop()
+			if got.at != want.at || got.seq != want.seq {
+				t.Fatalf("seed %d: popped (%v, %d), reference (%v, %d) with %d pending",
+					seed, got.at, got.seq, want.at, want.seq, q.Len())
+			}
+			now = got.at
+		}
+		for step := 0; step < 40000; step++ {
+			if q.Len() == 0 || q.Len() < 4000 && rng.Intn(3) > 0 {
+				switch k := rng.Intn(10); {
+				case k < 6:
+					to := rng.Intn(receivers)
+					at := max(now+209*us, ingress[to]) + 128*us
+					ingress[to] = at
+					if k == 0 && seed%2 == 0 {
+						at += Time(rng.Intn(300)) * us
+					}
+					push(at)
+				case k < 8:
+					at := now + 209*us
+					for n := 1 + rng.Intn(64); n > 0; n-- {
+						at += 128 * us
+						push(at)
+					}
+				default:
+					push(now + Time(rng.Intn(3))*10*us)
+				}
+			} else {
+				pop()
+			}
+			if q.peekTime() != ref.peekTime() || q.Len() != ref.Len() {
+				t.Fatalf("seed %d: peek %v len %d, reference peek %v len %d",
+					seed, q.peekTime(), q.Len(), ref.peekTime(), ref.Len())
+			}
+			peak = max(peak, q.Len())
+		}
+		for q.Len() > 0 {
+			pop()
+		}
+		if staleHandlers(&q) != 0 {
+			t.Fatalf("seed %d: the drained queue still holds handlers", seed)
+		}
+		if peak < 2000 {
+			t.Fatalf("seed %d: only %d events were ever pending", seed, peak)
 		}
 	}
 }

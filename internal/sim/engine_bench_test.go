@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -76,5 +77,62 @@ func BenchmarkDispatchScan(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkEventQueueManyPending replays a schedule shaped like the
+// many-writer scaleout run's — deliveries serialized at 192 receivers,
+// broadcasts paced by one sender's egress, local events a fixed cost
+// ahead — holding about 4,000 events pending. Each op is one push or
+// one pop.
+func BenchmarkEventQueueManyPending(b *testing.B) {
+	const receivers = 192
+	rng := rand.New(rand.NewSource(1))
+	var ref refEventQueue
+	ingress := make([]Time, receivers)
+	var now Time
+	var ops []Time // an instant to push, or -1 to pop
+	push := func(at Time) {
+		ops = append(ops, at)
+		ref.push(&event{at: at, seq: uint64(len(ops))})
+	}
+	for len(ops) < 200000 {
+		if ref.Len() == 0 || ref.Len() < 4000 && rng.Intn(3) > 0 {
+			switch k := rng.Intn(10); {
+			case k < 6:
+				to := rng.Intn(receivers)
+				ingress[to] = max(now+209*us, ingress[to]) + 128*us
+				push(ingress[to])
+			case k < 8:
+				at := now + 209*us
+				for n := 1 + rng.Intn(64); n > 0; n-- {
+					at += 128 * us
+					push(at)
+				}
+			default:
+				push(now + Time(rng.Intn(3))*10*us)
+			}
+		} else {
+			ops = append(ops, -1)
+			now = ref.pop().at
+		}
+	}
+	nop := func() {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; {
+		var q eventQueue
+		seq := uint64(0)
+		for _, at := range ops {
+			if at < 0 {
+				q.pop()
+			} else {
+				seq++
+				q.push(event{at: at, seq: seq, fn: nop})
+			}
+			if i++; i == b.N {
+				break
+			}
+		}
 	}
 }

@@ -14,7 +14,7 @@ set -euo pipefail
 GO="${GO:-go}"
 
 # package  floor(%)  — measured 89.4 / 99.2 / 92.0 / 84.2 / 96.9 / 97.9
-# when recorded. internal/sim is gated for its two hand-written heaps
+# when recorded. internal/sim is gated for its event queue and ready heap
 # (event.go, ready.go: 100% — remove-last, sole member, sift either way),
 # internal/trace for the recorder's chunked rings, the sorted view and
 # the Chrome writer (100%; what is uncovered there is Demux and
