@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race cover loc loc-gate golden-trace adapt-golden bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs fuzz-sortdiffs metrics-gate diff-backends metrics-baseline scale-baseline teardown-stress
+.PHONY: check vet build test race cover loc loc-gate golden-trace adapt-golden bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs diffcodec fuzz-sortdiffs metrics-gate diff-backends metrics-baseline scale-baseline teardown-stress
 
 ## check: the pre-commit gate (.github/workflows/ci.yml runs these same
 ## targets, one step each) — vet,
@@ -9,13 +9,14 @@ GO ?= go
 ## stay honest, the chaos suite under fault injection, the
 ## windowed-engine determinism guard,
 ## the multi-process cluster smoke against the simulator oracle, the
-## 256-node scale smoke, the diff-order differential tests, the metrics
+## 256-node scale smoke, the diff-order differential tests, the diff
+## codec's differential tests and allocation caps, the metrics
 ## regression gate against the committed baseline, the sim-vs-real
 ## counter-equivalence gate, the rt teardown stress, the per-package
 ## coverage floors, and the line budget. Host-time performance is
 ## `go run ./bench` (bench/README.md), judged per PR against the parent
 ## commit.
-check: loc-gate vet build race golden-trace adapt-golden bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs metrics-gate diff-backends teardown-stress cover
+check: loc-gate vet build race golden-trace adapt-golden bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs diffcodec metrics-gate diff-backends teardown-stress cover
 	@echo "check: OK"
 
 vet:
@@ -125,6 +126,20 @@ sortdiffs:
 	$(GO) test ./internal/sim -run 'EventQueue' -count=1 -race
 	$(GO) test ./internal/core -run 'ManyWriterAllocCaps' -count=1
 	$(GO) test ./internal/apps -run 'ManyWriterGolden' -count=1
+
+## diffcodec: the diff codec is pinned — the run scanner against a byte
+## loop in both senses, MakeDiff against the byte-at-a-time scan,
+## EncodeRuns, EncodedRunsSize and EncodeDiff against the replaced
+## four-pass encoder, and ApplyRuns and DecodeRuns against the replaced
+## decoder on every truncation and byte flip, under the race detector;
+## then the codec's allocation caps (EncodeDiff the payload alone,
+## ApplyRuns nothing), the real runtime's (a flushed diff 4 objects, not
+## built under -race), its bad-frame table, and the traffic invariants of
+## the seven applications on loopback — the wire bytes did not move.
+diffcodec:
+	$(GO) test ./internal/core -run 'RunScan|MakeDiffMatches|EncodeMatches|ApplyMatches|DecodeMatches|WirePattern' -count=1 -race
+	$(GO) test ./internal/core -run 'CodecAllocCaps' -count=1
+	$(GO) test ./internal/rt -run 'FaultAndFlushAllocCaps|BadFrames|TrafficInvariants' -count=1
 
 ## fuzz-sortdiffs: let the fuzzer write protocol histories for 30 s and
 ## compare the two orderings on each. A failing input lands in

@@ -1,6 +1,12 @@
 package core
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
+// le is the byte order of page words and of the wire's fixed fields.
+var le = binary.LittleEndian
 
 // Diff summarizes the modifications made to one page during one or more
 // intervals, as a list of byte runs that differ between the page's twin
@@ -31,44 +37,27 @@ type Run struct {
 // MakeDiff compares twin (the page contents at first write) against cur
 // and returns the modified runs. The slices must be the same length.
 //
-// The comparison strides 8 bytes at a time: equal regions skip a word per
-// test, and inside a modified region a SWAR zero-byte probe on twin^cur
-// extends the run a word at a time while no byte matches. Byte-level
-// scans only run at region boundaries, so sparse and dense pages alike
-// cost ~n/8 comparisons. Run boundaries are bit-identical to a
+// The comparison is the run scanner below: a bit per byte, built 64
+// bytes at a time from word compares, so sparse and dense pages alike
+// cost about n/8 comparisons and no byte loop. One pass counts the runs
+// and their bytes by popcount and keeps the page's bitmask; a walk of the
+// bitmask cuts them. Run boundaries are bit-identical to a
 // byte-at-a-time scan (see TestMakeDiffMatchesReference).
 //
 // A diff is two allocations however many runs it has: one []Run and one
 // data slab cut to size, each Run.Data a slice of the slab clipped to its
-// own length. The scan keeps the first makeDiffStackRuns boundaries on the
-// stack; a page with more runs is scanned again from where they end.
+// own length.
 func MakeDiff(page PageID, twin, cur []byte) []Run {
-	var bounds [makeDiffStackRuns][2]int32
-	nruns, nbytes := 0, 0
-	for i := 0; ; nruns++ {
-		start, end := nextRun(twin, cur, i)
-		if start == end {
-			break
-		}
-		if nruns < len(bounds) {
-			bounds[nruns] = [2]int32{int32(start), int32(end)}
-		}
-		nbytes += end - start
-		i = end
-	}
-	if nruns == 0 {
+	var mask [maskWords]uint64
+	s := newRunScan(twin, cur, false, mask[:])
+	n, total := s.count()
+	if n == 0 {
 		return nil
 	}
-	runs := make([]Run, nruns)
-	slab := make([]byte, nbytes)
-	end := 0
+	runs := make([]Run, n)
+	slab := make([]byte, total)
 	for k := range runs {
-		var start int
-		if k < len(bounds) {
-			start, end = int(bounds[k][0]), int(bounds[k][1])
-		} else {
-			start, end = nextRun(twin, cur, end)
-		}
+		start, end := s.next()
 		n := copy(slab, cur[start:end])
 		runs[k] = Run{Off: int32(start), Data: slab[:n:n]}
 		slab = slab[n:]
@@ -76,39 +65,141 @@ func MakeDiff(page PageID, twin, cur []byte) []Run {
 	return runs
 }
 
-const makeDiffStackRuns = 64
-
-// nextRun returns the first modified run at or after byte i as
-// [start, end); start == end when the rest of the page is clean.
-func nextRun(twin, cur []byte, i int) (start, end int) {
-	n := len(cur)
-	// Skip the equal region, word-wise while both slices allow it.
-	for i+8 <= n && binary.LittleEndian.Uint64(twin[i:]) == binary.LittleEndian.Uint64(cur[i:]) {
-		i += 8
-	}
-	for i < n && twin[i] == cur[i] {
-		i++
-	}
-	// Extend the modified run: whole words where every byte differs,
-	// then bytes until the first match.
-	start = i
-	for i+8 <= n {
-		x := binary.LittleEndian.Uint64(twin[i:]) ^ binary.LittleEndian.Uint64(cur[i:])
-		if hasZeroByte(x) {
-			break
-		}
-		i += 8
-	}
-	for i < n && twin[i] != cur[i] {
-		i++
-	}
-	return start, i
+// runScan is the one run scanner of the diff codec: it returns, in
+// order, the maximal runs of positions i < len(a) at which a[i] differs
+// from b[i] — or, with eq, equals it (the RLE's repeat groups, a
+// comparing data with itself one byte on). It keeps a bit per byte for
+// one 64-byte block at a time, built from eight 8-byte word compares: a
+// block whose bytes all match, or all differ, costs those compares
+// alone, any other gathers its bits with diffBytes, and a run boundary
+// is one TrailingZeros64.
+type runScan struct {
+	a, b []byte
+	flip uint64   // 0: set bits mark differing bytes; all ones: equal bytes
+	base int      // a's index of bit 0 of bits
+	bits uint64   // the block's bits at or after the scan position
+	mask []uint64 // where count keeps the blocks' bits, from the first on
 }
 
-// hasZeroByte reports whether any byte of x is zero (the SWAR trick:
-// borrow propagation sets the high bit of each zero byte).
-func hasZeroByte(x uint64) bool {
-	return (x-0x0101010101010101)&^x&0x8080808080808080 != 0
+// maskWords is the mask a caller of count keeps on its stack: a bit per
+// byte of an 8 KB page. A longer page's blocks past it are built again.
+const maskWords = 128
+
+// newRunScan starts a scan of a against b (len(b) ≥ len(a)) at byte 0.
+// A scan given a mask must count before it walks.
+func newRunScan(a, b []byte, eq bool, mask []uint64) runScan {
+	s := runScan{a: a, b: b[:len(a)], base: -64, mask: mask}
+	if eq {
+		s.flip = ^uint64(0)
+	}
+	return s
+}
+
+// count reports how many runs the scan returns and their total length,
+// from two popcounts a block — bits set, and bits set above a clear one —
+// and keeps the blocks' bits in mask, as many as fit, for next to walk.
+func (s *runScan) count() (runs, total int) {
+	carry := uint64(0) // the previous block's last bit
+	for base := 0; base < len(s.a); base += 64 {
+		m := s.block(base)
+		if w := base >> 6; w < len(s.mask) {
+			s.mask[w] = m
+		}
+		runs += bits.OnesCount64(m &^ (m<<1 | carry))
+		total += bits.OnesCount64(m)
+		carry = m >> 63
+	}
+	return runs, total
+}
+
+// next returns the next run as [start, end); start == end == len(a)
+// when there is none.
+func (s *runScan) next() (start, end int) {
+	n := len(s.a)
+	for s.bits == 0 {
+		if s.base += 64; s.base >= n {
+			s.base = n
+			return n, n
+		}
+		s.bits = s.load(s.base)
+	}
+	start = s.base + bits.TrailingZeros64(s.bits)
+	// The run ends at the first clear bit above its start, in this block
+	// or a later one.
+	z := ^s.bits &^ (s.bits&-s.bits - 1)
+	for z == 0 {
+		if s.base += 64; s.base >= n {
+			s.base, s.bits = n, 0
+			return start, n
+		}
+		s.bits = s.load(s.base)
+		z = ^s.bits
+	}
+	s.bits &^= z&-z - 1
+	return start, s.base + bits.TrailingZeros64(z)
+}
+
+// load returns the bits of the block at base: kept by count, or built.
+func (s *runScan) load(base int) uint64 {
+	if w := base >> 6; w < len(s.mask) {
+		return s.mask[w]
+	}
+	return s.block(base)
+}
+
+// block returns the bits of bytes [base, base+64), those past len(a)
+// clear.
+func (s *runScan) block(base int) uint64 {
+	a, b := s.a[base:], s.b[base:]
+	if len(a) >= 64 {
+		a, b := (*[64]byte)(a), (*[64]byte)(b)
+		var any uint64
+		for k := 0; k < 64; k += 8 {
+			any |= le.Uint64(a[k:]) ^ le.Uint64(b[k:])
+		}
+		if any == 0 {
+			return s.flip // every byte matches
+		}
+		var zero uint64 // the SWAR zero-byte probe
+		for k := 0; k < 64; k += 8 {
+			x := le.Uint64(a[k:]) ^ le.Uint64(b[k:])
+			zero |= (x - 0x0101010101010101) &^ x
+		}
+		if zero&0x8080808080808080 == 0 {
+			return ^s.flip // no byte matches
+		}
+		var m uint64
+		for k := 0; k < 64; k += 8 {
+			m |= diffBytes(le.Uint64(a[k:])^le.Uint64(b[k:])) << k
+		}
+		return m ^ s.flip
+	}
+	n := len(a)
+	var m uint64
+	k := 0
+	for ; k+8 <= n; k += 8 {
+		m |= diffBytes(le.Uint64(a[k:])^le.Uint64(b[k:])) << k
+	}
+	if k < n && n >= 8 { // the last bytes: the word ending at n
+		m |= diffBytes(le.Uint64(a[n-8:])^le.Uint64(b[n-8:])) >> (k + 8 - n) << k
+	} else {
+		for ; k < n; k++ {
+			if a[k] != b[k] {
+				m |= 1 << k
+			}
+		}
+	}
+	return (m ^ s.flip) & (1<<n - 1)
+}
+
+// diffBytes returns a bit per byte of x, set where the byte is not zero:
+// the high bit of each byte is set by an add that carries out of any
+// non-zero low seven bits, or by the byte's own high bit, and a multiply
+// gathers the eight high bits into the low byte.
+func diffBytes(x uint64) uint64 {
+	const lo7, hi = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
+	y := ((x & lo7) + lo7 | x) & hi
+	return (y >> 7) * 0x0102040810204080 >> 56
 }
 
 // Apply writes the diff's runs into page contents dst, and into twin as

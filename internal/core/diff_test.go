@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -137,13 +138,18 @@ func TestMakeDiffMatchesReference(t *testing.T) {
 			cur[i] = 1 // alternating differ/match defeats whole-word runs
 		}
 	})
-	for _, runs := range []int{makeDiffStackRuns - 1, makeDiffStackRuns, makeDiffStackRuns + 1, 8 * makeDiffStackRuns} {
+	for _, runs := range []int{21, 22, 23, 512} {
 		addCase(3*runs+5, func(cur []byte) {
 			for i := 0; i < runs; i++ {
-				cur[3*i+1] = 1 // the stack holds the first makeDiffStackRuns runs; the rest are scanned twice
+				cur[3*i+1] = 1 // runs in every block, and one across each block boundary
 			}
 		})
 	}
+	addCase(200, func(cur []byte) {
+		for i := 60; i < 140; i++ {
+			cur[i] = 1 // one run over three blocks
+		}
+	})
 	addCase(13, func(cur []byte) { cur[12] = 1 }) // tail shorter than a word
 	addCase(7, func(cur []byte) { cur[3] = 1 })   // page shorter than a word
 	addCase(1, func(cur []byte) { cur[0] = 1 })
@@ -311,4 +317,67 @@ func pageWith(base []byte, off int, data []byte, limit int) []byte {
 	}
 	copy(p[off:], data)
 	return p
+}
+
+// TestRunScanMatchesByteLoop: the scanner's runs, in both senses, and its
+// count — with and without a kept mask, and from pages shorter and longer
+// than the mask — are what a byte loop finds, on seeded random pairs of
+// every length to 300 bytes and some past 8 KB, equal and differing bytes
+// mixed at densities from all-equal to all-different.
+func TestRunScanMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 1200; trial++ {
+		n := trial % 301
+		if trial%100 == 99 {
+			n = 8<<10 + rng.Intn(200)
+		}
+		a := make([]byte, n)
+		rng.Read(a)
+		b := append([]byte(nil), a...)
+		density := rng.Intn(5)
+		for i := range b {
+			if rng.Intn(4) < density {
+				b[i]++
+			}
+		}
+		for _, eq := range []bool{false, true} {
+			var want [][2]int
+			for i := 0; i < n; {
+				if (a[i] == b[i]) != eq {
+					i++
+					continue
+				}
+				j := i
+				for j < n && (a[j] == b[j]) == eq {
+					j++
+				}
+				want = append(want, [2]int{i, j})
+				i = j
+			}
+			total := 0
+			for _, r := range want {
+				total += r[1] - r[0]
+			}
+			for _, mask := range [][]uint64{nil, make([]uint64, maskWords)} {
+				s := newRunScan(a, b, eq, mask)
+				if mask != nil {
+					if runs, bytes := s.count(); runs != len(want) || bytes != total {
+						t.Fatalf("trial %d eq %v: count %d runs %d bytes, want %d and %d", trial, eq, runs, bytes, len(want), total)
+					}
+				}
+				for k := 0; ; k++ {
+					start, end := s.next()
+					if start == end {
+						if start != n || k != len(want) {
+							t.Fatalf("trial %d eq %v: ended at %d after %d runs, want %d after %d", trial, eq, start, k, n, len(want))
+						}
+						break
+					}
+					if k >= len(want) || want[k] != [2]int{start, end} {
+						t.Fatalf("trial %d eq %v: run %d is [%d,%d), want %v", trial, eq, k, start, end, want)
+					}
+				}
+			}
+		}
+	}
 }

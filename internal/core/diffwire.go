@@ -26,7 +26,9 @@ import (
 // costs one bit and never inflates. The encoding is self-contained —
 // nothing is delta'd against receiver state — so decode works at any
 // node regardless of its page contents, and DecodeRuns returns exactly
-// the Run form MakeDiff produced: Apply semantics are untouched.
+// the Run form MakeDiff produced: Apply semantics are untouched. Every
+// pass over run bytes — finding the runs, finding the repeat groups,
+// the filter and its inverse — goes a word at a time (runScan, diff.go).
 //
 // The simulator uses the encoded size for netsim byte accounting when
 // Config.CompressDiffs is set (default off: byte-identical legacy
@@ -41,24 +43,67 @@ const minRepeat = 4
 
 // EncodeRuns appends the compressed encoding of runs to dst and returns
 // the extended slice. Runs must be ascending, non-overlapping page
-// offsets — exactly what MakeDiff emits.
+// offsets — exactly what MakeDiff emits. A run's xor8 trial is built in
+// a stack buffer while it fits.
 func EncodeRuns(dst []byte, runs []Run) []byte {
+	var buf [512]byte
 	dst = binary.AppendUvarint(dst, uint64(len(runs)))
 	prevEnd := int32(0)
-	var scratch []byte
 	for _, r := range runs {
 		dst = binary.AppendUvarint(dst, uint64(r.Off-prevEnd))
 		prevEnd = r.Off + int32(len(r.Data))
+		dst = appendRun(dst, r.Data, xor8Filter(buf[:], r.Data))
+	}
+	return dst
+}
 
-		plainLen := rlePayloadSize(r.Data)
-		scratch = xor8Filter(scratch[:0], r.Data)
-		xorLen := rlePayloadSize(scratch)
-		if xorLen < plainLen {
-			dst = binary.AppendUvarint(dst, uint64(len(r.Data))<<1|1)
-			dst = appendRLEPayload(dst, scratch)
-		} else {
-			dst = binary.AppendUvarint(dst, uint64(len(r.Data))<<1)
-			dst = appendRLEPayload(dst, r.Data)
+// EncodeDiff returns head followed by EncodeRuns(nil, MakeDiff(0, twin,
+// cur)) in one new buffer, and the number of runs — nil and 0 when twin
+// equals cur. The runs are never built: the scanner's count sizes the
+// buffer, its walk encodes each run straight from cur, and a run's xor8
+// trial is built in twin's bytes of the run, behind the walk. twin is
+// clobbered where it differed from cur.
+func EncodeDiff(head, twin, cur []byte) ([]byte, int) {
+	var mask [maskWords]uint64
+	s := newRunScan(twin, cur, false, mask[:])
+	n, total := s.count()
+	if n == 0 {
+		return nil, 0
+	}
+	// A uvarint below 2^21 is at most three bytes, and the RLE form of a
+	// run under 8 KB at most three longer than its data.
+	dst := append(make([]byte, 0, len(head)+3+10*n+total), head...)
+	dst = binary.AppendUvarint(dst, uint64(n))
+	prevEnd := 0
+	for k := 0; k < n; k++ {
+		start, end := s.next()
+		dst = binary.AppendUvarint(dst, uint64(start-prevEnd))
+		prevEnd = end
+		dst = appendRun(dst, cur[start:end], xor8Filter(twin[start:end], cur[start:end]))
+	}
+	return dst, n
+}
+
+// appendRun appends one run's header and payload: the RLE of data, or of
+// filt — data's xor8-filtered form, nil when the filter cannot help —
+// when that is strictly smaller. The plain form is written first and
+// kept unless the filtered one's size beats it, so a run the filter does
+// not shrink is tokenized once and sized once.
+func appendRun(dst, data, filt []byte) []byte {
+	at := len(dst)
+	dst = binary.AppendUvarint(dst, uint64(len(data))<<1)
+	if filt == nil && !mayRepeat(data) {
+		// The common run, a word or less of a float's low bytes: one
+		// literal, whose token is the header over again.
+		dst = binary.AppendUvarint(dst, uint64(len(data))<<1)
+		return append(dst, data...)
+	}
+	body := len(dst)
+	dst, size := rle(dst, data, true)
+	if filt != nil {
+		if _, fsize := rle(nil, filt, false); fsize < size {
+			dst[at] |= 1 // the flag is the header's low bit
+			dst, _ = rle(dst[:body], filt, true)
 		}
 	}
 	return dst
@@ -67,20 +112,19 @@ func EncodeRuns(dst []byte, runs []Run) []byte {
 // EncodedRunsSize reports len(EncodeRuns(nil, runs)) without building
 // the encoding.
 func EncodedRunsSize(runs []Run) int {
+	var buf [512]byte
 	n := uvarintSize(uint64(len(runs)))
 	prevEnd := int32(0)
-	var scratch []byte
 	for _, r := range runs {
 		n += uvarintSize(uint64(r.Off - prevEnd))
 		prevEnd = r.Off + int32(len(r.Data))
 		n += uvarintSize(uint64(len(r.Data)) << 1)
-		plainLen := rlePayloadSize(r.Data)
-		scratch = xor8Filter(scratch[:0], r.Data)
-		if xorLen := rlePayloadSize(scratch); xorLen < plainLen {
-			n += xorLen
-		} else {
-			n += plainLen
+		_, size := rle(nil, r.Data, false)
+		if filt := xor8Filter(buf[:], r.Data); filt != nil {
+			_, fsize := rle(nil, filt, false)
+			size = min(size, fsize)
 		}
+		n += size
 	}
 	return n
 }
@@ -91,19 +135,40 @@ func EncodedRunsSize(runs []Run) int {
 // cannot fail and cuts every Run.Data from one slab — two allocations
 // however many runs there are, the shape MakeDiff returns.
 func DecodeRuns(src []byte) (runs []Run, rest []byte, err error) {
-	count, total, _, err := walkRuns(src, nil, nil)
+	count, total, _, err := walkRuns(src, -1, nil, nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	runs = make([]Run, count)
-	_, _, rest, _ = walkRuns(src, runs, make([]byte, total))
+	_, _, rest, _ = walkRuns(src, -1, make([]byte, total), runs)
 	return runs, rest, nil
 }
 
-// walkRuns parses an EncodeRuns payload. With runs nil it validates the
-// payload and reports the run count and the data bytes of all runs; given
-// runs and a slab of those sizes it fills them in as well.
-func walkRuns(src []byte, runs []Run, slab []byte) (count, total int, rest []byte, err error) {
+// ApplyRuns writes an EncodeRuns payload, all of src, into page: the
+// diff applied from the wire, with no Run built and nothing allocated.
+// It validates the whole payload first — every token, every run inside
+// page, no byte left over — and writes nothing unless all of it is good;
+// then it expands each run straight into page at its offset and undoes
+// the xor8 filter there.
+func ApplyRuns(page, src []byte) error {
+	_, _, rest, err := walkRuns(src, len(page), nil, nil)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("core: %d bytes after the diff runs", len(rest))
+	}
+	if err != nil {
+		return err
+	}
+	walkRuns(src, len(page), page, nil)
+	return nil
+}
+
+// walkRuns parses an EncodeRuns payload. With dst nil it validates the
+// payload — each run inside [0, limit) unless limit is negative — and
+// reports the run count and the data bytes of all runs. Otherwise it
+// also writes the runs' bytes into dst: into a slab of those sizes, each
+// run after the one before and recorded in runs, when runs is not nil;
+// else into a page, each at its own offset.
+func walkRuns(src []byte, limit int, dst []byte, runs []Run) (count, total int, rest []byte, err error) {
 	c, src, err := readUvarint(src)
 	if err != nil {
 		return 0, 0, nil, fmt.Errorf("core: diff run count: %w", err)
@@ -126,19 +191,28 @@ func walkRuns(src []byte, runs []Run, slab []byte) (count, total int, rest []byt
 			return 0, 0, nil, fmt.Errorf("core: diff run %d length %d too large", k, length)
 		}
 		off += int64(gap)
-		var data []byte
-		if runs != nil {
-			data, slab = slab[:length:length], slab[length:]
+		if limit >= 0 && (gap > uint64(limit) || off+int64(length) > int64(limit)) {
+			return 0, 0, nil, fmt.Errorf("core: diff run %d [%d,+%d) outside the %d-byte page", k, off, length, limit)
 		}
-		if src, err = expandRLE(data, s, length); err != nil {
+		var data []byte
+		if dst != nil {
+			at := int(off)
+			if runs != nil {
+				at = total
+			}
+			data = dst[at : at+length : at+length]
+		}
+		if t, lit, _ := readUvarint(s); length > 0 && t == uint64(length)<<1 && len(lit) >= length {
+			// One literal, the whole run: most runs, a float's low bytes.
+			copy(data, lit)
+			src = lit[length:]
+		} else if src, err = expandRLE(data, s, length); err != nil {
 			return 0, 0, nil, fmt.Errorf("core: diff run %d payload: %w", k, err)
 		}
+		if data != nil && lm&1 != 0 {
+			unxor8(data)
+		}
 		if runs != nil {
-			if lm&1 != 0 {
-				for i := 8; i < length; i++ {
-					data[i] ^= data[i-8]
-				}
-			}
 			runs[k] = Run{Off: int32(off), Data: data}
 		}
 		off += int64(length)
@@ -147,74 +221,95 @@ func walkRuns(src []byte, runs []Run, slab []byte) (count, total int, rest []byt
 	return int(c), total, src, nil
 }
 
-// xor8Filter appends the xor8-prefiltered form of data to dst: the first
-// 8 bytes verbatim, then each byte xored with the byte one word earlier.
-func xor8Filter(dst, data []byte) []byte {
+// xor8Filter returns data's xor8-filtered form — the first 8 bytes
+// verbatim, then each byte xored with the byte one word earlier, a word
+// at a time — built in buf when it fits, else in a new buffer; nil when
+// data is at most 8 bytes long, which the filter leaves as it is.
+func xor8Filter(buf, data []byte) []byte {
 	n := len(data)
 	if n <= 8 {
-		return append(dst, data...)
+		return nil
 	}
-	base := len(dst)
-	dst = append(dst, data...)
-	b := dst[base:]
-	for i := n - 1; i >= 8; i-- {
+	if len(buf) < n {
+		buf = make([]byte, n)
+	}
+	f := buf[:n]
+	copy(f, data[:8])
+	i := 8
+	for ; i+8 <= n; i += 8 {
+		le.PutUint64(f[i:], le.Uint64(data[i:])^le.Uint64(data[i-8:]))
+	}
+	for ; i < n; i++ {
+		f[i] = data[i] ^ data[i-8]
+	}
+	return f
+}
+
+// unxor8 undoes xor8Filter in place, a word at a time: each word is
+// xored with the word before it, which is already restored.
+func unxor8(b []byte) {
+	i := 8
+	for ; i+8 <= len(b); i += 8 {
+		le.PutUint64(b[i:], le.Uint64(b[i:])^le.Uint64(b[i-8:]))
+	}
+	for ; i < len(b); i++ {
 		b[i] ^= b[i-8]
 	}
-	return dst
 }
 
-// appendRLEPayload tokenizes data: repeat tokens for byte runs of at
-// least minRepeat, literal groups otherwise.
-func appendRLEPayload(dst, data []byte) []byte {
-	i, litStart := 0, 0
+// mayRepeat reports whether data may hold a group of minRepeat equal
+// bytes, checking data of at most 8 bytes in one word: its bytes against
+// their successors', and the equal ones for minRepeat−1 in a row.
+func mayRepeat(data []byte) bool {
 	n := len(data)
-	for i < n {
-		j := i + 1
-		for j < n && data[j] == data[i] {
-			j++
-		}
-		if j-i >= minRepeat {
-			if i > litStart {
-				dst = binary.AppendUvarint(dst, uint64(i-litStart)<<1)
-				dst = append(dst, data[litStart:i]...)
-			}
-			dst = binary.AppendUvarint(dst, uint64(j-i)<<1|1)
-			dst = append(dst, data[i])
-			litStart = j
-		}
-		i = j
+	if n < minRepeat || n > 8 {
+		return n >= minRepeat
 	}
-	if n > litStart {
-		dst = binary.AppendUvarint(dst, uint64(n-litStart)<<1)
-		dst = append(dst, data[litStart:]...)
+	var w uint64
+	for i := n - 1; i >= 0; i-- {
+		w = w<<8 | uint64(data[i])
 	}
-	return dst
+	eq := ^diffBytes(w^w>>8) & (1<<(n-1) - 1)
+	return eq&(eq>>1)&(eq>>2) != 0
 }
 
-// rlePayloadSize reports len(appendRLEPayload(nil, data)) without
-// building it.
-func rlePayloadSize(data []byte) int {
-	size := 0
-	i, litStart := 0, 0
-	n := len(data)
-	for i < n {
-		j := i + 1
-		for j < n && data[j] == data[i] {
-			j++
+// repeats scans data for its groups of equal bytes: the run scanner
+// comparing data with itself one byte on, whose run [i, j) is the group
+// data[i..j] of j−i+1 equal bytes.
+func repeats(data []byte) runScan {
+	if len(data) < minRepeat {
+		return runScan{} // no group long enough: one literal
+	}
+	return newRunScan(data[:len(data)-1], data[1:], true, nil)
+}
+
+// rle tokenizes data: repeat tokens for groups of at least minRepeat
+// equal bytes, literal groups between them. It appends the tokens to dst
+// when emit is set and returns their size either way.
+func rle(dst, data []byte, emit bool) ([]byte, int) {
+	size, lit := 0, 0
+	for s := repeats(data); ; {
+		i, j := s.next() // data[i..j] are equal
+		if i == j {
+			i = len(data) // no group left: the last literal
+		} else if j-i < minRepeat-1 {
+			continue
 		}
-		if j-i >= minRepeat {
-			if i > litStart {
-				size += uvarintSize(uint64(i-litStart)<<1) + (i - litStart)
+		if n := i - lit; n > 0 {
+			size += uvarintSize(uint64(n)<<1) + n
+			if emit {
+				dst = append(binary.AppendUvarint(dst, uint64(n)<<1), data[lit:i]...)
 			}
-			size += uvarintSize(uint64(j-i)<<1|1) + 1
-			litStart = j
 		}
-		i = j
+		if i == len(data) {
+			return dst, size
+		}
+		size += uvarintSize(uint64(j+1-i)<<1|1) + 1
+		if emit {
+			dst = append(binary.AppendUvarint(dst, uint64(j+1-i)<<1|1), data[i])
+		}
+		lit = j + 1
 	}
-	if n > litStart {
-		size += uvarintSize(uint64(n-litStart)<<1) + (n - litStart)
-	}
-	return size
 }
 
 // expandRLE expands tokens from src until want bytes have been produced

@@ -2,13 +2,17 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 )
 
 // The decoder DecodeRuns replaced, verbatim: one allocation per run, the
 // payload grown by append. TestDecodeMatchesReference holds the slab
-// decoder to its runs, its remainder and its error text.
+// decoder to its runs, its remainder and its error text, and
+// TestApplyMatchesReference holds ApplyRuns to the page it makes.
 
 func decodeRunsReference(src []byte) (runs []Run, rest []byte, err error) {
 	count, src, err := readUvarint(src)
@@ -78,6 +82,235 @@ func decodeRLEPayloadReference(dst, src []byte, want int) ([]byte, []byte, error
 		}
 	}
 	return dst, src, nil
+}
+
+// The encoder the run scanner replaced, verbatim but for names: every
+// run tokenized byte at a time, sized twice and filtered into a grown
+// scratch. TestEncodeMatchesReference holds EncodeRuns, EncodedRunsSize
+// and EncodeDiff to its bytes.
+
+func encodeRunsReference(dst []byte, runs []Run) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(runs)))
+	prevEnd := int32(0)
+	var scratch []byte
+	for _, r := range runs {
+		dst = binary.AppendUvarint(dst, uint64(r.Off-prevEnd))
+		prevEnd = r.Off + int32(len(r.Data))
+
+		plainLen := rlePayloadSizeReference(r.Data)
+		scratch = xor8FilterReference(scratch[:0], r.Data)
+		xorLen := rlePayloadSizeReference(scratch)
+		if xorLen < plainLen {
+			dst = binary.AppendUvarint(dst, uint64(len(r.Data))<<1|1)
+			dst = appendRLEPayloadReference(dst, scratch)
+		} else {
+			dst = binary.AppendUvarint(dst, uint64(len(r.Data))<<1)
+			dst = appendRLEPayloadReference(dst, r.Data)
+		}
+	}
+	return dst
+}
+
+func xor8FilterReference(dst, data []byte) []byte {
+	n := len(data)
+	if n <= 8 {
+		return append(dst, data...)
+	}
+	base := len(dst)
+	dst = append(dst, data...)
+	b := dst[base:]
+	for i := n - 1; i >= 8; i-- {
+		b[i] ^= b[i-8]
+	}
+	return dst
+}
+
+func appendRLEPayloadReference(dst, data []byte) []byte {
+	i, litStart := 0, 0
+	n := len(data)
+	for i < n {
+		j := i + 1
+		for j < n && data[j] == data[i] {
+			j++
+		}
+		if j-i >= minRepeat {
+			if i > litStart {
+				dst = binary.AppendUvarint(dst, uint64(i-litStart)<<1)
+				dst = append(dst, data[litStart:i]...)
+			}
+			dst = binary.AppendUvarint(dst, uint64(j-i)<<1|1)
+			dst = append(dst, data[i])
+			litStart = j
+		}
+		i = j
+	}
+	if n > litStart {
+		dst = binary.AppendUvarint(dst, uint64(n-litStart)<<1)
+		dst = append(dst, data[litStart:]...)
+	}
+	return dst
+}
+
+func rlePayloadSizeReference(data []byte) int {
+	return len(appendRLEPayloadReference(nil, data))
+}
+
+// codecPages is the page pairs the codec's differential tests diff: the
+// wire and bench patterns, and seeded random pages — 0 to 17000 bytes,
+// so past the 8 KB a stack mask covers, and at lengths off every word and
+// block boundary — whose writes are word stores of small values, fills,
+// high-entropy splats, single bytes and a float's low bytes.
+func codecPages() map[string][2][]byte {
+	pages := map[string][2][]byte{}
+	for _, p := range wirePatterns() {
+		for _, ps := range []int{4096, 8 << 10} {
+			twin, cur := wirePatternPages(p, ps)
+			pages[fmt.Sprintf("wire/%s/%d", p, ps)] = [2][]byte{twin, cur}
+		}
+	}
+	for _, p := range []string{"clean", "sparse", "dense", "alternating"} {
+		twin, cur := benchPages(p)
+		pages["bench/"+p] = [2][]byte{twin, cur}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		n := []int{0, 1, 7, 8, 9, 63, 64, 65, 127, 1000, 4096, 8192, 8200, 17000}[trial%14] + trial%3
+		twin := make([]byte, n)
+		if trial%2 == 0 {
+			rng.Read(twin)
+		}
+		cur := append([]byte(nil), twin...)
+		for w := rng.Intn(3 + n/16); w > 0 && n > 0; w-- {
+			off := rng.Intn(n)
+			ln := min(n-off, 1+rng.Intn(80))
+			seg := cur[off : off+ln]
+			switch rng.Intn(5) {
+			case 0:
+				clear(seg)
+				seg[0] = byte(rng.Intn(4))
+			case 1:
+				b := byte(rng.Intn(3))
+				for i := range seg {
+					seg[i] = b
+				}
+			case 2:
+				rng.Read(seg)
+			case 3:
+				seg[0]++
+			default:
+				for i := range seg {
+					if i%8 < 6 {
+						seg[i] ^= byte(1 + rng.Intn(255))
+					}
+				}
+			}
+		}
+		pages[fmt.Sprintf("random/%d/%d", trial, n)] = [2][]byte{twin, cur}
+	}
+	return pages
+}
+
+// TestEncodeMatchesReference: on every page pair of the corpus, EncodeRuns
+// writes the replaced encoder's bytes for MakeDiff's runs, EncodedRunsSize
+// counts them, and EncodeDiff writes its head and the same bytes from the
+// page and twin alone — the run count with them, nil for a clean page,
+// and the twin left as it was wherever it matched cur.
+func TestEncodeMatchesReference(t *testing.T) {
+	head := []byte{0xde, 0xad, 0xbe, 0xef}
+	for name, pc := range codecPages() {
+		twin, cur := pc[0], pc[1]
+		runs := makeDiffRef(twin, cur)
+		want := encodeRunsReference(nil, runs)
+		if got := EncodeRuns(nil, runs); !bytes.Equal(got, want) {
+			t.Fatalf("%s: EncodeRuns = %x, reference %x", name, got, want)
+		}
+		if got := EncodedRunsSize(runs); got != len(want) {
+			t.Fatalf("%s: EncodedRunsSize = %d, reference %d bytes", name, got, len(want))
+		}
+		scratch := append([]byte(nil), twin...)
+		got, n := EncodeDiff(head, scratch, cur)
+		switch {
+		case n != len(runs):
+			t.Fatalf("%s: EncodeDiff counts %d runs, reference %d", name, n, len(runs))
+		case n == 0 && got != nil:
+			t.Fatalf("%s: EncodeDiff of a clean page = %x, want nil", name, got)
+		case n > 0 && !bytes.Equal(got, append(append([]byte(nil), head...), want...)):
+			t.Fatalf("%s: EncodeDiff = %x, reference %x", name, got, want)
+		}
+		for i := range twin {
+			if twin[i] == cur[i] && scratch[i] != twin[i] {
+				t.Fatalf("%s: EncodeDiff wrote twin byte %d, which matched the page", name, i)
+			}
+		}
+	}
+}
+
+// sameApply applies src to a copy of page both ways — ApplyRuns, and the
+// replaced decoder's runs copied in when they all fit and nothing trails
+// — and fails on any difference: the page's bytes, whether it failed,
+// the error's text where the decoder has one (unless a run before the
+// decoder's error already reached past the page), and a page written by
+// a payload that failed.
+func sameApply(t *testing.T, what string, page, src []byte) {
+	t.Helper()
+	want := append([]byte(nil), page...)
+	runs, rest, wantErr := decodeRunsReference(src)
+	fits := wantErr == nil && len(rest) == 0
+	for _, r := range runs {
+		fits = fits && r.Off >= 0 && int(r.Off)+len(r.Data) <= len(page)
+	}
+	if fits {
+		for _, r := range runs {
+			copy(want[r.Off:], r.Data)
+		}
+	}
+	got := append([]byte(nil), page...)
+	err := ApplyRuns(got, src)
+	if (err == nil) != fits {
+		t.Fatalf("%s: ApplyRuns error %v, reference error %v, runs fit %v", what, err, wantErr, fits)
+	}
+	if wantErr != nil && err.Error() != wantErr.Error() && !strings.Contains(err.Error(), "-byte page") {
+		t.Fatalf("%s: ApplyRuns error %q, reference %q", what, err, wantErr)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: ApplyRuns made a different page (error %v)", what, err)
+	}
+}
+
+// TestApplyMatchesReference: every payload of the decode corpus and the
+// codec's page corpus, applied to pages of 8 KB, 4 KB and 100 bytes, plus
+// every truncation, byte flip and trailing byte of the corpus payloads,
+// gives the page the replaced decoder's runs give — and a payload that
+// does not parse, trails bytes or reaches past the page changes nothing.
+func TestApplyMatchesReference(t *testing.T) {
+	corpus := decodeCorpus()
+	for name, pc := range codecPages() {
+		corpus["pages/"+name] = EncodeRuns(nil, makeDiffRef(pc[0], pc[1]))
+	}
+	rng := rand.New(rand.NewSource(11))
+	pages := [][]byte{make([]byte, 8<<10), make([]byte, 4096), make([]byte, 100)}
+	for _, p := range pages {
+		rng.Read(p)
+	}
+	for name, enc := range corpus {
+		for _, page := range pages {
+			sameApply(t, fmt.Sprintf("%s/page %d", name, len(page)), page, enc)
+		}
+		page := pages[0]
+		sameApply(t, name+"/trailing", page, append(append([]byte(nil), enc...), 0))
+		step := len(enc)/64 | 1
+		for cut := 0; cut < len(enc); cut += step {
+			sameApply(t, fmt.Sprintf("%s/cut %d", name, cut), page, enc[:cut])
+		}
+		bad := append([]byte(nil), enc...)
+		for i := 0; i < len(enc); i += step {
+			for _, x := range []byte{0x01, 0x80, 0xFF} {
+				bad[i] = enc[i] ^ x
+				sameApply(t, fmt.Sprintf("%s/byte %d ^ %#x", name, i, x), page, bad)
+			}
+			bad[i] = enc[i]
+		}
+	}
 }
 
 // decodeCorpus is every EncodeRuns payload the package's tests build: the

@@ -173,6 +173,9 @@ func TestVClockRoundTrip(t *testing.T) {
 //     high-entropy values; the incompressible floor.
 //   - "strided": a regular stride of float64 grid-point updates, the
 //     nearest-neighbor relaxation shape (SOR, Ocean).
+//   - "float": every float64 of the page nudged, so each word is one run
+//     of its low bytes — the shape of most diffs the real runtime
+//     flushes (a run per word, 5 to 7 bytes long, a literal each).
 func wirePatternPages(pattern string, pageSize int) (twin, cur []byte) {
 	twin = make([]byte, pageSize)
 	cur = make([]byte, pageSize)
@@ -201,6 +204,12 @@ func wirePatternPages(pattern string, pageSize int) (twin, cur []byte) {
 			}
 			binary.LittleEndian.PutUint64(cur[w*8:], math.Float64bits(v))
 		}
+	case "float":
+		for w := 0; w*8+8 <= pageSize; w++ {
+			v := 1.0 + float64(w)*0.37
+			binary.LittleEndian.PutUint64(twin[w*8:], math.Float64bits(v))
+			binary.LittleEndian.PutUint64(cur[w*8:], math.Float64bits(v*1.0001))
+		}
 	default:
 		panic("core: unknown wire pattern " + pattern)
 	}
@@ -208,14 +217,15 @@ func wirePatternPages(pattern string, pageSize int) (twin, cur []byte) {
 }
 
 // wirePatterns lists the diff-wire workload patterns in report order.
-func wirePatterns() []string { return []string{"sparse", "dense", "strided"} }
+func wirePatterns() []string { return []string{"sparse", "dense", "strided", "float"} }
 
 // TestWirePatternRatios pins the compression guarantees: ≤ 60% of raw
-// on the sparse pattern, ≤ 90% on the strided one, never meaningfully
+// on the sparse pattern, ≤ 90% on the strided one, ≤ 70% on the float
+// one (its run headers shrink, its literals stay), never meaningfully
 // inflating on the incompressible dense pattern.
 func TestWirePatternRatios(t *testing.T) {
 	const pageSize = 8 << 10
-	caps := map[string]float64{"sparse": 0.60, "dense": 1.01, "strided": 0.90}
+	caps := map[string]float64{"sparse": 0.60, "dense": 1.01, "strided": 0.90, "float": 0.70}
 	for _, pattern := range wirePatterns() {
 		twin, cur := wirePatternPages(pattern, pageSize)
 		runs := MakeDiff(0, twin, cur)
@@ -341,6 +351,42 @@ func benchmarkDiffDecode(b *testing.B, pattern string) {
 func BenchmarkDiffDecodeSparse(b *testing.B) { benchmarkDiffDecode(b, "sparse") }
 func BenchmarkDiffDecodeDense(b *testing.B)  { benchmarkDiffDecode(b, "dense") }
 
+// BenchmarkEncodeDiff is the real runtime's flush encoding on each wire
+// pattern: the page and its twin straight to the wire. Each iteration
+// also restores the twin EncodeDiff clobbered, a page-sized copy.
+func BenchmarkEncodeDiff(b *testing.B) {
+	for _, p := range wirePatterns() {
+		b.Run(p, func(b *testing.B) {
+			twin, cur := wirePatternPages(p, benchPageSize)
+			scratch := make([]byte, len(twin))
+			b.SetBytes(int64(benchPageSize))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(scratch, twin)
+				EncodeDiff(nil, scratch, cur)
+			}
+		})
+	}
+}
+
+// BenchmarkApplyRuns is the home's side of a flush: the wire applied to
+// the master page.
+func BenchmarkApplyRuns(b *testing.B) {
+	for _, p := range wirePatterns() {
+		b.Run(p, func(b *testing.B) {
+			twin, cur := wirePatternPages(p, benchPageSize)
+			enc := EncodeRuns(nil, MakeDiff(0, twin, cur))
+			b.SetBytes(int64(benchPageSize))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := ApplyRuns(twin, enc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // Ensure the fixtures cover the documented shapes (a guard against
 // silently editing a pattern into triviality).
 func TestWirePatternShapes(t *testing.T) {
@@ -367,13 +413,18 @@ func TestWirePatternShapes(t *testing.T) {
 			if len(runs) < 100 {
 				t.Errorf("strided has %d runs, want a regular stride", len(runs))
 			}
+		case "float":
+			if len(runs) < 1000 || total > 8*len(runs) {
+				t.Errorf("float has %d runs of %d bytes, want one short run a word", len(runs), total)
+			}
 		}
 	}
 }
 
 // TestCodecAllocCaps holds the diff kernels' allocation diet: allocs per
 // call of each kernel on its fixed page pattern may not exceed the
-// recorded cap.
+// recorded cap. The real runtime's path — EncodeDiff at the writer,
+// ApplyRuns at the home — allocates the payload and nothing more.
 func TestCodecAllocCaps(t *testing.T) {
 	makeDiff := func(pattern string) func() {
 		twin, cur := benchPages(pattern)
@@ -394,6 +445,20 @@ func TestCodecAllocCaps(t *testing.T) {
 			}
 		}
 	}
+	encodeDiff := func(pattern string) func() {
+		twin, cur := wirePatternPages(pattern, benchPageSize)
+		scratch := make([]byte, len(twin))
+		return func() { copy(scratch, twin); EncodeDiff(nil, scratch, cur) }
+	}
+	applyRuns := func(pattern string) func() {
+		twin, cur := wirePatternPages(pattern, benchPageSize)
+		enc := EncodeRuns(nil, MakeDiff(0, twin, cur))
+		return func() {
+			if err := ApplyRuns(twin, enc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	apply := func() func() {
 		twin, cur := benchPages("sparse")
 		d := &Diff{Runs: MakeDiff(0, twin, cur)}
@@ -410,9 +475,15 @@ func TestCodecAllocCaps(t *testing.T) {
 		{"MakeDiff/dense", makeDiff("dense"), 2},
 		{"MakeDiff/alternating", makeDiff("alternating"), 2},
 		{"DiffApply", apply(), 0},
-		{"DiffEncode/sparse", encode("sparse"), 1},
-		{"DiffEncode/dense", encode("dense"), 2},
-		{"DiffDecode/sparse", decode("sparse"), 2}, // one []Run, one data slab
+		{"DiffEncode/sparse", encode("sparse"), 0}, // the xor8 trial fits the stack buffer
+		{"DiffEncode/dense", encode("dense"), 0},
+		{"DiffEncode/float", encode("float"), 0},
+		{"DiffDecode/sparse", decode("sparse"), 2},     // one []Run, one data slab
+		{"EncodeDiff/sparse", encodeDiff("sparse"), 1}, // the payload, nothing else
+		{"EncodeDiff/dense", encodeDiff("dense"), 1},
+		{"EncodeDiff/float", encodeDiff("float"), 1},
+		{"ApplyRuns/sparse", applyRuns("sparse"), 0},
+		{"ApplyRuns/float", applyRuns("float"), 0},
 	} {
 		got := testing.AllocsPerRun(20, tc.fn)
 		t.Logf("%s: %.0f allocs/op (cap %.0f)", tc.name, got, tc.cap)

@@ -114,7 +114,8 @@ func BenchmarkRemoteFault(b *testing.B) {
 }
 
 // BenchmarkFlushDiff is one one-word diff end to end on loopback — twin,
-// MakeDiff, encode, the home's decode and apply, its ack.
+// the encoding from page and twin, the home's apply from the wire, its
+// ack.
 func BenchmarkFlushDiff(b *testing.B) {
 	onNode0(b, 2, func(w *Worker, base core.Addr) {
 		b.ReportAllocs()

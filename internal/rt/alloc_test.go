@@ -13,11 +13,12 @@ import (
 // diet at what it measures, both nodes counted. A remote fault is the
 // pending slot's channel (two: header and buffer), the request and the
 // reply, which becomes the cached page — no second copy of the master, no
-// cache entry (8 before). A flushed diff is the channel's two, MakeDiff's
-// two, the encoded request and EncodeRuns' filter scratch, the home's two
-// decoded and its ack — the twin comes off the free list (10 before, 4 KB
-// of them the twin). The collector is off while they are measured, as in
-// TestSpanAllocCaps.
+// cache entry (8 before). A flushed diff is the channel's two, the
+// payload encoded from the page and its twin, and the home's ack: no
+// runs are built on either side and the home applies the wire (9 before:
+// MakeDiff's two, EncodeRuns' filter scratch, the home's two decoded; 10
+// before that, 4 KB of them the twin, which comes off the free list). The
+// collector is off while they are measured, as in TestSpanAllocCaps.
 func TestFaultAndFlushAllocCaps(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	onNode0(t, 2, func(w *Worker, base core.Addr) {
@@ -30,7 +31,7 @@ func TestFaultAndFlushAllocCaps(t *testing.T) {
 			fn   func()
 		}{
 			{"remote fault", 4, func() { faultOnce(w, base) }},
-			{"flushed diff", 9, func() { v++; flushOnce(w, base, v) }},
+			{"flushed diff", 4, func() { v++; flushOnce(w, base, v) }},
 		} {
 			got := testing.AllocsPerRun(200, tc.fn)
 			t.Logf("%s: %.0f allocs (cap %.0f)", tc.name, got, tc.cap)

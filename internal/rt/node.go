@@ -212,18 +212,14 @@ func (n *rnode) handle(m transport.Message) {
 	case msgPageRep:
 		n.deliver(le.Uint32(p), p[8:8+n.c.cfg.PageSize]) // exactly the page: chunk and twins go by its length
 	case msgDiffReq:
-		reqID, pg, runs, err := decodeDiff(p, n.c.cfg.PageSize)
+		n.hmu.Lock()
+		err := applyDiff(n.pages[le.Uint32(p[4:])].data, p)
+		n.hmu.Unlock()
 		if err != nil {
 			n.setFail(fmt.Errorf("%w from node %d", err, m.From))
 			return
 		}
-		n.hmu.Lock()
-		mp := n.pages[pg].data
-		for _, r := range runs {
-			copy(mp[r.Off:], r.Data)
-		}
-		n.hmu.Unlock()
-		n.post(int(m.From), msgDiffAck, le.AppendUint32(nil, reqID))
+		n.post(int(m.From), msgDiffAck, le.AppendUint32(nil, le.Uint32(p)))
 	case msgDiffAck, msgLockGrant:
 		n.deliver(le.Uint32(p), nil)
 	case msgLockReq:
@@ -475,13 +471,13 @@ func (n *rnode) twinPage(p *rpage, pg core.PageID) {
 	n.dirty = append(n.dirty, pg)
 }
 
-// flushAll diffs every dirty page against its twin, ships the diffs to
-// the homes and waits for all acknowledgements — and again, since the
-// token is released during the wait and co-located threads may dirty
-// pages meanwhile, until no dirty pages remain, with tok held
+// flushAll encodes every dirty page's diff against its twin, ships the
+// diffs to the homes and waits for all acknowledgements — and again,
+// since the token is released during the wait and co-located threads may
+// dirty pages meanwhile, until no dirty pages remain, with tok held
 // continuously from that final check onward. A twin goes back on the free
-// list as soon as its diff is made: MakeDiff copies the modified bytes
-// into a slab of its own, so nothing points into the twin afterwards.
+// list as soon as its diff is encoded: the encoding is a buffer of its
+// own, and what it left in the twin is overwritten by the next twinPage.
 // Caller holds tok.
 func (n *rnode) flushAll(w *Worker) {
 	for len(n.dirty) > 0 {
@@ -489,14 +485,13 @@ func (n *rnode) flushAll(w *Worker) {
 		sent := 0
 		for _, pg := range n.dirty {
 			p := &n.pages[pg]
-			runs := core.MakeDiff(pg, p.twin, p.data)
+			payload := encodeDiff(reqID, pg, p.twin, p.data)
 			n.twins = append(n.twins, p.twin)
 			p.twin = nil
-			if len(runs) == 0 {
+			if payload == nil {
 				n.deliver(reqID, nil) // nothing to acknowledge
 				continue
 			}
-			payload := encodeDiff(reqID, pg, runs)
 			if tr := n.tracer; tr != nil {
 				// Arg, the diff's wire size: the encoded runs, excluding
 				// the reqID+page request header. Aux, the simulator's

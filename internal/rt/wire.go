@@ -93,40 +93,27 @@ func encodePageRep(reqID uint32, pg core.PageID, data []byte) []byte {
 	return append(b, data...)
 }
 
-// encodeDiff builds a diff flush: reqID, page id, then the runs in the
-// compressed wire form (run-length + xor8 prefilter, core.EncodeRuns).
-// The encoding is self-contained, so the home can decode it regardless
-// of its own page contents, and decoding returns exactly the Run form
-// core.MakeDiff produced.
-func encodeDiff(reqID uint32, pg core.PageID, runs []core.Run) []byte {
-	// Sized so that EncodeRuns does not grow it: a run's header is at
-	// most six bytes, its RLE form at most three longer than its data.
-	size := 8 + 3
-	for _, r := range runs {
-		size += 9 + len(r.Data)
-	}
-	b := make([]byte, 0, size)
-	b = le.AppendUint32(b, reqID)
-	b = le.AppendUint32(b, uint32(pg))
-	return core.EncodeRuns(b, runs)
+// encodeDiff builds a diff flush straight from a dirty page and its
+// twin: reqID, page id, then the runs where cur differs from twin in the
+// compressed wire form (run-length + xor8 prefilter, core.EncodeDiff),
+// one allocation however many runs — and nil when the page is clean. It
+// clobbers twin where it differed. The encoding is self-contained, so the
+// home applies it whatever its own page holds (applyDiff).
+func encodeDiff(reqID uint32, pg core.PageID, twin, cur []byte) []byte {
+	var head [8]byte
+	le.PutUint32(head[:], reqID)
+	le.PutUint32(head[4:], uint32(pg))
+	b, _ := core.EncodeDiff(head[:], twin, cur)
+	return b
 }
 
-// decodeDiff parses an encodeDiff payload back into page id and runs,
-// every run inside a page of pageSize bytes.
-func decodeDiff(b []byte, pageSize int) (reqID uint32, pg core.PageID, runs []core.Run, err error) {
-	reqID = le.Uint32(b)
-	pg = core.PageID(le.Uint32(b[4:]))
-	runs, rest, err := core.DecodeRuns(b[8:])
-	if err != nil {
-		return 0, 0, nil, fmt.Errorf("diff payload: %w", err)
+// applyDiff writes an encodeDiff payload's runs into the master copy mp
+// from the wire (core.ApplyRuns): nothing is decoded into runs first,
+// and a payload that does not parse, or puts a run outside the page,
+// writes nothing.
+func applyDiff(mp, payload []byte) error {
+	if err := core.ApplyRuns(mp, payload[8:]); err != nil {
+		return fmt.Errorf("diff payload for page %d: %w", le.Uint32(payload[4:]), err)
 	}
-	if len(rest) != 0 {
-		return 0, 0, nil, fmt.Errorf("%d trailing bytes after diff runs", len(rest))
-	}
-	for _, r := range runs {
-		if r.Off < 0 || int(r.Off)+len(r.Data) > pageSize {
-			return 0, 0, nil, fmt.Errorf("diff run [%d,+%d) outside page %d", r.Off, len(r.Data), pg)
-		}
-	}
-	return reqID, pg, runs, nil
+	return nil
 }

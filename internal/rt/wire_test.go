@@ -79,12 +79,13 @@ func TestShortFrames(t *testing.T) {
 
 // TestBadFrames: frames long enough to index but wrong inside fail the
 // node with the sender named, too — an unknown type, a diff whose runs
-// do not parse, a diff run that would be copied past the page, and a page
-// or diff request for a page node 0 holds no master copy of (it used to
-// conjure one).
+// do not parse, a diff run that would be copied past the page, a diff
+// with bytes after its runs, and a page or diff request for a page node
+// 0 holds no master copy of (it used to conjure one).
 func TestBadFrames(t *testing.T) {
-	outside := encodeDiff(1, 0, []core.Run{{Off: framePageSize - 4, Data: make([]byte, 8)}})
-	word := []core.Run{{Off: 0, Data: make([]byte, 8)}}
+	diff := func(pg uint32, runs ...core.Run) []byte { return core.EncodeRuns(encodeReq(1, pg), runs) }
+	outside := diff(0, core.Run{Off: framePageSize - 4, Data: make([]byte, 8)})
+	word := core.Run{Off: 0, Data: make([]byte, 8)}
 	for _, tc := range []struct {
 		name    string
 		typ     uint8
@@ -92,15 +93,18 @@ func TestBadFrames(t *testing.T) {
 		want    string
 	}{
 		{"unknown type", 200, nil, "unknown message type 200 from node 1"},
-		{"no runs", msgDiffReq, make([]byte, 8), "diff payload:"},
-		{"run outside the page", msgDiffReq, outside, "diff run [60,+8) outside page 0 from node 1"},
+		{"no runs", msgDiffReq, make([]byte, 8), "diff payload for page 0: core: diff run count:"},
+		{"run outside the page", msgDiffReq, outside,
+			"diff payload for page 0: core: diff run 0 [60,+8) outside the 64-byte page from node 1"},
+		{"bytes after the runs", msgDiffReq, append(diff(0, word), 7),
+			"diff payload for page 0: core: 1 bytes after the diff runs from node 1"},
 		{"page request, peer's page", msgPageReq, encodeReq(1, 1),
 			"rt: node 0: page request for page 1 (not homed here) from node 1"},
 		{"page request, no such page", msgPageReq, encodeReq(1, 4),
 			"rt: node 0: page request for page 4 (outside the 4 allocated pages) from node 1"},
-		{"diff request, peer's page", msgDiffReq, encodeDiff(1, 3, word),
+		{"diff request, peer's page", msgDiffReq, diff(3, word),
 			"rt: node 0: diff request for page 3 (not homed here) from node 1"},
-		{"diff request, no such page", msgDiffReq, encodeDiff(1, 1<<20, word),
+		{"diff request, no such page", msgDiffReq, diff(1<<20, word),
 			"rt: node 0: diff request for page 1048576 (outside the 4 allocated pages) from node 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
