@@ -75,10 +75,13 @@ bench-smoke:
 chaos:
 	CHAOS_ARTIFACT_DIR=chaos-artifacts $(GO) test ./internal/chaos ./internal/check -count=1
 
-## par-check: the windowed-engine determinism guard — byte-identical
+## par-check: the engines' determinism guard — byte-identical
 ## checksums, run statistics, metrics reports, and Chrome traces across
 ## engine-workers 1, 2, and 4, fault-free and under a fuzzed fault
-## schedule, plus the chaos engine-workers axis (sequential vs windowed
+## schedule, and across the sequential engine's run-ahead bounds 0, half
+## the lookahead and the lookahead (seven apps x LRC, SW, -adapt, a fault
+## plan, a 1 ms switch x 4x2, 8x1, 8x4; every probe traced and bare),
+## plus the chaos engine-workers axis (sequential vs windowed
 ## under random fault plans with the invariant checker attached), and
 ## the engine's own windowed tests at GOMAXPROCS 1, 2 and 4, so the
 ## window barrier runs spinning, parked and oversubscribed.

@@ -124,7 +124,9 @@ func TestMetricsRemoteFaultCalibration(t *testing.T) {
 
 // metricsWorkload is a mixed fault/lock/barrier workload exercising
 // every metric family, with a MarkSteadyState reset in the middle so
-// the test covers the registry's epoch re-anchoring.
+// the test covers the registry's epoch re-anchoring. The reset is node
+// 0's, right after the barrier, while the other nodes wait for the
+// release (MarkSteadyState's precondition).
 func metricsWorkload(addr Addr) func(*Thread) {
 	return func(w *Thread) {
 		n := 1 + w.GlobalID()%3
@@ -138,7 +140,7 @@ func metricsWorkload(addr Addr) func(*Thread) {
 			w.Compute(5 * us)
 			w.Unlock(w.GlobalID() % 2)
 			w.Barrier(r)
-			if r == 0 {
+			if r == 0 && w.GlobalID() == 0 {
 				w.MarkSteadyState()
 			}
 		}

@@ -171,6 +171,11 @@ type System struct {
 	started bool
 	t0      sim.Time
 
+	// pendingRunAhead is the sequential engine's run-ahead bound, put in
+	// force by the first MarkSteadyState; -1 once it is. Until then the
+	// bound is 0, so the reset finds the state it would at any bound.
+	pendingRunAhead sim.Time
+
 	// pendingReset defers a MarkSteadyState issued inside a parallel
 	// window to the next window commit; -1 means none pending.
 	pendingReset sim.Time
@@ -268,12 +273,55 @@ func NewSystem(cfg Config) (*System, error) {
 			s.tracer = s.demux
 			s.net.SetTracer(s.demux)
 		}
+	} else {
+		s.pendingRunAhead = cfg.Net.Lookahead()
+		if runAhead > s.pendingRunAhead {
+			return nil, fmt.Errorf("core: run-ahead bound %v exceeds the interconnect's lookahead %v", runAhead, s.pendingRunAhead)
+		}
+		if runAhead >= 0 {
+			s.pendingRunAhead = runAhead
+		}
+		if s.tracer != nil {
+			s.tracer = syncTracer{eng, s.tracer}
+		}
 	}
 	if cfg.Adapt {
 		s.adapt = newAdaptController(s)
 	}
 	eng.SetReasonNamer(reasonName)
 	return s, nil
+}
+
+// runAhead, when not negative, replaces the interconnect's lookahead as
+// the sequential engine's run-ahead bound; SetRunAhead sets it.
+var runAhead sim.Time = -1
+
+// SetRunAhead makes every System built until restore is called run its
+// sequential engine with the given run-ahead bound (from the steady-state
+// reset on) instead of the interconnect's lookahead (a negative bound
+// restores the default). The bound changes host time only; the
+// determinism guard sweeps it to prove that. A bound above the lookahead
+// would let a thread read state a message not yet sent should have
+// changed (an Unlock missing a forwarded request), so NewSystem refuses
+// it. Not safe while another goroutine builds a System.
+func SetRunAhead(bound sim.Time) (restore func()) {
+	old := runAhead
+	runAhead = bound
+	return func() { runAhead = old }
+}
+
+// syncTracer holds a trace event emitted from task context until the
+// emitting task's turn in the sequential loop (sim.Task.Sync), because
+// the recorder and the metrics registry are shared by every node. The
+// windowed engine's demux does the same job by buffering.
+type syncTracer struct {
+	eng *sim.Engine
+	trace.Tracer
+}
+
+func (s syncTracer) Emit(ev trace.Event) {
+	s.eng.Sync()
+	s.Tracer.Emit(ev)
 }
 
 // commitWindow is the engine's window hook: with every proc quiescent at
@@ -440,6 +488,12 @@ func threadName(i, j int) string {
 // origin, so that reported results cover only the steady-state portion of
 // the run. Applications call it from one thread immediately after their
 // initialization barrier, mirroring the paper's exclusion of startup.
+//
+// The sequential engine runs without run-ahead until the first call and
+// with it from there on, so what the reset wipes of another node's work
+// does not depend on how far that node ran ahead. A later call finds
+// run-ahead in force and panics unless every other node is idle, no
+// later than the caller (sim.Engine.Alone).
 func (t *Thread) MarkSteadyState() {
 	s := t.sys
 	if s.cfg.EngineWorkers > 0 {
@@ -452,7 +506,15 @@ func (t *Thread) MarkSteadyState() {
 		}
 		return
 	}
+	t.task.Sync()
+	if s.pendingRunAhead < 0 && !s.eng.Alone(t.task) {
+		panic("core: MarkSteadyState again while another node is running")
+	}
 	s.applySteadyReset(t.task.Now())
+	if s.pendingRunAhead >= 0 {
+		s.eng.SetConservative(0, s.pendingRunAhead)
+		s.pendingRunAhead = -1
+	}
 }
 
 // applySteadyReset performs the MarkSteadyState reset with the engine

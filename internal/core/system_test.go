@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"cvm/internal/sim"
@@ -531,6 +532,66 @@ func TestMarkSteadyStateResets(t *testing.T) {
 	}
 	if st.Wall > 10*sim.Millisecond {
 		t.Errorf("wall = %v, want small post-reset window", st.Wall)
+	}
+}
+
+// TestSteadyResetIndependentOfRunAhead: node 0 resets the statistics
+// while node 1 reads memory it holds, from before the reset to well past
+// it. What the reset wipes of node 1's accesses must not depend on the
+// run-ahead bound.
+func TestSteadyResetIndependentOfRunAhead(t *testing.T) {
+	la := DefaultConfig(2, 1).Net.Lookahead()
+	var want RunStats
+	for i, bound := range []sim.Time{0, la / 2, la} {
+		restore := SetRunAhead(bound)
+		s, err := NewSystem(DefaultConfig(2, 1))
+		restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, _ := s.Alloc("data", 8192)
+		runApp(t, s, func(w *Thread) {
+			w.Barrier(0)
+			if w.NodeID() == 0 {
+				w.Compute(sim.Millisecond)
+				w.MarkSteadyState()
+				return
+			}
+			for range 4000 {
+				_ = w.ReadF64(addr)
+				w.Compute(sim.Microsecond)
+			}
+		})
+		if got := s.Stats(); i == 0 {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("bound %v: stats %+v, want bound 0's %+v", bound, got.Mem, want.Mem)
+		}
+	}
+}
+
+// TestMarkSteadyStateAgainWhileRunningPanics: a second reset finds
+// run-ahead in force, so with another node running it would wipe a
+// bound-dependent share of that node's work; it panics instead.
+func TestMarkSteadyStateAgainWhileRunningPanics(t *testing.T) {
+	s := testSystem(t, 2, 1)
+	_, _ = s.Alloc("pad", 8192)
+	panicked := make(chan bool, 1)
+	if err := s.Start(func(w *Thread) {
+		w.Barrier(0)
+		if w.NodeID() == 0 {
+			w.MarkSteadyState()
+			w.Compute(10 * sim.Millisecond)
+			return
+		}
+		defer func() { panicked <- recover() != nil }()
+		w.MarkSteadyState()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_ = s.Run()
+	if !<-panicked {
+		t.Error("node 1's MarkSteadyState with node 0 running did not panic")
 	}
 }
 

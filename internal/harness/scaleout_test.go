@@ -26,18 +26,18 @@ func TestScaleSmoke(t *testing.T) {
 	}
 	cell := Cell{App: "scaleout", Nodes: 256, Threads: 1}
 	// Engine workers 0 is the sequential engine, the correctness oracle.
-	seq, err := RunDeterminismProbe(cell, apps.SizeTest, 0)
+	seq, err := RunDeterminismProbe(cell, apps.SizeTest, 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := RunDeterminismProbe(cell, apps.SizeTest, 1)
+	base, err := RunDeterminismProbe(cell, apps.SizeTest, 1, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Checksum != seq.Checksum {
 		t.Fatalf("windowed engine checksum %v, sequential %v", base.Checksum, seq.Checksum)
 	}
-	p, err := RunDeterminismProbe(cell, apps.SizeTest, 2)
+	p, err := RunDeterminismProbe(cell, apps.SizeTest, 2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -239,9 +239,9 @@ func (b *TimelineBin) total() int64 {
 // Time-valued histograms observe nanoseconds of virtual time.
 type NodeMetrics struct {
 	// The Figure-1 wall-time decomposition, observed from the scheduler
-	// hooks: UserBurst records every execution slice (run-burst length),
-	// and the three idle histograms record fully-idle processor episodes
-	// by block reason. Their sums reconcile exactly with
+	// hooks: UserBurst records every run burst (dispatch to block,
+	// requeue or done), and the three idle histograms record fully-idle
+	// processor episodes by block reason. Their sums reconcile exactly with
 	// NodeStats.UserTime/FaultWait/LockWait/BarrierWait, so
 	// UserBurst.Sum + FaultIdle.Sum + LockIdle.Sum + BarrierIdle.Sum ==
 	// NodeStats.Wall().
@@ -267,8 +267,8 @@ type NodeMetrics struct {
 	LocalBarrierStall Histogram `json:"local_barrier_stall"`
 
 	// DiffBytes observes the wire size of every diff materialized at
-	// this node. RunQueue observes the ready-queue depth at each
-	// execution slice (scheduler occupancy; unit: threads, not ns).
+	// this node. RunQueue observes the ready-queue depth at the end of
+	// each run burst (scheduler occupancy; unit: threads, not ns).
 	DiffBytes Histogram `json:"diff_bytes"`
 	RunQueue  Histogram `json:"run_queue"`
 }
@@ -508,7 +508,7 @@ func attrAdd(m map[int32]*WaitAttr, k int32, d int64) {
 	a.Count++
 }
 
-// Slice records one execution slice [start, end) of node's processor
+// Slice records one run burst [start, end) of node's processor
 // and the run-queue depth behind it: a sim.Hooks observation, because
 // no event describes the scheduler's decomposition of a node's time.
 func (r *Registry) Slice(node int, start, end sim.Time, queued int) {

@@ -220,6 +220,9 @@ func (n *Network) SendFromTask(t *sim.Task, from, to NodeID, class Class, bytes 
 		panic("netsim: SendFromTask with from == to")
 	}
 	t.Advance(n.params.SendOverhead)
+	// The egress lane is shared with this node's handlers and the arrival
+	// accounting with every node, so both wait for the sender's turn.
+	t.Sync()
 	lane := n.egressLane(class)
 	depart := maxTime(t.Now(), lane[from])
 	wait := depart - t.Now()

@@ -16,11 +16,12 @@ import (
 
 // minProcNext returns the runnable proc with the lowest clock (nil if
 // none; ties break by processor index, keeping dispatch deterministic)
-// and, from the same scan, the lowest clock among the other runnable
-// procs — the processor contribution to the winner's causality horizon.
-func (e *Engine) minProcNext() (*Proc, Time) {
-	var best *Proc
-	next := MaxTime
+// and, from the same scan, the runner-up by (clock, index) among the
+// other runnable procs — the processor that bounds the winner's slice.
+func (e *Engine) minProcNext() (best, next *Proc) {
+	earlier := func(a, b *Proc) bool {
+		return b == nil || a.clock < b.clock || a.clock == b.clock && a.id < b.id
+	}
 	for _, p := range e.procs {
 		if !p.runnable() {
 			continue
@@ -29,18 +30,21 @@ func (e *Engine) minProcNext() (*Proc, Time) {
 		case best == nil:
 			best = p
 		case p.clock < best.clock:
-			next = minTime(next, best.clock)
+			if earlier(best, next) {
+				next = best
+			}
 			best = p
-		default:
-			next = minTime(next, p.clock)
+		case earlier(p, next):
+			next = p
 		}
 	}
 	return best, next
 }
 
 // runScanReference is the sequential loop of Engine.Run as it was when
-// minProcNext chose every dispatch. It leaves e.running clear, so
-// enqueue does not feed the heap this loop never reads.
+// minProcNext chose every dispatch, with the slice bounds spelled out
+// case by case. It leaves e.running clear, so enqueue does not feed the
+// heap this loop never reads.
 func (e *Engine) runScanReference() error {
 	futile := 0
 	for e.live > 0 || e.events.Len() > 0 {
@@ -48,7 +52,7 @@ func (e *Engine) runScanReference() error {
 		evAt := e.events.peekTime()
 
 		// Events run first on ties so handlers at time T are applied
-		// before any task continues at T.
+		// before any task acts at T.
 		if p == nil || evAt <= p.clock {
 			if evAt == MaxTime {
 				return e.deadlockErr("no runnable entity and no pending event")
@@ -70,7 +74,24 @@ func (e *Engine) runScanReference() error {
 		}
 
 		futile = 0
-		e.dispatchProc(p, minTime(evAt, next))
+		// The winner acts (Sync) while every event is later and it stays
+		// before the runner-up: at an equal clock only if its index is
+		// lower. It computes (Advance) until lookahead−1 past the
+		// runner-up's clock, but never as far as an event, and never less
+		// far than it may act.
+		horizon, reach := evAt-1, evAt-1
+		if next != nil {
+			last := next.clock - 1
+			if p.id < next.id {
+				last = next.clock
+			}
+			ahead := next.clock + e.lookahead - 1
+			if ahead < last {
+				ahead = last
+			}
+			horizon, reach = min(evAt-1, last), min(evAt-1, ahead)
+		}
+		e.dispatchProc(p, horizon, reach)
 	}
 	return nil
 }
@@ -292,15 +313,16 @@ func checkReadyHeap(t *testing.T, e *Engine, what string) {
 		}
 	}
 	best, next := e.minProcNext()
-	if h.top() != best || h.second() != next {
+	second, _ := h.second()
+	if h.top() != best || second.p != next {
 		id := func(p *Proc) int {
 			if p == nil {
 				return -1
 			}
 			return p.id
 		}
-		t.Fatalf("%s: heap says (proc %d, next %v), the scan says (proc %d, next %v)",
-			what, id(h.top()), h.second(), id(best), next)
+		t.Fatalf("%s: heap says (proc %d, next %d), the scan says (proc %d, next %d)",
+			what, id(h.top()), id(second.p), id(best), id(next))
 	}
 }
 
@@ -419,11 +441,12 @@ type diffEntry struct {
 	t1, t2, t3 Time
 }
 
-// run executes the program on a fresh engine under loop and returns the
-// log of everything observable.
-func (prog diffProgram) run(t *testing.T, loop func(*Engine) error) []diffEntry {
+// run executes the program on a fresh engine with the given run-ahead
+// bound under loop and returns the log of everything observable.
+func (prog diffProgram) run(t *testing.T, lookahead Time, loop func(*Engine) error) []diffEntry {
 	t.Helper()
 	e := NewEngine()
+	e.SetConservative(0, lookahead)
 	var log []diffEntry
 	roots := make([]*Task, len(prog.tasks))
 	napping := make([]bool, len(prog.tasks))
@@ -451,13 +474,15 @@ func (prog diffProgram) run(t *testing.T, loop func(*Engine) error) []diffEntry 
 					if self < 0 {
 						continue // children are not nudge targets
 					}
-					napping[self] = true
+					// Schedule may yield (Sync), so the nap is visible
+					// to nudgers only from the block on.
 					tk.Schedule(tk.Now()+op.d, func() {
 						if napping[self] {
 							napping[self] = false
 							e.Wake(tk)
 						}
 					})
+					napping[self] = true
 					tk.Block(Reason(2))
 				case opNudge:
 					if napping[op.target] {
@@ -467,7 +492,7 @@ func (prog diffProgram) run(t *testing.T, loop func(*Engine) error) []diffEntry 
 				case opSpawn:
 					e.Spawn(e.procs[op.target], "child", body(-1, prog.child))
 				}
-				log = append(log, diffEntry{'t', tk.proc.id, tk.id, tk.Now(), tk.horizon, 0})
+				log = append(log, diffEntry{'t', tk.proc.id, tk.id, tk.Now(), tk.horizon, tk.reach})
 			}
 		}
 	}
@@ -503,8 +528,9 @@ func TestDispatchMatchesScanLoop(t *testing.T) {
 	for _, nprocs := range diffProcCounts {
 		for seed := int64(1); seed <= 6; seed++ {
 			prog := genDiffProgram(rand.New(rand.NewSource(seed<<8+int64(nprocs))), nprocs)
-			want := prog.run(t, (*Engine).runScanReference)
-			got := prog.run(t, (*Engine).Run)
+			lookahead := Time(seed%3) * 2 * us // 0, 2 and 4 µs: no run-ahead, and some
+			want := prog.run(t, lookahead, (*Engine).runScanReference)
+			got := prog.run(t, lookahead, (*Engine).Run)
 			if len(want) < 100*min(nprocs, 6) {
 				t.Fatalf("procs=%d seed %d: the program logged %d entries — too short to mean anything",
 					nprocs, seed, len(want))

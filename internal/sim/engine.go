@@ -34,15 +34,17 @@ type Engine struct {
 	ntasks  int
 	tasks   []*Task
 	running bool
+	cur     *Task // the task executing in the sequential loop, nil in engine context
 
 	wakes       uint64 // total WakeAt calls, for the futile-event watchdog
 	futileLimit int
 	reasonName  func(Reason) string
 
-	// Conservative windowed mode (SetConservative). windowed selects the
-	// run loop; workers is the OS-thread fan-out per window; lookahead is
-	// the cross-proc latency lower bound defining the window width; the
-	// window hook runs after every barrier with the window's limit.
+	// Conservative lookahead (SetConservative). windowed selects the run
+	// loop; workers is the OS-thread fan-out per window; lookahead is the
+	// cross-proc latency lower bound defining the window width, and the
+	// sequential loop's run-ahead; the window hook runs after every
+	// barrier with the window's limit.
 	windowed   bool
 	workers    int
 	lookahead  Time
@@ -63,18 +65,22 @@ func (e *Engine) Init() {
 	*e = Engine{futileLimit: defaultFutileLimit}
 }
 
-// SetConservative switches Run to the conservative windowed parallel
-// loop: event execution is partitioned by processor, all processors
-// advance through a shared sequence of virtual-time windows, and the
-// nodes of one window run concurrently on up to workers OS threads.
-// lookahead must be a lower bound on the delay of every cross-processor
-// interaction (for the DSM: the network's zero-byte one-way latency);
-// windows are [W0, W0+lookahead). Results are byte-identical for every
-// workers value ≥ 1, because the window schedule — not the worker count —
-// determines execution order. workers <= 0 restores the sequential loop.
+// SetConservative sets the conservative lookahead: a lower bound on the
+// delay of every cross-processor interaction (for the DSM: the network's
+// zero-byte one-way latency). With workers ≥ 1 Run is the windowed
+// parallel loop: event execution is partitioned by processor, all
+// processors advance through a shared sequence of virtual-time windows
+// [W0, W0+lookahead), and the nodes of one window run concurrently on up
+// to workers OS threads. Results are byte-identical for every workers
+// value ≥ 1, because the window schedule — not the worker count —
+// determines execution order. With workers <= 0 Run is the sequential
+// loop, and lookahead is how far a task may compute past the next
+// processor's clock before it yields (Task.Advance); its visible actions
+// still wait their turn (Task.Sync), so the bound changes no result; it
+// may change while the sequential loop runs, from the next dispatch on.
 func (e *Engine) SetConservative(workers int, lookahead Time) {
-	if e.running {
-		panic("sim: SetConservative while running")
+	if e.running && (workers > 0 || e.windowed) {
+		panic("sim: SetConservative switching loops while running")
 	}
 	if workers > 0 && lookahead <= 0 {
 		panic("sim: SetConservative with non-positive lookahead")
@@ -247,7 +253,7 @@ func (e *Engine) Run() error {
 		evAt := e.events.peekTime()
 
 		// Events run first on ties so handlers at time T are applied
-		// before any task continues at T.
+		// before a task acts at T.
 		if p == nil || evAt <= p.clock {
 			if evAt == MaxTime {
 				return e.deadlockErr("no runnable entity and no pending event")
@@ -269,7 +275,21 @@ func (e *Engine) Run() error {
 		}
 
 		futile = 0
-		e.dispatchProc(p, minTime(evAt, e.ready.second()))
+		// p acts (Sync) while it stays before every pending event and
+		// before the runner-up q, at an equal clock only if its id is
+		// lower, and computes (Advance) up to the lookahead less one past
+		// q's clock; never as far as an event, so the tie with an event
+		// does not depend on where p's slices happened to end.
+		horizon, reach := evAt-1, evAt-1
+		if q, ok := e.ready.second(); ok {
+			h := q.clock
+			if q.p.id < p.id {
+				h--
+			}
+			horizon = min(horizon, h)
+			reach = min(reach, max(h, q.clock+e.lookahead-1))
+		}
+		e.dispatchProc(p, horizon, reach)
 		if p.runnable() {
 			e.ready.update(p)
 		} else {
@@ -279,34 +299,50 @@ func (e *Engine) Run() error {
 	return nil
 }
 
-// dispatchProc resumes p's next task for a slice bounded by horizon (the
-// lowest timestamp of any pending event or other runnable processor,
-// computed by the caller; p.dispatch only mutates p, so the bound stays
-// valid). It returns when the task hands control back; a panic in the
-// task's body surfaces from next.
-func (e *Engine) dispatchProc(p *Proc, horizon Time) {
-	sliceStart := p.clock
+// dispatchProc resumes p's next task for a slice bounded by horizon
+// (Task.Sync) and reach (Task.Advance), computed by the caller from the
+// pending events and the other runnable processors; p.dispatch only
+// mutates p, so the bounds stay valid. It returns when the task hands
+// control back, or at once if the thread switch alone crossed the reach;
+// a panic in the task's body surfaces from next. A run burst — dispatch
+// to block, requeue or done — spans every slice in between, and OnSlice
+// reports it once.
+func (e *Engine) dispatchProc(p *Proc, horizon, reach Time) {
+	if p.current == nil {
+		p.burst = p.clock
+	}
 	t := p.dispatch()
+	if !e.windowed && p.clock > reach {
+		// The switch to t took p past its reach: whatever comes first
+		// runs before t does.
+		return
+	}
+	p.dispatches++
 	if e.windowed {
 		p.lnow = p.clock
 	} else {
 		e.now = p.clock
+		e.cur = t
 	}
 
-	t.horizon = horizon
+	t.horizon, t.reach = horizon, reach
 	r, ok := t.next()
+	if !e.windowed {
+		e.cur = nil
+	}
 	if !ok {
 		r = reportDone
 	}
-
-	if p.hooks != nil && p.clock > sliceStart {
-		p.hooks.OnSlice(t, sliceStart, p.clock)
+	if r == reportYield {
+		// Task crossed a bound; it remains current and will be
+		// re-granted when p is again the minimum entity.
+		return
 	}
 
+	if p.hooks != nil && p.clock > p.burst {
+		p.hooks.OnSlice(t, p.burst, p.clock)
+	}
 	switch r {
-	case reportYield:
-		// Task crossed its horizon; it remains current and will be
-		// re-granted when p is again the minimum entity.
 	case reportRequeue:
 		p.current = nil
 		p.runq = append(p.runq, t)
@@ -315,20 +351,44 @@ func (e *Engine) dispatchProc(p *Proc, horizon Time) {
 		p.noteBlocked()
 	case reportDone:
 		p.current = nil
-		if e.windowed {
-			// Keep the idle flag exact so a later wake lifts the proc
-			// clock to the wake instant; a stale clock would let a
-			// woken task run before the current window's floor. (The
-			// sequential loop keeps its historical behavior — its
-			// global event order does not depend on the flag.)
-			p.noteBlocked()
-		}
 		p.live--
 		if !e.windowed {
 			e.live--
 		}
 		p.noteBlocked()
 	}
+}
+
+// Sync makes the task executing in the sequential loop, if any, wait
+// for its turn (Task.Sync). From engine context, and in windowed mode,
+// it does nothing.
+func (e *Engine) Sync() {
+	if e.cur != nil {
+		e.cur.Sync()
+	}
+}
+
+// Alone reports whether every processor but t's is idle at a clock no
+// later than t's: no other processor has anything to do, nor has done
+// anything stamped after t's clock, so no run-ahead bound can have
+// ordered its work differently around t's next action.
+func (e *Engine) Alone(t *Task) bool {
+	for _, p := range e.procs {
+		if p != t.proc && (p.runnable() || p.clock > t.proc.clock) {
+			return false
+		}
+	}
+	return true
+}
+
+// Dispatches reports how many slices Run has dispatched: one per task
+// resume, whether it starts a run burst or continues one past a bound.
+func (e *Engine) Dispatches() int {
+	n := 0
+	for _, p := range e.procs {
+		n += p.dispatches
+	}
+	return n
 }
 
 // Shutdown unwinds every unfinished task: a body parked at a scheduling

@@ -199,29 +199,136 @@ func TestHorizonCausality(t *testing.T) {
 	}
 }
 
+// runAheads are the sequential loop's run-ahead bounds the ordering
+// tests hold to one answer: none, less than a step, and several steps.
+var runAheads = []Time{0, 1 * us, 10 * us, 50 * us}
+
 func TestProcsInterleaveByClock(t *testing.T) {
 	// Two procs advancing in different step sizes must interleave in
-	// virtual-time order when they touch shared engine state.
-	e := NewEngine()
-	var log []string
-	mk := func(p *Proc, name string, step Time, n int) {
-		e.Spawn(p, name, func(tk *Task) {
-			for i := 0; i < n; i++ {
-				tk.Advance(step)
-				log = append(log, fmt.Sprintf("%s@%d", name, int64(tk.Now()/us)))
+	// virtual-time order when they touch shared state (after Sync), and
+	// at a tie the lower proc id goes first, at every run-ahead bound.
+	for _, bound := range runAheads {
+		e := NewEngine()
+		e.SetConservative(0, bound)
+		var log []string
+		mk := func(p *Proc, name string, step Time, n int) {
+			e.Spawn(p, name, func(tk *Task) {
+				for i := 0; i < n; i++ {
+					tk.Advance(step)
+					tk.Sync()
+					log = append(log, fmt.Sprintf("%s@%d", name, int64(tk.Now()/us)))
+				}
+			})
+		}
+		mk(e.AddProc(0), "a", 30*us, 3) // 30, 60, 90
+		mk(e.AddProc(0), "b", 20*us, 4) // 20, 40, 60, 80
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want := "[b@20 a@30 b@40 a@60 b@60 b@80 a@90]"
+		if got := fmt.Sprint(log); got != want {
+			t.Errorf("bound %v: interleaving = %v, want %v", bound, got, want)
+		}
+	}
+}
+
+// TestSameTimeActionsInProcOrder: two procs reach a visible action at the
+// same instant along different trajectories, with an event due at that
+// instant too. Whatever the trajectories, and wherever the run-ahead bound
+// ends their slices, the event runs first and proc 0 acts before proc 1.
+func TestSameTimeActionsInProcOrder(t *testing.T) {
+	tens := []Time{10 * us, 10 * us, 10 * us, 10 * us, 10 * us, 10 * us}
+	cases := []struct {
+		name   string
+		p0, p1 []Time // the Advance steps before each proc's action
+		event  Time
+		want   string
+	}{
+		{"p0 short steps", tens, []Time{60 * us}, 60 * us, "[event@60 p0@60 p1@60]"},
+		{"p0 one step", []Time{60 * us}, tens, 60 * us, "[event@60 p0@60 p1@60]"},
+		// p1 jumps past the event while p0 is between its two steps: at
+		// bound 0 p0's second slice starts after the jump, at a larger
+		// bound p0 reaches 20 in its first.
+		{"runner-up jumps", []Time{10 * us, 10 * us}, []Time{5 * us, 100 * us}, 20 * us,
+			"[event@20 p0@20 p1@105]"},
+	}
+	for _, c := range cases {
+		for _, bound := range runAheads {
+			e := NewEngine()
+			e.SetConservative(0, bound)
+			var log []string
+			prog := func(name string, steps []Time) func(*Task) {
+				return func(tk *Task) {
+					for _, d := range steps {
+						tk.Advance(d)
+					}
+					tk.Sync()
+					log = append(log, fmt.Sprintf("%s@%d", name, int64(tk.Now()/us)))
+				}
+			}
+			e.Spawn(e.AddProc(0), "p0", prog("p0", c.p0))
+			e.Spawn(e.AddProc(0), "p1", prog("p1", c.p1))
+			e.Schedule(c.event, func() { log = append(log, fmt.Sprintf("event@%d", int64(e.Now()/us))) })
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(log); got != c.want {
+				t.Errorf("%s, bound %v: %v, want %v", c.name, bound, got, c.want)
+			}
+		}
+	}
+}
+
+// TestSwitchPastEventRunsEventFirst: a thread switch whose cost carries
+// the processor past a pending event lets the event run before the new
+// thread does, so the thread sees the event's effect at every bound.
+func TestSwitchPastEventRunsEventFirst(t *testing.T) {
+	for _, bound := range runAheads {
+		e := NewEngine()
+		e.SetConservative(0, bound)
+		p := e.AddProc(10 * us)
+		fired, seen := false, false
+		e.Spawn(p, "a", func(tk *Task) { tk.Advance(1 * us) })
+		e.Spawn(p, "b", func(tk *Task) { seen = fired }) // dispatched at 11 µs
+		e.Schedule(5*us, func() { fired = true })
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !seen {
+			t.Errorf("bound %v: b ran at 11µs before the event at 5µs", bound)
+		}
+	}
+}
+
+// TestScheduleAtOwnNowWaitsForBlock: an event a task schedules for its
+// own clock runs only once the task has handed control back, even with a
+// visible action between the two and another proc at the same clock — a
+// wake that ran first would find the task still running.
+func TestScheduleAtOwnNowWaitsForBlock(t *testing.T) {
+	for _, bound := range runAheads {
+		e := NewEngine()
+		e.SetConservative(0, bound)
+		p0, p1 := e.AddProc(0), e.AddProc(0)
+		var woke Time = -1
+		e.Spawn(p1, "waiter", func(tk *Task) {
+			tk.Advance(10 * us)
+			tk.Schedule(tk.Now(), func() { e.Wake(tk) })
+			tk.Sync()
+			tk.Block(Reason(1))
+			woke = tk.Now()
+		})
+		e.Spawn(p0, "other", func(tk *Task) {
+			for i := 0; i < 4; i++ {
+				tk.Advance(5 * us)
+				tk.Sync()
 			}
 		})
-	}
-	mk(e.AddProc(0), "a", 30*us, 3) // 30, 60, 90
-	mk(e.AddProc(0), "b", 20*us, 4) // 20, 40, 60, 80
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// At the t=60 tie, b is already running with an inclusive horizon of
-	// 60, so it reaches 60 before control returns to a.
-	want := "[b@20 a@30 b@40 b@60 a@60 b@80 a@90]"
-	if got := fmt.Sprint(log); got != want {
-		t.Errorf("interleaving = %v, want %v", got, want)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if woke != 10*us {
+			t.Errorf("bound %v: waiter woke at %v, want 10µs", bound, woke)
+		}
 	}
 }
 

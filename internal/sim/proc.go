@@ -22,9 +22,9 @@ type Hooks interface {
 	// is the wake that ended it; its Reason attributes the wait.
 	OnIdleEnd(start, end Time, task *Task)
 
-	// OnSlice fires after every execution slice with the user-time span
-	// [start, end) consumed by task (including any switch cost charged to
-	// dispatch it).
+	// OnSlice fires once per run burst — from dispatch to block, requeue
+	// or done — with the user-time span [start, end) consumed by task
+	// (including any switch cost charged to dispatch it).
 	OnSlice(task *Task, start, end Time)
 }
 
@@ -81,6 +81,9 @@ type Proc struct {
 	inj *injections // nil unless fault injections were scheduled
 
 	hpos int // slot in the engine's runnable-proc heap, -1 outside it
+
+	burst      Time // start of the current task's run burst
+	dispatches int  // slices dispatched, for Engine.Dispatches
 
 	// Per-proc execution state of the conservative windowed mode
 	// (Engine.SetConservative), where each proc owns a private event

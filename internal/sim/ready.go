@@ -29,15 +29,18 @@ func (h readyHeap) top() *Proc {
 	return h[0].p
 }
 
-// second returns the lowest clock among the runnable procs other than
-// the root — the processor term of the root's causality horizon. The
-// runner-up of a heap is one of the root's children.
-func (h readyHeap) second() Time {
-	next := MaxTime
-	for c := 1; c <= 2 && c < len(h); c++ {
-		next = minTime(next, h[c].clock)
+// second returns the runner-up slot — the lowest (clock, id) among the
+// runnable procs other than the root, which bounds the root's slice —
+// and false if the root runs alone. The runner-up of a heap is one of
+// the root's children.
+func (h readyHeap) second() (readyProc, bool) {
+	switch {
+	case len(h) < 2:
+		return readyProc{}, false
+	case len(h) > 2 && h[2].before(h[1]):
+		return h[2], true
 	}
-	return next
+	return h[1], true
 }
 
 // reset empties the heap and refills it with the runnable procs.

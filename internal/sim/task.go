@@ -18,7 +18,7 @@ const (
 type reportKind uint8
 
 const (
-	reportYield   reportKind = iota // horizon crossed; task remains current
+	reportYield   reportKind = iota // bound crossed; task remains current
 	reportRequeue                   // voluntary yield; task to back of run queue
 	reportBlock                     // task blocked awaiting Wake
 	reportDone                      // task function returned
@@ -44,7 +44,11 @@ type Task struct {
 	stop  func()
 	yield func(reportKind) bool
 
-	horizon Time // how far the current slice may run; set before next
+	// The current slice's bounds, set before next. horizon is the
+	// latest clock at which the task still comes before every other
+	// entity (Sync); reach ≥ horizon is how far it may compute (Advance).
+	horizon Time
+	reach   Time
 	state   taskState
 	reason  Reason // why the task last blocked
 }
@@ -86,11 +90,29 @@ func (t *Task) Now() Time { return t.proc.clock }
 func (t *Task) BlockReason() Reason { return t.reason }
 
 // Advance charges d of computation to the task, advancing its processor
-// clock. If the new clock crosses the engine's causality horizon the task
-// yields so pending earlier events are applied before the task observes any
-// further state.
+// clock. If the new clock crosses the slice's reach the task yields, so
+// pending events at or before its clock are applied before the task
+// observes any further state. In the sequential loop the reach is just
+// short of the next pending event, or the next processor's clock plus the
+// lookahead less one if that is sooner (SetConservative): no message
+// another processor sends from there on can land on this one before it.
 func (t *Task) Advance(d Time) {
 	t.proc.charge(d)
+	for t.proc.clock > t.reach {
+		t.handoff(reportYield)
+	}
+}
+
+// Sync returns once the task comes before every other entity in the
+// sequential loop's order: every pending event is later than its clock
+// (but one it scheduled for its own clock), and every other runnable
+// processor is later in (clock, id). Call it
+// before any action another processor can observe — scheduling an event,
+// accounting a message's arrival, emitting a trace event, resetting
+// statistics — so those actions happen in one order at every run-ahead
+// bound. In windowed mode such actions are deferred to the window commit
+// and Sync returns at once.
+func (t *Task) Sync() {
 	for t.proc.clock > t.horizon {
 		t.handoff(reportYield)
 	}
@@ -116,12 +138,14 @@ func (t *Task) Yield() {
 }
 
 // Schedule runs fn in engine context at absolute virtual time at, which
-// must not precede the task's clock. The task's horizon is lowered so it
-// will not run past the new event before the event is applied. In
+// must not precede the task's clock. The task's bounds are lowered so it
+// will not run past the new event before the event is applied; an event
+// at the task's own clock waits for the task to hand control back. In
 // windowed mode the event lands on the task's own processor — a task can
 // only schedule local continuations; cross-proc effects go through the
 // deferred network.
 func (t *Task) Schedule(at Time, fn func()) {
+	t.Sync()
 	if at < t.proc.clock {
 		at = t.proc.clock
 	}
@@ -131,11 +155,12 @@ func (t *Task) Schedule(at Time, fn func()) {
 	} else {
 		t.eng.schedule(at, fn)
 	}
-	t.horizon = minTime(t.horizon, at)
+	t.horizon = min(t.horizon, at)
+	t.reach = min(t.reach, at)
 }
 
 // handoff returns control to the engine and resumes when the engine next
-// dispatches the task, which has by then set the new slice's horizon.
+// dispatches the task, which has by then set the new slice's bounds.
 func (t *Task) handoff(r reportKind) {
 	if !t.yield(r) {
 		panic(taskStopped{})

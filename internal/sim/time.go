@@ -10,10 +10,11 @@
 //
 // Tasks execute ordinary Go code. Every simulated action (computing,
 // sending, blocking) goes through Task methods that advance the owning
-// processor's clock; a task yields control back to the engine whenever its
-// clock would cross the engine's causality horizon (the lowest timestamp of
-// any other runnable entity), so no task ever observes state from an event
-// that has not yet been applied.
+// processor's clock. A task yields control back to the engine before its
+// clock reaches the next pending event or runs more than the lookahead
+// past another processor, so no task ever observes state from an event
+// that has not yet been applied; and before any action another processor
+// can observe, it waits for its turn in the global order (Sync).
 package sim
 
 import "fmt"
@@ -54,13 +55,6 @@ func (t Time) String() string {
 	default:
 		return fmt.Sprintf("%dns", int64(t))
 	}
-}
-
-func minTime(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func maxTime(a, b Time) Time {

@@ -242,6 +242,6 @@ func (e *Engine) procWindow(p *Proc, limit Time, carried int) {
 			continue
 		}
 		p.futile, p.progressed = 0, true
-		e.dispatchProc(p, minTime(evAt, limit))
+		e.dispatchProc(p, MaxTime, min(evAt, limit))
 	}
 }
