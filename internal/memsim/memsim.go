@@ -37,8 +37,9 @@ type Params struct {
 	ITLBMissPen  sim.Time // extra on an instruction TLB miss
 }
 
-// SP2Params models the paper's SP-2 configuration: 64 KB data cache and
-// the Alpha's 8 KB pages forced as the coherence and paging unit.
+// SP2Params models the paper's SP-2 configuration: a 32 KB 4-way data
+// cache with 64-byte lines, an 8×2 D-TLB, a 4×2 I-TLB, and the Alpha's
+// 8 KB pages forced as the coherence and paging unit.
 func SP2Params() Params {
 	return Params{
 		// Geometry is scaled below the SP-2's physical 64 KB cache and
@@ -105,58 +106,39 @@ func (s *Stats) Add(other Stats) {
 }
 
 // assoc is a set-associative tag array with per-set LRU replacement. It
-// backs both the cache and the TLBs. The tag and stamp arrays are slices
-// of one shared backing array (see System.Init), so a whole hierarchy
-// costs a single allocation.
+// backs both the cache and the TLBs. Each set keeps its ways in recency
+// order, most recent first, so the order is the whole replacement state:
+// a miss drops the last way, and empty ways (tag 0) sit behind every
+// resident one and so fill before anything is evicted. The tag arrays of
+// a hierarchy are slices of one shared backing array (see System.Init),
+// so a whole hierarchy costs a single allocation.
 type assoc struct {
-	sets  int // a power of two (Params.Validate), so a mask picks the set
-	ways  int
-	tags  []uint64 // sets*ways entries; tag 0 means empty (tags stored +1)
-	stamp []uint64 // LRU stamps, parallel to tags
-	tick  uint64
+	sets int // a power of two (Params.Validate), so a mask picks the set
+	ways int
+	tags []uint64 // sets*ways entries; tag 0 means empty (tags stored +1)
 }
 
 func (a *assoc) init(sets, ways int, backing []uint64) {
-	n := sets * ways
 	a.sets = sets
 	a.ways = ways
-	a.tags = backing[:n:n]
-	a.stamp = backing[n : 2*n : 2*n]
+	a.tags = backing[: sets*ways : sets*ways]
 }
 
-// touch looks up key; it returns true on hit. On miss the LRU way of the
-// set is replaced.
+// touch looks up key and moves it to the front of its set; it returns
+// true on hit. The scan shifts each way back by one as it goes, so a hit
+// stops the shift at its own way and a miss drops the least recent one.
 func (a *assoc) touch(key uint64) bool {
 	base := int(key&uint64(a.sets-1)) * a.ways
-	tags := a.tags[base : base+a.ways]
-	stamp := a.stamp[base:][:len(tags)]
-	a.tick++
-	stored := key + 1
-	victim, oldest := 0, stamp[0]
-	for i, tag := range tags {
-		if tag == stored {
-			stamp[i] = a.tick
+	set := a.tags[base : base+a.ways]
+	prev := key + 1
+	for i, tag := range set {
+		set[i] = prev
+		if tag == key+1 {
 			return true
 		}
-		if stamp[i] < oldest {
-			victim, oldest = i, stamp[i]
-		}
+		prev = tag
 	}
-	tags[victim] = stored
-	stamp[victim] = a.tick
 	return false
-}
-
-// find returns the way index currently holding key, or -1.
-func (a *assoc) find(key uint64) int {
-	set := int(key & uint64(a.sets-1))
-	stored := key + 1
-	for i := set * a.ways; i < (set+1)*a.ways; i++ {
-		if a.tags[i] == stored {
-			return i
-		}
-	}
-	return -1
 }
 
 // System simulates one node's memory hierarchy. The zero value is not
@@ -203,7 +185,7 @@ func (s *System) Init(p Params) {
 	nc := cacheSets * p.CacheWays
 	nd := p.DTLBSets * p.DTLBWays
 	ni := p.ITLBSets * p.ITLBWays
-	backing := make([]uint64, 2*(nc+nd+ni))
+	backing := make([]uint64, nc+nd+ni)
 	*s = System{
 		params:    p,
 		lineShift: log2(p.LineSize),
@@ -211,9 +193,9 @@ func (s *System) Init(p Params) {
 		lastLine:  invalidLine,
 		lastPage:  invalidLine,
 	}
-	s.dcache.init(cacheSets, p.CacheWays, backing[:2*nc])
-	s.dtlb.init(p.DTLBSets, p.DTLBWays, backing[2*nc:2*(nc+nd)])
-	s.itlb.init(p.ITLBSets, p.ITLBWays, backing[2*(nc+nd):])
+	s.dcache.init(cacheSets, p.CacheWays, backing[:nc])
+	s.dtlb.init(p.DTLBSets, p.DTLBWays, backing[nc:nc+nd])
+	s.itlb.init(p.ITLBSets, p.ITLBWays, backing[nc+nd:])
 }
 
 // Params returns the system's geometry.
@@ -236,10 +218,10 @@ func (s *System) ResetStats() { s.stats = Stats{} }
 // the same page skips the D-TLB walk alone: only data accesses touch the
 // D-TLB, so the previous one left its page in the most recent way (a
 // page-sized AccessRange is one walk, not 128). Miss counts and costs are
-// bit-identical to the slow path (skipping a touch of the just-touched —
-// and therefore most-recent — way preserves the relative LRU order of
-// every set; TestAccessMemoEquivalence checks this against the
-// memo-disabled reference).
+// bit-identical to the slow path (the just-touched line or page is at the
+// front of its set, where a touch changes nothing;
+// TestAccessMemoEquivalence checks this against the memo-disabled
+// reference).
 func (s *System) Access(addr uint64) sim.Time {
 	line := addr >> s.lineShift
 	pg := addr >> s.pageShift
@@ -302,15 +284,35 @@ func (s *System) AccessStride8(addr uint64, cnt int) sim.Time {
 }
 
 // AccessRange simulates a sequential multi-byte access (e.g. a block copy)
-// touching every line in [addr, addr+n).
+// touching every line in [addr, addr+n), bit-identical to one Access per
+// line. Lines of the page the previous access mapped are walked here
+// directly, one cache touch each with the counters and cost summed at the
+// end: Access would skip their D-TLB walk anyway, and touching the line
+// it would skip as a memo hit changes nothing, as that line is at the
+// front of its set. The first line of any other page goes through
+// Access, which maps it.
 func (s *System) AccessRange(addr uint64, n int) sim.Time {
-	var cost sim.Time
 	line := uint64(s.params.LineSize)
-	first := addr &^ (line - 1)
-	for a := first; a < addr+uint64(n); a += line {
-		cost += s.Access(a)
+	end := addr + uint64(n)
+	var cost sim.Time
+	var walked, misses int64
+	for a := addr &^ (line - 1); a < end; {
+		if s.noMemo || a>>s.pageShift != s.lastPage {
+			cost += s.Access(a)
+			a += line
+			continue
+		}
+		for stop := min(end, (s.lastPage+1)<<s.pageShift); a < stop; a += line {
+			walked++
+			if !s.dcache.touch(a >> s.lineShift) {
+				misses++
+			}
+		}
+		s.lastLine = (a - line) >> s.lineShift
 	}
-	return cost
+	s.stats.Accesses += walked
+	s.stats.DCacheMisses += misses
+	return cost + sim.Time(walked)*s.params.HitCost + sim.Time(misses)*s.params.CacheMissPen
 }
 
 // InstrTouch simulates instruction fetch from the given synthetic code
@@ -327,35 +329,24 @@ func (s *System) InstrTouch(codePage uint64) sim.Time {
 // phase's code pages — page base + (start+i) % mod for i = 1..cnt — and
 // returns the total cost. It is the bulk form of the per-access rotating
 // InstrTouch in a thread's charge loop, bit-identical in miss counts,
-// costs, tick, and per-entry LRU stamps: after one full warm cycle every
-// code page is resident, and since hits evict nothing, the remaining
-// touches are all hits whose only effect is advancing the LRU clock and
-// refreshing each page's stamp to its final touch time.
+// costs and I-TLB contents: after one full warm cycle every code page is
+// resident, so the remaining touches all hit, and a hit only moves its
+// page to the front of its set. Replaying the last mod touches therefore
+// leaves every set in the order the whole sequence would.
 func (s *System) InstrTouchCycle(base uint64, mod, start, cnt int) sim.Time {
 	if mod <= 0 || cnt <= 0 {
 		return 0
 	}
-	if cnt <= 2*mod || !s.itlbCycleSafe(mod) {
-		var cost sim.Time
-		for i := 1; i <= cnt; i++ {
-			cost += s.InstrTouch(base + uint64(start+i)%uint64(mod))
-		}
-		return cost
+	skip := 0
+	if cnt > 2*mod && s.itlbCycleSafe(mod) {
+		skip = cnt - 2*mod
 	}
-	tick0 := s.itlb.tick
 	var cost sim.Time
-	for i := 1; i <= mod; i++ {
-		cost += s.InstrTouch(base + uint64(start+i)%uint64(mod))
-	}
-	// The remaining cnt-mod touches are guaranteed hits; replay their
-	// tick and stamp effects in bulk.
-	s.itlb.tick = tick0 + uint64(cnt)
-	for c := 0; c < mod; c++ {
-		// Last step i in 1..cnt with (start+i) % mod == c.
-		last := cnt - (start+cnt-c)%mod
-		if w := s.itlb.find(base + uint64(c)); w >= 0 {
-			s.itlb.stamp[w] = tick0 + uint64(last)
+	for i := 1; i <= cnt; i++ {
+		if i == mod+1 {
+			i += skip
 		}
+		cost += s.InstrTouch(base + uint64(start+i)%uint64(mod))
 	}
 	return cost
 }

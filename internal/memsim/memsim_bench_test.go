@@ -41,6 +41,19 @@ func BenchmarkAccessRange(b *testing.B) {
 	}
 }
 
+// BenchmarkAccessRangeResident re-sweeps one page that stays resident:
+// every line is a cache hit, the hit path of the tag-array touch.
+func BenchmarkAccessRangeResident(b *testing.B) {
+	s := NewSystem(SP2Params())
+	s.AccessRange(0, 8<<10)
+	b.SetBytes(8 << 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.AccessRange(0, 8<<10)
+	}
+}
+
 // TestAccessDoesNotAllocate: every shared read and write runs one
 // Access, so the sweep must stay allocation-free.
 func TestAccessDoesNotAllocate(t *testing.T) {

@@ -131,6 +131,17 @@ func TestAccessRangeTouchesEveryLine(t *testing.T) {
 	if got := s.Stats().DCacheMisses; got != 8 {
 		t.Errorf("range sweep missed %d lines, want 8", got)
 	}
+	for _, r := range []struct {
+		addr  uint64
+		n     int
+		lines int64
+	}{{1 << 20, 0, 0}, {1<<20 + 8, 0, 1}, {1<<20 + 60, 8, 2}, {1<<20 + 8, p.LineSize, 2}, {1 << 20, p.LineSize, 1}} {
+		before := s.Stats().Accesses
+		s.AccessRange(r.addr, r.n)
+		if got := s.Stats().Accesses - before; got != r.lines {
+			t.Errorf("AccessRange(%#x, %d) touched %d lines, want %d", r.addr, r.n, got, r.lines)
+		}
+	}
 }
 
 func TestThreadInterleavingDegradesLocality(t *testing.T) {
@@ -184,7 +195,7 @@ func TestAssocPropertyHitAfterTouch(t *testing.T) {
 	// Property: immediately re-touching any key is always a hit.
 	f := func(keys []uint64) bool {
 		a := new(assoc)
-		a.init(16, 4, make([]uint64, 2*16*4))
+		a.init(16, 4, make([]uint64, 16*4))
 		for _, k := range keys {
 			a.touch(k)
 			if !a.touch(k) {
@@ -204,7 +215,7 @@ func TestAssocPropertyWorkingSetFits(t *testing.T) {
 	f := func(seed uint8) bool {
 		const sets, ways = 8, 4
 		a := new(assoc)
-		a.init(sets, ways, make([]uint64, 2*sets*ways))
+		a.init(sets, ways, make([]uint64, sets*ways))
 		keys := make([]uint64, 0, sets*ways)
 		for s := 0; s < sets; s++ {
 			for w := 0; w < ways; w++ {
@@ -289,9 +300,14 @@ func TestAccessMemoEquivalence(t *testing.T) {
 // 8-byte spans and byte ranges that start anywhere, cross page boundaries
 // and revisit a page after enough others to have evicted it from the
 // 16-entry D-TLB. The first access is to page 0, which the zero value of
-// the page memo would mistake for a page already walked.
+// the page memo would mistake for a page already walked. The third
+// geometry's 2 KB cache has fewer sets than a page has lines, so a page
+// sweep evicts lines of its own page.
 func TestAccessMemoEquivalenceMixed(t *testing.T) {
-	for gi, params := range []Params{SP2Params(), AlphaParams()} {
+	tiny := SP2Params()
+	tiny.CacheSize = 2 << 10
+	tiny.CacheWays = 2
+	for gi, params := range []Params{SP2Params(), AlphaParams(), tiny} {
 		fast := NewSystem(params)
 		ref := NewSystem(params)
 		ref.noMemo = true
@@ -309,7 +325,7 @@ func TestAccessMemoEquivalenceMixed(t *testing.T) {
 			// still mapped and long evicted.
 			addr := rnd(40)*page + rnd(page)
 			var cf, cr sim.Time
-			switch rnd(4) {
+			switch rnd(5) {
 			case 0:
 				cf, cr = fast.Access(addr), ref.Access(addr)
 			case 1: // the same page again, another line: the shortcut's case
@@ -319,9 +335,16 @@ func TestAccessMemoEquivalenceMixed(t *testing.T) {
 			case 2:
 				cnt := int(rnd(3000)) + 1 // up to three pages of words
 				cf, cr = fast.AccessStride8(addr&^7, cnt), ref.AccessStride8(addr&^7, cnt)
-			case 3:
+			case 3: // a copy, then its first byte read again
 				n := int(rnd(3*page)) + 1
-				cf, cr = fast.AccessRange(addr, n), ref.AccessRange(addr, n)
+				cf = fast.AccessRange(addr, n) + fast.Access(addr)
+				cr = accessRangeRef(ref, addr, n) + ref.Access(addr)
+			case 4: // shorter than two lines, empty, or across a page end
+				if rnd(2) == 0 {
+					addr = addr | (page - 1) - rnd(uint64(params.LineSize))
+				}
+				n := int(rnd(2 * uint64(params.LineSize)))
+				cf, cr = fast.AccessRange(addr, n), accessRangeRef(ref, addr, n)
 			}
 			if cf != cr {
 				t.Fatalf("geometry %d op %d at %#x: fast cost %v != reference %v", gi, i, addr, cf, cr)
@@ -334,30 +357,24 @@ func TestAccessMemoEquivalenceMixed(t *testing.T) {
 	}
 }
 
+// accessRangeRef is AccessRange as one Access per line of [addr, addr+n);
+// an empty range at an unaligned address still touches its line.
+func accessRangeRef(s *System, addr uint64, n int) sim.Time {
+	var cost sim.Time
+	line := uint64(s.params.LineSize)
+	for a := addr &^ (line - 1); a < addr+uint64(n); a += line {
+		cost += s.Access(a)
+	}
+	return cost
+}
+
 // requireSameReplacementState compares what the next miss would evict,
-// everywhere: the same tag in every way of the data cache and the D-TLB,
-// and the ways of every set in the same LRU order. The stamps themselves
-// differ — a skipped walk does not advance the clock — only their order
-// within a set decides a replacement.
+// everywhere: each set keeps its ways in recency order, so the same tags
+// in the same ways of the data cache and the D-TLB are the same LRU state.
 func requireSameReplacementState(t *testing.T, name string, fast, ref *System) {
 	t.Helper()
-	for _, c := range []struct {
-		what      string
-		fast, ref *assoc
-	}{{"dcache", &fast.dcache, &ref.dcache}, {"dtlb", &fast.dtlb, &ref.dtlb}} {
-		if !slices.Equal(c.fast.tags, c.ref.tags) {
-			t.Fatalf("%s: %s tags diverged", name, c.what)
-		}
-		for base := 0; base < len(c.fast.tags); base += c.fast.ways {
-			for i := base; i < base+c.fast.ways; i++ {
-				for j := base; j < i; j++ {
-					if (c.fast.stamp[i] < c.fast.stamp[j]) != (c.ref.stamp[i] < c.ref.stamp[j]) {
-						t.Fatalf("%s: %s set %d: ways %d and %d are in a different LRU order",
-							name, c.what, base/c.fast.ways, j-base, i-base)
-					}
-				}
-			}
-		}
+	if !slices.Equal(fast.dcache.tags, ref.dcache.tags) || !slices.Equal(fast.dtlb.tags, ref.dtlb.tags) {
+		t.Fatalf("%s: replacement state diverged", name)
 	}
 }
 
@@ -483,33 +500,36 @@ func TestAccessStride8EquivalenceRandomized(t *testing.T) {
 
 // TestInstrTouchCycleEquivalence checks the bulk instruction-fetch cycle
 // against the per-access rotating InstrTouch sequence: identical costs,
-// miss counts, and — via interleaved competing touches that depend on the
-// I-TLB's LRU stamps — identical replacement state.
+// miss counts and I-TLB contents, also under interleaved competing touches
+// whose evictions depend on the order the bulk path left. The cycles start
+// at rotations that are not multiples of mod, and mod 9 overflows the 4×2
+// I-TLB, so itlbCycleSafe sends it down the per-touch path.
 func TestInstrTouchCycleEquivalence(t *testing.T) {
-	for _, mod := range []int{1, 2, 3, 5, 8} {
-		fast := NewSystem(SP2Params())
-		ref := NewSystem(SP2Params())
-		rot := 0
-		base := uint64(2 << 40)
-		for step, cnt := range []int{1, 3, 7, 100, 2, 5000, 1, 12, 999} {
-			cf := fast.InstrTouchCycle(base, mod, rot, cnt)
-			var cr sim.Time
-			for i := 1; i <= cnt; i++ {
-				cr += ref.InstrTouch(base + uint64(rot+i)%uint64(mod))
-			}
-			rot += cnt
-			if cf != cr {
-				t.Fatalf("mod=%d step=%d: cost %v != elementwise %v", mod, step, cf, cr)
-			}
-			if fast.Stats() != ref.Stats() {
-				t.Fatalf("mod=%d step=%d: stats %+v != %+v", mod, step, fast.Stats(), ref.Stats())
-			}
-			// Interleave competing code pages (another phase's footprint,
-			// same sets): evictions depend on the stamps the bulk path
-			// synthesized, so stale stamps would diverge here.
-			for k := uint64(0); k < 5; k++ {
-				if fast.InstrTouch(1<<41+k) != ref.InstrTouch(1<<41+k) {
-					t.Fatalf("mod=%d step=%d: competing touch %d diverged", mod, step, k)
+	for _, mod := range []int{1, 2, 3, 5, 8, 9} {
+		for _, rot0 := range []int{0, 1, 3} {
+			fast := NewSystem(SP2Params())
+			ref := NewSystem(SP2Params())
+			rot := rot0
+			base := uint64(2 << 40)
+			for step, cnt := range []int{1, 3, 7, 100, 2, 5000, 1, 12, 999, 19} {
+				cf := fast.InstrTouchCycle(base, mod, rot, cnt)
+				var cr sim.Time
+				for i := 1; i <= cnt; i++ {
+					cr += ref.InstrTouch(base + uint64(rot+i)%uint64(mod))
+				}
+				rot += cnt
+				if cf != cr {
+					t.Fatalf("mod=%d rot=%d step=%d: cost %v != elementwise %v", mod, rot0, step, cf, cr)
+				}
+				if fast.Stats() != ref.Stats() || !slices.Equal(fast.itlb.tags, ref.itlb.tags) {
+					t.Fatalf("mod=%d rot=%d step=%d: stats %+v != %+v or I-TLB diverged", mod, rot0, step, fast.Stats(), ref.Stats())
+				}
+				// Competing code pages (another phase's footprint, same
+				// sets) evict by the order the bulk path left.
+				for k := uint64(0); k < 5; k++ {
+					if fast.InstrTouch(1<<41+k) != ref.InstrTouch(1<<41+k) {
+						t.Fatalf("mod=%d rot=%d step=%d: competing touch %d diverged", mod, rot0, step, k)
+					}
 				}
 			}
 		}
