@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race cover loc loc-gate golden-trace adapt-golden bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs diffcodec fuzz-sortdiffs metrics-gate diff-backends metrics-baseline scale-baseline teardown-stress
+.PHONY: check vet build test race cover loc loc-gate golden-trace adapt-golden bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs diffcodec observe fuzz-sortdiffs metrics-gate diff-backends metrics-baseline scale-baseline teardown-stress
 
 ## check: the pre-commit gate (.github/workflows/ci.yml runs these same
 ## targets, one step each) — vet,
@@ -10,13 +10,14 @@ GO ?= go
 ## windowed-engine determinism guard,
 ## the multi-process cluster smoke against the simulator oracle, the
 ## 256-node scale smoke, the diff-order differential tests, the diff
-## codec's differential tests and allocation caps, the metrics
+## codec's differential tests and allocation caps, the observation
+## path's differential tests and allocation caps, the metrics
 ## regression gate against the committed baseline, the sim-vs-real
 ## counter-equivalence gate, the rt teardown stress, the per-package
 ## coverage floors, and the line budget. Host-time performance is
 ## `go run ./bench` (bench/README.md), judged per PR against the parent
 ## commit.
-check: loc-gate vet build race golden-trace adapt-golden bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs diffcodec metrics-gate diff-backends teardown-stress cover
+check: loc-gate vet build race golden-trace adapt-golden bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs diffcodec observe metrics-gate diff-backends teardown-stress cover
 	@echo "check: OK"
 
 vet:
@@ -143,6 +144,18 @@ diffcodec:
 	$(GO) test ./internal/core -run 'RunScan|MakeDiffMatches|EncodeMatches|ApplyMatches|DecodeMatches|WirePattern' -count=1 -race
 	$(GO) test ./internal/core -run 'CodecAllocCaps' -count=1
 	$(GO) test ./internal/rt -run 'FaultAndFlushAllocCaps|BadFrames|TrafficInvariants' -count=1
+
+## observe: the observation path is pinned — the trace order (per-ring
+## repair and a merge of the ring heads) against the replaced sort on
+## recorded runs, a reversed ring, all-tied, mostly empty, wrapped and
+## negative-time streams, every export against the fmt-based writer, and
+## the checker against the map-based one it replaced on the seven
+## applications, scaleout, an -adapt run and streams that break each
+## invariant; then the export's allocation caps. All under the race
+## detector.
+observe:
+	$(GO) test ./internal/trace -run 'MatchesReference|Order|OpenTail|AllocCaps' -count=1 -race
+	$(GO) test ./internal/check -run 'MatchesReference|FinishReport' -count=1 -race
 
 ## fuzz-sortdiffs: let the fuzzer write protocol histories for 30 s and
 ## compare the two orderings on each. A failing input lands in

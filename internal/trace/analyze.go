@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"iter"
 	"sort"
 	"text/tabwriter"
 
@@ -93,14 +94,27 @@ type Report struct {
 // Analyze builds the latency report from events. Events must be in
 // (T, Seq) order, as returned by Recorder.Events.
 func Analyze(events []Event) *Report {
-	r := &Report{Events: len(events)}
+	return analyze(func(yield func(*Event) bool) {
+		for i := range events {
+			if !yield(&events[i]) {
+				return
+			}
+		}
+	})
+}
+
+// analyze is Analyze over a stream, so a recorder's events are read in
+// place rather than copied out.
+func analyze(events iter.Seq[*Event]) *Report {
+	r := &Report{}
 
 	type syncKey struct{ node, sync int32 }
 	barrierArrive := make(map[syncKey][]sim.Time)
 
 	var faults, lock2, lock3, stall, localStall, msg []sim.Time
 
-	for _, e := range events {
+	for e := range events {
+		r.Events++
 		r.KindCounts[e.Kind]++
 		switch e.Kind {
 		case KindFaultResolve:
@@ -151,7 +165,7 @@ func Analyze(events []Event) *Report {
 // AnalyzeRecorder analyzes a recorder's retained events, carrying the
 // drop count into the report so bounded traces are flagged.
 func AnalyzeRecorder(rec *Recorder) *Report {
-	r := Analyze(rec.Events())
+	r := analyze(rec.ordered())
 	r.Dropped = rec.Dropped()
 	return r
 }

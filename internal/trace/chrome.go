@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"slices"
-	"strconv"
 
 	"cvm/internal/sim"
 )
@@ -28,7 +27,7 @@ import (
 // timestamps, so for a given run it is byte-reproducible — the property
 // the golden-trace regression test locks in.
 func WriteChrome(w io.Writer, r *Recorder) error {
-	c := &chromeWriter{w: w, tpn: int64(r.ThreadsPerNode()), buf: make([]byte, 0, chromeFlush+1024)}
+	c := &chromeWriter{w: w, tpn: int64(r.ThreadsPerNode()), buf: make([]byte, 0, chromeFlush+1024), open: `{"name":"`}
 	c.str("{\"traceEvents\":[\n")
 
 	// Metadata: name and order the node processes and their tracks.
@@ -48,7 +47,7 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 	lockReq := make(map[syncKey]*Event)
 	barrierArrive := make(map[syncKey][]*Event)
 
-	for _, e := range r.ordered() {
+	for e := range r.ordered() {
 		switch e.Kind {
 		case KindFaultStart:
 			faultStart[pageKey{e.Node, e.Page}] = e
@@ -57,34 +56,34 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 			if s, ok := faultStart[k]; ok {
 				delete(faultStart, k)
 				// On the faulting thread, even if resolve ran in handler context.
-				c.nameN("fault p", e.Page).span("fault", s, e, c.tid(s))
+				c.nameN("fault p", e.Page).span(catFault, s, e, c.tid(s))
 			} else {
-				c.nameN("fault p", e.Page).str(" resolve").instant(e, "fault").arg("diffs", e.Arg).end()
+				c.nameN("fault p", e.Page).str(" resolve").instant(e, catFault).arg("diffs", e.Arg).end()
 			}
 		case KindTwinCreate:
-			c.nameN("twin p", e.Page).instant(e, "diff").end()
+			c.nameN("twin p", e.Page).instant(e, catDiff).end()
 		case KindDiffCreate:
-			c.nameN("diff p", e.Page).str(" create").instant(e, "diff").arg("bytes", e.Arg).arg("interval", e.Aux).end()
+			c.nameN("diff p", e.Page).str(" create").instant(e, catDiff).arg("bytes", e.Arg).arg("interval", e.Aux).end()
 		case KindDiffApply:
-			c.nameN("diff p", e.Page).str(" apply").instant(e, "diff").
+			c.nameN("diff p", e.Page).str(" apply").instant(e, catDiff).
 				arg("from", int64(e.Peer)).arg("interval", e.Arg).arg("bytes", e.Aux).end()
 		case KindLockRequest:
 			lockReq[syncKey{e.Node, e.Sync}] = e
 		case KindLockForward:
-			c.nameN("lock ", e.Sync).str(" forward").instant(e, "lock").arg("requester", e.Arg).arg("to", int64(e.Peer)).end()
+			c.nameN("lock ", e.Sync).str(" forward").instant(e, catLock).arg("requester", e.Arg).arg("to", int64(e.Peer)).end()
 		case KindLockGrant:
-			c.nameN("lock ", e.Sync).str(" grant").instant(e, "lock").end()
+			c.nameN("lock ", e.Sync).str(" grant").instant(e, catLock).end()
 		case KindLockAcquire:
 			k := syncKey{e.Node, e.Sync}
 			c.nameN("lock ", e.Sync).str(" acquire")
 			if s, ok := lockReq[k]; ok && e.Aux >= 2 {
 				delete(lockReq, k)
-				c.span("lock", s, e, c.tid(e))
+				c.span(catLock, s, e, c.tid(e))
 			} else {
-				c.instant(e, "lock").arg("local", 1).end()
+				c.instant(e, catLock).arg("local", 1).end()
 			}
 		case KindLockRelease:
-			c.nameN("lock ", e.Sync).str(" release").instant(e, "lock").end()
+			c.nameN("lock ", e.Sync).str(" release").instant(e, catLock).end()
 		case KindBarrierArrive:
 			if e.Aux == BarrierReduce {
 				break // a reduction has no release to end a slice
@@ -98,7 +97,7 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 				pre = "local barrier "
 			}
 			for _, a := range barrierArrive[k] {
-				c.nameN(pre, e.Sync).str(" wait").span("barrier", a, e, c.tid(a))
+				c.nameN(pre, e.Sync).str(" wait").span(catBarrier, a, e, c.tid(a))
 			}
 			barrierArrive[k] = barrierArrive[k][:0] // the next episode reuses the slice
 		case KindThreadSwitch:
@@ -108,28 +107,33 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 			from.Thread = int32(e.Arg)
 			c.name("switch").str(`","cat":"sched","ph":"s","id":`).int(id).at(e, c.tid(&from)).end()
 			c.name("switch").str(`","cat":"sched","ph":"f","bp":"e","id":`).int(id).at(e, c.tid(e)).end()
-			c.name("switch in").instant(e, "sched").key("from").str(`"g`).int(e.Arg).str(`"`).end()
+			c.name("switch in").instant(e, catSched).key("from").str(`"g`).int(e.Arg).str(`"`).end()
 		case KindThreadBlock:
-			c.name("block").instant(e, "sched").key("reason").str(`"`).reason(e.Arg).str(`"`).end()
+			c.name("block").instant(e, catSched).key("reason").str(`"`).reason(e.Arg).str(`"`).end()
 		case KindThreadUnblock:
-			c.name("unblock").instant(e, "sched").key("reason").str(`"`).reason(e.Arg).str(`"`).end()
-		case KindMsgSend:
-			c.name("msg ").class(e.Sync).str(`","cat":"msg","ph":"s","id":`).int(e.Aux).at(e, 0).arg("bytes", e.Arg).end()
-		case KindMsgDeliver:
-			c.name("msg ").class(e.Sync).str(`","cat":"msg","ph":"f","bp":"e","id":`).int(e.Aux).at(e, 0).arg("bytes", e.Arg).end()
+			c.name("unblock").instant(e, catSched).key("reason").str(`"`).reason(e.Arg).str(`"`).end()
+		case KindMsgSend, KindMsgDeliver:
+			// About half of a run's events: the protocol track (tid 0)
+			// and the args' opening join the constant before the size.
+			ph := `","cat":"msg","ph":"s","id":`
+			if e.Kind == KindMsgDeliver {
+				ph = `","cat":"msg","ph":"f","bp":"e","id":`
+			}
+			c.name("msg ").class(e.Sync).str(ph).int(e.Aux).str(`,"ts":`).usec(e.T).
+				str(`,"pid":`).int(int64(e.Node)).str(`,"tid":0,"args":{"bytes":`).int(e.Arg).str("}}")
 		case KindMsgDrop:
-			c.name("drop ").class(e.Sync).instant(e, "fault-inject").
+			c.name("drop ").class(e.Sync).instant(e, catInject).
 				arg("to", int64(e.Peer)).arg("bytes", e.Arg).arg("id", e.Aux).end()
 		case KindMsgDup:
-			c.name("dup ").class(e.Sync).instant(e, "fault-inject").
+			c.name("dup ").class(e.Sync).instant(e, catInject).
 				arg("to", int64(e.Peer)).arg("bytes", e.Arg).arg("id", e.Aux).end()
 		case KindRetransmit:
-			c.name("retransmit ").class(e.Sync).instant(e, "transport").
+			c.name("retransmit ").class(e.Sync).instant(e, catTransport).
 				arg("to", int64(e.Peer)).arg("seq", e.Aux).arg("attempt", e.Arg).end()
 		case KindDupSuppress:
-			c.name("dup-suppress ").class(e.Sync).instant(e, "transport").arg("from", int64(e.Peer)).arg("seq", e.Aux).end()
+			c.name("dup-suppress ").class(e.Sync).instant(e, catTransport).arg("from", int64(e.Peer)).arg("seq", e.Aux).end()
 		case KindModeChange:
-			c.nameN("mode p", e.Page).instant(e, "adapt").
+			c.nameN("mode p", e.Page).instant(e, catAdapt).
 				arg("mode", e.Arg).arg("owner", int64(e.Peer)).arg("epoch", e.Aux).end()
 		}
 	}
@@ -138,10 +142,10 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 	// resolution fell outside the ring bound, or the run was cut) render
 	// as instants so the data is not lost, each kind in (T, Seq) order.
 	for _, e := range openEvents(faultStart) {
-		c.nameN("fault p", e.Page).str(" (unresolved)").instant(e, "fault").end()
+		c.nameN("fault p", e.Page).str(" (unresolved)").instant(e, catFault).end()
 	}
 	for _, e := range openEvents(lockReq) {
-		c.nameN("lock ", e.Sync).str(" request (ungranted)").instant(e, "lock").end()
+		c.nameN("lock ", e.Sync).str(" request (ungranted)").instant(e, catLock).end()
 	}
 
 	c.str("\n],\"displayTimeUnit\":\"ms\"}\n")
@@ -166,13 +170,15 @@ const chromeFlush = 64 << 10
 // written out between events once it passes chromeFlush. Every name and
 // string value is literal ASCII, a class or reason name, or a decimal
 // integer — text that JSON quoting leaves as it is — so nothing is
-// escaped and nothing goes through fmt or an intermediate string. Its
-// methods chain: name, the rest of the name, instant or span, arg, end.
+// escaped and nothing goes through fmt, strconv or an intermediate
+// string; constant text that always runs together (a category with its
+// phase) is one string. Its methods chain: name, the rest of the name,
+// instant or span, arg, end.
 type chromeWriter struct {
 	w    io.Writer
 	err  error // the first write error; later writes are skipped
 	buf  []byte
-	sep  string // between events: empty before the first
+	open string // what opens an event: its separator and name key
 	tpn  int64  // threads per node
 	args bool   // the open event has an "args" object
 }
@@ -189,21 +195,70 @@ func (c *chromeWriter) str(s string) *chromeWriter {
 	return c
 }
 
+// digits3 holds "000" through "999", three bytes a number.
+var digits3 = func() (d [3000]byte) {
+	for i := range 1000 {
+		d[3*i], d[3*i+1], d[3*i+2] = byte('0'+i/100), byte('0'+i/10%10), byte('0'+i%10)
+	}
+	return d
+}()
+
+// decimal writes u's digits, and a minus sign if neg, so that they end
+// at b[end], and returns where they start: three digits a step from
+// digits3, the leading group's zeros skipped.
+func decimal(b *[24]byte, end int, u uint64, neg bool) int {
+	for ; u >= 1000; u /= 1000 {
+		d := 3 * (u % 1000)
+		end -= 3
+		b[end], b[end+1], b[end+2] = digits3[d], digits3[d+1], digits3[d+2]
+	}
+	d := 3 * u
+	end -= 3
+	b[end], b[end+1], b[end+2] = digits3[d], digits3[d+1], digits3[d+2]
+	if u < 100 {
+		end++
+	}
+	if u < 10 {
+		end++
+	}
+	if neg {
+		end--
+		b[end] = '-'
+	}
+	return end
+}
+
+// abs is |v|; a uint64 holds the minimum int64's too.
+func abs(v int64) uint64 {
+	if v < 0 {
+		return -uint64(v)
+	}
+	return uint64(v)
+}
+
+// int appends v in decimal, one append and no strconv; a single digit
+// skips the table.
 func (c *chromeWriter) int(v int64) *chromeWriter {
-	c.buf = strconv.AppendInt(c.buf, v, 10)
+	if uint64(v) < 10 {
+		c.buf = append(c.buf, byte('0'+v))
+		return c
+	}
+	var b [24]byte
+	c.buf = append(c.buf, b[decimal(&b, len(b), abs(v), v < 0):]...)
 	return c
 }
 
 // usec renders a virtual time as microseconds with nanosecond precision,
 // the unit Chrome trace timestamps use: integer digits, a point and
 // exactly three more, so the output is byte-stable (no float rounding).
+// It is one append.
 func (c *chromeWriter) usec(t sim.Time) *chromeWriter {
-	if t < 0 {
-		c.str("-")
-		t = -t
-	}
-	ns := int64(t) % 1000
-	return c.int(int64(t) / 1000).str(".").int(ns / 100).int(ns / 10 % 10).int(ns % 10)
+	var b [24]byte
+	u := abs(int64(t))
+	d := 3 * (u % 1000)
+	b[20], b[21], b[22], b[23] = '.', digits3[d], digits3[d+1], digits3[d+2]
+	c.buf = append(c.buf, b[decimal(&b, 20, u/1000, t < 0):]...)
+	return c
 }
 
 // name opens an event and begins its name.
@@ -211,8 +266,8 @@ func (c *chromeWriter) name(s string) *chromeWriter {
 	if len(c.buf) >= chromeFlush {
 		c.flush()
 	}
-	c.str(c.sep).str(`{"name":"`).str(s)
-	c.sep = ",\n"
+	c.str(c.open).str(s)
+	c.open = ",\n{\"name\":\""
 	return c
 }
 
@@ -251,15 +306,34 @@ func (c *chromeWriter) at(e *Event, tid int64) *chromeWriter {
 	return c.str(`,"ts":`).usec(e.T).str(`,"pid":`).int(int64(e.Node)).str(`,"tid":`).int(tid)
 }
 
+// category is an event category's constant text for an instant and for
+// a span: the name's closing quote, the category and the phase.
+type category struct{ instant, span string }
+
+func newCategory(name string) category {
+	return category{`","cat":"` + name + `","ph":"i","s":"t"`, `","cat":"` + name + `","ph":"X","ts":`}
+}
+
+var (
+	catFault     = newCategory("fault")
+	catDiff      = newCategory("diff")
+	catLock      = newCategory("lock")
+	catBarrier   = newCategory("barrier")
+	catSched     = newCategory("sched")
+	catInject    = newCategory("fault-inject")
+	catTransport = newCategory("transport")
+	catAdapt     = newCategory("adapt")
+)
+
 // instant closes the name and makes the event an instant on e's track.
-func (c *chromeWriter) instant(e *Event, cat string) *chromeWriter {
-	return c.str(`","cat":"`).str(cat).str(`","ph":"i","s":"t"`).at(e, c.tid(e))
+func (c *chromeWriter) instant(e *Event, cat category) *chromeWriter {
+	return c.str(cat.instant).at(e, c.tid(e))
 }
 
 // span closes the name and the event: a complete ("X") slice from start
 // to end on start's node and the given track.
-func (c *chromeWriter) span(cat string, start, end *Event, tid int64) {
-	c.str(`","cat":"`).str(cat).str(`","ph":"X","ts":`).usec(start.T).str(`,"dur":`).usec(end.T - start.T).
+func (c *chromeWriter) span(cat category, start, end *Event, tid int64) {
+	c.str(cat.span).usec(start.T).str(`,"dur":`).usec(end.T - start.T).
 		str(`,"pid":`).int(int64(start.Node)).str(`,"tid":`).int(tid).str("}")
 }
 

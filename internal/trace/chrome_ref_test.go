@@ -274,6 +274,9 @@ func reasonNameRef(r int64) string {
 	}
 }
 
-// WriteChromeRef lets the tests that run programs (package trace_test,
-// which may import cvm) reach the reference.
-var WriteChromeRef = writeChromeRef
+// WriteChromeRef and EventsRef let the tests that run programs (package
+// trace_test, which may import cvm) reach the references.
+var (
+	WriteChromeRef = writeChromeRef
+	EventsRef      = eventsRef
+)

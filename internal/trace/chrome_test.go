@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -218,5 +219,29 @@ func TestTraceAllocCaps(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(1000, emit); got != 0 {
 		t.Errorf("Recorder.Emit on a full ring: %.2f allocs/event, want 0", got)
+	}
+}
+
+// TestNumbersMatchReference: every power of ten, both signs and the
+// int64 extremes come out as strconv and the reference's %d.%03d write
+// them.
+func TestNumbersMatchReference(t *testing.T) {
+	var vs []int64
+	for p := int64(1); p <= 1e18; p *= 10 {
+		vs = append(vs, p-1, p, p+1, -p+1, -p, -p-1)
+	}
+	vs = append(vs, 0, 999_999_999, math.MaxInt64, math.MinInt64+1, math.MinInt64)
+	for _, v := range vs {
+		c := &chromeWriter{}
+		if got, want := string(c.int(v).buf), strconv.FormatInt(v, 10); got != want {
+			t.Errorf("int(%d) = %s", v, got)
+		}
+		if v == math.MinInt64 {
+			continue // no virtual time gets there, and -t overflows
+		}
+		c.buf = c.buf[:0]
+		if got, want := string(c.usec(sim.Time(v)).buf), usecRef(sim.Time(v)); got != want {
+			t.Errorf("usec(%d) = %s, want %s", v, got, want)
+		}
 	}
 }

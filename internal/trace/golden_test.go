@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -115,6 +116,27 @@ func TestWriteChromeMatchesReferenceOnRuns(t *testing.T) {
 		if got := exportChrome(t, rec); !bytes.Equal(got, want.Bytes()) {
 			t.Errorf("%s: %d events export to %d bytes, the reference writer to %d, and they differ",
 				name, rec.Len(), len(got), want.Len())
+		}
+	}
+}
+
+// TestOrderMatchesReferenceOnRuns holds the repair-and-merge order to
+// the reference sort on recorded runs: waternsq 8x4, eight rings of four
+// threads, and scaleout 64x1, where deliveries recorded at their send
+// displace a ring's events the most.
+func TestOrderMatchesReferenceOnRuns(t *testing.T) {
+	for _, c := range []struct {
+		app            string
+		nodes, threads int
+	}{{"waternsq", 8, 4}, {"scaleout", 64, 1}} {
+		rec := trace.NewRecorder(c.nodes, c.threads, 0)
+		cfg := cvm.DefaultConfig(c.nodes, c.threads)
+		cfg.Tracer = rec
+		if _, _, err := apps.RunConfig(c.app, apps.SizeTest, cfg, 0); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rec.Events(), trace.EventsRef(rec); !slices.Equal(got, want) {
+			t.Errorf("%s %dx%d: Events() differs from the reference sort over %d events", c.app, c.nodes, c.threads, len(want))
 		}
 	}
 }

@@ -19,6 +19,8 @@ package trace
 import (
 	"cmp"
 	"fmt"
+	"iter"
+	"math"
 	"slices"
 
 	"cvm/internal/sim"
@@ -327,26 +329,116 @@ func (r *Recorder) NodeEvents(n int) []Event {
 // (timestamp, sequence). The sequence tiebreak makes the order total and
 // deterministic: same run, same slice.
 func (r *Recorder) Events() []Event {
-	sorted := r.ordered()
-	out := make([]Event, len(sorted))
-	for i, e := range sorted {
-		out[i] = *e
+	out := make([]Event, 0, r.Len())
+	for e := range r.ordered() {
+		out = append(out, *e)
 	}
 	return out
 }
 
-// ordered is Events without the copy: pointers into the rings, valid
-// until the next Emit. Which chunk an event sits in does not matter to a
-// sort on (T, Seq), so a wrapped ring is read like any other.
-func (r *Recorder) ordered() []*Event {
-	out := make([]*Event, 0, r.Len())
-	for i := range r.rings {
-		for _, c := range r.rings[i].chunks {
-			for j := range c {
-				out = append(out, &c[j])
+// ordered yields the retained events in (T, Seq) order as pointers into
+// the rings, valid until the next Emit. A ring holds its node's events in
+// Seq order and a node's clock seldom runs back far (a delivery is
+// recorded at its send with a later T), so each ring is put in T order
+// by insertion repair, then a loser tree merges the rings' heads by
+// (T, Seq). The scratch is one int32 an event and one cursor a ring.
+func (r *Recorder) ordered() iter.Seq[*Event] {
+	return func(yield func(*Event) bool) {
+		perm := make([]int32, r.Len())
+		var m merger
+		for i := range r.rings {
+			if g := &r.rings[i]; g.n > 0 {
+				p := perm[:g.n:g.n]
+				perm = perm[g.n:]
+				g.sortByT(p)
+				m.heads = append(m.heads, cursor{g.at(int(p[0])), g, p})
+			}
+		}
+		k := len(m.heads)
+		m.tree = make([]int32, k)
+		for w := m.build(1); k > 0 && m.heads[w].e != &spent; {
+			c := &m.heads[w]
+			if !yield(c.e) {
+				return
+			}
+			if c.perm = c.perm[1:]; len(c.perm) > 0 {
+				c.e = c.ring.at(int(c.perm[0]))
+			} else {
+				c.e = &spent
+			}
+			for n := (int(w) + k) / 2; n > 0; n /= 2 {
+				if l := m.tree[n]; m.less(l, w) {
+					m.tree[n], w = w, l
+				}
 			}
 		}
 	}
-	slices.SortFunc(out, cmpEvents)
-	return out
 }
+
+// spent is the head of a cursor past its ring's end: later than any event.
+var spent = Event{T: math.MaxInt64, Seq: math.MaxUint64}
+
+// cursor is one ring's place in the merge: its head and the positions
+// after it, in T order.
+type cursor struct {
+	e    *Event
+	ring *ring
+	perm []int32
+}
+
+// merger is a loser tree over the cursors, laid out like a heap: the
+// leaves are k..2k-1 (cursor i at k+i), and each inner node 1..k-1 holds
+// the cursor that lost the match there. A new head climbs from its leaf
+// and plays only the losers on its path, one comparison a level.
+type merger struct {
+	heads []cursor
+	tree  []int32
+}
+
+func (m *merger) less(a, b int32) bool {
+	x, y := m.heads[a].e, m.heads[b].e
+	return x.T < y.T || x.T == y.T && x.Seq < y.Seq
+}
+
+// build plays the matches below node n and returns their winner.
+func (m *merger) build(n int) int32 {
+	if n >= len(m.heads) {
+		return int32(n - len(m.heads))
+	}
+	a, b := m.build(2*n), m.build(2*n+1)
+	if m.less(b, a) {
+		a, b = b, a
+	}
+	m.tree[n] = b
+	return a
+}
+
+// sortByT fills p with the ring's positions 0..n-1 (emission order)
+// sorted by T, ties in emission order, which is Seq order. Insertion
+// repair is linear in the displacement; once a ring has cost more than
+// repairBudget moves an event, the rest is sorted instead, so a ring with
+// no order to lean on still costs O(n log n).
+func (g *ring) sortByT(p []int32) {
+	budget := repairBudget * len(p)
+	for i := range p {
+		t := g.at(i).T
+		j := i
+		for ; j > 0 && g.at(int(p[j-1])).T > t; j-- {
+			p[j] = p[j-1]
+		}
+		p[j] = int32(i)
+		if budget -= i - j; budget < 0 {
+			for k := i + 1; k < len(p); k++ {
+				p[k] = int32(k)
+			}
+			slices.SortFunc(p, func(a, b int32) int {
+				return cmp.Or(cmp.Compare(g.at(int(a)).T, g.at(int(b)).T), cmp.Compare(a, b))
+			})
+			return
+		}
+	}
+}
+
+// repairBudget is the insertion moves an event may cost on average
+// before sortByT gives up on repair. Recorded rings take a few.
+const repairBudget = 64
