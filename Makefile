@@ -135,13 +135,16 @@ sortdiffs:
 ## loop in both senses, MakeDiff against the byte-at-a-time scan,
 ## EncodeRuns, EncodedRunsSize and EncodeDiff against the replaced
 ## four-pass encoder, and ApplyRuns and DecodeRuns against the replaced
-## decoder on every truncation and byte flip, under the race detector;
+## decoder on every truncation and byte flip, and a diff's one
+## pointer-free block (no pointer in a Run, its bytes alive through
+## collections, a hand-built []Run unreadable, its byte cap) under the
+## race detector, whose checkptr vouches for the block's byte view;
 ## then the codec's allocation caps (EncodeDiff the payload alone,
 ## ApplyRuns nothing), the real runtime's (a flushed diff 4 objects, not
 ## built under -race), its bad-frame table, and the traffic invariants of
 ## the seven applications on loopback — the wire bytes did not move.
 diffcodec:
-	$(GO) test ./internal/core -run 'RunScan|MakeDiffMatches|EncodeMatches|ApplyMatches|DecodeMatches|WirePattern' -count=1 -race
+	$(GO) test ./internal/core -run 'RunScan|RunLayout|MakeDiffMatches|EncodeMatches|ApplyMatches|DecodeMatches|WirePattern' -count=1 -race
 	$(GO) test ./internal/core -run 'CodecAllocCaps' -count=1
 	$(GO) test ./internal/rt -run 'FaultAndFlushAllocCaps|BadFrames|TrafficInvariants' -count=1
 

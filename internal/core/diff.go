@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"math/bits"
+	"unsafe"
 )
 
 // le is the byte order of page words and of the wire's fixed fields.
@@ -19,19 +20,43 @@ type Diff struct {
 	VT   VClock // creator's vector time when the interval closed
 	Runs []Run
 
-	// encSize caches the compressed wire size (see WireBytes); 0 means
-	// not yet computed. Only the creator node touches it.
-	encSize int32
+	// size and encSize cache Bytes and the compressed wire size (see
+	// WireBytes); 0 means not yet computed. Only the creator node writes
+	// them: it fills size before the diff can reach another node.
+	size, encSize int32
 
 	// vtSum is the sum of VT's components, set by the creator for
 	// sortDiffs; 0 means not recorded (sortDiffs then adds VT up).
 	vtSum int64
 }
 
-// Run is a contiguous modified byte range within a page.
+// Run is a contiguous modified byte range within a page: its offset and
+// length. The bytes sit behind the diff's last run, in the same
+// pointer-free block (newRuns), run after run; runBytes finds them from
+// the slice's capacity. So a []Run is whole only as MakeDiff or
+// DecodeRuns returned it: one built by hand has no bytes, and reading
+// them panics.
 type Run struct {
-	Off  int32
-	Data []byte
+	Off, Len int32
+}
+
+const runSize = int(unsafe.Sizeof(Run{}))
+
+// newRuns returns n run headers with room for total bytes behind them,
+// in one allocation the collector need not scan, and those bytes.
+func newRuns(n, total int) ([]Run, []byte) {
+	all := make([]Run, n+(total+runSize-1)/runSize)
+	return all[:n], runBytes(all[:n])
+}
+
+// runBytes returns the bytes behind runs' headers, runs[len:cap] viewed
+// as bytes; nil for runs with no room behind them.
+func runBytes(runs []Run) []byte {
+	room := runs[len(runs):cap(runs)]
+	if len(room) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&room[0])), len(room)*runSize)
 }
 
 // MakeDiff compares twin (the page contents at first write) against cur
@@ -44,9 +69,8 @@ type Run struct {
 // bitmask cuts them. Run boundaries are bit-identical to a
 // byte-at-a-time scan (see TestMakeDiffMatchesReference).
 //
-// A diff is two allocations however many runs it has: one []Run and one
-// data slab cut to size, each Run.Data a slice of the slab clipped to its
-// own length.
+// A diff is one pointer-free allocation however many runs it has: 8
+// bytes a run header, then the runs' bytes (newRuns).
 func MakeDiff(page PageID, twin, cur []byte) []Run {
 	var mask [maskWords]uint64
 	s := newRunScan(twin, cur, false, mask[:])
@@ -54,13 +78,11 @@ func MakeDiff(page PageID, twin, cur []byte) []Run {
 	if n == 0 {
 		return nil
 	}
-	runs := make([]Run, n)
-	slab := make([]byte, total)
+	runs, data := newRuns(n, total)
 	for k := range runs {
 		start, end := s.next()
-		n := copy(slab, cur[start:end])
-		runs[k] = Run{Off: int32(start), Data: slab[:n:n]}
-		slab = slab[n:]
+		data = data[copy(data, cur[start:end]):]
+		runs[k] = Run{Off: int32(start), Len: int32(end - start)}
 	}
 	return runs
 }
@@ -207,22 +229,29 @@ func diffBytes(x uint64) uint64 {
 // modifications from being re-attributed to the local node's next diff
 // when the local node is itself a concurrent writer of the page.
 func (d *Diff) Apply(dst, twin []byte) {
+	data := runBytes(d.Runs)
 	for _, r := range d.Runs {
-		copy(dst[r.Off:], r.Data)
+		b := data[:r.Len]
+		data = data[r.Len:]
+		copy(dst[r.Off:], b)
 		if twin != nil {
-			copy(twin[r.Off:], r.Data)
+			copy(twin[r.Off:], b)
 		}
 	}
 }
 
 // Bytes reports the payload size of the diff on the simulated wire:
 // 8 bytes of header per run plus the run data, plus the vector time.
+// It is computed once and cached (see size).
 func (d *Diff) Bytes() int {
-	n := d.VT.wireBytes() + 16
-	for _, r := range d.Runs {
-		n += 8 + len(r.Data)
+	if d.size == 0 {
+		n := d.VT.wireBytes() + 16
+		for _, r := range d.Runs {
+			n += 8 + int(r.Len)
+		}
+		d.size = int32(n)
 	}
-	return n
+	return int(d.size)
 }
 
 // Overlaps reports whether two diffs modify any common byte. Overlapping
@@ -235,8 +264,7 @@ func (d *Diff) Overlaps(other *Diff) bool {
 	i, j := 0, 0
 	for i < len(da) && j < len(db) {
 		a, b := &da[i], &db[j]
-		aEnd := a.Off + int32(len(a.Data))
-		bEnd := b.Off + int32(len(b.Data))
+		aEnd, bEnd := a.Off+a.Len, b.Off+b.Len
 		if a.Off < bEnd && b.Off < aEnd {
 			return true
 		}

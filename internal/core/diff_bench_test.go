@@ -63,8 +63,8 @@ func BenchmarkDiffOverlaps(b *testing.B) {
 	// walk turns from O(runs²) into O(runs).
 	var a, c Diff
 	for off := int32(0); off < benchPageSize; off += 32 {
-		a.Runs = append(a.Runs, Run{Off: off, Data: make([]byte, 8)})
-		c.Runs = append(c.Runs, Run{Off: off + 16, Data: make([]byte, 8)})
+		a.Runs = append(a.Runs, Run{Off: off, Len: 8})
+		c.Runs = append(c.Runs, Run{Off: off + 16, Len: 8})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -2,7 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 )
@@ -23,8 +27,8 @@ func TestMakeDiffSingleRun(t *testing.T) {
 	if len(runs) != 1 {
 		t.Fatalf("runs = %d, want 1", len(runs))
 	}
-	if runs[0].Off != 10 || !bytes.Equal(runs[0].Data, []byte{1, 2, 3}) {
-		t.Errorf("run = %+v, want off=10 data=[1 2 3]", runs[0])
+	if got := spansOf(runs)[0]; got.Off != 10 || !bytes.Equal(got.Data, []byte{1, 2, 3}) {
+		t.Errorf("run = %+v, want off=10 data=[1 2 3]", got)
 	}
 }
 
@@ -70,17 +74,61 @@ func TestDiffApplyRoundTrip(t *testing.T) {
 func TestDiffApplyToTwin(t *testing.T) {
 	twin := make([]byte, 32)
 	dst := make([]byte, 32)
-	d := &Diff{Runs: []Run{{Off: 4, Data: []byte{7, 8}}}}
+	d := &Diff{Runs: packRuns([]runSpan{{Off: 4, Data: []byte{7, 8}}})}
 	d.Apply(dst, twin)
 	if dst[4] != 7 || twin[4] != 7 || dst[5] != 8 || twin[5] != 8 {
 		t.Error("Apply did not update both destination and twin")
 	}
 }
 
+// runSpan is a run as its offset and its own bytes: the form the
+// references build and hand-written cases are written in.
+type runSpan struct {
+	Off  int32
+	Data []byte
+}
+
+// packRuns lays spans out as MakeDiff lays out runs, the headers and
+// their bytes in one block (newRuns): the one way a test builds runs
+// whose bytes are read.
+func packRuns(spans []runSpan) []Run {
+	total := 0
+	for _, s := range spans {
+		total += len(s.Data)
+	}
+	runs, data := newRuns(len(spans), total)
+	for k, s := range spans {
+		runs[k] = Run{Off: s.Off, Len: int32(len(s.Data))}
+		data = data[copy(data, s.Data):]
+	}
+	return runs
+}
+
+// spansOf reads runs and their bytes back as spans.
+func spansOf(runs []Run) []runSpan {
+	data := runBytes(runs)
+	spans := make([]runSpan, len(runs))
+	for k, r := range runs {
+		spans[k] = runSpan{Off: r.Off, Data: data[:r.Len:r.Len]}
+		data = data[r.Len:]
+	}
+	return spans
+}
+
+// packedTight reports whether runs' block holds their bytes and nothing
+// more: one header's worth of room per 8 bytes of data, rounded up.
+func packedTight(runs []Run) bool {
+	total := 0
+	for _, r := range runs {
+		total += int(r.Len)
+	}
+	return cap(runs)-len(runs) == (total+runSize-1)/runSize
+}
+
 // makeDiffRef is the byte-at-a-time reference implementation MakeDiff's
 // word-strided kernel must match exactly.
-func makeDiffRef(twin, cur []byte) []Run {
-	var runs []Run
+func makeDiffRef(twin, cur []byte) []runSpan {
+	var runs []runSpan
 	n := len(cur)
 	i := 0
 	for i < n {
@@ -94,17 +142,19 @@ func makeDiffRef(twin, cur []byte) []Run {
 		}
 		data := make([]byte, i-start)
 		copy(data, cur[start:i])
-		runs = append(runs, Run{Off: int32(start), Data: data})
+		runs = append(runs, runSpan{Off: int32(start), Data: data})
 	}
 	return runs
 }
 
-func runsEqual(a, b []Run) bool {
-	if len(a) != len(b) {
+// runsEqual reports whether runs hold want's offsets and bytes.
+func runsEqual(runs []Run, want []runSpan) bool {
+	got := spansOf(runs)
+	if len(got) != len(want) {
 		return false
 	}
-	for i := range a {
-		if a[i].Off != b[i].Off || !bytes.Equal(a[i].Data, b[i].Data) {
+	for i := range got {
+		if got[i].Off != want[i].Off || !bytes.Equal(got[i].Data, want[i].Data) {
 			return false
 		}
 	}
@@ -158,13 +208,10 @@ func TestMakeDiffMatchesReference(t *testing.T) {
 		twin, cur := c[0], c[1]
 		got, want := MakeDiff(0, twin, cur), makeDiffRef(twin, cur)
 		if !runsEqual(got, want) {
-			t.Errorf("case %d: MakeDiff = %+v, want %+v", i, got, want)
+			t.Errorf("case %d: MakeDiff = %+v, want %+v", i, spansOf(got), want)
 		}
-		// The runs share one slab: an append to one must not reach the next.
-		for k, r := range got {
-			if cap(r.Data) != len(r.Data) {
-				t.Errorf("case %d: run %d has len %d but cap %d", i, k, len(r.Data), cap(r.Data))
-			}
+		if !packedTight(got) {
+			t.Errorf("case %d: %d runs in a block of %d Runs, want room for their bytes and no more", i, len(got), cap(got))
 		}
 	}
 
@@ -192,9 +239,9 @@ func TestMakeDiffMatchesReference(t *testing.T) {
 }
 
 func TestDiffOverlaps(t *testing.T) {
-	a := &Diff{Runs: []Run{{Off: 0, Data: make([]byte, 8)}}}
-	b := &Diff{Runs: []Run{{Off: 8, Data: make([]byte, 8)}}}
-	c := &Diff{Runs: []Run{{Off: 4, Data: make([]byte, 8)}}}
+	a := &Diff{Runs: []Run{{Off: 0, Len: 8}}}
+	b := &Diff{Runs: []Run{{Off: 8, Len: 8}}}
+	c := &Diff{Runs: []Run{{Off: 4, Len: 8}}}
 	if a.Overlaps(b) {
 		t.Error("adjacent diffs reported overlapping")
 	}
@@ -206,12 +253,12 @@ func TestDiffOverlaps(t *testing.T) {
 // TestDiffOverlapsAdjacent pins the aEnd == b.Off boundary: runs that
 // touch but share no byte must not report an overlap, in either order.
 func TestDiffOverlapsAdjacent(t *testing.T) {
-	a := &Diff{Runs: []Run{{Off: 0, Data: make([]byte, 16)}}} // [0,16)
-	b := &Diff{Runs: []Run{{Off: 16, Data: make([]byte, 8)}}} // [16,24)
+	a := &Diff{Runs: []Run{{Off: 0, Len: 16}}} // [0,16)
+	b := &Diff{Runs: []Run{{Off: 16, Len: 8}}} // [16,24)
 	if a.Overlaps(b) || b.Overlaps(a) {
 		t.Error("adjacent-but-not-overlapping runs reported overlapping")
 	}
-	c := &Diff{Runs: []Run{{Off: 15, Data: make([]byte, 2)}}} // [15,17) overlaps both
+	c := &Diff{Runs: []Run{{Off: 15, Len: 2}}} // [15,17) overlaps both
 	if !a.Overlaps(c) || !b.Overlaps(c) {
 		t.Error("one-byte overlap missed")
 	}
@@ -224,7 +271,7 @@ func TestDiffOverlapsMergeWalk(t *testing.T) {
 	mk := func(spans ...[2]int32) *Diff {
 		d := &Diff{}
 		for _, s := range spans {
-			d.Runs = append(d.Runs, Run{Off: s[0], Data: make([]byte, s[1]-s[0])})
+			d.Runs = append(d.Runs, Run{Off: s[0], Len: s[1] - s[0]})
 		}
 		return d
 	}
@@ -249,8 +296,7 @@ func TestDiffOverlapsMatchesQuadratic(t *testing.T) {
 	quadratic := func(d, other *Diff) bool {
 		for _, a := range d.Runs {
 			for _, b := range other.Runs {
-				aEnd := a.Off + int32(len(a.Data))
-				bEnd := b.Off + int32(len(b.Data))
+				aEnd, bEnd := a.Off+a.Len, b.Off+b.Len
 				if a.Off < bEnd && b.Off < aEnd {
 					return true
 				}
@@ -265,7 +311,7 @@ func TestDiffOverlapsMatchesQuadratic(t *testing.T) {
 			for _, b := range seed {
 				off += int32(b%37) + 1
 				n := int32(b%11) + 1
-				d.Runs = append(d.Runs, Run{Off: off, Data: make([]byte, n)})
+				d.Runs = append(d.Runs, Run{Off: off, Len: n})
 				off += n
 			}
 			return d
@@ -279,7 +325,7 @@ func TestDiffOverlapsMatchesQuadratic(t *testing.T) {
 }
 
 func TestDiffBytes(t *testing.T) {
-	d := &Diff{VT: NewVClock(4), Runs: []Run{{Off: 0, Data: make([]byte, 100)}}}
+	d := &Diff{VT: NewVClock(4), Runs: []Run{{Off: 0, Len: 100}}}
 	want := 16 + 16 + 8 + 100
 	if got := d.Bytes(); got != want {
 		t.Errorf("Bytes() = %d, want %d", got, want)
@@ -379,5 +425,177 @@ func TestRunScanMatchesByteLoop(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunLayoutNoPointer: a Run holds no pointer, so a diff's block is
+// one the collector never scans.
+func TestRunLayoutNoPointer(t *testing.T) {
+	var pointerFree func(reflect.Type) bool
+	pointerFree = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+			return true
+		case reflect.Array:
+			return pointerFree(typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if !pointerFree(typ.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		}
+		return false
+	}
+	if typ := reflect.TypeOf(Run{}); !pointerFree(typ) || typ.Size() != 8 {
+		t.Fatalf("Run is %d bytes, pointer-free %v; want 8 bytes and no pointer", typ.Size(), pointerFree(typ))
+	}
+}
+
+// layoutPages is the codec's page corpus plus the edges of the layout: a
+// one-byte page, a whole page one run, and runs whose bytes end off a
+// word.
+func layoutPages() map[string][2][]byte {
+	pages := codecPages()
+	add := func(name string, n int, write func(cur []byte)) {
+		twin, cur := make([]byte, n), make([]byte, n)
+		write(cur)
+		pages["layout/"+name] = [2][]byte{twin, cur}
+	}
+	add("one-byte", 1, func(cur []byte) { cur[0] = 1 })
+	add("full", 8<<10, func(cur []byte) {
+		for i := range cur {
+			cur[i] = byte(i) | 1
+		}
+	})
+	for _, n := range []int{3, 13, 1001} {
+		add(fmt.Sprintf("odd/%d", n), n, func(cur []byte) {
+			for i := 0; i < n; i += 5 {
+				cur[i], cur[(i+1)%n] = 7, 9 // runs of 1 and 2 bytes
+			}
+		})
+	}
+	return pages
+}
+
+// TestRunLayoutRoundTrip: on every page pair, MakeDiff's runs and the
+// runs DecodeRuns makes of their encoding are the byte-at-a-time scan's,
+// packed tight, and applying either to the twin gives the page.
+func TestRunLayoutRoundTrip(t *testing.T) {
+	for name, pc := range layoutPages() {
+		twin, cur := pc[0], pc[1]
+		want := makeDiffRef(twin, cur)
+		made := MakeDiff(0, twin, cur)
+		dec, rest, err := DecodeRuns(EncodeRuns(nil, made))
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("%s: DecodeRuns left %d bytes, error %v", name, len(rest), err)
+		}
+		for how, runs := range map[string][]Run{"MakeDiff": made, "DecodeRuns": dec} {
+			if !runsEqual(runs, want) || !packedTight(runs) {
+				t.Fatalf("%s: %s = %+v in a block of %d, want %+v packed tight", name, how, spansOf(runs), cap(runs), want)
+			}
+			page, tw := append([]byte(nil), twin...), append([]byte(nil), twin...)
+			(&Diff{Runs: runs}).Apply(page, tw)
+			if !bytes.Equal(page, cur) || !bytes.Equal(tw, cur) {
+				t.Fatalf("%s: applying %s's runs did not make the page", name, how)
+			}
+		}
+	}
+}
+
+// layoutSink keeps what a test allocates live past the compiler.
+var layoutSink []Run
+
+// TestRunLayoutSurvivesGC: 10k diffs, made and decoded, kept only by
+// their runs through collections and a heap churned with other bytes,
+// still apply to their pages — the block keeps its bytes alive.
+func TestRunLayoutSurvivesGC(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const diffs, pageSize = 10000, 200
+	twins, curs := make([][]byte, diffs), make([][]byte, diffs)
+	runs := make([][]Run, diffs)
+	for i := range runs {
+		twin := make([]byte, pageSize)
+		rng.Read(twin)
+		cur := append([]byte(nil), twin...)
+		for w := 1 + rng.Intn(20); w > 0; w-- {
+			cur[rng.Intn(pageSize)]++
+		}
+		twins[i], curs[i] = twin, cur
+		runs[i] = MakeDiff(0, twin, cur)
+		if i%2 == 1 {
+			dec, _, err := DecodeRuns(EncodeRuns(nil, runs[i]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[i] = dec
+		}
+	}
+	for round := 0; round < 3; round++ {
+		runtime.GC()
+		for i := 0; i < diffs; i++ {
+			layoutSink = make([]Run, 1+i%64)
+			for k := range layoutSink {
+				layoutSink[k] = Run{Off: -1, Len: -1}
+			}
+		}
+	}
+	for i, r := range runs {
+		page := append([]byte(nil), twins[i]...)
+		(&Diff{Runs: r}).Apply(page, nil)
+		if !bytes.Equal(page, curs[i]) {
+			t.Fatalf("diff %d no longer makes its page after a collection", i)
+		}
+	}
+}
+
+// TestRunLayoutHandBuiltPanics: runs built without their bytes behind
+// them have none to read: Apply, EncodeRuns and EncodedRunsSize panic on
+// a bounds check rather than read past the headers.
+func TestRunLayoutHandBuiltPanics(t *testing.T) {
+	bare := []Run{{Off: 0, Len: 4}, {Off: 8, Len: 4}}
+	for name, use := range map[string]func(){
+		"Apply":           func() { (&Diff{Runs: bare}).Apply(make([]byte, 64), nil) },
+		"EncodeRuns":      func() { EncodeRuns(nil, bare) },
+		"EncodedRunsSize": func() { EncodedRunsSize(bare) },
+	} {
+		func() {
+			defer func() {
+				if _, ok := recover().(runtime.Error); !ok {
+					t.Errorf("%s read hand-built runs without a runtime panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+}
+
+// TestRunLayoutBytesCap holds a diff's memory diet: MakeDiff on the
+// alternating page — 4096 one-byte runs — allocates 8 bytes a run plus
+// the payload, rounded up to whole 8 KB pages as a large object is, and
+// nothing more (the collector off, so only MakeDiff allocates).
+func TestRunLayoutBytesCap(t *testing.T) {
+	twin, cur := benchPages("alternating")
+	runs := MakeDiff(0, twin, cur)
+	total := 0
+	for _, r := range runs {
+		total += int(r.Len)
+	}
+	limit := (runSize*len(runs) + total + 8191) &^ 8191
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const calls = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		layoutSink = MakeDiff(0, twin, cur)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / calls
+	t.Logf("MakeDiff/alternating: %d runs, %d payload bytes, %d bytes a call (cap %d)", len(runs), total, per, limit)
+	if per > uint64(limit) {
+		t.Errorf("MakeDiff/alternating allocates %d bytes a call, over the cap of %d", per, limit)
 	}
 }

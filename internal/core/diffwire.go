@@ -26,7 +26,7 @@ import (
 // costs one bit and never inflates. The encoding is self-contained —
 // nothing is delta'd against receiver state — so decode works at any
 // node regardless of its page contents, and DecodeRuns returns exactly
-// the Run form MakeDiff produced: Apply semantics are untouched. Every
+// the runs MakeDiff produced, in the same one block. Every
 // pass over run bytes — finding the runs, finding the repeat groups,
 // the filter and its inverse — goes a word at a time (runScan, diff.go).
 //
@@ -49,10 +49,13 @@ func EncodeRuns(dst []byte, runs []Run) []byte {
 	var buf [512]byte
 	dst = binary.AppendUvarint(dst, uint64(len(runs)))
 	prevEnd := int32(0)
+	data := runBytes(runs)
 	for _, r := range runs {
 		dst = binary.AppendUvarint(dst, uint64(r.Off-prevEnd))
-		prevEnd = r.Off + int32(len(r.Data))
-		dst = appendRun(dst, r.Data, xor8Filter(buf[:], r.Data))
+		prevEnd = r.Off + r.Len
+		b := data[:r.Len]
+		data = data[r.Len:]
+		dst = appendRun(dst, b, xor8Filter(buf[:], b))
 	}
 	return dst
 }
@@ -115,12 +118,15 @@ func EncodedRunsSize(runs []Run) int {
 	var buf [512]byte
 	n := uvarintSize(uint64(len(runs)))
 	prevEnd := int32(0)
+	data := runBytes(runs)
 	for _, r := range runs {
 		n += uvarintSize(uint64(r.Off - prevEnd))
-		prevEnd = r.Off + int32(len(r.Data))
-		n += uvarintSize(uint64(len(r.Data)) << 1)
-		_, size := rle(nil, r.Data, false)
-		if filt := xor8Filter(buf[:], r.Data); filt != nil {
+		prevEnd = r.Off + r.Len
+		n += uvarintSize(uint64(r.Len) << 1)
+		b := data[:r.Len]
+		data = data[r.Len:]
+		_, size := rle(nil, b, false)
+		if filt := xor8Filter(buf[:], b); filt != nil {
 			_, fsize := rle(nil, filt, false)
 			size = min(size, fsize)
 		}
@@ -132,15 +138,16 @@ func EncodedRunsSize(runs []Run) int {
 // DecodeRuns parses an EncodeRuns payload back into runs, returning the
 // unconsumed remainder of src. It walks the payload twice: a validating
 // pass that allocates nothing and sizes the result, then a pass that
-// cannot fail and cuts every Run.Data from one slab — two allocations
-// however many runs there are, the shape MakeDiff returns.
+// cannot fail and writes the headers and their bytes into one
+// pointer-free block — one allocation however many runs there are, the
+// shape MakeDiff returns.
 func DecodeRuns(src []byte) (runs []Run, rest []byte, err error) {
 	count, total, _, err := walkRuns(src, -1, nil, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	runs = make([]Run, count)
-	_, _, rest, _ = walkRuns(src, -1, make([]byte, total), runs)
+	runs, data := newRuns(count, total)
+	_, _, rest, _ = walkRuns(src, -1, data, runs)
 	return runs, rest, nil
 }
 
@@ -165,9 +172,9 @@ func ApplyRuns(page, src []byte) error {
 // walkRuns parses an EncodeRuns payload. With dst nil it validates the
 // payload — each run inside [0, limit) unless limit is negative — and
 // reports the run count and the data bytes of all runs. Otherwise it
-// also writes the runs' bytes into dst: into a slab of those sizes, each
-// run after the one before and recorded in runs, when runs is not nil;
-// else into a page, each at its own offset.
+// also writes the runs' bytes into dst: each run after the one before,
+// its header recorded in runs, when runs is not nil (dst is then the
+// bytes behind them); else into a page, each at its own offset.
 func walkRuns(src []byte, limit int, dst []byte, runs []Run) (count, total int, rest []byte, err error) {
 	c, src, err := readUvarint(src)
 	if err != nil {
@@ -213,7 +220,7 @@ func walkRuns(src []byte, limit int, dst []byte, runs []Run) (count, total int, 
 			unxor8(data)
 		}
 		if runs != nil {
-			runs[k] = Run{Off: int32(off), Data: data}
+			runs[k] = Run{Off: int32(off), Len: int32(length)}
 		}
 		off += int64(length)
 		total += length

@@ -14,7 +14,7 @@ import (
 // decoder to its runs, its remainder and its error text, and
 // TestApplyMatchesReference holds ApplyRuns to the page it makes.
 
-func decodeRunsReference(src []byte) (runs []Run, rest []byte, err error) {
+func decodeRunsReference(src []byte) (runs []runSpan, rest []byte, err error) {
 	count, src, err := readUvarint(src)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: diff run count: %w", err)
@@ -22,7 +22,7 @@ func decodeRunsReference(src []byte) (runs []Run, rest []byte, err error) {
 	if count > 1<<20 {
 		return nil, nil, fmt.Errorf("core: diff run count %d too large", count)
 	}
-	runs = make([]Run, 0, count)
+	runs = make([]runSpan, 0, count)
 	off := int64(0)
 	for k := uint64(0); k < count; k++ {
 		gap, s, err := readUvarint(src)
@@ -48,7 +48,7 @@ func decodeRunsReference(src []byte) (runs []Run, rest []byte, err error) {
 				data[i] ^= data[i-8]
 			}
 		}
-		runs = append(runs, Run{Off: int32(off), Data: data})
+		runs = append(runs, runSpan{Off: int32(off), Data: data})
 		off += int64(length)
 		src = s
 	}
@@ -89,7 +89,7 @@ func decodeRLEPayloadReference(dst, src []byte, want int) ([]byte, []byte, error
 // scratch. TestEncodeMatchesReference holds EncodeRuns, EncodedRunsSize
 // and EncodeDiff to its bytes.
 
-func encodeRunsReference(dst []byte, runs []Run) []byte {
+func encodeRunsReference(dst []byte, runs []runSpan) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(runs)))
 	prevEnd := int32(0)
 	var scratch []byte
@@ -219,8 +219,9 @@ func TestEncodeMatchesReference(t *testing.T) {
 	head := []byte{0xde, 0xad, 0xbe, 0xef}
 	for name, pc := range codecPages() {
 		twin, cur := pc[0], pc[1]
-		runs := makeDiffRef(twin, cur)
-		want := encodeRunsReference(nil, runs)
+		spans := makeDiffRef(twin, cur)
+		runs := packRuns(spans)
+		want := encodeRunsReference(nil, spans)
 		if got := EncodeRuns(nil, runs); !bytes.Equal(got, want) {
 			t.Fatalf("%s: EncodeRuns = %x, reference %x", name, got, want)
 		}
@@ -285,7 +286,7 @@ func sameApply(t *testing.T, what string, page, src []byte) {
 func TestApplyMatchesReference(t *testing.T) {
 	corpus := decodeCorpus()
 	for name, pc := range codecPages() {
-		corpus["pages/"+name] = EncodeRuns(nil, makeDiffRef(pc[0], pc[1]))
+		corpus["pages/"+name] = EncodeRuns(nil, packRuns(makeDiffRef(pc[0], pc[1])))
 	}
 	rng := rand.New(rand.NewSource(11))
 	pages := [][]byte{make([]byte, 8<<10), make([]byte, 4096), make([]byte, 100)}
@@ -319,11 +320,11 @@ func TestApplyMatchesReference(t *testing.T) {
 func decodeCorpus() map[string][]byte {
 	corpus := map[string][]byte{
 		"empty":   EncodeRuns(nil, nil),
-		"one":     EncodeRuns(nil, []Run{{Off: 0, Data: []byte{1}}}),
-		"tail":    EncodeRuns(nil, []Run{{Off: 8191, Data: []byte{9}}}),
-		"full":    EncodeRuns(nil, []Run{{Off: 0, Data: bytes.Repeat([]byte{0xAB}, 8192)}}),
-		"back2":   EncodeRuns(nil, []Run{{Off: 0, Data: []byte{1, 2}}, {Off: 2, Data: []byte{3}}}),
-		"repeats": EncodeRuns(nil, []Run{{Off: 100, Data: append(bytes.Repeat([]byte{7}, 100), 1, 2, 3)}}),
+		"one":     EncodeRuns(nil, packRuns([]runSpan{{Off: 0, Data: []byte{1}}})),
+		"tail":    EncodeRuns(nil, packRuns([]runSpan{{Off: 8191, Data: []byte{9}}})),
+		"full":    EncodeRuns(nil, packRuns([]runSpan{{Off: 0, Data: bytes.Repeat([]byte{0xAB}, 8192)}})),
+		"back2":   EncodeRuns(nil, packRuns([]runSpan{{Off: 0, Data: []byte{1, 2}}, {Off: 2, Data: []byte{3}}})),
+		"repeats": EncodeRuns(nil, packRuns([]runSpan{{Off: 100, Data: append(bytes.Repeat([]byte{7}, 100), 1, 2, 3)}})),
 	}
 	for _, p := range wirePatterns() {
 		for _, ps := range []int{4096, 8 << 10} {
@@ -353,15 +354,14 @@ func sameDecode(t *testing.T, what string, src []byte) {
 	if len(got) != len(want) || (got == nil) != (want == nil) {
 		t.Fatalf("%s: %d runs, reference %d", what, len(got), len(want))
 	}
-	for i := range want {
-		if got[i].Off != want[i].Off || !bytes.Equal(got[i].Data, want[i].Data) {
+	for i, g := range spansOf(got) {
+		if g.Off != want[i].Off || !bytes.Equal(g.Data, want[i].Data) {
 			t.Fatalf("%s: run %d is (%d, %x), reference (%d, %x)",
-				what, i, got[i].Off, got[i].Data, want[i].Off, want[i].Data)
+				what, i, g.Off, g.Data, want[i].Off, want[i].Data)
 		}
-		if cap(got[i].Data) != len(got[i].Data) {
-			t.Fatalf("%s: run %d can grow into its neighbour (len %d cap %d)",
-				what, i, len(got[i].Data), cap(got[i].Data))
-		}
+	}
+	if !packedTight(got) {
+		t.Fatalf("%s: %d runs in a block of %d Runs, want room for their bytes and no more", what, len(got), cap(got))
 	}
 }
 

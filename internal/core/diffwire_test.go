@@ -25,17 +25,14 @@ func roundTripRuns(t *testing.T, runs []Run) []byte {
 	if len(dec) != len(runs) {
 		t.Fatalf("decoded %d runs, want %d", len(dec), len(runs))
 	}
-	for i := range runs {
-		if dec[i].Off != runs[i].Off || !bytes.Equal(dec[i].Data, runs[i].Data) {
-			t.Fatalf("run %d: got (%d, %x), want (%d, %x)",
-				i, dec[i].Off, dec[i].Data, runs[i].Off, runs[i].Data)
-		}
+	if want := spansOf(runs); !runsEqual(dec, want) {
+		t.Fatalf("decoded %+v, want %+v", spansOf(dec), want)
 	}
 	return enc
 }
 
 func TestEncodeRunsRoundTrip(t *testing.T) {
-	cases := map[string][]Run{
+	cases := map[string][]runSpan{
 		"empty":   nil,
 		"one":     {{Off: 0, Data: []byte{1}}},
 		"tail":    {{Off: 8191, Data: []byte{9}}},
@@ -48,7 +45,7 @@ func TestEncodeRunsRoundTrip(t *testing.T) {
 		},
 	}
 	for name, runs := range cases {
-		t.Run(name, func(t *testing.T) { roundTripRuns(t, runs) })
+		t.Run(name, func(t *testing.T) { roundTripRuns(t, packRuns(runs)) })
 	}
 }
 
@@ -108,7 +105,7 @@ func TestEncodeRunsMatchesMakeDiff(t *testing.T) {
 }
 
 func TestDecodeRunsRejectsCorruption(t *testing.T) {
-	runs := []Run{{Off: 0, Data: bytes.Repeat([]byte{5}, 100)}, {Off: 200, Data: []byte{1, 2, 3}}}
+	runs := packRuns([]runSpan{{Off: 0, Data: bytes.Repeat([]byte{5}, 100)}, {Off: 200, Data: []byte{1, 2, 3}}})
 	enc := EncodeRuns(nil, runs)
 	if _, _, err := DecodeRuns(enc[:len(enc)-1]); err == nil {
 		t.Error("truncated payload decoded without error")
@@ -234,7 +231,7 @@ func TestWirePatternRatios(t *testing.T) {
 		}
 		raw := 0
 		for _, r := range runs {
-			raw += 8 + len(r.Data)
+			raw += 8 + int(r.Len)
 		}
 		enc := roundTripRuns(t, runs)
 		ratio := float64(len(enc)) / float64(raw)
@@ -318,7 +315,7 @@ func benchmarkDiffEncode(b *testing.B, pattern string) {
 	runs := MakeDiff(0, twin, cur)
 	raw := 0
 	for _, r := range runs {
-		raw += 8 + len(r.Data)
+		raw += 8 + int(r.Len)
 	}
 	var dst []byte
 	b.SetBytes(int64(benchPageSize))
@@ -398,7 +395,7 @@ func TestWirePatternShapes(t *testing.T) {
 		runs := MakeDiff(0, twin, cur)
 		total := 0
 		for _, r := range runs {
-			total += len(r.Data)
+			total += int(r.Len)
 		}
 		switch pattern {
 		case "sparse":
@@ -471,14 +468,14 @@ func TestCodecAllocCaps(t *testing.T) {
 		cap  float64
 	}{
 		{"MakeDiff/clean", makeDiff("clean"), 0},
-		{"MakeDiff/sparse", makeDiff("sparse"), 2}, // one []Run, one data slab
-		{"MakeDiff/dense", makeDiff("dense"), 2},
-		{"MakeDiff/alternating", makeDiff("alternating"), 2},
+		{"MakeDiff/sparse", makeDiff("sparse"), 1}, // one pointer-free block
+		{"MakeDiff/dense", makeDiff("dense"), 1},
+		{"MakeDiff/alternating", makeDiff("alternating"), 1},
 		{"DiffApply", apply(), 0},
 		{"DiffEncode/sparse", encode("sparse"), 0}, // the xor8 trial fits the stack buffer
 		{"DiffEncode/dense", encode("dense"), 0},
 		{"DiffEncode/float", encode("float"), 0},
-		{"DiffDecode/sparse", decode("sparse"), 2},     // one []Run, one data slab
+		{"DiffDecode/sparse", decode("sparse"), 1},     // one pointer-free block
 		{"EncodeDiff/sparse", encodeDiff("sparse"), 1}, // the payload, nothing else
 		{"EncodeDiff/dense", encodeDiff("dense"), 1},
 		{"EncodeDiff/float", encodeDiff("float"), 1},

@@ -216,7 +216,7 @@ func (t *Thread) applyFault(fs *faultState) {
 		}
 		n.stats.DiffsUsed++
 		for _, run := range d.Runs {
-			t.task.Advance(n.mem.AccessRange(base+uint64(run.Off), len(run.Data)))
+			t.task.Advance(n.mem.AccessRange(base+uint64(run.Off), int(run.Len)))
 		}
 		if tr := t.sys.tracer; tr != nil {
 			tr.Emit(trace.Event{T: t.task.Now(), Kind: trace.KindDiffApply,

@@ -179,6 +179,7 @@ func (n *node) closeInterval(t *Thread) {
 			Runs:  MakeDiff(pg, p.twin, p.data),
 			vtSum: vtSum,
 		}
+		d.Bytes() // fill the size cache while d is this node's alone
 		p.diffs = append(p.diffs, d)
 		n.stats.DiffsCreated++
 		if ad := n.adaptOf(pg); ad != nil && ad.mode == ModeMWUpd && len(ad.subs) > 0 {

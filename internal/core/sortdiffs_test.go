@@ -269,7 +269,7 @@ func TestDetectRacesPrefilter(t *testing.T) {
 		ds := h.fault(r)
 		for _, d := range ds {
 			// A handful of byte positions, so that some pairs overlap.
-			d.Runs = []Run{{Off: int32(8 * r.Intn(6)), Data: make([]byte, 8)}}
+			d.Runs = []Run{{Off: int32(8 * r.Intn(6)), Len: 8}}
 		}
 		var want int64
 		for i, a := range ds {

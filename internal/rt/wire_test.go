@@ -83,9 +83,17 @@ func TestShortFrames(t *testing.T) {
 // with bytes after its runs, and a page or diff request for a page node
 // 0 holds no master copy of (it used to conjure one).
 func TestBadFrames(t *testing.T) {
-	diff := func(pg uint32, runs ...core.Run) []byte { return core.EncodeRuns(encodeReq(1, pg), runs) }
-	outside := diff(0, core.Run{Off: framePageSize - 4, Data: make([]byte, 8)})
-	word := core.Run{Off: 0, Data: make([]byte, 8)}
+	// diff is a diff request for page pg whose one run is bytes [off,
+	// off+8) — cut by MakeDiff from a page 4 bytes longer than the
+	// frame's, so that a run can reach past the end of a real page.
+	diff := func(pg uint32, off int) []byte {
+		twin, cur := make([]byte, framePageSize+4), make([]byte, framePageSize+4)
+		for i := off; i < off+8; i++ {
+			cur[i] = 1
+		}
+		return core.EncodeRuns(encodeReq(1, pg), core.MakeDiff(0, twin, cur))
+	}
+	outside := diff(0, framePageSize-4)
 	for _, tc := range []struct {
 		name    string
 		typ     uint8
@@ -96,15 +104,15 @@ func TestBadFrames(t *testing.T) {
 		{"no runs", msgDiffReq, make([]byte, 8), "diff payload for page 0: core: diff run count:"},
 		{"run outside the page", msgDiffReq, outside,
 			"diff payload for page 0: core: diff run 0 [60,+8) outside the 64-byte page from node 1"},
-		{"bytes after the runs", msgDiffReq, append(diff(0, word), 7),
+		{"bytes after the runs", msgDiffReq, append(diff(0, 0), 7),
 			"diff payload for page 0: core: 1 bytes after the diff runs from node 1"},
 		{"page request, peer's page", msgPageReq, encodeReq(1, 1),
 			"rt: node 0: page request for page 1 (not homed here) from node 1"},
 		{"page request, no such page", msgPageReq, encodeReq(1, 4),
 			"rt: node 0: page request for page 4 (outside the 4 allocated pages) from node 1"},
-		{"diff request, peer's page", msgDiffReq, diff(3, word),
+		{"diff request, peer's page", msgDiffReq, diff(3, 0),
 			"rt: node 0: diff request for page 3 (not homed here) from node 1"},
-		{"diff request, no such page", msgDiffReq, diff(1<<20, word),
+		{"diff request, no such page", msgDiffReq, diff(1<<20, 0),
 			"rt: node 0: diff request for page 1048576 (outside the 4 allocated pages) from node 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
