@@ -59,8 +59,10 @@ loc:
 	@./scripts/loc.sh
 
 ## loc-gate: fail when that total exceeds the one number in
-## scripts/loc_budget. A PR that shrinks the tree sets the budget to its
-## own total, so the size target ratchets instead of being re-counted.
+## scripts/loc_budget, or README.md, DESIGN.md or EXPERIMENTS.md its line
+## cap in scripts/doc_budget. A PR that shrinks the tree or a document
+## sets the budget to its own total, so the size target ratchets instead
+## of being re-counted.
 loc-gate:
 	@./scripts/loc_gate.sh
 

@@ -67,13 +67,9 @@ func runShow(args []string, out io.Writer) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: cvm-metrics show <report.json>")
 	}
-	data, err := os.ReadFile(fs.Arg(0))
+	rep, err := readReportFile(fs.Arg(0))
 	if err != nil {
 		return err
-	}
-	rep, err := metrics.ReadReport(data)
-	if err != nil {
-		return fmt.Errorf("%s: %v", fs.Arg(0), err)
 	}
 	return rep.WriteText(out)
 }
@@ -96,22 +92,13 @@ func runCompare(args []string, out io.Writer) error {
 		return fmt.Errorf("-tol must be >= 0, got %v", *tol)
 	}
 	basePath, curPath := fs.Arg(0), fs.Arg(1)
-	base, err := os.ReadFile(basePath)
+	baseRep, err := readReportFile(basePath)
 	if err != nil {
 		return err
 	}
-	cur, err := os.ReadFile(curPath)
+	curRep, err := readReportFile(curPath)
 	if err != nil {
 		return err
-	}
-
-	baseRep, err := metrics.ReadReport(base)
-	if err != nil {
-		return fmt.Errorf("%s: %v", basePath, err)
-	}
-	curRep, err := metrics.ReadReport(cur)
-	if err != nil {
-		return fmt.Errorf("%s: %v", curPath, err)
 	}
 	opts := metrics.DefaultCompareOpts
 	opts.LatencyTol = *tol

@@ -14,9 +14,7 @@
 // are independent simulations and run concurrently across -parallel
 // worker goroutines (0 = all CPUs). Instrumented runs (-trace, -metrics,
 // -metrics-csv, -report, -check) need a single -threads level; tracing,
-// metrics and the invariant checker can be combined in one run, and
-// -trace with -report also prints the per-class latency table (the
-// paper's §4.1 calibration, from the traced events alone).
+// metrics and the invariant checker can be combined in one run.
 //
 // -faults injects deterministic network and node faults, e.g.
 //

@@ -6,16 +6,6 @@ import (
 	"cvm/internal/sim"
 )
 
-const us = sim.Microsecond
-
-// within asserts v is within tol of want.
-func within(t *testing.T, name string, v, want, tol sim.Time) {
-	t.Helper()
-	if v < want-tol || v > want+tol {
-		t.Errorf("%s = %v, want %v ± %v (paper §4.1)", name, v, want, tol)
-	}
-}
-
 // TestCalibrationTwoHopLock reproduces the paper's simple 2-hop lock
 // acquire: the manager holds the free token; acquire costs ~937µs.
 func TestCalibrationTwoHopLock(t *testing.T) {

@@ -10,6 +10,16 @@ import (
 	"cvm/internal/sim"
 )
 
+const us = sim.Microsecond
+
+// within asserts v is within tol of want.
+func within(t *testing.T, name string, v, want, tol sim.Time) {
+	t.Helper()
+	if v < want-tol || v > want+tol {
+		t.Errorf("%s = %v, want %v ± %v (paper §4.1)", name, v, want, tol)
+	}
+}
+
 // metricsSystem builds a default-calibration system with a metrics
 // registry attached.
 func metricsSystem(t *testing.T, nodes, threads int) (*System, *metrics.Registry) {
@@ -36,7 +46,7 @@ func histMean(t *testing.T, name string, h metrics.Histogram, count int64, want,
 
 // TestMetricsTwoHopLockCalibration cross-checks the Lock2Hop histogram
 // against the paper's §4.1 2-hop acquire (937µs), on the workload of
-// TestCalibrationTwoHopLock, and against the thread's own measurement.
+// harness.MeasureCosts, and against the thread's own measurement.
 func TestMetricsTwoHopLockCalibration(t *testing.T) {
 	s, reg := metricsSystem(t, 2, 1)
 	_, _ = s.Alloc("pad", 8192)

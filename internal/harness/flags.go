@@ -198,9 +198,8 @@ func (in *Instruments) Recorder(nodes, threads int) *trace.Recorder {
 }
 
 // Emit writes what an instrumented run leaves behind, the same way in
-// every tool and on either backend: the Chrome trace, the per-class
-// latency table when the run was both traced and asked to -report, then
-// the metrics report as text, JSON and CSV. rec and snap are nil when
+// every tool and on either backend: the Chrome trace, then the metrics
+// report as text, JSON and CSV. rec and snap are nil when
 // the run was not traced or not metered; real is the wall-clock section
 // of a real-backend report.
 func (in *Instruments) Emit(out io.Writer, meta metrics.Meta, rec *trace.Recorder, snap *metrics.Snapshot, real *metrics.RealStats) error {
@@ -208,12 +207,6 @@ func (in *Instruments) Emit(out io.Writer, meta metrics.Meta, rec *trace.Recorde
 		fmt.Fprintln(out)
 		if err := trace.WriteChromeFile(out, in.Trace, rec); err != nil {
 			return err
-		}
-		if in.Report {
-			fmt.Fprintln(out)
-			if err := trace.AnalyzeRecorder(rec).Write(out); err != nil {
-				return err
-			}
 		}
 	}
 	if snap == nil || !in.WantMetrics() {

@@ -3,8 +3,10 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cvm/internal/sim"
@@ -97,6 +99,25 @@ func TestHistogramMerge(t *testing.T) {
 	whole.merge(&Histogram{})
 	if whole != before {
 		t.Fatal("merging empty should be a no-op")
+	}
+}
+
+// TestWriteTextPrintsExactMin: the latency table's p50 is a bucket
+// bound, so the uncontended §4.1 cost is read from its exact min column,
+// the least sample over every node.
+func TestWriteTextPrintsExactMin(t *testing.T) {
+	snap := &Snapshot{Nodes: make([]NodeMetrics, 2)}
+	snap.Nodes[0].Lock2Hop.Observe(1_058_000)
+	snap.Nodes[1].Lock2Hop.Observe(930_134)
+	snap.Nodes[1].Lock2Hop.Observe(994_000)
+	var b bytes.Buffer
+	if err := NewReport(Meta{}, snap, 5).WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	header := fmt.Sprintf("  %-20s %9s %12s %12s %12s", "metric", "count", "mean", "min", "p50")
+	want := fmt.Sprintf("  %-20s %9d %12s %12s %12s", "lock_2hop", 3, "994.0µs", "930.1µs", "1048.6µs")
+	if !strings.Contains(b.String(), header) || !strings.Contains(b.String(), want) {
+		t.Errorf("latency table lacks the row %q:\n%s", want, b.String())
 	}
 }
 

@@ -219,7 +219,7 @@ func (r *Report) WriteText(w io.Writer) error {
 
 	agg := aggregateNodes(s)
 	pr("\nlatency histograms (all nodes)\n")
-	pr("  %-20s %9s %12s %12s %12s %12s\n", "metric", "count", "mean", "p50", "p95", "max")
+	pr("  %-20s %9s %12s %12s %12s %12s %12s\n", "metric", "count", "mean", "min", "p50", "p95", "max")
 	forEachHistField(&agg, func(name string, h *Histogram) {
 		if h.Count == 0 {
 			return
@@ -227,12 +227,12 @@ func (r *Report) WriteText(w io.Writer) error {
 		if name == "run_queue" || name == "diff_bytes" {
 			// Occupancy is in threads and diff sizes in bytes, not
 			// nanoseconds.
-			pr("  %-20s %9d %12d %12d %12d %12d\n",
-				name, h.Count, h.Mean(), h.Quantile(0.50), h.Quantile(0.95), h.Max)
+			pr("  %-20s %9d %12d %12d %12d %12d %12d\n",
+				name, h.Count, h.Mean(), h.Min, h.Quantile(0.50), h.Quantile(0.95), h.Max)
 			return
 		}
-		pr("  %-20s %9d %12s %12s %12s %12s\n", name, h.Count,
-			fmtNs(h.Mean()), fmtNs(h.Quantile(0.50)), fmtNs(h.Quantile(0.95)), fmtNs(h.Max))
+		pr("  %-20s %9d %12s %12s %12s %12s %12s\n", name, h.Count,
+			fmtNs(h.Mean()), fmtNs(h.Min), fmtNs(h.Quantile(0.50)), fmtNs(h.Quantile(0.95)), fmtNs(h.Max))
 	})
 
 	pr("\nnetwork latency by message class\n")

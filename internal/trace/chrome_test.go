@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -134,6 +137,31 @@ func TestRingBoundAcrossChunks(t *testing.T) {
 		if want := sim.Time(n - limit + i); e.T != want {
 			t.Fatalf("event %d has T=%v, want %v (oldest dropped first, emission order kept)", i, e.T, want)
 		}
+	}
+}
+
+// TestWriteChromeFile: the line naming the file is the one place a
+// bounded trace says it is partial, and a path that cannot be created is
+// an error with nothing printed.
+func TestWriteChromeFile(t *testing.T) {
+	r := synthRecorder(2, 2, 500, 3000, false)
+	path := filepath.Join(t.TempDir(), "t.json")
+	var out strings.Builder
+	if err := WriteChromeFile(&out, path, r); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("wrote %d trace events to %s (load at ui.perfetto.dev); the ring bound dropped the %d oldest\n",
+		r.Len(), path, r.Dropped())
+	if r.Dropped() == 0 || out.String() != want {
+		t.Errorf("WriteChromeFile printed %q, want %q", out.String(), want)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, chromeBytes(t, WriteChrome, r)) {
+		t.Errorf("the file does not hold WriteChrome's export (err %v)", err)
+	}
+
+	out.Reset()
+	if err := WriteChromeFile(&out, filepath.Join(t.TempDir(), "missing", "t.json"), r); err == nil || out.Len() > 0 {
+		t.Errorf("an uncreatable path: err %v, printed %q", err, out.String())
 	}
 }
 

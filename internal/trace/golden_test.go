@@ -164,119 +164,3 @@ func TestTraceDeterministicConcurrent(t *testing.T) {
 		}
 	}
 }
-
-// TestCalibrationTwoHopLock reproduces the paper's §4.1 2-hop lock cost
-// (937 µs) from trace events alone: two nodes alternate uncontended
-// acquires of a manager-resident lock, separated by barriers.
-func TestCalibrationTwoHopLock(t *testing.T) {
-	rec := trace.NewRecorder(2, 1, 0)
-	cfg := cvm.DefaultConfig(2, 1)
-	cfg.Tracer = rec
-	cluster, err := cvm.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cluster.MustAlloc("pad", microPage)
-	_, err = cluster.Run(func(w cvm.Worker) {
-		for i := 0; i < 9; i++ {
-			if i%2 == w.NodeID() {
-				w.Lock(0)
-				w.Unlock(0)
-			}
-			w.Barrier(10 + i)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := trace.AnalyzeRecorder(rec)
-	// The very first acquire hits the manager's cached token (local);
-	// every later one needs a remote 2-hop round. None are forwarded.
-	if rep.Lock3Hop.Count != 0 {
-		t.Fatalf("unexpected 3-hop acquires: %+v", rep.Lock3Hop)
-	}
-	if rep.Lock2Hop.Count < 7 {
-		t.Fatalf("2-hop count = %d, want ≥7", rep.Lock2Hop.Count)
-	}
-	assertNear(t, "2-hop lock p50", rep.Lock2Hop.P50, 937*cvm.Microsecond, 40*cvm.Microsecond)
-}
-
-// TestCalibrationThreeHopLock reproduces the §4.1 3-hop cost (1382 µs):
-// the token bounces between two non-manager nodes, so every acquire is
-// forwarded by the idle manager.
-func TestCalibrationThreeHopLock(t *testing.T) {
-	rec := trace.NewRecorder(3, 1, 0)
-	cfg := cvm.DefaultConfig(3, 1)
-	cfg.Tracer = rec
-	cluster, err := cvm.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cluster.MustAlloc("pad", microPage)
-	_, err = cluster.Run(func(w cvm.Worker) {
-		for i := 0; i < 9; i++ {
-			if w.NodeID() == 1+i%2 {
-				w.Lock(0)
-				w.Unlock(0)
-			}
-			w.Barrier(10 + i)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := trace.AnalyzeRecorder(rec)
-	// Only the first acquire (token still at the manager) is 2-hop.
-	if rep.Lock2Hop.Count != 1 {
-		t.Fatalf("2-hop count = %d, want 1: %+v", rep.Lock2Hop.Count, rep.Lock2Hop)
-	}
-	if rep.Lock3Hop.Count < 7 {
-		t.Fatalf("3-hop count = %d, want ≥7", rep.Lock3Hop.Count)
-	}
-	assertNear(t, "3-hop lock p50", rep.Lock3Hop.P50, 1382*cvm.Microsecond, 80*cvm.Microsecond)
-}
-
-// TestCalibrationRemoteFault reproduces the §4.1 remote page fault cost
-// (~1100 µs): node 0 writes one word per interval, node 1 faults the
-// page back in with a single small diff.
-func TestCalibrationRemoteFault(t *testing.T) {
-	rec := trace.NewRecorder(2, 1, 0)
-	cfg := cvm.DefaultConfig(2, 1)
-	cfg.Tracer = rec
-	cluster, err := cvm.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := cluster.MustAlloc("page", microPage)
-	_, err = cluster.Run(func(w cvm.Worker) {
-		for i := 0; i < 8; i++ {
-			if w.NodeID() == 0 {
-				w.WriteF64(base, float64(i))
-			}
-			w.Barrier(10 + 2*i)
-			if w.NodeID() == 1 {
-				_ = w.ReadF64(base)
-			}
-			w.Barrier(11 + 2*i)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := trace.AnalyzeRecorder(rec)
-	if rep.RemoteFault.Count < 8 {
-		t.Fatalf("remote fault count = %d, want ≥8", rep.RemoteFault.Count)
-	}
-	assertNear(t, "remote fault p50", rep.RemoteFault.P50, 1100*cvm.Microsecond, 150*cvm.Microsecond)
-}
-
-func assertNear(t *testing.T, name string, got, want, tol cvm.Time) {
-	t.Helper()
-	d := got - want
-	if d < 0 {
-		d = -d
-	}
-	if d > tol {
-		t.Errorf("%s = %v, want %v ± %v", name, got, want, tol)
-	}
-}

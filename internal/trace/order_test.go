@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -45,7 +44,7 @@ func orderShapes() map[string]*Recorder {
 
 // TestOrderMatchesReference holds the repair-and-merge order to the
 // reference sort by (T, Seq) on every shape, through each consumer of
-// the stream: Events, the Chrome export and the latency analyzer.
+// the stream: Events and the Chrome export.
 func TestOrderMatchesReference(t *testing.T) {
 	for name, r := range orderShapes() {
 		t.Run(name, func(t *testing.T) {
@@ -60,14 +59,6 @@ func TestOrderMatchesReference(t *testing.T) {
 			got, ref := chromeBytes(t, WriteChrome, r), chromeBytes(t, writeChromeRef, r)
 			if !bytes.Equal(got, ref) {
 				t.Fatalf("export differs from the reference writer's: %s", firstDiff(got, ref))
-			}
-			if slices.ContainsFunc(want, func(e Event) bool { return e.Kind >= numKinds }) {
-				return // the analyzer counts known kinds only
-			}
-			rep, refRep := AnalyzeRecorder(r), Analyze(want)
-			refRep.Dropped = r.Dropped()
-			if !reflect.DeepEqual(rep, refRep) {
-				t.Fatalf("AnalyzeRecorder differs from Analyze over the reference order:\n%+v\n%+v", rep, refRep)
 			}
 		})
 	}

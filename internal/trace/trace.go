@@ -10,10 +10,10 @@
 // which makes a recorded trace usable as a golden regression oracle for
 // the protocol's event ordering.
 //
-// Three consumers are provided: the Recorder (per-node append-only ring
-// buffers), the Chrome trace-event exporter (chrome.go, loadable in
-// Perfetto), and the latency analyzer (analyze.go), which rebuilds the
-// paper's §4.1 primitive costs from events alone.
+// Two consumers are provided: the Recorder (per-node append-only ring
+// buffers) and the Chrome trace-event exporter (chrome.go, loadable in
+// Perfetto). The metrics registry (internal/metrics) is a third, which
+// rebuilds the paper's §4.1 primitive costs from events alone.
 package trace
 
 import (
@@ -31,9 +31,9 @@ type Kind uint8
 
 // Event kinds. The comment after each kind documents which Event fields
 // are meaningful for it; unset fields are zero. An event that ends a
-// span carries the span's length in Dur, so a consumer (the latency
-// analyzer, the metrics registry) reads it without pairing the event
-// with the one that opened it.
+// span carries the span's length in Dur, so a consumer (the metrics
+// registry) reads it without pairing the event with the one that opened
+// it.
 const (
 	// KindFaultStart: a remote page fault begins at Node. Thread is the
 	// faulting thread, Page the faulted page. Emitted before signal
