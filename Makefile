@@ -20,8 +20,10 @@ GO ?= go
 check: loc-gate vet build race golden-trace adapt-golden bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs diffcodec observe metrics-gate diff-backends teardown-stress cover
 	@echo "check: OK"
 
+## vet: go vet, and gofmt must have nothing to reformat.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: not formatted:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

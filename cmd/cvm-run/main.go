@@ -261,9 +261,9 @@ func runLoopback(out io.Writer, app string, size apps.Size, sizeName string, nod
 	return inst.Emit(out, meta, rec, snap, rt.RealStats("loopback", nodes, res.Elapsed, res.Net))
 }
 
-// reportTransport prints the reliable-transport counters of a faulted
-// run: how often the retransmission machinery fired and how many
-// duplicate deliveries the dedupe layer absorbed.
+// reportTransport prints the fault model's counters of a faulted run:
+// the retransmissions drops cost and the duplicate replicas receivers
+// discarded.
 func reportTransport(out io.Writer, st cvm.Stats) error {
 	fmt.Fprintln(out)
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)

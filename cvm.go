@@ -184,12 +184,14 @@ type (
 	// NodeSlowdown dilates one node's compute by a factor for a window.
 	NodeSlowdown = core.NodeSlowdown
 	// FaultParams is the network-level fault model (per-class
-	// probabilities and jitter, keyed by a deterministic seed).
+	// probabilities, jitter and retransmission timing, keyed by a
+	// deterministic seed).
 	FaultParams = netsim.FaultParams
 )
 
 // ErrTransport is wrapped by the error a run returns when fault
-// injection defeats the retry budget (the network was effectively dead).
+// injection drops every attempt at a message (the network was
+// effectively dead).
 var ErrTransport = core.ErrTransport
 
 // ParseFaults builds a FaultPlan from the compact comma-separated syntax

@@ -2,10 +2,11 @@
 // runs the full application suite under adversarial network schedules
 // (drop, duplication, reordering, jitter, node pauses and slowdowns)
 // with the protocol invariant checker attached, and asserts the two
-// properties the reliable transport guarantees:
+// properties that follow from every fault being timing (the network
+// hands each message to its handler exactly once, late or not):
 //
 //  1. correctness — every run reproduces the fault-free checksum bit
-//     for bit (retransmission only perturbs virtual timing), and
+//     for bit, and
 //  2. cleanliness — zero protocol invariant violations, ever.
 //
 // The suite is deterministic end to end: fault schedules are keyed by

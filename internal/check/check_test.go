@@ -330,9 +330,9 @@ func TestViolationString(t *testing.T) {
 }
 
 // TestCheckerOnFaultedRun attaches the checker to a real cluster running
-// the chained-accumulation workload under heavy network faults: the
-// reliable transport must keep every invariant intact while the fault
-// model drops, duplicates, and reorders its messages.
+// the chained-accumulation workload under heavy network faults: every
+// invariant must hold while the fault model drops, duplicates, and
+// reorders its messages.
 func TestCheckerOnFaultedRun(t *testing.T) {
 	const nodes, threads = 4, 2
 	fp := &core.FaultPlan{Net: netsim.FaultParams{

@@ -11,15 +11,14 @@ import (
 )
 
 // FaultPlan bundles every fault-injection dimension for one run: the
-// network fault model, node-level pause and slowdown windows, and the
-// reliable transport's tuning. A nil *FaultPlan in Config means a
-// fault-free run with no transport layer — byte-identical to builds
-// predating fault injection.
+// network fault model and node-level pause and slowdown windows. Each
+// only moves virtual time: the protocol still sees every message exactly
+// once. A nil *FaultPlan in Config means a fault-free run —
+// byte-identical to builds predating fault injection.
 type FaultPlan struct {
-	// Net configures deterministic message drop/duplication/reordering
-	// and latency jitter (see netsim.FaultParams). When any dimension is
-	// active the system routes all protocol traffic through the reliable
-	// transport.
+	// Net configures deterministic message drop/duplication/reordering,
+	// latency jitter and the retransmission timing a drop costs (see
+	// netsim.FaultParams).
 	Net netsim.FaultParams
 
 	// Pauses suspend a node's compute for a virtual-time window, as if
@@ -29,15 +28,6 @@ type FaultPlan struct {
 	// Slowdowns dilate a node's compute by a factor for a window,
 	// modelling CPU contention from other jobs.
 	Slowdowns []NodeSlowdown
-
-	// RTO is the transport's initial retransmission timeout
-	// (DefaultRTO when zero). Backoff doubles per attempt.
-	RTO sim.Time
-
-	// MaxRetries bounds retransmission attempts per message
-	// (DefaultMaxRetries when zero); exhausting it fails the run with
-	// ErrTransport.
-	MaxRetries int
 }
 
 // NodePause suspends node Node's compute over [From, To).
@@ -80,12 +70,6 @@ func (fp *FaultPlan) Validate(nodes int) error {
 			return fmt.Errorf("core: slowdown factor %v on node %d, want ≥ 1", s.Factor, s.Node)
 		}
 	}
-	if fp.RTO < 0 {
-		return fmt.Errorf("core: negative RTO %v", fp.RTO)
-	}
-	if fp.MaxRetries < 0 {
-		return fmt.Errorf("core: negative MaxRetries %d", fp.MaxRetries)
-	}
 	return nil
 }
 
@@ -105,8 +89,8 @@ func (fp *FaultPlan) Active() bool {
 //	jitter=500us         uniform extra delivery latency in [0, jitter)
 //	pause=2:10ms:5ms     pause node 2 for 5ms starting at T=10ms
 //	slow=0:0s:50ms:4     slow node 0 ×4 for [0, 50ms)
-//	rto=10ms             transport retransmission timeout
-//	retries=20           transport retry budget
+//	rto=10ms             initial retransmission timeout a drop costs
+//	retries=20           retransmissions before a message fails the run
 //
 // Durations use Go syntax (time.ParseDuration). seed keys the fault
 // PRNG. An empty spec yields an inactive plan (still carrying seed).
@@ -191,13 +175,13 @@ func ParseFaultPlan(spec string, seed uint64) (*FaultPlan, error) {
 			if err != nil || d <= 0 {
 				return nil, fmt.Errorf("core: rto=%q, want a positive duration", val)
 			}
-			fp.RTO = d
+			fp.Net.RTO = d
 		case "retries":
 			n, err := strconv.Atoi(val)
 			if err != nil || n < 1 {
 				return nil, fmt.Errorf("core: retries=%q, want a positive integer", val)
 			}
-			fp.MaxRetries = n
+			fp.Net.MaxRetries = n
 		default:
 			return nil, fmt.Errorf("core: unknown fault spec key %q", key)
 		}

@@ -10,7 +10,7 @@ import (
 // The protocol engine addresses peers with the shared transport
 // vocabulary; the concrete interconnect behind it is pluggable. Aliasing
 // the types here keeps the protocol files (lock.go, sync.go, fault.go,
-// swprotocol.go, transport.go) free of any backend import: they name
+// swprotocol.go) free of any backend import: they name
 // nodes and message classes abstractly and route every cross-node send
 // through System.send, which dispatches on the installed Interconnect.
 type (
@@ -72,3 +72,14 @@ func (s *System) SetInterconnect(ic Interconnect) error {
 
 // Interconnect returns the interconnect the protocol engine is wired to.
 func (s *System) Interconnect() Interconnect { return s.fab }
+
+// send routes a protocol send to the interconnect. t is the sending
+// task, nil for a send from engine context (a message handler). Every
+// cross-node send in the protocol goes through it.
+func (s *System) send(t *sim.Task, from, to NodeID, class MsgClass, bytes int, deliver func()) {
+	if t != nil {
+		s.fab.SendFromTask(t, from, to, class, bytes, deliver)
+		return
+	}
+	s.fab.SendFromHandler(from, to, class, bytes, deliver)
+}

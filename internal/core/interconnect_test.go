@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -158,14 +159,36 @@ func TestSetInterconnectValidation(t *testing.T) {
 	}
 }
 
+// TestTransportFailureNamesBackend drives a dead network through the
+// whole path, on both engines: every attempt drops, the network gives up
+// after the retry budget, and Run returns an error that wraps
+// ErrTransport and names the backend, the peer, the class and the
+// attempts — and does not hang.
 func TestTransportFailureNamesBackend(t *testing.T) {
-	tf := &transportFailure{at: 5 * sim.Millisecond, from: 1, to: 2,
-		class: ClassLock, seq: 7, attempts: 13,
-		backend: "netsim", peer: "node 2"}
-	msg := tf.error().Error()
-	for _, want := range []string{"netsim", "node 2", "Lock", "13 attempts"} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("failure message %q missing %q", msg, want)
+	fp, err := ParseFaultPlan("drop=1,retries=3", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, 2} {
+		cfg := DefaultConfig(2, 1)
+		cfg.Faults, cfg.EngineWorkers = fp, workers
+		s, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Start(func(w *Thread) { w.Barrier(0) }); err != nil {
+			t.Fatal(err)
+		}
+		err = s.Run()
+		if !errors.Is(err, ErrTransport) {
+			t.Fatalf("engine workers %d: Run() = %v, want ErrTransport", workers, err)
+		}
+		// Node 1's barrier arrival is the first message, and the only
+		// one: node 0 waits for it before it sends anything.
+		for _, want := range []string{"netsim", "node 0", "Barrier", "4 attempts"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("engine workers %d: failure %q missing %q", workers, err, want)
+			}
 		}
 	}
 }

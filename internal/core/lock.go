@@ -62,9 +62,11 @@ func (t *Thread) Lock(id int) {
 
 	switch {
 	case l.token && l.heldBy == nil && !l.requested:
-		// Fast path: token cached here and free.
-		t.task.Advance(cfg.LockLocalCost)
+		// Fast path: token cached here and free. Claim it before the
+		// bookkeeping cost is charged: a handoff that lands meanwhile
+		// must find it held, not grant the token away under us.
 		l.heldBy = t
+		t.task.Advance(cfg.LockLocalCost)
 		n.stats.LocalLockAcquires++
 		t.traceLockAcquire(id, 0, t.task.Now())
 

@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"testing/quick"
+
+	"cvm/internal/sim"
 )
 
 // TestLockChainedAccumulation is the regression test for the causal diff
@@ -64,6 +66,47 @@ func TestLockChainedAccumulation(t *testing.T) {
 
 // TestSortDiffsRespectsCausality: the output order must be a linear
 // extension of the happens-before partial order.
+// TestLockFastPathHoldsDuringCost: a thread taking a cached token must
+// hold it while its bookkeeping cost is charged. Node 1 caches lock 0's
+// token, then re-acquires it with a 2 ms local cost; node 0's request
+// lands in that window. Granting the token away there (the lock was
+// marked held only after the cost) gave two nodes the lock at once, and
+// node 0's increment did not see node 1's.
+func TestLockFastPathHoldsDuringCost(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		cfg := DefaultConfig(2, 1)
+		cfg.LockLocalCost, cfg.EngineWorkers = 2*sim.Millisecond, workers
+		s, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, _ := s.Alloc("counter", 8192)
+		var final float64
+		runApp(t, s, func(w *Thread) {
+			inc := func() {
+				w.Lock(0)
+				w.WriteF64(addr, w.ReadF64(addr)+1)
+				w.Unlock(0)
+			}
+			if w.GlobalID() == 1 {
+				inc() // the token moves to node 1 and stays there
+			}
+			w.Barrier(0)
+			if w.GlobalID() == 0 {
+				w.Compute(sim.Millisecond) // request while node 1 is in its cost
+			}
+			inc()
+			w.Barrier(1)
+			if w.GlobalID() == 0 {
+				final = w.ReadF64(addr)
+			}
+		})
+		if final != 3 {
+			t.Errorf("engine workers %d: counter = %v, want 3", workers, final)
+		}
+	}
+}
+
 func TestSortDiffsRespectsCausality(t *testing.T) {
 	f := func(seed uint16) bool {
 		// Build a random but causally consistent history: each of 2 to

@@ -19,9 +19,9 @@ type NodeStats struct {
 	DiffsUsed         int64 // diffs applied at this node
 	RacesDetected     int64 // overlapping concurrent diffs (Config.DetectRaces)
 
-	// Reliable-transport counters (all zero on a fault-free run):
-	// retransmissions sent by this node and replayed deliveries this node
-	// suppressed as duplicates.
+	// Fault-model counters, kept by the simulated network (all zero on a
+	// fault-free run): retransmissions this node sent after a drop and
+	// duplicate replicas it received and discarded.
 	Retransmits    int64
 	DupsSuppressed int64
 

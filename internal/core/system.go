@@ -99,12 +99,12 @@ type Config struct {
 	Adapt bool
 
 	// Faults, when non-nil and active, injects deterministic failures:
-	// network drops/duplications/reordering/jitter (routed through the
-	// reliable transport so the protocol still completes correctly) and
-	// node pause/slowdown windows. nil means a perfectly reliable
-	// cluster, with zero added cost on any hot path. The same *FaultPlan
-	// may be shared across concurrently constructed systems — it is
-	// read-only.
+	// network drops/duplications/reordering/jitter, which the simulated
+	// network turns into late deliveries and wasted wire (every message
+	// still reaches its handler once), and node pause/slowdown windows.
+	// nil means a perfectly reliable cluster, with zero added cost on any
+	// hot path. The same *FaultPlan may be shared across concurrently
+	// constructed systems — it is read-only.
 	Faults *FaultPlan
 }
 
@@ -187,11 +187,6 @@ type System struct {
 	tracer trace.Tracer
 	demux  *trace.Demux
 
-	// transport is the reliable message envelope, non-nil only when
-	// cfg.Faults enables network faults; every protocol send checks it
-	// in System.send.
-	transport *reliable
-
 	// adapt is the adaptive-coherence controller, non-nil only when
 	// cfg.Adapt is set. It runs exclusively in the barrier manager's
 	// (node 0's) engine context, so it needs no locking under the
@@ -247,11 +242,7 @@ func NewSystem(cfg Config) (*System, error) {
 		if err := fp.Validate(cfg.Nodes); err != nil {
 			return nil, err
 		}
-		if fp.Net.Active() {
-			net := fp.Net // private copy; the plan may be shared across systems
-			s.net.SetFaults(&net)
-			s.transport = newTransport(s, fp.RTO, fp.MaxRetries)
-		}
+		s.net.SetFaults(&fp.Net)
 		for _, p := range fp.Pauses {
 			s.nodes[p.Node].proc.InjectPause(p.From, p.To)
 		}
@@ -417,17 +408,17 @@ func (s *System) Start(main func(*Thread)) error {
 }
 
 // Run executes the simulation to completion. Under fault injection a
-// message that exhausts its retransmission budget aborts the run with
-// an error wrapping ErrTransport instead of hanging. A panic in a
-// thread's body or a handler reaches Run's caller — a thread's as a
-// *sim.TaskPanic, whose text leads with the thread's name (n<node>t<lid>)
-// — and on every abnormal exit, error or panic, the threads left parked
-// are unwound first.
+// message whose every attempt drops aborts the run with an error
+// wrapping ErrTransport instead of hanging. A panic in a thread's body
+// or a handler reaches Run's caller — a thread's as a *sim.TaskPanic,
+// whose text leads with the thread's name (n<node>t<lid>) — and on every
+// abnormal exit, error or panic, the threads left parked are unwound
+// first.
 func (s *System) Run() (err error) {
 	defer func() {
 		r := recover()
-		if tf, ok := r.(*transportFailure); ok {
-			r, err = nil, tf.error()
+		if u, ok := r.(*netsim.Undelivered); ok {
+			r, err = nil, s.undelivered(u)
 		}
 		if r != nil || err != nil {
 			s.eng.Shutdown()
@@ -444,6 +435,18 @@ func (s *System) Run() (err error) {
 		}
 	}()
 	return s.eng.Run()
+}
+
+// ErrTransport is wrapped by the error System.Run returns when the
+// fault model drops every attempt at a message.
+var ErrTransport = errors.New("core: transport failure")
+
+// undelivered attributes a message the network gave up on to the
+// interconnect and peer it was sent through, so a failure is
+// diagnosable from the error text alone.
+func (s *System) undelivered(u *netsim.Undelivered) error {
+	return fmt.Errorf("%w: %v message from node %d to node %d (%s via %s) undelivered after %d attempts (T=%v)",
+		ErrTransport, u.Class, u.From, u.To, s.fab.PeerAddr(u.To), s.fab.Name(), u.Attempts, u.At)
 }
 
 // threadOf maps an engine task back to its application thread. Threads
@@ -553,9 +556,12 @@ func (s *System) Stats() RunStats {
 		Nodes: make([]NodeStats, 0, len(s.nodes)),
 		Mem:   make([]memsim.Stats, 0, len(s.nodes)),
 	}
-	for _, n := range s.nodes {
-		rs.Nodes = append(rs.Nodes, n.stats)
-		rs.Total.Add(n.stats)
+	for i, n := range s.nodes {
+		st := n.stats
+		fc := s.net.FaultCounts(NodeID(i))
+		st.Retransmits, st.DupsSuppressed = fc.Retransmits, fc.DupsSuppressed
+		rs.Nodes = append(rs.Nodes, st)
+		rs.Total.Add(st)
 		ms := n.mem.Stats()
 		rs.Mem = append(rs.Mem, ms)
 		rs.MemTotal.Add(ms)

@@ -105,14 +105,14 @@ func TestPct(t *testing.T) {
 		{100, 100, "+0%"},
 		{0, 0, "0%"},
 		{5, 0, "n/a"},
-		{-5, 0, "n/a"},        // zero base with a negative delta
-		{0, 100, "-100%"},     // everything eliminated
-		{25, 100, "-75%"},     // negative delta
-		{300, 100, "+200%"},   // multiples
-		{1004, 1000, "+0%"},   // rounds toward zero change
-		{1006, 1000, "+1%"},   // rounds up
-		{995, 1000, "-0%"},    // tiny negative delta rounds to -0
-		{994, 1000, "-1%"},    // rounds down
+		{-5, 0, "n/a"},      // zero base with a negative delta
+		{0, 100, "-100%"},   // everything eliminated
+		{25, 100, "-75%"},   // negative delta
+		{300, 100, "+200%"}, // multiples
+		{1004, 1000, "+0%"}, // rounds toward zero change
+		{1006, 1000, "+1%"}, // rounds up
+		{995, 1000, "-0%"},  // tiny negative delta rounds to -0
+		{994, 1000, "-1%"},  // rounds down
 	}
 	for _, tt := range tests {
 		if got := pct(tt.now, tt.base); got != tt.want {

@@ -308,11 +308,10 @@ type Snapshot struct {
 	EpochNs           Gauge           `json:"epoch_ns"`
 	TimelineClippedNs Counter         `json:"timeline_clipped_ns"`
 
-	// Fault-injection and reliable-transport accounting. NetDropped and
-	// NetDuplicated count messages the fault model discarded or replicated
-	// at the network layer; Retransmits counts sender-side re-sends after
-	// an ack timeout; DupSuppressed counts replayed deliveries the
-	// receiver deduped. All stay zero on a fault-free run.
+	// Fault-model accounting. NetDropped counts attempts the network
+	// lost and NetDuplicated messages it replicated; Retransmits counts
+	// the sender-side re-sends the drops cost and DupSuppressed the
+	// replicas receivers discarded. All stay zero on a fault-free run.
 	NetDropped    Counter `json:"net_dropped"`
 	NetDuplicated Counter `json:"net_duplicated"`
 	Retransmits   Counter `json:"retransmits"`
@@ -480,7 +479,7 @@ func (r *Registry) Emit(e trace.Event) {
 	case trace.KindDiffCreate:
 		s.Nodes[e.Node].DiffBytes.Observe(e.Arg)
 	case trace.KindMsgSend:
-		if d >= 0 { // not the replica of a duplicated message
+		if d >= 0 { // not a duplicate's replica or a retransmission
 			s.Net.EgressWait[e.Sync].Observe(d)
 		}
 	case trace.KindMsgDeliver:
@@ -488,7 +487,9 @@ func (r *Registry) Emit(e trace.Event) {
 		s.Net.IngressWait[e.Sync].Observe(int64(e.Page))
 	case trace.KindMsgDrop:
 		s.NetDropped++
-		s.Net.EgressWait[e.Sync].Observe(d)
+		if d >= 0 { // not a retransmission
+			s.Net.EgressWait[e.Sync].Observe(d)
+		}
 	case trace.KindMsgDup:
 		s.NetDuplicated++
 	case trace.KindRetransmit:

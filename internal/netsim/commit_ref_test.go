@@ -44,16 +44,41 @@ func (n *Network) commitWindowReference(limit sim.Time) {
 	}
 }
 
+// faultedSendReference is faultedSend with a scheduling closure: one
+// delivery, RTO·(2^k−1) late after k dropped attempts, or the give-up
+// panic after MaxRetries+1, and a duplicate's replica discarded.
 func (n *Network) faultedSendReference(depart, wait sim.Time, from, to NodeID, class Class, bytes int, deliver func(), sched func(sim.Time, func())) {
 	f := n.faults
 	idx := n.nextChanIdx(from, to)
 
-	if p := f.Drop[class]; p > 0 && unit(faultRoll(f.Seed, from, to, idx, streamDrop)) < p {
-		n.dropMsg(depart, wait, from, to, class, bytes)
-		return
+	late := sim.Time(0)
+	for attempt := 0; ; attempt++ {
+		if p := f.Drop[class]; p == 0 || unit(faultRoll(f.Seed, from, to, idx, streamDrop+uint64(attempt)*256)) >= p {
+			break
+		}
+		w := wait
+		if attempt > 0 {
+			w = -1
+		}
+		id := n.dropMsg(depart+late, w, from, to, class, bytes)
+		late = f.RTO * (1<<(attempt+1) - 1)
+		if attempt == f.MaxRetries {
+			u := &Undelivered{At: depart + late, From: from, To: to, Class: class, Attempts: attempt + 1}
+			sched(max(u.At, depart+n.params.Lookahead()), func() { panic(u) })
+			return
+		}
+		n.faultCounts[from].Retransmits++
+		if n.tracer != nil {
+			n.tracer.Emit(trace.Event{T: depart + late, Kind: trace.KindRetransmit,
+				Node: int32(from), Thread: -1, Peer: int32(to),
+				Sync: int32(class), Aux: id, Arg: int64(attempt + 1)})
+		}
+	}
+	if late > 0 {
+		wait = -1
 	}
 
-	extra := sim.Time(0)
+	extra := late
 	if f.JitterMax > 0 {
 		extra += sim.Time(unit(faultRoll(f.Seed, from, to, idx, streamJitter)) * float64(f.JitterMax))
 	}
@@ -68,7 +93,13 @@ func (n *Network) faultedSendReference(depart, wait sim.Time, from, to NodeID, c
 				Node: int32(from), Thread: -1, Peer: int32(to),
 				Sync: int32(class), Arg: int64(bytes), Aux: n.msgID})
 		}
-		sched(n.arrival(depart, -1, from, to, class, bytes, extra), deliver)
+		at := n.arrival(depart, -1, from, to, class, bytes, extra)
+		n.faultCounts[to].DupsSuppressed++
+		if n.tracer != nil {
+			n.tracer.Emit(trace.Event{T: at, Kind: trace.KindDupSuppress,
+				Node: int32(to), Thread: -1, Peer: int32(from),
+				Sync: int32(class), Aux: n.msgID})
+		}
 	}
 }
 
@@ -108,7 +139,7 @@ func newCommitRun(nodes int, f *FaultParams) *commitRun {
 // same message ids and traced events, and the same fault rolls and
 // counters.
 func TestCommitWindowMatchesReference(t *testing.T) {
-	faulty := &FaultParams{Seed: 5, JitterMax: 40 * us, ReorderDelay: 300 * us}
+	faulty := &FaultParams{Seed: 5, JitterMax: 40 * us, ReorderDelay: 300 * us, RTO: 100 * us}
 	for c := 0; c < NumClasses; c++ {
 		faulty.Drop[c], faulty.Dup[c], faulty.Reorder[c] = 0.1, 0.15, 0.1
 	}
@@ -158,7 +189,7 @@ func TestCommitWindowMatchesReference(t *testing.T) {
 				t.Fatalf("%s: traced events\n%v\nreference\n%v", what, got.events, want.events)
 			}
 			counters := func(n *Network) string {
-				return fmt.Sprint(n.Stats(), n.chanIdx, n.ingressFree, n.bulkIngressFree)
+				return fmt.Sprint(n.Stats(), n.chanIdx, n.faultCounts, n.ingressFree, n.bulkIngressFree)
 			}
 			if counters(got.net) != counters(want.net) {
 				t.Fatalf("%s: counters %s, reference %s", what, counters(got.net), counters(want.net))

@@ -128,9 +128,11 @@ type Network struct {
 	msgID  int64        // trace message id linking send to delivery
 
 	// Fault model (nil when the network is reliable). chanIdx holds the
-	// per-directed-channel message counters keying the fault PRNG.
-	faults  *FaultParams
-	chanIdx []uint64
+	// per-directed-channel message counters keying the fault PRNG,
+	// faultCounts each node's retransmissions and discarded replicas.
+	faults      *FaultParams
+	chanIdx     []uint64
+	faultCounts []FaultCounts
 
 	// Deferred mode (SetDeferred), used by the conservative windowed
 	// engine: sends enqueue in per-sender outboxes instead of scheduling
@@ -206,9 +208,13 @@ func (n *Network) SetTracer(tr trace.Tracer) { n.tracer = tr }
 // Stats returns a snapshot of the per-class traffic counters.
 func (n *Network) Stats() Stats { return n.stats }
 
-// ResetStats zeroes the traffic counters (used after the initialization
-// phase so tables reflect steady-state behaviour, as in the paper).
-func (n *Network) ResetStats() { n.stats = Stats{} }
+// ResetStats zeroes the traffic and fault counters (used after the
+// initialization phase so tables reflect steady-state behaviour, as in
+// the paper).
+func (n *Network) ResetStats() {
+	n.stats = Stats{}
+	clear(n.faultCounts)
+}
 
 // SendFromTask transmits a message from the calling task's node. The
 // sender's CPU overhead is charged to the task; deliver runs in engine
@@ -236,10 +242,7 @@ func (n *Network) SendFromTask(t *sim.Task, from, to NodeID, class Class, bytes 
 	}
 	// Task.Schedule lowers the sender's causality horizon so the sender
 	// cannot run past the delivery before it is applied.
-	at, copies := n.arrivals(depart, wait, from, to, class, bytes)
-	for _, handlerAt := range at[:copies] {
-		t.Schedule(handlerAt, deliver)
-	}
+	t.Schedule(n.route(depart, wait, from, to, class, bytes, deliver))
 }
 
 // SendFromHandler transmits a message from engine context (a message
@@ -265,10 +268,7 @@ func (n *Network) SendFromHandler(from, to NodeID, class Class, bytes int, deliv
 	wait := depart - n.eng.Now()
 	depart += n.params.SendOverhead + n.params.transfer(bytes)
 	lane[from] = depart
-	at, copies := n.arrivals(depart, wait, from, to, class, bytes)
-	for _, handlerAt := range at[:copies] {
-		n.eng.Schedule(handlerAt, deliver)
-	}
+	n.eng.Schedule(n.route(depart, wait, from, to, class, bytes, deliver))
 }
 
 // egressLane returns the per-node egress serializer for a message class:
@@ -281,23 +281,24 @@ func (n *Network) egressLane(class Class) []sim.Time {
 	return n.egressFree
 }
 
-// arrivals accounts a departing message that queued wait at the egress
-// and returns when each delivered copy's handler runs: one copy on a
-// reliable network; none, one or two under the fault model.
-func (n *Network) arrivals(depart, wait sim.Time, from, to NodeID, class Class, bytes int) ([2]sim.Time, int) {
+// route accounts a departing message that queued wait at the egress and
+// returns when its handler runs and what runs then: deliver, unless the
+// fault model lost every attempt (faultedSend).
+func (n *Network) route(depart, wait sim.Time, from, to NodeID, class Class, bytes int, deliver func()) (sim.Time, func()) {
 	if n.faults == nil {
-		return [2]sim.Time{n.arrival(depart, wait, from, to, class, bytes, 0)}, 1
+		return n.arrival(depart, wait, from, to, class, bytes, 0), deliver
 	}
-	return n.faultedSend(depart, wait, from, to, class, bytes)
+	return n.faultedSend(depart, wait, from, to, class, bytes, deliver)
 }
 
 // arrival accounts the message and computes when its handler runs at the
 // receiver, serializing concurrent arrivals at the ingress. wait is its
-// egress queueing, for the send event (-1: a fault-model replica, which
-// never queued). extra is fault-injected delivery delay (jitter/reorder);
-// it is applied after the ingress serialization point so a delayed
-// message does not head-of-line-block traffic that physically arrived on
-// time — which is what lets later messages genuinely overtake it.
+// egress queueing, for the send event (-1: a fault-model replica or
+// retransmission, which never queued). extra is fault-injected delivery
+// delay (backoff, jitter, reorder); it is applied after the ingress
+// serialization point so a delayed message does not head-of-line-block
+// traffic that physically arrived on time — which is what lets later
+// messages genuinely overtake it.
 func (n *Network) arrival(depart, wait sim.Time, from, to NodeID, class Class, bytes int, extra sim.Time) sim.Time {
 	n.stats.Msgs[class]++
 	n.stats.Bytes[class] += int64(bytes)
@@ -342,14 +343,12 @@ func (n *Network) CommitWindow(limit sim.Time) {
 		}
 		for i := range msgs {
 			m := &msgs[i]
-			at, copies := n.arrivals(m.depart, m.egressWait, NodeID(from), m.to, m.class, m.bytes)
-			for _, handlerAt := range at[:copies] {
-				if handlerAt < limit {
-					panic(fmt.Sprintf("netsim: delivery at %v violates lookahead bound %v (msg %v %d->%d sendT=%v depart=%v bytes=%d)",
-						handlerAt, limit, m.class, from, m.to, m.sendT, m.depart, m.bytes))
-				}
-				n.eng.ScheduleOn(procs[m.to], handlerAt, m.deliver)
+			handlerAt, fn := n.route(m.depart, m.egressWait, NodeID(from), m.to, m.class, m.bytes, m.deliver)
+			if handlerAt < limit {
+				panic(fmt.Sprintf("netsim: delivery at %v violates lookahead bound %v (msg %v %d->%d sendT=%v depart=%v bytes=%d)",
+					handlerAt, limit, m.class, from, m.to, m.sendT, m.depart, m.bytes))
 			}
+			n.eng.ScheduleOn(procs[m.to], handlerAt, fn)
 			msgs[i] = wireMsg{} // release the delivery closure
 		}
 		n.outbox[from] = msgs[:0]

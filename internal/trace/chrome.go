@@ -129,9 +129,9 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 				arg("to", int64(e.Peer)).arg("bytes", e.Arg).arg("id", e.Aux).end()
 		case KindRetransmit:
 			c.name("retransmit ").class(e.Sync).instant(e, catTransport).
-				arg("to", int64(e.Peer)).arg("seq", e.Aux).arg("attempt", e.Arg).end()
+				arg("to", int64(e.Peer)).arg("id", e.Aux).arg("attempt", e.Arg).end()
 		case KindDupSuppress:
-			c.name("dup-suppress ").class(e.Sync).instant(e, catTransport).arg("from", int64(e.Peer)).arg("seq", e.Aux).end()
+			c.name("dup-suppress ").class(e.Sync).instant(e, catTransport).arg("from", int64(e.Peer)).arg("id", e.Aux).end()
 		case KindModeChange:
 			c.nameN("mode p", e.Page).instant(e, catAdapt).
 				arg("mode", e.Arg).arg("owner", int64(e.Peer)).arg("epoch", e.Aux).end()

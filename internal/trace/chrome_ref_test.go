@@ -172,11 +172,11 @@ func writeChromeRef(w io.Writer, r *Recorder) error {
 
 		case KindRetransmit:
 			instant(e, "retransmit "+classNameRef(e.Sync), "transport",
-				fmt.Sprintf(`"to":%d,"seq":%d,"attempt":%d`, e.Peer, e.Aux, e.Arg))
+				fmt.Sprintf(`"to":%d,"id":%d,"attempt":%d`, e.Peer, e.Aux, e.Arg))
 
 		case KindDupSuppress:
 			instant(e, "dup-suppress "+classNameRef(e.Sync), "transport",
-				fmt.Sprintf(`"from":%d,"seq":%d`, e.Peer, e.Aux))
+				fmt.Sprintf(`"from":%d,"id":%d`, e.Peer, e.Aux))
 
 		// Added with the rewrite (the parent had no case for it).
 		case KindModeChange:

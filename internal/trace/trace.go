@@ -99,28 +99,30 @@ const (
 	// T is the departure time (after egress queueing), Arg the payload
 	// bytes, Aux the network-wide message id linking send to delivery,
 	// Dur the egress queueing. Dur is -1 on the fault model's replica of
-	// a duplicated message, which never queued.
+	// a duplicated message and on a copy that got through after drops,
+	// which queued on their first attempt only; such a copy keeps its
+	// first attempt's T and delivers late by the backoff.
 	KindMsgSend
 	// KindMsgDeliver: the message with id Aux (class Sync, Arg bytes,
 	// sent by Peer) started its handler at Node. Dur is the span since
 	// its departure, Page the ingress queueing in nanoseconds.
 	KindMsgDeliver
-	// KindMsgDrop: the fault model dropped the message with id Aux
+	// KindMsgDrop: the fault model dropped the attempt with id Aux
 	// (class Sync, Arg bytes) from Node to Peer at its departure time T;
-	// Dur is its egress queueing. No matching deliver event exists for
-	// the id.
+	// Dur is its egress queueing, -1 on a retransmission. No matching
+	// deliver event exists for the id.
 	KindMsgDrop
 	// KindMsgDup: the fault model duplicated the message with id Aux
-	// (class Sync, Arg bytes) from Node to Peer; the replica delivers as
-	// a separate msg.deliver with its own id.
+	// (class Sync, Arg bytes) from Node to Peer; the replica travels as
+	// a separate msg.send/msg.deliver pair with its own id.
 	KindMsgDup
-	// KindRetransmit: the reliable transport at Node re-sent an
-	// unacknowledged message to Peer. Sync is the class, Aux the
-	// transport sequence number, Arg the retry attempt (1-based).
+	// KindRetransmit: Node re-sent to Peer a message whose attempt with
+	// id Aux the fault model dropped, at T when its timer fired. Sync is
+	// the class, Arg the retry attempt (1-based).
 	KindRetransmit
-	// KindDupSuppress: the reliable transport at Node received a replay
-	// of an already-delivered message from Peer and suppressed it. Sync
-	// is the class, Aux the transport sequence number.
+	// KindDupSuppress: Node discarded the replica with id Aux of a
+	// duplicated message from Peer when it arrived at T; its handler
+	// never runs. Sync is the class.
 	KindDupSuppress
 	// KindModeChange: Node applied an adaptive coherence mode for Page.
 	// Arg is the new mode (core.PageMode), Peer the producer (or -1), Aux
