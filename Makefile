@@ -104,7 +104,7 @@ cluster-smoke:
 
 ## scale-smoke: one 256-node scaleout run — checksum-identical to the
 ## sequential engine, byte-identical across windowed worker counts —
-## proving the sparse page directory and spilled copysets far past the
+## proving the sparse page directory and bitset copysets far past the
 ## paper grid's cluster sizes; then scaleout at small size on
 ## 42/48/64/128/256 nodes × 2/3/4 threads under the invariant checker on
 ## the windowed engine, the shapes that lost a lock-guarded update while
@@ -119,13 +119,14 @@ scale-smoke:
 	done; done
 
 ## sortdiffs: the many-writer fault path is pinned — the diff order's
-## differential tests against the replaced algorithm (sortDiffsReference,
-## on random histories and scaleout-shaped 192-node faults), the pinned
-## orders, the steady-state allocation check, the fuzz seed corpus and
-## the event queue's differential tests against the replaced heap, under
-## the race detector; then the allocation caps of a fault and a barrier
-## release (not built under -race) and the run statistics of scaleout
-## 192x1 and 48x3 small at engine workers 0 and 2 against
+## properties (a permutation of the input, a linear extension of
+## happens-before, independent of the arrival order) on random histories,
+## scaleout-shaped 192-node faults and the fuzz seed corpus, the pinned
+## orders, the steady-state allocation check and the event queue's
+## differential tests against the replaced heap, under the race
+## detector; then the allocation caps of a fault and a barrier release
+## (not built under -race) and the run statistics of scaleout 192x1 and
+## 48x3 small at engine workers 0 and 2 against
 ## internal/apps/testdata/manywriter.golden. The order fixes every virtual
 ## time after a many-writer fault, so a change here moves the golden
 ## trace too.
@@ -141,15 +142,16 @@ sortdiffs:
 ## four-pass encoder, and ApplyRuns and DecodeRuns against the replaced
 ## decoder on every truncation and byte flip, and a diff's one
 ## pointer-free block (no pointer in a Run, its bytes alive through
-## collections, a hand-built []Run unreadable, its byte cap) under the
-## race detector, whose checkptr vouches for the block's byte view;
-## then the codec's allocation caps (EncodeDiff the payload alone,
-## ApplyRuns nothing), the real runtime's (a flushed diff 4 objects, not
-## built under -race), its bad-frame table, and the traffic invariants of
-## the seven applications on loopback — the wire bytes did not move.
+## collections, a hand-built []Run unreadable) under the race detector,
+## whose checkptr vouches for the block's byte view; then the codec's
+## allocation caps (EncodeDiff the payload alone, ApplyRuns nothing) and
+## a diff's byte cap (not built under -race), the real runtime's (a
+## flushed diff 4 objects, not built under -race), its bad-frame table,
+## and the traffic invariants of the seven applications on loopback —
+## the wire bytes did not move.
 diffcodec:
 	$(GO) test ./internal/core -run 'RunScan|RunLayout|MakeDiffMatches|EncodeMatches|ApplyMatches|DecodeMatches|WirePattern' -count=1 -race
-	$(GO) test ./internal/core -run 'CodecAllocCaps' -count=1
+	$(GO) test ./internal/core -run 'CodecAllocCaps|RunLayoutBytesCap' -count=1
 	$(GO) test ./internal/rt -run 'FaultAndFlushAllocCaps|BadFrames|TrafficInvariants' -count=1
 
 ## observe: the observation path is pinned — the trace order (per-ring
@@ -165,10 +167,10 @@ observe:
 	$(GO) test ./internal/check -run 'MatchesReference|FinishReport' -count=1 -race
 
 ## fuzz-sortdiffs: let the fuzzer write protocol histories for 30 s and
-## compare the two orderings on each. A failing input lands in
+## check the diff order's properties on each. A failing input lands in
 ## internal/core/testdata/fuzz and then runs with the ordinary tests.
 fuzz-sortdiffs:
-	$(GO) test ./internal/core -run '^$$' -fuzz FuzzSortDiffsMatchesReference -fuzztime 30s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzSortDiffsLinearExtension -fuzztime 30s
 
 ## scale-baseline: regenerate the committed BENCH_scaleout.json scaling
 ## study (8 to 1024 nodes at paper size; under a minute on 2 cores). The

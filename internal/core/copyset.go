@@ -2,110 +2,44 @@ package core
 
 import "math/bits"
 
-// copysetInline is the sharer count a copyset tracks without spilling.
-// Most pages have a handful of sharers (the paper's apps mostly
-// ping-pong pages between two nodes), so the common case stays a small
-// sorted array inside the directory entry.
-const copysetInline = 6
+// copyset is the set of nodes holding a valid copy of one page, one bit
+// per node. It replaces the former uint64 bitmask, whose shift arithmetic
+// silently wrapped at 64 nodes (node 65's bit landed on node 1).
+// Enumeration is ascending by node, which keeps invalidation fan-out
+// order — and therefore the simulation schedule — deterministic and
+// identical to the bitmask's 0..N scan.
+type copyset []uint64
 
-// copyset is the set of nodes holding a valid copy of one page. It
-// replaces the former uint64 bitmask, whose shift arithmetic silently
-// wrapped at 64 nodes (node 65's bit landed on node 1). Representation:
-// a small sorted inline array up to copysetInline members, spilling to a
-// word bitset above that. Spilled bitsets are recycled through the
-// owning directory node's csPool, so churny pages do not allocate per
-// transition. Enumeration is ascending by node either way, which keeps
-// invalidation fan-out order — and therefore the simulation schedule —
-// deterministic and identical to the bitmask's 0..N scan.
-type copyset struct {
-	inline [copysetInline]int32 // sorted ascending; first n valid
-	n      int                  // inline member count (ignored when spilled)
-	bits   []uint64             // non-nil once spilled
+// reset makes the set contain exactly {node}, sizing it for a cluster of
+// nodes nodes on first use.
+func (cs *copyset) reset(node, nodes int) {
+	if *cs == nil {
+		*cs = make(copyset, (nodes+63)>>6)
+	} else {
+		clear(*cs)
+	}
+	cs.add(node)
 }
 
-// reset makes the set contain exactly {node}, recycling a spilled bitset
-// into pool.
-func (cs *copyset) reset(node int, pool *csPool) {
-	if cs.bits != nil {
-		pool.put(cs.bits)
-		cs.bits = nil
-	}
-	cs.inline[0] = int32(node)
-	cs.n = 1
-}
-
-// add inserts node into the set, spilling to a bitset at the inline
-// capacity.
-func (cs *copyset) add(node int, pool *csPool) {
-	if cs.bits != nil {
-		cs.bits[node>>6] |= 1 << uint(node&63)
-		return
-	}
-	i := 0
-	for ; i < cs.n; i++ {
-		switch {
-		case cs.inline[i] == int32(node):
-			return
-		case cs.inline[i] > int32(node):
-			goto insert
-		}
-	}
-insert:
-	if cs.n < copysetInline {
-		copy(cs.inline[i+1:cs.n+1], cs.inline[i:cs.n])
-		cs.inline[i] = int32(node)
-		cs.n++
-		return
-	}
-	// Spill: move the inline members into a pooled bitset.
-	cs.bits = pool.get()
-	for _, m := range cs.inline[:cs.n] {
-		cs.bits[m>>6] |= 1 << uint(m&63)
-	}
-	cs.bits[node>>6] |= 1 << uint(node&63)
-	cs.n = 0
-}
+// add inserts node into the set.
+func (cs copyset) add(node int) { cs[node>>6] |= 1 << uint(node&63) }
 
 // contains reports membership.
-func (cs *copyset) contains(node int) bool {
-	if cs.bits != nil {
-		return cs.bits[node>>6]&(1<<uint(node&63)) != 0
-	}
-	for _, m := range cs.inline[:cs.n] {
-		if m == int32(node) {
-			return true
-		}
-	}
-	return false
-}
+func (cs copyset) contains(node int) bool { return cs[node>>6]&(1<<uint(node&63)) != 0 }
 
 // size reports the member count.
-func (cs *copyset) size() int {
-	if cs.bits == nil {
-		return cs.n
-	}
+func (cs copyset) size() int {
 	total := 0
-	for _, w := range cs.bits {
+	for _, w := range cs {
 		total += bits.OnesCount64(w)
 	}
 	return total
 }
 
 // appendMembers appends the members except skip1 and skip2 to dst,
-// ascending by node, and returns the extended slice. Fan-out work is
-// O(|copyset|) inline and O(nodes/64) words when spilled — never a scan
-// over every node.
-func (cs *copyset) appendMembers(dst []int32, skip1, skip2 int) []int32 {
-	if cs.bits == nil {
-		for _, m := range cs.inline[:cs.n] {
-			if int(m) == skip1 || int(m) == skip2 {
-				continue
-			}
-			dst = append(dst, m)
-		}
-		return dst
-	}
-	for wi, w := range cs.bits {
+// ascending by node, and returns the extended slice.
+func (cs copyset) appendMembers(dst []int32, skip1, skip2 int) []int32 {
+	for wi, w := range cs {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			w &^= 1 << uint(b)
@@ -117,32 +51,4 @@ func (cs *copyset) appendMembers(dst []int32, skip1, skip2 int) []int32 {
 		}
 	}
 	return dst
-}
-
-// csPool recycles spilled copyset bitsets for one directory node. All
-// bitsets in one pool are sized for the cluster's node count.
-type csPool struct {
-	words int
-	free  [][]uint64
-}
-
-func (p *csPool) init(nodes int) {
-	p.words = (nodes + 63) >> 6
-}
-
-func (p *csPool) get() []uint64 {
-	if k := len(p.free); k > 0 {
-		b := p.free[k-1]
-		p.free[k-1] = nil
-		p.free = p.free[:k-1]
-		return b
-	}
-	return make([]uint64, p.words)
-}
-
-func (p *csPool) put(b []uint64) {
-	for i := range b {
-		b[i] = 0
-	}
-	p.free = append(p.free, b)
 }

@@ -25,8 +25,8 @@ type Diff struct {
 	// them: it fills size before the diff can reach another node.
 	size, encSize int32
 
-	// vtSum is the sum of VT's components, set by the creator for
-	// sortDiffs; 0 means not recorded (sortDiffs then adds VT up).
+	// vtSum is the sum of VT's components, set by the creator: the
+	// first key of sortDiffs.
 	vtSum int64
 }
 

@@ -204,7 +204,7 @@ func (t *Thread) applyFault(fs *faultState) {
 	n := t.node
 	p := fs.page
 	t.node.materialize(p)
-	n.sorter.sortDiffs(fs.diffs)
+	sortDiffs(fs.diffs)
 	if t.sys.cfg.DetectRaces {
 		n.detectRaces(fs.diffs)
 	}
@@ -262,9 +262,9 @@ const diffRequestBytes = 16
 
 // detectRaces counts pairs of concurrent (causally unordered) diffs that
 // write overlapping bytes — the paper's definition of a probable data
-// race in a multiple-writer protocol. Each Before sits behind the same
-// one-component necessary condition sortDiffs uses, so a pair of
-// concurrent writers costs two loads, not two O(nodes) scans.
+// race in a multiple-writer protocol. Each Before sits behind one of its
+// own components — b's creator must have heard of a's interval — so a
+// pair of concurrent writers costs two loads, not two O(nodes) scans.
 func (n *node) detectRaces(ds []*Diff) {
 	for i := 0; i < len(ds); i++ {
 		for j := i + 1; j < len(ds); j++ {

@@ -19,11 +19,11 @@ func mallocs() uint64 {
 // faultAllocs has nodes 1..writers each write their own word of every
 // one of pages pages, and node 0 then read the pages one remote fault at
 // a time, twice; it returns what each fault of the second round
-// allocated. The first round makes the reader's fault legs and grows its
-// sorter and the engine's event queue. Node 0 reads every page before
-// the first round, so no fault materializes one, and in the second
-// round the other nodes have finished before it faults, so nothing but
-// the faults' own legs runs.
+// allocated. The first round makes the reader's fault legs and grows the
+// engine's event queue. Node 0 reads every page before the first round,
+// so no fault materializes one, and in the second round the other nodes
+// have finished before it faults, so nothing but the faults' own legs
+// runs.
 func faultAllocs(t *testing.T, writers, pages int) []uint64 {
 	s := testSystem(t, 64, 1)
 	base, err := s.Alloc("pages", pages*s.cfg.PageSize)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"slices"
 
 	"cvm/internal/memsim"
@@ -33,9 +32,7 @@ type node struct {
 	locks          map[int]*lockState    // lazily created
 	meets          map[meetKey]*nodeMeet // barriers, reductions, local barriers; lazily created
 	swdir          map[PageID]*swDir     // single-writer directory (manager side), lazily created
-	csp            csPool                // recycled spilled copyset bitsets
 	csScratch      []int32               // copyset fan-out scratch (swServe)
-	sorter         diffSorter            // diff-ordering scratch (applyFault)
 	legs           []*faultLeg           // finished fault legs, for reuse (fault.go)
 	relIn          *episode              // the release message in flight here (sync.go)
 	relStep        func()                // n.applyRelease, bound at the first release
@@ -307,151 +304,27 @@ func (n *node) serveDiffRequest(pg PageID, from, to int32) ([]*Diff, int) {
 	return ds, bytes
 }
 
-// diffSorter is the scratch sortDiffs works in. Each node owns one and
-// reuses it for every fault, so ordering a fault's diffs allocates nothing
-// once the slices have grown to the largest fault and cluster seen.
-type diffSorter struct {
-	src   []*Diff // the diffs by (Node, Idx); an entry is nil once emitted
-	nodes []int32 // the creators with diffs left, ascending
-
-	// Dense by creator x: queue src[pos[x]:end[x]]; src[by[x]] (by >= 0)
-	// was found Before its head, until emitted; reach[x] = head VT[x]-1
-	// (MaxInt32 for none); sum[x], the head's VT sum. Between calls end
-	// is all 0 and reach all MaxInt32.
-	pos, end, by, reach []int32
-	sum                 []int64
-	minSum              int64 // the least head sum
-	atMin               int   // how many heads have it
-}
-
-// sortDiffs orders diffs for application into a linear extension of the
-// happens-before partial order, so a causally-later diff is always applied
-// after every diff it supersedes. Happens-before is a partial order, NOT a
-// strict weak ordering, so a comparison sort cannot be used. Instead the
-// diffs are merged per creator node (each node's diffs are already
-// causally ordered by interval index): repeatedly emit the head of the
-// lowest-numbered queue that no other queue's head happens-before. Before
-// is a strict partial order, so some head always qualifies. Concurrent
-// diffs modify disjoint bytes in race-free programs, so their mutual order
-// is immaterial to the data — but it fixes every virtual time downstream,
-// so the tests pin the emitted order against sortDiffsReference.
-//
-// Three necessary conditions keep that order and drop its cost, whether
-// or not vector times are closed (DESIGN.md, "Diff application order"):
-// a.VT.Before(b.VT) needs a smaller component sum, so a head with the
-// least sum is unblocked without reading a vector time — between
-// concurrent writers, almost every head; it needs b.VT[a.Node] >
-// reach[a.Node], so only those heads are tried with Before; and a head
-// found blocked stays skipped until its blocker is emitted.
-func (s *diffSorter) sortDiffs(ds []*Diff) {
-	if len(ds) < 2 {
-		return
-	}
-	if nn := len(ds[0].VT); len(s.reach) < nn {
-		s.pos, s.end, s.by, s.sum = make([]int32, nn), make([]int32, nn), make([]int32, nn), make([]int64, nn)
-		for len(s.reach) < nn {
-			s.reach = append(s.reach, math.MaxInt32)
-		}
-	}
-	s.nodes = s.nodes[:0]
-	for _, d := range ds { // a counting sort by creator
-		if s.end[d.Node]++; s.end[d.Node] == 1 {
-			s.nodes = append(s.nodes, int32(d.Node))
-		}
-	}
-	slices.Sort(s.nodes)
-	off := int32(0)
-	for _, x := range s.nodes {
-		s.pos[x], s.by[x], off = off, off, off+s.end[x]
-		s.end[x] = off
-	}
-	s.src = slices.Grow(s.src[:0], len(ds))[:len(ds)]
-	for _, d := range ds {
-		s.src[s.by[d.Node]] = d
-		s.by[d.Node]++
-	}
-	for _, x := range s.nodes {
-		q := s.src[s.pos[x]:s.end[x]]
-		for i := 1; i < len(q); i++ { // in order already, unless shuffled
-			for j := i; j > 0 && q[j].Idx < q[j-1].Idx; j-- {
-				q[j], q[j-1] = q[j-1], q[j]
+// sortDiffs orders a fault's diffs for application into a linear
+// extension of happens-before, so a causally-later diff is always applied
+// after every diff it supersedes: a.VT.Before(b.VT) makes a's component
+// sum the smaller, closed vector times or not, so ascending vtSum is such
+// an extension. Creator and interval break ties, so the order does not
+// depend on the order the replies arrived in (DESIGN.md, "Diff
+// application order").
+func sortDiffs(ds []*Diff) {
+	slices.SortFunc(ds, func(a, b *Diff) int {
+		switch {
+		case a.vtSum != b.vtSum:
+			if a.vtSum < b.vtSum {
+				return -1
 			}
+			return 1
+		case a.Node != b.Node:
+			return a.Node - b.Node
+		default:
+			return int(a.Idx - b.Idx)
 		}
-		s.by[x] = -1
-		s.setHead(x, q[0])
-	}
-	s.findMin(0)
-
-	lo := 0 // the non-empty queues are nodes[lo:]
-	for out := range ds {
-		a := lo
-		for ; ; a++ {
-			x := s.nodes[a]
-			if by := s.by[x]; by >= 0 && s.src[by] != nil {
-				continue // still blocked by the same diff
-			}
-			if !s.blocked(x, lo) {
-				break
-			}
-		}
-		x := s.nodes[a]
-		p := s.pos[x]
-		ds[out], s.src[p] = s.src[p], nil
-		if s.sum[x] == s.minSum {
-			s.atMin--
-		}
-		if p++; p < s.end[x] {
-			s.pos[x], s.by[x] = p, -1
-			s.setHead(x, s.src[p]) // a later diff of x: a larger sum
-		} else {
-			// Queue x is empty: close the gap from the front, which costs
-			// no more than the walk over the blocked queues below it did.
-			s.end[x], s.reach[x] = 0, math.MaxInt32
-			copy(s.nodes[lo+1:a+1], s.nodes[lo:a])
-			lo++
-		}
-		if s.atMin == 0 && lo < len(s.nodes) {
-			s.findMin(lo)
-		}
-	}
-}
-
-// setHead makes d the head of queue x.
-func (s *diffSorter) setHead(x int32, d *Diff) {
-	s.reach[x] = d.VT[x] - 1
-	if s.sum[x] = d.vtSum; d.vtSum == 0 {
-		s.sum[x] = d.VT.sum()
-	}
-}
-
-// findMin recounts the least head sum among the queues of nodes[lo:].
-func (s *diffSorter) findMin(lo int) {
-	s.minSum, s.atMin = math.MaxInt64, 0
-	for _, x := range s.nodes[lo:] {
-		if v := s.sum[x]; v < s.minSum {
-			s.minSum, s.atMin = v, 1
-		} else if v == s.minSum {
-			s.atMin++
-		}
-	}
-}
-
-// blocked reports whether the head of another non-empty queue (those of
-// nodes[lo:]) happens-before the head of queue x, remembering the one
-// found. It scans from the highest node down: queues empty in ascending
-// order, so the highest blocker stays one longest.
-func (s *diffSorter) blocked(x int32, lo int) bool {
-	if s.sum[x] == s.minSum {
-		return false // no head has a smaller sum
-	}
-	h := s.src[s.pos[x]].VT
-	for i := int(s.nodes[len(s.nodes)-1]); i >= int(s.nodes[lo]); i-- {
-		if h[i] > s.reach[i] && i != int(x) && s.src[s.pos[i]].VT.Before(h) {
-			s.by[x] = s.pos[i]
-			return true
-		}
-	}
-	return false
+	})
 }
 
 // schedCodePage is the synthetic I-TLB page of the thread scheduler.

@@ -38,7 +38,6 @@ func (n *node) initPages(total int) {
 	n.shards = make([]*pageShard, (total+pageShardSize-1)>>pageShardBits)
 	n.vt = NewVClock(n.sys.cfg.Nodes)
 	n.pool.pageSize = n.sys.cfg.PageSize
-	n.csp.init(n.sys.cfg.Nodes)
 }
 
 // pageAt returns the node's view of pg, materializing its shard on first

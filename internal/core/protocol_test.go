@@ -64,8 +64,6 @@ func TestLockChainedAccumulation(t *testing.T) {
 	}
 }
 
-// TestSortDiffsRespectsCausality: the output order must be a linear
-// extension of the happens-before partial order.
 // TestLockFastPathHoldsDuringCost: a thread taking a cached token must
 // hold it while its bookkeeping cost is charged. Node 1 caches lock 0's
 // token, then re-acquires it with a 2 ms local cost; node 0's request
@@ -107,6 +105,8 @@ func TestLockFastPathHoldsDuringCost(t *testing.T) {
 	}
 }
 
+// TestSortDiffsRespectsCausality: the output order must be a linear
+// extension of the happens-before partial order.
 func TestSortDiffsRespectsCausality(t *testing.T) {
 	f := func(seed uint16) bool {
 		// Build a random but causally consistent history: each of 2 to
@@ -128,9 +128,9 @@ func TestSortDiffsRespectsCausality(t *testing.T) {
 			}
 			vt[n]++
 			latest[n] = vt
-			ds = append(ds, &Diff{Node: n, Idx: vt[n], VT: vt.Clone()})
+			ds = append(ds, mkDiff(n, vt[n], vt.Clone()...))
 		}
-		new(diffSorter).sortDiffs(ds)
+		sortDiffs(ds)
 		for i := range ds {
 			for j := i + 1; j < len(ds); j++ {
 				if ds[j].VT.Before(ds[i].VT) {
@@ -148,15 +148,12 @@ func TestSortDiffsRespectsCausality(t *testing.T) {
 // TestSortDiffsStableForSameNode: diffs of one node must stay in interval
 // order.
 func TestSortDiffsStableForSameNode(t *testing.T) {
-	mk := func(node int, idx int32, vt ...int32) *Diff {
-		return &Diff{Node: node, Idx: idx, VT: VClock(vt)}
-	}
 	ds := []*Diff{
-		mk(1, 3, 0, 3),
-		mk(1, 1, 0, 1),
-		mk(1, 2, 0, 2),
+		mkDiff(1, 3, 0, 3),
+		mkDiff(1, 1, 0, 1),
+		mkDiff(1, 2, 0, 2),
 	}
-	new(diffSorter).sortDiffs(ds)
+	sortDiffs(ds)
 	for i, want := range []int32{1, 2, 3} {
 		if ds[i].Idx != want {
 			t.Fatalf("position %d has idx %d, want %d", i, ds[i].Idx, want)

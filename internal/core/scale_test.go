@@ -41,18 +41,14 @@ func TestSWProtocolBeyond64Nodes(t *testing.T) {
 			t.Errorf("node %d phase 4: read %d, want 9 (stale copy not invalidated)", w.GlobalID(), v)
 		}
 	})
-	// After phase 4 every node holds a read copy again: the copyset must
-	// have spilled past the inline array and node 64 — the node the old
-	// bitmask lost — must be a member.
+	// After phase 4 every node holds a read copy again: node 64 — the
+	// node the old bitmask lost — must be a member.
 	d := s.nodes[0].swdir[0]
 	if d == nil {
 		t.Fatal("no directory entry at the manager")
 	}
 	if got := d.copyset.size(); got != nodes {
 		t.Errorf("final copyset size = %d, want %d (all readers rejoined)", got, nodes)
-	}
-	if d.copyset.bits == nil {
-		t.Error("a 65-member copyset did not spill to the bitset form")
 	}
 	if !d.copyset.contains(64) {
 		t.Error("node 64 missing from the copyset (the old uint64 wraparound bug)")
@@ -80,55 +76,6 @@ func TestLRCBeyond64Nodes(t *testing.T) {
 		}
 		w.Unlock(1)
 	})
-}
-
-// TestCopysetSpill unit-tests the inline→bitset transition, ordering,
-// and pool recycling.
-func TestCopysetSpill(t *testing.T) {
-	var pool csPool
-	pool.init(130)
-	var cs copyset
-	cs.reset(5, &pool)
-	if got := cs.size(); got != 1 || !cs.contains(5) {
-		t.Fatalf("after reset(5): size=%d contains(5)=%v", got, cs.contains(5))
-	}
-	// Insert out of order, with duplicates, past the inline capacity.
-	for _, n := range []int{99, 2, 129, 2, 64, 65, 17, 0, 99, 33} {
-		cs.add(n, &pool)
-	}
-	want := []int32{0, 2, 5, 17, 33, 64, 65, 99, 129}
-	if cs.bits == nil {
-		t.Fatalf("copyset with %d members did not spill", len(want))
-	}
-	if got := cs.size(); got != len(want) {
-		t.Fatalf("size = %d, want %d", got, len(want))
-	}
-	got := cs.appendMembers(nil, -1, -1)
-	for i, m := range want {
-		if got[i] != m {
-			t.Fatalf("members = %v, want %v", got, want)
-		}
-	}
-	// Skips must drop members without disturbing order.
-	skipped := cs.appendMembers(nil, 0, 129)
-	if len(skipped) != len(want)-2 || skipped[0] != 2 || skipped[len(skipped)-1] != 99 {
-		t.Fatalf("appendMembers with skips = %v", skipped)
-	}
-	// reset returns the spilled bitset to the pool, zeroed, and the next
-	// spill reuses it.
-	cs.reset(7, &pool)
-	if cs.bits != nil || len(pool.free) != 1 {
-		t.Fatalf("reset did not recycle the bitset (bits=%v, pool=%d)", cs.bits, len(pool.free))
-	}
-	for n := 0; n < copysetInline+1; n++ {
-		cs.add(10+n, &pool)
-	}
-	if len(pool.free) != 0 {
-		t.Fatal("re-spill did not take the pooled bitset")
-	}
-	if got := cs.size(); got != copysetInline+2 {
-		t.Fatalf("size after re-spill = %d, want %d", got, copysetInline+2)
-	}
 }
 
 // TestFirstTouchMaterialization: page-table shards materialize on first

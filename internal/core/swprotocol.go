@@ -68,7 +68,7 @@ func (n *node) swDirFor(pg PageID) *swDir {
 			n.swdir = make(map[PageID]*swDir)
 		}
 		d = &swDir{owner: n.id}
-		d.copyset.reset(n.id, &n.csp)
+		d.copyset.reset(n.id, n.sys.cfg.Nodes)
 		n.swdir[pg] = d
 	}
 	return d
@@ -151,8 +151,7 @@ func (n *node) swServe(pg PageID, d *swDir, req swReq) {
 	}
 	// Write: invalidate every copy except the requester's own (the
 	// owner's copy dies at transfer). Fan-out enumerates the copyset
-	// directly — ascending by node, like the old full 0..N bitmask scan,
-	// but in O(|copyset|).
+	// ascending by node, like the old full 0..N bitmask scan.
 	targets := d.copyset.appendMembers(n.csScratch[:0], req.node, d.owner)
 	n.csScratch = targets[:0]
 	d.pendingAcks = len(targets)
@@ -218,9 +217,9 @@ func (n *node) swTransfer(pg PageID, d *swDir) {
 
 	if req.write {
 		d.owner = req.node
-		d.copyset.reset(req.node, &n.csp)
+		d.copyset.reset(req.node, n.sys.cfg.Nodes)
 	} else {
-		d.copyset.add(req.node, &n.csp)
+		d.copyset.add(req.node)
 	}
 
 	if owner == req.node {
