@@ -179,15 +179,15 @@ fuzz-sortdiffs:
 scale-baseline:
 	$(GO) run ./cmd/cvm-bench -experiment scaleout -size paper -scale-json BENCH_scaleout.json
 
-## metrics-gate: re-run the baseline workload and compare its metrics
+## metrics-gate: re-run the baseline workload and diff its metrics
 ## report against the committed BASELINE_metrics.json. The simulator is
-## deterministic, so any event-count drift fails hard; mean-latency
-## drift beyond 25% warns. Regenerate intentionally with
+## deterministic and the report byte-deterministic, so any changed byte —
+## a count, a latency, a key — fails. Regenerate intentionally with
 ## `make metrics-baseline` after protocol or calibration changes. The
 ## fresh metrics_current.json (git-ignored) stays for CI to upload.
 metrics-gate:
 	$(GO) run ./cmd/cvm-run -app waternsq -nodes 4 -threads 2 -size test -metrics metrics_current.json >/dev/null
-	$(GO) run ./cmd/cvm-metrics compare BASELINE_metrics.json metrics_current.json
+	diff -u BASELINE_metrics.json metrics_current.json
 
 ## diff-backends: the sim-vs-real counter-equivalence gate. Run sor and
 ## waternsq at 4x2 on both backends — the deterministic simulator and

@@ -39,12 +39,9 @@ func TestArgValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"no subcommand", nil, "<show|compare|diff-backends|scrape>"},
+		{"no subcommand", nil, "<show|diff-backends|scrape>"},
 		{"unknown subcommand", []string{"frobnicate"}, "unknown subcommand"},
 		{"show no file", []string{"show"}, "usage"},
-		{"compare one file", []string{"compare", "a.json"}, "usage"},
-		{"compare negative tol", []string{"compare", "-tol", "-1", "a.json", "b.json"}, "-tol"},
-		{"compare malformed tol", []string{"compare", "-tol", "lots", "a.json", "b.json"}, "invalid value"},
 		{"show missing file", []string{"show", "/nonexistent/x.json"}, "no such file"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,44 +54,6 @@ func TestArgValidation(t *testing.T) {
 				t.Fatalf("run(%v) error %q, want it to contain %q", tc.args, err, tc.want)
 			}
 		})
-	}
-}
-
-func TestCompareReportsGate(t *testing.T) {
-	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", 10, 900_000)
-	same := writeReport(t, dir, "same.json", 10, 900_000)
-	drifted := writeReport(t, dir, "drift.json", 12, 900_000)
-	slower := writeReport(t, dir, "slow.json", 10, 2_000_000)
-
-	var out bytes.Buffer
-	if err := run([]string{"compare", base, same}, &out); err != nil {
-		t.Fatalf("identical reports must pass: %v (%s)", err, out.String())
-	}
-	if !strings.Contains(out.String(), "ok:") {
-		t.Errorf("expected ok summary, got %q", out.String())
-	}
-
-	// Count drift is a hard failure (runs are deterministic).
-	out.Reset()
-	if err := run([]string{"compare", base, drifted}, &out); err == nil {
-		t.Fatalf("count drift must fail; output: %s", out.String())
-	}
-	if !strings.Contains(out.String(), "count") {
-		t.Errorf("failure output does not name the count drift: %q", out.String())
-	}
-
-	// Latency regression warns by default, fails with -hard-latency.
-	out.Reset()
-	if err := run([]string{"compare", base, slower}, &out); err != nil {
-		t.Fatalf("latency drift should only warn by default: %v (%s)", err, out.String())
-	}
-	if !strings.Contains(out.String(), "warn") {
-		t.Errorf("expected a warning, got %q", out.String())
-	}
-	out.Reset()
-	if err := run([]string{"compare", "-hard-latency", base, slower}, &out); err == nil {
-		t.Fatal("-hard-latency must escalate latency regressions to failures")
 	}
 }
 

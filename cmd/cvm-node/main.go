@@ -214,7 +214,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		_, simSum, err := apps.RunConfig(spec.App, sz,
-			cvm.DefaultConfig(spec.Nodes, spec.Threads), 0)
+			cvm.DefaultConfig(spec.Nodes, spec.Threads))
 		if err != nil {
 			return fmt.Errorf("oracle: %w", err)
 		}

@@ -72,9 +72,6 @@ type App interface {
 	// fault schedules: retransmission only perturbs virtual timing, so
 	// a faulted run must reproduce the fault-free checksum exactly.
 	Checksum() float64
-
-	// setCheckTol widens the relative tolerance Check applies.
-	setCheckTol(tol float64)
 }
 
 // factory builds a fresh App for one run.
@@ -110,33 +107,21 @@ func Names() []string {
 const defaultCheckTol = 1e-6
 
 // verdict is the run state every app embeds: the checksum its Main
-// leaves behind, and the relative tolerance Check holds it to — an
-// override, so harness experiments that perturb cluster timing (and
-// thereby synchronization order and FP accumulation order) can widen the
-// bound without loosening the default validation.
+// leaves behind.
 type verdict struct {
 	checksum float64
-	tol      float64
 }
 
 // Checksum implements App.
 func (v *verdict) Checksum() float64 { return v.checksum }
 
-// setCheckTol implements App.
-func (v *verdict) setCheckTol(tol float64) { v.tol = tol }
-
 // checkClose validates the run's checksum against the reference value
-// with the run's relative tolerance (the default unless setCheckTol
-// widened it).
+// within defaultCheckTol.
 func (v *verdict) checkClose(name string, want float64) error {
-	tol := v.tol
-	if tol <= 0 {
-		tol = defaultCheckTol
-	}
 	diff, scale := math.Abs(v.checksum-want), math.Max(1, math.Abs(want))
-	if diff > tol*scale {
+	if diff > defaultCheckTol*scale {
 		return fmt.Errorf("%s: checksum %g, reference %g (relative error %g, tolerance %g)",
-			name, v.checksum, want, diff/scale, tol)
+			name, v.checksum, want, diff/scale, defaultCheckTol)
 	}
 	return nil
 }

@@ -33,7 +33,7 @@ func TestManyWriterGolden(t *testing.T) {
 		for _, workers := range []int{0, 2} {
 			cfg := cvm.DefaultConfig(shape.nodes, shape.threads)
 			cfg.EngineWorkers = workers
-			st, sum, err := RunConfig("scaleout", SizeSmall, cfg, 0)
+			st, sum, err := RunConfig("scaleout", SizeSmall, cfg)
 			if err != nil {
 				t.Fatalf("%dx%d workers=%d: %v", shape.nodes, shape.threads, workers, err)
 			}

@@ -123,7 +123,7 @@ func TestShapeSingleWriterLosesOnFalseSharing(t *testing.T) {
 	run := func(protocol cvm.Protocol) (int64, cvm.Time) {
 		cfg := cvm.DefaultConfig(8, 2)
 		cfg.Protocol = protocol
-		st, _, err := RunConfig("ocean", SizeTest, cfg, 0)
+		st, _, err := RunConfig("ocean", SizeTest, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

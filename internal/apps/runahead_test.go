@@ -21,7 +21,7 @@ func TestRunAheadCutsDispatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		var st cvm.Stats
-		if _, err := Exec("ocean", SizeTest, 4, 0, cluster, func(main func(cvm.Worker)) (err error) {
+		if _, err := Exec("ocean", SizeTest, 4, cluster, func(main func(cvm.Worker)) (err error) {
 			st, err = cluster.Run(main)
 			return err
 		}); err != nil {

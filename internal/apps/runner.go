@@ -10,7 +10,7 @@ import (
 // Run executes the named application on a fresh simulated cluster with
 // the paper's default calibration and returns the run statistics.
 func Run(name string, size Size, nodes, threadsPerNode int) (cvm.Stats, error) {
-	stats, _, err := RunConfig(name, size, cvm.DefaultConfig(nodes, threadsPerNode), 0)
+	stats, _, err := RunConfig(name, size, cvm.DefaultConfig(nodes, threadsPerNode))
 	return stats, err
 }
 
@@ -18,16 +18,14 @@ func Run(name string, size Size, nodes, threadsPerNode int) (cvm.Stats, error) {
 // on the cluster cfg describes, validates the result against the
 // sequential reference, and returns the statistics and the checksum
 // (the chaos suite's oracle: any fault schedule must reproduce the
-// fault-free checksum bit for bit). tol > 0 widens the relative
-// checksum tolerance for experiments that perturb cluster timing — the
-// same computation reassociated drifts past the default bound.
-func RunConfig(name string, size Size, cfg cvm.Config, tol float64) (cvm.Stats, float64, error) {
+// fault-free checksum bit for bit).
+func RunConfig(name string, size Size, cfg cvm.Config) (cvm.Stats, float64, error) {
 	cluster, err := cvm.New(cfg)
 	if err != nil {
 		return cvm.Stats{}, 0, err
 	}
 	var stats cvm.Stats
-	sum, err := Exec(name, size, cfg.ThreadsPerNode, tol, cluster, func(main func(cvm.Worker)) (err error) {
+	sum, err := Exec(name, size, cfg.ThreadsPerNode, cluster, func(main func(cvm.Worker)) (err error) {
 		stats, err = cluster.Run(main)
 		return err
 	})
@@ -41,8 +39,8 @@ func RunConfig(name string, size Size, cfg cvm.Config, tol float64) (cvm.Stats, 
 // application: it lays a fresh instance of name out on alloc, hands
 // its thread body to run (a cluster's Run, bracketed by whatever the
 // caller measures), and validates the result, returning the checksum.
-func Exec(name string, size Size, threads int, tol float64, alloc cvm.Allocator, run func(main func(cvm.Worker)) error) (float64, error) {
-	app, err := setup(name, size, threads, tol, alloc)
+func Exec(name string, size Size, threads int, alloc cvm.Allocator, run func(main func(cvm.Worker)) error) (float64, error) {
+	app, err := setup(name, size, threads, alloc)
 	if err != nil {
 		return 0, err
 	}
@@ -51,13 +49,10 @@ func Exec(name string, size Size, threads int, tol float64, alloc cvm.Allocator,
 
 // setup builds a fresh instance of name, refuses a threading level it
 // cannot run at, and allocates its shared segments on alloc.
-func setup(name string, size Size, threads int, tol float64, alloc cvm.Allocator) (App, error) {
+func setup(name string, size Size, threads int, alloc cvm.Allocator) (App, error) {
 	app, err := New(name, size)
 	if err != nil {
 		return nil, err
-	}
-	if tol > 0 {
-		app.setCheckTol(tol)
 	}
 	if !app.SupportsThreads(threads) {
 		return nil, fmt.Errorf("apps: %s does not support %d threads per node", name, threads)
@@ -89,7 +84,7 @@ func NewRT(name string, size Size, cfg rt.Config) (App, *rt.Cluster, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	app, err := setup(name, size, cfg.ThreadsPerNode, 0, cl)
+	app, err := setup(name, size, cfg.ThreadsPerNode, cl)
 	return app, cl, err
 }
 

@@ -20,7 +20,7 @@ func TestWindowedSmoke(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
 		cfg := cvm.DefaultConfig(4, 4)
 		cfg.EngineWorkers = w
-		stats, sum, err := RunConfig("sor", SizeSmall, cfg, 0)
+		stats, sum, err := RunConfig("sor", SizeSmall, cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}

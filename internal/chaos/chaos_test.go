@@ -293,7 +293,7 @@ func checkerVia(t *testing.T, rec *trace.Recorder) int {
 	cfg := cvm.DefaultConfig(chaosNodes, chaosThreads)
 	cfg.Tracer = trace.Tee(rec, chk)
 	cfg.Faults = mustPlan(t, "drop=0.02,dup=0.01", 31)
-	if _, _, err := apps.RunConfig("sor", apps.SizeTest, cfg, 0); err != nil {
+	if _, _, err := apps.RunConfig("sor", apps.SizeTest, cfg); err != nil {
 		t.Fatal(err)
 	}
 	chk.Finish()

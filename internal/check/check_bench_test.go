@@ -16,7 +16,7 @@ func BenchmarkCheckerEmit(b *testing.B) {
 	rec := trace.NewRecorder(nodes, threads, 0)
 	cfg := cvm.DefaultConfig(nodes, threads)
 	cfg.Tracer = rec
-	if _, _, err := apps.RunConfig("waternsq", apps.SizeTest, cfg, 0); err != nil {
+	if _, _, err := apps.RunConfig("waternsq", apps.SizeTest, cfg); err != nil {
 		b.Fatal(err)
 	}
 	events := rec.Events()

@@ -97,7 +97,7 @@ func TestCheckerMatchesReferenceOnRuns(t *testing.T) {
 		cfg.Adapt = r.adapt
 		var n counter
 		cfg.Tracer = trace.Tee(got, want, &n)
-		if _, _, err := apps.RunConfig(r.app, apps.SizeTest, cfg, 0); err != nil {
+		if _, _, err := apps.RunConfig(r.app, apps.SizeTest, cfg); err != nil {
 			t.Fatal(err)
 		}
 		if n == 0 {

@@ -91,7 +91,7 @@ func TestClusterMatchesSimulator(t *testing.T) {
 			spec := Spec{App: app, Size: "test", Nodes: 4, Threads: 2, Page: 4096}
 			coord, members := runCluster(t, spec)
 			_, simSum, err := apps.RunConfig(app, apps.SizeTest,
-				cvm.DefaultConfig(spec.Nodes, spec.Threads), 0)
+				cvm.DefaultConfig(spec.Nodes, spec.Threads))
 			if err != nil {
 				t.Fatal(err)
 			}

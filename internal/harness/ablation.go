@@ -68,16 +68,6 @@ func AblationWireLatency(appName string, size apps.Size) ([]AblationRow, error) 
 	return ablate(appName, size, "wire-latency", points)
 }
 
-// ablationCheckTol is the relative checksum tolerance for ablation runs.
-// Ablations perturb cluster timing (switch cost, wire latency, run-queue
-// discipline), which reorders lock grants and barrier wakeups; the
-// reduction-style applications then accumulate in a different order and
-// the reassociated result drifts a few ulps past the default 1e-6 bound
-// (waternsq reaches ~3e-6 at T=4 with a 200µs switch cost). The
-// computation is unchanged — only FP association moves — so ablations
-// accept 1e-4, still tight enough to catch real protocol corruption.
-const ablationCheckTol = 1e-4
-
 // ablate runs appName at 8 nodes with T=1 and T=4 under each point of
 // the swept parameter and reports the multi-threading speedups.
 func ablate(appName string, size apps.Size, param string, points []ablationPoint) ([]AblationRow, error) {
@@ -85,7 +75,7 @@ func ablate(appName string, size apps.Size, param string, points []ablationPoint
 	for _, p := range points {
 		for _, t := range []int{1, 4} {
 			cells = append(cells, Cell{App: appName, Nodes: 8, Threads: t,
-				Label: param + "=" + p.label, Mut: p.mut, Tol: ablationCheckTol})
+				Label: param + "=" + p.label, Mut: p.mut})
 		}
 	}
 	out, err := RunCells(cells, size, nil, 0)
@@ -118,7 +108,7 @@ func WriteAblation(w io.Writer, title string, rows []AblationRow) {
 // LIFO memory-conscious discipline the paper proposes as future work
 // (Variant).
 func AblationScheduler(appName string, size apps.Size) (Pair, error) {
-	pairs, err := comparePairs([]string{appName}, size, 8, 4, "FIFO", "LIFO", ablationCheckTol,
+	pairs, err := comparePairs([]string{appName}, size, 8, 4, "FIFO", "LIFO",
 		func(cfg *cvm.Config) { cfg.LIFOScheduler = true }, nil, 0)
 	if err != nil {
 		return Pair{}, err

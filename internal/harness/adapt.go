@@ -12,7 +12,7 @@ import (
 // CompareAdaptive pairs every application's plain-LRC run (Base) with
 // its run under per-page adaptive mode switching (Variant).
 func CompareAdaptive(appNames []string, size apps.Size, nodes, threads int, progress io.Writer, workers int) ([]Pair, error) {
-	return comparePairs(appNames, size, nodes, threads, "(baseline)", "(adaptive)", 0,
+	return comparePairs(appNames, size, nodes, threads, "(baseline)", "(adaptive)",
 		func(cfg *cvm.Config) { cfg.Adapt = true }, progress, workers)
 }
 

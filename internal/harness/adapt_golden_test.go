@@ -34,7 +34,7 @@ func TestAdaptiveGolden(t *testing.T) {
 	lines, err := runJobs(AppOrder, runtime.GOMAXPROCS(0), func(app string) (string, error) {
 		cfg := cvm.DefaultConfig(8, 2)
 		cfg.Adapt = true
-		st, sum, err := apps.RunConfig(app, apps.SizeSmall, cfg, 0)
+		st, sum, err := apps.RunConfig(app, apps.SizeSmall, cfg)
 		if err != nil {
 			return "", fmt.Errorf("%s: %w", app, err)
 		}

@@ -69,8 +69,6 @@ type Cell struct {
 	// another cell reads; a *FaultPlan may be shared (systems copy what
 	// they need).
 	Mut func(*cvm.Config)
-	// Tol widens the relative checksum tolerance (0 = default).
-	Tol float64
 	// Metrics attaches a fresh registry (one per cell: a Registry must
 	// not be shared between systems) ahead of Mut, which may tune it.
 	Metrics bool
@@ -131,7 +129,7 @@ func RunCells(cells []Cell, size apps.Size, progress io.Writer, workers int) ([]
 		if c.Mut != nil {
 			c.Mut(&cfg)
 		}
-		st, sum, err := apps.RunConfig(c.App, size, cfg, c.Tol)
+		st, sum, err := apps.RunConfig(c.App, size, cfg)
 		if err != nil {
 			return CellResult{}, fmt.Errorf("harness: %v: %w", c, err)
 		}

@@ -19,17 +19,16 @@ type Pair struct {
 
 // comparePairs runs every application that supports the shape twice —
 // plain, and with mut applied — and pairs the results in application
-// order. Both runs validate against the sequential reference (within
-// tol; 0 = default), so the variant's coherence is exercised end to end.
+// order. Both runs validate against the sequential reference, so the
+// variant's coherence is exercised end to end.
 func comparePairs(appNames []string, size apps.Size, nodes, threads int, baseLabel, variantLabel string,
-	tol float64, mut func(*cvm.Config), progress io.Writer, workers int) ([]Pair, error) {
+	mut func(*cvm.Config), progress io.Writer, workers int) ([]Pair, error) {
 	grid, err := GridCells(appNames, size, []Shape{{nodes, threads}})
 	if err != nil {
 		return nil, err
 	}
 	cells := make([]Cell, 0, 2*len(grid))
 	for _, c := range grid {
-		c.Tol = tol
 		base, variant := c, c
 		base.Label, variant.Label, variant.Mut = baseLabel, variantLabel, mut
 		cells = append(cells, base, variant)
@@ -50,7 +49,7 @@ func comparePairs(appNames []string, size apps.Size, nodes, threads int, baseLab
 // (Variant) — the comparison of the paper's reference [1], Keleher
 // ICDCS'96.
 func CompareProtocols(appNames []string, size apps.Size, nodes, threads int, progress io.Writer, workers int) ([]Pair, error) {
-	return comparePairs(appNames, size, nodes, threads, "under LRC", "under SW", 0,
+	return comparePairs(appNames, size, nodes, threads, "under LRC", "under SW",
 		func(cfg *cvm.Config) { cfg.Protocol = core.ProtocolSW }, progress, workers)
 }
 

@@ -133,7 +133,7 @@ func runScalePoint(nodes, threads int, size apps.Size, compress bool, engineWork
 	}
 	var stats cvm.Stats
 	var host time.Duration
-	sum, err := apps.Exec("scaleout", size, threads, 0, cluster, func(main func(cvm.Worker)) (err error) {
+	sum, err := apps.Exec("scaleout", size, threads, cluster, func(main func(cvm.Worker)) (err error) {
 		stats, err = cluster.Run(main)
 		// Heap while the cluster (page tables, diffs, intervals) is
 		// still live: the delta over the pre-run baseline is what the

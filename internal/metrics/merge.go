@@ -109,12 +109,13 @@ func mergeValue(dst, src reflect.Value) {
 	}
 }
 
-// histograms walks every histogram reachable from s, calling fn with a
-// stable scope ("node3" or "net:Lock"), the metric's JSON name, and the
-// histogram. The walk is reflection-driven over NodeMetrics and
-// NetMetrics, so new histogram fields appear in every consumer (report
-// writers and compare) without being named anywhere.
-func (s *Snapshot) histograms(fn func(scope, name string, h *Histogram)) {
+// EachHistogram walks every histogram reachable from s in deterministic
+// order, calling fn with a stable scope ("node3" or "net:Lock"), the
+// metric's JSON name, and the histogram. The walk is reflection-driven
+// over NodeMetrics and NetMetrics, so new histogram fields reach every
+// consumer (the report writers, the Prometheus exporter, the backend
+// equivalence gate) without being named anywhere.
+func (s *Snapshot) EachHistogram(fn func(scope, name string, h *Histogram)) {
 	for i := range s.Nodes {
 		scope := fmt.Sprintf("node%d", i)
 		forEachHistField(&s.Nodes[i], func(name string, h *Histogram) {
@@ -136,8 +137,9 @@ func (s *Snapshot) histograms(fn func(scope, name string, h *Histogram)) {
 	}
 }
 
-// counters walks every Counter reachable from the snapshot's top level.
-func (s *Snapshot) counters(fn func(name string, c *Counter)) {
+// EachCounter walks every top-level Counter of the snapshot in field
+// order, keyed by JSON name.
+func (s *Snapshot) EachCounter(fn func(name string, c *Counter)) {
 	sv := reflect.ValueOf(s).Elem()
 	st := sv.Type()
 	for i := 0; i < st.NumField(); i++ {
@@ -147,27 +149,11 @@ func (s *Snapshot) counters(fn func(name string, c *Counter)) {
 	}
 }
 
-// EachHistogram walks every histogram reachable from s in deterministic
-// order, calling fn with the same (scope, name) keys the report writers
-// use ("node3"/"net:Lock", JSON field name). Exported for consumers
-// outside the package — the Prometheus exporter and the backend
-// equivalence gate — so they track new histogram fields automatically.
-func (s *Snapshot) EachHistogram(fn func(scope, name string, h *Histogram)) {
-	s.histograms(fn)
-}
-
-// EachCounter walks every top-level Counter of the snapshot in field
-// order, keyed by JSON name. Exported for the same consumers as
-// EachHistogram.
-func (s *Snapshot) EachCounter(fn func(name string, c *Counter)) {
-	s.counters(fn)
-}
-
 // CounterValues returns every top-level Counter by JSON name: what the
 // sim-vs-real equivalence gates compare.
 func (s *Snapshot) CounterValues() map[string]int64 {
 	out := make(map[string]int64)
-	s.counters(func(name string, c *Counter) { out[name] = int64(*c) })
+	s.EachCounter(func(name string, c *Counter) { out[name] = int64(*c) })
 	return out
 }
 

@@ -231,8 +231,8 @@ func (b *TimelineBin) total() int64 {
 }
 
 // NodeMetrics are one node's histograms. Every exported field must be a
-// Histogram, Counter, or Gauge: the reflection-driven report writer,
-// Snapshot.Merge, and the compare tool walk the fields, so a new metric
+// Histogram, Counter, or Gauge: the reflection-driven report writers,
+// Snapshot.Merge, and EachHistogram walk the fields, so a new metric
 // added here automatically reaches every consumer (guarded by
 // TestRegistryFieldsReachReportAndMerge).
 //

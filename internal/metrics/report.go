@@ -33,15 +33,6 @@ type Report struct {
 	HotPages []HotEntry `json:"hot_pages"`
 	HotLocks []HotEntry `json:"hot_locks"`
 	Real     *RealStats `json:"real,omitempty"`
-
-	// fileKeys, set by ReadReport, records the snapshot's top-level JSON
-	// keys actually present in the parsed file. A struct walk cannot
-	// distinguish a counter recorded at zero from one the file predates
-	// (both unmarshal to 0), so CompareReports consults this to honor
-	// its "new metrics in cur are allowed silently" contract for
-	// baselines written before a counter existed. nil for in-memory
-	// reports, which always carry the full current schema.
-	fileKeys map[string]bool
 }
 
 // RealStats is the wall-clock section of a real-run report: backend
@@ -145,15 +136,6 @@ func ReadReport(data []byte) (*Report, error) {
 	if r.Snapshot == nil {
 		return nil, fmt.Errorf("metrics: report has no snapshot")
 	}
-	var probe struct {
-		Snapshot map[string]json.RawMessage `json:"snapshot"`
-	}
-	if err := json.Unmarshal(data, &probe); err == nil {
-		r.fileKeys = make(map[string]bool, len(probe.Snapshot))
-		for k := range probe.Snapshot {
-			r.fileKeys[k] = true
-		}
-	}
 	return &r, nil
 }
 
@@ -168,12 +150,12 @@ func (r *Report) WriteCSV(w io.Writer) error {
 		}
 	}
 	pr("scope,metric,count,sum,min,max,mean,p50,p95,p99\n")
-	r.Snapshot.histograms(func(scope, name string, h *Histogram) {
+	r.Snapshot.EachHistogram(func(scope, name string, h *Histogram) {
 		pr("%s,%s,%d,%d,%d,%d,%d,%d,%d,%d\n",
 			scope, name, h.Count, h.Sum, h.Min, h.Max,
 			h.Mean(), h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99))
 	})
-	r.Snapshot.counters(func(name string, c *Counter) {
+	r.Snapshot.EachCounter(func(name string, c *Counter) {
 		pr("run,%s,,%d,,,,,,\n", name, int64(*c))
 	})
 	return err

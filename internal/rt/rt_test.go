@@ -232,7 +232,7 @@ func TestAppsMatchSimulator(t *testing.T) {
 				t.Skipf("%s does not support %d threads per node", name, threads)
 			}
 			_, simSum, err := apps.RunConfig(name, apps.SizeTest,
-				cvm.DefaultConfig(nodes, threads), 0)
+				cvm.DefaultConfig(nodes, threads))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,7 +303,7 @@ func TestRunNodeTCP(t *testing.T) {
 		t.Fatalf("node 0 check: %v", checks[0])
 	}
 	_, simSum, err := apps.RunConfig("sor", apps.SizeTest,
-		cvm.DefaultConfig(nodes, threads), 0)
+		cvm.DefaultConfig(nodes, threads))
 	if err != nil {
 		t.Fatal(err)
 	}

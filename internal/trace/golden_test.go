@@ -105,7 +105,7 @@ func TestWriteChromeMatchesReferenceOnRuns(t *testing.T) {
 	water := trace.NewRecorder(8, 4, 0)
 	cfg := cvm.DefaultConfig(8, 4)
 	cfg.Tracer = water
-	if _, _, err := apps.RunConfig("waternsq", apps.SizeTest, cfg, 0); err != nil {
+	if _, _, err := apps.RunConfig("waternsq", apps.SizeTest, cfg); err != nil {
 		t.Fatal(err)
 	}
 	for name, rec := range map[string]*trace.Recorder{"micro": microTrace(t), "waternsq 8x4 test": water} {
@@ -132,7 +132,7 @@ func TestOrderMatchesReferenceOnRuns(t *testing.T) {
 		rec := trace.NewRecorder(c.nodes, c.threads, 0)
 		cfg := cvm.DefaultConfig(c.nodes, c.threads)
 		cfg.Tracer = rec
-		if _, _, err := apps.RunConfig(c.app, apps.SizeTest, cfg, 0); err != nil {
+		if _, _, err := apps.RunConfig(c.app, apps.SizeTest, cfg); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := rec.Events(), trace.EventsRef(rec); !slices.Equal(got, want) {
