@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check vet build test race cover loc loc-gate golden-trace adapt-golden bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs diffcodec observe fuzz-sortdiffs metrics-gate diff-backends metrics-baseline scale-baseline teardown-stress
+.PHONY: check vet build test race cover loc loc-gate golden-trace bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs diffcodec observe fuzz-sortdiffs metrics-gate diff-backends metrics-baseline scale-baseline teardown-stress
 
 ## check: the pre-commit gate (.github/workflows/ci.yml runs these same
 ## targets, one step each) — vet,
-## build, race-test everything, verify the golden trace and the -adapt
-## golden, a one-iteration pass over every benchmark so the perf kernels
+## build, race-test everything, verify the golden trace, a
+## one-iteration pass over every benchmark so the perf kernels
 ## stay honest, the chaos suite under fault injection, the
 ## windowed-engine determinism guard,
 ## the multi-process cluster smoke against the simulator oracle, the
@@ -17,7 +17,7 @@ GO ?= go
 ## coverage floors, and the line budget. Host-time performance is
 ## `go run ./bench` (bench/README.md), judged per PR against the parent
 ## commit.
-check: loc-gate vet build race golden-trace adapt-golden bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs diffcodec observe metrics-gate diff-backends teardown-stress cover
+check: loc-gate vet build race golden-trace bench-smoke chaos par-check cluster-smoke scale-smoke sortdiffs diffcodec observe metrics-gate diff-backends teardown-stress cover
 	@echo "check: OK"
 
 ## vet: go vet, and gofmt must have nothing to reformat.
@@ -46,14 +46,6 @@ cover:
 ## intentional protocol or exporter changes.
 golden-trace:
 	$(GO) test ./internal/trace -run TestGoldenTrace
-
-## adapt-golden: what -adapt does, pinned — the seven applications at
-## 8x2 small with Config.Adapt on against
-## internal/harness/testdata/adapt_small.golden (virtual times, traffic
-## per class, adaptation counters, checksums). `race` skips it (40 s
-## under the detector), so it runs here without.
-adapt-golden:
-	$(GO) test ./internal/harness -run TestAdaptiveGolden -count=1
 
 ## loc: non-test Go lines per package and in total — the table every
 ## CHANGES.md entry records as parent → now.
@@ -84,7 +76,7 @@ chaos:
 ## checksums, run statistics, metrics reports, and Chrome traces across
 ## engine-workers 1, 2, and 4, fault-free and under a fuzzed fault
 ## schedule, and across the sequential engine's run-ahead bounds 0, half
-## the lookahead and the lookahead (seven apps x LRC, SW, -adapt, a fault
+## the lookahead and the lookahead (seven apps x LRC, SW, a fault
 ## plan, a 1 ms switch x 4x2, 8x1, 8x4; every probe traced and bare),
 ## plus the chaos engine-workers axis (sequential vs windowed
 ## under random fault plans with the invariant checker attached), and
@@ -159,7 +151,7 @@ diffcodec:
 ## recorded runs, a reversed ring, all-tied, mostly empty, wrapped and
 ## negative-time streams, every export against the fmt-based writer, and
 ## the checker against the map-based one it replaced on the seven
-## applications, scaleout, an -adapt run and streams that break each
+## applications, scaleout and streams that break each
 ## invariant; then the export's allocation caps. All under the race
 ## detector.
 observe:

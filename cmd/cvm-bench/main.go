@@ -8,7 +8,7 @@
 //	cvm-bench -experiment table5 -size paper
 //	cvm-bench -experiment fig1 -size test -metrics profile.json -report
 //
-// Experiments: costs, fig1, table2, table3, fig2, table4, ablation, protocols, adapt, table5, scaleout, all.
+// Experiments: costs, fig1, table2, table3, fig2, table4, ablation, protocols, table5, scaleout, all.
 //
 // Every experiment is a table of harness.Cells: independent simulations
 // that run concurrently; -parallel N caps the worker count (default: all
@@ -106,13 +106,6 @@ var experiments = []experiment{
 		pairs, err := harness.CompareProtocols(harness.AppOrder, e.size, 8, 2, e.progress, e.parallel)
 		if err == nil {
 			harness.WriteProtocols(e.out, pairs, 8, 2)
-		}
-		return err
-	}},
-	{name: "adapt", inAll: true, run: func(e *env) error {
-		pairs, err := harness.CompareAdaptive(harness.AppOrder, e.size, 8, 2, e.progress, e.parallel)
-		if err == nil {
-			harness.WriteAdaptive(e.out, pairs, 8, 2)
 		}
 		return err
 	}},

@@ -75,7 +75,6 @@ func run(args []string, out io.Writer) (err error) {
 
 		engineWorkers = fs.Int("engine-workers", 0, "conservative parallel engine worker count (0 = sequential engine)")
 		compressDiffs = fs.Bool("compress-diffs", false, "account diff messages at their compressed wire size (simulator only; the real transport always compresses)")
-		adapt         = fs.Bool("adapt", false, "enable per-page adaptive coherence (invalidate/update mode switching)")
 
 		faults    = fs.String("faults", "", "deterministic fault spec, e.g. 'drop=0.01,dup=0.001,reorder=0.005,jitter=100us,pause=1:5ms:2ms'")
 		faultSeed = fs.Uint64("fault-seed", 1, "fault-schedule seed (same spec + seed = same schedule, byte for byte)")
@@ -141,8 +140,6 @@ func run(args []string, out io.Writer) (err error) {
 			return fmt.Errorf("-engine-workers tunes the simulator's DES engine; drop it with -transport loopback")
 		case *compressDiffs:
 			return fmt.Errorf("-compress-diffs tunes the simulator's byte accounting; the real transport always compresses, drop it with -transport loopback")
-		case *adapt:
-			return fmt.Errorf("-adapt tunes the simulator's coherence protocol; drop it with -transport loopback")
 		}
 		return runLoopback(out, *appName, sz, *size, *nodes, levels[0], &inst, meta, rec)
 	default:
@@ -177,7 +174,6 @@ func run(args []string, out io.Writer) (err error) {
 			cfg.Faults = fp
 			cfg.EngineWorkers = *engineWorkers
 			cfg.CompressDiffs = *compressDiffs
-			cfg.Adapt = *adapt
 			cfg.Tracer = tracer
 		}
 	}
@@ -293,21 +289,10 @@ func report(out io.Writer, appName string, nodes, threads int, size string, st c
 	fmt.Fprintf(tw, "block same lock\t%d\n", st.Total.BlockSameLock)
 	fmt.Fprintf(tw, "diffs created\t%d\n", st.Total.DiffsCreated)
 	fmt.Fprintf(tw, "diffs used\t%d\n", st.Total.DiffsUsed)
-	// The adaptation section appears only when the adaptive protocol
-	// actually acted; plain runs keep the classic shape.
-	if st.Total.ModeChanges > 0 {
-		fmt.Fprintln(tw)
-		fmt.Fprintf(tw, "mode changes\t%d\n", st.Total.ModeChanges)
-		fmt.Fprintf(tw, "update pushes\t%d\n", st.Total.UpdatePushes)
-		fmt.Fprintf(tw, "update hits\t%d\n", st.Total.UpdateHits)
-	}
 	fmt.Fprintln(tw)
 	fmt.Fprintf(tw, "messages (barrier/lock/diff)\t%d / %d / %d\n",
 		st.Net.Msgs[netsim.ClassBarrier], st.Net.Msgs[netsim.ClassLock],
 		st.Net.Msgs[netsim.ClassDiff])
-	if up := st.Net.Msgs[netsim.ClassUpdate]; up > 0 {
-		fmt.Fprintf(tw, "messages (update)\t%d\n", up)
-	}
 	fmt.Fprintf(tw, "total messages\t%d\n", st.Net.TotalMsgs())
 	fmt.Fprintf(tw, "bandwidth\t%d KB\n", st.Net.TotalBytes()/1024)
 	fmt.Fprintln(tw)

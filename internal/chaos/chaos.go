@@ -37,17 +37,13 @@ type Result struct {
 
 // RunOne executes one cell with the invariant checker attached. c.Mut
 // carries what the run is subjected to — a fault plan (none is the
-// fault-free baseline), an engine mode, adaptive coherence — and
-// c.Metrics additionally collects a snapshot. The checker observes
+// fault-free baseline), an engine mode — and c.Metrics additionally
+// collects a snapshot. The checker observes
 // through the engine's trace path (under the windowed engine that is
 // the per-window demultiplexer, so events arrive in canonical order),
 // making fault schedules an engine-parallelism determinism probe: rolls
 // consume PRNG state in delivery order, so a nondeterministic commit
-// would diverge visibly. Adaptation decisions are functions of per-epoch
-// protocol observations, not of virtual timing, so a faulted adaptive
-// run must still reproduce the fault-free checksum; the checker holds it
-// to the adaptation invariants as well (mode-epoch monotonicity and
-// cluster-wide mode agreement).
+// would diverge visibly.
 func RunOne(c harness.Cell, size apps.Size) (Result, error) {
 	chk := check.New(c.Nodes, c.Threads)
 	c = c.With(func(cfg *cvm.Config) { cfg.Tracer = chk })

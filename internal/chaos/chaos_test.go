@@ -19,11 +19,10 @@ const (
 )
 
 // cell is app at the chaos shape under fp (nil = fault-free), on the
-// sequential engine (engineWorkers 0) or the windowed one, optionally
-// with adaptive coherence.
-func cell(app string, fp *cvm.FaultPlan, engineWorkers int, adapt bool) harness.Cell {
+// sequential engine (engineWorkers 0) or the windowed one.
+func cell(app string, fp *cvm.FaultPlan, engineWorkers int) harness.Cell {
 	return harness.Cell{App: app, Nodes: chaosNodes, Threads: chaosThreads, Mut: func(cfg *cvm.Config) {
-		cfg.Faults, cfg.EngineWorkers, cfg.Adapt = fp, engineWorkers, adapt
+		cfg.Faults, cfg.EngineWorkers = fp, engineWorkers
 	}}
 }
 
@@ -36,7 +35,7 @@ func baseline(t *testing.T, app string) float64 {
 	if sum, ok := baselines[app]; ok {
 		return sum
 	}
-	res, err := RunOne(cell(app, nil, 0, false), apps.SizeTest)
+	res, err := RunOne(cell(app, nil, 0), apps.SizeTest)
 	if err != nil {
 		t.Fatalf("%s fault-free baseline: %v", app, err)
 	}
@@ -90,7 +89,7 @@ func TestDropSweep(t *testing.T) {
 			rate, app := rate, app
 			t.Run(fmt.Sprintf("%s/drop=%g", app, rate), func(t *testing.T) {
 				spec := fmt.Sprintf("drop=%g", rate)
-				res, err := RunOne(cell(app, mustPlan(t, spec, 11), 0, false), apps.SizeTest)
+				res, err := RunOne(cell(app, mustPlan(t, spec, 11), 0), apps.SizeTest)
 				assertClean(t, app, spec, res, err)
 				if rate == 0 && err == nil && res.Stats.Total.Retransmits != 0 {
 					t.Errorf("drop=0 run retransmitted %d times", res.Stats.Total.Retransmits)
@@ -112,7 +111,7 @@ func TestAcceptanceAllFaults(t *testing.T) {
 	for _, app := range harness.AppOrder {
 		var dropped int64
 		for _, seed := range []uint64{5, 6, 7} {
-			c := cell(app, mustPlan(t, spec, seed), 0, false)
+			c := cell(app, mustPlan(t, spec, seed), 0)
 			c.Metrics = true
 			res, err := RunOne(c, apps.SizeTest)
 			context := fmt.Sprintf("%s seed %d", spec, seed)
@@ -149,7 +148,7 @@ func TestAcceptanceAllFaults(t *testing.T) {
 func TestNodeInjections(t *testing.T) {
 	const spec = "drop=0.01,dup=0.005,pause=1:5ms:2ms,slow=0:0s:20ms:3"
 	for _, app := range []string{"waternsq", "sor"} {
-		res, err := RunOne(cell(app, mustPlan(t, spec, 17), 0, false), apps.SizeTest)
+		res, err := RunOne(cell(app, mustPlan(t, spec, 17), 0), apps.SizeTest)
 		assertClean(t, app, spec, res, err)
 	}
 }
@@ -177,7 +176,7 @@ func TestFuzzSchedules(t *testing.T) {
 				if err != nil {
 					return false
 				}
-				res, err := RunOne(cell(app, fp, 0, false), apps.SizeTest)
+				res, err := RunOne(cell(app, fp, 0), apps.SizeTest)
 				return err != nil || res.Checksum != baseline(t, app) || res.Checker.Count() != 0
 			}
 			if !fails(spec) {
@@ -185,7 +184,7 @@ func TestFuzzSchedules(t *testing.T) {
 			}
 			minSpec := ShrinkSpec(spec, fails)
 			// Re-run the minimal schedule for the full diagnosis.
-			res, err := RunOne(cell(app, mustPlan(t, minSpec, seed), 0, false), apps.SizeTest)
+			res, err := RunOne(cell(app, mustPlan(t, minSpec, seed), 0), apps.SizeTest)
 			assertClean(t, app, fmt.Sprintf("seed=%d spec=%q (shrunk from %q)", seed, minSpec, spec), res, err)
 			if !t.Failed() {
 				t.Errorf("%s seed=%d: full spec %q fails but shrunk %q passes — non-monotone failure",
@@ -233,7 +232,7 @@ func TestRandomSpecDeterministic(t *testing.T) {
 // metrics layer its reproducibility guarantee.
 func TestMetricsReportDeterminism(t *testing.T) {
 	reportBytes := func() []byte {
-		c := cell("waternsq", mustPlan(t, "drop=0.02,dup=0.01,reorder=0.01,jitter=100us", 23), 0, false)
+		c := cell("waternsq", mustPlan(t, "drop=0.02,dup=0.01,reorder=0.01,jitter=100us", 23), 0)
 		c.Metrics = true
 		res, err := RunOne(c, apps.SizeTest)
 		if err != nil {

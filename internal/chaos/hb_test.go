@@ -32,26 +32,24 @@ func TestScaleoutNoLostUpdate(t *testing.T) {
 }
 
 // TestHappensBeforeSweep holds every application and scaleout,
-// fault-free, to the checker at 8×2 with and without adaptive coherence,
-// on the sequential and the windowed engine: no node may apply a diff
+// fault-free, to the checker at 8×2 on the sequential and the windowed
+// engine: no node may apply a diff
 // after one it happens-before (waternsq at 8×2 did, within its checksum
 // tolerance).
 func TestHappensBeforeSweep(t *testing.T) {
 	for _, app := range append(harness.AppOrder[:len(harness.AppOrder):len(harness.AppOrder)], "scaleout") {
-		for _, adapt := range []bool{false, true} {
-			for _, workers := range []int{0, 2} {
-				c := harness.Cell{App: app, Nodes: 8, Threads: 2, Mut: func(cfg *cvm.Config) {
-					cfg.EngineWorkers, cfg.Adapt = workers, adapt
-				}}
-				ctx := fmt.Sprintf("%s 8x2 adapt=%v engine-workers=%d", app, adapt, workers)
-				res, err := RunOne(c, apps.SizeTest)
-				if err != nil {
-					t.Errorf("%s: %v", ctx, err)
-					continue
-				}
-				if n := res.Checker.Count(); n != 0 {
-					t.Errorf("%s: %d invariant violation(s):\n%v", ctx, n, res.Checker.Err())
-				}
+		for _, workers := range []int{0, 2} {
+			c := harness.Cell{App: app, Nodes: 8, Threads: 2, Mut: func(cfg *cvm.Config) {
+				cfg.EngineWorkers = workers
+			}}
+			ctx := fmt.Sprintf("%s 8x2 engine-workers=%d", app, workers)
+			res, err := RunOne(c, apps.SizeTest)
+			if err != nil {
+				t.Errorf("%s: %v", ctx, err)
+				continue
+			}
+			if n := res.Checker.Count(); n != 0 {
+				t.Errorf("%s: %d invariant violation(s):\n%v", ctx, n, res.Checker.Err())
 			}
 		}
 	}

@@ -77,19 +77,6 @@ type lockState struct {
 	clk    []int64
 }
 
-// pageEpoch keys the cluster-wide mode agreement per adaptation epoch.
-type pageEpoch struct {
-	page  int32
-	epoch int64
-}
-
-// modeDecl is the content of one mode-change notice: every node that
-// applies epoch E for page P must apply the same declaration.
-type modeDecl struct {
-	mode  int64
-	owner int32
-}
-
 // barrierState tracks one global barrier id across epochs. Epochs of
 // the same id are sequential, but releases of epoch k can interleave
 // with arrivals of epoch k+1 (a released node races ahead while another
@@ -128,12 +115,6 @@ type Checker struct {
 	// made no diff stays nil). Locks and pages carry their own clocks.
 	clk     [][]int64
 	intvClk [][][]int64
-
-	// Adaptive-coherence state. All maps stay empty for plain LRC runs
-	// (the kinds below are never emitted), so the checker costs nothing
-	// extra there.
-	modeEpoch map[nodePage]int64     // last mode-change epoch applied
-	modeAt    map[pageEpoch]modeDecl // cluster-wide declaration per epoch
 }
 
 // New returns a Checker for a cluster of the given shape.
@@ -147,8 +128,6 @@ func New(nodes, threadsPerNode int) *Checker {
 		localBars: make(map[nodePage]*localBarrierState),
 		clk:       make([][]int64, nodes),
 		intvClk:   make([][][]int64, nodes),
-		modeEpoch: make(map[nodePage]int64),
-		modeAt:    make(map[pageEpoch]modeDecl),
 	}
 	for i := range c.clk {
 		c.clk[i] = make([]int64, nodes)
@@ -340,30 +319,6 @@ func (c *Checker) Emit(e trace.Event) {
 		}
 		join(c.clk[e.Node], b.join)
 		b.outstanding--
-
-	case trace.KindModeChange:
-		// mode-epoch-monotone: a node applies mode changes for a page in
-		// strictly increasing adaptation-epoch order — a replayed or
-		// reordered notice would roll a page's protocol backwards.
-		key := nodePage{e.Node, e.Page}
-		if last, ok := c.modeEpoch[key]; ok && e.Aux <= last {
-			c.violate(e, e.Page, "mode-epoch-monotone",
-				"mode change for epoch %d applied after epoch %d", e.Aux, last)
-		} else {
-			c.modeEpoch[key] = e.Aux
-		}
-		// mode-agree: every node that applies epoch E for a page applies
-		// the same (mode, owner) declaration — the notices are a
-		// broadcast, and a disagreement forks the coherence protocol.
-		pe := pageEpoch{e.Page, e.Aux}
-		decl := modeDecl{mode: e.Arg, owner: e.Peer}
-		if prev, ok := c.modeAt[pe]; !ok {
-			c.modeAt[pe] = decl
-		} else if prev != decl {
-			c.violate(e, e.Page, "mode-agree",
-				"epoch %d declares mode %d owner %d here, mode %d owner %d elsewhere",
-				e.Aux, decl.mode, decl.owner, prev.mode, prev.owner)
-		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 
@@ -12,9 +14,10 @@ import (
 // the new state layout must match violation for violation (as
 // internal/trace/chrome_ref_test.go keeps the old writer): one map per
 // invariant, keyed by (node, page), (node, page, interval) and (node,
-// interval). Only its names differ. Its Finish ranges over maps, so the
-// order of what Finish adds is not comparable; the differential test
-// compares that part as a set.
+// interval). Only its names and Finish's order differ: Finish walks its
+// maps in the order Checker reports (global barriers by id, then local
+// ones by (node, id)), because once the detailed violations reach their
+// cap the order decides which of Finish's violations keep their detail.
 
 // nodePageRef keys per-(node,page) twin state.
 type nodePageRef struct {
@@ -36,19 +39,6 @@ type intervalRef struct {
 // lockHolderRef records who holds a lock.
 type lockHolderRef struct {
 	node, thread int32
-}
-
-// pageEpochRef keys the cluster-wide mode agreement per adaptation epoch.
-type pageEpochRef struct {
-	page  int32
-	epoch int64
-}
-
-// modeDeclRef is the content of one mode-change notice: every node that
-// applies epoch E for page P must apply the same declaration.
-type modeDeclRef struct {
-	mode  int64
-	owner int32
 }
 
 // barrierStateRef tracks one global barrier id across epochs. Epochs of
@@ -92,12 +82,6 @@ type checkerRef struct {
 	lockClk map[int32][]int64
 	intvClk map[intervalRef][]int64
 	pageClk map[nodePageRef][]int64
-
-	// Adaptive-coherence state. All maps stay empty for plain LRC runs
-	// (the kinds below are never emitted), so the checker costs nothing
-	// extra there.
-	modeEpoch map[nodePageRef]int64        // last mode-change epoch applied
-	modeAt    map[pageEpochRef]modeDeclRef // cluster-wide declaration per epoch
 }
 
 // newCheckerRef returns a checkerRef for a cluster of the given shape.
@@ -114,8 +98,6 @@ func newCheckerRef(nodes, threadsPerNode int) *checkerRef {
 		lockClk:   make(map[int32][]int64),
 		intvClk:   make(map[intervalRef][]int64),
 		pageClk:   make(map[nodePageRef][]int64),
-		modeEpoch: make(map[nodePageRef]int64),
-		modeAt:    make(map[pageEpochRef]modeDeclRef),
 	}
 	for i := range c.clk {
 		c.clk[i] = make([]int64, nodes)
@@ -300,30 +282,6 @@ func (c *checkerRef) Emit(e trace.Event) {
 		}
 		joinRef(c.clk[e.Node], b.join)
 		b.outstanding--
-
-	case trace.KindModeChange:
-		// mode-epoch-monotone: a node applies mode changes for a page in
-		// strictly increasing adaptation-epoch order — a replayed or
-		// reordered notice would roll a page's protocol backwards.
-		key := nodePageRef{e.Node, e.Page}
-		if last, ok := c.modeEpoch[key]; ok && e.Aux <= last {
-			c.violate(e, e.Page, "mode-epoch-monotone",
-				"mode change for epoch %d applied after epoch %d", e.Aux, last)
-		} else {
-			c.modeEpoch[key] = e.Aux
-		}
-		// mode-agree: every node that applies epoch E for a page applies
-		// the same (mode, owner) declaration — the notices are a
-		// broadcast, and a disagreement forks the coherence protocol.
-		pe := pageEpochRef{e.Page, e.Aux}
-		decl := modeDeclRef{mode: e.Arg, owner: e.Peer}
-		if prev, ok := c.modeAt[pe]; !ok {
-			c.modeAt[pe] = decl
-		} else if prev != decl {
-			c.violate(e, e.Page, "mode-agree",
-				"epoch %d declares mode %d owner %d here, mode %d owner %d elsewhere",
-				e.Aux, decl.mode, decl.owner, prev.mode, prev.owner)
-		}
 	}
 }
 
@@ -331,15 +289,18 @@ func (c *checkerRef) Emit(e trace.Event) {
 // arrivals must have fully released. Call after the run completes; it
 // may append further violations.
 func (c *checkerRef) Finish() {
-	for id, b := range c.barriers {
-		if b.arrived != 0 || b.outstanding != 0 {
+	for _, id := range slices.Sorted(maps.Keys(c.barriers)) {
+		if b := c.barriers[id]; b.arrived != 0 || b.outstanding != 0 {
 			c.violate(trace.Event{Node: -1}, -1, "barrier-epoch",
 				"run ended with barrier %d mid-epoch: %d arrivals pending, %d releases owed",
 				id, b.arrived, b.outstanding)
 		}
 	}
-	for key, lb := range c.localBars {
-		if lb.arrived != 0 {
+	locals := slices.SortedFunc(maps.Keys(c.localBars), func(a, b nodePageRef) int {
+		return cmp.Or(cmp.Compare(a.node, b.node), cmp.Compare(a.page, b.page))
+	})
+	for _, key := range locals {
+		if lb := c.localBars[key]; lb.arrived != 0 {
 			c.violate(trace.Event{Node: key.node}, -1, "barrier-epoch",
 				"run ended with local barrier %d on node %d mid-epoch: %d arrivals pending",
 				key.page, key.node, lb.arrived)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"cvm/internal/sim"
 	"cvm/internal/trace"
 )
@@ -97,7 +95,6 @@ func (t *Thread) remoteFault(p *page) {
 			Node: int32(n.id), Thread: int32(t.gid), Page: int32(p.id)})
 	}
 	t.task.Advance(cfg.SignalCost)
-	n.noteFaultObs(p.id)
 	ranges := p.missingFrom()
 	if len(ranges) == 0 {
 		// Raced with a completing fetch; nothing is missing anymore.
@@ -109,28 +106,12 @@ func (t *Thread) remoteFault(p *page) {
 		return
 	}
 
-	remote := ranges
-	var cached []*Diff
-	if ad := n.adaptOf(p.id); ad != nil && ad.mode == ModeMWUpd && ad.cache != nil {
-		remote, cached = n.consumeCached(ad, ranges)
-		if len(remote) == 0 {
-			// Every missing range is covered by pushed-update chains:
-			// resolve the fault entirely locally, no round trip.
-			fs := &faultState{page: p, ranges: ranges, diffs: cached,
-				ready: true, start: fstart, waiters: []*Thread{t}}
-			p.fault = fs
-			n.inFlightFaults++
-			t.applyFault(fs)
-			return
-		}
-	}
-
 	span := 0
-	for _, r := range remote {
+	for _, r := range ranges {
 		span += int(r.to - r.from) // at most a diff an interval
 	}
-	fs := &faultState{page: p, ranges: ranges, outstanding: len(remote),
-		diffs: slices.Grow(cached, span), start: fstart}
+	fs := &faultState{page: p, ranges: ranges, outstanding: len(ranges),
+		diffs: make([]*Diff, 0, span), start: fstart}
 	p.fault = fs
 	n.stats.RemoteFaults++
 	n.stats.OutstandingFaults += int64(n.inFlightFaults)
@@ -138,7 +119,7 @@ func (t *Thread) remoteFault(p *page) {
 	n.inFlightFaults++
 
 	sys := t.sys
-	for _, r := range remote {
+	for _, r := range ranges {
 		l := n.leg()
 		l.fs, l.to, l.r, l.phase = fs, sys.nodes[r.node], r, 0
 		sys.send(t.task, NodeID(n.id), NodeID(r.node), ClassDiff, diffRequestBytes, l.step)

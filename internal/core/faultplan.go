@@ -193,12 +193,14 @@ func ParseFaultPlan(spec string, seed uint64) (*FaultPlan, error) {
 }
 
 func parseClass(name string) (netsim.Class, error) {
+	var names []string
 	for _, c := range netsim.Classes() {
 		if strings.EqualFold(c.String(), name) {
 			return c, nil
 		}
+		names = append(names, strings.ToLower(c.String()))
 	}
-	return 0, fmt.Errorf("core: unknown message class %q (want barrier, lock, diff, or update)", name)
+	return 0, fmt.Errorf("core: unknown message class %q (want %s)", name, strings.Join(names, ", "))
 }
 
 func parseSimTime(s string) (sim.Time, error) {

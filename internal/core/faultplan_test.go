@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"cvm/internal/netsim"
@@ -241,10 +242,15 @@ func TestParseFaultPlan(t *testing.T) {
 	for _, spec := range []string{
 		"drop", "drop=2", "drop.tcp=0.1", "frobnicate=1",
 		"jitter=fast", "pause=1:2ms", "pause=-1:0s:1ms", "pause=0:0s:0s",
-		"slow=0:0s:1ms:0.5", "rto=-5ms", "retries=0",
+		"slow=0:0s:1ms:0.5", "rto=-5ms", "retries=0", "drop.update=0.1",
 	} {
 		if _, err := ParseFaultPlan(spec, 0); err == nil {
 			t.Errorf("ParseFaultPlan(%q) succeeded, want error", spec)
 		}
+	}
+	// An unknown class names the accepted ones, and only those.
+	_, err = ParseFaultPlan("drop.update=0.1", 0)
+	if err == nil || !strings.Contains(err.Error(), "(want barrier, lock, diff)") {
+		t.Errorf("ParseFaultPlan(drop.update=0.1) error %v, want one naming barrier, lock, diff", err)
 	}
 }

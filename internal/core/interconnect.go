@@ -25,7 +25,6 @@ const (
 	ClassBarrier = transport.ClassBarrier
 	ClassLock    = transport.ClassLock
 	ClassDiff    = transport.ClassDiff
-	ClassUpdate  = transport.ClassUpdate
 )
 
 // Interconnect is the virtual-time, closure-level transport contract the

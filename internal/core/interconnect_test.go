@@ -50,49 +50,17 @@ func interconnectWorkload(addr Addr) func(*Thread) {
 	}
 }
 
-// adaptiveWorkload extends interconnectWorkload with a producer-consumer
-// page set: thread 0 writes npages pages every epoch and the last thread
-// reads them in a separate barrier phase. Under Adapt the pages promote
-// to update mode (ClassUpdate pushes).
-func adaptiveWorkload(lockAddr, pages Addr, npages, pageSize int) func(*Thread) {
-	return func(w *Thread) {
-		gid := w.GlobalID()
-		w.Barrier(0)
-		w.Lock(1)
-		w.WriteF64(lockAddr, w.ReadF64(lockAddr)+float64(gid+1))
-		w.Unlock(1)
-		last := w.Threads() - 1
-		for e := 0; e < 6; e++ {
-			if gid == 0 {
-				for i := 0; i < npages; i++ {
-					w.WriteF64(pages+Addr(i*pageSize), float64(e*npages+i))
-				}
-			}
-			w.Barrier(2 + 2*e)
-			if gid == last {
-				for i := 0; i < npages; i++ {
-					_ = w.ReadF64(pages + Addr(i*pageSize))
-				}
-			}
-			w.Barrier(3 + 2*e)
-		}
-	}
-}
-
 func TestSetInterconnectRoutesAllTraffic(t *testing.T) {
-	cfg := DefaultConfig(4, 2)
-	cfg.Adapt = true
-	s, err := NewSystem(cfg)
+	s, err := NewSystem(DefaultConfig(4, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr, _ := s.Alloc("x", 8)
-	pages, _ := s.Alloc("pc", 8*cfg.PageSize)
 	rec := &recordingInterconnect{inner: s.Network()}
 	if err := s.SetInterconnect(rec); err != nil {
 		t.Fatal(err)
 	}
-	runApp(t, s, adaptiveWorkload(addr, pages, 8, cfg.PageSize))
+	runApp(t, s, interconnectWorkload(addr))
 
 	if rec.taskSends == 0 || rec.hdlrSends == 0 {
 		t.Fatalf("seam bypassed: taskSends=%d hdlrSends=%d", rec.taskSends, rec.hdlrSends)

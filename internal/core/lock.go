@@ -242,7 +242,6 @@ func (t *Thread) Unlock(id int) {
 		l.localQ = l.localQ[:copy(l.localQ, l.localQ[1:])]
 		l.heldBy = next
 		t.sys.eng.WakeAt(next.task, t.task.Now())
-		n.flushPushes(t.task)
 		return
 	}
 	l.heldBy = nil
@@ -251,9 +250,6 @@ func (t *Thread) Unlock(id int) {
 		l.nextNode, l.nextVT, l.nextHops = -1, nil, 0
 		n.grantLock(t.task, l, to, vt, hops)
 	}
-	// Update pushes depart behind the grant (or immediately, when the
-	// token stays cached): the release-critical path never waits on them.
-	n.flushPushes(t.task)
 }
 
 // lockMsgBytes is the header size of lock protocol messages.

@@ -42,15 +42,6 @@ type node struct {
 	inFlightFaults int
 	inFlightLocks  int
 
-	// Adaptive-coherence state (see adapt.go); all nil, at no cost, when
-	// Config.Adapt is off. pmode holds per-page coherence modes; adaptObs
-	// is the set of pages this node remote-faulted on this epoch, for the
-	// classifier; pendingPush queues update-mode pushes between
-	// closeInterval and the flush after the synchronization send.
-	pmode       map[PageID]*pageAdapt
-	adaptObs    map[PageID]struct{}
-	pendingPush []pendingPush
-
 	threads []Thread
 	stats   NodeStats
 }
@@ -179,9 +170,6 @@ func (n *node) closeInterval(t *Thread) {
 		d.Bytes() // fill the size cache while d is this node's alone
 		p.diffs = append(p.diffs, d)
 		n.stats.DiffsCreated++
-		if ad := n.adaptOf(pg); ad != nil && ad.mode == ModeMWUpd && len(ad.subs) > 0 {
-			n.queuePush(p, d, ad)
-		}
 		n.releaseTwin(p)
 		if t != nil {
 			t.task.Advance(n.sys.cfg.DiffCreateCost +

@@ -25,13 +25,6 @@ type NodeStats struct {
 	Retransmits    int64
 	DupsSuppressed int64
 
-	// Adaptive-coherence counters (all zero with Config.Adapt off):
-	// applied mode-change notices, eager diff pushes sent and fault
-	// ranges they satisfied.
-	ModeChanges  int64
-	UpdatePushes int64
-	UpdateHits   int64
-
 	// Time breakdown (Figure 1): user time includes all local consistency
 	// work; the waits are non-overlapped (node fully idle).
 	UserTime    sim.Time
@@ -61,9 +54,6 @@ func (s *NodeStats) Add(other NodeStats) {
 	s.RacesDetected += other.RacesDetected
 	s.Retransmits += other.Retransmits
 	s.DupsSuppressed += other.DupsSuppressed
-	s.ModeChanges += other.ModeChanges
-	s.UpdatePushes += other.UpdatePushes
-	s.UpdateHits += other.UpdateHits
 	s.UserTime += other.UserTime
 	s.FaultWait += other.FaultWait
 	s.LockWait += other.LockWait

@@ -67,21 +67,20 @@ type nodeMeet struct {
 }
 
 // arrival is what a node's last local thread sends the manager: the
-// node's folded value and, for a barrier, its vector time, its own
-// intervals the manager has not seen and its adaptation report.
+// node's folded value and, for a barrier, its vector time and its own
+// intervals the manager has not seen.
 type arrival struct {
 	from  int
 	v     float64
 	vt    VClock
 	infos []*IntervalInfo
-	obs   *adaptObs
 }
 
 // episode is the manager's (node 0's) state for one crossing of a global
 // rendezvous: the node arrivals so far, their values folded in arrival
 // order, and each node's arrival. Once complete it is also the one
 // payload every node's release message shares: for a barrier, the
-// manager's notices and vector time, and the epoch's mode changes.
+// manager's notices and vector time.
 type episode struct {
 	arrived int
 	acc     float64
@@ -89,7 +88,6 @@ type episode struct {
 	key     meetKey
 	ns      notices
 	vt      VClock
-	rel     *adaptRelease
 }
 
 func (n *node) meetAt(key meetKey) *nodeMeet {
@@ -171,25 +169,16 @@ func (t *Thread) leave(key meetKey, v float64, op ReduceOp) {
 		n.closeInterval(t)
 		n.ensureIntervals()
 		// The arrival ships the node's own intervals the manager lacks.
-		a.vt, a.obs, a.infos = n.vt.Clone(), n.takeAdaptObs(), after(n.intervals[n.id], n.barrierSentIdx)
+		a.vt, a.infos = n.vt.Clone(), after(n.intervals[n.id], n.barrierSentIdx)
 		n.barrierSentIdx = n.curIdx
-		bytes = barrierMsgBytes + a.vt.wireBytes() + infosBytes(a.infos) + a.obs.wireBytes()
+		bytes = barrierMsgBytes + a.vt.wireBytes() + infosBytes(a.infos)
 	}
 	gather := func() { sys.gather(key, op, a) }
 	if n.id == 0 {
-		// Queued update pushes flush at the release, behind the release
-		// broadcast (gather).
 		t.task.Schedule(t.task.Now(), gather)
 		return
 	}
 	sys.send(t.task, NodeID(n.id), 0, ClassBarrier, bytes, gather)
-	// Queued update pushes flush in engine context behind the departed
-	// arrival message: subscriber caches fill while the cluster is
-	// barrier-waiting, and the blocked thread's clock never advances
-	// (the release may arrive while the flush is still draining egress).
-	if len(n.pendingPush) > 0 {
-		t.task.Schedule(t.task.Now(), func() { n.flushPushes(nil) })
-	}
 }
 
 // gather counts one node arrival at the manager (engine context). The
@@ -197,9 +186,6 @@ func (t *Thread) leave(key meetKey, v float64, op ReduceOp) {
 // sending each, for a barrier, the interval knowledge its arrival vector
 // time does not cover, and for a reduction the folded value.
 func (s *System) gather(key meetKey, op ReduceOp, a arrival) {
-	if a.obs != nil {
-		s.adapt.noteObs(a.from, a.obs)
-	}
 	ep := s.episodes[key]
 	if ep == nil {
 		if s.episodes == nil {
@@ -230,17 +216,11 @@ func (s *System) gather(key meetKey, op ReduceOp, a arrival) {
 		// The manager has merged every node's interval knowledge
 		// (arrivals carried it); its vt now dominates all arrivals.
 		ep.ns, ep.vt = mgr.notices(), mgr.vt.Clone()
-		if s.adapt != nil {
-			// The barrier completion is the adaptation point: all threads
-			// are blocked, so mode changes piggybacked on the releases
-			// apply atomically across the cluster.
-			ep.rel = s.adapt.decide()
-		}
 	}
 	for to := 1; to < s.cfg.Nodes; to++ {
 		bytes := reduceMsgBytes
 		if ep.vt != nil {
-			bytes = barrierMsgBytes + ep.vt.wireBytes() + ep.ns.bytesSince(ep.from[to].vt) + ep.rel.wireBytes()
+			bytes = barrierMsgBytes + ep.vt.wireBytes() + ep.ns.bytesSince(ep.from[to].vt)
 		}
 		n := s.nodes[to]
 		if n.relIn = ep; n.relStep == nil {
@@ -248,10 +228,7 @@ func (s *System) gather(key meetKey, op ReduceOp, a arrival) {
 		}
 		s.send(nil, 0, NodeID(to), ClassBarrier, bytes, n.relStep)
 	}
-	mgr.releaseAt(key, ep.acc, ep.rel)
-	// The manager's own update pushes flush last: the release broadcast
-	// above must not queue behind bulk data on the manager's egress.
-	mgr.flushPushes(nil)
+	mgr.release(key, ep.acc, mgr.proc.LocalNow(), -1, 0)
 }
 
 // applyRelease delivers the release message in flight to n (engine
@@ -263,16 +240,7 @@ func (n *node) applyRelease() {
 	if ep.vt != nil {
 		n.applyNotices(ep.ns, ep.vt)
 	}
-	n.releaseAt(ep.key, ep.acc, ep.rel)
-}
-
-// releaseAt applies a global release at this node (engine context): the
-// epoch's mode changes, then the wake-up.
-func (n *node) releaseAt(key meetKey, result float64, rel *adaptRelease) {
-	if rel != nil {
-		n.applyAdaptRelease(rel)
-	}
-	n.release(key, result, n.proc.LocalNow(), -1, 0)
+	n.release(ep.key, ep.acc, n.proc.LocalNow(), -1, 0)
 }
 
 // release wakes every local thread waiting at key, handing them result.

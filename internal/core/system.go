@@ -86,18 +86,6 @@ type Config struct {
 	// and therefore transfer times, change.
 	CompressDiffs bool
 
-	// Adapt enables per-page adaptive coherence: an online classifier
-	// consumes the per-epoch fault and write-notice attribution already
-	// flowing through the barrier manager, tags each page's sharing
-	// pattern (private, migratory, producer-consumer, false-sharing),
-	// and switches producer-consumer pages from the default multi-writer
-	// invalidate mode to an update mode (diffs pushed eagerly to
-	// subscribers), and every other page back. Mode changes are epoch-stamped and applied on every node
-	// at barrier releases, so all nodes transition consistently. Off by
-	// default; with it off no adaptive state is allocated and every run
-	// is byte-identical to an unadapted build. Requires ProtocolLRC.
-	Adapt bool
-
 	// Faults, when non-nil and active, injects deterministic failures:
 	// network drops/duplications/reordering/jitter, which the simulated
 	// network turns into late deliveries and wasted wire (every message
@@ -137,9 +125,6 @@ func (c *Config) Validate() error {
 		return errors.New("core: ThreadsPerNode must be ≥ 1")
 	case c.PageSize < 64 || c.PageSize&(c.PageSize-1) != 0:
 		return fmt.Errorf("core: PageSize %d must be a power of two ≥ 64", c.PageSize)
-	}
-	if c.Adapt && c.Protocol != ProtocolLRC {
-		return errors.New("core: Adapt requires the multi-writer LRC protocol")
 	}
 	return c.Mem.Validate()
 }
@@ -186,12 +171,6 @@ type System struct {
 	// window commit.
 	tracer trace.Tracer
 	demux  *trace.Demux
-
-	// adapt is the adaptive-coherence controller, non-nil only when
-	// cfg.Adapt is set. It runs exclusively in the barrier manager's
-	// (node 0's) engine context, so it needs no locking under the
-	// windowed engine.
-	adapt *adaptController
 }
 
 // NewSystem builds a cluster from cfg.
@@ -218,14 +197,6 @@ func NewSystem(cfg Config) (*System, error) {
 		// A nil *Registry is a non-nil Tracer: tee only a live one.
 		s.tracer = trace.Tee(cfg.Tracer, m)
 		classes := netsim.Classes()
-		if !cfg.Adapt {
-			// The adaptive class (Update) carries no traffic in a plain
-			// LRC run; leaving it out keeps the metrics schema — and so
-			// BASELINE_metrics.json — identical to pre-adaptive builds.
-			// Indexing past the registered classes would panic, which
-			// doubles as a tripwire for stray adaptive messages.
-			classes = classes[:netsim.ClassUpdate]
-		}
 		names := make([]string, len(classes))
 		for i, c := range classes {
 			names[i] = c.String()
@@ -275,9 +246,6 @@ func NewSystem(cfg Config) (*System, error) {
 		if s.tracer != nil {
 			s.tracer = syncTracer{eng, s.tracer}
 		}
-	}
-	if cfg.Adapt {
-		s.adapt = newAdaptController(s)
 	}
 	eng.SetReasonNamer(reasonName)
 	return s, nil
@@ -387,9 +355,6 @@ func (s *System) Start(main func(*Thread)) error {
 	}
 	for i := 0; i < s.cfg.Nodes; i++ {
 		n := s.nodes[i]
-		if s.cfg.Adapt {
-			n.adaptObs = make(map[PageID]struct{})
-		}
 		n.threads = make([]Thread, s.cfg.ThreadsPerNode)
 		for j := range n.threads {
 			th := &n.threads[j]

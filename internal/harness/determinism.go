@@ -41,7 +41,7 @@ type DeterminismProbe struct {
 // registry attached, on the sequential engine (engineWorkers 0) with the
 // given run-ahead bound (negative: the default, core.SetRunAhead) or the
 // windowed engine at that worker count, and collects its artifacts.
-// c.Mut carries the variation under test: a fault plan, -adapt. It runs
+// c.Mut carries the variation under test, such as a fault plan. It runs
 // c bare as well and fails unless the checksum and statistics match: in
 // the sequential engine every trace event waits its turn (sim.Task.Sync),
 // so an action that should and does not shows up only in the bare run.
@@ -88,9 +88,7 @@ func RunDeterminismProbe(c Cell, size apps.Size, engineWorkers int, runAhead sim
 // crossed with every run-ahead bound in runAheads (nil: the default
 // bound alone; a bound matters only at worker count 0) and returns an
 // error describing the first artifact that differs from the first
-// probe's; nil means every artifact was byte-identical. With -adapt in
-// c.Mut the classifier's decisions and the mode-change notices must
-// themselves be functions of the deterministic event order. Repeat a
+// probe's; nil means every artifact was byte-identical. Repeat a
 // count to additionally assert run-to-run identity.
 func GuardDeterminism(c Cell, size apps.Size, workerCounts []int, runAheads []sim.Time) error {
 	if len(runAheads) == 0 {

@@ -14,8 +14,6 @@ func withFaults(fp *cvm.FaultPlan) func(*cvm.Config) {
 	return func(cfg *cvm.Config) { cfg.Faults = fp }
 }
 
-func adaptive(cfg *cvm.Config) { cfg.Adapt = true }
-
 // TestGuardDeterminismFaultFree proves byte-identical artifacts across
 // three worker counts on a fault-free run (the acceptance bar).
 func TestGuardDeterminismFaultFree(t *testing.T) {
@@ -38,39 +36,13 @@ func TestGuardDeterminismUnderFaults(t *testing.T) {
 	}
 }
 
-// TestGuardDeterminismAdaptive holds adapted runs to the same bar: with
-// per-page mode switching on, every artifact —
-// checksum, statistics, metrics report, Chrome trace — must stay
-// byte-identical across worker counts and across repeated runs (the
-// duplicated leading count), fault-free.
-func TestGuardDeterminismAdaptive(t *testing.T) {
-	for _, app := range []string{"sor", "barnes"} {
-		if err := GuardDeterminism(Cell{App: app, Nodes: 4, Threads: 2, Mut: adaptive}, apps.SizeTest, []int{1, 1, 2, 4}, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestGuardDeterminismAdaptiveUnderFaults is the adapted variant of the
-// fault-schedule guard: retransmission timing must not leak into the
-// classifier's observations.
-func TestGuardDeterminismAdaptiveUnderFaults(t *testing.T) {
-	fp, err := cvm.ParseFaults("drop=0.02,dup=0.01,reorder=0.02,jitter=300us", 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := GuardDeterminism(Cell{App: "sor", Nodes: 4, Threads: 2, Mut: withFaults(fp)}.With(adaptive), apps.SizeTest, []int{1, 1, 2, 4}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestGuardDeterminismRunAhead holds the sequential engine to one answer
 // at run-ahead bounds 0, half the lookahead and the lookahead: the seven
-// apps under LRC, the single-writer protocol, -adapt, a fault plan and a
-// 1 ms thread switch (longer than the lookahead), at 4×2, 8×1 and 8×4.
+// apps under LRC, the single-writer protocol, a fault plan and a 1 ms
+// thread switch (longer than the lookahead), at 4×2, 8×1 and 8×4.
 func TestGuardDeterminismRunAhead(t *testing.T) {
 	if raceEnabled {
-		t.Skip("315 probes skipped under the race detector; the sequential engine runs on one goroutine, and make par-check runs them")
+		t.Skip("252 probes skipped under the race detector; the sequential engine runs on one goroutine, and make par-check runs them")
 	}
 	fp, err := cvm.ParseFaults("drop=0.02,dup=0.01,reorder=0.02,jitter=300us", 42)
 	if err != nil {
@@ -83,7 +55,6 @@ func TestGuardDeterminismRunAhead(t *testing.T) {
 	}{
 		{"lrc", nil},
 		{"sw", func(cfg *cvm.Config) { cfg.Protocol = core.ProtocolSW }},
-		{"adapt", adaptive},
 		{"faults", withFaults(fp)},
 		{"switch-1ms", func(cfg *cvm.Config) { cfg.SwitchCost = sim.Millisecond }},
 	}

@@ -64,7 +64,7 @@ type Cell struct {
 	// SW", "switch-cost=50µs"); the plain paper grid leaves it empty.
 	Label string
 	// Mut perturbs the cell's default configuration before the cluster
-	// is built: faults, engine workers, protocol, -adapt, a tracer or
+	// is built: faults, engine workers, protocol, a tracer or
 	// checker. It is called from a pool worker and must not write state
 	// another cell reads; a *FaultPlan may be shared (systems copy what
 	// they need).

@@ -33,32 +33,24 @@ func TestTable2RowCoversAllClasses(t *testing.T) {
 }
 
 // TestClassesAreTable2Columns pins the class list itself: Table 2's
-// three paper columns plus the adaptive protocol's update pushes, in
-// that order and nothing else. A plain-LRC run registers only the paper's
-// three with its metrics registry — the schema BASELINE_metrics.json was
-// recorded with — and an adaptive run adds the fourth.
+// three paper columns, in that order and nothing else, and a run
+// registers exactly those with its metrics registry — the schema
+// BASELINE_metrics.json was recorded with.
 func TestClassesAreTable2Columns(t *testing.T) {
 	var got []string
 	for _, c := range transport.Classes() {
 		got = append(got, c.String())
 	}
-	want := []string{"Barrier", "Lock", "Diff", "Update"}
+	want := []string{"Barrier", "Lock", "Diff"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("transport.Classes() = %v, want %v", got, want)
 	}
-	for _, adapt := range []bool{false, true} {
-		cfg := cvm.DefaultConfig(2, 1)
-		cfg.Adapt = adapt
-		cfg.Metrics = cvm.NewMetrics()
-		if _, err := cvm.New(cfg); err != nil {
-			t.Fatal(err)
-		}
-		wantReg := want[:3]
-		if adapt {
-			wantReg = want
-		}
-		if reg := cfg.Metrics.Snapshot().MsgClasses; !reflect.DeepEqual(reg, wantReg) {
-			t.Errorf("Adapt=%v registers message classes %v, want %v", adapt, reg, wantReg)
-		}
+	cfg := cvm.DefaultConfig(2, 1)
+	cfg.Metrics = cvm.NewMetrics()
+	if _, err := cvm.New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if reg := cfg.Metrics.Snapshot().MsgClasses; !reflect.DeepEqual(reg, want) {
+		t.Errorf("a run registers message classes %v, want %v", reg, want)
 	}
 }

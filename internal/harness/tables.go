@@ -19,15 +19,10 @@ type Table2Row struct {
 	BarrierDelayMs float64
 	LockDelayMs    float64
 	DiffDelayMs    float64
-	// Update pushes carry no non-overlapped thread delay of their own
-	// (they are asynchronous), so the delay column stays zero; it exists
-	// so every message class has the same Table 2 shape.
-	UpdateDelayMs float64
 
 	BarrierMsgs int64
 	LockMsgs    int64
 	DiffMsgs    int64
-	UpdateMsgs  int64
 	TotalMsgs   int64
 	BWKBytes    int64
 }
@@ -51,7 +46,6 @@ func Table2(res Results, appNames []string, nodes int, threads []int) []Table2Ro
 				BarrierMsgs:    st.Net.Msgs[netsim.ClassBarrier],
 				LockMsgs:       st.Net.Msgs[netsim.ClassLock],
 				DiffMsgs:       st.Net.Msgs[netsim.ClassDiff],
-				UpdateMsgs:     st.Net.Msgs[netsim.ClassUpdate],
 				TotalMsgs:      st.Net.TotalMsgs(),
 				BWKBytes:       st.Net.TotalBytes() / 1024,
 			})

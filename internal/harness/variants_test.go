@@ -16,7 +16,7 @@ import (
 // queue — and the shared accumulators sum on qfix's fixed-point grid, so
 // the order of lock grants and barrier wake-ups cannot reach the
 // result. Each app at 8×{2,4} must give the plain run's checksum bit for
-// bit under SW, -adapt and every ablation's extreme points.
+// bit under SW and every ablation's extreme points.
 func TestVariantsReproduceTheBaseChecksum(t *testing.T) {
 	wire := func(mul, div sim.Time) func(*cvm.Config) {
 		return func(cfg *cvm.Config) {
@@ -30,7 +30,6 @@ func TestVariantsReproduceTheBaseChecksum(t *testing.T) {
 		mut   func(*cvm.Config)
 	}{
 		{"under SW", func(cfg *cvm.Config) { cfg.Protocol = core.ProtocolSW }},
-		{"adapt", adaptive},
 		{"switch-cost=1ms", func(cfg *cvm.Config) { cfg.SwitchCost = sim.Millisecond }},
 		{"wire-latency=0.5x", wire(1, 2)},
 		{"wire-latency=4x", wire(4, 1)},

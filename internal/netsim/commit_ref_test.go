@@ -189,7 +189,7 @@ func TestCommitWindowMatchesReference(t *testing.T) {
 				t.Fatalf("%s: traced events\n%v\nreference\n%v", what, got.events, want.events)
 			}
 			counters := func(n *Network) string {
-				return fmt.Sprint(n.Stats(), n.chanIdx, n.faultCounts, n.ingressFree, n.bulkIngressFree)
+				return fmt.Sprint(n.Stats(), n.chanIdx, n.faultCounts, n.ingressFree)
 			}
 			if counters(got.net) != counters(want.net) {
 				t.Fatalf("%s: counters %s, reference %s", what, counters(got.net), counters(want.net))

@@ -34,7 +34,6 @@ const (
 	ClassBarrier = transport.ClassBarrier
 	ClassLock    = transport.ClassLock
 	ClassDiff    = transport.ClassDiff
-	ClassUpdate  = transport.ClassUpdate
 	numClasses   = transport.NumClasses
 )
 
@@ -112,17 +111,6 @@ type Network struct {
 	egressFree  []sim.Time // per-node time the NIC egress frees up
 	ingressFree []sim.Time // per-node time the ingress frees up
 
-	// bulkEgressFree/bulkIngressFree serialize unsolicited bulk data
-	// (ClassUpdate) on its own per-node lane at both ends: the dedicated
-	// protocol thread the paper argues for on SMP nodes ships and absorbs
-	// pushed updates without occupying the request/reply path, so eager
-	// data neither delays a blocked node's next fault request at the
-	// egress nor head-of-line blocks a barrier release or fault reply at
-	// the ingress. Bulk transfers still pay the per-message overheads and
-	// serialize against each other.
-	bulkEgressFree  []sim.Time
-	bulkIngressFree []sim.Time
-
 	stats  Stats
 	tracer trace.Tracer // nil when tracing and metrics are off
 	msgID  int64        // trace message id linking send to delivery
@@ -167,14 +155,12 @@ func New(eng *sim.Engine, nodes int, params Params) *Network {
 // previous state. It exists so a Network can be embedded by value in a
 // larger system; egress and ingress share one backing allocation.
 func (n *Network) Init(eng *sim.Engine, nodes int, params Params) {
-	free := make([]sim.Time, 4*nodes)
+	free := make([]sim.Time, 2*nodes)
 	*n = Network{
-		eng:             eng,
-		params:          params,
-		egressFree:      free[:nodes:nodes],
-		ingressFree:     free[nodes : 2*nodes : 2*nodes],
-		bulkEgressFree:  free[2*nodes : 3*nodes : 3*nodes],
-		bulkIngressFree: free[3*nodes:],
+		eng:         eng,
+		params:      params,
+		egressFree:  free[:nodes:nodes],
+		ingressFree: free[nodes:],
 	}
 }
 
@@ -229,11 +215,10 @@ func (n *Network) SendFromTask(t *sim.Task, from, to NodeID, class Class, bytes 
 	// The egress lane is shared with this node's handlers and the arrival
 	// accounting with every node, so both wait for the sender's turn.
 	t.Sync()
-	lane := n.egressLane(class)
-	depart := maxTime(t.Now(), lane[from])
+	depart := maxTime(t.Now(), n.egressFree[from])
 	wait := depart - t.Now()
 	depart += n.params.transfer(bytes)
-	lane[from] = depart
+	n.egressFree[from] = depart
 	if n.deferred {
 		n.outbox[from] = append(n.outbox[from], wireMsg{
 			sendT: t.Now(), depart: depart, egressWait: wait,
@@ -252,33 +237,22 @@ func (n *Network) SendFromHandler(from, to NodeID, class Class, bytes int, deliv
 	if from == to {
 		panic("netsim: SendFromHandler with from == to")
 	}
-	lane := n.egressLane(class)
 	if n.deferred {
 		now := n.eng.Procs()[int(from)].LocalNow()
-		depart := maxTime(now, lane[from])
+		depart := maxTime(now, n.egressFree[from])
 		wait := depart - now
 		depart += n.params.SendOverhead + n.params.transfer(bytes)
-		lane[from] = depart
+		n.egressFree[from] = depart
 		n.outbox[from] = append(n.outbox[from], wireMsg{
 			sendT: now, depart: depart, egressWait: wait,
 			to: to, class: class, bytes: bytes, deliver: deliver})
 		return
 	}
-	depart := maxTime(n.eng.Now(), lane[from])
+	depart := maxTime(n.eng.Now(), n.egressFree[from])
 	wait := depart - n.eng.Now()
 	depart += n.params.SendOverhead + n.params.transfer(bytes)
-	lane[from] = depart
+	n.egressFree[from] = depart
 	n.eng.Schedule(n.route(depart, wait, from, to, class, bytes, deliver))
-}
-
-// egressLane returns the per-node egress serializer for a message class:
-// the protocol processor's bulk lane for unsolicited updates, the main
-// NIC path for everything else.
-func (n *Network) egressLane(class Class) []sim.Time {
-	if class == ClassUpdate {
-		return n.bulkEgressFree
-	}
-	return n.egressFree
 }
 
 // route accounts a departing message that queued wait at the egress and
@@ -303,13 +277,9 @@ func (n *Network) arrival(depart, wait sim.Time, from, to NodeID, class Class, b
 	n.stats.Msgs[class]++
 	n.stats.Bytes[class] += int64(bytes)
 	arrive := depart + n.params.WireLatency
-	lane := n.ingressFree
-	if class == ClassUpdate {
-		lane = n.bulkIngressFree
-	}
-	ingress := maxTime(arrive, lane[to]) // the ingress frees for this message
+	ingress := maxTime(arrive, n.ingressFree[to]) // the ingress frees for this message
 	handlerAt := ingress + n.params.RecvOverhead
-	lane[to] = handlerAt
+	n.ingressFree[to] = handlerAt
 	handlerAt += extra
 	if n.tracer != nil {
 		n.msgID++

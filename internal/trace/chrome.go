@@ -132,9 +132,6 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 				arg("to", int64(e.Peer)).arg("id", e.Aux).arg("attempt", e.Arg).end()
 		case KindDupSuppress:
 			c.name("dup-suppress ").class(e.Sync).instant(e, catTransport).arg("from", int64(e.Peer)).arg("id", e.Aux).end()
-		case KindModeChange:
-			c.nameN("mode p", e.Page).instant(e, catAdapt).
-				arg("mode", e.Arg).arg("owner", int64(e.Peer)).arg("epoch", e.Aux).end()
 		}
 	}
 
@@ -322,7 +319,6 @@ var (
 	catSched     = newCategory("sched")
 	catInject    = newCategory("fault-inject")
 	catTransport = newCategory("transport")
-	catAdapt     = newCategory("adapt")
 )
 
 // instant closes the name and makes the event an instant on e's track.

@@ -14,9 +14,9 @@ import (
 // internal/sim/dispatch_ref_test.go keeps the old dispatch loop). It is
 // the parent's function verbatim but for its event source (eventsRef,
 // the parent's Events) and the marked places, where it takes the same
-// changes the new writer does — the adapt kinds, the ordered tail, the
-// reduction's arrival and the lock acquire read from Aux — so that
-// streams holding them can be compared too.
+// changes the new writer does — the ordered tail, the reduction's
+// arrival and the lock acquire read from Aux — so that streams holding
+// them can be compared too.
 func writeChromeRef(w io.Writer, r *Recorder) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "{\"traceEvents\":[\n")
@@ -177,11 +177,6 @@ func writeChromeRef(w io.Writer, r *Recorder) error {
 		case KindDupSuppress:
 			instant(e, "dup-suppress "+classNameRef(e.Sync), "transport",
 				fmt.Sprintf(`"from":%d,"id":%d`, e.Peer, e.Aux))
-
-		// Added with the rewrite (the parent had no case for it).
-		case KindModeChange:
-			instant(e, fmt.Sprintf("mode p%d", e.Page), "adapt",
-				fmt.Sprintf(`"mode":%d,"owner":%d,"epoch":%d`, e.Arg, e.Peer, e.Aux))
 		}
 	}
 

@@ -197,18 +197,6 @@ func TestChromeOpenTailDeterministic(t *testing.T) {
 	}
 }
 
-// TestChromeAdaptEvents: the -adapt kind had no case in the parent's
-// writer, so an -adapt -trace run exported none of its mode changes.
-func TestChromeAdaptEvents(t *testing.T) {
-	r := NewRecorder(2, 1, 0)
-	r.Emit(Event{T: 1500, Kind: KindModeChange, Node: 1, Thread: -1, Page: 12, Arg: 1, Peer: 0, Aux: 3})
-	out := string(chromeBytes(t, WriteChrome, r))
-	want := `{"name":"mode p12","cat":"adapt","ph":"i","s":"t","ts":1.500,"pid":1,"tid":0,"args":{"mode":1,"owner":0,"epoch":3}}`
-	if !strings.Contains(out, want+",\n") && !strings.Contains(out, want+"\n]") {
-		t.Errorf("export lacks the line\n%s\nin\n%s", want, out)
-	}
-}
-
 // TestTraceAllocCaps holds the observation path's allocation diet in
 // exact counts: the writer allocates per export (its buffer, the sorted view,
 // the open-interval maps), not per event, and a recorder past its first

@@ -124,10 +124,6 @@ const (
 	// duplicated message from Peer when it arrived at T; its handler
 	// never runs. Sync is the class.
 	KindDupSuppress
-	// KindModeChange: Node applied an adaptive coherence mode for Page.
-	// Arg is the new mode (core.PageMode), Peer the producer (or -1), Aux
-	// the adaptation epoch that stamped the change.
-	KindModeChange
 
 	numKinds
 )
@@ -171,7 +167,6 @@ var kindNames = [numKinds]string{
 	KindMsgDup:         "msg.dup",
 	KindRetransmit:     "msg.retransmit",
 	KindDupSuppress:    "msg.dupsuppress",
-	KindModeChange:     "adapt.mode",
 }
 
 // String returns the dotted event-kind name used in exports and reports.

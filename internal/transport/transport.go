@@ -42,9 +42,6 @@ const (
 	ClassBarrier Class = iota
 	ClassLock
 	ClassDiff
-	// ClassUpdate carries eager diff pushes for pages running in the
-	// adaptive update mode (producer→subscriber, no request leg).
-	ClassUpdate
 	NumClasses // count sentinel; keep last
 )
 
@@ -57,8 +54,6 @@ func (c Class) String() string {
 		return "Lock"
 	case ClassDiff:
 		return "Diff"
-	case ClassUpdate:
-		return "Update"
 	default:
 		return fmt.Sprintf("Class(%d)", uint8(c))
 	}
