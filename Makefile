@@ -152,10 +152,11 @@ diffcodec:
 ## negative-time streams, every export against the fmt-based writer, and
 ## the checker against the map-based one it replaced on the seven
 ## applications, scaleout and streams that break each
-## invariant; then the export's allocation caps. All under the race
-## detector.
+## invariant; then the export's allocation caps, the packed rings' round
+## trip at every field's extremes and their bytes an event on recorded
+## runs. All under the race detector.
 observe:
-	$(GO) test ./internal/trace -run 'MatchesReference|Order|OpenTail|AllocCaps' -count=1 -race
+	$(GO) test ./internal/trace -run 'MatchesReference|Order|OpenTail|AllocCaps|Packed' -count=1 -race
 	$(GO) test ./internal/check -run 'MatchesReference|FinishReport' -count=1 -race
 
 ## fuzz-sortdiffs: let the fuzzer write protocol histories for 30 s and

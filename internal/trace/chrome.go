@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"os"
@@ -43,20 +44,21 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 
 	type pageKey struct{ node, page int32 }
 	type syncKey struct{ node, sync int32 }
-	faultStart := make(map[pageKey]*Event)
-	lockReq := make(map[syncKey]*Event)
-	barrierArrive := make(map[syncKey][]*Event)
+	// The open spans' starts, copied: ordered reuses what it yields.
+	faultStart := make(map[pageKey]Event)
+	lockReq := make(map[syncKey]Event)
+	barrierArrive := make(map[syncKey][]Event)
 
 	for e := range r.ordered() {
 		switch e.Kind {
 		case KindFaultStart:
-			faultStart[pageKey{e.Node, e.Page}] = e
+			faultStart[pageKey{e.Node, e.Page}] = *e
 		case KindFaultResolve:
 			k := pageKey{e.Node, e.Page}
 			if s, ok := faultStart[k]; ok {
 				delete(faultStart, k)
 				// On the faulting thread, even if resolve ran in handler context.
-				c.nameN("fault p", e.Page).span(catFault, s, e, c.tid(s))
+				c.nameN("fault p", e.Page).span(catFault, &s, e, c.tid(&s))
 			} else {
 				c.nameN("fault p", e.Page).str(" resolve").instant(e, catFault).arg("diffs", e.Arg).end()
 			}
@@ -68,7 +70,7 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 			c.nameN("diff p", e.Page).str(" apply").instant(e, catDiff).
 				arg("from", int64(e.Peer)).arg("interval", e.Arg).arg("bytes", e.Aux).end()
 		case KindLockRequest:
-			lockReq[syncKey{e.Node, e.Sync}] = e
+			lockReq[syncKey{e.Node, e.Sync}] = *e
 		case KindLockForward:
 			c.nameN("lock ", e.Sync).str(" forward").instant(e, catLock).arg("requester", e.Arg).arg("to", int64(e.Peer)).end()
 		case KindLockGrant:
@@ -78,7 +80,7 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 			c.nameN("lock ", e.Sync).str(" acquire")
 			if s, ok := lockReq[k]; ok && e.Aux >= 2 {
 				delete(lockReq, k)
-				c.span(catLock, s, e, c.tid(e))
+				c.span(catLock, &s, e, c.tid(e))
 			} else {
 				c.instant(e, catLock).arg("local", 1).end()
 			}
@@ -89,7 +91,7 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 				break // a reduction has no release to end a slice
 			}
 			k := syncKey{e.Node, e.Sync}
-			barrierArrive[k] = append(barrierArrive[k], e)
+			barrierArrive[k] = append(barrierArrive[k], *e)
 		case KindBarrierRelease:
 			k := syncKey{e.Node, e.Sync}
 			pre := "barrier "
@@ -97,7 +99,7 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 				pre = "local barrier "
 			}
 			for _, a := range barrierArrive[k] {
-				c.nameN(pre, e.Sync).str(" wait").span(catBarrier, a, e, c.tid(a))
+				c.nameN(pre, e.Sync).str(" wait").span(catBarrier, &a, e, c.tid(&a))
 			}
 			barrierArrive[k] = barrierArrive[k][:0] // the next episode reuses the slice
 		case KindThreadSwitch:
@@ -139,10 +141,10 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 	// resolution fell outside the ring bound, or the run was cut) render
 	// as instants so the data is not lost, each kind in (T, Seq) order.
 	for _, e := range openEvents(faultStart) {
-		c.nameN("fault p", e.Page).str(" (unresolved)").instant(e, catFault).end()
+		c.nameN("fault p", e.Page).str(" (unresolved)").instant(&e, catFault).end()
 	}
 	for _, e := range openEvents(lockReq) {
-		c.nameN("lock ", e.Sync).str(" request (ungranted)").instant(e, catLock).end()
+		c.nameN("lock ", e.Sync).str(" request (ungranted)").instant(&e, catLock).end()
 	}
 
 	c.str("\n],\"displayTimeUnit\":\"ms\"}\n")
@@ -151,12 +153,12 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 }
 
 // openEvents returns m's values in (T, Seq) order.
-func openEvents[K comparable](m map[K]*Event) []*Event {
-	out := make([]*Event, 0, len(m))
+func openEvents[K comparable](m map[K]Event) []Event {
+	out := make([]Event, 0, len(m))
 	for _, e := range m {
 		out = append(out, e)
 	}
-	slices.SortFunc(out, cmpEvents)
+	slices.SortFunc(out, func(a, b Event) int { return cmp.Or(cmp.Compare(a.T, b.T), cmp.Compare(a.Seq, b.Seq)) })
 	return out
 }
 

@@ -269,9 +269,11 @@ func reasonNameRef(r int64) string {
 	}
 }
 
-// WriteChromeRef and EventsRef let the tests that run programs (package
-// trace_test, which may import cvm) reach the references.
+// WriteChromeRef, EventsRef and RetainedBytes let the tests that run
+// programs (package trace_test, which may import cvm) reach the
+// references and the rings' size.
 var (
 	WriteChromeRef = writeChromeRef
 	EventsRef      = eventsRef
+	RetainedBytes  = retainedBytes
 )

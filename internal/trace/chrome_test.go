@@ -228,13 +228,19 @@ func TestTraceAllocCaps(t *testing.T) {
 		t.Errorf("Recorder.Emit: %.2f allocs per %d events, cap 1.1", got, chunkEvents)
 	}
 
+	// Two chunks' worth a run: AllocsPerRun rounds down, and a full ring
+	// that allocated a block a chunk would read 0 a single event.
 	bounded := NewRecorder(1, 1, 1000)
-	emit := func() { bounded.Emit(Event{}) }
-	for i := 0; i < 1000; i++ {
-		emit()
+	emit := func() {
+		for i := 0; i < 2*chunkEvents; i++ {
+			bounded.Emit(Event{})
+		}
 	}
-	if got := testing.AllocsPerRun(1000, emit); got != 0 {
-		t.Errorf("Recorder.Emit on a full ring: %.2f allocs/event, want 0", got)
+	for i := 0; i < 1000; i++ {
+		bounded.Emit(Event{})
+	}
+	if got := testing.AllocsPerRun(20, emit); got != 0 {
+		t.Errorf("Recorder.Emit on a full ring: %.2f allocs per %d events, want 0", got, 2*chunkEvents)
 	}
 }
 

@@ -3,6 +3,7 @@ package trace_test
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -120,11 +121,12 @@ func TestWriteChromeMatchesReferenceOnRuns(t *testing.T) {
 	}
 }
 
-// TestOrderMatchesReferenceOnRuns holds the repair-and-merge order to
-// the reference sort on recorded runs: waternsq 8x4, eight rings of four
-// threads, and scaleout 64x1, where deliveries recorded at their send
-// displace a ring's events the most.
-func TestOrderMatchesReferenceOnRuns(t *testing.T) {
+// recordedRuns records waternsq 8x4, eight rings of four threads, and
+// scaleout 64x1, where deliveries recorded at their send displace a
+// ring's events the most.
+func recordedRuns(t *testing.T) map[string]*trace.Recorder {
+	t.Helper()
+	runs := make(map[string]*trace.Recorder)
 	for _, c := range []struct {
 		app            string
 		nodes, threads int
@@ -135,8 +137,30 @@ func TestOrderMatchesReferenceOnRuns(t *testing.T) {
 		if _, _, err := apps.RunConfig(c.app, apps.SizeTest, cfg); err != nil {
 			t.Fatal(err)
 		}
+		runs[fmt.Sprintf("%s %dx%d", c.app, c.nodes, c.threads)] = rec
+	}
+	return runs
+}
+
+// TestOrderMatchesReferenceOnRuns holds the repair-and-merge order to
+// the reference sort on the recorded runs.
+func TestOrderMatchesReferenceOnRuns(t *testing.T) {
+	for name, rec := range recordedRuns(t) {
 		if got, want := rec.Events(), trace.EventsRef(rec); !slices.Equal(got, want) {
-			t.Errorf("%s %dx%d: Events() differs from the reference sort over %d events", c.app, c.nodes, c.threads, len(want))
+			t.Errorf("%s: Events() differs from the reference sort over %d events", name, len(want))
+		}
+	}
+}
+
+// TestPackedBytesPerEvent caps what a retained event costs on the
+// recorded runs: the rings' blocks, their unfilled ends included, over
+// the events they hold. A ring that kept the 64-byte Event fails it.
+func TestPackedBytesPerEvent(t *testing.T) {
+	for name, rec := range recordedRuns(t) {
+		per := float64(trace.RetainedBytes(rec)) / float64(rec.Len())
+		t.Logf("%s: %d events in %d bytes, %.1f bytes an event", name, rec.Len(), trace.RetainedBytes(rec), per)
+		if per > 24 {
+			t.Errorf("%s: %.1f retained bytes an event, cap 24", name, per)
 		}
 	}
 }

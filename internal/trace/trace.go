@@ -18,9 +18,11 @@ package trace
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"iter"
 	"math"
+	"math/bits"
 	"slices"
 
 	"cvm/internal/sim"
@@ -181,8 +183,9 @@ func (k Kind) String() string {
 func NumKinds() int { return int(numKinds) }
 
 // Event is one recorded protocol event. The struct is fixed-size and
-// pointer-free so recording never allocates beyond the ring's backing
-// array. Field meaning is kind-specific; see the Kind constants.
+// pointer-free, so passing it by value (Emit, Events, an exporter's open
+// spans) never allocates; the Recorder keeps it packed (see chunk).
+// Field meaning is kind-specific; see the Kind constants.
 type Event struct {
 	T    sim.Time // virtual timestamp
 	Dur  sim.Time // the span an end event closes (see the Kind constants)
@@ -205,55 +208,116 @@ type Tracer interface {
 	Emit(e Event)
 }
 
-// chunkEvents is the length of every chunk of a ring but its last.
-const chunkEvents = 1 << 12
+// A ring keeps its node's events packed in chunks and decodes one only
+// when it is read. An event is its kind, a mask of its non-zero fields
+// among Dur, Aux, Arg, Thread, Page, Sync and Peer, then zigzag uvarints
+// of T and Seq less the chunk's first and of the masked fields; Node is
+// the ring's index. Payloads pack up from the front of the chunk's one
+// block and a 2-byte offset an event down from its end. Recorded runs
+// cost 18 to 21 bytes an event, not Event's 64.
+const (
+	chunkEvents = 1 << 12                         // the most events a chunk holds
+	chunkBytes  = 64 << 10                        // the largest block, which a 2-byte offset spans
+	maxPacked   = 2 + 9*binary.MaxVarintLen64 + 2 // the largest event with its offset
+)
 
-// ring is one node's event buffer: append-only until limit, then a
-// circular overwrite of the oldest events. Storage is a list of chunks,
-// so a growing ring never copies what it already holds. The first chunk
-// grows by append, which keeps a quiet node of a wide cluster small;
-// every later one is allocated whole.
-type ring struct {
-	chunks  [][]Event
-	n       int // retained events
-	next    int // the oldest event once the ring has wrapped
-	dropped uint64
+type chunk struct {
+	b              []byte // payloads from the front, offsets from the back
+	n, first, used int    // events packed, the oldest of them dropped by the bound, payload bytes
+	t0             sim.Time
+	seq0           uint64 // the first event's T and Seq
 }
 
-func (r *ring) add(e Event, limit int) {
-	if limit > 0 && r.n >= limit {
-		*r.at(0) = e
-		if r.next++; r.next == r.n {
-			r.next = 0
+func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+func (c *chunk) put(e *Event) {
+	if c.n == 0 {
+		c.t0, c.seq0 = e.T, e.Seq
+	}
+	b := c.b[c.used:]
+	k := 2 + binary.PutUvarint(b[2:], zigzag(int64(e.T-c.t0)))
+	k += binary.PutUvarint(b[k:], e.Seq-c.seq0)
+	b[0], b[1] = byte(e.Kind), 0
+	for f, v := range [...]int64{int64(e.Dur), e.Aux, e.Arg, int64(e.Thread), int64(e.Page), int64(e.Sync), int64(e.Peer)} {
+		if v != 0 {
+			b[1] |= 1 << f
+			k += binary.PutUvarint(b[k:], zigzag(v))
 		}
-		r.dropped++
+	}
+	c.n++
+	binary.LittleEndian.PutUint16(c.b[len(c.b)-2*c.n:], uint16(c.used))
+	c.used += k
+}
+
+func (c *chunk) payload(i int) []byte {
+	return c.b[binary.LittleEndian.Uint16(c.b[len(c.b)-2*i-2:]):]
+}
+
+// t decodes the i-th event's T alone.
+func (c *chunk) t(i int) sim.Time {
+	u, _ := binary.Uvarint(c.payload(i)[2:])
+	return c.t0 + sim.Time(unzigzag(u))
+}
+
+// event decodes the i-th event, recorded at node.
+func (c *chunk) event(i int, node int32) Event {
+	b := c.payload(i)
+	var v [9]uint64 // T, Seq, then the fields in mask order
+	for m, k := uint(b[1])<<2|3, 2; m != 0; m &= m - 1 {
+		u, n := binary.Uvarint(b[k:])
+		v[bits.TrailingZeros(m)] = u
+		k += n
+	}
+	return Event{
+		T: c.t0 + sim.Time(unzigzag(v[0])), Seq: c.seq0 + v[1], Kind: Kind(b[0]), Node: node,
+		Dur: sim.Time(unzigzag(v[2])), Aux: unzigzag(v[3]), Arg: unzigzag(v[4]),
+		Thread: int32(unzigzag(v[5])), Page: int32(unzigzag(v[6])), Sync: int32(unzigzag(v[7])), Peer: int32(unzigzag(v[8])),
+	}
+}
+
+type ring struct {
+	chunks  []chunk
+	n       int // retained events
+	dropped uint64
+	spare   []byte // a drained block, for the next chunk
+}
+
+// add packs e. A ring's first chunk starts at 1 KB and grows by a
+// quarter when full, which keeps a quiet node of a wide cluster small;
+// later ones are allocated whole, so a ring copies nothing else. At its
+// bound a ring drops its oldest event, and once all of a chunk's events
+// are dropped its block becomes the next chunk's: a full ring does not
+// allocate.
+func (r *ring) add(e *Event, limit int) {
+	k := len(r.chunks) - 1
+	if k < 0 {
+		r.chunks, k = append(r.chunks, chunk{b: make([]byte, 1<<10)}), 0
+	} else if c := &r.chunks[k]; c.n == chunkEvents || len(c.b)-c.used-2*c.n < maxPacked {
+		if c.n == chunkEvents || len(c.b) == chunkBytes {
+			if r.spare == nil {
+				r.spare = make([]byte, chunkBytes)
+			}
+			r.chunks, k = append(r.chunks, chunk{b: r.spare}), k+1
+			r.spare = nil
+		} else {
+			old := len(c.b)
+			c.b = slices.Grow(c.b, min(chunkBytes, old*5/4)-old)
+			c.b = c.b[:min(cap(c.b), chunkBytes)]
+			copy(c.b[len(c.b)-2*c.n:], c.b[old-2*c.n:old]) // the offsets to the new end
+		}
+	}
+	r.chunks[k].put(e)
+	if limit <= 0 || r.n < limit {
+		r.n++
 		return
 	}
-	c := r.n / chunkEvents
-	if c == len(r.chunks) {
-		r.chunks = append(r.chunks, nil)
-		if c > 0 {
-			r.chunks[c] = make([]Event, 0, chunkEvents)
-		}
+	r.dropped++
+	c := &r.chunks[0]
+	if c.first++; c.first == c.n { // not the last chunk: that one holds e
+		r.spare = c.b
+		r.chunks = append(r.chunks[:0], r.chunks[1:]...)
 	}
-	r.chunks[c] = append(r.chunks[c], e)
-	r.n++
-}
-
-// at returns the i-th retained event in emission order, 0 the oldest.
-func (r *ring) at(i int) *Event {
-	if i += r.next; i >= r.n {
-		i -= r.n
-	}
-	return &r.chunks[i/chunkEvents][i%chunkEvents]
-}
-
-// cmpEvents orders events by (T, Seq), the total order of every export.
-func cmpEvents(a, b *Event) int {
-	if c := cmp.Compare(a.T, b.T); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Seq, b.Seq)
 }
 
 // Recorder is the standard Tracer: per-node ring buffers with an
@@ -291,7 +355,7 @@ func (r *Recorder) ThreadsPerNode() int { return r.threadsPerNode }
 func (r *Recorder) Emit(e Event) {
 	r.seq++
 	e.Seq = r.seq
-	r.rings[e.Node].add(e, r.limit)
+	r.rings[e.Node].add(&e, r.limit)
 }
 
 // Len reports the number of retained events across all nodes.
@@ -314,10 +378,13 @@ func (r *Recorder) Dropped() uint64 {
 
 // NodeEvents returns node n's retained events in emission order.
 func (r *Recorder) NodeEvents(n int) []Event {
-	ring := &r.rings[n]
-	out := make([]Event, ring.n)
-	for i := range out {
-		out[i] = *ring.at(i)
+	g := &r.rings[n]
+	out := make([]Event, 0, g.n)
+	for ci := range g.chunks {
+		c := &g.chunks[ci]
+		for i := c.first; i < c.n; i++ {
+			out = append(out, c.event(i, int32(n)))
+		}
 	}
 	return out
 }
@@ -333,35 +400,36 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// ordered yields the retained events in (T, Seq) order as pointers into
-// the rings, valid until the next Emit. A ring holds its node's events in
-// Seq order and a node's clock seldom runs back far (a delivery is
-// recorded at its send with a later T), so each ring is put in T order
-// by insertion repair, then a loser tree merges the rings' heads by
-// (T, Seq). The scratch is one int32 an event and one cursor a ring.
+// ordered yields the retained events in (T, Seq) order, each valid until
+// the next iteration. A ring holds its node's events in Seq order and a
+// node's clock seldom runs back far (a delivery is recorded at its send
+// with a later T), so each ring is put in T order by insertion repair,
+// then a loser tree merges the rings' heads, decoded, by (T, Seq).
 func (r *Recorder) ordered() iter.Seq[*Event] {
 	return func(yield func(*Event) bool) {
 		perm := make([]int32, r.Len())
+		var keys []key
 		var m merger
 		for i := range r.rings {
 			if g := &r.rings[i]; g.n > 0 {
 				p := perm[:g.n:g.n]
 				perm = perm[g.n:]
-				g.sortByT(p)
-				m.heads = append(m.heads, cursor{g.at(int(p[0])), g, p})
+				keys = g.sortByT(p, keys[:0])
+				m.heads = append(m.heads, cursor{ring: g, node: int32(i), perm: p})
+				m.heads[len(m.heads)-1].next()
 			}
 		}
 		k := len(m.heads)
 		m.tree = make([]int32, k)
-		for w := m.build(1); k > 0 && m.heads[w].e != &spent; {
+		for w := m.build(1); k > 0 && len(m.heads[w].perm) > 0; {
 			c := &m.heads[w]
-			if !yield(c.e) {
+			if !yield(&c.e) {
 				return
 			}
 			if c.perm = c.perm[1:]; len(c.perm) > 0 {
-				c.e = c.ring.at(int(c.perm[0]))
+				c.next()
 			} else {
-				c.e = &spent
+				c.e = spent
 			}
 			for n := (int(w) + k) / 2; n > 0; n /= 2 {
 				if l := m.tree[n]; m.less(l, w) {
@@ -375,12 +443,20 @@ func (r *Recorder) ordered() iter.Seq[*Event] {
 // spent is the head of a cursor past its ring's end: later than any event.
 var spent = Event{T: math.MaxInt64, Seq: math.MaxUint64}
 
-// cursor is one ring's place in the merge: its head and the positions
-// after it, in T order.
+// cursor is one ring's place in the merge: its head, decoded, and the
+// handles of the head and the events after it, in T order.
 type cursor struct {
-	e    *Event
+	e    Event
 	ring *ring
+	node int32
 	perm []int32
+}
+
+// next decodes the head. A handle is the event's chunk in the ring, then
+// the event in the chunk: handles order as emission does.
+func (c *cursor) next() {
+	h := c.perm[0]
+	c.e = c.ring.chunks[h/chunkEvents].event(int(h%chunkEvents), c.node)
 }
 
 // merger is a loser tree over the cursors, laid out like a heap: the
@@ -393,7 +469,7 @@ type merger struct {
 }
 
 func (m *merger) less(a, b int32) bool {
-	x, y := m.heads[a].e, m.heads[b].e
+	x, y := &m.heads[a].e, &m.heads[b].e
 	return x.T < y.T || x.T == y.T && x.Seq < y.Seq
 }
 
@@ -410,30 +486,41 @@ func (m *merger) build(n int) int32 {
 	return a
 }
 
-// sortByT fills p with the ring's positions 0..n-1 (emission order)
-// sorted by T, ties in emission order, which is Seq order. Insertion
-// repair is linear in the displacement; once a ring has cost more than
-// repairBudget moves an event, the rest is sorted instead, so a ring with
-// no order to lean on still costs O(n log n).
-func (g *ring) sortByT(p []int32) {
-	budget := repairBudget * len(p)
-	for i := range p {
-		t := g.at(i).T
-		j := i
-		for ; j > 0 && g.at(int(p[j-1])).T > t; j-- {
-			p[j] = p[j-1]
-		}
-		p[j] = int32(i)
-		if budget -= i - j; budget < 0 {
-			for k := i + 1; k < len(p); k++ {
-				p[k] = int32(k)
-			}
-			slices.SortFunc(p, func(a, b int32) int {
-				return cmp.Or(cmp.Compare(g.at(int(a)).T, g.at(int(b)).T), cmp.Compare(a, b))
-			})
-			return
+// sortByT fills p with the ring's handles sorted by T, ties in emission
+// order, which is Seq order, through keys, which it returns for reuse:
+// each T is decoded once. Insertion repair is linear in the displacement;
+// once a ring has cost more than repairBudget moves an event, the rest is
+// sorted instead, so a ring with no order to lean on still costs
+// O(n log n).
+func (g *ring) sortByT(p []int32, keys []key) []key {
+	keys = slices.Grow(keys, g.n)
+	for ci := range g.chunks {
+		c := &g.chunks[ci]
+		for i := c.first; i < c.n; i++ {
+			keys = append(keys, key{c.t(i), int32(ci*chunkEvents + i)})
 		}
 	}
+	budget := repairBudget * len(keys)
+	for i := 1; i < len(keys); i++ {
+		k, j := keys[i], i
+		for ; j > 0 && keys[j-1].t > k.t; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = k
+		if budget -= i - j; budget < 0 {
+			slices.SortFunc(keys, func(a, b key) int { return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.h, b.h)) })
+			break
+		}
+	}
+	for i, k := range keys {
+		p[i] = k.h
+	}
+	return keys
+}
+
+type key struct {
+	t sim.Time
+	h int32 // handle
 }
 
 // repairBudget is the insertion moves an event may cost on average

@@ -73,15 +73,18 @@ func BenchmarkWriteChrome(b *testing.B) {
 	}
 }
 
+// BenchmarkRecorderEmit also reports what a retained event costs.
 func BenchmarkRecorderEmit(b *testing.B) {
 	b.ReportAllocs()
+	var r *Recorder
 	for i := 0; i < b.N; i++ {
-		r := NewRecorder(8, 4, 0)
+		r = NewRecorder(8, 4, 0)
 		for j := 0; j < benchEvents; j++ {
 			r.Emit(Event{T: sim.Time(j), Kind: KindMsgSend, Node: int32(j & 7)})
 		}
 	}
 	perEvent(b, benchEvents)
+	b.ReportMetric(float64(retainedBytes(r))/benchEvents, "B/event")
 }
 
 func BenchmarkRecorderEvents(b *testing.B) {

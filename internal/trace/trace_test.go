@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -105,8 +108,9 @@ func TestEventsMergedOrder(t *testing.T) {
 }
 
 func TestEventStructIsPointerFree(t *testing.T) {
-	// The ring stores events by value; a pointer field would re-introduce
-	// allocation pressure and GC scanning on the hot path.
+	// Events travel by value (Emit, Events, the exporters' open spans);
+	// a pointer field would bring allocation and GC scanning to the hot
+	// path, and the rings could not pack it.
 	var e Event
 	_ = e
 	// Compile-time-ish check: Event must be comparable (no slices/maps).
@@ -114,4 +118,73 @@ func TestEventStructIsPointerFree(t *testing.T) {
 	if !events[e] {
 		t.Fatal("Event must be comparable")
 	}
+}
+
+// TestPackedRoundTrip: the packed rings give back every event exactly as
+// it was emitted, through NodeEvents and Events, unbounded and past a
+// bound: T below zero, stepping back and at the int64 limits, Dur, Aux
+// and Arg at the int64 limits, handler context, Page, Sync and Peer at
+// the int32 limits, and Seq jumping past 2^32 between two events of one
+// ring.
+func TestPackedRoundTrip(t *testing.T) {
+	i64 := []int64{math.MinInt64, -1, 0, 1, math.MaxInt64}
+	i32 := []int32{math.MinInt32, -1, 0, 1, math.MaxInt32}
+	for _, limit := range []int{0, chunkEvents + 5} {
+		r := NewRecorder(2, 1, limit)
+		var emitted [2][]Event
+		for i := 0; i < 3*chunkEvents; i++ {
+			if i == chunkEvents+1 {
+				r.seq += 1<<32 + 7
+			}
+			e := Event{
+				T:      sim.Time(-5000 + 1000*(i%7) - i),
+				Dur:    sim.Time(i64[i%5]),
+				Aux:    i64[i/5%5],
+				Arg:    i64[i/25%5],
+				Kind:   Kind(i % (int(numKinds) + 1)),
+				Node:   int32(i % 2),
+				Thread: i32[i/3%5],
+				Page:   i32[(i+1)%5],
+				Sync:   i32[(i+2)%5],
+				Peer:   i32[(i+3)%5],
+			}
+			switch i % 11 {
+			case 0:
+				e.Thread = -1
+			case 3:
+				e.T = math.MinInt64
+			case 6:
+				e.T = math.MaxInt64
+			}
+			r.Emit(e)
+			e.Seq = r.seq
+			emitted[e.Node] = append(emitted[e.Node], e)
+		}
+		var all []Event
+		for n, want := range emitted {
+			if limit > 0 {
+				want = want[len(want)-limit:]
+			}
+			if got := r.NodeEvents(n); !slices.Equal(got, want) {
+				t.Fatalf("limit %d: node %d's events do not come back as emitted", limit, n)
+			}
+			all = append(all, want...)
+		}
+		slices.SortFunc(all, func(a, b Event) int { return cmp.Or(cmp.Compare(a.T, b.T), cmp.Compare(a.Seq, b.Seq)) })
+		if got := r.Events(); !slices.Equal(got, all) {
+			t.Fatalf("limit %d: Events() does not give back the emitted events in (T, Seq) order", limit)
+		}
+	}
+}
+
+// retainedBytes is the memory r's rings hold: every chunk's block, what
+// is not yet filled included.
+func retainedBytes(r *Recorder) int {
+	n := 0
+	for i := range r.rings {
+		for _, c := range r.rings[i].chunks {
+			n += cap(c.b)
+		}
+	}
+	return n
 }
