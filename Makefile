@@ -136,14 +136,15 @@ sortdiffs:
 ## pointer-free block (no pointer in a Run, its bytes alive through
 ## collections, a hand-built []Run unreadable) under the race detector,
 ## whose checkptr vouches for the block's byte view; then the codec's
-## allocation caps (EncodeDiff the payload alone, ApplyRuns nothing) and
-## a diff's byte cap (not built under -race), the real runtime's (a
+## allocation caps (EncodeDiff the payload alone, ApplyRuns nothing), a
+## diff's byte cap (4-byte run headers) and a node's page buffers, one
+## allocation each (not built under -race), the real runtime's (a
 ## flushed diff 4 objects, not built under -race), its bad-frame table,
 ## and the traffic invariants of the seven applications on loopback —
 ## the wire bytes did not move.
 diffcodec:
 	$(GO) test ./internal/core -run 'RunScan|RunLayout|MakeDiffMatches|EncodeMatches|ApplyMatches|DecodeMatches|WirePattern' -count=1 -race
-	$(GO) test ./internal/core -run 'CodecAllocCaps|RunLayoutBytesCap' -count=1
+	$(GO) test ./internal/core -run 'CodecAllocCaps|RunLayoutBytesCap|PageBuffersOneAllocationEach' -count=1
 	$(GO) test ./internal/rt -run 'FaultAndFlushAllocCaps|BadFrames|TrafficInvariants' -count=1
 
 ## observe: the observation path is pinned — the trace order (per-ring

@@ -56,6 +56,7 @@ func TestFlagValidation(t *testing.T) {
 		{"unknown app", []string{"-listen", ":0", "-app", "nosuch"}, "nosuch"},
 		{"bad size", []string{"-listen", ":0", "-size", "huge"}, "huge"},
 		{"bad page", []string{"-listen", ":0", "-page", "100"}, "page size 100"},
+		{"page too large", []string{"-listen", ":0", "-page", "65536"}, "page size 65536: page larger than 32768 bytes"},
 		{"unsupported threads", []string{"-listen", ":0", "-app", "ocean", "-threads", "3"}, "does not support 3 threads"},
 		{"positional args", []string{"-listen", ":0", "extra"}, "unexpected arguments"},
 	} {

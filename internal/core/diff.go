@@ -30,14 +30,14 @@ type Diff struct {
 	vtSum int64
 }
 
-// Run is a contiguous modified byte range within a page: its offset and
-// length. The bytes sit behind the diff's last run, in the same
-// pointer-free block (newRuns), run after run; runBytes finds them from
-// the slice's capacity. So a []Run is whole only as MakeDiff or
-// DecodeRuns returned it: one built by hand has no bytes, and reading
-// them panics.
+// Run is a contiguous modified byte range within a page (MaxPageSize at
+// most): its offset and length. The bytes sit behind the diff's last
+// run, in the same pointer-free block (newRuns), run after run; runBytes
+// finds them from the slice's capacity. So a []Run is whole only as
+// MakeDiff or DecodeRuns returned it: one built by hand has no bytes,
+// and reading them panics.
 type Run struct {
-	Off, Len int32
+	Off, Len uint16
 }
 
 const runSize = int(unsafe.Sizeof(Run{}))
@@ -69,7 +69,7 @@ func runBytes(runs []Run) []byte {
 // bitmask cuts them. Run boundaries are bit-identical to a
 // byte-at-a-time scan (see TestMakeDiffMatchesReference).
 //
-// A diff is one pointer-free allocation however many runs it has: 8
+// A diff is one pointer-free allocation however many runs it has: 4
 // bytes a run header, then the runs' bytes (newRuns).
 func MakeDiff(page PageID, twin, cur []byte) []Run {
 	var mask [maskWords]uint64
@@ -82,7 +82,7 @@ func MakeDiff(page PageID, twin, cur []byte) []Run {
 	for k := range runs {
 		start, end := s.next()
 		data = data[copy(data, cur[start:end]):]
-		runs[k] = Run{Off: int32(start), Len: int32(end - start)}
+		runs[k] = Run{Off: uint16(start), Len: uint16(end - start)}
 	}
 	return runs
 }
@@ -231,17 +231,18 @@ func diffBytes(x uint64) uint64 {
 func (d *Diff) Apply(dst, twin []byte) {
 	data := runBytes(d.Runs)
 	for _, r := range d.Runs {
-		b := data[:r.Len]
-		data = data[r.Len:]
-		copy(dst[r.Off:], b)
+		off, n := int(r.Off), int(r.Len)
+		b := data[:n]
+		data = data[n:]
+		copy(dst[off:], b)
 		if twin != nil {
-			copy(twin[r.Off:], b)
+			copy(twin[off:], b)
 		}
 	}
 }
 
-// Bytes reports the payload size of the diff on the simulated wire:
-// 8 bytes of header per run plus the run data, plus the vector time.
+// Bytes reports the payload size of the diff on the simulated wire: 8
+// bytes a run header (not runSize), the run data, and the vector time.
 // It is computed once and cached (see size).
 func (d *Diff) Bytes() int {
 	if d.size == 0 {
@@ -263,9 +264,9 @@ func (d *Diff) Overlaps(other *Diff) bool {
 	da, db := d.Runs, other.Runs
 	i, j := 0, 0
 	for i < len(da) && j < len(db) {
-		a, b := &da[i], &db[j]
-		aEnd, bEnd := a.Off+a.Len, b.Off+b.Len
-		if a.Off < bEnd && b.Off < aEnd {
+		aOff, bOff := int(da[i].Off), int(db[j].Off)
+		aEnd, bEnd := aOff+int(da[i].Len), bOff+int(db[j].Len)
+		if aOff < bEnd && bOff < aEnd {
 			return true
 		}
 		// Disjoint: drop whichever run ends first; it cannot overlap any

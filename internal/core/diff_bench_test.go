@@ -62,7 +62,7 @@ func BenchmarkDiffOverlaps(b *testing.B) {
 	// Two interleaved disjoint diffs with many runs: the case the merge
 	// walk turns from O(runs²) into O(runs).
 	var a, c Diff
-	for off := int32(0); off < benchPageSize; off += 32 {
+	for off := uint16(0); off < benchPageSize; off += 32 {
 		a.Runs = append(a.Runs, Run{Off: off, Len: 8})
 		c.Runs = append(c.Runs, Run{Off: off + 16, Len: 8})
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -97,7 +98,7 @@ func packRuns(spans []runSpan) []Run {
 	}
 	runs, data := newRuns(len(spans), total)
 	for k, s := range spans {
-		runs[k] = Run{Off: s.Off, Len: int32(len(s.Data))}
+		runs[k] = Run{Off: uint16(s.Off), Len: uint16(len(s.Data))}
 		data = data[copy(data, s.Data):]
 	}
 	return runs
@@ -108,7 +109,7 @@ func spansOf(runs []Run) []runSpan {
 	data := runBytes(runs)
 	spans := make([]runSpan, len(runs))
 	for k, r := range runs {
-		spans[k] = runSpan{Off: r.Off, Data: data[:r.Len:r.Len]}
+		spans[k] = runSpan{Off: int32(r.Off), Data: data[:r.Len:r.Len]}
 		data = data[r.Len:]
 	}
 	return spans
@@ -267,19 +268,19 @@ func TestDiffOverlapsAdjacent(t *testing.T) {
 // interleaved multi-run diffs, including a late overlap after several
 // disjoint leading runs on both sides.
 func TestDiffOverlapsMergeWalk(t *testing.T) {
-	mk := func(spans ...[2]int32) *Diff {
+	mk := func(spans ...[2]uint16) *Diff {
 		d := &Diff{}
 		for _, s := range spans {
 			d.Runs = append(d.Runs, Run{Off: s[0], Len: s[1] - s[0]})
 		}
 		return d
 	}
-	a := mk([2]int32{0, 4}, [2]int32{10, 14}, [2]int32{20, 24}, [2]int32{40, 48})
-	b := mk([2]int32{4, 8}, [2]int32{14, 18}, [2]int32{24, 28})
+	a := mk([2]uint16{0, 4}, [2]uint16{10, 14}, [2]uint16{20, 24}, [2]uint16{40, 48})
+	b := mk([2]uint16{4, 8}, [2]uint16{14, 18}, [2]uint16{24, 28})
 	if a.Overlaps(b) || b.Overlaps(a) {
 		t.Error("interleaved disjoint diffs reported overlapping")
 	}
-	c := mk([2]int32{4, 8}, [2]int32{14, 18}, [2]int32{47, 50}) // last run hits a's last
+	c := mk([2]uint16{4, 8}, [2]uint16{14, 18}, [2]uint16{47, 50}) // last run hits a's last
 	if !a.Overlaps(c) || !c.Overlaps(a) {
 		t.Error("late overlap missed by merge walk")
 	}
@@ -295,8 +296,8 @@ func TestDiffOverlapsMatchesQuadratic(t *testing.T) {
 	quadratic := func(d, other *Diff) bool {
 		for _, a := range d.Runs {
 			for _, b := range other.Runs {
-				aEnd, bEnd := a.Off+a.Len, b.Off+b.Len
-				if a.Off < bEnd && b.Off < aEnd {
+				aEnd, bEnd := int(a.Off)+int(a.Len), int(b.Off)+int(b.Len)
+				if int(a.Off) < bEnd && int(b.Off) < aEnd {
 					return true
 				}
 			}
@@ -306,10 +307,10 @@ func TestDiffOverlapsMatchesQuadratic(t *testing.T) {
 	f := func(aSeed, bSeed []byte) bool {
 		mk := func(seed []byte) *Diff {
 			d := &Diff{}
-			off := int32(0)
+			off := uint16(0)
 			for _, b := range seed {
-				off += int32(b%37) + 1
-				n := int32(b%11) + 1
+				off += uint16(b%37) + 1
+				n := uint16(b%11) + 1
 				d.Runs = append(d.Runs, Run{Off: off, Len: n})
 				off += n
 			}
@@ -427,8 +428,8 @@ func TestRunScanMatchesByteLoop(t *testing.T) {
 	}
 }
 
-// TestRunLayoutNoPointer: a Run holds no pointer, so a diff's block is
-// one the collector never scans.
+// TestRunLayoutNoPointer: a Run is 4 bytes and holds no pointer, so a
+// diff's block is one the collector never scans.
 func TestRunLayoutNoPointer(t *testing.T) {
 	var pointerFree func(reflect.Type) bool
 	pointerFree = func(typ reflect.Type) bool {
@@ -449,8 +450,8 @@ func TestRunLayoutNoPointer(t *testing.T) {
 		}
 		return false
 	}
-	if typ := reflect.TypeOf(Run{}); !pointerFree(typ) || typ.Size() != 8 {
-		t.Fatalf("Run is %d bytes, pointer-free %v; want 8 bytes and no pointer", typ.Size(), pointerFree(typ))
+	if typ := reflect.TypeOf(Run{}); !pointerFree(typ) || typ.Size() != 4 || runSize != 4 {
+		t.Fatalf("Run is %d bytes (runSize %d), pointer-free %v; want 4 bytes and no pointer", typ.Size(), runSize, pointerFree(typ))
 	}
 }
 
@@ -538,7 +539,7 @@ func TestRunLayoutSurvivesGC(t *testing.T) {
 		for i := 0; i < diffs; i++ {
 			layoutSink = make([]Run, 1+i%64)
 			for k := range layoutSink {
-				layoutSink[k] = Run{Off: -1, Len: -1}
+				layoutSink[k] = Run{Off: math.MaxUint16, Len: math.MaxUint16}
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // Compressed diff encoding. Diffs dominate the DSM's coherence traffic
@@ -48,13 +49,14 @@ const minRepeat = 4
 func EncodeRuns(dst []byte, runs []Run) []byte {
 	var buf [512]byte
 	dst = binary.AppendUvarint(dst, uint64(len(runs)))
-	prevEnd := int32(0)
+	prevEnd := 0
 	data := runBytes(runs)
 	for _, r := range runs {
-		dst = binary.AppendUvarint(dst, uint64(r.Off-prevEnd))
-		prevEnd = r.Off + r.Len
-		b := data[:r.Len]
-		data = data[r.Len:]
+		off, n := int(r.Off), int(r.Len)
+		dst = binary.AppendUvarint(dst, uint64(off-prevEnd))
+		prevEnd = off + n
+		b := data[:n]
+		data = data[n:]
 		dst = appendRun(dst, b, xor8Filter(buf[:], b))
 	}
 	return dst
@@ -117,14 +119,15 @@ func appendRun(dst, data, filt []byte) []byte {
 func EncodedRunsSize(runs []Run) int {
 	var buf [512]byte
 	n := uvarintSize(uint64(len(runs)))
-	prevEnd := int32(0)
+	prevEnd := 0
 	data := runBytes(runs)
 	for _, r := range runs {
-		n += uvarintSize(uint64(r.Off - prevEnd))
-		prevEnd = r.Off + r.Len
-		n += uvarintSize(uint64(r.Len) << 1)
-		b := data[:r.Len]
-		data = data[r.Len:]
+		off, length := int(r.Off), int(r.Len)
+		n += uvarintSize(uint64(off - prevEnd))
+		prevEnd = off + length
+		n += uvarintSize(uint64(length) << 1)
+		b := data[:length]
+		data = data[length:]
 		_, size := rle(nil, b, false)
 		if filt := xor8Filter(buf[:], b); filt != nil {
 			_, fsize := rle(nil, filt, false)
@@ -140,14 +143,15 @@ func EncodedRunsSize(runs []Run) int {
 // pass that allocates nothing and sizes the result, then a pass that
 // cannot fail and writes the headers and their bytes into one
 // pointer-free block — one allocation however many runs there are, the
-// shape MakeDiff returns.
+// shape MakeDiff returns. A run that ends past 65,535 bytes, more than a
+// Run holds, fails.
 func DecodeRuns(src []byte) (runs []Run, rest []byte, err error) {
-	count, total, _, err := walkRuns(src, -1, nil, nil)
+	count, total, _, err := walkRuns(src, math.MaxUint16, nil, nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	runs, data := newRuns(count, total)
-	_, _, rest, _ = walkRuns(src, -1, data, runs)
+	_, _, rest, _ = walkRuns(src, math.MaxUint16, data, runs)
 	return runs, rest, nil
 }
 
@@ -170,7 +174,7 @@ func ApplyRuns(page, src []byte) error {
 }
 
 // walkRuns parses an EncodeRuns payload. With dst nil it validates the
-// payload — each run inside [0, limit) unless limit is negative — and
+// payload — each run inside [0, limit) — and
 // reports the run count and the data bytes of all runs. Otherwise it
 // also writes the runs' bytes into dst: each run after the one before,
 // its header recorded in runs, when runs is not nil (dst is then the
@@ -198,7 +202,7 @@ func walkRuns(src []byte, limit int, dst []byte, runs []Run) (count, total int, 
 			return 0, 0, nil, fmt.Errorf("core: diff run %d length %d too large", k, length)
 		}
 		off += int64(gap)
-		if limit >= 0 && (gap > uint64(limit) || off+int64(length) > int64(limit)) {
+		if gap > uint64(limit) || off+int64(length) > int64(limit) {
 			return 0, 0, nil, fmt.Errorf("core: diff run %d [%d,+%d) outside the %d-byte page", k, off, length, limit)
 		}
 		var data []byte
@@ -220,7 +224,7 @@ func walkRuns(src []byte, limit int, dst []byte, runs []Run) (count, total int, 
 			unxor8(data)
 		}
 		if runs != nil {
-			runs[k] = Run{Off: int32(off), Len: int32(length)}
+			runs[k] = Run{Off: uint16(off), Len: uint16(length)}
 		}
 		off += int64(length)
 		total += length

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 )
 
-// The decoder DecodeRuns replaced, verbatim: one allocation per run, the
+// The decoder DecodeRuns replaced, verbatim but for the bound a Run can
+// hold (no run ends past 65,535 bytes): one allocation per run, the
 // payload grown by append. TestDecodeMatchesReference holds the slab
 // decoder to its runs, its remainder and its error text, and
 // TestApplyMatchesReference holds ApplyRuns to the page it makes.
@@ -38,6 +40,9 @@ func decodeRunsReference(src []byte) (runs []runSpan, rest []byte, err error) {
 			return nil, nil, fmt.Errorf("core: diff run %d length %d too large", k, length)
 		}
 		off += int64(gap)
+		if gap > math.MaxUint16 || off+int64(length) > math.MaxUint16 {
+			return nil, nil, fmt.Errorf("core: diff run %d [%d,+%d) outside the %d-byte page", k, off, length, math.MaxUint16)
+		}
 		data := make([]byte, 0, length)
 		data, s, err = decodeRLEPayloadReference(data, s, length)
 		if err != nil {

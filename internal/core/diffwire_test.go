@@ -118,6 +118,20 @@ func TestDecodeRunsRejectsCorruption(t *testing.T) {
 	if _, _, err := DecodeRuns(huge); err == nil {
 		t.Error("absurd run count decoded without error")
 	}
+	// No page limit is given, but a run must end by 65,535 bytes, the
+	// furthest a Run reaches.
+	for _, gap := range []uint64{math.MaxUint16 - 1, math.MaxUint16, 1 << 40} {
+		src := binary.AppendUvarint([]byte{1}, gap)
+		src = append(src, 2, 2, 9) // a one-byte run: its header, a literal token, the byte
+		runs, _, err := DecodeRuns(src)
+		if end := gap + 1; end <= math.MaxUint16 {
+			if err != nil || int(runs[0].Off)+int(runs[0].Len) != math.MaxUint16 {
+				t.Errorf("run ending at %d: %v, want it decoded", end, err)
+			}
+		} else if err == nil {
+			t.Errorf("run ending at %d decoded without error", end)
+		}
+	}
 }
 
 func TestVClockRoundTrip(t *testing.T) {

@@ -26,7 +26,7 @@ type node struct {
 	shards         []*pageShard          // sparse page directory root, sized at Start
 	totalPages     int                   // address-space size in pages
 	shardCount     int                   // shards materialized so far
-	pool           bufPool               // page/twin buffer slabs (see pagetable.go)
+	pool           bufPool               // page and twin buffers, one allocation each (pagetable.go)
 	dirty          []PageID              // pages written in the open interval
 	intervals      [][]*IntervalInfo     // known intervals, per node, idx-ascending
 	locks          map[int]*lockState    // lazily created

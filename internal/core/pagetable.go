@@ -1,10 +1,10 @@
 package core
 
-// This file implements the node's sparse page directory and the slab
-// buffer pool behind page copies and twins. Together they make per-node
-// memory proportional to the node's working set instead of the address
-// space: a 1024-node system over a million shared pages only pays for
-// the shards (and page buffers) each node actually touches.
+// This file implements the node's sparse page directory and the buffer
+// pool behind page copies and twins. Together they make per-node memory
+// proportional to the node's working set instead of the address space:
+// a 1024-node system over a million shared pages only pays for the
+// shards (and page buffers) each node actually touches.
 //
 // Layout: a two-level directory keyed by page id. The root is a slice of
 // shard pointers sized at Start (8 bytes per 64 pages of address space);
@@ -86,8 +86,8 @@ func (n *node) newShard(si int) *pageShard {
 }
 
 // materialize allocates p's local copy on first use; pages read as zeros
-// until then. The buffer comes from the node's slab pool (zeroed when
-// recycled; fresh slab carvings are already zero).
+// until then. The buffer comes from the node's pool (zeroed when
+// recycled; fresh buffers are already zero).
 func (n *node) materialize(p *page) {
 	if p.data != nil {
 		return
@@ -107,11 +107,7 @@ func (n *node) newTwin(p *page) {
 // has been created (MakeDiff copies the modified bytes out, so nothing
 // references the buffer afterward).
 func (n *node) releaseTwin(p *page) {
-	if p.twin == nil {
-		return
-	}
-	n.pool.put(p.twin)
-	p.twin = nil
+	n.pool.put(&p.twin)
 }
 
 // releaseData detaches and recycles p's local copy. Only the
@@ -122,65 +118,49 @@ func (n *node) releaseTwin(p *page) {
 // invalidated pages — their stale contents are the base diffs are
 // applied onto.
 func (n *node) releaseData(p *page) {
-	if p.data == nil {
-		return
-	}
-	n.pool.put(p.data)
-	p.data = nil
+	n.pool.put(&p.data)
 }
 
-// bufPool hands out page-size buffers, carving them from geometrically
-// growing slabs: the first slab holds 4 pages and each subsequent slab
-// doubles, capping at 256 pages (2 MB at 8 KB pages). A node touching k
-// pages therefore pays O(log k) allocations, while a node touching two
-// pages never reserves more than 32 KB. Freed buffers recycle LIFO.
+// bufPool hands out page-size buffers, one allocation each, so a node
+// holds the buffers its pages and twins use and no more. Freed buffers
+// (twins at interval close, single-writer copies at invalidation)
+// recycle LIFO.
 type bufPool struct {
 	pageSize int
 	free     [][]byte // recycled buffers (contents stale)
-	slab     []byte   // remaining tail of the current slab (zeroed)
-	nextSlab int      // pages in the next slab to allocate
+	made     int      // buffers allocated
 }
 
-const (
-	bufPoolFirstSlab = 4
-	bufPoolMaxSlab   = 256
-)
-
 // get returns one page-size buffer. Buffers recycled through put hold
-// stale bytes and are cleared when zero is set; fresh slab carvings are
-// already zero.
+// stale bytes and are cleared when zero is set; fresh ones are already
+// zero.
 func (bp *bufPool) get(zero bool) []byte {
 	if k := len(bp.free); k > 0 {
 		b := bp.free[k-1]
 		bp.free[k-1] = nil
 		bp.free = bp.free[:k-1]
 		if zero {
-			clearBytes(b)
+			clear(b)
 		}
 		return b
 	}
-	if len(bp.slab) == 0 {
-		if bp.nextSlab == 0 {
-			bp.nextSlab = bufPoolFirstSlab
-		}
-		bp.slab = make([]byte, bp.nextSlab*bp.pageSize)
-		if bp.nextSlab < bufPoolMaxSlab {
-			bp.nextSlab *= 2
-		}
-	}
-	b := bp.slab[:bp.pageSize:bp.pageSize]
-	bp.slab = bp.slab[bp.pageSize:]
-	return b
+	bp.made++
+	return make([]byte, bp.pageSize)
 }
 
-// put recycles a buffer for a later get.
-func (bp *bufPool) put(b []byte) {
-	bp.free = append(bp.free, b)
+// put detaches the buffer in *b, if any, and recycles it for a later get.
+func (bp *bufPool) put(b *[]byte) {
+	if *b != nil {
+		bp.free = append(bp.free, *b)
+		*b = nil
+	}
 }
 
-// clearBytes zeroes b (the compiler lowers this loop to memclr).
-func clearBytes(b []byte) {
-	for i := range b {
-		b[i] = 0
+// PageBuffers reports how many page-size buffers the nodes' pools have
+// allocated so far, for page copies and twins together.
+func (s *System) PageBuffers() (n int) {
+	for _, nd := range s.nodes {
+		n += nd.pool.made
 	}
+	return n
 }

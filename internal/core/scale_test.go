@@ -172,8 +172,8 @@ func TestTwinPoolReuse(t *testing.T) {
 	if got := len(n0.pool.free); got != 1 {
 		t.Errorf("free list has %d buffers, want 1 (the recycled twin)", got)
 	}
-	if n0.pool.nextSlab > 2*bufPoolFirstSlab {
-		t.Errorf("slab growth ran to %d pages for a 2-buffer working set", n0.pool.nextSlab)
+	if n0.pool.made != 2 {
+		t.Errorf("pool allocated %d buffers for a 2-buffer working set", n0.pool.made)
 	}
 }
 

@@ -290,7 +290,7 @@ func TestDetectRacesPrefilter(t *testing.T) {
 		ds := h.fault(r)
 		for _, d := range ds {
 			// A handful of byte positions, so that some pairs overlap.
-			d.Runs = []Run{{Off: int32(8 * r.Intn(6)), Len: 8}}
+			d.Runs = []Run{{Off: uint16(8 * r.Intn(6)), Len: 8}}
 		}
 		var want int64
 		for i, a := range ds {

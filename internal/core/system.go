@@ -21,7 +21,7 @@ type Config struct {
 	// write-invalidate baseline.
 	Protocol Protocol
 
-	PageSize int // coherence unit; the paper uses the Alpha's 8 KB pages
+	PageSize int // coherence unit, at most MaxPageSize; the paper uses the Alpha's 8 KB pages
 
 	Net netsim.Params // interconnect costs
 	Mem memsim.Params // cache/TLB geometry and costs
@@ -96,6 +96,13 @@ type Config struct {
 	Faults *FaultPlan
 }
 
+// MaxPageSize is the largest page either backend runs: a diff's Run
+// holds an offset and a length in 16 bits each.
+const MaxPageSize = 32 << 10
+
+// ErrPageTooLarge is the error a page larger than MaxPageSize fails with.
+var ErrPageTooLarge = fmt.Errorf("page larger than %d bytes", MaxPageSize)
+
 // DefaultConfig returns the paper's cluster calibration for the given
 // shape: Alpha-like memory geometry, ATM-like interconnect, 8 µs thread
 // switches.
@@ -125,6 +132,8 @@ func (c *Config) Validate() error {
 		return errors.New("core: ThreadsPerNode must be ≥ 1")
 	case c.PageSize < 64 || c.PageSize&(c.PageSize-1) != 0:
 		return fmt.Errorf("core: PageSize %d must be a power of two ≥ 64", c.PageSize)
+	case c.PageSize > MaxPageSize:
+		return fmt.Errorf("core: PageSize %d: %w", c.PageSize, ErrPageTooLarge)
 	}
 	return c.Mem.Validate()
 }

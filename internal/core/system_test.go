@@ -34,21 +34,24 @@ func TestConfigValidate(t *testing.T) {
 		name   string
 		mutate func(*Config)
 		ok     bool
+		is     error // the error it must wrap, if any
 	}{
-		{"default", func(c *Config) {}, true},
-		{"zero nodes", func(c *Config) { c.Nodes = 0 }, false},
-		{"zero threads", func(c *Config) { c.ThreadsPerNode = 0 }, false},
-		{"odd page size", func(c *Config) { c.PageSize = 1000 }, false},
-		{"tiny page size", func(c *Config) { c.PageSize = 32 }, false},
-		{"six D-TLB sets", func(c *Config) { c.Mem.DTLBSets = 6 }, false},
+		{"default", func(c *Config) {}, true, nil},
+		{"zero nodes", func(c *Config) { c.Nodes = 0 }, false, nil},
+		{"zero threads", func(c *Config) { c.ThreadsPerNode = 0 }, false, nil},
+		{"odd page size", func(c *Config) { c.PageSize = 1000 }, false, nil},
+		{"tiny page size", func(c *Config) { c.PageSize = 32 }, false, nil},
+		{"32 KiB page", func(c *Config) { c.PageSize = 32 << 10 }, true, nil},
+		{"64 KiB page", func(c *Config) { c.PageSize = 64 << 10 }, false, ErrPageTooLarge},
+		{"six D-TLB sets", func(c *Config) { c.Mem.DTLBSets = 6 }, false, nil},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := DefaultConfig(2, 2)
 			tt.mutate(&cfg)
 			err := cfg.Validate()
-			if (err == nil) != tt.ok {
-				t.Errorf("Validate() = %v, want ok=%v", err, tt.ok)
+			if (err == nil) != tt.ok || (tt.is != nil && !errors.Is(err, tt.is)) {
+				t.Errorf("Validate() = %v, want ok=%v (error %v)", err, tt.ok, tt.is)
 			}
 		})
 	}

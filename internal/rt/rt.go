@@ -101,6 +101,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.PageSize < 8 || cfg.PageSize%8 != 0 {
 		return nil, fmt.Errorf("rt: page size %d not a positive multiple of 8", cfg.PageSize)
 	}
+	if cfg.PageSize > core.MaxPageSize {
+		return nil, fmt.Errorf("rt: page size %d: %w", cfg.PageSize, core.ErrPageTooLarge)
+	}
 	c := &Cluster{cfg: cfg}
 	if ps := cfg.PageSize; ps&(ps-1) == 0 {
 		c.pageShift, c.pageMask = uint(bits.TrailingZeros(uint(ps))), core.Addr(ps-1)

@@ -1,6 +1,7 @@
 package rt_test
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"cvm"
 	"cvm/internal/apps"
 	"cvm/internal/check"
+	"cvm/internal/core"
 	"cvm/internal/rt"
 	"cvm/internal/transport"
 )
@@ -23,14 +25,21 @@ func newCluster(t *testing.T, nodes, threads int) *rt.Cluster {
 }
 
 func TestConfigValidation(t *testing.T) {
-	for _, cfg := range []rt.Config{
-		{Nodes: 0, ThreadsPerNode: 1, PageSize: 4096},
-		{Nodes: 1, ThreadsPerNode: 0, PageSize: 4096},
-		{Nodes: 1, ThreadsPerNode: 1, PageSize: 0},
-		{Nodes: 1, ThreadsPerNode: 1, PageSize: 100}, // not a multiple of 8
+	for _, tc := range []struct {
+		cfg rt.Config
+		ok  bool
+		is  error // the error it must wrap, if any
+	}{
+		{rt.Config{Nodes: 0, ThreadsPerNode: 1, PageSize: 4096}, false, nil},
+		{rt.Config{Nodes: 1, ThreadsPerNode: 0, PageSize: 4096}, false, nil},
+		{rt.Config{Nodes: 1, ThreadsPerNode: 1, PageSize: 0}, false, nil},
+		{rt.Config{Nodes: 1, ThreadsPerNode: 1, PageSize: 100}, false, nil}, // not a multiple of 8
+		{rt.Config{Nodes: 1, ThreadsPerNode: 1, PageSize: 32 << 10}, true, nil},
+		{rt.Config{Nodes: 1, ThreadsPerNode: 1, PageSize: 64 << 10}, false, core.ErrPageTooLarge},
 	} {
-		if _, err := rt.NewCluster(cfg); err == nil {
-			t.Errorf("NewCluster(%+v) succeeded, want error", cfg)
+		_, err := rt.NewCluster(tc.cfg)
+		if (err == nil) != tc.ok || (tc.is != nil && !errors.Is(err, tc.is)) {
+			t.Errorf("NewCluster(%+v) = %v, want ok=%v (error %v)", tc.cfg, err, tc.ok, tc.is)
 		}
 	}
 }
