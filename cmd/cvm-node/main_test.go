@@ -61,12 +61,17 @@ func TestFlagValidation(t *testing.T) {
 		{"positional args", []string{"-listen", ":0", "extra"}, "unexpected arguments"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := runErr(tc.args...)
+			// A short -timeout first, so a row whose arguments pass
+			// validation by mistake fails in seconds rather than waiting
+			// out the 2-minute default for members; rows that test
+			// -timeout override it.
+			args := append([]string{"-timeout", "2s"}, tc.args...)
+			err := runErr(args...)
 			if err == nil {
-				t.Fatalf("run(%v) succeeded, want error containing %q", tc.args, tc.want)
+				t.Fatalf("run(%v) succeeded, want error containing %q", args, tc.want)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("run(%v) error %q, want it to contain %q", tc.args, err, tc.want)
+				t.Fatalf("run(%v) error %q, want it to contain %q", args, err, tc.want)
 			}
 		})
 	}

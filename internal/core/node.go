@@ -17,13 +17,14 @@ type node struct {
 	mem  memsim.System
 
 	// Consistency state. The page table is a lazily-materialized sharded
-	// directory (see pagetable.go), so per-node memory tracks the working
-	// set, not the address space. The sync-object maps are created lazily
-	// on first use — a run that never touches a lock pays nothing for the
-	// lock table.
+	// directory (see pagetable.go), so per-node memory tracks the pages
+	// the node touches, not the address space or the notices it hears.
+	// The sync-object maps are created lazily on first use — a run that
+	// never touches a lock pays nothing for the lock table.
 	vt             VClock
 	curIdx         int32                 // index of this node's next interval
-	shards         []*pageShard          // sparse page directory root, sized at Start
+	root           []*pageLeaf           // page directory: a leaf per 16,384 pages, sized at Start
+	leaf0          pageLeaf              // root[0], inline so small runs allocate no leaf
 	totalPages     int                   // address-space size in pages
 	shardCount     int                   // shards materialized so far
 	pool           bufPool               // page and twin buffers, one allocation each (pagetable.go)
@@ -244,10 +245,11 @@ func (n *node) applyNotices(ns notices, senderVT VClock) {
 }
 
 // applyList records the intervals n lacks of node x's list infos, and
-// invalidates the pages they name (lock grant, barrier release and
-// arrival). A list of all x's intervals up to its last with n's as its
-// prefix — every list is one — is shared, capacity cut to length so that
-// neither side's append writes into the other's: lists are not regrown.
+// invalidates the pages they name whose shard exists (lock grant,
+// barrier release and arrival); newShard folds in the rest. A list of
+// all x's intervals up to its last with n's as its prefix — every list
+// is one — is shared, capacity cut to length so that neither side's
+// append writes into the other's: lists are not regrown.
 func (n *node) applyList(x int, infos []*IntervalInfo) {
 	if x == n.id || len(infos) == 0 || infos[len(infos)-1].Idx <= n.vt[x] {
 		return // own, or nothing fresh
@@ -263,7 +265,10 @@ func (n *node) applyList(x int, infos []*IntervalInfo) {
 	for _, info := range fresh {
 		n.vt[x] = info.Idx
 		for _, pg := range info.Pages {
-			p := n.pageAt(pg)
+			p := n.peek(pg)
+			if p == nil {
+				continue // folded in if the shard is made (newShard)
+			}
 			w := p.writer(x)
 			if info.Idx > w.wanted {
 				w.wanted = info.Idx

@@ -43,6 +43,12 @@ type page struct {
 	id    PageID
 	state PageState
 
+	// openDirty reports whether the page is in the open interval's dirty
+	// list (a write notice will be emitted when the interval closes). It
+	// packs beside state, so a page is 120 bytes and a shard of 64 with
+	// its 8-byte allocation header fits the runtime's 8 KB size class.
+	openDirty bool
+
 	// data is the local copy; nil means the page has never been
 	// materialized locally and reads as zeros.
 	data []byte
@@ -50,10 +56,6 @@ type page struct {
 	// twin is a snapshot from the first write access of the current
 	// write-collection episode; diffs are computed against it.
 	twin []byte
-
-	// openDirty reports whether the page is in the open interval's dirty
-	// list (a write notice will be emitted when the interval closes).
-	openDirty bool
 
 	// writers tracks, per remote writer that has ever been named by a
 	// write notice for this page, the highest interval index applied to

@@ -2,19 +2,22 @@ package core
 
 // This file implements the node's sparse page directory and the buffer
 // pool behind page copies and twins. Together they make per-node memory
-// proportional to the node's working set instead of the address space:
-// a 1024-node system over a million shared pages only pays for the
-// shards (and page buffers) each node actually touches.
+// proportional to the pages the node touches instead of the address
+// space: a 1024-node system over a million shared pages pays, per node,
+// for a 512-byte root and the one or two shards its threads touch.
 //
-// Layout: a two-level directory keyed by page id. The root is a slice of
-// shard pointers sized at Start (8 bytes per 64 pages of address space);
-// each shard is a fixed array of pageShardSize page structs materialized
-// on first touch. Shards are arrays, not per-page pointers, so the
-// common clustered working set (apps touch runs of neighboring pages)
-// costs one allocation per 64 pages and the access fast path is two
-// loads and one branch. Page *structs* are metadata only (~100 bytes);
-// the page-size data and twin buffers remain lazy within a shard and
-// come from the node's bufPool.
+// Layout: the root is a slice of leaves sized at Start, one per 16,384
+// pages; a leaf is an array of shard pointers made on the first touch of
+// its range (leaf 0 lives in the node), and a shard a fixed array of
+// pageShardSize page structs made on the first touch of one of its
+// pages. Shards are arrays, not per-page pointers, so the common
+// clustered working set costs one allocation per 64 pages and the access
+// fast path is three loads and two branches. Page *structs* are metadata
+// only (120 bytes); the page-size data and twin buffers remain lazy
+// within a shard and come from the node's bufPool. A write notice for a
+// page whose shard does not exist stays in its interval record
+// (node.intervals) and is folded in when the shard is made, so notices
+// for pages a node never touches cost it nothing beyond the record.
 
 // pageShardBits sets the shard granularity: 64 pages (512 KB of address
 // space at the paper's 8 KB pages) per shard.
@@ -23,30 +26,45 @@ const pageShardBits = 6
 // pageShardSize is the number of pages per shard.
 const pageShardSize = 1 << pageShardBits
 
+// pageLeafBits sets a directory leaf's reach: 256 shards, 16,384 pages.
+const pageLeafBits = 8
+
 // pageShard is one materialized run of pageShardSize consecutive pages.
 type pageShard struct {
 	pages [pageShardSize]page
 }
 
+// pageLeaf is one directory leaf: the shards of 1<<pageLeafBits·64 pages.
+type pageLeaf [1 << pageLeafBits]*pageShard
+
 // initPages sizes the node's page directory for total pages. No shard —
 // and no page buffer — is allocated here; everything materializes on
-// first touch. Only the root pointer table and the node's vector clock
-// are built eagerly, so an idle node over a million-page address space
-// costs ~128 KB, not gigabytes.
+// first touch. Only the root and the node's vector clock are built
+// eagerly, so an idle node over a million-page address space costs
+// under 7 KB at 1024 nodes (leaf 0 and its clock included), not gigabytes.
 func (n *node) initPages(total int) {
 	n.totalPages = total
-	n.shards = make([]*pageShard, (total+pageShardSize-1)>>pageShardBits)
+	n.root = make([]*pageLeaf, max(1, (total-1)>>(pageShardBits+pageLeafBits)+1))
+	n.root[0] = &n.leaf0
 	n.vt = NewVClock(n.sys.cfg.Nodes)
 	n.pool.pageSize = n.sys.cfg.PageSize
 }
 
+// shardOf returns pg's shard, nil if it has not materialized.
+func (n *node) shardOf(pg PageID) *pageShard {
+	if l := n.root[pg>>(pageShardBits+pageLeafBits)]; l != nil {
+		return l[pg>>pageShardBits&(1<<pageLeafBits-1)]
+	}
+	return nil
+}
+
 // pageAt returns the node's view of pg, materializing its shard on first
-// touch. This is the access fast path: one shift, one nil check, one
-// index.
+// touch. This is the access fast path: two shifts, two nil checks, three
+// indexes.
 func (n *node) pageAt(pg PageID) *page {
-	s := n.shards[pg>>pageShardBits]
+	s := n.shardOf(pg)
 	if s == nil {
-		s = n.newShard(int(pg) >> pageShardBits)
+		s = n.newShard(pg)
 	}
 	return &s.pages[pg&(pageShardSize-1)]
 }
@@ -55,32 +73,54 @@ func (n *node) pageAt(pg PageID) *page {
 // otherwise. Tests and audits use it to observe the table without
 // perturbing it.
 func (n *node) peek(pg PageID) *page {
-	s := n.shards[pg>>pageShardBits]
-	if s == nil {
-		return nil
+	if s := n.shardOf(pg); s != nil {
+		return &s.pages[pg&(pageShardSize-1)]
 	}
-	return &s.pages[pg&(pageShardSize-1)]
+	return nil
 }
 
-// newShard materializes the shard with the given index: every page in it
-// gets its id and protocol-defined initial state. Under the
-// lazy-multi-writer protocol every node starts with a valid zero page
-// (write notices invalidate later); under single-writer only the page's
-// manager starts with a copy.
-func (n *node) newShard(si int) *pageShard {
+// newShard materializes the shard holding pg (and its leaf, on the
+// first touch of the leaf's range): every page in it gets its id and
+// protocol-defined initial state. Under the lazy-multi-writer protocol
+// every node starts with a valid zero page, and the write notices the
+// node already holds for the shard's pages are folded in; under
+// single-writer only the page's manager starts with a copy.
+func (n *node) newShard(pg PageID) *pageShard {
+	l := &n.root[pg>>(pageShardBits+pageLeafBits)]
+	if *l == nil {
+		*l = new(pageLeaf)
+	}
 	s := new(pageShard)
 	nodes := n.sys.cfg.Nodes
 	sw := n.sys.cfg.Protocol == ProtocolSW
-	base := si << pageShardBits
+	base := pg &^ (pageShardSize - 1)
 	for i := range s.pages {
 		p := &s.pages[i]
-		p.id = PageID(base + i)
+		p.id = base + PageID(i)
 		p.state = PageReadOnly
-		if sw && (base+i)%nodes != n.id {
+		if sw && int(p.id)%nodes != n.id {
 			p.state = PageInvalid
 		}
 	}
-	n.shards[si] = s
+	// applyList skipped these pages: every record in n.intervals has been
+	// applied, none of them to a page here (applied is 0, no data). So
+	// each writer wants the newest interval naming the page; records
+	// ascend by index, and the last one seen wins.
+	for x, infos := range n.intervals {
+		if x == n.id {
+			continue
+		}
+		for _, info := range infos {
+			for _, q := range info.Pages {
+				if q&^(pageShardSize-1) == base {
+					p := &s.pages[q-base]
+					p.writer(x).wanted = info.Idx
+					p.state = PageInvalid
+				}
+			}
+		}
+	}
+	(*l)[pg>>pageShardBits&(1<<pageLeafBits-1)] = s
 	n.shardCount++
 	return s
 }

@@ -2,7 +2,11 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
+
+	"cvm/internal/sim"
 )
 
 // TestSWProtocolBeyond64Nodes is the regression test for the copyset's
@@ -81,15 +85,26 @@ func TestLRCBeyond64Nodes(t *testing.T) {
 // TestFirstTouchMaterialization: page-table shards materialize on first
 // touch only — a node whose threads work in a narrow address range holds
 // page structs for that range alone, no matter how large the shared
-// segment is.
+// segment is — and the directory root has one entry per 16,384 pages,
+// with a leaf behind it only for ranges the node touched.
 func TestFirstTouchMaterialization(t *testing.T) {
+	// The runtime heads an object over 512 bytes that holds pointers with
+	// 8 bytes; a shard that fits the 8 KB size class only without them
+	// takes the 9,472-byte class.
+	if sz := unsafe.Sizeof(pageShard{}); sz+8 > 8192 {
+		t.Errorf("a shard is %d bytes, over the 8 KB size class with its header", sz)
+	}
 	s := testSystem(t, 2, 1)
-	const pages = 100_000 // ~1563 shards of address space
+	const pages = 100_000 // ~1563 shards, 7 leaves of address space
 	base, _ := s.Alloc("big", pages*s.cfg.PageSize)
+	if base != 0 {
+		t.Fatalf("segment at %d, want 0", base)
+	}
 	runApp(t, s, func(w *Thread) {
 		if w.GlobalID() == 0 {
-			w.WriteI64(base, 1)                         // shard 0
-			w.WriteI64(base+Addr(77*s.cfg.PageSize), 2) // shard 1
+			w.WriteI64(base, 1)                             // shard 0, leaf 0
+			w.WriteI64(base+Addr(77*s.cfg.PageSize), 2)     // shard 1, leaf 0
+			w.WriteI64(base+Addr(40_000*s.cfg.PageSize), 3) // shard 625, leaf 2
 		}
 		w.Barrier(0)
 		if w.GlobalID() == 1 {
@@ -98,17 +113,93 @@ func TestFirstTouchMaterialization(t *testing.T) {
 			}
 		}
 	})
-	for id, n := range s.nodes {
-		if n.shardCount > 3 {
-			t.Errorf("node %d materialized %d shards, want ≤ 3 (working set is 2 shards)", id, n.shardCount)
+	for id, want := range []struct {
+		shards int
+		leaves []int // root entries with a leaf behind them
+	}{{3, []int{0, 2}}, {1, []int{0}}} {
+		n := s.nodes[id]
+		if n.shardCount != want.shards {
+			t.Errorf("node %d materialized %d shards, want %d", id, n.shardCount, want.shards)
 		}
-		if got := len(n.shards); got != (pages+pageShardSize-1)/pageShardSize {
-			t.Errorf("node %d directory root has %d entries", id, got)
+		if got := len(n.root); got != (pages+16_383)/16_384 {
+			t.Errorf("node %d directory root has %d entries, want one per 16,384 pages", id, got)
+		}
+		for i, l := range n.root {
+			if touched := slices.Contains(want.leaves, i); (l != nil) != touched {
+				t.Errorf("node %d leaf %d present = %v, want %v", id, i, l != nil, touched)
+			}
 		}
 	}
 	if p := s.nodes[1].peek(PageID(50_000)); p != nil {
 		t.Error("untouched page has a materialized struct")
 	}
+}
+
+// TestNoticeFoldOnMaterialize: write notices for a shard a node has not
+// touched stay in the interval records and are folded into the shard's
+// pages when the node first touches it. Node 0 writes a far page P over
+// three lock intervals (and Q in the second), node 2 writes P once, and
+// node 1 then takes the lock without touching the shard: its first read
+// of P faults once, fetches exactly the diffs for intervals (0, wanted]
+// of each writer and reads the latest values, while an unwritten page of
+// the same shard stays read-only.
+func TestNoticeFoldOnMaterialize(t *testing.T) {
+	s := testSystem(t, 3, 1)
+	ps := Addr(s.cfg.PageSize)
+	base, _ := s.Alloc("far", 40_000*s.cfg.PageSize)
+	const far = 320 * pageShardSize // first page of a shard in leaf 1
+	P, Q, U := base+far*ps+ps, base+far*ps+2*ps, base+far*ps+3*ps
+	pg := func(a Addr) PageID { return PageID(a / ps) }
+	n1 := s.nodes[1]
+	runApp(t, s, func(w *Thread) {
+		switch w.GlobalID() {
+		case 0:
+			for r := int64(1); r <= 3; r++ {
+				w.Lock(0)
+				w.WriteI64(P, r)
+				if r == 2 {
+					w.WriteI64(Q, 7)
+				}
+				w.Unlock(0)
+			}
+		case 2:
+			w.Compute(sim.Second)
+			w.Lock(0)
+			w.WriteI64(P+8, 42)
+			w.Unlock(0)
+		case 1:
+			w.Compute(2 * sim.Second)
+			w.Lock(0)
+			if n1.peek(pg(P)) != nil || n1.root[1] != nil {
+				t.Error("taking the lock materialized the written shard")
+			}
+			faults, used := n1.stats.RemoteFaults, n1.stats.DiffsUsed
+			if v, v2 := w.ReadI64(P), w.ReadI64(P+8); v != 3 || v2 != 42 {
+				t.Errorf("read P = %d, %d; want 3, 42", v, v2)
+			}
+			if d := n1.stats.RemoteFaults - faults; d != 1 {
+				t.Errorf("reading P took %d remote faults, want 1", d)
+			}
+			if d := n1.stats.DiffsUsed - used; d != 4 {
+				t.Errorf("reading P applied %d diffs, want 4: node 0's (0,3] and node 2's (0,1]", d)
+			}
+			p := n1.peek(pg(P))
+			want := []pageWriter{{node: 0, applied: 3, wanted: 3}, {node: 2, applied: 1, wanted: 1}}
+			if !slices.Equal(p.writers, want) {
+				t.Errorf("P's writers %+v, want %+v", p.writers, want)
+			}
+			if q := n1.peek(pg(Q)); q.state != PageInvalid || !slices.Equal(q.writers, []pageWriter{{node: 0, wanted: 2}}) {
+				t.Errorf("Q folded to %v %+v, want invalid with node 0 wanting 2", q.state, q.writers)
+			}
+			if u := n1.peek(pg(U)); u.state != PageReadOnly || len(u.writers) != 0 {
+				t.Errorf("unwritten U is %v with writers %+v, want read-only and none", u.state, u.writers)
+			}
+			if v := w.ReadI64(U); v != 0 || n1.stats.RemoteFaults-faults != 1 {
+				t.Errorf("reading U gave %d after %d faults, want 0 and no new fault", v, n1.stats.RemoteFaults-faults)
+			}
+			w.Unlock(0)
+		}
+	})
 }
 
 // TestPoolReuseAfterInvalidate: a page buffer released by a single-writer
@@ -214,14 +305,16 @@ func TestMemoryFootprintMillionPages(t *testing.T) {
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	const budget = 768 << 20
+	const budget = 128 << 20
+	t.Logf("HeapAlloc = %d MB after the run", ms.HeapAlloc>>20)
 	if ms.HeapAlloc > budget {
 		t.Errorf("HeapAlloc = %d MB after the run, budget %d MB",
 			ms.HeapAlloc>>20, budget>>20)
 	}
-	// The strip plus its neighbors spans ≤ 17 shards per node.
+	// Notices for the whole strip reach every node, but a node makes
+	// only the shards of its own page and its neighbor's.
 	for id, n := range s.nodes {
-		if n.shardCount > 20 {
+		if n.shardCount > 2 {
 			t.Fatalf("node %d materialized %d shards for a 2-page working set", id, n.shardCount)
 		}
 	}
