@@ -298,6 +298,5 @@ func report(out io.Writer, appName string, nodes, threads int, size string, st c
 	fmt.Fprintln(tw)
 	fmt.Fprintf(tw, "D-cache misses\t%d\n", st.MemTotal.DCacheMisses)
 	fmt.Fprintf(tw, "D-TLB misses\t%d\n", st.MemTotal.DTLBMisses)
-	fmt.Fprintf(tw, "I-TLB misses\t%d\n", st.MemTotal.ITLBMisses)
 	return tw.Flush()
 }

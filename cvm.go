@@ -55,8 +55,8 @@ import (
 //
 // On the simulated engine every method deterministically advances
 // virtual time; on the real engine the modelling-only methods (Compute,
-// Phase, Yield, TouchPrivate) are free, since real hardware charges real
-// costs on its own.
+// Yield, TouchPrivate) are free, since real hardware charges real costs
+// on its own.
 type Worker interface {
 	// GlobalID reports the thread's global index in [0, Threads()).
 	// Threads are numbered contiguously per node, so consecutive IDs are
@@ -80,9 +80,6 @@ type Worker interface {
 	Compute(d Time)
 	// Yield requests an explicit thread switch (a CVM system call).
 	Yield()
-	// Phase declares the application code region, driving the simulated
-	// instruction-locality model (free on real engines).
-	Phase(p int)
 	// TouchPrivate models an access to thread-private memory (free on
 	// real engines).
 	TouchPrivate(idx int)

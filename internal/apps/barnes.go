@@ -137,7 +137,6 @@ func (b *Barnes) Main(w cvm.Worker) {
 
 	for it := 0; it < b.iters; it++ {
 		// Build phase: summarize owned cells (partitioned writes).
-		w.Phase(1)
 		for c := cLo; c < cHi; c++ {
 			cnt := b.starts[c+1] - b.starts[c]
 			var m, mx, my float64
@@ -166,7 +165,6 @@ func (b *Barnes) Main(w cvm.Worker) {
 		// exact bodies of its own cell, then integrates its bodies. The
 		// summary matrix is re-read per body — as one whole-matrix span,
 		// matching the scalar all-to-all read sharing per page.
-		w.Phase(2)
 		for i := bLo; i < bHi; i++ {
 			b.pos.Row(w, i, xy[:])
 			xi, yi := xy[0], xy[1]
@@ -214,7 +212,6 @@ func (b *Barnes) Main(w cvm.Worker) {
 		// Integrate positions of owned bodies: the owned range is one
 		// contiguous block of each matrix, so the whole update is two
 		// read spans and one write span.
-		w.Phase(3)
 		if bHi > bLo {
 			w.ReadRangeF64(b.pos.At(bLo, 0), posBlk)
 			w.ReadRangeF64(b.vel.At(bLo, 0), velBlk)

@@ -102,32 +102,27 @@ func (f *FFT) Main(w cvm.Worker) {
 
 	for it := 0; it < f.iters; it++ {
 		// Row FFTs on A.
-		w.Phase(1)
 		f.fftRows(w, f.a, lo, hi, re, im, row)
 		w.Barrier(bar)
 		bar++
 
 		// Transpose A into B: reads scatter across all nodes' rows.
-		w.Phase(2)
 		transpose(f.b, f.a)
 		w.Barrier(bar)
 		bar++
 
 		// Row FFTs on B (columns of the original matrix).
-		w.Phase(1)
 		f.fftRows(w, f.b, lo, hi, re, im, row)
 		w.Barrier(bar)
 		bar++
 
 		// Transpose back into A.
-		w.Phase(2)
 		transpose(f.a, f.b)
 		w.Barrier(bar)
 		bar++
 	}
 
 	if w.GlobalID() == 0 {
-		w.Phase(3)
 		sum := 0.0
 		for i := 0; i < f.m; i++ {
 			sum += f.a.Get(w, i, 2*(i%f.m)) + f.a.Get(w, i, 2*(i%f.m)+1)

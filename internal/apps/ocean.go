@@ -129,7 +129,6 @@ func (o *Ocean) Main(w cvm.Worker) {
 	for it := 0; it < o.iters; it++ {
 		// Red-black relaxation of u against the source term b.
 		for color := 0; color < 2; color++ {
-			w.Phase(1 + color)
 			forRows(func(i int) {
 				start := jLo
 				if (i+start)%2 != (1+color)%2 {
@@ -150,7 +149,6 @@ func (o *Ocean) Main(w cvm.Worker) {
 		// modification) and published under the global lock. The full-j
 		// sweep is contiguous, so the stencil's source rows are read as
 		// page-granular spans and the residual row is written as one.
-		w.Phase(3)
 		local := 0.0
 		wj := jHi - jLo
 		forRows(func(i int) {
@@ -189,7 +187,6 @@ func (o *Ocean) Main(w cvm.Worker) {
 		// (single colour: order-independent). Each coarse cell reads a
 		// 2×2 fine block; across the j sweep those blocks tile two
 		// contiguous fine rows, read as spans.
-		w.Phase(4)
 		for i := cLo; i < cHi; i++ {
 			fw := 2 * (cn - 2)
 			ra, rb := rowUp[:fw], rowDn[:fw]
@@ -205,7 +202,6 @@ func (o *Ocean) Main(w cvm.Worker) {
 		w.Barrier(bar)
 		bar++
 
-		w.Phase(5)
 		for i := cLo; i < cHi; i++ {
 			for j := 1 + i%2; j < cn-1; j += 2 {
 				v := 0.25 * (o.coarse.Get(w, i-1, j) + o.coarse.Get(w, i+1, j) +
@@ -217,7 +213,6 @@ func (o *Ocean) Main(w cvm.Worker) {
 		bar++
 
 		// Interpolate the correction back into u.
-		w.Phase(6)
 		jTop := jHi
 		if jTop > n-2 {
 			jTop = n - 2
@@ -240,7 +235,6 @@ func (o *Ocean) Main(w cvm.Worker) {
 
 		// Integrate the stream-function grid from u (a second full-grid
 		// sweep, reading across the partition boundary), span per row.
-		w.Phase(7)
 		forRows(func(i int) {
 			if wj <= 0 {
 				return
@@ -259,7 +253,6 @@ func (o *Ocean) Main(w cvm.Worker) {
 	}
 
 	if w.GlobalID() == 0 {
-		w.Phase(8)
 		sum := o.resid.Get(w, 0)
 		for i := 0; i < n; i++ {
 			o.u.Row(w, i, rowUp)

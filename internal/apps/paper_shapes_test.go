@@ -92,25 +92,6 @@ func TestShapeSwitchesGrowWithThreads(t *testing.T) {
 	}
 }
 
-// TestShapeITLBGrowsWithThreads: Figure 2's I-TLB series rises with the
-// threading level for every application.
-func TestShapeITLBGrowsWithThreads(t *testing.T) {
-	for _, name := range []string{"sor", "fft", "waternsq"} {
-		t1, err := Run(name, SizeTest, 8, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t4, err := Run(name, SizeTest, 8, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if t4.MemTotal.ITLBMisses <= t1.MemTotal.ITLBMisses {
-			t.Errorf("%s: I-TLB misses %d at T=4 not above %d at T=1",
-				name, t4.MemTotal.ITLBMisses, t1.MemTotal.ITLBMisses)
-		}
-	}
-}
-
 // TestShapeSingleWriterLosesOnFalseSharing: the protocol-motivation
 // result — under heavy false sharing the single-writer baseline moves far
 // more data than multi-writer LRC. Ocean is the witness: its un-padded

@@ -126,7 +126,6 @@ func (s *Scaleout) Main(w cvm.Worker) {
 		// Write phase: a 4-word cluster at an epoch-dependent offset, so
 		// the page's diff is a short run in a big page (the sparse wire
 		// pattern the compression gate measures).
-		w.Phase(1)
 		off := cvm.Addr((e % 8) * 32)
 		for k := 0; k < 4; k++ {
 			w.WriteI64(myPage+off+cvm.Addr(k*8), stripVal(t, e)+int64(k))
@@ -135,7 +134,6 @@ func (s *Scaleout) Main(w cvm.Worker) {
 
 		// Read phase: fetch the neighbour's fresh cluster (remote fault
 		// when the neighbour is off-node) and fold it into private state.
-		w.Phase(2)
 		for k := 0; k < 4; k++ {
 			priv += w.ReadI64(nbPage + off + cvm.Addr(k*8))
 		}
@@ -156,7 +154,6 @@ func (s *Scaleout) Main(w cvm.Worker) {
 	total := w.ReduceF64(1, float64(priv), cvm.ReduceSum)
 
 	if t == 0 {
-		w.Phase(3)
 		sum := int64(0)
 		for i := 0; i < s.stripes; i++ {
 			sum += s.accum.Get(w, i)

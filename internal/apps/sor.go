@@ -86,7 +86,6 @@ func (s *SOR) Main(w cvm.Worker) {
 
 	for it := 0; it < s.iters; it++ {
 		for color := 0; color < 2; color++ {
-			w.Phase(1 + color)
 			if hi > lo {
 				g.Row(w, lo-1, top)
 				g.Row(w, lo, cur)
@@ -104,7 +103,6 @@ func (s *SOR) Main(w cvm.Worker) {
 	}
 
 	if w.GlobalID() == 0 {
-		w.Phase(3)
 		sum := 0.0
 		for i := 0; i < s.rows; i++ {
 			g.Row(w, i, cur)

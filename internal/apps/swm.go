@@ -105,7 +105,6 @@ func (s *SWM) Main(w cvm.Worker) {
 		u, v, p := cur[0], cur[1], cur[2]
 		un, vn, pn := next[0], next[1], next[2]
 
-		w.Phase(1)
 		for i := lo; i < hi; i++ {
 			im, ip := (i+n-1)%n, (i+1)%n
 			u.Row(w, im, uim)
@@ -133,7 +132,6 @@ func (s *SWM) Main(w cvm.Worker) {
 	}
 
 	if w.GlobalID() == 0 {
-		w.Phase(2)
 		sum := 0.0
 		for i := 0; i < n; i++ {
 			cur[2].Row(w, i, pic)

@@ -164,7 +164,6 @@ func (a *WaterNsq) Main(w cvm.Worker) {
 		// Predict: integrate positions of owned molecules. Each record's
 		// position and velocity fields are adjacent, so the update is one
 		// 6-element read span and one 3-element write span.
-		w.Phase(1)
 		for i := lo; i < hi; i++ {
 			a.mol.RowRange(w, i, fPos, posVel[:])
 			for d := 0; d < 3; d++ {
@@ -177,7 +176,6 @@ func (a *WaterNsq) Main(w cvm.Worker) {
 
 		// Inter-molecular forces: each thread computes a half-shell of
 		// pairs for its molecules, accumulating privately.
-		w.Phase(2)
 		for i := range contrib {
 			contrib[i] = 0
 		}
@@ -216,7 +214,6 @@ func (a *WaterNsq) Main(w cvm.Worker) {
 		bar++
 
 		// Publish force contributions to the shared array.
-		w.Phase(3)
 		switch a.variant {
 		case WaterNoOpts:
 			// Every thread updates shared forces directly, one
@@ -282,7 +279,6 @@ func (a *WaterNsq) Main(w cvm.Worker) {
 		// Correct: apply forces to owned molecules and clear them. The
 		// velocity and force fields are adjacent, so the update is one
 		// 6-element read span and one 6-element write span per record.
-		w.Phase(4)
 		for i := lo; i < hi; i++ {
 			a.mol.RowRange(w, i, fVel, posVel[:])
 			for d := 0; d < 3; d++ {

@@ -192,7 +192,6 @@ func (a *WaterSp) Main(w cvm.Worker) {
 		// Force phase: for every molecule of every owned cell, sum pair
 		// forces against molecules of the neighbourhood. Both sides of
 		// each cross-cell pair compute it, so writes stay local.
-		w.Phase(1)
 		localEpot := 0.0
 		var xi, xj, v3 [3]float64
 		for cell := cLo; cell < cHi; cell++ {
@@ -253,7 +252,6 @@ func (a *WaterSp) Main(w cvm.Worker) {
 		// Integrate positions of owned molecules (bounded so cell
 		// assignment stays valid): one 6-element read span over the
 		// adjacent position and velocity fields, one 3-element write back.
-		w.Phase(2)
 		var pv [6]float64
 		for cell := cLo; cell < cHi; cell++ {
 			for m := 0; m < a.perC; m++ {

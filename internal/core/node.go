@@ -61,20 +61,13 @@ func newNode(sys *System, id int, proc *sim.Proc) *node {
 // OnSwitch implements sim.Hooks.
 func (n *node) OnSwitch(from, to *sim.Task) {
 	n.stats.ThreadSwitches++
-	// Scheduler code plus the incoming thread's code phase touch the
-	// I-TLB; this is the synthetic instruction-locality model (Figure 2).
-	n.mem.InstrTouch(schedCodePage)
-	th := n.sys.threadOf(to)
-	if th != nil {
-		th.touchPhaseCode()
-	}
 	if tr := n.sys.tracer; tr != nil {
 		fromGid := int64(-1)
 		if f := n.sys.threadOf(from); f != nil {
 			fromGid = int64(f.gid)
 		}
 		toGid := int32(-1)
-		if th != nil {
+		if th := n.sys.threadOf(to); th != nil {
 			toGid = int32(th.gid)
 		}
 		tr.Emit(trace.Event{T: n.proc.Clock(), Kind: trace.KindThreadSwitch,
@@ -319,6 +312,3 @@ func sortDiffs(ds []*Diff) {
 		}
 	})
 }
-
-// schedCodePage is the synthetic I-TLB page of the thread scheduler.
-const schedCodePage = 1 << 40

@@ -17,9 +17,9 @@ import (
 // pure overhead.
 //
 // Virtual-time equivalence: the coalesced charge computes exactly the
-// per-element costs (memsim.AccessStride8 and InstrTouchCycle are
-// bit-identical to the element loop) and advances once with their sum, so
-// counters, miss counts, and end times match the elementwise path.
+// per-element costs (memsim.AccessStride8 is bit-identical to the element
+// loop) and advances once with their sum, so counters, miss counts, and
+// end times match the elementwise path.
 //
 // Handler interleaving: the copy happens immediately after ensureAccess
 // with no intervening yields, so protocol handlers (write-notice
@@ -33,13 +33,10 @@ import (
 // with a live twin, exactly as write8 does.
 
 // chargeSpan charges cnt consecutive 8-byte accesses at a through the
-// node's memory hierarchy plus the rotating instruction-fetch touches,
-// advancing once with the exact elementwise total.
+// node's memory hierarchy, advancing once with the exact elementwise
+// total.
 func (t *Thread) chargeSpan(a Addr, cnt int) {
-	cost := t.node.mem.AccessStride8(uint64(a), cnt)
-	cost += t.node.mem.InstrTouchCycle(phaseCodeBase(t.phase), phaseCodePages, t.codeRot, cnt)
-	t.codeRot += cnt
-	t.task.Advance(cost)
+	t.task.Advance(t.node.mem.AccessStride8(uint64(a), cnt))
 }
 
 // spanPages walks [a, a+8*len) splitting at page boundaries, calling body

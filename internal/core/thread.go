@@ -20,9 +20,6 @@ type Thread struct {
 	gid  int // global thread id: node*threadsPerNode + lid
 	lid  int // local thread id within the node
 	main func(*Thread)
-
-	phase   int // application code phase, for the I-TLB model
-	codeRot int
 }
 
 // RunTask implements sim.Runner: the task body of an application thread.
@@ -58,30 +55,6 @@ func (t *Thread) Compute(d sim.Time) { t.task.Advance(d) }
 // Yield requests an explicit thread switch (a CVM system call), moving
 // the thread to the back of its node's run queue.
 func (t *Thread) Yield() { t.task.Yield() }
-
-// Phase declares the application code region the thread is executing,
-// driving the synthetic instruction-locality model. Distinct phases have
-// distinct code footprints; switching between threads in different phases
-// pressures the I-TLB.
-func (t *Thread) Phase(p int) {
-	if t.phase != p {
-		t.phase = p
-		t.touchPhaseCode()
-	}
-}
-
-// touchPhaseCode touches the thread's current code footprint in the
-// I-TLB (on phase entry and when the thread is switched in).
-func (t *Thread) touchPhaseCode() {
-	base := phaseCodeBase(t.phase)
-	for k := uint64(0); k < phaseCodePages; k++ {
-		t.node.mem.InstrTouch(base + k)
-	}
-}
-
-const phaseCodePages = 3
-
-func phaseCodeBase(phase int) uint64 { return 2<<40 + uint64(phase)*phaseCodePages }
 
 // block suspends the thread with reason (the protocol's Block event),
 // bracketing the wait with block/unblock trace events when tracing is
@@ -122,14 +95,9 @@ func (t *Thread) pageVA(pg PageID) uint64 {
 	return uint64(pg) << t.sys.pageShift
 }
 
-// charge runs one data access through the node's cache and TLB simulator
-// plus the rotating instruction-fetch touch, charging the cost.
-func (t *Thread) charge(a Addr) {
-	cost := t.node.mem.Access(uint64(a))
-	t.codeRot++
-	cost += t.node.mem.InstrTouch(phaseCodeBase(t.phase) + uint64(t.codeRot)%phaseCodePages)
-	t.task.Advance(cost)
-}
+// charge runs one data access through the node's cache and TLB simulator,
+// charging the cost.
+func (t *Thread) charge(a Addr) { t.task.Advance(t.node.mem.Access(uint64(a))) }
 
 // ReadF64 reads a float64 from shared memory.
 func (t *Thread) ReadF64(a Addr) float64 {

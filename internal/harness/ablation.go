@@ -121,13 +121,12 @@ func AblationScheduler(appName string, size apps.Size) (Pair, error) {
 func WriteSchedulerAblation(w io.Writer, p Pair) {
 	fmt.Fprintln(w, "Ablation: FIFO vs LIFO thread scheduling (paper §5, factor #3)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(tw, "app\tqueue\twall\tD-cache misses\tI-TLB misses\t")
+	fmt.Fprintln(tw, "app\tqueue\twall\tD-cache misses\t")
 	for _, q := range []struct {
 		name string
 		st   *cvm.Stats
 	}{{"FIFO", &p.Base}, {"LIFO", &p.Variant}} {
-		fmt.Fprintf(tw, "%s\t%s\t%v\t%d\t%d\t\n", p.App, q.name, q.st.Wall,
-			q.st.MemTotal.DCacheMisses, q.st.MemTotal.ITLBMisses)
+		fmt.Fprintf(tw, "%s\t%s\t%v\t%d\t\n", p.App, q.name, q.st.Wall, q.st.MemTotal.DCacheMisses)
 	}
 	tw.Flush()
 }

@@ -1,16 +1,12 @@
 // Package memsim models each node's memory hierarchy: a set-associative
-// data cache, a set-associative data TLB, and an instruction TLB driven by
-// a synthetic code-footprint model. It produces the D-cache / D-TLB /
-// I-TLB miss counts of the paper's Figure 2 and charges hit and miss costs
+// data cache and a set-associative data TLB. It produces the D-cache and
+// D-TLB miss counts of the paper's Figure 2 and charges hit and miss costs
 // into simulated user time.
 //
 // The paper measured Figure 2 on an IBM SP-2 (64 KB per-processor caches,
 // CVM forced to the Alpha's 8 KB page size); SP2Params reproduces that
-// geometry. The I-TLB model is synthetic — a simulation has no instruction
-// stream — and works from per-thread phase footprints: every access touches
-// the pages of the thread's current code phase, and every thread switch
-// touches scheduler code, so I-TLB pressure grows with switching exactly as
-// the paper observes.
+// geometry. The paper's I-TLB counts are not modelled: a simulation has no
+// instruction stream.
 package memsim
 
 import (
@@ -28,18 +24,15 @@ type Params struct {
 	PageSize int // virtual memory page size in bytes
 	DTLBSets int // data TLB sets
 	DTLBWays int // data TLB associativity
-	ITLBSets int // instruction TLB sets
-	ITLBWays int // instruction TLB associativity
 
 	HitCost      sim.Time // charged on every access (load/store + ALU work)
 	CacheMissPen sim.Time // extra on a data cache miss
 	TLBMissPen   sim.Time // extra on a data TLB miss
-	ITLBMissPen  sim.Time // extra on an instruction TLB miss
 }
 
 // SP2Params models the paper's SP-2 configuration: a 32 KB 4-way data
-// cache with 64-byte lines, an 8×2 D-TLB, a 4×2 I-TLB, and the Alpha's
-// 8 KB pages forced as the coherence and paging unit.
+// cache with 64-byte lines, an 8×2 D-TLB, and the Alpha's 8 KB pages
+// forced as the coherence and paging unit.
 func SP2Params() Params {
 	return Params{
 		// Geometry is scaled below the SP-2's physical 64 KB cache and
@@ -52,12 +45,9 @@ func SP2Params() Params {
 		PageSize:     8 << 10,
 		DTLBSets:     8,
 		DTLBWays:     2,
-		ITLBSets:     4,
-		ITLBWays:     2,
 		HitCost:      50 * sim.Nanosecond,
 		CacheMissPen: 200 * sim.Nanosecond,
 		TLBMissPen:   350 * sim.Nanosecond,
-		ITLBMissPen:  350 * sim.Nanosecond,
 	}
 }
 
@@ -81,7 +71,7 @@ func (p Params) Validate() error {
 	for _, f := range []struct {
 		name string
 		sets int
-	}{{"CacheSize/(LineSize*CacheWays)", p.CacheSize / (p.LineSize * p.CacheWays)}, {"DTLBSets", p.DTLBSets}, {"ITLBSets", p.ITLBSets}} {
+	}{{"CacheSize/(LineSize*CacheWays)", p.CacheSize / (p.LineSize * p.CacheWays)}, {"DTLBSets", p.DTLBSets}} {
 		if f.sets < 1 || f.sets&(f.sets-1) != 0 {
 			return fmt.Errorf("memsim: %s = %d sets, must be a power of two", f.name, f.sets)
 		}
@@ -94,7 +84,6 @@ type Stats struct {
 	Accesses     int64
 	DCacheMisses int64
 	DTLBMisses   int64
-	ITLBMisses   int64
 }
 
 // Add accumulates other into s.
@@ -102,7 +91,6 @@ func (s *Stats) Add(other Stats) {
 	s.Accesses += other.Accesses
 	s.DCacheMisses += other.DCacheMisses
 	s.DTLBMisses += other.DTLBMisses
-	s.ITLBMisses += other.ITLBMisses
 }
 
 // assoc is a set-associative tag array with per-set LRU replacement. It
@@ -147,7 +135,6 @@ type System struct {
 	params Params
 	dcache assoc
 	dtlb   assoc
-	itlb   assoc
 	stats  Stats
 
 	lineShift uint
@@ -184,8 +171,7 @@ func (s *System) Init(p Params) {
 	cacheSets := p.CacheSize / (p.LineSize * p.CacheWays)
 	nc := cacheSets * p.CacheWays
 	nd := p.DTLBSets * p.DTLBWays
-	ni := p.ITLBSets * p.ITLBWays
-	backing := make([]uint64, nc+nd+ni)
+	backing := make([]uint64, nc+nd)
 	*s = System{
 		params:    p,
 		lineShift: log2(p.LineSize),
@@ -194,8 +180,7 @@ func (s *System) Init(p Params) {
 		lastPage:  invalidLine,
 	}
 	s.dcache.init(cacheSets, p.CacheWays, backing[:nc])
-	s.dtlb.init(p.DTLBSets, p.DTLBWays, backing[nc:nc+nd])
-	s.itlb.init(p.ITLBSets, p.ITLBWays, backing[nc+nd:])
+	s.dtlb.init(p.DTLBSets, p.DTLBWays, backing[nc:])
 }
 
 // Params returns the system's geometry.
@@ -313,51 +298,6 @@ func (s *System) AccessRange(addr uint64, n int) sim.Time {
 	s.stats.Accesses += walked
 	s.stats.DCacheMisses += misses
 	return cost + sim.Time(walked)*s.params.HitCost + sim.Time(misses)*s.params.CacheMissPen
-}
-
-// InstrTouch simulates instruction fetch from the given synthetic code
-// page and returns the cost to charge (zero on an I-TLB hit).
-func (s *System) InstrTouch(codePage uint64) sim.Time {
-	if s.itlb.touch(codePage) {
-		return 0
-	}
-	s.stats.ITLBMisses++
-	return s.params.ITLBMissPen
-}
-
-// InstrTouchCycle simulates cnt instruction fetches cycling through a
-// phase's code pages — page base + (start+i) % mod for i = 1..cnt — and
-// returns the total cost. It is the bulk form of the per-access rotating
-// InstrTouch in a thread's charge loop, bit-identical in miss counts,
-// costs and I-TLB contents: after one full warm cycle every code page is
-// resident, so the remaining touches all hit, and a hit only moves its
-// page to the front of its set. Replaying the last mod touches therefore
-// leaves every set in the order the whole sequence would.
-func (s *System) InstrTouchCycle(base uint64, mod, start, cnt int) sim.Time {
-	if mod <= 0 || cnt <= 0 {
-		return 0
-	}
-	skip := 0
-	if cnt > 2*mod && s.itlbCycleSafe(mod) {
-		skip = cnt - 2*mod
-	}
-	var cost sim.Time
-	for i := 1; i <= cnt; i++ {
-		if i == mod+1 {
-			i += skip
-		}
-		cost += s.InstrTouch(base + uint64(start+i)%uint64(mod))
-	}
-	return cost
-}
-
-// itlbCycleSafe reports whether mod consecutive code pages fit in the
-// I-TLB without self-eviction: no set receives more cycle pages than it
-// has ways. Consecutive keys spread round-robin over sets, so the
-// per-set population is at most ceil(mod/sets).
-func (s *System) itlbCycleSafe(mod int) bool {
-	sets := s.itlb.sets
-	return (mod+sets-1)/sets <= s.itlb.ways
 }
 
 func log2(n int) uint {

@@ -97,33 +97,6 @@ func TestDTLBPageGranularity(t *testing.T) {
 	}
 }
 
-func TestITLBModel(t *testing.T) {
-	s := NewSystem(SP2Params())
-	if cost := s.InstrTouch(1); cost == 0 {
-		t.Error("cold I-TLB touch cost = 0, want miss penalty")
-	}
-	if cost := s.InstrTouch(1); cost != 0 {
-		t.Error("warm I-TLB touch cost != 0")
-	}
-	if s.Stats().ITLBMisses != 1 {
-		t.Errorf("itlb misses = %d, want 1", s.Stats().ITLBMisses)
-	}
-	// Cycling through more code pages than the I-TLB holds must keep
-	// missing.
-	p := SP2Params()
-	capacity := p.ITLBSets * p.ITLBWays
-	before := s.Stats().ITLBMisses
-	for round := 0; round < 3; round++ {
-		for pg := uint64(100); pg < uint64(100+2*capacity); pg++ {
-			s.InstrTouch(pg)
-		}
-	}
-	got := s.Stats().ITLBMisses - before
-	if got < int64(4*capacity) {
-		t.Errorf("thrashing I-TLB missed %d times, want ≥ %d", got, 4*capacity)
-	}
-}
-
 func TestAccessRangeTouchesEveryLine(t *testing.T) {
 	p := SP2Params()
 	s := NewSystem(p)
@@ -182,10 +155,10 @@ func TestThreadInterleavingDegradesLocality(t *testing.T) {
 }
 
 func TestStatsAdd(t *testing.T) {
-	a := Stats{Accesses: 1, DCacheMisses: 2, DTLBMisses: 3, ITLBMisses: 4}
-	b := Stats{Accesses: 10, DCacheMisses: 20, DTLBMisses: 30, ITLBMisses: 40}
+	a := Stats{Accesses: 1, DCacheMisses: 2, DTLBMisses: 3}
+	b := Stats{Accesses: 10, DCacheMisses: 20, DTLBMisses: 30}
 	a.Add(b)
-	want := Stats{Accesses: 11, DCacheMisses: 22, DTLBMisses: 33, ITLBMisses: 44}
+	want := Stats{Accesses: 11, DCacheMisses: 22, DTLBMisses: 33}
 	if a != want {
 		t.Errorf("Add = %+v, want %+v", a, want)
 	}
@@ -384,7 +357,6 @@ func TestInitRejectsNonPowerOfTwoSets(t *testing.T) {
 	for field, mutate := range map[string]func(*Params){
 		"CacheSize/(LineSize*CacheWays)": func(p *Params) { p.CacheSize = 48 << 10 },
 		"DTLBSets":                       func(p *Params) { p.DTLBSets = 6 },
-		"ITLBSets":                       func(p *Params) { p.ITLBSets = 0 },
 		"CacheWays":                      func(p *Params) { p.CacheWays = 0 },
 	} {
 		p := SP2Params()
@@ -495,43 +467,5 @@ func TestAccessStride8EquivalenceRandomized(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestInstrTouchCycleEquivalence checks the bulk instruction-fetch cycle
-// against the per-access rotating InstrTouch sequence: identical costs,
-// miss counts and I-TLB contents, also under interleaved competing touches
-// whose evictions depend on the order the bulk path left. The cycles start
-// at rotations that are not multiples of mod, and mod 9 overflows the 4×2
-// I-TLB, so itlbCycleSafe sends it down the per-touch path.
-func TestInstrTouchCycleEquivalence(t *testing.T) {
-	for _, mod := range []int{1, 2, 3, 5, 8, 9} {
-		for _, rot0 := range []int{0, 1, 3} {
-			fast := NewSystem(SP2Params())
-			ref := NewSystem(SP2Params())
-			rot := rot0
-			base := uint64(2 << 40)
-			for step, cnt := range []int{1, 3, 7, 100, 2, 5000, 1, 12, 999, 19} {
-				cf := fast.InstrTouchCycle(base, mod, rot, cnt)
-				var cr sim.Time
-				for i := 1; i <= cnt; i++ {
-					cr += ref.InstrTouch(base + uint64(rot+i)%uint64(mod))
-				}
-				rot += cnt
-				if cf != cr {
-					t.Fatalf("mod=%d rot=%d step=%d: cost %v != elementwise %v", mod, rot0, step, cf, cr)
-				}
-				if fast.Stats() != ref.Stats() || !slices.Equal(fast.itlb.tags, ref.itlb.tags) {
-					t.Fatalf("mod=%d rot=%d step=%d: stats %+v != %+v or I-TLB diverged", mod, rot0, step, fast.Stats(), ref.Stats())
-				}
-				// Competing code pages (another phase's footprint, same
-				// sets) evict by the order the bulk path left.
-				for k := uint64(0); k < 5; k++ {
-					if fast.InstrTouch(1<<41+k) != ref.InstrTouch(1<<41+k) {
-						t.Fatalf("mod=%d rot=%d step=%d: competing touch %d diverged", mod, rot0, step, k)
-					}
-				}
-			}
-		}
 	}
 }

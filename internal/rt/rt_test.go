@@ -182,7 +182,6 @@ func TestWorkerIdentity(t *testing.T) {
 			t.Error("negative wall time")
 		}
 		w.Compute(cvm.Millisecond) // modelling no-ops must not charge wall time
-		w.Phase(1)
 		w.TouchPrivate(0)
 		w.Yield()
 		w.MarkSteadyState()

@@ -12,8 +12,8 @@ import (
 
 // Worker is the real-execution implementation of cvm.Worker: one
 // application thread on one node, running while it holds the node's run
-// token. The simulator-modelling methods (Compute, Phase, TouchPrivate)
-// are no-ops — real hardware charges real costs on its own.
+// token. The simulator-modelling methods (Compute, TouchPrivate) are
+// no-ops — real hardware charges real costs on its own.
 type Worker struct {
 	n   *rnode
 	gid int
@@ -46,9 +46,6 @@ func (w *Worker) Now() sim.Time { return w.n.clock.Now() }
 // Compute implements cvm.Worker; the work modelled in the simulator is
 // real work here, so there is nothing to charge.
 func (w *Worker) Compute(sim.Time) {}
-
-// Phase implements cvm.Worker (instruction-locality modelling; no-op).
-func (w *Worker) Phase(int) {}
 
 // TouchPrivate implements cvm.Worker (memory-hierarchy modelling; no-op).
 func (w *Worker) TouchPrivate(int) {}
