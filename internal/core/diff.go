@@ -17,16 +17,15 @@ type Diff struct {
 	Page PageID
 	Node int    // creator node
 	Idx  int32  // newest interval the diff belongs to
-	VT   VClock // creator's vector time when the interval closed
+	VT   VClock // creator's vector time at close, only for Config.DetectRaces
 	Runs []Run
 
-	// size and encSize cache Bytes and the compressed wire size (see
-	// WireBytes); 0 means not yet computed. Only the creator node writes
-	// them: it fills size before the diff can reach another node.
+	// size and encSize are Bytes and WireBytes(true), stamped by the
+	// creator at close (encSize only under Config.CompressDiffs).
 	size, encSize int32
 
-	// vtSum is the sum of VT's components, set by the creator: the
-	// first key of sortDiffs.
+	// vtSum is the sum of the creator's vector time at close: the first
+	// key of sortDiffs.
 	vtSum int64
 }
 
@@ -241,19 +240,22 @@ func (d *Diff) Apply(dst, twin []byte) {
 	}
 }
 
-// Bytes reports the payload size of the diff on the simulated wire: 8
-// bytes a run header (not runSize), the run data, and the vector time.
-// It is computed once and cached (see size).
-func (d *Diff) Bytes() int {
-	if d.size == 0 {
-		n := d.VT.wireBytes() + 16
-		for _, r := range d.Runs {
-			n += 8 + int(r.Len)
-		}
-		d.size = int32(n)
+// stamp fixes d's wire sizes from its runs and the creator's vector time
+// at close, vtBytes raw and encVTBytes encoded (0: diffs go uncompressed).
+func (d *Diff) stamp(vtBytes, encVTBytes int) {
+	n := 16 + vtBytes
+	for _, r := range d.Runs {
+		n += 8 + int(r.Len)
 	}
-	return int(d.size)
+	d.size = int32(n)
+	if encVTBytes > 0 {
+		d.encSize = int32(16 + encVTBytes + EncodedRunsSize(d.Runs))
+	}
 }
+
+// Bytes reports the payload size of the diff on the simulated wire, as
+// stamped: 8 bytes a run header (not runSize), the data, the vector time.
+func (d *Diff) Bytes() int { return int(d.size) }
 
 // Overlaps reports whether two diffs modify any common byte. Overlapping
 // concurrent diffs indicate a data race in the application. MakeDiff

@@ -325,7 +325,8 @@ func TestDiffOverlapsMatchesQuadratic(t *testing.T) {
 }
 
 func TestDiffBytes(t *testing.T) {
-	d := &Diff{VT: NewVClock(4), Runs: []Run{{Off: 0, Len: 100}}}
+	d := &Diff{Runs: []Run{{Off: 0, Len: 100}}}
+	d.stamp(NewVClock(4).wireBytes(), 0)
 	want := 16 + 16 + 8 + 100
 	if got := d.Bytes(); got != want {
 		t.Errorf("Bytes() = %d, want %d", got, want)

@@ -486,16 +486,11 @@ func readLongUvarint(src []byte) (uint64, []byte, error) {
 // WireBytes reports the diff's payload size on the simulated wire: the
 // legacy fixed-width accounting when compress is false (16-byte header,
 // 4 bytes per vector-clock component, 8 bytes per run header plus raw
-// data), or the compressed encoding's exact size when true. The
-// compressed size is computed once and cached; callers must be on the
-// diff's creator node (the only node that serves it), which keeps the
-// cache single-writer under the parallel engine.
+// data), or the compressed encoding's exact size when true. Both are
+// stamped at close; the compressed one only under Config.CompressDiffs.
 func (d *Diff) WireBytes(compress bool) int {
 	if !compress {
 		return d.Bytes()
-	}
-	if d.encSize == 0 {
-		d.encSize = int32(16 + VClockEncodedSize(d.VT) + EncodedRunsSize(d.Runs))
 	}
 	return int(d.encSize)
 }

@@ -258,11 +258,20 @@ func TestWirePatternRatios(t *testing.T) {
 }
 
 // TestWireBytesAccounting: WireBytes(false) is the legacy accounting,
-// WireBytes(true) the cached compressed size.
+// WireBytes(true) the compressed size, both as stamped from the
+// creator's vector time.
 func TestWireBytesAccounting(t *testing.T) {
 	twin, cur := wirePatternPages("sparse", 8<<10)
 	vt := VClock{3, 0, 0, 5}
-	d := &Diff{Page: 1, Node: 0, Idx: 3, VT: vt, Runs: MakeDiff(1, twin, cur)}
+	d := &Diff{Page: 1, Node: 0, Idx: 3, Runs: MakeDiff(1, twin, cur)}
+	d.stamp(vt.wireBytes(), VClockEncodedSize(vt))
+	payload := 0
+	for _, r := range d.Runs {
+		payload += int(r.Len)
+	}
+	if got, want := d.Bytes(), 16+vt.wireBytes()+8*len(d.Runs)+payload; got != want {
+		t.Errorf("Bytes() = %d, want %d", got, want)
+	}
 	if got, want := d.WireBytes(false), d.Bytes(); got != want {
 		t.Errorf("WireBytes(false) = %d, want Bytes() = %d", got, want)
 	}
@@ -271,7 +280,7 @@ func TestWireBytesAccounting(t *testing.T) {
 		t.Errorf("WireBytes(true) = %d, want %d", got, want)
 	}
 	if got := d.WireBytes(true); got != want {
-		t.Errorf("cached WireBytes(true) = %d, want %d", got, want)
+		t.Errorf("repeated WireBytes(true) = %d, want %d", got, want)
 	}
 	if d.WireBytes(true) >= d.WireBytes(false) {
 		t.Errorf("compressed %d not smaller than raw %d on the sparse pattern",

@@ -102,6 +102,22 @@ func TestLockTokenCaching(t *testing.T) {
 	}
 }
 
+// TestAllocStaysBelowPrivateRegions: shared segments end at 2^41, where
+// the threads' private regions begin, so no shared address aliases a
+// private one and every address memsim sees is below its MaxAddr.
+func TestAllocStaysBelowPrivateRegions(t *testing.T) {
+	s := testSystem(t, 1, 1)
+	if _, err := s.Alloc("a", 1<<40); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Alloc("over", 1<<40+1); err == nil {
+		t.Error("Alloc past 2^41 succeeded")
+	}
+	if base, err := s.Alloc("b", 1<<40); err != nil || base+1<<40 != sharedLimit {
+		t.Errorf("Alloc up to 2^41 = %d, %v; want it to end at %d", base, err, sharedLimit)
+	}
+}
+
 func TestTouchPrivate(t *testing.T) {
 	s := testSystem(t, 1, 2)
 	_, _ = s.Alloc("pad", 8192)

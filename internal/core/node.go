@@ -23,13 +23,13 @@ type node struct {
 	// never touches a lock pays nothing for the lock table.
 	vt             VClock
 	curIdx         int32                 // index of this node's next interval
-	root           []*pageLeaf           // page directory: a leaf per 16,384 pages, sized at Start
+	root           []*pageLeaf           // page directory: a leaf per 4,096 pages, sized at Start
 	leaf0          pageLeaf              // root[0], inline so small runs allocate no leaf
 	totalPages     int                   // address-space size in pages
 	shardCount     int                   // shards materialized so far
 	pool           bufPool               // page and twin buffers, one allocation each (pagetable.go)
 	dirty          []PageID              // pages written in the open interval
-	intervals      [][]*IntervalInfo     // known intervals, per node, idx-ascending
+	intervals      []*IntervalInfo       // the newest record known of each creator, nil for none
 	locks          map[int]*lockState    // lazily created
 	meets          map[meetKey]*nodeMeet // barriers, reductions, local barriers; lazily created
 	swdir          map[PageID]*swDir     // single-writer directory (manager side), lazily created
@@ -102,12 +102,12 @@ func (n *node) OnSlice(task *sim.Task, start, end sim.Time) {
 	}
 }
 
-// ensureIntervals creates the per-node interval table on first use; a
-// run that never closes an interval (no synchronization) never pays for
-// it.
+// ensureIntervals creates the per-node interval table, a pointer per
+// creator, on first use; a run that never closes an interval (no
+// synchronization) never pays for it.
 func (n *node) ensureIntervals() {
 	if n.intervals == nil {
-		n.intervals = make([][]*IntervalInfo, n.sys.cfg.Nodes)
+		n.intervals = make([]*IntervalInfo, n.sys.cfg.Nodes)
 	}
 }
 
@@ -132,24 +132,31 @@ func (n *node) closeInterval(t *Thread) {
 	n.curIdx++
 	n.vt[n.id] = n.curIdx
 	info := &IntervalInfo{
-		Node:  n.id,
 		Idx:   n.curIdx,
-		VT:    n.vt.Clone(),
 		Pages: append([]PageID(nil), n.dirty...),
+		prev:  n.intervals[n.id],
 	}
-	n.intervals[n.id] = append(n.intervals[n.id], info)
-	vtSum := info.VT.sum()
+	n.intervals[n.id] = info
+	vtSum, vtBytes, encVT, vt := n.vt.sum(), n.vt.wireBytes(), 0, VClock(nil)
+	if n.sys.cfg.CompressDiffs {
+		encVT = VClockEncodedSize(n.vt)
+	}
+	if n.sys.cfg.DetectRaces { // the race detector is a diff's only VT reader
+		vt = n.vt.Clone()
+	}
 
 	// Create this interval's diffs eagerly (as TreadMarks does at barrier
 	// arrival): every diff then carries exact per-interval attribution,
 	// and a requester is only ever sent diffs for intervals it holds
-	// write notices for. The VT stamped here is closed: every interval a
-	// node knows of arrived on a grant or a release together with the
-	// sender's vector time, and the barrier manager applies arrivals'
-	// intervals only once every node has arrived (sync.go, gather). So
-	// after any grant or release no node holds an interval its vt does
-	// not cover. The page-length comparison and the protection downgrade
-	// are charged to the closing thread.
+	// write notices for. The vector time stamped here is closed: every
+	// interval a node knows of arrived on a grant or a release together
+	// with the sender's vector time, and the barrier manager applies
+	// arrivals' intervals only once every node has arrived (sync.go,
+	// gather). So after any grant or release no node holds an interval
+	// its vt does not cover. A diff's sum and sizes are taken from it
+	// before the charges below yield (a grant moves n.vt). The page-length
+	// comparison and the protection downgrade are charged to the closing
+	// thread.
 	for _, pg := range n.dirty {
 		p := n.pageAt(pg)
 		p.openDirty = false
@@ -157,11 +164,11 @@ func (n *node) closeInterval(t *Thread) {
 			Page:  pg,
 			Node:  n.id,
 			Idx:   n.curIdx,
-			VT:    info.VT,
+			VT:    vt,
 			Runs:  MakeDiff(pg, p.twin, p.data),
 			vtSum: vtSum,
 		}
-		d.Bytes() // fill the size cache while d is this node's alone
+		d.stamp(vtBytes, encVT)
 		p.diffs = append(p.diffs, d)
 		n.stats.DiffsCreated++
 		n.releaseTwin(p)
@@ -191,10 +198,10 @@ func (n *node) closeInterval(t *Thread) {
 	n.dirty = n.dirty[:0]
 }
 
-// notices, a snapshot of a node's interval lists (they only grow, so the
-// headers stay valid), are a lock grant's or barrier release's write
-// notices; each receiver takes what its vector time lacks.
-type notices [][]*IntervalInfo
+// notices, a snapshot of a node's newest record of each creator (each
+// links back to its creator's first), are a lock grant's or barrier
+// release's write notices; each receiver takes what its vector time lacks.
+type notices []*IntervalInfo
 
 func (n *node) notices() notices { return notices(slices.Clone(n.intervals)) }
 
@@ -202,25 +209,17 @@ func (n *node) notices() notices { return notices(slices.Clone(n.intervals)) }
 // is sent: every record vt does not cover.
 func (ns notices) bytesSince(vt VClock) int {
 	b := 0
-	for x, infos := range ns {
-		if len(infos) > 0 && infos[len(infos)-1].Idx > vt[x] {
-			b += infosBytes(after(infos, vt[x]))
-		}
+	for x, in := range ns {
+		b += in.bytesAfter(vt[x], len(vt))
 	}
 	return b
 }
 
-// indexed is an entry of a list kept ascending by interval index.
-type indexed interface{ index() int32 }
-
-func (in *IntervalInfo) index() int32 { return in.Idx }
-func (d *Diff) index() int32          { return d.Idx }
-
-// after returns the entries of the index-ascending list s past idx.
-func after[E indexed](s []E, idx int32) []E {
+// after returns the diffs of the index-ascending list s past idx.
+func after(s []*Diff, idx int32) []*Diff {
 	i, hi := 0, len(s)
 	for i < hi {
-		if m := int(uint(i+hi) >> 1); s[m].index() <= idx {
+		if m := int(uint(i+hi) >> 1); s[m].Idx <= idx {
 			i = m + 1
 		} else {
 			hi = m
@@ -231,46 +230,37 @@ func after[E indexed](s []E, idx int32) []E {
 
 // applyNotices merges a sender's notices, then its vector time.
 func (n *node) applyNotices(ns notices, senderVT VClock) {
-	for x, infos := range ns {
-		n.applyList(x, infos)
+	for x, in := range ns {
+		n.applyList(x, in)
 	}
 	n.vt.Merge(senderVT)
 }
 
-// applyList records the intervals n lacks of node x's list infos, and
-// invalidates the pages they name whose shard exists (lock grant,
-// barrier release and arrival); newShard folds in the rest. A list of
-// all x's intervals up to its last with n's as its prefix — every list
-// is one — is shared, capacity cut to length so that neither side's
-// append writes into the other's: lists are not regrown.
-func (n *node) applyList(x int, infos []*IntervalInfo) {
-	if x == n.id || len(infos) == 0 || infos[len(infos)-1].Idx <= n.vt[x] {
+// applyList records newest, node x's record, as the newest n knows of x,
+// and walks back from it over the records n lacks — those past vt[x] —
+// invalidating the pages they name whose shard exists (lock grant,
+// barrier release and arrival); newShard folds in the rest. A page's
+// wanted index is a maximum, so the walk may run newest first.
+func (n *node) applyList(x int, newest *IntervalInfo) {
+	if x == n.id || newest == nil || newest.Idx <= n.vt[x] {
 		return // own, or nothing fresh
 	}
-	fresh := after(infos, n.vt[x])
 	n.ensureIntervals()
-	mine, k := n.intervals[x], len(infos)-len(fresh)
-	if len(mine) == k && infos[len(infos)-1].Idx == int32(len(infos)) && (k == 0 || mine[k-1] == infos[k-1]) {
-		n.intervals[x] = infos[:len(infos):len(infos)]
-	} else {
-		n.intervals[x] = append(mine, fresh...)
-	}
-	for _, info := range fresh {
-		n.vt[x] = info.Idx
+	n.intervals[x] = newest
+	for info := newest; info != nil && info.Idx > n.vt[x]; info = info.prev {
 		for _, pg := range info.Pages {
 			p := n.peek(pg)
 			if p == nil {
 				continue // folded in if the shard is made (newShard)
 			}
 			w := p.writer(x)
-			if info.Idx > w.wanted {
-				w.wanted = info.Idx
-			}
+			w.wanted = max(w.wanted, info.Idx)
 			if w.applied < w.wanted {
 				p.state = PageInvalid
 			}
 		}
 	}
+	n.vt[x] = newest.Idx
 }
 
 // serveDiffRequest handles a remote data request (engine context): it
@@ -292,11 +282,11 @@ func (n *node) serveDiffRequest(pg PageID, from, to int32) ([]*Diff, int) {
 
 // sortDiffs orders a fault's diffs for application into a linear
 // extension of happens-before, so a causally-later diff is always applied
-// after every diff it supersedes: a.VT.Before(b.VT) makes a's component
-// sum the smaller, closed vector times or not, so ascending vtSum is such
-// an extension. Creator and interval break ties, so the order does not
-// depend on the order the replies arrived in (DESIGN.md, "Diff
-// application order").
+// after every diff it supersedes: a's vector time at close Before b's
+// makes a's component sum the smaller, closed vector times or not, so
+// ascending vtSum is such an extension. Creator and interval break ties,
+// so the order does not depend on the order the replies arrived in
+// (DESIGN.md, "Diff application order").
 func sortDiffs(ds []*Diff) {
 	slices.SortFunc(ds, func(a, b *Diff) int {
 		switch {

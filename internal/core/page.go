@@ -45,8 +45,8 @@ type page struct {
 
 	// openDirty reports whether the page is in the open interval's dirty
 	// list (a write notice will be emitted when the interval closes). It
-	// packs beside state, so a page is 120 bytes and a shard of 64 with
-	// its 8-byte allocation header fits the runtime's 8 KB size class.
+	// packs beside state, so a page is 120 bytes and a shard of 16 with
+	// its 8-byte allocation header fits the runtime's 2 KB size class.
 	openDirty bool
 
 	// data is the local copy; nil means the page has never been

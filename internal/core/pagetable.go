@@ -4,29 +4,30 @@ package core
 // pool behind page copies and twins. Together they make per-node memory
 // proportional to the pages the node touches instead of the address
 // space: a 1024-node system over a million shared pages pays, per node,
-// for a 512-byte root and the one or two shards its threads touch.
+// for a 2 KB root and the one or two shards its threads touch.
 //
-// Layout: the root is a slice of leaves sized at Start, one per 16,384
-// pages; a leaf is an array of shard pointers made on the first touch of
-// its range (leaf 0 lives in the node), and a shard a fixed array of
-// pageShardSize page structs made on the first touch of one of its
-// pages. Shards are arrays, not per-page pointers, so the common
-// clustered working set costs one allocation per 64 pages and the access
+// Layout: the root is a slice of leaves sized at Start, one per 4,096
+// pages; a leaf is an array of 256 shard pointers made on the first
+// touch of its range (leaf 0 lives in the node), and a shard a fixed
+// array of pageShardSize page structs made on the first touch of one of
+// its pages. Shards are arrays, not per-page pointers, so the common
+// clustered working set costs one allocation per 16 pages and the access
 // fast path is three loads and two branches. Page *structs* are metadata
-// only (120 bytes); the page-size data and twin buffers remain lazy
-// within a shard and come from the node's bufPool. A write notice for a
-// page whose shard does not exist stays in its interval record
-// (node.intervals) and is folded in when the shard is made, so notices
-// for pages a node never touches cost it nothing beyond the record.
+// only (120 bytes: a shard and its header fit the 2 KB size class); the
+// page-size data and twin buffers remain lazy within a shard and come
+// from the node's bufPool. A write notice for a page whose shard does not
+// exist stays in its interval record (reached from node.intervals) and
+// is folded in when the shard is made, so notices for pages a node never
+// touches cost it nothing beyond the record.
 
-// pageShardBits sets the shard granularity: 64 pages (512 KB of address
+// pageShardBits sets the shard granularity: 16 pages (128 KB of address
 // space at the paper's 8 KB pages) per shard.
-const pageShardBits = 6
+const pageShardBits = 4
 
 // pageShardSize is the number of pages per shard.
 const pageShardSize = 1 << pageShardBits
 
-// pageLeafBits sets a directory leaf's reach: 256 shards, 16,384 pages.
+// pageLeafBits sets a directory leaf's reach: 256 shards, 4,096 pages.
 const pageLeafBits = 8
 
 // pageShard is one materialized run of pageShardSize consecutive pages.
@@ -34,14 +35,14 @@ type pageShard struct {
 	pages [pageShardSize]page
 }
 
-// pageLeaf is one directory leaf: the shards of 1<<pageLeafBits·64 pages.
+// pageLeaf is one directory leaf: the shards of 1<<pageLeafBits·16 pages.
 type pageLeaf [1 << pageLeafBits]*pageShard
 
 // initPages sizes the node's page directory for total pages. No shard —
 // and no page buffer — is allocated here; everything materializes on
 // first touch. Only the root and the node's vector clock are built
 // eagerly, so an idle node over a million-page address space costs
-// under 7 KB at 1024 nodes (leaf 0 and its clock included), not gigabytes.
+// about 8 KB at 1024 nodes (leaf 0 and its clock included), not gigabytes.
 func (n *node) initPages(total int) {
 	n.totalPages = total
 	n.root = make([]*pageLeaf, max(1, (total-1)>>(pageShardBits+pageLeafBits)+1))
@@ -102,19 +103,20 @@ func (n *node) newShard(pg PageID) *pageShard {
 			p.state = PageInvalid
 		}
 	}
-	// applyList skipped these pages: every record in n.intervals has been
-	// applied, none of them to a page here (applied is 0, no data). So
-	// each writer wants the newest interval naming the page; records
-	// ascend by index, and the last one seen wins.
-	for x, infos := range n.intervals {
+	// applyList skipped these pages: every record n.intervals reaches has
+	// been applied, none of them to a page here (applied is 0, no data).
+	// So each writer wants the newest interval naming the page: the walk
+	// runs newest first, and the largest index wins.
+	for x, info := range n.intervals {
 		if x == n.id {
 			continue
 		}
-		for _, info := range infos {
+		for ; info != nil; info = info.prev {
 			for _, q := range info.Pages {
 				if q&^(pageShardSize-1) == base {
 					p := &s.pages[q-base]
-					p.writer(x).wanted = info.Idx
+					w := p.writer(x)
+					w.wanted = max(w.wanted, info.Idx)
 					p.state = PageInvalid
 				}
 			}
@@ -201,6 +203,14 @@ func (bp *bufPool) put(b *[]byte) {
 func (s *System) PageBuffers() (n int) {
 	for _, nd := range s.nodes {
 		n += nd.pool.made
+	}
+	return n
+}
+
+// Shards reports how many page-table shards the nodes have made so far.
+func (s *System) Shards() (n int) {
+	for _, nd := range s.nodes {
+		n += nd.shardCount
 	}
 	return n
 }

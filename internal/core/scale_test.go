@@ -85,17 +85,17 @@ func TestLRCBeyond64Nodes(t *testing.T) {
 // TestFirstTouchMaterialization: page-table shards materialize on first
 // touch only — a node whose threads work in a narrow address range holds
 // page structs for that range alone, no matter how large the shared
-// segment is — and the directory root has one entry per 16,384 pages,
+// segment is — and the directory root has one entry per 4,096 pages,
 // with a leaf behind it only for ranges the node touched.
 func TestFirstTouchMaterialization(t *testing.T) {
 	// The runtime heads an object over 512 bytes that holds pointers with
-	// 8 bytes; a shard that fits the 8 KB size class only without them
-	// takes the 9,472-byte class.
-	if sz := unsafe.Sizeof(pageShard{}); sz+8 > 8192 {
-		t.Errorf("a shard is %d bytes, over the 8 KB size class with its header", sz)
+	// 8 bytes; a shard that fits the 2 KB size class only without them
+	// takes the next one, 2,304 bytes.
+	if sz := unsafe.Sizeof(pageShard{}); sz+8 > 2048 {
+		t.Errorf("a shard is %d bytes, over the 2 KB size class with its header", sz)
 	}
 	s := testSystem(t, 2, 1)
-	const pages = 100_000 // ~1563 shards, 7 leaves of address space
+	const pages = 100_000 // 6,250 shards, 25 leaves of address space
 	base, _ := s.Alloc("big", pages*s.cfg.PageSize)
 	if base != 0 {
 		t.Fatalf("segment at %d, want 0", base)
@@ -103,8 +103,8 @@ func TestFirstTouchMaterialization(t *testing.T) {
 	runApp(t, s, func(w *Thread) {
 		if w.GlobalID() == 0 {
 			w.WriteI64(base, 1)                             // shard 0, leaf 0
-			w.WriteI64(base+Addr(77*s.cfg.PageSize), 2)     // shard 1, leaf 0
-			w.WriteI64(base+Addr(40_000*s.cfg.PageSize), 3) // shard 625, leaf 2
+			w.WriteI64(base+Addr(77*s.cfg.PageSize), 2)     // shard 4, leaf 0
+			w.WriteI64(base+Addr(40_000*s.cfg.PageSize), 3) // shard 2,500, leaf 9
 		}
 		w.Barrier(0)
 		if w.GlobalID() == 1 {
@@ -116,13 +116,13 @@ func TestFirstTouchMaterialization(t *testing.T) {
 	for id, want := range []struct {
 		shards int
 		leaves []int // root entries with a leaf behind them
-	}{{3, []int{0, 2}}, {1, []int{0}}} {
+	}{{3, []int{0, 9}}, {1, []int{0}}} {
 		n := s.nodes[id]
 		if n.shardCount != want.shards {
 			t.Errorf("node %d materialized %d shards, want %d", id, n.shardCount, want.shards)
 		}
-		if got := len(n.root); got != (pages+16_383)/16_384 {
-			t.Errorf("node %d directory root has %d entries, want one per 16,384 pages", id, got)
+		if got := len(n.root); got != (pages+4_095)/4_096 {
+			t.Errorf("node %d directory root has %d entries, want one per 4,096 pages", id, got)
 		}
 		for i, l := range n.root {
 			if touched := slices.Contains(want.leaves, i); (l != nil) != touched {
@@ -305,7 +305,7 @@ func TestMemoryFootprintMillionPages(t *testing.T) {
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	const budget = 128 << 20
+	const budget = 56 << 20
 	t.Logf("HeapAlloc = %d MB after the run", ms.HeapAlloc>>20)
 	if ms.HeapAlloc > budget {
 		t.Errorf("HeapAlloc = %d MB after the run, budget %d MB",

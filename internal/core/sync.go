@@ -67,13 +67,13 @@ type nodeMeet struct {
 }
 
 // arrival is what a node's last local thread sends the manager: the
-// node's folded value and, for a barrier, its vector time and its own
-// intervals the manager has not seen.
+// node's folded value and, for a barrier, its vector time and its newest
+// own record, which links back to the ones the manager has not seen.
 type arrival struct {
-	from  int
-	v     float64
-	vt    VClock
-	infos []*IntervalInfo
+	from   int
+	v      float64
+	vt     VClock
+	newest *IntervalInfo
 }
 
 // episode is the manager's (node 0's) state for one crossing of a global
@@ -168,10 +168,10 @@ func (t *Thread) leave(key meetKey, v float64, op ReduceOp) {
 	if key.kind == meetBarrier {
 		n.closeInterval(t)
 		n.ensureIntervals()
-		// The arrival ships the node's own intervals the manager lacks.
-		a.vt, a.infos = n.vt.Clone(), after(n.intervals[n.id], n.barrierSentIdx)
+		// Charged for the node's intervals since its last arrival only.
+		a.vt, a.newest = n.vt.Clone(), n.intervals[n.id]
+		bytes = barrierMsgBytes + a.vt.wireBytes() + a.newest.bytesAfter(n.barrierSentIdx, len(a.vt))
 		n.barrierSentIdx = n.curIdx
-		bytes = barrierMsgBytes + a.vt.wireBytes() + infosBytes(a.infos)
 	}
 	gather := func() { sys.gather(key, op, a) }
 	if n.id == 0 {
@@ -209,7 +209,7 @@ func (s *System) gather(key meetKey, op ReduceOp, a arrival) {
 	// diff could then land on a page after a diff it happens-before.
 	mgr := s.nodes[0]
 	for _, b := range ep.from {
-		mgr.applyList(b.from, b.infos)
+		mgr.applyList(b.from, b.newest)
 	}
 	ep.key = key
 	if key.kind == meetBarrier {

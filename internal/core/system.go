@@ -100,6 +100,9 @@ type Config struct {
 // holds an offset and a length in 16 bits each.
 const MaxPageSize = 32 << 10
 
+// sharedLimit bounds Alloc's segments; TouchPrivate's regions lie above.
+const sharedLimit = 1 << 41
+
 // ErrPageTooLarge is the error a page larger than MaxPageSize fails with.
 var ErrPageTooLarge = fmt.Errorf("page larger than %d bytes", MaxPageSize)
 
@@ -343,6 +346,9 @@ func (s *System) Alloc(name string, size int) (Addr, error) {
 	}
 	base := s.allocated
 	pages := (size + s.cfg.PageSize - 1) / s.cfg.PageSize
+	if uint64(base)+uint64(pages*s.cfg.PageSize) > sharedLimit {
+		return 0, fmt.Errorf("core: Alloc %q: shared memory past %d bytes", name, uint64(sharedLimit))
+	}
 	s.allocated += Addr(pages * s.cfg.PageSize)
 	s.segments = append(s.segments, Segment{Name: name, Base: base, Size: size})
 	return base, nil

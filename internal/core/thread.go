@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 
+	"cvm/internal/memsim"
 	"cvm/internal/sim"
 	"cvm/internal/trace"
 )
@@ -149,8 +150,9 @@ func (t *Thread) write8(a Addr, v uint64) {
 
 // TouchPrivate models an access to thread-private memory (stack or heap):
 // it exercises the node's cache and TLB without touching shared state.
-// idx is an arbitrary index into the thread's private region.
+// idx is an arbitrary index into the thread's private region: 256 MB a
+// thread from sharedLimit, wrapping below memsim.MaxAddr.
 func (t *Thread) TouchPrivate(idx int) {
-	va := 1<<41 + uint64(t.gid)<<30 + uint64(idx)*8
+	va := sharedLimit + (uint64(t.gid)<<28+uint64(idx)*8)%(memsim.MaxAddr-sharedLimit)
 	t.task.Advance(t.node.mem.Access(va))
 }

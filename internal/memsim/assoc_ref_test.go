@@ -45,8 +45,9 @@ func (a *assocRef) touch(key uint64) bool {
 }
 
 // recency returns set's tags most recent first, empty ways last: the
-// order assoc keeps them in.
-func (a *assocRef) recency(set int) []uint64 {
+// order assoc keeps them in, each as assoc stores it — the key bits the
+// set does not imply, plus one.
+func (a *assocRef) recency(set int) []uint32 {
 	base := set * a.ways
 	idx := make([]int, a.ways)
 	for i := range idx {
@@ -61,9 +62,11 @@ func (a *assocRef) recency(set int) []uint64 {
 		}
 		return 0
 	})
-	out := make([]uint64, a.ways)
+	out := make([]uint32, a.ways)
 	for i, w := range idx {
-		out[i] = a.tags[w]
+		if k := a.tags[w]; k != 0 {
+			out[i] = uint32((k-1)>>log2(a.sets)) + 1
+		}
 	}
 	return out
 }
@@ -79,7 +82,7 @@ func TestAssocMatchesReference(t *testing.T) {
 			for _, hot := range []int{ways, sets * ways, 2 * sets * ways} {
 				t.Run(fmt.Sprintf("sets=%d/ways=%d/hot=%d", sets, ways, hot), func(t *testing.T) {
 					got := new(assoc)
-					got.init(sets, ways, make([]uint64, sets*ways))
+					got.init(sets, ways, make([]uint32, sets*ways))
 					ref := newAssocRef(sets, ways)
 					x := uint64(sets*131 + ways*7 + hot)
 					rnd := func(mod uint64) uint64 {
@@ -102,6 +105,53 @@ func TestAssocMatchesReference(t *testing.T) {
 						}
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestAssocMatchesReferenceHighAddresses drives the D-cache and D-TLB
+// geometries with the keys of real addresses from both ends of the
+// simulated space — shared pages from 0 and TouchPrivate's regions from
+// 2^41 up to MaxAddr, which share every set — and requires the same hit
+// or miss and per-set recency order as the full-key reference: a tag
+// that lost a bit would alias a low and a high line.
+func TestAssocMatchesReferenceHighAddresses(t *testing.T) {
+	p := SP2Params()
+	for _, g := range []struct {
+		name       string
+		sets, ways int
+		shift      uint
+	}{
+		{"dcache", p.CacheSize / (p.LineSize * p.CacheWays), p.CacheWays, log2(p.LineSize)},
+		{"dtlb", p.DTLBSets, p.DTLBWays, log2(p.PageSize)},
+	} {
+		got := new(assoc)
+		got.init(g.sets, g.ways, make([]uint32, g.sets*g.ways))
+		ref := newAssocRef(g.sets, g.ways)
+		x := uint64(g.sets)
+		rnd := func(mod uint64) uint64 {
+			x = x*6364136223846793005 + 1442695040888963407
+			return (x >> 11) % mod
+		}
+		for i := 0; i < 20000; i++ {
+			low := rnd(uint64(g.sets*g.ways*3)) << g.shift
+			var addr uint64
+			switch rnd(3) {
+			case 0:
+				addr = low
+			case 1: // the same set and low bits, 2^41 higher
+				addr = 1<<41 + low
+			default: // the top of the space
+				addr = MaxAddr - 1 - rnd(uint64(g.sets*g.ways*3))<<g.shift
+			}
+			key := addr >> g.shift
+			if gh, rh := got.touch(key), ref.touch(key); gh != rh {
+				t.Fatalf("%s: touch %d of %#x: hit %v, reference %v", g.name, i, addr, gh, rh)
+			}
+			set := int(key & uint64(g.sets-1))
+			if gt, rt := got.tags[set*g.ways:(set+1)*g.ways], ref.recency(set); !slices.Equal(gt, rt) {
+				t.Fatalf("%s: touch %d of %#x: set %d is %v, reference %v", g.name, i, addr, set, gt, rt)
 			}
 		}
 	}

@@ -15,6 +15,11 @@ import (
 	"cvm/internal/sim"
 )
 
+// MaxAddr bounds the addresses a System simulates (core: shared segments
+// below 1<<41, thread-private regions above). Validate rejects a geometry
+// whose tags of such addresses would not fit a way's 32 bits.
+const MaxAddr = 3 << 40
+
 // Params describes one node's memory system.
 type Params struct {
 	CacheSize int // data cache capacity in bytes
@@ -62,18 +67,21 @@ func AlphaParams() Params {
 	return p
 }
 
-// Validate rejects a geometry the tag arrays cannot index: a lookup
-// picks its set with a mask, so each set count must be a power of two.
+// Validate rejects a geometry the tag arrays cannot index: a lookup picks
+// its set with a mask (a power of two) and stores the rest in 32 bits.
 func (p Params) Validate() error {
 	if p.LineSize < 1 || p.CacheWays < 1 {
 		return fmt.Errorf("memsim: LineSize %d and CacheWays %d must be ≥ 1", p.LineSize, p.CacheWays)
 	}
 	for _, f := range []struct {
-		name string
-		sets int
-	}{{"CacheSize/(LineSize*CacheWays)", p.CacheSize / (p.LineSize * p.CacheWays)}, {"DTLBSets", p.DTLBSets}} {
+		name       string
+		sets, unit int // unit: the bytes a key covers, a line or a page
+	}{{"CacheSize/(LineSize*CacheWays)", p.CacheSize / (p.LineSize * p.CacheWays), p.LineSize}, {"DTLBSets", p.DTLBSets, p.PageSize}} {
 		if f.sets < 1 || f.sets&(f.sets-1) != 0 {
 			return fmt.Errorf("memsim: %s = %d sets, must be a power of two", f.name, f.sets)
+		}
+		if (MaxAddr-1)>>(log2(f.unit)+log2(f.sets)) >= 1<<32-1 {
+			return fmt.Errorf("memsim: %s = %d sets of %d bytes: tags of addresses below %#x overflow 32 bits", f.name, f.sets, f.unit, uint64(MaxAddr))
 		}
 	}
 	return nil
@@ -101,13 +109,15 @@ func (s *Stats) Add(other Stats) {
 // a hierarchy are slices of one shared backing array (see System.Init),
 // so a whole hierarchy costs a single allocation.
 type assoc struct {
-	sets int // a power of two (Params.Validate), so a mask picks the set
-	ways int
-	tags []uint64 // sets*ways entries; tag 0 means empty (tags stored +1)
+	sets    int  // a power of two (Params.Validate), so a mask picks the set
+	setBits uint // log2(sets): the key bits the set index holds
+	ways    int
+	tags    []uint32 // sets*ways entries: key>>setBits + 1, 0 for an empty way (32 bits: Params.Validate)
 }
 
-func (a *assoc) init(sets, ways int, backing []uint64) {
+func (a *assoc) init(sets, ways int, backing []uint32) {
 	a.sets = sets
+	a.setBits = log2(sets)
 	a.ways = ways
 	a.tags = backing[: sets*ways : sets*ways]
 }
@@ -118,10 +128,11 @@ func (a *assoc) init(sets, ways int, backing []uint64) {
 func (a *assoc) touch(key uint64) bool {
 	base := int(key&uint64(a.sets-1)) * a.ways
 	set := a.tags[base : base+a.ways]
-	prev := key + 1
+	stored := uint32(key>>a.setBits) + 1
+	prev := stored
 	for i, tag := range set {
 		set[i] = prev
-		if tag == key+1 {
+		if tag == stored {
 			return true
 		}
 		prev = tag
@@ -148,8 +159,8 @@ type System struct {
 	noMemo   bool
 }
 
-// invalidLine is a line or page tag no real access can produce
-// (addresses are below 2^42), marking the memo empty.
+// invalidLine is a line or page number no real access can produce
+// (addresses are below MaxAddr), marking the memo empty.
 const invalidLine = ^uint64(0)
 
 // NewSystem returns a memory system with the given geometry.
@@ -171,7 +182,7 @@ func (s *System) Init(p Params) {
 	cacheSets := p.CacheSize / (p.LineSize * p.CacheWays)
 	nc := cacheSets * p.CacheWays
 	nd := p.DTLBSets * p.DTLBWays
-	backing := make([]uint64, nc+nd)
+	backing := make([]uint32, nc+nd)
 	*s = System{
 		params:    p,
 		lineShift: log2(p.LineSize),

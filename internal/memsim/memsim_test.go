@@ -168,7 +168,7 @@ func TestAssocPropertyHitAfterTouch(t *testing.T) {
 	// Property: immediately re-touching any key is always a hit.
 	f := func(keys []uint64) bool {
 		a := new(assoc)
-		a.init(16, 4, make([]uint64, 16*4))
+		a.init(16, 4, make([]uint32, 16*4))
 		for _, k := range keys {
 			a.touch(k)
 			if !a.touch(k) {
@@ -188,7 +188,7 @@ func TestAssocPropertyWorkingSetFits(t *testing.T) {
 	f := func(seed uint8) bool {
 		const sets, ways = 8, 4
 		a := new(assoc)
-		a.init(sets, ways, make([]uint64, sets*ways))
+		a.init(sets, ways, make([]uint32, sets*ways))
 		keys := make([]uint64, 0, sets*ways)
 		for s := 0; s < sets; s++ {
 			for w := 0; w < ways; w++ {
@@ -376,6 +376,30 @@ func TestInitRejectsNonPowerOfTwoSets(t *testing.T) {
 	for _, p := range []Params{SP2Params(), AlphaParams()} {
 		if err := p.Validate(); err != nil {
 			t.Errorf("Validate() = %v on a geometry the tree uses", err)
+		}
+	}
+}
+
+// TestValidateRejectsTagOverflow: a way holds a tag in 32 bits, so a
+// geometry whose line (or page) and set bits leave more than that of an
+// address below MaxAddr must be refused, and the smallest one that fits
+// accepted.
+func TestValidateRejectsTagOverflow(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mutate func(*Params)
+		ok     bool
+	}{
+		{"CacheSize/(LineSize*CacheWays)", func(p *Params) { p.LineSize, p.CacheSize, p.CacheWays = 16, 1<<10, 2 }, false},
+		{"DTLBSets", func(p *Params) { p.PageSize, p.DTLBSets = 64, 8 }, false},
+		{"CacheSize/(LineSize*CacheWays)", func(p *Params) { p.LineSize, p.CacheSize, p.CacheWays = 32, 1<<10, 1 }, true},
+		{"DTLBSets", func(p *Params) { p.PageSize, p.DTLBSets = 64, 16 }, true},
+	} {
+		p := SP2Params()
+		c.mutate(&p)
+		err := p.Validate()
+		if c.ok != (err == nil) || err != nil && !strings.Contains(err.Error(), c.name) {
+			t.Errorf("%s %+v: Validate() = %v, want ok %v", c.name, p, err, c.ok)
 		}
 	}
 }
